@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -24,7 +23,6 @@
 #include "core/config.hpp"
 #include "core/driver.hpp"
 #include "core/sample_source.hpp"
-#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -91,34 +89,6 @@ inline bsp::BspMachine machine() { return bsp::BspMachine{5e-6, 5e-10, 1e-9}; }
 inline std::uint64_t result_output_bytes(const core::Result& result) {
   if (result.sparse_output()) return result.sparse_similarity.resident_bytes();
   return static_cast<std::uint64_t>(result.similarity.values().size()) * sizeof(double);
-}
-
-/// Machine-readable perf tracking: appends one JSON object per line to
-/// `path` (JSON-lines, append-safe across bench binaries) recording the
-/// output-path byte metrics of one driver run —
-///   assemble_bytes       measured assemble-stage traffic (dense gather
-///                        or survivor-triplet gather),
-///   filter_union_bytes   pack/sketch-stage traffic, dominated by the
-///                        per-batch zero-row filter replication,
-///   peak_root_output_bytes  rank-0 resident output (n²·8 dense,
-///                        survivor-proportional sparse).
-/// CI diffs these against the previous run to track the perf trajectory.
-inline void append_result_bytes_json(const std::string& bench, const std::string& config,
-                                     const core::Result& result,
-                                     const std::string& path = "BENCH_result_bytes.json") {
-  std::ofstream out(path, std::ios::app);
-  if (!out) return;  // benches must not fail on a read-only workdir
-  // One compact object per line through the shared emitter (obs/json.hpp)
-  // — same schema and byte format as before, so the CI diff keeps working.
-  obs::JsonWriter w(out);
-  w.begin_object()
-      .field("bench", bench)
-      .field("config", config)
-      .field("assemble_bytes", result.stages[core::Stage::kAssemble].bytes_sent)
-      .field("filter_union_bytes", result.stages[core::Stage::kPackSketch].bytes_sent)
-      .field("peak_root_output_bytes", result_output_bytes(result))
-      .end_object();
-  out << '\n';
 }
 
 inline void print_header(const char* experiment, const char* paper_ref,

@@ -29,8 +29,6 @@ int main() {
     core::Config config;
     config.batch_count = std::max<std::int64_t>(64 / ranks, 2);  // batch size ∝ ranks
     const RunResult run = run_driver(ranks, source, config);
-    append_result_bytes_json("fig2a_kingsford_strong", "ranks=" + std::to_string(ranks),
-                             run.result);
     const BatchTiming timing = summarize_batches(run.result.batches, /*warmup=*/1);
     const double projected =
         timing.mean_seconds * static_cast<double>(config.batch_count);

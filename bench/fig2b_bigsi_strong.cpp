@@ -27,8 +27,6 @@ int main() {
     core::Config config;
     config.batch_count = 128 / ranks;  // batch size ∝ ranks, as in the paper
     const RunResult run = run_driver(ranks, source, config);
-    append_result_bytes_json("fig2b_bigsi_strong", "ranks=" + std::to_string(ranks),
-                             run.result);
     const BatchTiming timing = summarize_batches(run.result.batches, /*warmup=*/3);
     const double projected =
         timing.mean_seconds * static_cast<double>(config.batch_count);

@@ -26,8 +26,6 @@ int main() {
     core::Config config;
     config.batch_count = batches;
     const RunResult run = run_driver(ranks, source, config);
-    append_result_bytes_json("fig2c_kingsford_batch", "batches=" + std::to_string(batches),
-                             run.result);
     const BatchTiming timing = summarize_batches(run.result.batches, /*warmup=*/1);
     table.add_row({std::to_string(batches),
                    fmt_count(static_cast<std::uint64_t>(source.attribute_universe() /

@@ -387,8 +387,6 @@ int main(int argc, char** argv) {
   sparse_row("dense gather + compressed filter", dense_run, false);
   sparse_row("sparse survivor gather (default)", hybrid, true);
   sparse_table.print();
-  append_result_bytes_json("minhash_accuracy", "hybrid_pr4_baseline", pr4_run.result);
-  append_result_bytes_json("minhash_accuracy", "hybrid_sparse", hybrid.result);
   std::printf("\nsparse-output gate: survivor values bitwise-identical to both dense\n"
               "assemblies; assemble bytes, assemble+filter bytes, and rank-0 resident\n"
               "output strictly below the PR 4 baseline.\n");
@@ -444,8 +442,6 @@ int main(int argc, char** argv) {
                     mf_parity_violations == 0 ? "bitwise" : "FAIL",
                     mf_ok ? "PASS" : "FAIL"});
   mf_table.print();
-  append_result_bytes_json("minhash_accuracy", "maskfirst_exact", mf_exact.result);
-  append_result_bytes_json("minhash_accuracy", "maskfirst_hybrid", mf_hybrid.result);
   std::printf("\nmask-first gate: hybrid pack/sketch bytes strictly below exact — the\n"
               "pruned columns never reach the zero-row filter union or the packer.\n");
 

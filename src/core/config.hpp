@@ -1,8 +1,22 @@
 // config.hpp — tuning knobs of the SimilarityAtScale driver.
 //
 // The defaults reproduce the paper's configuration (bitmask b = 64,
-// zero-row filter on, SUMMA parallelization); every knob is also an
-// ablation axis exercised by bench/ablation_*.
+// zero-row filter on, SUMMA parallelization). The knobs fall into four
+// groups:
+//
+//   paper ablations   batch_count (Fig. 2c/2d), bit_width, replication,
+//                     algorithm, use_zero_row_filter — swept by
+//                     bench/ablation_*, bench/fig2* and bench/fig3
+//   schedule/kernel   ring_overlap, compress_filter, dense_crossover,
+//   ablations         nodes — this implementation's own levers, each
+//                     compared against its off position by a bench
+//                     (ablation_algorithm, minhash_accuracy,
+//                     micro_kernels, comm_model_validation section e)
+//   estimators        estimator and the sketch / hybrid / LSH parameters
+//                     below it — the approximate pipelines, measured by
+//                     bench/minhash_accuracy and the perf ledger
+//   operational       failure semantics, recovery, memory budget and
+//                     observability — no effect on results
 #pragma once
 
 #include <cstdint>
@@ -72,24 +86,13 @@ struct Config {
   /// hypersparse inputs.
   bool use_zero_row_filter = true;
 
-  /// Ring schedule (Algorithm::kRing1D only): post the panel rotation
-  /// send before the local multiply so transfer overlaps compute.
+  /// Ring schedule of both 1-D rings (distmat/ring.hpp): the exact
+  /// pipeline's Algorithm::kRing1D panel rotation and the pure-sketch
+  /// estimators' sketch-panel rotation. Posts the rotation send before
+  /// the local multiply / estimation so transfer overlaps compute.
   /// Disabling it (ablation) restores the synchronous send-after-compute
-  /// ring that serializes rotation with the multiply.
+  /// ring that serializes rotation with compute.
   bool ring_overlap = true;
-
-  /// Worker threads per rank for the SpGEMM tile accumulation (1 = run
-  /// inline). Only engages on output blocks whose multiply work clears
-  /// the kernel's spawn threshold; leave at 1 when rank threads already
-  /// oversubscribe the cores (the scaling benches do).
-  int kernel_threads = 1;
-
-  /// NUMA-aware multiply: pin kernel workers to sockets (block worker →
-  /// node assignment) and first-touch the accumulator panel with the same
-  /// partition so scatter stores stay socket-local. Harmless on single-
-  /// socket hosts (topology detection finds one node and every placement
-  /// call becomes a no-op); disable only for placement ablations.
-  bool numa_aware = true;
 
   /// Simulated node count for the hierarchical collectives: ranks are
   /// grouped into `nodes` contiguous blocks, each with a leader rank, and

@@ -26,7 +26,6 @@
 #include "sketch/exchange.hpp"
 #include "util/hashing.hpp"
 #include "util/membudget.hpp"
-#include "util/numa.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -95,7 +94,7 @@ DenseBlock<double> finalize_block(const DenseBlock<std::int64_t>& b,
   return s;
 }
 
-/// Parallel layout shared by the exact and hybrid pipelines. The SUMMA
+/// Parallel layout of the batched pipeline. The SUMMA
 /// path builds the √(p/c)×√(p/c)×c grid; the others use the flat
 /// communicator directly.
 struct Layout {
@@ -147,17 +146,6 @@ Layout make_layout(bsp::Comm& world, const Config& config, std::int64_t n) {
       }
       break;
   }
-  // Multi-socket hosts: re-fault the accumulator panel's pages across the
-  // sockets that will run the multiply workers (block partition matching
-  // numa::node_for_worker). The panel is freshly value-initialized here,
-  // so the first-touch pass preserves its all-zero contents. Single-node
-  // hosts and serial runs fall straight through.
-  if (config.numa_aware && config.kernel_threads > 1 && layout.b_block.has_value() &&
-      !layout.b_block->values.empty()) {
-    numa::first_touch_partitioned(layout.b_block->values.data(),
-                                  layout.b_block->values.size() * sizeof(std::int64_t),
-                                  config.kernel_threads);
-  }
   return layout;
 }
 
@@ -174,11 +162,9 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
 
   // Kernel tuning shared by all schedules: CSR panels are built once
   // per redistributed batch (not re-derived per ring step / SUMMA
-  // stage), and large output blocks may thread the tile accumulation.
+  // stage).
   distmat::CsrAtaOptions kernel_options;
-  kernel_options.threads = config.kernel_threads;
   kernel_options.dense_crossover = config.dense_crossover;
-  kernel_options.numa_aware = config.numa_aware;
   kernel_options.prune = prune;
 
   switch (config.algorithm) {
@@ -620,7 +606,7 @@ bool run_batch_with_recovery(bsp::Comm& world, RecoveryState& rs, Layout& layout
   }
 }
 
-/// Per-batch instrumentation shared by the exact and hybrid loops: the
+/// Per-batch instrumentation of the batched pipeline: the
 /// paper times barrier-to-barrier batches; traffic is the allreduced
 /// delta of the bsp byte counters across the batch. The closing barrier
 /// comes FIRST and the clock is read right after it, so the reported
@@ -653,15 +639,82 @@ void record_batch(bsp::Comm& world, const Timer& timer, std::int64_t filtered_ro
   }
 }
 
-/// The exact pipeline: per batch ingest → pack → exchange → multiply,
-/// then assemble.
-Result run_exact_pipeline(bsp::Comm& world, const SampleSource& source,
-                          const Config& config) {
+/// The hybrid's prologue (sketch-prune), run before the batch loop:
+///
+///   1. ONE pass over the inputs: each batch's reads feed the streaming
+///      sketch builders and are cached raw in `cache` for the batch loop
+///      (O(nnz/p) per rank — the same order as the rank's share of the
+///      input). Packing is deferred: the candidate mask is not known yet,
+///      and packing first would spend filter-union traffic and triplet
+///      work on columns the mask is about to drop. Persisted, parameter-
+///      compatible blobs skip the streaming (their samples are still
+///      read — the packer needs them).
+///   2. The sketch exchange scores all pairs and thresholds them into the
+///      replicated candidate mask (Ĵ ≥ prune_threshold − slack). Scoring
+///      time is sketch work; the blob allgather and mask union are
+///      exchange traffic.
+sketch::CandidatePass sketch_prune(bsp::Comm& world, const SampleSource& source,
+                                   const Config& config, StageRecorder& recorder,
+                                   std::vector<BatchReads>& cache) {
+  const std::int64_t n = source.sample_count();
+  const std::int64_t m = source.attribute_universe();
+  const int p = world.size();
+  const int r = world.rank();
+  sketch::StreamingSketcher sketcher(config);
+  for (std::int64_t i = r; i < n; i += p) (void)sketcher.add_sample(i, source);
+
+  const int batches = static_cast<int>(config.batch_count);
+  cache.reserve(static_cast<std::size_t>(batches));
+  for (int l = 0; l < batches; ++l) {
+    const BlockRange rows = distmat::block_range(m, batches, l);
+    BatchReads reads;
+    {
+      auto stage = recorder.scope(Stage::kIngest);
+      reads = read_batch(r, p, source, rows);
+    }
+    {
+      auto stage = recorder.scope(Stage::kPackSketch);
+      for (std::size_t s = 0; s < reads.samples.size(); ++s) {
+        sketcher.absorb(s, std::span<const std::int64_t>(reads.values[s]));
+      }
+    }
+    cache.push_back(std::move(reads));
+  }
+
+  auto stage = recorder.scope(Stage::kPackSketch, Stage::kExchange);
+  return sketch::sketch_candidate_pass(
+      world, std::span<const std::int64_t>(sketcher.samples()), sketcher.finish(), n,
+      config);
+}
+
+/// The batched pipeline (paper Listings 1–2) behind kExact and kHybrid:
+/// per batch ingest → pack → exchange → multiply, then assemble. The
+/// hybrid is the same loop with a candidate mask computed up front by
+/// sketch_prune: its batches come from the prologue's read cache instead
+/// of a fresh read, samples with no surviving pair are dropped before the
+/// pack, the ring schedule becomes the mask-targeted alltoall, and the
+/// kernels tile-skip pruned pairs. Surviving pairs come out
+/// bitwise-identical to kExact (their columns keep every entry and â is
+/// exact on active columns).
+Result run_batched_pipeline(bsp::Comm& world, const SampleSource& source,
+                            const Config& config) {
   const std::int64_t n = source.sample_count();
   const std::int64_t m = source.attribute_universe();
   Layout layout = make_layout(world, config, n);
   StageRecorder recorder(world.counters());
 
+  std::vector<BatchReads> cache;
+  std::optional<sketch::CandidatePass> candidates;
+  if (config.estimator == Estimator::kHybrid) {
+    candidates = sketch_prune(world, source, config, recorder, cache);
+  }
+  distmat::CandidateMask* const mask = candidates ? &candidates->mask : nullptr;
+  const std::vector<std::uint8_t> active =
+      mask != nullptr ? mask->active_columns() : std::vector<std::uint8_t>{};
+
+  // On --resume the hybrid prologue above reran (it is deterministic and
+  // cheap relative to the rescore); only completed batches are skipped,
+  // their accumulator state restored from the checkpoint.
   std::vector<std::int64_t> ahat(static_cast<std::size_t>(n), 0);
   CheckpointState cs = init_checkpoint(world, layout, config, n, m, ahat);
   std::vector<BatchStats> stats = std::move(cs.stats);
@@ -681,14 +734,42 @@ Result run_exact_pipeline(bsp::Comm& world, const SampleSource& source,
       const bsp::CostCounters batch_start = world.counters();
       Timer timer;
 
+      // Cached reads are consumed destructively on the fast path but must
+      // survive a rollback when recovery is armed, so the armed path
+      // copies.
       BatchReads reads;
-      {
+      if (candidates) {
+        reads = rs.armed ? cache[static_cast<std::size_t>(l)]
+                         : std::move(cache[static_cast<std::size_t>(l)]);
+      } else {
         auto stage = recorder.scope(Stage::kIngest);
         reads = read_batch(world.rank(), world.size(), source, rows);
       }
       PackedBatch packed;
       {
         auto stage = recorder.scope(Stage::kPackSketch);
+        // Mask-first packing: drop samples with no surviving pair BEFORE
+        // the pack, so the zero-row filter union and the triplet build
+        // never see them — a column the candidate pass pruned costs zero
+        // pack work and zero filter-union bytes. Dropped samples' â stays
+        // 0, their diagonal falls back to the J(∅, ∅) = 1 convention, and
+        // off-diagonal entries are filled from the sketch estimates. Rows
+        // observed only in pruned samples leave the filter too; they
+        // contributed only to pruned pairs, so surviving pairs are
+        // unchanged.
+        if (mask != nullptr) {
+          std::size_t keep = 0;
+          for (std::size_t s = 0; s < reads.samples.size(); ++s) {
+            if (active[static_cast<std::size_t>(reads.samples[s])] == 0) continue;
+            if (keep != s) {
+              reads.samples[keep] = reads.samples[s];
+              reads.values[keep] = std::move(reads.values[s]);
+            }
+            ++keep;
+          }
+          reads.samples.resize(keep);
+          reads.values.resize(keep);
+        }
         packed = pack_batch(world, reads, rows, config.bit_width,
                             config.use_zero_row_filter, config.compress_filter);
       }
@@ -702,7 +783,7 @@ Result run_exact_pipeline(bsp::Comm& world, const SampleSource& source,
       const std::int64_t word_rows = packed.word_rows;
 
       exchange_and_multiply(world, layout, config, n, std::move(packed), ahat,
-                            recorder, nullptr);
+                            recorder, mask);
       record_batch(world, timer, filtered_rows, word_rows, local_nnz, batch_start,
                    stats);
       if (cs.ckpt.has_value() &&
@@ -713,7 +794,7 @@ Result run_exact_pipeline(bsp::Comm& world, const SampleSource& source,
   }
 
   Result result = assemble(world, layout, config, n, ahat, std::move(stats), recorder,
-                           nullptr, nullptr);
+                           mask, candidates ? &candidates->estimates : nullptr);
   if (world.rank() == 0) {
     result.retries = rs.retries;
     result.quarantined = std::move(rs.quarantined);
@@ -721,146 +802,10 @@ Result run_exact_pipeline(bsp::Comm& world, const SampleSource& source,
   return result;
 }
 
-/// The hybrid pipeline (sketch-prune → exact-rescore):
-///
-///   1. ONE pass over the inputs: each batch's reads feed the streaming
-///      sketch builders and are cached raw for the rescore loop
-///      (O(nnz/p) per rank — the same order as the rank's share of the
-///      input). Packing is deferred: the candidate mask is not known
-///      yet, and packing first would spend filter-union traffic and
-///      triplet work on columns the mask is about to drop.
-///   2. The sketch exchange scores all pairs and thresholds them into
-///      the replicated candidate mask (Ĵ ≥ prune_threshold − slack).
-///   3. Rescore: columns with no surviving pair are dropped before
-///      redistribution, the ring schedule becomes the mask-targeted
-///      alltoall, and the kernels tile-skip pruned pairs. Surviving
-///      pairs come out bitwise-identical to kExact (their columns keep
-///      every entry and â is exact on active columns).
-Result run_hybrid_pipeline(bsp::Comm& world, const SampleSource& source,
-                           const Config& config) {
-  const std::int64_t n = source.sample_count();
-  const std::int64_t m = source.attribute_universe();
-  const int p = world.size();
-  const int r = world.rank();
-  Layout layout = make_layout(world, config, n);
-  StageRecorder recorder(world.counters());
-
-  // (1) Ingest + pack + sketch, one read per (sample, batch). Persisted,
-  // parameter-compatible blobs skip the streaming (their samples are
-  // still read — the packer needs them).
-  sketch::StreamingSketcher sketcher(config);
-  for (std::int64_t i = r; i < n; i += p) {
-    const std::size_t idx = sketcher.add_sample(i);
-    std::vector<std::uint64_t> persisted = source.persisted_sketch(i, config);
-    if (!persisted.empty() && sketch::wire_matches_config(persisted, config)) {
-      sketcher.preload(idx, std::move(persisted));
-    }
-  }
-
-  const int batches = static_cast<int>(config.batch_count);
-  std::vector<BatchReads> cache;
-  cache.reserve(static_cast<std::size_t>(batches));
-  for (int l = 0; l < batches; ++l) {
-    const BlockRange rows = distmat::block_range(m, batches, l);
-    BatchReads reads;
-    {
-      auto stage = recorder.scope(Stage::kIngest);
-      reads = read_batch(r, p, source, rows);
-    }
-    {
-      auto stage = recorder.scope(Stage::kPackSketch);
-      for (std::size_t s = 0; s < reads.samples.size(); ++s) {
-        sketcher.absorb(s, std::span<const std::int64_t>(reads.values[s]));
-      }
-    }
-    cache.push_back(std::move(reads));
-  }
-
-  // (2) Candidate mask from the sketch exchange. Scoring time is sketch
-  // work; the blob allgather and mask union are exchange traffic.
-  sketch::CandidatePass candidates;
-  {
-    auto stage = recorder.scope(Stage::kPackSketch, Stage::kExchange);
-    candidates = sketch::sketch_candidate_pass(
-        world, std::span<const std::int64_t>(sketcher.samples()), sketcher.finish(), n,
-        config);
-  }
-  const std::vector<std::uint8_t> active = candidates.mask.active_columns();
-
-  // (3) Exact rescore over the cached batches. On --resume the ingest/
-  // sketch/candidate work above reran (it is deterministic and cheap
-  // relative to the rescore); only completed RESCORE batches are skipped,
-  // their accumulator state restored from the checkpoint.
-  std::vector<std::int64_t> ahat(static_cast<std::size_t>(n), 0);
-  CheckpointState cs = init_checkpoint(world, layout, config, n, m, ahat);
-  std::vector<BatchStats> stats = std::move(cs.stats);
-  RecoveryState rs = make_recovery_state(config);
-  for (int l = 0; l < batches; ++l) {
-    if (l < cs.start_batch) continue;  // restored from the checkpoint
-    const BlockRange rows = distmat::block_range(m, batches, l);
-    // Replays re-run the whole body (see run_exact_pipeline). The cached
-    // reads are consumed destructively on the fast path but must survive
-    // a rollback when recovery is armed, so the armed path copies.
-    run_batch_with_recovery(world, rs, layout, l, rows, ahat, stats, [&] {
-      const error::Context batch_context("batch " + std::to_string(l));
-      const obs::BatchScope batch_scope(l);
-      world.barrier();
-      const bsp::CostCounters batch_start = world.counters();
-      Timer timer;
-
-      // Mask-first packing: drop samples with no surviving pair BEFORE the
-      // pack, so the zero-row filter union and the triplet build never see
-      // them — a column the candidate pass pruned costs zero pack work and
-      // zero filter-union bytes (the old scheme packed everything, then
-      // erased pruned triplets after the fact). Dropped samples' â stays 0,
-      // their diagonal falls back to the J(∅, ∅) = 1 convention, and
-      // off-diagonal entries are filled from the sketch estimates. Rows
-      // observed only in pruned samples now leave the filter too; they
-      // contributed only to pruned pairs, so surviving pairs are unchanged.
-      BatchReads reads = rs.armed ? cache[static_cast<std::size_t>(l)]
-                                  : std::move(cache[static_cast<std::size_t>(l)]);
-      PackedBatch packed;
-      {
-        auto stage = recorder.scope(Stage::kPackSketch);
-        std::size_t keep = 0;
-        for (std::size_t s = 0; s < reads.samples.size(); ++s) {
-          if (active[static_cast<std::size_t>(reads.samples[s])] == 0) continue;
-          if (keep != s) {
-            reads.samples[keep] = reads.samples[s];
-            reads.values[keep] = std::move(reads.values[s]);
-          }
-          ++keep;
-        }
-        reads.samples.resize(keep);
-        reads.values.resize(keep);
-        packed = pack_batch(world, reads, rows, config.bit_width,
-                            config.use_zero_row_filter, config.compress_filter);
-      }
-      const util::ScopedCharge packed_charge(
-          packed.triplets.size() * sizeof(Triplet<std::uint64_t>),
-          "packed batch triplets");
-      const auto local_nnz = static_cast<std::int64_t>(packed.triplets.size());
-      const std::int64_t filtered_rows = packed.filtered_rows;
-      const std::int64_t word_rows = packed.word_rows;
-
-      exchange_and_multiply(world, layout, config, n, std::move(packed), ahat,
-                            recorder, &candidates.mask);
-      record_batch(world, timer, filtered_rows, word_rows, local_nnz, batch_start,
-                   stats);
-      if (cs.ckpt.has_value() &&
-          !checkpoint_batch(world, *cs.ckpt, layout, l + 1, ahat, stats)) {
-        cs.ckpt.reset();  // disk full: finish in-memory, keep the last good set
-      }
-    });
-  }
-
-  Result result = assemble(world, layout, config, n, ahat, std::move(stats), recorder,
-                           &candidates.mask, &candidates.estimates);
-  if (world.rank() == 0) {
-    result.retries = rs.retries;
-    result.quarantined = std::move(rs.quarantined);
-  }
-  return result;
+/// Does `estimator` run on the batched pipeline (and so get the
+/// checkpoint and recovery contract)?
+bool batched_estimator(Estimator estimator) {
+  return estimator == Estimator::kExact || estimator == Estimator::kHybrid;
 }
 
 /// Caller-error validation, shared by both entry points. The threaded
@@ -887,7 +832,7 @@ void validate_config(const SampleSource& source, const Config& config) {
     throw error::ConfigError("similarity_at_scale: mem_budget_mb must be >= 0");
   }
   if ((config.max_retries > 0 || config.quarantine) &&
-      config.estimator != Estimator::kExact && config.estimator != Estimator::kHybrid) {
+      !batched_estimator(config.estimator)) {
     throw error::ConfigError(
         "similarity_at_scale: in-run recovery (--max-retries/--quarantine) "
         "requires a batched pipeline (estimator exact or hybrid)");
@@ -896,8 +841,7 @@ void validate_config(const SampleSource& source, const Config& config) {
     throw error::ConfigError(
         "similarity_at_scale: --quarantine-manifest needs --quarantine");
   }
-  if (!config.checkpoint_dir.empty() && config.estimator != Estimator::kExact &&
-      config.estimator != Estimator::kHybrid) {
+  if (!config.checkpoint_dir.empty() && !batched_estimator(config.estimator)) {
     throw error::ConfigError(
         "similarity_at_scale: checkpointing requires a batched pipeline "
         "(estimator exact or hybrid)");
@@ -1034,21 +978,12 @@ Result similarity_at_scale(bsp::Comm& world, const SampleSource& source,
     budget.emplace(static_cast<std::uint64_t>(config.mem_budget_mb) * 1024 * 1024);
   }
 
-  Result result;
-  switch (config.estimator) {
-    case Estimator::kExact:
-      result = run_exact_pipeline(world, source, config);
-      break;
-    case Estimator::kHybrid:
-      result = run_hybrid_pipeline(world, source, config);
-      break;
-    default:
-      // Pure sketch estimators swap the SpGEMM pipeline for the sketch-
-      // exchange ring (fixed-size panels, documented error bounds — see
-      // sketch/sketch.hpp for the tradeoff guide).
-      result = sketch::sketch_similarity_at_scale(world, source, config);
-      break;
-  }
+  // Pure sketch estimators swap the SpGEMM pipeline for the sketch-
+  // exchange ring (fixed-size panels, documented error bounds — see
+  // sketch/sketch.hpp for the tradeoff guide).
+  Result result = batched_estimator(config.estimator)
+                      ? run_batched_pipeline(world, source, config)
+                      : sketch::sketch_similarity_at_scale(world, source, config);
   if (world.rank() == 0 && result.degraded() && !config.quarantine_manifest.empty()) {
     write_quarantine_manifest(config.quarantine_manifest, config,
                               source.sample_count(), result);

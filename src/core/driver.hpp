@@ -7,8 +7,9 @@
 //               (packing.hpp read_batch; purely local)
 //   pack /    — zero-row filter + bitmask compression of the reads
 //   sketch      (pack_batch, Eq. 5–7) and/or streaming sketch
-//               construction from the SAME reads (sketch/exchange.hpp
-//               StreamingSketcher — the hybrid reads inputs once)
+//               construction (sketch/exchange.hpp StreamingSketcher —
+//               fed by the SAME reads in the hybrid, which reads inputs
+//               once)
 //   exchange  — move data where it multiplies: triplet redistribution
 //               onto the grid, ring/SUMMA panel movement, sketch-panel
 //               rotation, or the hybrid's mask-targeted alltoall
@@ -24,25 +25,31 @@
 //               SparseSimilarity — bytes and rank-0 memory O(survivors),
 //               not O(n²)
 //
-// The estimators compose the stages differently:
+// Two pipelines compose the stages:
 //
-//   kExact             for each batch: ingest → pack → exchange →
-//                      multiply; then assemble.
+//   kExact, kHybrid    ONE batched loop (run_batched_pipeline):
+//                        [hybrid prologue: for each batch ingest →
+//                         sketch (one read, raw reads cached); candidate
+//                         pass → replicated candidate mask (Ĵ ≥
+//                         prune_threshold − slack; all-pairs scoring or
+//                         LSH banding per Config::candidate_mode, dense
+//                         or sparse per the pair_mask.hpp crossover)]
+//                        for each batch: ingest (cache or read) →
+//                          [drop columns with no surviving pair] → pack →
+//                          exchange (serial / ring / SUMMA; a mask turns
+//                          the ring into the targeted alltoall) →
+//                          multiply (tile-level mask skip)
+//                        assemble (dense; survivor-sparse with a mask
+//                          unless Config::dense_output)
+//                      The bracketed steps are the hybrid's; surviving
+//                      pairs rescore BITWISE-IDENTICALLY to kExact, and
+//                      pair-keyed sketch estimates fill the pruned
+//                      entries. Checkpoint/resume and in-run recovery
+//                      wrap each batch of this loop.
 //   kHll/kMinhash/     ingest+sketch fused per owned sample → exchange
-//   kBottomK           (panel rotation) → multiply (estimation) →
-//                      assemble.
-//   kHybrid            for each batch: ingest → pack+sketch (one read);
-//                      candidate pass → replicated candidate mask (Ĵ ≥
-//                      prune_threshold − slack; all-pairs scoring or LSH
-//                      banding per Config::candidate_mode, dense or
-//                      sparse per the pair_mask.hpp crossover); then per
-//                      cached batch: drop columns with no surviving
-//                      pair → targeted exchange → multiply with tile-
-//                      level mask skipping; assemble rescores surviving
-//                      pairs BITWISE-IDENTICALLY to kExact into a
-//                      survivor-sparse result (pair-keyed sketch
-//                      estimates fill the pruned entries; the dense
-//                      matrix only under Config::dense_output).
+//   kBottomK           (sketch-panel rotation on the same 1-D ring
+//                      schedule as the exact ring) → multiply
+//                      (estimation) → assemble; one pseudo-batch.
 //
 // Per-stage time and traffic land in PipelineStats (fed by the bsp cost
 // counters); per-batch traffic lands in BatchStats. Both are rank-0

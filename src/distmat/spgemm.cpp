@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "bsp/tags.hpp"
 #include "distmat/crossover.hpp"
+#include "distmat/ring.hpp"
 #include "obs/trace.hpp"
-#include "util/numa.hpp"
 #include "util/popcount.hpp"
 
 namespace sas::distmat {
@@ -59,8 +58,8 @@ namespace {
 /// sorted occupied-row lists, O(occupied_L + occupied_N) regardless of
 /// the nominal row space (which is ~10¹² in the unfiltered hypersparse
 /// regime) — plus the exact multiply work they imply (Σ nnz_L·nnz_N over
-/// matches; every (a, b) pair is processed exactly once across all tiles
-/// and threads, so this is the γ contribution).
+/// matches; every (a, b) pair is processed exactly once across all tiles,
+/// so this is the γ contribution).
 struct CommonRow {
   std::int64_t l_index;  ///< occupied-row index into L
   std::int64_t n_index;  ///< occupied-row index into N
@@ -93,35 +92,28 @@ CommonRows find_common_rows(const CsrPanel& L, const CsrPanel& N) {
   return common;
 }
 
-/// Accumulate the contribution of N columns [col_begin, col_end) into
-/// `out`, tile by tile. Per-row cursors start at the first N entry with
-/// column ≥ col_begin (one binary search per common row) and advance
-/// monotonically through the row, so each N entry in the range is
-/// visited exactly once regardless of the tile width. Thread-safe for
-/// disjoint column ranges: all writes land in out columns
-/// [n_col_base + col_begin, n_col_base + col_end).
+/// Accumulate the contribution of every N column into `out`, tile by
+/// tile. Per-row cursors start at each common row's first N entry and
+/// advance monotonically through the row, so each N entry is visited
+/// exactly once regardless of the tile width.
 ///
 /// With a candidate-pair mask (`prune`), tiles whose [out rows × tile
 /// cols] pair set is fully pruned are skipped (cursors still advance so
 /// later tiles stay aligned). Returns the multiply flops actually
 /// performed — equal to the tile's share of CommonRows::flops when
-/// nothing is skipped — plus the tile visit/skip tallies. The tallies
-/// ride back by value because this runs on kernel worker threads, which
-/// are unbound (obs::current() is null there); the caller aggregates
-/// them onto the rank thread's observer.
+/// nothing is skipped — plus the tile visit/skip tallies, which the
+/// caller books onto the rank's observer.
 struct RangeResult {
   std::uint64_t flops = 0;
   std::uint64_t tiles_visited = 0;
   std::uint64_t tiles_skipped = 0;
 };
 
-RangeResult accumulate_column_range(const CsrPanel& L, const CsrPanel& N,
-                                    std::span<const CommonRow> common_rows,
-                                    std::int64_t l_col_base, std::int64_t n_col_base,
-                                    std::int64_t col_begin, std::int64_t col_end,
-                                    std::int64_t tile_cols,
-                                    DenseBlock<std::int64_t>& out,
-                                    const CandidateMask* prune) {
+RangeResult accumulate_tiles(const CsrPanel& L, const CsrPanel& N,
+                             std::span<const CommonRow> common_rows,
+                             std::int64_t l_col_base, std::int64_t n_col_base,
+                             std::int64_t tile_cols, DenseBlock<std::int64_t>& out,
+                             const CandidateMask* prune) {
   const std::int64_t* const ncols = N.col_idx.data();
   const std::uint64_t* const nvals = N.values.data();
   const std::int64_t* const lcols = L.col_idx.data();
@@ -133,14 +125,11 @@ RangeResult accumulate_column_range(const CsrPanel& L, const CsrPanel& N,
 
   std::vector<std::int64_t> cursor(common_rows.size());
   for (std::size_t idx = 0; idx < common_rows.size(); ++idx) {
-    const std::int64_t k = common_rows[idx].n_index;
-    cursor[idx] = std::lower_bound(ncols + N.row_begin(k), ncols + N.row_end(k),
-                                   col_begin) -
-                  ncols;
+    cursor[idx] = N.row_begin(common_rows[idx].n_index);
   }
 
-  for (std::int64_t tile = col_begin; tile < col_end; tile += tile_cols) {
-    const std::int64_t tile_end = std::min(col_end, tile + tile_cols);
+  for (std::int64_t tile = 0; tile < N.cols; tile += tile_cols) {
+    const std::int64_t tile_end = std::min(N.cols, tile + tile_cols);
     const bool skip_tile =
         prune != nullptr &&
         !prune->any_pair(out_rows, {gcol_base + tile, gcol_base + tile_end});
@@ -185,8 +174,8 @@ RangeResult accumulate_column_range(const CsrPanel& L, const CsrPanel& N,
   return result;
 }
 
-/// Dense path worker: every output cell (i, j) for j in [j_begin, j_end)
-/// is one streaming popcount dot product — no scatter stores, so the
+/// Dense path: every output cell (i, j) of the l_cols × n_cols block is
+/// one streaming popcount dot product — no scatter stores, so the
 /// kernel runs at vector popcount throughput instead of the one
 /// store-per-madd ceiling of the scatter loop. The unpruned path runs
 /// 2×2 register tiles (popcount_and_sum_stream_2x2): four output cells
@@ -199,12 +188,10 @@ RangeResult accumulate_column_range(const CsrPanel& L, const CsrPanel& N,
 /// stream), so the pruned path stays scalar. Returns the streaming
 /// word-madds actually performed (the dense path's flop unit under
 /// pruning).
-std::uint64_t dense_accumulate_range(const DenseColumnPanel& ld, std::int64_t l_cols,
-                                     const DenseColumnPanel& nd, std::int64_t j_begin,
-                                     std::int64_t j_end, std::int64_t l_col_base,
-                                     std::int64_t n_col_base,
-                                     DenseBlock<std::int64_t>& out,
-                                     const CandidateMask* prune) {
+std::uint64_t dense_accumulate(const DenseColumnPanel& ld, std::int64_t l_cols,
+                               const DenseColumnPanel& nd, std::int64_t n_cols,
+                               std::int64_t l_col_base, std::int64_t n_col_base,
+                               DenseBlock<std::int64_t>& out, const CandidateMask* prune) {
   const std::int64_t words = ld.words;
   const std::int64_t grow_base = out.row_range.begin + l_col_base;
   const std::int64_t gcol_base = out.col_range.begin + n_col_base;
@@ -216,8 +203,8 @@ std::uint64_t dense_accumulate_range(const DenseColumnPanel& ld, std::int64_t l_
       const std::uint64_t* const lcol1 = ld.column(i + 1);
       std::int64_t* const row0 = out.row_data(l_col_base + i) + n_col_base;
       std::int64_t* const row1 = out.row_data(l_col_base + i + 1) + n_col_base;
-      std::int64_t j = j_begin;
-      for (; j + 2 <= j_end; j += 2) {
+      std::int64_t j = 0;
+      for (; j + 2 <= n_cols; j += 2) {
         std::uint64_t sums[4];
         popcount_and_sum_stream_2x2(lcol0, lcol1, nd.column(j), nd.column(j + 1),
                                     static_cast<std::size_t>(words), sums);
@@ -226,7 +213,7 @@ std::uint64_t dense_accumulate_range(const DenseColumnPanel& ld, std::int64_t l_
         row1[j] += static_cast<std::int64_t>(sums[2]);
         row1[j + 1] += static_cast<std::int64_t>(sums[3]);
       }
-      for (; j < j_end; ++j) {
+      for (; j < n_cols; ++j) {
         row0[j] += static_cast<std::int64_t>(popcount_and_sum_stream(
             lcol0, nd.column(j), static_cast<std::size_t>(words)));
         row1[j] += static_cast<std::int64_t>(popcount_and_sum_stream(
@@ -236,19 +223,18 @@ std::uint64_t dense_accumulate_range(const DenseColumnPanel& ld, std::int64_t l_
     for (; i < l_cols; ++i) {
       const std::uint64_t* const lcol = ld.column(i);
       std::int64_t* const row = out.row_data(l_col_base + i) + n_col_base;
-      for (std::int64_t j = j_begin; j < j_end; ++j) {
+      for (std::int64_t j = 0; j < n_cols; ++j) {
         row[j] += static_cast<std::int64_t>(popcount_and_sum_stream(
             lcol, nd.column(j), static_cast<std::size_t>(words)));
       }
     }
-    return static_cast<std::uint64_t>(l_cols) *
-           static_cast<std::uint64_t>(j_end - j_begin) *
+    return static_cast<std::uint64_t>(l_cols) * static_cast<std::uint64_t>(n_cols) *
            static_cast<std::uint64_t>(words);
   }
   for (std::int64_t i = 0; i < l_cols; ++i) {
     const std::uint64_t* const lcol = ld.column(i);
     std::int64_t* const row = out.row_data(l_col_base + i) + n_col_base;
-    for (std::int64_t j = j_begin; j < j_end; ++j) {
+    for (std::int64_t j = 0; j < n_cols; ++j) {
       if (!prune->test(grow_base + i, gcol_base + j)) continue;
       ++cells;
       row[j] += static_cast<std::int64_t>(
@@ -303,99 +289,30 @@ void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
   if (common.rows.empty()) return;
   // γ accounting: without pruning every (a, b) pair of the common rows is
   // processed, so CommonRows::flops is exact and cheap. Under pruning the
-  // workers report the work actually performed (the dense path counts
+  // kernels report the work actually performed (the dense path counts
   // streaming word-madds — its natural unit — instead of scatter madds).
-  std::uint64_t flops_done = 0;
-
   const std::int64_t words = std::min(L.rows, N.rows);
-  const bool use_dense = options.allow_dense &&
-                         dense_path_profitable(L, N, words, options.dense_crossover);
-
-  const std::int64_t tile_cols = options.tile_cols > 0 ? options.tile_cols : kAtaTileCols;
-  const std::int64_t ntiles = (N.cols + tile_cols - 1) / tile_cols;
-  const int threads =
-      (options.threads > 1 && common.flops >= kAtaThreadMinFlops)
-          ? static_cast<int>(std::min<std::int64_t>(options.threads,
-                                                    use_dense ? N.cols : ntiles))
-          : 1;
-
-  if (use_dense) {
+  if (options.allow_dense && dense_path_profitable(L, N, words, options.dense_crossover)) {
     // Memoized on the panels: the ring's loop-invariant L side densifies
     // once per batch, and L ≡ N (serial_ata, the diagonal ring step)
     // reuses one densification.
-    const DenseColumnPanel& ld = L.dense_columns(words);
-    const DenseColumnPanel& nd = N.dense_columns(words);
-    if (threads <= 1) {
-      flops_done = dense_accumulate_range(ld, L.cols, nd, 0, N.cols, l_col_base,
-                                          n_col_base, out, prune);
-    } else {
-      std::vector<std::thread> workers;
-      std::vector<std::uint64_t> worker_flops(static_cast<std::size_t>(threads), 0);
-      workers.reserve(static_cast<std::size_t>(threads));
-      for (int t = 0; t < threads; ++t) {
-        const BlockRange js = block_range(N.cols, threads, t);
-        if (js.size() <= 0) continue;
-        workers.emplace_back([&, js, t] {
-          if (options.numa_aware) numa::pin_to_node(numa::node_for_worker(t, threads));
-          worker_flops[static_cast<std::size_t>(t)] =
-              dense_accumulate_range(ld, L.cols, nd, js.begin, js.end, l_col_base,
-                                     n_col_base, out, prune);
-        });
-      }
-      for (std::thread& w : workers) w.join();
-      for (std::uint64_t f : worker_flops) flops_done += f;
-    }
-    if (counters != nullptr) {
-      counters->flops += prune != nullptr ? flops_done : common.flops;
-    }
+    const std::uint64_t done =
+        dense_accumulate(L.dense_columns(words), L.cols, N.dense_columns(words), N.cols,
+                         l_col_base, n_col_base, out, prune);
+    if (counters != nullptr) counters->flops += prune != nullptr ? done : common.flops;
     return;
   }
 
-  const std::span<const CommonRow> rows(common.rows);
-  RangeResult tally;
-  if (threads <= 1) {
-    tally = accumulate_column_range(L, N, rows, l_col_base, n_col_base, 0, N.cols,
-                                    tile_cols, out, prune);
-  } else {
-    // Tiles are disjoint output-column ranges; hand each worker a
-    // contiguous run of whole tiles so no accumulator slot is shared.
-    // Worker threads are unbound (no rank observer); their tile tallies
-    // return by value and are folded in here, on the rank thread. The
-    // worker→tile block assignment matches numa::node_for_worker, so a
-    // pinned worker scatters into the panel slice its socket first-touched
-    // (see the driver's multiply stage).
-    std::vector<std::thread> workers;
-    std::vector<RangeResult> worker_results(static_cast<std::size_t>(threads));
-    workers.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      const BlockRange tiles = block_range(ntiles, threads, t);
-      const std::int64_t col_begin = tiles.begin * tile_cols;
-      const std::int64_t col_end = std::min(N.cols, tiles.end * tile_cols);
-      if (col_begin >= col_end) continue;
-      workers.emplace_back([&, col_begin, col_end, t] {
-        if (options.numa_aware) numa::pin_to_node(numa::node_for_worker(t, threads));
-        worker_results[static_cast<std::size_t>(t)] =
-            accumulate_column_range(L, N, rows, l_col_base, n_col_base, col_begin,
-                                    col_end, tile_cols, out, prune);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    for (const RangeResult& wr : worker_results) {
-      tally.flops += wr.flops;
-      tally.tiles_visited += wr.tiles_visited;
-      tally.tiles_skipped += wr.tiles_skipped;
-    }
-  }
-  flops_done = tally.flops;
+  const std::int64_t tile_cols = options.tile_cols > 0 ? options.tile_cols : kAtaTileCols;
+  const RangeResult tally =
+      accumulate_tiles(L, N, common.rows, l_col_base, n_col_base, tile_cols, out, prune);
   if (obs::RankObserver* o = obs::current()) {
     o->add_counter("spgemm.tiles_visited", tally.tiles_visited);
     if (tally.tiles_skipped > 0) {
       o->add_counter("spgemm.tiles_skipped", tally.tiles_skipped);
     }
   }
-  if (counters != nullptr) {
-    counters->flops += prune != nullptr ? flops_done : common.flops;
-  }
+  if (counters != nullptr) counters->flops += prune != nullptr ? tally.flops : common.flops;
 }
 
 DenseBlock<std::int64_t> serial_ata(const SparseBlock& block) {
@@ -410,8 +327,6 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
                          const CsrAtaOptions& options) {
   const int p = comm.size();
   const int r = comm.rank();
-  constexpr int kTagRing = bsp::tags::kSpgemmRing;
-
   if (b_panel.col_range.begin != 0 || b_panel.col_range.end != n) {
     throw std::invalid_argument("ring_ata_accumulate: b_panel must span all n columns");
   }
@@ -419,47 +334,26 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
   // The L-side panel participates in every step: convert once per batch.
   const CsrPanel lpanel = CsrPanel::from_block(my_panel);
 
-  std::vector<Triplet<std::uint64_t>> current = my_panel.entries;
-  int current_owner = r;
-  for (int step = 0; step < p; ++step) {
-    // Plain span (no drift prediction): the hop interleaves with the
-    // local multiply, so α-β time would not be comparable.
-    const obs::Span hop("ring/step", "ring", &comm.counters());
-    const bool last_step = step + 1 == p;
-    // Double buffering: post the rotation send *before* the multiply.
-    // Sends are buffered copies, so `current` stays valid for the local
-    // CSR build and the neighbour's transfer completes while we compute.
-    if (!last_step && schedule == RingSchedule::kOverlapped) {
-      comm.send<Triplet<std::uint64_t>>(
-          (r + 1) % p, kTagRing, std::span<const Triplet<std::uint64_t>>(current));
-    }
-
-    const BlockRange owner_cols = block_range(n, p, current_owner);
-    // With a candidate mask, a panel whose owner shares no surviving pair
-    // with this rank's output rows is forwarded without even a CSR build.
-    const bool panel_pruned =
-        options.prune != nullptr &&
-        !options.prune->any_pair(b_panel.row_range, owner_cols);
-    if (!panel_pruned) {
-      CsrPanel received;
-      const CsrPanel* npanel = &lpanel;
-      if (current_owner != r) {
-        received = CsrPanel::from_triplets(my_panel.rows, owner_cols.size(),
-                                           std::span<const Triplet<std::uint64_t>>(current));
-        npanel = &received;
-      }
-      csr_popcount_ata_accumulate(lpanel, *npanel, 0, owner_cols.begin, b_panel,
-                                  &comm.counters(), options);
-    }
-
-    if (last_step) break;
-    if (schedule == RingSchedule::kSynchronous) {
-      comm.send<Triplet<std::uint64_t>>(
-          (r + 1) % p, kTagRing, std::span<const Triplet<std::uint64_t>>(current));
-    }
-    current = comm.recv<Triplet<std::uint64_t>>((r + p - 1) % p, kTagRing);
-    current_owner = (current_owner + p - 1) % p;
-  }
+  ring_rotate<Triplet<std::uint64_t>>(
+      comm, bsp::tags::kSpgemmRing, "ring/step", my_panel.entries, schedule,
+      [&](int owner, std::span<const Triplet<std::uint64_t>> held) {
+        const BlockRange owner_cols = block_range(n, p, owner);
+        // With a candidate mask, a panel whose owner shares no surviving
+        // pair with this rank's output rows is forwarded without even a
+        // CSR build.
+        if (options.prune != nullptr &&
+            !options.prune->any_pair(b_panel.row_range, owner_cols)) {
+          return;
+        }
+        CsrPanel received;
+        const CsrPanel* npanel = &lpanel;
+        if (owner != r) {
+          received = CsrPanel::from_triplets(my_panel.rows, owner_cols.size(), held);
+          npanel = &received;
+        }
+        csr_popcount_ata_accumulate(lpanel, *npanel, 0, owner_cols.begin, b_panel,
+                                    &comm.counters(), options);
+      });
 }
 
 void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,

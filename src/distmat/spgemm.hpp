@@ -60,19 +60,13 @@
 //      throughput. This is the Joubert et al. (CoMet) formulation,
 //      engaged exactly where it wins.
 //
-// Large output blocks can additionally be threaded inside a rank
-// (CsrAtaOptions::threads): column tiles are disjoint output ranges, so
-// threads partition the tile space with no synchronization beyond a
-// final flop-counter sum. On multi-socket hosts (CsrAtaOptions::
-// numa_aware, on by default) each worker is pinned to the socket that
-// block-owns its share of the tile space (util/numa.hpp), and the driver
-// first-touches the accumulator panel with the same partition, so every
-// scatter store lands in socket-local memory. Single-socket hosts detect
-// one node and skip all placement — behavior is bit-identical either way.
+// The kernel runs on the calling rank's thread. Ranks are the unit of
+// parallelism (each rank is a thread of the in-process runtime), so the
+// kernel has no worker pool of its own and does no NUMA placement.
 //
 // The ring schedule is double-buffered: the send of the currently held
-// panel is posted *before* the local multiply (bsp sends are buffered
-// copies, so the payload is immutable once posted), which lets the
+// panel is posted *before* the local multiply (distmat/ring.hpp, the
+// rotation shared with the sketch-exchange ring), which lets the
 // neighbour's receive — and hence the whole rotation hop — complete
 // while this rank computes. The synchronous schedule is retained for the
 // ablation bench. SUMMA overlaps its stages the same way: the stage-k+1
@@ -89,6 +83,7 @@
 #include "distmat/dense_block.hpp"
 #include "distmat/pair_mask.hpp"
 #include "distmat/proc_grid.hpp"
+#include "distmat/ring.hpp"
 #include "distmat/sparse_block.hpp"
 
 namespace sas::distmat {
@@ -107,10 +102,6 @@ void popcount_join_accumulate(std::span<const Triplet<std::uint64_t>> L,
 
 /// Tuning knobs of the CSR tile kernel.
 struct CsrAtaOptions {
-  /// Max worker threads for the per-tile accumulation (1 = run inline).
-  /// Threads only engage when the estimated multiply work clears
-  /// kAtaThreadMinFlops — small blocks are not worth the spawn cost.
-  int threads = 1;
   /// Output-column tile width; 0 = kAtaTileCols. Tests force tiny tiles
   /// to exercise the tiling logic on small inputs.
   std::int64_t tile_cols = 0;
@@ -121,11 +112,6 @@ struct CsrAtaOptions {
   /// micro-calibration (distmat/crossover.hpp); a positive value pins
   /// the threshold (ablations, recorded-run reproduction).
   double dense_crossover = 0.0;
-  /// Pin multiply workers to NUMA nodes (block assignment of workers to
-  /// sockets; see util/numa.hpp). No-op on single-node hosts, when
-  /// threads == 1, or when affinity calls fail — results are identical
-  /// with or without placement, only locality changes.
-  bool numa_aware = true;
   /// Candidate-pair mask of the hybrid estimator (global sample
   /// coordinates; see pair_mask.hpp). When set, whole blocks and output-
   /// column tiles whose pair set is fully pruned are skipped, and the
@@ -138,9 +124,6 @@ struct CsrAtaOptions {
 /// per touched output row, so a handful of active rows fit in L1 and a
 /// few dozen in L2 across the whole L-side loop.
 inline constexpr std::int64_t kAtaTileCols = 512;
-
-/// Minimum estimated multiply flops before the kernel spawns threads.
-inline constexpr std::uint64_t kAtaThreadMinFlops = 1u << 21;
 
 /// Hot-path kernel: B += ("Lᵀ N" in the popcount semiring) over the
 /// word-rows common to both CSR panels, accumulating into `out` at
@@ -155,12 +138,6 @@ void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
 
 /// Reference: full n×n dense AᵀA of one local block (rows = word rows).
 [[nodiscard]] DenseBlock<std::int64_t> serial_ata(const SparseBlock& block);
-
-/// Ring rotation schedule (see the kernel-architecture note).
-enum class RingSchedule {
-  kSynchronous,  ///< send after compute — rotation serializes with multiply
-  kOverlapped,   ///< send posted before compute — rotation overlaps multiply
-};
 
 /// 1D ring variant. Rank r owns the column panel for block_range(n, p, r)
 /// (global word-row ids) and the dense output row-panel

@@ -2,8 +2,8 @@
 //
 // One pair of primitives backs every machine-readable artifact the
 // runtime produces: the Chrome trace-event file (obs/trace.hpp), the run
-// report (obs/report.hpp), and the benches' BENCH_result_bytes.json rows
-// (bench/bench_common.hpp) all go through JsonWriter, and the tests that
+// report (obs/report.hpp), the quarantine manifest and the perf ledger's
+// results all go through JsonWriter, and the tests that
 // validate those artifacts parse them back with JsonValue — so
 // "well-formed" is checked by the same code that defines it. The writer
 // is streaming (no DOM build-up) and emits compact output: no

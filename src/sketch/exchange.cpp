@@ -12,6 +12,7 @@
 #include "distmat/dense_block.hpp"
 #include "distmat/dist_filter.hpp"
 #include "distmat/gather.hpp"
+#include "distmat/ring.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 
@@ -43,22 +44,6 @@ std::variant<HyperLogLog, OnePermMinHash, BottomKSketch> make_empty_sketch(
       break;
   }
   throw std::invalid_argument("sketch: config does not name a sketch estimator");
-}
-
-/// Stream one sample's attribute ids into `sk`, batch by batch, and
-/// return the comparison wire blob. add() is order-independent, so the
-/// result does not depend on the batch count.
-template <typename Sketch>
-std::vector<std::uint64_t> stream_into(Sketch sk, const core::SampleSource& source,
-                                       std::int64_t sample, int batches) {
-  const std::int64_t m = source.attribute_universe();
-  for (int l = 0; l < batches; ++l) {
-    const BlockRange rows = distmat::block_range(m, batches, l);
-    for (std::int64_t v : source.values_in_range(sample, rows)) {
-      sk.add(static_cast<std::uint64_t>(v));
-    }
-  }
-  return sk.wire();
 }
 
 }  // namespace
@@ -119,15 +104,19 @@ StreamingSketcher::StreamingSketcher(const core::Config& config) : config_(confi
   (void)make_empty_sketch(config_);  // validate the estimator up front
 }
 
-std::size_t StreamingSketcher::add_sample(std::int64_t sample) {
+std::size_t StreamingSketcher::add_sample(std::int64_t sample,
+                                          const core::SampleSource& source) {
   samples_.push_back(sample);
   sketches_.push_back(make_empty_sketch(config_));
-  preloaded_.emplace_back();
+  // Persisted blob first: written by `gas sketch --estimator`, trusted
+  // only when its header matches this run's (type, params, seed).
+  std::vector<std::uint64_t> persisted = source.persisted_sketch(sample, config_);
+  if (!persisted.empty() && wire_matches_config(persisted, config_)) {
+    preloaded_.push_back(std::move(persisted));
+  } else {
+    preloaded_.emplace_back();
+  }
   return samples_.size() - 1;
-}
-
-void StreamingSketcher::preload(std::size_t index, std::vector<std::uint64_t> wire) {
-  preloaded_[index] = std::move(wire);
 }
 
 bool StreamingSketcher::needs_stream(std::size_t index) const {
@@ -154,32 +143,6 @@ std::vector<std::vector<std::uint64_t>> StreamingSketcher::finish() {
     }
   }
   return blobs;
-}
-
-std::vector<std::uint64_t> build_sample_wire(const core::SampleSource& source,
-                                             std::int64_t sample,
-                                             const core::Config& config) {
-  const int batches = static_cast<int>(config.batch_count);
-  // Persisted blob first: written by `gas sketch --estimator`, trusted
-  // only when its header matches this run's (type, params, seed).
-  std::vector<std::uint64_t> persisted = source.persisted_sketch(sample, config);
-  if (!persisted.empty() && wire_matches_config(persisted, config)) return persisted;
-  switch (resolved_sketch_estimator(config)) {
-    case core::Estimator::kHll:
-      return stream_into(HyperLogLog(config.hll_precision, config.sketch_seed), source,
-                         sample, batches);
-    case core::Estimator::kMinhash:
-      return stream_into(
-          OnePermMinHash(config.sketch_size, config.minhash_bits, config.sketch_seed),
-          source, sample, batches);
-    case core::Estimator::kBottomK:
-      return stream_into(
-          BottomKSketch(static_cast<std::size_t>(config.sketch_size), config.sketch_seed),
-          source, sample, batches);
-    default:
-      break;
-  }
-  throw std::invalid_argument("build_sample_wire: estimator has no sketch form");
 }
 
 LshPlan lsh_candidate_plan(const core::Config& config, double effective_threshold) {
@@ -614,70 +577,62 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
                                         const core::SampleSource& source,
                                         const core::Config& config) {
   const std::int64_t n = source.sample_count();
+  const std::int64_t m = source.attribute_universe();
+  const int batches = static_cast<int>(config.batch_count);
   const int p = world.size();
   const int r = world.rank();
-  constexpr int kTagSketchRing = bsp::tags::kSketchRing;
 
   world.barrier();
   Timer timer;
   core::StageRecorder recorder(world.counters());
 
   // (1) Sketch the owned samples (block distribution, matching the ring
-  // panel layout so arriving panels map onto contiguous output columns).
-  // Reading and hashing are one fused loop, so the whole build lands in
-  // the pack/sketch stage.
+  // panel layout so arriving panels map onto contiguous output columns),
+  // streaming each sample's attribute ids batch by batch. Reading and
+  // hashing are one fused loop, so the whole build lands in the
+  // pack/sketch stage. Samples with a compatible persisted blob are not
+  // read at all. One sketcher per sample keeps a single sketch's working
+  // state live at a time; only the compact wire blobs accumulate.
   const BlockRange mine = distmat::block_range(n, p, r);
   std::vector<std::vector<std::uint64_t>> blobs;
   {
     auto stage = recorder.scope(core::Stage::kPackSketch);
     blobs.reserve(static_cast<std::size_t>(mine.size()));
     for (std::int64_t i = mine.begin; i < mine.end; ++i) {
-      blobs.push_back(build_sample_wire(source, i, config));
+      StreamingSketcher sketcher(config);
+      const std::size_t idx = sketcher.add_sample(i, source);
+      for (int l = 0; l < batches && sketcher.needs_stream(idx); ++l) {
+        sketcher.absorb(idx, source.values_in_range(i, distmat::block_range(m, batches, l)));
+      }
+      blobs.push_back(std::move(sketcher.finish().front()));
     }
   }
   const std::vector<std::uint64_t> panel_words = core::pack_word_panel(blobs);
   const auto my_views = core::unpack_word_panel(panel_words);
 
-  // (2)+(3) Rotate panels; estimate into this rank's output row panel.
-  // Same double-buffered schedule as ring_ata_accumulate: the send is a
-  // buffered copy posted before the local estimation work, so the hop
-  // overlaps compute (Config::ring_overlap toggles the ablation). Stage
-  // attribution mirrors the exact pipeline: estimation time is the
-  // "multiply", rotation bytes are the "exchange".
+  // (2)+(3) Rotate panels around the shared double-buffered ring
+  // (distmat/ring.hpp; Config::ring_overlap toggles the ablation) and
+  // estimate into this rank's output row panel. Stage attribution
+  // mirrors the exact pipeline: estimation time is the "multiply",
+  // rotation bytes are the "exchange".
   DenseBlock<double> s_panel(mine, BlockRange{0, n});
   {
     auto stage = recorder.scope(core::Stage::kMultiply, core::Stage::kExchange);
-    std::vector<std::uint64_t> current = panel_words;
-    int current_owner = r;
-    for (int step = 0; step < p; ++step) {
-      // Plain span (no drift): the hop interleaves with estimation
-      // compute, so predicted α-β time would not be comparable.
-      const obs::Span hop("sketch-ring/step", "ring", &world.counters());
-      const bool last_step = step + 1 == p;
-      if (!last_step && config.ring_overlap) {
-        world.send<std::uint64_t>((r + 1) % p, kTagSketchRing,
-                                  std::span<const std::uint64_t>(current));
-      }
-
-      const BlockRange owner_cols = distmat::block_range(n, p, current_owner);
-      const auto views =
-          current_owner == r ? my_views : core::unpack_word_panel(current);
-      for (std::int64_t i = 0; i < mine.size(); ++i) {
-        for (std::int64_t j = 0; j < owner_cols.size(); ++j) {
-          s_panel.at_local(i, owner_cols.begin + j) =
-              estimate_jaccard_wire(my_views[static_cast<std::size_t>(i)],
-                                    views[static_cast<std::size_t>(j)]);
-        }
-      }
-
-      if (last_step) break;
-      if (!config.ring_overlap) {
-        world.send<std::uint64_t>((r + 1) % p, kTagSketchRing,
-                                  std::span<const std::uint64_t>(current));
-      }
-      current = world.recv<std::uint64_t>((r + p - 1) % p, kTagSketchRing);
-      current_owner = (current_owner + p - 1) % p;
-    }
+    distmat::ring_rotate<std::uint64_t>(
+        world, bsp::tags::kSketchRing, "sketch-ring/step", panel_words,
+        config.ring_overlap ? distmat::RingSchedule::kOverlapped
+                            : distmat::RingSchedule::kSynchronous,
+        [&](int owner, std::span<const std::uint64_t> held) {
+          const BlockRange owner_cols = distmat::block_range(n, p, owner);
+          const auto views = owner == r ? my_views : core::unpack_word_panel(held);
+          for (std::int64_t i = 0; i < mine.size(); ++i) {
+            for (std::int64_t j = 0; j < owner_cols.size(); ++j) {
+              s_panel.at_local(i, owner_cols.begin + j) =
+                  estimate_jaccard_wire(my_views[static_cast<std::size_t>(i)],
+                                        views[static_cast<std::size_t>(j)]);
+            }
+          }
+        });
   }
 
   const std::int64_t total_words = world.allreduce_value<std::int64_t>(
@@ -702,8 +657,11 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
     bs.filtered_rows = 0;  // no packing pass: sketches replace the panels
     bs.word_rows = blobs.empty() ? 0 : static_cast<std::int64_t>(blobs.front().size());
     bs.packed_nnz = total_words;  // wire words across all ranks
-    bs.bytes_sent = result.stages.total_bytes_sent();
-    bs.bytes_received = result.stages.total_bytes_received();
+    // Batch traffic stops at the closing barrier, as in the batched
+    // pipelines: the assemble-stage dense gather is not batch traffic.
+    const core::StageStats& gather = result.stages[core::Stage::kAssemble];
+    bs.bytes_sent = result.stages.total_bytes_sent() - gather.bytes_sent;
+    bs.bytes_received = result.stages.total_bytes_received() - gather.bytes_received;
     result.batches = {bs};
   }
   return result;

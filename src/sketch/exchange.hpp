@@ -1,21 +1,30 @@
 // exchange.hpp — the distributed sketch-exchange pipeline and the
-// hybrid's candidate pass.
+// hybrid's candidate pass, both fed by one sketch builder.
+//
+// == The sketch builder ====================================================
+//
+// StreamingSketcher is the only place sketches are built from sample
+// data. Callers register the samples a rank owns (a compatible persisted
+// blob, SampleSource::persisted_sketch, replaces streaming), feed each
+// sample's attribute ids batch by batch as they are read, and collect the
+// wire blobs. add() is order-independent, so the blobs do not depend on
+// the batch count or on the read order.
+//
+// == The pure-sketch pipeline (kHll / kMinhash / kBottomK) ================
 //
 // The approximate counterpart of the SpGEMM driver path: instead of
 // redistributing bit-packed k-mer panels and multiplying under the
 // popcount semiring, each rank
 //
-//   1. builds one sketch per OWNED sample (block distribution over the
-//      n samples) by streaming the sample's attribute ids batch by batch
-//      through SampleSource::values_in_range — same batched reads, same
-//      bounded memory as the exact path, and order-independence of
-//      add() makes the result identical for any batch count. A sample
-//      with a persisted, parameter-compatible wire blob
-//      (SampleSource::persisted_sketch) is loaded instead of re-streamed;
+//   1. sketches its OWNED samples (block distribution over the n samples)
+//      through a StreamingSketcher, per sample and per batch through
+//      SampleSource::values_in_range — same batched reads, same bounded
+//      per-read memory as the exact path;
 //   2. flattens the owned sketches' wire blobs into one panel
-//      (core::pack_word_panel) and rotates the panels around the PR-1
-//      overlapped ring (send posted before the local estimation work,
-//      honoring Config::ring_overlap);
+//      (core::pack_word_panel) and rotates the panels around the 1-D ring
+//      it shares with the exact SpGEMM ring (distmat/ring.hpp; send
+//      posted before the local estimation work, honoring
+//      Config::ring_overlap);
 //   3. estimates all-pairs Jaccard between its sketches and each
 //      arriving panel (sketch::estimate_jaccard_wire) straight into its
 //      row panel of the SimilarityMatrix, which is assembled on rank 0
@@ -27,6 +36,12 @@
 // counters. Estimates are symmetric and deterministic in (config, data),
 // so the result is bitwise independent of the rank count (tested).
 //
+// The ring is kept rather than routing pure sketch through the all-pairs
+// candidate pass below: that pass would ship every non-zero (i, j, est)
+// triplet to rank 0 plus an n²-bit mask allreduce, more bytes than the
+// ring's dense gather on the perf ledger's families-minhash workload
+// (≈35.8 MB + 0.66 MB against 31.85 MB).
+//
 // == The hybrid candidate pass ===========================================
 //
 // Estimator::kHybrid uses the same wire blobs differently: instead of a
@@ -34,9 +49,9 @@
 // (distmat::CandidateMask) — every pair whose estimated Jaccard clears
 // prune_threshold − slack — plus the estimates themselves (rank 0), which
 // the driver uses to fill the pruned entries of the final matrix. The
-// blobs arrive from the driver's one-pass ingest stage (StreamingSketcher
-// fed by the same reads that are bitmask-packed), so the hybrid reads
-// each input exactly once. Two candidate strategies exist
+// blobs arrive from the batched pipeline's one-pass ingest (the
+// StreamingSketcher fed by the same reads that are later bitmask-packed),
+// so the hybrid reads each input exactly once. Two candidate strategies exist
 // (core::CandidateMode):
 //
 //   all-pairs — every blob is allgathered (ring allgather, O(n ·
@@ -103,25 +118,22 @@ namespace sas::sketch {
 /// hybrid_sketch at its configured size.
 [[nodiscard]] double hybrid_prune_slack(const core::Config& config);
 
-/// Incremental per-sample sketch builders for one rank — the pack/sketch
-/// stage's half of the hybrid's one-pass ingest. The driver registers the
-/// samples it reads, optionally preloads persisted blobs (those samples
-/// need no streaming), absorbs each batch's values as they are read for
-/// packing, and collects the wire blobs at the end. add() is order- and
-/// batch-independent, so the blobs are identical to whole-sample sketches.
+/// Incremental per-sample sketch builders for one rank (see "The sketch
+/// builder" above). add() is order- and batch-independent, so the blobs
+/// are identical to whole-sample sketches.
 class StreamingSketcher {
  public:
-  /// `config.estimator` must be a sketch estimator (the driver passes its
-  /// sketch view of a hybrid config).
+  /// `config` must resolve to a sketch estimator (a pure sketch
+  /// estimator, or a hybrid config whose hybrid_sketch is used); throws
+  /// std::invalid_argument otherwise.
   explicit StreamingSketcher(const core::Config& config);
 
   /// Register a sample; returns its local index (registration order).
-  std::size_t add_sample(std::int64_t sample);
+  /// A persisted blob of `source` whose header matches this config
+  /// (wire_matches_config) is preloaded and replaces streaming.
+  std::size_t add_sample(std::int64_t sample, const core::SampleSource& source);
 
-  /// Use a persisted wire blob; the sample's values need not be absorbed.
-  void preload(std::size_t index, std::vector<std::uint64_t> wire);
-
-  /// False once `index` is preloaded — its absorb calls may be skipped.
+  /// False when `index` is preloaded — its absorb calls may be skipped.
   [[nodiscard]] bool needs_stream(std::size_t index) const;
 
   /// Feed one batch of the sample's global attribute ids.
@@ -142,14 +154,6 @@ class StreamingSketcher {
   std::vector<AnySketch> sketches_;
   std::vector<std::vector<std::uint64_t>> preloaded_;  ///< empty = stream
 };
-
-/// Wire blob of one sample's sketch under `config` (which selects the
-/// estimator and its parameters): the persisted blob when present and
-/// compatible, else built by streaming the sample's attribute ids in
-/// `config.batch_count` batches. Throws std::invalid_argument when
-/// config.estimator == kExact.
-[[nodiscard]] std::vector<std::uint64_t> build_sample_wire(
-    const core::SampleSource& source, std::int64_t sample, const core::Config& config);
 
 /// Banding parameters of the LSH candidate pass: B bands of R registers
 /// each (B·R ≤ sketch_size).

@@ -306,34 +306,44 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
   }
   const genome::KmerFileSource source(k, paths);
 
-  core::Config cfg;
-  cfg.algorithm = core::Algorithm::kRing1D;
-  cfg.estimator = core::Estimator::kHybrid;
-  cfg.prune_threshold = 0.5;
+  // Both sketch ingests consult persisted blobs: the hybrid's one-pass
+  // ingest and the pure-sketch pipeline's block-owned build.
+  for (const core::Estimator estimator :
+       {core::Estimator::kHybrid, core::Estimator::kMinhash}) {
+    SCOPED_TRACE(estimator == core::Estimator::kHybrid ? "hybrid" : "minhash");
+    core::Config cfg;
+    cfg.algorithm = core::Algorithm::kRing1D;
+    cfg.estimator = estimator;
+    cfg.prune_threshold = 0.5;
+    // Does pair (0, 1) look identical to the sketches? The hybrid keeps
+    // it as a candidate; the pure sketch reports its estimate J = 1.
+    const auto sketches_match = [&](const core::Result& result) {
+      return estimator == core::Estimator::kHybrid ? result.candidates.test(0, 1)
+                                                   : result.similarity_at(0, 1) == 1.0;
+    };
+    std::filesystem::remove(source.sketch_path(0, cfg));
 
-  const core::Result fresh = similarity_at_scale_threaded(2, source, cfg);
-  EXPECT_FALSE(fresh.candidates.test(0, 1)) << "unrelated genomes must be pruned";
+    const core::Result fresh = similarity_at_scale_threaded(2, source, cfg);
+    EXPECT_FALSE(sketches_match(fresh)) << "unrelated genomes must not match";
 
-  // Forge sample 0's persisted blob from sample 1's k-mers (compatible
-  // header). If the pipeline loads it, pair (0, 1) estimates as J = 1 and
-  // survives — proof the blob replaced re-sketching.
-  const sketch::OnePermMinHash forged(std::span<const std::uint64_t>(samples[1].kmers),
-                                      cfg.sketch_size, cfg.minhash_bits,
-                                      cfg.sketch_seed);
-  sketch::write_wire_file(source.sketch_path(0, cfg), forged.wire());
-  const core::Result loaded = similarity_at_scale_threaded(2, source, cfg);
-  EXPECT_TRUE(loaded.candidates.test(0, 1)) << "persisted blob was not loaded";
+    // Forge sample 0's persisted blob from sample 1's k-mers (compatible
+    // header). If the pipeline loads it, pair (0, 1) estimates as J = 1 —
+    // proof the blob replaced re-sketching.
+    const sketch::OnePermMinHash forged(std::span<const std::uint64_t>(samples[1].kmers),
+                                        cfg.sketch_size, cfg.minhash_bits,
+                                        cfg.sketch_seed);
+    sketch::write_wire_file(source.sketch_path(0, cfg), forged.wire());
+    const core::Result loaded = similarity_at_scale_threaded(2, source, cfg);
+    EXPECT_TRUE(sketches_match(loaded)) << "persisted blob was not loaded";
 
-  // An incompatible blob (different seed) must be ignored.
-  core::Config other_seed = cfg;
-  other_seed.sketch_seed = cfg.sketch_seed + 1;
-  const sketch::OnePermMinHash incompatible(
-      std::span<const std::uint64_t>(samples[1].kmers), cfg.sketch_size,
-      cfg.minhash_bits, other_seed.sketch_seed);
-  sketch::write_wire_file(source.sketch_path(0, cfg), incompatible.wire());
-  const core::Result ignored = similarity_at_scale_threaded(2, source, cfg);
-  EXPECT_FALSE(ignored.candidates.test(0, 1))
-      << "parameter-incompatible blob must be ignored";
+    // An incompatible blob (different seed) must be ignored.
+    const sketch::OnePermMinHash incompatible(
+        std::span<const std::uint64_t>(samples[1].kmers), cfg.sketch_size,
+        cfg.minhash_bits, cfg.sketch_seed + 1);
+    sketch::write_wire_file(source.sketch_path(0, cfg), incompatible.wire());
+    const core::Result ignored = similarity_at_scale_threaded(2, source, cfg);
+    EXPECT_FALSE(sketches_match(ignored)) << "parameter-incompatible blob must be ignored";
+  }
 }
 
 TEST(Hybrid, RingScheduleSkipsFullyPrunedPanels) {

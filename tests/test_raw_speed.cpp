@@ -4,8 +4,7 @@
 // collectives must be bitwise-indistinguishable from the flat ones (the
 // driver result cannot depend on the simulated node topology), the
 // two-tier cost model must reduce to the flat formula when no intra
-// traffic exists, and the NUMA helpers must degrade gracefully on
-// single-socket hosts.
+// traffic exists.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "core/driver.hpp"
 #include "core/sample_source.hpp"
 #include "distmat/dist_filter.hpp"
-#include "util/numa.hpp"
 #include "util/popcount.hpp"
 #include "util/rng.hpp"
 
@@ -335,44 +333,6 @@ TEST(TwoTierCostModel, IntraTierIsCheaperAndClamped) {
   // An intra subset larger than the total clamps rather than producing a
   // negative inter term.
   EXPECT_GT(m.predicted_seconds(4, 100, 400, 100000), 0.0);
-}
-
-// ---- NUMA helpers: graceful on any host ----------------------------------
-
-TEST(Numa, TopologyHasAtLeastOneNodeWithCpus) {
-  const numa::Topology& topo = numa::topology();
-  ASSERT_GE(topo.nodes.size(), 1u);
-  for (const auto& node : topo.nodes) EXPECT_FALSE(node.cpus.empty());
-  EXPECT_EQ(numa::node_count(), static_cast<int>(topo.nodes.size()));
-}
-
-TEST(Numa, WorkerAssignmentCoversAllNodesInOrder) {
-  const int nodes = numa::node_count();
-  for (const int workers : {1, 2, 7, 16}) {
-    int prev = 0;
-    for (int w = 0; w < workers; ++w) {
-      const int node = numa::node_for_worker(w, workers);
-      EXPECT_GE(node, 0);
-      EXPECT_LT(node, nodes);
-      EXPECT_GE(node, prev);  // monotone: contiguous worker blocks per node
-      prev = node;
-    }
-    EXPECT_EQ(numa::node_for_worker(workers - 1, workers), nodes - 1);
-  }
-}
-
-TEST(Numa, FirstTouchAndPinningAreSafeNoOps) {
-  // On a single-socket host both are no-ops; on any host they must not
-  // disturb the data or crash on tiny/unaligned buffers.
-  std::vector<std::int64_t> panel(10000, 0);
-  numa::first_touch_partitioned(panel.data(), panel.size() * sizeof(std::int64_t), 4);
-  for (std::int64_t v : panel) EXPECT_EQ(v, 0);
-  std::vector<std::int64_t> tiny(8, 7);
-  numa::first_touch_partitioned(tiny.data(), tiny.size() * sizeof(std::int64_t), 2);
-  for (std::int64_t v : tiny) EXPECT_EQ(v, 7);
-  (void)numa::pin_to_node(0);  // must not throw whatever the host
-  EXPECT_FALSE(numa::pin_to_node(-1));
-  EXPECT_FALSE(numa::pin_to_node(numa::node_count()));
 }
 
 // ---- driver: node topology cannot change any result ----------------------

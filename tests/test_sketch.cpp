@@ -355,13 +355,34 @@ TEST_P(PipelineEstimators, BitwiseIndependentOfRankAndBatchCount) {
             0.0);
 }
 
+/// Reference wire of one sample: the whole sample set sketched at once by
+/// the sketch class's own set constructor — independent of the
+/// pipeline's batched streaming build.
+std::vector<std::uint64_t> reference_wire(const core::SampleSource& src, std::int64_t i,
+                                          const core::Config& cfg) {
+  const std::vector<std::int64_t> values =
+      src.values_in_range(i, {0, src.attribute_universe()});
+  const std::vector<std::uint64_t> set(values.begin(), values.end());
+  switch (cfg.estimator) {
+    case core::Estimator::kHll:
+      return HyperLogLog(set, cfg.hll_precision, cfg.sketch_seed).wire();
+    case core::Estimator::kMinhash:
+      return OnePermMinHash(set, cfg.sketch_size, cfg.minhash_bits, cfg.sketch_seed)
+          .wire();
+    default:
+      return BottomKSketch(set, static_cast<std::size_t>(cfg.sketch_size), cfg.sketch_seed)
+          .wire();
+  }
+}
+
 TEST_P(PipelineEstimators, MatchesDirectAllPairsOverWires) {
   const auto src = random_source(1500, 9, 0.08, 43);
-  const core::Config cfg = sketch_config(GetParam());
+  core::Config cfg = sketch_config(GetParam());
+  cfg.batch_count = 4;  // the pipeline streams in batches; the reference does not
   const std::int64_t n = src.sample_count();
   std::vector<std::vector<std::uint64_t>> wires;
   for (std::int64_t i = 0; i < n; ++i) {
-    wires.push_back(build_sample_wire(src, i, cfg));
+    wires.push_back(reference_wire(src, i, cfg));
   }
   const auto result = core::similarity_at_scale_threaded(3, src, cfg);
   for (std::int64_t i = 0; i < n; ++i) {
@@ -450,6 +471,23 @@ TEST(Pipeline, CommBytesAreFixedSizeNotNnzProportional) {
   EXPECT_LT(sketch_dense.total_bytes, exact_dense.total_bytes);
 }
 
+TEST(Pipeline, BatchTrafficExcludesTheAssembleGather) {
+  // The pseudo-batch's traffic stops at the closing barrier, like a
+  // batched pipeline's: the dense gather of the assemble stage is not
+  // batch traffic.
+  const auto src = random_source(2000, 11, 0.1, 17);
+  const auto result =
+      core::similarity_at_scale_threaded(4, src, sketch_config(core::Estimator::kMinhash));
+  ASSERT_EQ(result.batches.size(), 1u);
+  const core::StageStats& gather = result.stages[core::Stage::kAssemble];
+  EXPECT_GT(gather.bytes_sent, 0u);
+  EXPECT_GT(result.batches[0].bytes_sent, 0u);
+  EXPECT_EQ(result.batches[0].bytes_sent + gather.bytes_sent,
+            result.stages.total_bytes_sent());
+  EXPECT_EQ(result.batches[0].bytes_received + gather.bytes_received,
+            result.stages.total_bytes_received());
+}
+
 TEST(Pipeline, MoreRanksThanSamples) {
   const auto src = random_source(500, 3, 0.1, 77);
   core::Config cfg = sketch_config(core::Estimator::kHll);
@@ -459,8 +497,7 @@ TEST(Pipeline, MoreRanksThanSamples) {
 }
 
 TEST(Pipeline, ExactEstimatorRejectsSketchBuild) {
-  const auto src = random_source(100, 2, 0.1, 1);
-  EXPECT_THROW((void)build_sample_wire(src, 0, core::Config{}), std::invalid_argument);
+  EXPECT_THROW(StreamingSketcher{core::Config{}}, std::invalid_argument);
 }
 
 }  // namespace

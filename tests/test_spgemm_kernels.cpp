@@ -1,7 +1,7 @@
 // test_spgemm_kernels.cpp — equivalence suite for the CSR tiled SpGEMM
 // kernel (the PR-1 hot-path rewrite). The retained triplet merge-join is
-// the executable specification: over varied sparsity, bit width, tile
-// width, and thread count, the CSR kernel must produce bit-identical
+// the executable specification: over varied sparsity, bit width, and tile
+// width, the CSR kernel must produce bit-identical
 // accumulators — and the double-buffered ring must match both the
 // synchronous ring and SUMMA on the same input.
 #include <gtest/gtest.h>
@@ -103,12 +103,11 @@ struct KernelCase {
   double density;
   int bit_width;
   std::int64_t tile_cols;  // 0 = default
-  int threads;
 };
 
 void PrintTo(const KernelCase& c, std::ostream* os) {
   *os << "density=" << c.density << " bits=" << c.bit_width
-      << " tile=" << c.tile_cols << " threads=" << c.threads;
+      << " tile=" << c.tile_cols;
 }
 
 class CsrKernelProperty : public ::testing::TestWithParam<KernelCase> {};
@@ -128,24 +127,21 @@ TEST_P(CsrKernelProperty, MatchesTripletJoinAndBruteForce) {
   bsp::CostCounters csr_counters;
   const CsrPanel lp = CsrPanel::from_block(l);
   const CsrPanel np = CsrPanel::from_block(n);
-  csr_popcount_ata_accumulate(lp, np, 0, 0, got, &csr_counters,
-                              {kc.threads, kc.tile_cols});
+  CsrAtaOptions options;
+  options.tile_cols = kc.tile_cols;
+  csr_popcount_ata_accumulate(lp, np, 0, 0, got, &csr_counters, options);
   EXPECT_EQ(got.values, expected.values);
   EXPECT_EQ(csr_counters.flops, ref_counters.flops);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SparsityBitsTilesThreads, CsrKernelProperty,
-    ::testing::Values(KernelCase{0.02, 64, 0, 1}, KernelCase{0.15, 64, 0, 1},
-                      KernelCase{0.5, 64, 0, 1}, KernelCase{0.85, 64, 0, 1},
-                      KernelCase{0.3, 1, 0, 1}, KernelCase{0.3, 7, 0, 1},
-                      KernelCase{0.3, 23, 0, 1}, KernelCase{0.5, 64, 4, 1},
-                      KernelCase{0.5, 64, 1, 1}, KernelCase{0.85, 64, 8, 1},
-                      KernelCase{0.15, 64, 16, 1}));
-// NOTE: these inputs sit far below kAtaThreadMinFlops, so threads would
-// silently clamp to 1 here — threaded coverage lives in the dedicated
-// above-threshold tests below, which drive both forced-small and
-// default tile widths.
+    SparsityBitsTiles, CsrKernelProperty,
+    ::testing::Values(KernelCase{0.02, 64, 0}, KernelCase{0.15, 64, 0},
+                      KernelCase{0.5, 64, 0}, KernelCase{0.85, 64, 0},
+                      KernelCase{0.3, 1, 0}, KernelCase{0.3, 7, 0},
+                      KernelCase{0.3, 23, 0}, KernelCase{0.5, 64, 4},
+                      KernelCase{0.5, 64, 1}, KernelCase{0.85, 64, 8},
+                      KernelCase{0.15, 64, 16}));
 
 TEST(CsrKernel, RespectsColumnBasesIntoLargerOutput) {
   const SparseBlock l = random_block(31, 9, 0.4, 64, 5);
@@ -154,48 +150,11 @@ TEST(CsrKernel, RespectsColumnBasesIntoLargerOutput) {
   DenseBlock<std::int64_t> expected(BlockRange{0, 25}, BlockRange{0, 30});
   DenseBlock<std::int64_t> got(BlockRange{0, 25}, BlockRange{0, 30});
   popcount_join_accumulate(l.entries, n.entries, 13, 8, expected, nullptr);
+  CsrAtaOptions options;
+  options.tile_cols = 4;
   csr_popcount_ata_accumulate(CsrPanel::from_block(l), CsrPanel::from_block(n), 13, 8,
-                              got, nullptr, {1, 4});
+                              got, nullptr, options);
   EXPECT_EQ(got.values, expected.values);
-}
-
-TEST(CsrKernel, ThreadedPathAboveSpawnThreshold) {
-  // 128 dense word-rows × 128 cols: Σ nnz_L(r)·nnz_N(r) = 128·128² = 2²¹
-  // flops, exactly the spawn threshold — the threaded path really runs.
-  const SparseBlock block = random_block(128, 128, 1.0, 64, 321);
-  const CsrPanel panel = CsrPanel::from_block(block);
-  bsp::CostCounters counters;
-  DenseBlock<std::int64_t> expected(BlockRange{0, 128}, BlockRange{0, 128});
-  popcount_join_accumulate(block.entries, block.entries, 0, 0, expected, nullptr);
-  DenseBlock<std::int64_t> got(BlockRange{0, 128}, BlockRange{0, 128});
-  csr_popcount_ata_accumulate(panel, panel, 0, 0, got, &counters, {4, 16});
-  ASSERT_GE(counters.flops, kAtaThreadMinFlops);
-  EXPECT_EQ(got.values, expected.values);
-}
-
-TEST(CsrKernel, SparseThreadedTilePartitioning) {
-  // Force the SPARSE multi-threaded tile path: above the spawn threshold
-  // (128 dense word-rows × 128 cols = 2²¹ flops) but with the dense path
-  // disabled, small tiles, and more threads than divide the columns
-  // evenly — exercising the tile→column-range worker partitioning.
-  const SparseBlock block = random_block(128, 128, 1.0, 64, 654);
-  const CsrPanel panel = CsrPanel::from_block(block);
-  DenseBlock<std::int64_t> expected(BlockRange{0, 128}, BlockRange{0, 128});
-  popcount_join_accumulate(block.entries, block.entries, 0, 0, expected, nullptr);
-  for (int threads : {3, 4, 7}) {
-    for (std::int64_t tile_cols : {std::int64_t{0}, std::int64_t{16}}) {  // 0 = default width
-      DenseBlock<std::int64_t> got(BlockRange{0, 128}, BlockRange{0, 128});
-      bsp::CostCounters counters;
-      CsrAtaOptions options;
-      options.threads = threads;
-      options.tile_cols = tile_cols;
-      options.allow_dense = false;
-      csr_popcount_ata_accumulate(panel, panel, 0, 0, got, &counters, options);
-      ASSERT_GE(counters.flops, kAtaThreadMinFlops);
-      EXPECT_EQ(got.values, expected.values)
-          << "threads=" << threads << " tile_cols=" << tile_cols;
-    }
-  }
 }
 
 TEST(CsrKernel, EmptyPanelsAreNoOps) {

@@ -76,7 +76,7 @@ int usage() {
                "           [--sparse-similarity-out out.sasp]\n"
                "           [--top N | --threshold J] [--algorithm summa|ring|serial]\n"
                "           [--replication 1] [--bits 64] [--no-filter]\n"
-               "           [--nodes 1] [--no-numa]\n"
+               "           [--nodes 1]\n"
                "           [--estimator exact|hll|minhash|bottomk|hybrid]\n"
                "           [--sketch-size 1024] [--hll-precision 12]\n"
                "           [--minhash-bits 16] [--sketch-seed 1445]\n"
@@ -131,8 +131,6 @@ int usage() {
                "  --nodes N          simulate N nodes: hierarchical two-tier\n"
                "                     collectives (bitwise-identical results) with\n"
                "                     intra/inter traffic costed separately\n"
-               "  --no-numa          disable NUMA worker pinning + first-touch\n"
-               "                     placement of the multiply stage\n"
                "exit codes: 0 ok, 1 generic error, 2 bad config/usage,\n"
                "            3 corrupt input, 4 rank failure, 5 watchdog timeout,\n"
                "            6 protocol violation (--verify-protocol),\n"
@@ -289,7 +287,6 @@ int cmd_dist(const ArgParser& args) {
     std::fprintf(stderr, "gas dist: --nodes must be >= 1\n");
     return 2;
   }
-  options.core.numa_aware = !args.get_bool("no-numa", false);
   const std::string algorithm = args.get_string("algorithm", "summa");
   if (algorithm == "ring") {
     options.core.algorithm = core::Algorithm::kRing1D;

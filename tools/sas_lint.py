@@ -79,8 +79,7 @@ R2_REGISTRY_FILES = {"src/bsp/tags.hpp", "src/bsp/comm.hpp"}
 # src/, its body must open an observability span. Extend this list when a
 # new pipeline stage lands.
 R4_ENTRY_POINTS = {
-    "run_exact_pipeline",
-    "run_hybrid_pipeline",
+    "run_batched_pipeline",
     "ring_ata_accumulate",
     "summa_ata_accumulate",
     "targeted_ata_accumulate",
@@ -284,8 +283,10 @@ def check_r3(rel: str, code: str) -> list[Violation]:
 # R4 -- stage spans
 # ---------------------------------------------------------------------------
 
+# ring_rotate (distmat/ring.hpp) opens one obs::Span per rotation step.
 R4_SPAN_RE = re.compile(
     r"obs::(Span|CollectiveScope|BatchScope)\b|StageRecorder|\.scope\s*\("
+    r"|\bring_rotate\s*[<(]"
 )
 
 
