@@ -26,15 +26,13 @@ int main() {
     core::Algorithm algorithm;
     int ranks;
     int c;
-    bool ring_overlap;
   };
   const std::vector<Variant> variants{
-      {"serial (1 rank)", core::Algorithm::kSerial, 1, 1, true},
-      {"ring 1D (sync)", core::Algorithm::kRing1D, 16, 1, false},
-      {"ring 1D (overlap)", core::Algorithm::kRing1D, 16, 1, true},
-      {"SUMMA 2D (c=1)", core::Algorithm::kSumma, 16, 1, true},
-      {"SUMMA 2.5D (c=2)", core::Algorithm::kSumma, 16, 2, true},
-      {"SUMMA 2.5D (c=4)", core::Algorithm::kSumma, 16, 4, true},
+      {"serial (1 rank)", core::Algorithm::kSerial, 1, 1},
+      {"ring 1D", core::Algorithm::kRing1D, 16, 1},
+      {"SUMMA 2D (c=1)", core::Algorithm::kSumma, 16, 1},
+      {"SUMMA 2.5D (c=2)", core::Algorithm::kSumma, 16, 2},
+      {"SUMMA 2.5D (c=4)", core::Algorithm::kSumma, 16, 4},
   };
 
   TextTable table({"schedule", "active ranks", "max bytes/rank", "max flops/rank",
@@ -44,7 +42,6 @@ int main() {
     config.algorithm = v.algorithm;
     config.replication = v.c;
     config.batch_count = 8;
-    config.ring_overlap = v.ring_overlap;
     const RunResult run = run_driver(v.ranks, source, config);
     table.add_row({v.name, std::to_string(run.result.active_ranks),
                    fmt_bytes(static_cast<double>(run.cost.max_bytes)),
@@ -55,9 +52,6 @@ int main() {
   std::printf("\nShapes to match:\n"
               "  * flops/rank drop ~p-fold for every parallel schedule (same algebra);\n"
               "  * ring pays Θ(z) bytes/rank; SUMMA pays Θ(z/√(cp) + cn²/p);\n"
-              "  * the overlapped ring posts the rotation send before the multiply,\n"
-              "    so its wall time should sit below the synchronous ring (identical\n"
-              "    bytes/flops — the win is pipelining, invisible to the BSP model);\n"
               "  * replication c trades lower input traffic for a larger output\n"
               "    reduction — worthwhile when z dominates n²/√p.\n");
   return 0;

@@ -328,68 +328,45 @@ int main(int argc, char** argv) {
   }
   stage_table.print();
 
-  // ---- sparse result assembly vs the PR 4 dense baseline -----------------
-  // Same family corpus and hybrid config, assembled three ways:
-  //   baseline — dense gather + raw-index filter union (the PR 4 output
-  //              path, reproduced via dense_output + compress_filter off);
-  //   dense    — dense gather with the compressed filter;
-  //   sparse   — the default survivor gather (this PR's output path).
-  // GATES: survivor values bitwise-identical across all three, and the
-  // sparse run's assemble bytes, assemble+filter bytes, and rank-0
-  // resident output all strictly below the PR 4 baseline.
-  std::printf("\nSparse result assembly vs dense gather "
-              "(same corpus/config; baseline = PR 4 output path)\n\n");
-  core::Config pr4_cfg = hybrid_cfg;
-  pr4_cfg.dense_output = true;
-  pr4_cfg.compress_filter = false;
-  const RunResult pr4_run = run_driver(8, family_source, pr4_cfg);
-  core::Config dense_cfg = hybrid_cfg;
-  dense_cfg.dense_output = true;
-  const RunResult dense_run = run_driver(8, family_source, dense_cfg);
-
-  std::int64_t sparse_parity_violations = 0;
-  for (std::int64_t i = 0; i < fn; ++i) {
-    for (std::int64_t j = i + 1; j < fn; ++j) {
-      if (!hybrid.result.candidates.test(i, j)) continue;
-      const double sparse_value = hybrid.result.similarity_at(i, j);
-      if (sparse_value != pr4_run.result.similarity_at(i, j) ||
-          sparse_value != dense_run.result.similarity_at(i, j)) {
-        ++sparse_parity_violations;
-      }
-    }
-  }
+  // ---- sparse result assembly vs the exact ring's dense gather -----------
+  // Same family corpus: the hybrid's survivor gather against family_exact,
+  // whose assemble stage is the exact ring's dense gather of all n² cells.
+  // GATES: survivor values bitwise-identical to exact (the parity count
+  // above), and the hybrid's assemble bytes, pack + assemble bytes, and
+  // rank-0 resident output all strictly below the dense run.
+  std::printf("\nSparse result assembly vs the exact ring's dense gather "
+              "(same corpus)\n\n");
   const auto assemble_bytes = [](const RunResult& run) {
     return run.result.stages[core::Stage::kAssemble].bytes_sent;
   };
-  const auto filter_bytes = [](const RunResult& run) {
+  const auto pack_bytes = [](const RunResult& run) {
     return run.result.stages[core::Stage::kPackSketch].bytes_sent;
   };
-  const bool sparse_assemble_ok = assemble_bytes(hybrid) < assemble_bytes(pr4_run);
-  const bool sparse_floor_ok = assemble_bytes(hybrid) + filter_bytes(hybrid) <
-                               assemble_bytes(pr4_run) + filter_bytes(pr4_run);
+  const bool sparse_assemble_ok = assemble_bytes(hybrid) < assemble_bytes(family_exact);
+  const bool sparse_floor_ok = assemble_bytes(hybrid) + pack_bytes(hybrid) <
+                               assemble_bytes(family_exact) + pack_bytes(family_exact);
   const bool sparse_resident_ok =
-      result_output_bytes(hybrid.result) < result_output_bytes(pr4_run.result);
-  const bool sparse_ok = sparse_parity_violations == 0 && sparse_assemble_ok &&
+      result_output_bytes(hybrid.result) < result_output_bytes(family_exact.result);
+  const bool sparse_ok = parity_violations == 0 && sparse_assemble_ok &&
                          sparse_floor_ok && sparse_resident_ok;
   ok = ok && sparse_ok;
 
-  TextTable sparse_table({"output path", "assemble bytes", "filter bytes",
-                          "assemble+filter", "rank-0 output bytes", "parity", "gate"});
+  TextTable sparse_table({"output path", "assemble bytes", "pack bytes",
+                          "pack+assemble", "rank-0 output bytes", "parity", "gate"});
   const auto sparse_row = [&](const char* name, const RunResult& run, bool gated) {
     sparse_table.add_row(
-        {name, std::to_string(assemble_bytes(run)), std::to_string(filter_bytes(run)),
-         std::to_string(assemble_bytes(run) + filter_bytes(run)),
+        {name, std::to_string(assemble_bytes(run)), std::to_string(pack_bytes(run)),
+         std::to_string(assemble_bytes(run) + pack_bytes(run)),
          std::to_string(result_output_bytes(run.result)),
-         gated ? (sparse_parity_violations == 0 ? "bitwise" : "FAIL") : "-",
+         gated ? (parity_violations == 0 ? "bitwise" : "FAIL") : "-",
          gated ? (sparse_ok ? "PASS" : "FAIL") : "-"});
   };
-  sparse_row("PR4 baseline (dense+raw filter)", pr4_run, false);
-  sparse_row("dense gather + compressed filter", dense_run, false);
-  sparse_row("sparse survivor gather (default)", hybrid, true);
+  sparse_row("exact ring dense gather", family_exact, false);
+  sparse_row("hybrid sparse survivor gather", hybrid, true);
   sparse_table.print();
-  std::printf("\nsparse-output gate: survivor values bitwise-identical to both dense\n"
-              "assemblies; assemble bytes, assemble+filter bytes, and rank-0 resident\n"
-              "output strictly below the PR 4 baseline.\n");
+  std::printf("\nsparse-output gate: survivor values bitwise-identical to exact;\n"
+              "assemble bytes, pack+assemble bytes, and rank-0 resident output\n"
+              "strictly below the exact ring's dense gather.\n");
 
   // ---- mask-first packing: pruned columns are never packed ---------------
   // Corpus with genuine prunables: 4 families x 2 members plus 8 singleton
@@ -432,13 +409,13 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const bool mf_pack_ok = filter_bytes(mf_hybrid) < filter_bytes(mf_exact);
+  const bool mf_pack_ok = pack_bytes(mf_hybrid) < pack_bytes(mf_exact);
   const bool mf_ok = mf_parity_violations == 0 && mf_pack_ok;
   ok = ok && mf_ok;
   TextTable mf_table({"pipeline", "pack/filter bytes", "parity", "gate"});
-  mf_table.add_row({"exact (packs every column)", std::to_string(filter_bytes(mf_exact)),
+  mf_table.add_row({"exact (packs every column)", std::to_string(pack_bytes(mf_exact)),
                     "-", "-"});
-  mf_table.add_row({"hybrid (mask-first pack)", std::to_string(filter_bytes(mf_hybrid)),
+  mf_table.add_row({"hybrid (mask-first pack)", std::to_string(pack_bytes(mf_hybrid)),
                     mf_parity_violations == 0 ? "bitwise" : "FAIL",
                     mf_ok ? "PASS" : "FAIL"});
   mf_table.print();

@@ -46,23 +46,6 @@ std::vector<ScoredPair> pairs_above(const core::SimilarityMatrix& matrix,
   return pairs;
 }
 
-std::vector<ScoredPair> candidate_pairs(const core::SimilarityMatrix& matrix,
-                                        const distmat::CandidateMask& candidates,
-                                        double threshold) {
-  if (candidates.size() != matrix.size()) {
-    throw std::invalid_argument("candidate_pairs: mask/matrix size mismatch");
-  }
-  std::vector<ScoredPair> pairs;
-  // Visit only the mask's strict upper triangle (dense: word-by-word bit
-  // walk; sparse: the CSR rows), not a dense O(n²) re-threshold.
-  candidates.for_each_upper_pair([&](std::int64_t i, std::int64_t j) {
-    const double s = matrix.similarity(i, j);
-    if (s >= threshold) pairs.push_back({i, j, s});
-  });
-  std::sort(pairs.begin(), pairs.end(), by_descending_similarity);
-  return pairs;
-}
-
 std::vector<ScoredPair> candidate_pairs(const core::SparseSimilarity& sparse,
                                         double threshold) {
   std::vector<ScoredPair> pairs;

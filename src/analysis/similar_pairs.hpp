@@ -5,19 +5,16 @@
 // surface the most related samples (to augment datasets with similar
 // samples, §II-B/[64]) or every pair above a similarity threshold (the
 // screen-style query). The dense overloads run over the full matrix the
-// exact/sketch pipelines produce on the root rank. Hybrid runs hand
-// their thresholded output in directly — either the candidate mask over
-// a dense matrix (candidate_pairs) or, in the default sparse-output
-// mode, the SparseSimilarity view whose survivor list IS the candidate
-// pair set: those overloads never touch (or require) an n² structure
-// and never surface sketch-estimated (pruned) values as if exact.
+// exact/sketch pipelines produce on the root rank. Hybrid runs hand in
+// their SparseSimilarity, whose survivor list IS the candidate pair set:
+// those overloads never touch (or require) an n² structure and never
+// surface sketch-estimated (pruned) values as if exact.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/similarity_matrix.hpp"
-#include "distmat/pair_mask.hpp"
 
 namespace sas::analysis {
 
@@ -36,17 +33,9 @@ struct ScoredPair {
 [[nodiscard]] std::vector<ScoredPair> pairs_above(const core::SimilarityMatrix& matrix,
                                                   double threshold);
 
-/// Every distinct candidate pair of a hybrid run (off-diagonal mask
-/// entries, which carry exactly rescored similarities), optionally
-/// re-thresholded on the exact value, descending. Only the mask's pairs
-/// are visited — O(candidates) instead of O(n²) — whichever mask
-/// representation (dense bitset or sparse CSR) the run produced.
-[[nodiscard]] std::vector<ScoredPair> candidate_pairs(
-    const core::SimilarityMatrix& matrix, const distmat::CandidateMask& candidates,
-    double threshold = 0.0);
-
-/// Sparse-output form: the survivors of a SparseSimilarity (exactly
-/// rescored values), optionally re-thresholded, descending. O(survivors).
+/// Every candidate pair of a hybrid run: the survivors of its
+/// SparseSimilarity (exactly rescored values), optionally re-thresholded
+/// on the exact value, descending. O(survivors), not O(n²).
 [[nodiscard]] std::vector<ScoredPair> candidate_pairs(
     const core::SparseSimilarity& sparse, double threshold = 0.0);
 

@@ -155,11 +155,8 @@ enum InternalTag : int {
   kTagReduce = -2,
   kTagGather = -3,
   kTagAllgather = -4,
-  kTagScatter = -5,
   kTagAlltoall = -6,
-  kTagScan = -7,
   kTagSplit = -8,
-  kTagReduceScatter = -9,
   // Hierarchical (two-tier) collective stages; see the hier_* helpers.
   kTagHierBcast = -10,     ///< inter-node leader tree + root→leader hop
   kTagHierReduce = -11,    ///< member→leader combine + leader tree
@@ -468,26 +465,6 @@ class Comm {
     return out;
   }
 
-  /// Root sends block r to rank r; returns this rank's block.
-  template <typename T>
-  [[nodiscard]] std::vector<T> scatter_v(const std::vector<std::vector<T>>& blocks,
-                                         int root) {
-    const int p = size();
-    proto_record(ProtoOp::kScatter, root, sizeof(T), 0);
-    const obs::CollectiveScope obs_scope(obs::Primitive::kScatter, *counters_);
-    if (rank_ == root) {
-      if (static_cast<int>(blocks.size()) != p) {
-        throw std::invalid_argument("bsp::Comm::scatter_v: need one block per rank");
-      }
-      for (int r = 0; r < p; ++r) {
-        if (r == root) continue;
-        send<T>(r, kTagScatter, std::span<const T>(blocks[static_cast<std::size_t>(r)]));
-      }
-      return blocks[static_cast<std::size_t>(root)];
-    }
-    return recv<T>(root, kTagScatter);
-  }
-
   /// Personalized all-to-all with variable block sizes. outgoing[r] is the
   /// block for rank r; returns incoming[r] = block from rank r. Buffered
   /// sends make the direct exchange deadlock-free.
@@ -513,91 +490,6 @@ class Comm {
       incoming[static_cast<std::size_t>(source)] = recv<T>(source, kTagAlltoall);
     }
     return incoming;
-  }
-
-  /// Ring reduce-scatter: every rank passes equal-length vectors; rank r
-  /// returns the elementwise combination of block r (block_count = p,
-  /// near-equal contiguous blocks). Bandwidth-optimal: p−1 rounds each
-  /// moving one block, (p−1)/p of the data per rank — the building block
-  /// MPI implementations use inside large allreduces.
-  template <typename T, typename Op>
-  [[nodiscard]] std::vector<T> reduce_scatter(const std::vector<T>& data, Op op) {
-    const int p = size();
-    const auto total = static_cast<std::int64_t>(data.size());
-    auto block_begin = [&](int b) {
-      const std::int64_t base = total / p;
-      const std::int64_t extra = total % p;
-      return b * base + (b < static_cast<int>(extra) ? b : static_cast<std::int64_t>(extra));
-    };
-    auto block_of = [&](const std::vector<T>& v, int b) {
-      return std::span<const T>(v.data() + block_begin(b),
-                                static_cast<std::size_t>(block_begin(b + 1) - block_begin(b)));
-    };
-    proto_record(ProtoOp::kReduceScatter, 0, sizeof(T), data.size());
-    if (p == 1) return data;
-    const obs::CollectiveScope obs_scope(obs::Primitive::kReduceScatter,
-                                         *counters_);
-
-    // Block b leaves rank b+1 first and travels the ring once, combining
-    // each rank's copy on the way; after p−1 rounds it lands fully
-    // reduced on its owner b. Round t: rank r sends block (r−1−t) and
-    // receives + combines block (r−2−t); the last block received is r's.
-    std::vector<T> accum = data;
-    const int next = (rank_ + 1) % p;
-    const int prev = (rank_ + p - 1) % p;
-    for (int t = 0; t < p - 1; ++t) {
-      const int send_block = (rank_ - 1 - t % p + 2 * p) % p;
-      const int recv_block = (rank_ - 2 - t % p + 2 * p) % p;
-      send<T>(next, kTagReduceScatter, block_of(accum, send_block));
-      const std::vector<T> incoming = recv<T>(prev, kTagReduceScatter);
-      const std::int64_t begin = block_begin(recv_block);
-      for (std::size_t i = 0; i < incoming.size(); ++i) {
-        accum[static_cast<std::size_t>(begin) + i] =
-            op(incoming[i], accum[static_cast<std::size_t>(begin) + i]);
-      }
-    }
-    const auto mine = block_of(accum, rank_);
-    return {mine.begin(), mine.end()};
-  }
-
-  /// Inclusive prefix combine (dissemination / Hillis-Steele): returns
-  /// op(x_0, ..., x_rank). O(log p) rounds.
-  template <typename T, typename Op>
-  [[nodiscard]] T scan(T value, Op op) {
-    const int p = size();
-    proto_record(ProtoOp::kScan, 0, sizeof(T), 1);
-    const obs::CollectiveScope obs_scope(obs::Primitive::kScan, *counters_);
-    T inclusive = value;
-    for (int offset = 1; offset < p; offset <<= 1) {
-      if (rank_ + offset < p) send_value<T>(rank_ + offset, kTagScan, inclusive);
-      if (rank_ - offset >= 0) {
-        T incoming = recv_value<T>(rank_ - offset, kTagScan);
-        inclusive = op(incoming, inclusive);
-      }
-    }
-    return inclusive;
-  }
-
-  /// Exclusive prefix combine: returns op(x_0, ..., x_{rank-1}), or
-  /// `identity` on rank 0.
-  template <typename T, typename Op>
-  [[nodiscard]] T exscan(T value, Op op, T identity) {
-    const int p = size();
-    proto_record(ProtoOp::kExscan, 0, sizeof(T), 1);
-    const obs::CollectiveScope obs_scope(obs::Primitive::kScan, *counters_);
-    T inclusive = value;
-    T exclusive = identity;
-    bool has_exclusive = false;
-    for (int offset = 1; offset < p; offset <<= 1) {
-      if (rank_ + offset < p) send_value<T>(rank_ + offset, kTagScan, inclusive);
-      if (rank_ - offset >= 0) {
-        T incoming = recv_value<T>(rank_ - offset, kTagScan);
-        inclusive = op(incoming, inclusive);
-        exclusive = has_exclusive ? op(incoming, exclusive) : incoming;
-        has_exclusive = true;
-      }
-    }
-    return exclusive;
   }
 
   /// Collective split into sub-communicators, MPI_Comm_split semantics:

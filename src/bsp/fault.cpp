@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <string>
 
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace sas::bsp {
@@ -10,11 +11,9 @@ namespace sas::bsp {
 namespace {
 
 [[nodiscard]] std::uint64_t parse_u64(const std::string& text, const std::string& spec) {
-  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
-    throw error::ConfigError("fault plan: expected a non-negative integer in '" + spec +
-                             "'");
-  }
-  return std::stoull(text);
+  if (const auto value = parse_number<std::uint64_t>(text)) return *value;
+  throw error::ConfigError("fault plan: expected a non-negative integer in '" + spec +
+                           "'");
 }
 
 /// "key=value" -> value, enforcing the key.

@@ -15,11 +15,7 @@ const char* proto_op_name(ProtoOp op) noexcept {
     case ProtoOp::kAllreduce: return "allreduce";
     case ProtoOp::kGather: return "gather_v";
     case ProtoOp::kAllgather: return "allgather_v";
-    case ProtoOp::kScatter: return "scatter_v";
     case ProtoOp::kAlltoall: return "alltoall_v";
-    case ProtoOp::kReduceScatter: return "reduce_scatter";
-    case ProtoOp::kScan: return "scan";
-    case ProtoOp::kExscan: return "exscan";
     case ProtoOp::kSplit: return "split";
   }
   return "unknown";

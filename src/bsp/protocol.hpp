@@ -48,11 +48,7 @@ enum class ProtoOp : std::uint8_t {
   kAllreduce,
   kGather,
   kAllgather,
-  kScatter,
   kAlltoall,
-  kReduceScatter,
-  kScan,
-  kExscan,
   kSplit,
 };
 

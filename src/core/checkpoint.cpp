@@ -267,9 +267,6 @@ std::uint64_t checkpoint_fingerprint(const Config& config, std::int64_t n,
   mix(std::bit_cast<std::uint64_t>(config.prune_slack));
   mix(static_cast<std::uint64_t>(config.candidate_mode));
   mix(static_cast<std::uint64_t>(config.lsh_bands));
-  mix(static_cast<std::uint64_t>(config.lsh_min_samples));
-  mix(static_cast<std::uint64_t>(config.lsh_bucket_cap));
-  mix(config.dense_output ? 1 : 0);
   return h;
 }
 

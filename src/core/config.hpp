@@ -1,18 +1,22 @@
-// config.hpp — tuning knobs of the SimilarityAtScale driver.
+// config.hpp — the knob ledger of the SimilarityAtScale driver.
 //
 // The defaults reproduce the paper's configuration (bitmask b = 64,
-// zero-row filter on, SUMMA parallelization). The knobs fall into four
-// groups:
+// zero-row filter on, SUMMA parallelization). Every field below sits in
+// exactly one group, and each group says why its fields exist; a knob
+// that fits none of them (one value outside tests, not in the paper,
+// never read by the perf ledger) is deleted rather than kept:
 //
-//   paper ablations   batch_count (Fig. 2c/2d), bit_width, replication,
-//                     algorithm, use_zero_row_filter — swept by
-//                     bench/ablation_*, bench/fig2* and bench/fig3
-//   schedule/kernel   ring_overlap, compress_filter, dense_crossover,
-//   ablations         nodes — this implementation's own levers, each
-//                     compared against its off position by a bench
-//                     (ablation_algorithm, minhash_accuracy,
-//                     micro_kernels, comm_model_validation section e)
-//   estimators        estimator and the sketch / hybrid / LSH parameters
+//   paper ablation    batch_count (Fig. 2c/2d), bit_width, replication,
+//                     algorithm, use_zero_row_filter — the paper's own
+//                     levers, swept by bench/ablation_*, bench/fig2* and
+//                     bench/fig3
+//   perf ledger       compress_filter, dense_crossover — read by
+//                     bench/ledger/perf_ledger.cpp (its kernel probe packs
+//                     with compress_filter; --dense-crossover and the
+//                     --sensitivity run pin the sparse/dense crossover)
+//   topology          nodes — the simulated two-tier machine, gated by
+//                     bench/comm_model_validation section e
+//   estimator         estimator and the sketch / hybrid / LSH parameters
 //                     below it — the approximate pipelines, measured by
 //                     bench/minhash_accuracy and the perf ledger
 //   operational       failure semantics, recovery, memory budget and
@@ -52,7 +56,8 @@ enum class Estimator {
 /// (sketch/exchange.hpp documents both paths).
 enum class CandidateMode {
   /// kLsh when the prune sketch is minhash, the effective threshold is
-  /// positive, and sample_count >= lsh_min_samples; kAllPairs otherwise.
+  /// positive, and sample_count >= sketch::kLshMinSamples; kAllPairs
+  /// otherwise.
   kAuto,
   /// Allgather every sketch blob and score all n²/p pairs per rank — the
   /// exact candidate set at O(n · sketch_bytes) exchange bytes and O(n²)
@@ -67,6 +72,8 @@ enum class CandidateMode {
 };
 
 struct Config {
+  // ---- paper ablations (Fig. 2c/2d, §III-B/C) --------------------------
+
   /// Number of row batches r (paper Eq. 3). Larger values shrink the
   /// working set per batch at the cost of per-batch latency (Fig. 2c/2d).
   std::int64_t batch_count = 1;
@@ -86,13 +93,22 @@ struct Config {
   /// hypersparse inputs.
   bool use_zero_row_filter = true;
 
-  /// Ring schedule of both 1-D rings (distmat/ring.hpp): the exact
-  /// pipeline's Algorithm::kRing1D panel rotation and the pure-sketch
-  /// estimators' sketch-panel rotation. Posts the rotation send before
-  /// the local multiply / estimation so transfer overlaps compute.
-  /// Disabling it (ablation) restores the synchronous send-after-compute
-  /// ring that serializes rotation with compute.
-  bool ring_overlap = true;
+  // ---- read by the perf ledger (bench/ledger) -------------------------
+
+  /// Sparse/dense fill-product crossover of the SpGEMM kernel. 0 (the
+  /// default) derives it from a one-shot startup micro-calibration of the
+  /// scatter vs streaming-popcount rates on this machine
+  /// (distmat/crossover.hpp); a positive value pins it (ablation /
+  /// reproducing a recorded run).
+  double dense_crossover = 0.0;
+
+  /// Replicate each batch's zero-row filter union as a compressed bitmap
+  /// (word-RLE segments, raw-list fallback — dist_filter.hpp) instead of
+  /// raw 8-byte row indices. Identical filter contents either way;
+  /// disabling reproduces the raw-index byte floor for the ablation benches.
+  bool compress_filter = true;
+
+  // ---- simulated topology (comm_model_validation section e) -----------
 
   /// Simulated node count for the hierarchical collectives: ranks are
   /// grouped into `nodes` contiguous blocks, each with a leader rank, and
@@ -103,12 +119,7 @@ struct Config {
   /// identical for any value (enforced by tests).
   int nodes = 1;
 
-  /// Sparse/dense fill-product crossover of the SpGEMM kernel. 0 (the
-  /// default) derives it from a one-shot startup micro-calibration of the
-  /// scatter vs streaming-popcount rates on this machine
-  /// (distmat/crossover.hpp); a positive value pins it (ablation /
-  /// reproducing a recorded run).
-  double dense_crossover = 0.0;
+  // ---- estimator parameters -------------------------------------------
 
   /// Jaccard estimator (kExact = the paper's pipeline; others trade a
   /// documented error bound for fixed-size communication).
@@ -147,7 +158,7 @@ struct Config {
 
   /// Candidate-pass strategy of the hybrid (estimator == kHybrid). kAuto
   /// switches from all-pairs scoring to LSH banding once the corpus
-  /// clears lsh_min_samples; kLsh with a non-minhash hybrid_sketch
+  /// clears sketch::kLshMinSamples; kLsh with a non-minhash hybrid_sketch
   /// throws (banding is defined over the OPH registers), and a
   /// non-positive effective threshold always falls back to all-pairs
   /// (every pair survives — banding could only lose candidates).
@@ -160,37 +171,7 @@ struct Config {
   /// pins B with rows_per_band = max(1, sketch_size / B).
   std::int64_t lsh_bands = 0;
 
-  /// Sample count below which kAuto keeps the all-pairs candidate pass:
-  /// under ~10² samples the n² score work is trivial and the dense mask
-  /// is bytes-cheaper than band keys.
-  std::int64_t lsh_min_samples = 128;
-
-  /// LSH bucket-size cap (candidate_mode kLsh/kAuto). A degenerate
-  /// bucket of s samples — e.g. all-empty sketches hashing identically —
-  /// would emit s(s−1)/2 pair words into the candidate alltoall; buckets
-  /// larger than the cap instead replicate their MEMBER list (O(s)
-  /// bytes) and route the implied pairs through a mini all-pairs pass on
-  /// the blob owners. Recall can only grow (a superset of the bucket's
-  /// pairs is scored). 0 disables the cap.
-  std::int64_t lsh_bucket_cap = 64;
-
-  /// Assemble the full dense SimilarityMatrix even when a candidate mask
-  /// is active (estimator == kHybrid). The default (false) assembles the
-  /// survivor-proportional SparseSimilarity instead — each owning rank
-  /// ships only its masked (i, j, value) triplets and rank 0 never
-  /// materializes an n² structure. Dense output remains the right call
-  /// at small n (downstream consumers that want the full matrix) and is
-  /// what the exact / pure-sketch estimators always produce (they
-  /// compute every pair; this knob does not apply to them).
-  bool dense_output = false;
-
-  /// Replicate each batch's zero-row filter union as a compressed bitmap
-  /// (word-RLE segments, raw-list fallback — dist_filter.hpp) instead of
-  /// raw 8-byte row indices. Identical filter contents either way;
-  /// disabling reproduces the PR 4 byte floor for the ablation benches.
-  bool compress_filter = true;
-
-  // ---- failure semantics (ROADMAP "Failure semantics") -----------------
+  // ---- operational: failure semantics (ROADMAP "Failure semantics") ----
 
   /// Watchdog deadline (milliseconds) for the blocking BSP primitives
   /// (recv, barrier). 0 defers to the SAS_WATCHDOG_MS environment
@@ -223,7 +204,7 @@ struct Config {
   /// to an uninterrupted run.
   bool resume = false;
 
-  // ---- in-run recovery (ROADMAP "Failure semantics") -------------------
+  // ---- operational: in-run recovery -------------------------------------
 
   /// Bounded in-run retries of a failed batch (gas dist --max-retries).
   /// A batch whose failure is transient (error::Severity::kTransient) is
@@ -258,7 +239,7 @@ struct Config {
   /// default) disables the budget.
   std::int64_t mem_budget_mb = 0;
 
-  // ---- observability (ROADMAP "Observability") -------------------------
+  // ---- operational: observability (ROADMAP "Observability") ------------
 
   /// Chrome trace-event JSON output path (gas dist --trace-out). Every
   /// rank's spans — stages, batches, collectives, checkpoint ops, LSH

@@ -208,11 +208,7 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
           distmat::targeted_ata_accumulate(world, n, panel, *prune, *layout.b_block,
                                            kernel_options);
         } else {
-          distmat::ring_ata_accumulate(world, n, panel, *layout.b_block,
-                                       config.ring_overlap
-                                           ? distmat::RingSchedule::kOverlapped
-                                           : distmat::RingSchedule::kSynchronous,
-                                       kernel_options);
+          distmat::ring_ata_accumulate(world, n, panel, *layout.b_block, kernel_options);
         }
         distmat::accumulate_column_popcounts(panel, layout.my_cols.begin, ahat);
       }
@@ -253,22 +249,20 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
 
 /// Assemble stage: â allreduce, then one of two output paths.
 ///
-/// Dense (no mask, or Config::dense_output): S = B ⊘ C on the owning
-/// ranks, whole blocks gathered on rank 0; for the hybrid the pruned
-/// (unmasked) entries are zeroed and overwritten with their pair-keyed
-/// sketch estimates — bitwise what the sparse path reports for them.
+/// Dense (no mask: kExact): S = B ⊘ C on the owning ranks, whole blocks
+/// gathered on rank 0.
 ///
-/// Sparse (mask active, the hybrid default): each owning rank walks its
-/// block against the candidate mask (for_each_pair_in, i < j so disjoint
-/// blocks emit disjoint pairs), finalizes ONLY those cells with the same
+/// Sparse (a candidate mask: kHybrid): each owning rank walks its block
+/// against the mask (for_each_pair_in, i < j so disjoint blocks emit
+/// disjoint pairs), finalizes ONLY those cells with the same
 /// sᵢⱼ = bᵢⱼ / (âᵢ + âⱼ − bᵢⱼ) expression, and ships survivor triplets;
-/// rank 0 assembles a SparseSimilarity. No dense double block is ever
-/// built and rank 0 never holds an n² structure.
+/// rank 0 assembles a SparseSimilarity whose pruned pairs read their
+/// pair-keyed sketch estimates. No dense double block is ever built and
+/// rank 0 never holds an n² structure.
 Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int64_t n,
                 std::vector<std::int64_t>& ahat, std::vector<BatchStats> stats,
-                StageRecorder& recorder, distmat::CandidateMask* mask,
-                std::vector<sketch::PairEstimate>* estimates) {
-  const bool sparse_output = mask != nullptr && !config.dense_output;
+                StageRecorder& recorder, sketch::CandidatePass* candidates) {
+  distmat::CandidateMask* const mask = candidates ? &candidates->mask : nullptr;
   const bool owns_output =
       layout.b_block.has_value() &&
       (config.algorithm != Algorithm::kSumma || layout.grid->layer() == 0);
@@ -290,7 +284,7 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
                       : static_cast<double>(inter) / static_cast<double>(uni);
     };
 
-    if (sparse_output) {
+    if (mask != nullptr) {
       std::vector<Triplet<double>> mine;
       if (owns_output) {
         const DenseBlock<std::int64_t>& b = *layout.b_block;
@@ -308,24 +302,6 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
       if (owns_output) s_block = finalize_block(*layout.b_block, ahat);
       full = distmat::gather_dense_to_root(
           world, s_block.has_value() ? &*s_block : nullptr, n, n);
-
-      // Hybrid fill: surviving pairs keep their exact rescored value;
-      // pruned pairs report the candidate pass's sketch estimate (0.0
-      // when never scored — below every threshold by construction).
-      if (world.rank() == 0 && mask != nullptr && estimates != nullptr) {
-        for (std::int64_t i = 0; i < n; ++i) {
-          for (std::int64_t j = 0; j < n; ++j) {
-            if (i != j && !mask->test(i, j)) {
-              full[static_cast<std::size_t>(i * n + j)] = 0.0;
-            }
-          }
-        }
-        for (const sketch::PairEstimate& pe : *estimates) {
-          if (mask->test(pe.i, pe.j)) continue;  // survivor: exact value stays
-          full[static_cast<std::size_t>(pe.i * n + pe.j)] = pe.est;
-          full[static_cast<std::size_t>(pe.j * n + pe.i)] = pe.est;
-        }
-      }
     }
   }
 
@@ -334,7 +310,7 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
   result.active_ranks = layout.active_ranks;
   result.stages = recorder.reduce_to_root(world);
   if (world.rank() == 0) {
-    if (sparse_output) {
+    if (mask != nullptr) {
       std::vector<std::uint64_t> survivor_keys;
       std::vector<double> survivor_values;
       survivor_keys.reserve(survivors.size());
@@ -345,14 +321,12 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
       }
       std::vector<std::uint64_t> estimate_keys;
       std::vector<double> estimate_values;
-      if (estimates != nullptr) {
-        estimate_keys.reserve(estimates->size());
-        estimate_values.reserve(estimates->size());
-        for (const sketch::PairEstimate& pe : *estimates) {
-          if (mask->test(pe.i, pe.j)) continue;  // survivors carry exact values
-          estimate_keys.push_back(SparseSimilarity::pack_pair(pe.i, pe.j));
-          estimate_values.push_back(pe.est);
-        }
+      estimate_keys.reserve(candidates->estimates.size());
+      estimate_values.reserve(candidates->estimates.size());
+      for (const sketch::PairEstimate& pe : candidates->estimates) {
+        if (mask->test(pe.i, pe.j)) continue;  // survivors carry exact values
+        estimate_keys.push_back(SparseSimilarity::pack_pair(pe.i, pe.j));
+        estimate_values.push_back(pe.est);
       }
       result.sparse_similarity = SparseSimilarity(
           n, std::move(survivor_keys), std::move(survivor_values),
@@ -794,7 +768,7 @@ Result run_batched_pipeline(bsp::Comm& world, const SampleSource& source,
   }
 
   Result result = assemble(world, layout, config, n, ahat, std::move(stats), recorder,
-                           mask, candidates ? &candidates->estimates : nullptr);
+                           candidates ? &*candidates : nullptr);
   if (world.rank() == 0) {
     result.retries = rs.retries;
     result.quarantined = std::move(rs.quarantined);

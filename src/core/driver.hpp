@@ -19,11 +19,10 @@
 //   assemble  — C = â1ᵀ + 1âᵀ − B;  S = B ⊘ C;  D = 1 − S (Eq. 2). With
 //               no mask (exact / sketch estimators) the owning ranks'
 //               dense blocks are gathered whole on world rank 0; with a
-//               candidate mask (hybrid, unless Config::dense_output)
-//               each owning rank finalizes ONLY its masked cells and
-//               ships (i, j, value) survivor triplets, assembled into a
-//               SparseSimilarity — bytes and rank-0 memory O(survivors),
-//               not O(n²)
+//               candidate mask (hybrid) each owning rank finalizes ONLY
+//               its masked cells and ships (i, j, value) survivor
+//               triplets, assembled into a SparseSimilarity — bytes and
+//               rank-0 memory O(survivors), not O(n²)
 //
 // Two pipelines compose the stages:
 //
@@ -39,8 +38,7 @@
 //                          exchange (serial / ring / SUMMA; a mask turns
 //                          the ring into the targeted alltoall) →
 //                          multiply (tile-level mask skip)
-//                        assemble (dense; survivor-sparse with a mask
-//                          unless Config::dense_output)
+//                        assemble (dense; survivor-sparse with a mask)
 //                      The bracketed steps are the hybrid's; surviving
 //                      pairs rescore BITWISE-IDENTICALLY to kExact, and
 //                      pair-keyed sketch estimates fill the pruned
@@ -77,7 +75,7 @@ enum class Stage : int {
   kPackSketch,  ///< zero-row filter + bitmask packing + sketch building
   kExchange,    ///< redistribution, panel movement, mask union
   kMultiply,    ///< popcount SpGEMM / wire-level estimation
-  kAssemble,    ///< finalize S = B ⊘ C, gather to root, hybrid fill
+  kAssemble,    ///< finalize S = B ⊘ C, gather to root (dense or survivors)
 };
 inline constexpr std::size_t kStageCount = 5;
 
@@ -208,13 +206,14 @@ struct QuarantinedBatch {
 
 struct Result {
   std::int64_t n = 0;
-  /// Dense n×n output (rank 0): always populated by kExact and the pure
-  /// sketch estimators; by kHybrid only under Config::dense_output.
+  /// Dense n×n output (rank 0): populated by kExact and the pure sketch
+  /// estimators; empty for kHybrid (SparseSimilarity::to_dense rebuilds
+  /// it on demand).
   SimilarityMatrix similarity;
-  /// Survivor-proportional output (rank 0): populated by kHybrid unless
-  /// Config::dense_output — exact values for surviving pairs, sketch
-  /// estimates for scored-but-pruned pairs, 0.0 elsewhere. Rank 0 never
-  /// materializes an n² array on this path.
+  /// Survivor-proportional output (rank 0), populated by kHybrid: exact
+  /// values for surviving pairs, sketch estimates for scored-but-pruned
+  /// pairs, 0.0 elsewhere. Rank 0 never materializes an n² array on this
+  /// path.
   SparseSimilarity sparse_similarity;
   std::vector<BatchStats> batches;  ///< valid on world rank 0
   int active_ranks = 0;             ///< ranks that took part in the product
@@ -239,12 +238,11 @@ struct Result {
   /// degraded completion from a clean one.
   [[nodiscard]] bool degraded() const noexcept { return !quarantined.empty(); }
 
-  /// Which output form this run assembled (rank 0).
+  /// Which output form this run assembled (rank 0): true for kHybrid.
   [[nodiscard]] bool sparse_output() const noexcept { return !sparse_similarity.empty(); }
 
-  /// Similarity lookup across both output forms — identical values by
-  /// construction (the sparse assembly is bitwise-parity-tested against
-  /// the dense gather).
+  /// Similarity lookup across both output forms. Hybrid survivors are
+  /// bitwise equal to the kExact value of the same pair (parity-tested).
   [[nodiscard]] double similarity_at(std::int64_t i, std::int64_t j) const {
     return sparse_output() ? sparse_similarity.similarity(i, j)
                            : similarity.similarity(i, j);

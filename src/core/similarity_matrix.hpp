@@ -8,9 +8,9 @@
 // SimilarityMatrix is the dense n×n form: the natural output of the
 // exact all-pairs pipeline and the sketch estimators (every pair is
 // computed), and the right call at small n. SparseSimilarity is the
-// thresholded-output form the hybrid estimator assembles by default
-// (Config::dense_output toggles back): only the pairs that survived the
-// sketch prune carry exactly rescored values, pruned-but-scored pairs
+// thresholded-output form the hybrid estimator always assembles: only
+// the pairs that survived the sketch prune carry exactly rescored values
+// (bitwise equal to the exact pipeline's), pruned-but-scored pairs
 // carry their sketch estimates, everything else reads as 0.0, and the
 // diagonal is 1.0 by the J(X, X) = 1 / J(∅, ∅) = 1 conventions. Resident
 // bytes are O(survivors + scored estimates + n), never O(n²) — at
@@ -126,9 +126,10 @@ class SparseSimilarity {
     }
   }
 
-  /// Reconstruct the dense matrix this view represents — bitwise equal to
-  /// the dense-output hybrid assembly of the same run. O(n²) memory by
-  /// definition; throws std::length_error when n×n doubles overflow.
+  /// Reconstruct the dense matrix this view represents: every entry is
+  /// bitwise what similarity(i, j) reports (the hybrid's PHYLIP / TSV /
+  /// SASM artifacts are written from it). O(n²) memory by definition;
+  /// throws std::length_error when n×n doubles overflow.
   [[nodiscard]] SimilarityMatrix to_dense() const;
 
   /// Bytes resident in this view's heap vectors — the benches' "peak

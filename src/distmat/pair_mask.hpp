@@ -32,8 +32,8 @@
 // ~n/128 candidate partners survive per sample on average. The LSH
 // candidate pass (sketch/exchange.hpp) applies it automatically; the
 // all-pairs pass always builds dense (it scored all n² pairs anyway and
-// only runs at small n — Config::lsh_min_samples and the candidate-mode
-// notes in core/config.hpp document the knobs).
+// only runs at small n — sketch::kLshMinSamples and the candidate-mode
+// notes in core/config.hpp document the switch).
 //
 // CandidateMask wraps either representation behind the shared probe set
 // (test / any_pair / row_active / active_columns / count) with one
@@ -426,35 +426,6 @@ class CandidateMask {
           const std::int64_t j = (w << 6) + std::countr_zero(bits);
           bits &= bits - 1;
           visit(i, j);
-        }
-      }
-    }
-  }
-
-  /// Visit every off-diagonal candidate pair (i, j) with i < j, in
-  /// (i, j) order. O(n²/64 + candidates) dense, O(candidates + n) sparse
-  /// — the analysis-side walk (analysis::candidate_pairs).
-  template <typename Visitor>
-  void for_each_upper_pair(Visitor&& visit) const {
-    const std::int64_t n = size();
-    if (sparse_) {
-      for (std::int64_t i = 0; i < n; ++i) {
-        for (std::int64_t j : sparse_mask_.row(i)) {
-          if (j > i) visit(i, j);
-        }
-      }
-      return;
-    }
-    const std::int64_t wpr = dense_.words_per_row();
-    for (std::int64_t i = 0; i < n; ++i) {
-      const std::uint64_t* const row = dense_.words().data() + i * wpr;
-      for (std::int64_t w = (i + 1) >> 6; w < wpr; ++w) {
-        std::uint64_t bits = row[w];
-        if (w == ((i + 1) >> 6)) bits &= ~std::uint64_t{0} << ((i + 1) & 63);
-        while (bits != 0) {
-          const std::int64_t j = (w << 6) + std::countr_zero(bits);
-          bits &= bits - 1;
-          if (j < n) visit(i, j);
         }
       }
     }

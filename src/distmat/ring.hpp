@@ -5,13 +5,11 @@
 //
 // Each rank starts holding its own panel. In p steps every panel visits
 // every rank: at step s rank r holds the panel of rank (r − s) mod p,
-// hands it to the caller's step callback, then forwards it to rank r + 1
-// and receives the next one from rank r − 1. The overlapped schedule posts
-// the forward send BEFORE the callback — bsp sends are buffered copies,
-// so the payload is immutable once posted and the neighbour's receive
-// (hence the whole hop) completes while this rank computes. The
-// synchronous schedule sends after the callback and is retained for the
-// ablation benches. Both move identical bytes and messages.
+// forwards it to rank r + 1, hands it to the caller's step callback, and
+// receives the next one from rank r − 1. The forward send is posted
+// BEFORE the callback — bsp sends are buffered copies, so the payload is
+// immutable once posted and the neighbour's receive (hence the whole hop)
+// completes while this rank computes.
 #pragma once
 
 #include <span>
@@ -22,12 +20,6 @@
 
 namespace sas::distmat {
 
-/// Ring rotation schedule.
-enum class RingSchedule {
-  kSynchronous,  ///< send after compute — rotation serializes with compute
-  kOverlapped,   ///< send posted before compute — rotation overlaps compute
-};
-
 /// Rotate `panel` (this rank's own payload) around `comm`'s ring, calling
 /// `step(owner, held)` once per step with the rank that owns the held
 /// panel (`owner == comm.rank()` at step 0). Every step runs inside a
@@ -36,21 +28,16 @@ enum class RingSchedule {
 /// comparable). `tag` is the caller's bsp::tags constant. Collective.
 template <typename T, typename StepFn>
 void ring_rotate(bsp::Comm& comm, int tag, const char* span_name, std::vector<T> panel,
-                 RingSchedule schedule, StepFn&& step) {
+                 StepFn&& step) {
   const int p = comm.size();
   const int r = comm.rank();
   int owner = r;
   for (int s = 0; s < p; ++s) {
     const obs::Span hop(span_name, "ring", &comm.counters());
     const bool last_step = s + 1 == p;
-    if (!last_step && schedule == RingSchedule::kOverlapped) {
-      comm.send<T>((r + 1) % p, tag, std::span<const T>(panel));
-    }
+    if (!last_step) comm.send<T>((r + 1) % p, tag, std::span<const T>(panel));
     step(owner, std::span<const T>(panel));
     if (last_step) break;
-    if (schedule == RingSchedule::kSynchronous) {
-      comm.send<T>((r + 1) % p, tag, std::span<const T>(panel));
-    }
     panel = comm.recv<T>((r + p - 1) % p, tag);
     owner = (owner + p - 1) % p;
   }

@@ -323,7 +323,7 @@ DenseBlock<std::int64_t> serial_ata(const SparseBlock& block) {
 }
 
 void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_panel,
-                         DenseBlock<std::int64_t>& b_panel, RingSchedule schedule,
+                         DenseBlock<std::int64_t>& b_panel,
                          const CsrAtaOptions& options) {
   const int p = comm.size();
   const int r = comm.rank();
@@ -335,7 +335,7 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
   const CsrPanel lpanel = CsrPanel::from_block(my_panel);
 
   ring_rotate<Triplet<std::uint64_t>>(
-      comm, bsp::tags::kSpgemmRing, "ring/step", my_panel.entries, schedule,
+      comm, bsp::tags::kSpgemmRing, "ring/step", my_panel.entries,
       [&](int owner, std::span<const Triplet<std::uint64_t>> held) {
         const BlockRange owner_cols = block_range(n, p, owner);
         // With a candidate mask, a panel whose owner shares no surviving

@@ -68,11 +68,10 @@
 // panel is posted *before* the local multiply (distmat/ring.hpp, the
 // rotation shared with the sketch-exchange ring), which lets the
 // neighbour's receive — and hence the whole rotation hop — complete
-// while this rank computes. The synchronous schedule is retained for the
-// ablation bench. SUMMA overlaps its stages the same way: the stage-k+1
-// transpose send is posted before the stage-k broadcasts and multiply,
-// so the next stage's longest point-to-point hop hides under the current
-// stage's compute.
+// while this rank computes. SUMMA overlaps its stages the same way: the
+// stage-k+1 transpose send is posted before the stage-k broadcasts and
+// multiply, so the next stage's longest point-to-point hop hides under
+// the current stage's compute.
 #pragma once
 
 #include <cstdint>
@@ -146,7 +145,6 @@ void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
 /// converted once on arrival.
 void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_panel,
                          DenseBlock<std::int64_t>& b_panel,
-                         RingSchedule schedule = RingSchedule::kOverlapped,
                          const CsrAtaOptions& options = {});
 
 /// Mask-targeted 1D exchange — the hybrid estimator's rescore schedule.

@@ -1,18 +1,20 @@
 #include "genome/kmer_source.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 
 #include "sketch/exchange.hpp"
 #include "sketch/sketch.hpp"
+#include "util/error.hpp"
 
 namespace sas::genome {
 
 namespace {
 
 std::int64_t universe_for_k(int k) {
-  if (k < 1 || k > 31) throw std::invalid_argument("k must be in [1, 31]");
+  if (k < 1 || k > 31) {
+    throw error::ConfigError("k = " + std::to_string(k) + " is outside [1, 31]");
+  }
   return std::int64_t{1} << (2 * k);
 }
 
@@ -28,10 +30,15 @@ std::vector<std::int64_t> codes_in_range(const std::vector<std::uint64_t>& kmers
   return out;
 }
 
-void validate_sample(const KmerSample& sample, std::int64_t universe) {
+/// `origin` names where the sample came from (its file, or its name).
+void validate_sample(const KmerSample& sample, std::int64_t universe,
+                     const std::string& origin) {
   if (!sample.kmers.empty() &&
       sample.kmers.back() >= static_cast<std::uint64_t>(universe)) {
-    throw std::out_of_range("k-mer code exceeds 4^k universe for sample " + sample.name);
+    throw error::ConfigError("k-mer code " + std::to_string(sample.kmers.back()) +
+                             " in " + origin + " exceeds the 4^k universe of --k (" +
+                             std::to_string(universe) +
+                             " codes); was it built with a larger k?");
   }
 }
 
@@ -39,7 +46,7 @@ void validate_sample(const KmerSample& sample, std::int64_t universe) {
 
 KmerSampleSource::KmerSampleSource(int k, std::vector<KmerSample> samples)
     : universe_(universe_for_k(k)), samples_(std::move(samples)) {
-  for (const KmerSample& s : samples_) validate_sample(s, universe_);
+  for (const KmerSample& s : samples_) validate_sample(s, universe_, "sample " + s.name);
 }
 
 std::vector<std::int64_t> KmerSampleSource::values_in_range(
@@ -59,7 +66,7 @@ KmerFileSource::KmerFileSource(int k, const std::vector<std::string>& sample_pat
   samples_.reserve(sample_paths.size());
   for (const std::string& path : sample_paths) {
     samples_.push_back(read_sample_file(path));
-    validate_sample(samples_.back(), universe_);
+    validate_sample(samples_.back(), universe_, "sample file " + path);
   }
 }
 

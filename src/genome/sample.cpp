@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace sas::genome {
 
@@ -70,7 +71,7 @@ KmerSample read_sample_file(const std::string& path) {
   if (!in) throw error::ConfigError("cannot open sample file: " + path);
   KmerSample sample;
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::int64_t line_no = 1; std::getline(in, line); ++line_no) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     if (line[0] == '#') {
@@ -78,7 +79,13 @@ KmerSample read_sample_file(const std::string& path) {
       if (start != std::string::npos) sample.name = line.substr(start);
       continue;
     }
-    sample.kmers.push_back(std::stoull(line));
+    const auto code = parse_number<std::uint64_t>(line);
+    if (!code) {
+      throw error::CorruptInput("sample file " + path + ": line " +
+                                std::to_string(line_no) +
+                                " is not a k-mer code (expected an unsigned integer)");
+    }
+    sample.kmers.push_back(*code);
   }
   if (!std::is_sorted(sample.kmers.begin(), sample.kmers.end())) {
     throw error::CorruptInput("sample file is not sorted: " + path);

@@ -42,7 +42,10 @@ struct KmerSample {
 /// format (§IV).
 void write_sample_file(const std::string& path, const KmerSample& sample);
 
-/// Parse a sample file written by write_sample_file.
+/// Parse a sample file written by write_sample_file. Throws
+/// error::ConfigError when the file cannot be opened and
+/// error::CorruptInput (naming the path and line) on a line that is not
+/// one unsigned decimal code, or on unsorted codes.
 [[nodiscard]] KmerSample read_sample_file(const std::string& path);
 
 }  // namespace sas::genome

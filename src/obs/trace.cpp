@@ -20,14 +20,8 @@ const char* primitive_name(Primitive p) noexcept {
       return "gather";
     case Primitive::kAllgather:
       return "allgather";
-    case Primitive::kScatter:
-      return "scatter";
     case Primitive::kAlltoall:
       return "alltoall";
-    case Primitive::kReduceScatter:
-      return "reduce_scatter";
-    case Primitive::kScan:
-      return "scan";
     case Primitive::kBarrier:
       return "barrier";
   }

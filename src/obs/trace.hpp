@@ -45,13 +45,10 @@ enum class Primitive : int {
   kAllreduce,
   kGather,
   kAllgather,
-  kScatter,
   kAlltoall,
-  kReduceScatter,
-  kScan,
   kBarrier,
 };
-inline constexpr std::size_t kPrimitiveCount = 10;
+inline constexpr std::size_t kPrimitiveCount = 7;
 
 [[nodiscard]] const char* primitive_name(Primitive p) noexcept;
 

@@ -196,8 +196,8 @@ core::CandidateMode resolved_candidate_mode(const core::Config& config, std::int
     case core::CandidateMode::kAuto:
       break;
   }
-  return (minhash && n >= config.lsh_min_samples) ? core::CandidateMode::kLsh
-                                                  : core::CandidateMode::kAllPairs;
+  return (minhash && n >= kLshMinSamples) ? core::CandidateMode::kLsh
+                                          : core::CandidateMode::kAllPairs;
 }
 
 namespace {
@@ -375,8 +375,8 @@ CandidatePass lsh_candidate_pass(bsp::Comm& world,
   // sample); every within-group sample pair is a collision candidate,
   // routed to the rank owning the LOWER sample's blob. Degenerate
   // buckets — s samples hashing identically (e.g. all-empty sketches)
-  // would emit s(s−1)/2 pair words here — are capped at
-  // Config::lsh_bucket_cap: their members go to a replicated capped set
+  // would emit s(s−1)/2 pair words here — are capped at kLshBucketCap:
+  // their members go to a replicated capped set
   // (O(s) bytes) and the implied pairs are generated locally on the blob
   // owners below, a mini all-pairs pass over the capped union.
   std::vector<std::uint64_t> keys;
@@ -385,14 +385,13 @@ CandidatePass lsh_candidate_pass(bsp::Comm& world,
   }
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  const std::int64_t bucket_cap = config.lsh_bucket_cap;
   std::vector<std::int64_t> capped_members;
   std::vector<std::vector<std::uint64_t>> pair_blocks(static_cast<std::size_t>(p));
   for (std::size_t begin = 0; begin < keys.size();) {
     std::size_t end = begin;
     const std::uint64_t group = keys[begin] >> 32;
     while (end < keys.size() && (keys[end] >> 32) == group) ++end;
-    if (bucket_cap > 0 && end - begin > static_cast<std::size_t>(bucket_cap)) {
+    if (end - begin > static_cast<std::size_t>(kLshBucketCap)) {
       for (std::size_t a = begin; a < end; ++a) {
         capped_members.push_back(static_cast<std::int64_t>(keys[a] & 0xffffffffULL));
       }
@@ -611,8 +610,7 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
   const auto my_views = core::unpack_word_panel(panel_words);
 
   // (2)+(3) Rotate panels around the shared double-buffered ring
-  // (distmat/ring.hpp; Config::ring_overlap toggles the ablation) and
-  // estimate into this rank's output row panel. Stage attribution
+  // (distmat/ring.hpp) and estimate into this rank's output row panel. Stage attribution
   // mirrors the exact pipeline: estimation time is the "multiply",
   // rotation bytes are the "exchange".
   DenseBlock<double> s_panel(mine, BlockRange{0, n});
@@ -620,8 +618,6 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
     auto stage = recorder.scope(core::Stage::kMultiply, core::Stage::kExchange);
     distmat::ring_rotate<std::uint64_t>(
         world, bsp::tags::kSketchRing, "sketch-ring/step", panel_words,
-        config.ring_overlap ? distmat::RingSchedule::kOverlapped
-                            : distmat::RingSchedule::kSynchronous,
         [&](int owner, std::span<const std::uint64_t> held) {
           const BlockRange owner_cols = distmat::block_range(n, p, owner);
           const auto views = owner == r ? my_views : core::unpack_word_panel(held);

@@ -23,8 +23,7 @@
 //   2. flattens the owned sketches' wire blobs into one panel
 //      (core::pack_word_panel) and rotates the panels around the 1-D ring
 //      it shares with the exact SpGEMM ring (distmat/ring.hpp; send
-//      posted before the local estimation work, honoring
-//      Config::ring_overlap);
+//      posted before the local estimation work);
 //   3. estimates all-pairs Jaccard between its sketches and each
 //      arriving panel (sketch::estimate_jaccard_wire) straight into its
 //      row panel of the SimilarityMatrix, which is assembled on rank 0
@@ -58,7 +57,7 @@
 //     sketch_bytes) per rank) and each rank scores its n/p-row slice of
 //     all n² pairs into a dense PairMask (word-OR allreduce). Exact
 //     candidate set; quadratic score work and a quadratic replicated
-//     mask. The default below Config::lsh_min_samples.
+//     mask. The default below kLshMinSamples.
 //
 //   lsh — LSH banding over the one-permutation MinHash registers
 //     (oph_wire_band_hashes): each rank computes B band buckets per
@@ -75,8 +74,8 @@
 //     report a 0.0 estimate. Pairs BELOW the effective threshold that do
 //     collide still report their scored estimate, so precision is
 //     identical to all-pairs. Degenerate buckets larger than
-//     Config::lsh_bucket_cap (e.g. all-empty sketches hashing into one
-//     bucket, which would emit s(s−1)/2 pair words) replicate their
+//     kLshBucketCap (e.g. all-empty sketches hashing into one bucket,
+//     which would emit s(s−1)/2 pair words) replicate their
 //     member list instead and are rescored by a mini all-pairs pass over
 //     the capped union on the blob owners — O(s) routed bytes, recall a
 //     superset of the uncapped bucket's.
@@ -154,6 +153,18 @@ class StreamingSketcher {
   std::vector<AnySketch> sketches_;
   std::vector<std::vector<std::uint64_t>> preloaded_;  ///< empty = stream
 };
+
+/// Sample count below which CandidateMode::kAuto keeps the all-pairs
+/// candidate pass: under ~10² samples the n² score work is trivial and
+/// the dense mask is bytes-cheaper than band keys.
+inline constexpr std::int64_t kLshMinSamples = 128;
+
+/// LSH bucket-size cap. A degenerate bucket of s samples would emit
+/// s(s−1)/2 pair words into the candidate alltoall; a bucket larger than
+/// the cap instead replicates its MEMBER list (O(s) bytes) and routes the
+/// implied pairs through a mini all-pairs pass on the blob owners.
+/// Recall can only grow (a superset of the bucket's pairs is scored).
+inline constexpr std::int64_t kLshBucketCap = 64;
 
 /// Banding parameters of the LSH candidate pass: B bands of R registers
 /// each (B·R ≤ sketch_size).

@@ -1,9 +1,22 @@
 #include "util/args.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
+#include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace sas {
+
+namespace {
+
+/// All of `value` as a base-10 T, or error::ConfigError naming the flag:
+/// trailing junk ("3x"), a non-number ("abc"), a base prefix ("0x5a5")
+/// and an out-of-range value are all rejected.
+template <typename T>
+T parse_flag(const std::string& name, const std::string& value, const char* expected) {
+  if (const auto parsed = parse_number<T>(value)) return *parsed;
+  throw error::ConfigError("--" + name + ": expected " + expected + ", got '" + value + "'");
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -36,13 +49,13 @@ std::string ArgParser::get_string(const std::string& name, const std::string& fa
 std::int64_t ArgParser::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = named_.find(name);
   if (it == named_.end() || it->second.empty()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_flag<std::int64_t>(name, it->second, "an integer");
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto it = named_.find(name);
   if (it == named_.end() || it->second.empty()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_flag<double>(name, it->second, "a number");
 }
 
 bool ArgParser::get_bool(const std::string& name, bool fallback) const {

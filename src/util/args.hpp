@@ -23,6 +23,9 @@ class ArgParser {
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
+  /// Numeric value of `--name`, or `fallback` when the flag is absent or
+  /// bare. Throws error::ConfigError unless the whole value parses (base
+  /// 10 for integers) and is in range.
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;

@@ -134,21 +134,6 @@ TEST_P(Collectives, AllgatherVariableSizes) {
   });
 }
 
-TEST_P(Collectives, ScatterDistributesBlocks) {
-  const int p = GetParam();
-  Runtime::run(p, [p](Comm& comm) {
-    std::vector<std::vector<int>> blocks;
-    if (comm.rank() == 0) {
-      for (int r = 0; r < p; ++r) {
-        blocks.push_back(std::vector<int>(static_cast<std::size_t>(r + 1), r * 7));
-      }
-    }
-    const auto mine = comm.scatter_v<int>(blocks, 0);
-    ASSERT_EQ(mine.size(), static_cast<std::size_t>(comm.rank() + 1));
-    for (int v : mine) EXPECT_EQ(v, comm.rank() * 7);
-  });
-}
-
 TEST_P(Collectives, AlltoallvRoutesEveryBlock) {
   const int p = GetParam();
   Runtime::run(p, [p](Comm& comm) {
@@ -163,67 +148,6 @@ TEST_P(Collectives, AlltoallvRoutesEveryBlock) {
       ASSERT_EQ(incoming[static_cast<std::size_t>(src)].size(), 1u);
       EXPECT_EQ(incoming[static_cast<std::size_t>(src)][0], 1000LL * src + comm.rank());
     }
-  });
-}
-
-TEST_P(Collectives, ReduceScatterCombinesPerBlock) {
-  const int p = GetParam();
-  const std::int64_t total = 3 * p + 1;  // uneven blocks exercised
-  Runtime::run(p, [p, total](Comm& comm) {
-    // Rank r contributes v[i] = i*1000 + r; every block's combination is
-    // Σ_r v[i] = i*1000*p + p(p-1)/2.
-    std::vector<std::int64_t> mine(static_cast<std::size_t>(total));
-    for (std::int64_t i = 0; i < total; ++i) mine[static_cast<std::size_t>(i)] =
-        i * 1000 + comm.rank();
-    const auto got = comm.reduce_scatter(mine, std::plus<std::int64_t>{});
-    // Expected: my block of the fully reduced vector.
-    const std::int64_t base = total / p;
-    const std::int64_t extra = total % p;
-    const std::int64_t begin =
-        comm.rank() * base + std::min<std::int64_t>(comm.rank(), extra);
-    const std::int64_t len = base + (comm.rank() < extra ? 1 : 0);
-    ASSERT_EQ(static_cast<std::int64_t>(got.size()), len);
-    for (std::int64_t i = 0; i < len; ++i) {
-      EXPECT_EQ(got[static_cast<std::size_t>(i)],
-                (begin + i) * 1000 * p + static_cast<std::int64_t>(p) * (p - 1) / 2);
-    }
-  });
-}
-
-TEST_P(Collectives, ScanAndExscanMatchPrefixSums) {
-  const int p = GetParam();
-  Runtime::run(p, [](Comm& comm) {
-    const std::int64_t mine = comm.rank() + 1;
-    const auto incl = comm.scan<std::int64_t>(mine, std::plus<std::int64_t>{});
-    const auto excl =
-        comm.exscan<std::int64_t>(mine, std::plus<std::int64_t>{}, 0);
-    const std::int64_t r = comm.rank();
-    EXPECT_EQ(incl, (r + 1) * (r + 2) / 2);
-    EXPECT_EQ(excl, r * (r + 1) / 2);
-  });
-}
-
-TEST_P(Collectives, ScanWithNonCommutativeOpRespectsRankOrder) {
-  // Affine map composition x -> a·x + b: associative but non-commutative,
-  // which is all the dissemination scan requires.
-  struct Affine {
-    std::int64_t a;
-    std::int64_t b;
-  };
-  const int p = GetParam();
-  Runtime::run(p, [p](Comm& comm) {
-    // op(F, G) = "apply F then G".
-    auto op = [](Affine f, Affine g) { return Affine{f.a * g.a, f.b * g.a + g.b}; };
-    const Affine mine{comm.rank() % 3 + 1, comm.rank() + 1};
-    const Affine incl = comm.scan<Affine>(mine, op);
-    // Serial reference: compose f_0 .. f_rank in rank order.
-    Affine expected{1, 0};
-    for (int i = 0; i <= comm.rank(); ++i) {
-      expected = op(expected, Affine{i % 3 + 1, i + 1});
-    }
-    EXPECT_EQ(incl.a, expected.a);
-    EXPECT_EQ(incl.b, expected.b);
-    (void)p;
   });
 }
 

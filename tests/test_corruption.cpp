@@ -17,6 +17,8 @@
 #include "core/matrix_io.hpp"
 #include "core/similarity_matrix.hpp"
 #include "distmat/dist_filter.hpp"
+#include "genome/kmer_source.hpp"
+#include "genome/sample.hpp"
 #include "sketch/one_perm_minhash.hpp"
 #include "sketch/sketch.hpp"
 #include "util/error.hpp"
@@ -186,6 +188,95 @@ TEST(CorruptionMatrix, WireFileFlipsAreTypedOrValidated) {
 
 TEST(CorruptionMatrix, MissingWireFileIsStillAbsenceNotCorruption) {
   EXPECT_TRUE(sketch::read_wire_file("/nonexistent/sas/sketch.blob").empty());
+}
+
+// --------------------------------------------------------- .kmers samples
+
+/// Load `bytes` as a one-sample k = 8 corpus through the CLI's loader. A
+/// benign parse must be usable; a rejection must be typed: CorruptInput
+/// for bad lines or order, ConfigError for a code outside 4^k.
+void expect_kmers_benign_or_typed(const fs::path& path, const std::string& bytes,
+                                  const std::string& label) {
+  write_bytes(path, bytes);
+  try {
+    const genome::KmerFileSource source(8, {path.string()});
+    (void)source.values_in_range(0, {0, source.attribute_universe()});
+  } catch (const error::CorruptInput&) {
+  } catch (const error::ConfigError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << " escaped the taxonomy: " << e.what();
+  }
+}
+
+std::string serialized_kmers(const fs::path& path) {
+  genome::KmerSample sample;
+  sample.name = "s";
+  sample.kmers = {3, 17, 250, 4000, 65000};
+  genome::write_sample_file(path.string(), sample);
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(CorruptionMatrix, KmersTruncationsAndFlipsAreBenignOrTyped) {
+  const fs::path dir = fs::temp_directory_path() / "sas_corruption_kmers";
+  fs::create_directories(dir);
+  const fs::path path = dir / "s.kmers";
+  const std::string bytes = serialized_kmers(path);
+  ASSERT_EQ(genome::read_sample_file(path.string()).kmers.size(), 5u);
+
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    expect_kmers_benign_or_typed(path, bytes.substr(0, len),
+                                 "truncation to " + std::to_string(len));
+  }
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::string flipped = bytes;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0xff);
+    expect_kmers_benign_or_typed(path, flipped, "flip at byte " + std::to_string(pos));
+  }
+  fs::remove_all(dir);
+}
+
+TEST(CorruptionMatrix, KmersLinesMustBeWholeUnsignedCodes) {
+  const fs::path dir = fs::temp_directory_path() / "sas_corruption_kmers_lines";
+  fs::create_directories(dir);
+  const fs::path path = dir / "s.kmers";
+  // Partial numbers, signs, overflow, and FASTA passed as .kmers.
+  for (const std::string line : {"12abc", "-5", "+5", " 7", "18446744073709551616",
+                                 ">chr1 description", "ACGT"}) {
+    write_bytes(path, "# s\n1\n" + line + "\n");
+    try {
+      (void)genome::read_sample_file(path.string());
+      ADD_FAILURE() << "'" << line << "' was accepted";
+    } catch (const error::CorruptInput& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "'" << line << "' escaped the taxonomy: " << e.what();
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(CorruptionMatrix, KmersCodesOutsideTheUniverseAreConfigErrors) {
+  const fs::path dir = fs::temp_directory_path() / "sas_corruption_kmers_k";
+  fs::create_directories(dir);
+  const fs::path path = dir / "s.kmers";
+  write_bytes(path, "# s\n1\n70000\n");  // needs k >= 9
+  try {
+    (void)genome::KmerFileSource(8, {path.string()});
+    ADD_FAILURE() << "a code outside 4^8 was accepted";
+  } catch (const error::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(path.string()), std::string::npos) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "wrong k escaped the taxonomy: " << e.what();
+  }
+  EXPECT_NO_THROW((void)genome::KmerFileSource(9, {path.string()}));
+  EXPECT_THROW((void)genome::KmerFileSource(0, {path.string()}), error::ConfigError);
+  EXPECT_THROW((void)genome::KmerFileSource(32, {path.string()}), error::ConfigError);
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------- compressed index set decode

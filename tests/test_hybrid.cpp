@@ -346,7 +346,7 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
   }
 }
 
-TEST(Hybrid, RingScheduleSkipsFullyPrunedPanels) {
+TEST(Hybrid, RingSkipsFullyPrunedPanels) {
   // Direct kernel-level coverage of ring_ata_accumulate's whole-panel
   // prune skip (the driver's Ring1D hybrid path uses the targeted
   // exchange instead, so this branch needs its own exercise): masked
@@ -384,8 +384,7 @@ TEST(Hybrid, RingScheduleSkipsFullyPrunedPanels) {
     distmat::DenseBlock<std::int64_t> b_panel(my_cols, distmat::BlockRange{0, n});
     distmat::CsrAtaOptions options;
     options.prune = &mask;
-    distmat::ring_ata_accumulate(comm, n, panel, b_panel,
-                                 distmat::RingSchedule::kOverlapped, options);
+    distmat::ring_ata_accumulate(comm, n, panel, b_panel, options);
     for (std::int64_t i = my_cols.begin; i < my_cols.end; ++i) {
       for (std::int64_t j = 0; j < n; ++j) {
         if (mask.test(i, j)) {
@@ -407,7 +406,7 @@ TEST(Hybrid, CandidatePairsWalksTheMask) {
   cfg.prune_threshold = 0.3;
   const core::Result result = similarity_at_scale_threaded(3, src, cfg);
 
-  // Sparse output (the default): the survivor walk IS the pair listing.
+  // The survivor walk IS the pair listing.
   ASSERT_TRUE(result.sparse_output());
   const auto pairs = analysis::candidate_pairs(result.sparse_similarity);
   std::int64_t masked_offdiag = 0;
@@ -431,24 +430,6 @@ TEST(Hybrid, CandidatePairsWalksTheMask) {
   const auto strict = analysis::candidate_pairs(result.sparse_similarity, 0.99);
   for (const auto& pair : strict) EXPECT_GE(pair.similarity, 0.99);
   EXPECT_LE(strict.size(), pairs.size());
-
-  // The dense-output mode still feeds the mask-walk overload.
-  core::Config dense_cfg = cfg;
-  dense_cfg.dense_output = true;
-  const core::Result dense = similarity_at_scale_threaded(3, src, dense_cfg);
-  ASSERT_FALSE(dense.sparse_output());
-  const auto dense_pairs =
-      analysis::candidate_pairs(dense.similarity, dense.candidates);
-  ASSERT_EQ(dense_pairs.size(), pairs.size());
-  for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
-    EXPECT_EQ(dense_pairs[idx].a, pairs[idx].a);
-    EXPECT_EQ(dense_pairs[idx].b, pairs[idx].b);
-    EXPECT_EQ(dense_pairs[idx].similarity, pairs[idx].similarity);
-  }
-
-  const distmat::CandidateMask wrong_size(distmat::PairMask(n + 1));
-  EXPECT_THROW((void)analysis::candidate_pairs(dense.similarity, wrong_size),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -356,6 +356,29 @@ TEST_F(GasCli, UsageErrorsExitWithConfigCode) {
   EXPECT_EQ(run_command(dist("--resume")).exit_code, 2);  // no --checkpoint
   EXPECT_EQ(run_command(dist("--watchdog-ms -5")).exit_code, 2);
   EXPECT_EQ(run_command(dist("--fault-plan rank=0:op=zero:throw")).exit_code, 2);
+  // Numeric flags must parse whole: junk is a usage error, not a silent 0
+  // (which would let every pair survive the prune) or a truncated 3.
+  EXPECT_EQ(run_command(dist("--estimator hybrid --prune-threshold abc")).exit_code, 2);
+  EXPECT_EQ(run_command(dist("--batches 3x")).exit_code, 2);
+}
+
+TEST_F(GasCli, JunkSampleLineExitsWithCorruptCode) {
+  // A non-numeric line (here a FASTA header) in a .kmers file is corrupt
+  // input naming the file and line, not an unclassified failure.
+  {
+    std::ofstream kmers(dir_ / "s1.kmers", std::ios::app);
+    kmers << ">chr1 not a k-mer code\n";
+  }
+  const auto result = run_command(dist("--algorithm ring"));
+  EXPECT_EQ(result.exit_code, 3) << result.output;
+  EXPECT_NE(result.output.find("s1.kmers"), std::string::npos) << result.output;
+}
+
+TEST_F(GasCli, WrongKExitsWithConfigCode) {
+  // The corpus is k = 11; --k 9 leaves codes outside 4^9.
+  const auto result = run_command(bin_ + " dist" + samples_ + " --k 9 --ranks 2");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find(".kmers"), std::string::npos) << result.output;
 }
 
 TEST_F(GasCli, MissingInputExitsWithConfigCode) {

@@ -153,7 +153,6 @@ TEST(ProtocolVerifier, FullCollectiveSuitePassesArmed) {
         std::vector<std::int64_t> data = {r, r + 1};
         comm.broadcast(data, 0);
         comm.allreduce(data, std::plus<std::int64_t>{});
-        (void)comm.scan<std::int64_t>(r, std::plus<std::int64_t>{});
 
         // Rank-varying lengths: rank r contributes r + 1 elements.
         std::vector<std::int64_t> mine(static_cast<std::size_t>(r + 1), r);

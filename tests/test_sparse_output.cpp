@@ -2,10 +2,9 @@
 //
 // Contracts under test (ISSUE 5 tentpole):
 //   * sparse assembly parity: for every algorithm / rank count / batch
-//     count / prune sketch, the sparse survivor gather produces values
-//     BITWISE-identical to the dense gather (dense_output = true) on
-//     every survivor, and SparseSimilarity::to_dense reconstructs the
-//     dense hybrid matrix bitwise;
+//     count / prune sketch, every survivor of the hybrid's sparse gather
+//     is BITWISE-identical to the kExact value of the same pair, and
+//     SparseSimilarity::to_dense agrees with the lookup everywhere;
 //   * no quadratic structures: a SparseSimilarity at an n where n²
 //     doubles could never be allocated still constructs and answers
 //     lookups, and a driver-level sparse run's rank-0 output stays
@@ -72,47 +71,47 @@ struct SparseCase {
 
 class SparseAssemblyParity : public ::testing::TestWithParam<SparseCase> {};
 
-TEST_P(SparseAssemblyParity, MatchesDenseGatherBitwise) {
+TEST_P(SparseAssemblyParity, SurvivorsMatchExactBitwise) {
   const SparseCase c = GetParam();
   const auto src = clustered_source(/*m=*/600, /*per_cluster=*/7, /*seed=*/21);
   const std::int64_t n = src.sample_count();
 
-  core::Config sparse_cfg;
-  sparse_cfg.algorithm = c.algorithm;
-  sparse_cfg.batch_count = c.batch_count;
-  sparse_cfg.replication = c.replication;
-  sparse_cfg.estimator = core::Estimator::kHybrid;
-  sparse_cfg.hybrid_sketch = c.prune_sketch;
-  sparse_cfg.prune_threshold = 0.3;
-  const core::Result sparse = similarity_at_scale_threaded(c.nranks, src, sparse_cfg);
+  core::Config exact_cfg;
+  exact_cfg.algorithm = c.algorithm;
+  exact_cfg.batch_count = c.batch_count;
+  exact_cfg.replication = c.replication;
+  const core::Result exact = similarity_at_scale_threaded(c.nranks, src, exact_cfg);
 
-  core::Config dense_cfg = sparse_cfg;
-  dense_cfg.dense_output = true;
-  const core::Result dense = similarity_at_scale_threaded(c.nranks, src, dense_cfg);
+  core::Config hybrid_cfg = exact_cfg;
+  hybrid_cfg.estimator = core::Estimator::kHybrid;
+  hybrid_cfg.hybrid_sketch = c.prune_sketch;
+  hybrid_cfg.prune_threshold = 0.3;
+  const core::Result hybrid = similarity_at_scale_threaded(c.nranks, src, hybrid_cfg);
 
-  ASSERT_TRUE(sparse.sparse_output());
-  ASSERT_FALSE(dense.sparse_output());
-  EXPECT_TRUE(sparse.similarity.empty()) << "sparse runs must not build the matrix";
-  ASSERT_EQ(sparse.sparse_similarity.size(), n);
+  ASSERT_TRUE(hybrid.sparse_output());
+  ASSERT_FALSE(exact.sparse_output());
+  EXPECT_TRUE(hybrid.similarity.empty()) << "hybrid runs must not build the matrix";
+  ASSERT_EQ(hybrid.sparse_similarity.size(), n);
 
-  // Identical candidate sets, survivor values, estimate fills — and the
-  // reconstruction must therefore be bitwise-equal everywhere.
-  std::int64_t survivors = 0;
+  // Every masked pair is a survivor carrying the exact value bitwise, and
+  // the reconstruction agrees with the lookup everywhere.
+  const core::SimilarityMatrix reconstructed = hybrid.sparse_similarity.to_dense();
+  std::int64_t masked_offdiag = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
-      ASSERT_EQ(sparse.candidates.test(i, j), dense.candidates.test(i, j))
-          << "mask differs at (" << i << ", " << j << ")";
-      EXPECT_EQ(sparse.similarity_at(i, j), dense.similarity.similarity(i, j))
-          << "value differs at (" << i << ", " << j << ")";
-      if (i != j && sparse.candidates.test(i, j)) ++survivors;
+      EXPECT_EQ(reconstructed.similarity(i, j), hybrid.similarity_at(i, j))
+          << "to_dense differs at (" << i << ", " << j << ")";
+      if (i == j || !hybrid.candidates.test(i, j)) continue;
+      ++masked_offdiag;
+      EXPECT_TRUE(hybrid.sparse_similarity.is_survivor(i, j)) << i << "," << j;
+      EXPECT_EQ(hybrid.similarity_at(i, j), exact.similarity.similarity(i, j))
+          << "survivor differs from exact at (" << i << ", " << j << ")";
     }
   }
-  EXPECT_EQ(sparse.sparse_similarity.survivor_count(), survivors / 2);
-  const core::SimilarityMatrix reconstructed = sparse.sparse_similarity.to_dense();
-  EXPECT_EQ(reconstructed.max_abs_diff(dense.similarity), 0.0);
+  EXPECT_EQ(hybrid.sparse_similarity.survivor_count(), masked_offdiag / 2);
 
   // â is exact on active columns and rides along for diagnostics.
-  ASSERT_EQ(sparse.sparse_similarity.union_cardinalities().size(),
+  ASSERT_EQ(hybrid.sparse_similarity.union_cardinalities().size(),
             static_cast<std::size_t>(n));
 }
 
@@ -193,8 +192,8 @@ TEST(SparseSimilarity, NoQuadraticStructuresAtScale) {
 }
 
 TEST(SparseSimilarity, DriverOutputStaysSurvivorProportional) {
-  // Driver-level, in the regime this PR targets: many small families,
-  // n past lsh_min_samples so the LSH candidate pass engages and both
+  // Driver-level, in the pair-sparse regime: many small families, n
+  // past sketch::kLshMinSamples so the LSH candidate pass engages and both
   // survivors and scored estimates are O(families), not O(n²). The
   // rank-0 output must then stay an order of magnitude below the dense
   // matrix footprint (n²·8 bytes); the margin widens quadratically with

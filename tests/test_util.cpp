@@ -9,6 +9,7 @@
 
 #include "util/args.hpp"
 #include "util/bitvector.hpp"
+#include "util/error.hpp"
 #include "util/hashing.hpp"
 #include "util/popcount.hpp"
 #include "util/rng.hpp"
@@ -246,6 +247,30 @@ TEST(Args, ParsesNamedPositionalAndFlags) {
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "input.fa");
   EXPECT_EQ(args.program_name(), "prog");
+}
+
+TEST(Args, NumericGettersRejectJunk) {
+  const char* argv[] = {"prog",         "--threshold", "abc",  "--batches", "3x",
+                        "--seed",       "0x5a5",       "--big", "99999999999999999999",
+                        "--slack",      "0.5e",        "--seconds", "8.000000",
+                        "--neg",        "-5",          "--bare"};
+  const ArgParser args(16, argv);
+  EXPECT_THROW((void)args.get_double("threshold", 0.1), error::ConfigError);
+  EXPECT_THROW((void)args.get_int("batches", 16), error::ConfigError);
+  EXPECT_THROW((void)args.get_int("seed", 1), error::ConfigError);
+  EXPECT_THROW((void)args.get_int("big", 0), error::ConfigError);
+  EXPECT_THROW((void)args.get_double("slack", 0.0), error::ConfigError);
+  EXPECT_THROW((void)args.get_int("seconds", 0), error::ConfigError);
+  // Whole values still parse; absent and bare flags keep the fallback.
+  EXPECT_DOUBLE_EQ(args.get_double("seconds", 0.0), 8.0);
+  EXPECT_EQ(args.get_int("neg", 0), -5);
+  EXPECT_EQ(args.get_int("bare", 7), 7);
+  EXPECT_EQ(args.get_int("missing", 9), 9);
+  try {
+    (void)args.get_int("batches", 16);
+  } catch (const error::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--batches"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Timer, MeasuresElapsedTime) {

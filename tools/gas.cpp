@@ -33,7 +33,6 @@
 //       Synthetic corpus generator (mutated relatives of one ancestor,
 //       optionally as noisy sequencing reads) for testing pipelines.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -83,7 +82,6 @@ int usage() {
                "           [--hybrid-sketch hll|minhash|bottomk]\n"
                "           [--prune-threshold 0.1] [--prune-slack auto]\n"
                "           [--candidate-mode auto|allpairs|lsh] [--lsh-bands 0]\n"
-               "           [--dense-output]\n"
                "           [--checkpoint DIR] [--resume] [--watchdog-ms N]\n"
                "           [--fault-plan SPEC] [--verify-protocol]\n"
                "           [--max-retries N] [--retry-backoff-ms N]\n"
@@ -321,20 +319,13 @@ int cmd_dist(const ArgParser& args) {
     return 2;
   }
   options.core.prune_threshold = args.get_double("prune-threshold", 0.1);
-  if (args.has("prune-slack")) {
-    // "auto" keeps the sketch-derived slack (Config::prune_slack < 0);
-    // anything else must parse fully as a number ≥ 0 — strtod's silent
-    // 0.0 on junk would pin ZERO slack and void the recall guarantee.
-    const std::string slack = args.get_string("prune-slack", "auto");
-    if (slack != "auto") {
-      char* end = nullptr;
-      const double value = std::strtod(slack.c_str(), &end);
-      if (end == slack.c_str() || *end != '\0' || value < 0.0) {
-        std::fprintf(stderr,
-                     "gas dist: --prune-slack must be 'auto' or a number >= 0\n");
-        return 2;
-      }
-      options.core.prune_slack = value;
+  // "auto" keeps the sketch-derived slack (Config::prune_slack < 0);
+  // anything else pins it and must be a number ≥ 0.
+  if (args.get_string("prune-slack", "auto") != "auto") {
+    options.core.prune_slack = args.get_double("prune-slack", -1.0);
+    if (options.core.prune_slack < 0.0) {
+      std::fprintf(stderr, "gas dist: --prune-slack must be 'auto' or a number >= 0\n");
+      return 2;
     }
   }
   if (options.core.prune_threshold < 0.0 || options.core.prune_threshold > 1.0) {
@@ -367,12 +358,6 @@ int cmd_dist(const ArgParser& args) {
     std::fprintf(stderr, "gas dist: --lsh-bands must be >= 0 (0 = auto)\n");
     return 2;
   }
-  // Hybrid runs assemble the survivor-sparse output by default (rank 0
-  // never holds an n² structure); --dense-output restores the gathered
-  // full matrix. Dense artifacts (--phylip/--tsv/--similarity-out) of a
-  // sparse run are reconstructed on demand below.
-  options.core.dense_output = args.get_bool("dense-output", false);
-
   // Fault-tolerance knobs (see "failure semantics" in the usage text).
   options.core.checkpoint_dir = args.get_string("checkpoint", "");
   options.core.resume = args.get_bool("resume", false);
@@ -449,19 +434,19 @@ int cmd_dist(const ArgParser& args) {
     const core::CandidateMode mode =
         sketch::resolved_candidate_mode(options.core, n);
     std::printf("hybrid: %lld of %lld pairs survived the sketch prune "
-                "(threshold %.3f, %s candidates, %s mask, %s output); "
+                "(threshold %.3f, %s candidates, %s mask); "
                 "survivors rescored exactly\n\n",
                 static_cast<long long>(candidates),
                 static_cast<long long>(n * (n - 1) / 2),
                 options.core.prune_threshold,
                 mode == core::CandidateMode::kLsh ? "lsh-banded" : "all-pairs",
-                result.candidates.is_sparse() ? "sparse" : "dense",
-                result.sparse_output() ? "sparse" : "dense");
+                result.candidates.is_sparse() ? "sparse" : "dense");
   }
 
-  // Dense view on demand: the full-matrix artifacts below reconstruct it
-  // once from the sparse output (explicitly quadratic — the CLI's corpora
-  // are small; at scale, use --sparse-similarity-out instead).
+  // Dense view on demand: the full-matrix artifacts below reconstruct a
+  // hybrid run's matrix once from its sparse output (explicitly quadratic
+  // — the CLI's corpora are small; at scale, use --sparse-similarity-out
+  // instead).
   core::SimilarityMatrix reconstructed;
   const auto dense_view = [&]() -> const core::SimilarityMatrix& {
     if (!result.sparse_output()) return result.similarity;
@@ -480,7 +465,7 @@ int cmd_dist(const ArgParser& args) {
                   : analysis::top_k_pairs(result.similarity, args.get_int("top", 10));
     } else if (options.core.estimator == core::Estimator::kHybrid) {
       // The hybrid's survivor set IS the thresholded pair set — walk it
-      // directly instead of re-thresholding a dense assembled matrix
+      // directly instead of re-thresholding the dense reconstruction
       // (which would also surface sketch-estimated pruned values).
       const double threshold = args.get_double("threshold", 0.9);
       const double effective =
@@ -493,10 +478,7 @@ int cmd_dist(const ArgParser& args) {
                      "to keep them)\n",
                      threshold, effective);
       }
-      pairs = result.sparse_output()
-                  ? analysis::candidate_pairs(result.sparse_similarity, threshold)
-                  : analysis::candidate_pairs(result.similarity, result.candidates,
-                                              threshold);
+      pairs = analysis::candidate_pairs(result.sparse_similarity, threshold);
     } else {
       pairs = analysis::pairs_above(result.similarity,
                                     args.get_double("threshold", 0.9));
@@ -537,8 +519,7 @@ int cmd_dist(const ArgParser& args) {
         args.get_string("sparse-similarity-out", "similarity.sasp");
     if (!result.sparse_output()) {
       std::fprintf(stderr,
-                   "gas dist: --sparse-similarity-out needs the hybrid's sparse "
-                   "output (drop --dense-output / use --estimator hybrid)\n");
+                   "gas dist: --sparse-similarity-out needs --estimator hybrid\n");
       return 2;
     }
     core::write_sparse_similarity_binary_file(out, names, result.sparse_similarity);

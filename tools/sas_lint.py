@@ -16,9 +16,10 @@ trips a rule) and compiler-backed checks (g++ -fsyntax-only):
                            no kTag* constant minted outside the central
                            registry (bsp/tags.hpp) or the reserved
                            internal range (bsp/comm.hpp).
-  R3  typed-errors         no bare `throw std::runtime_error` / `abort()`
-                           in src/ -- failures must use the sas::error
-                           taxonomy so exit codes and rank annotation work.
+  R3  typed-errors         no bare `throw std::runtime_error` / `abort()` /
+                           `std::sto*(` parse in src/ -- failures must use
+                           the sas::error taxonomy so exit codes and rank
+                           annotation work.
   R4  stage-spans          every public stage entry point opens an
                            obs::Span (or a StageRecorder scope), so traces
                            cover the whole pipeline.
@@ -267,6 +268,12 @@ R3_PATTERNS = (
         re.compile(r"(?<![\w:.>])(?:std::)?abort\s*\(\s*\)"),
         "`abort()` tears the process down without unwinding the BSP "
         "runtime -- throw a sas::error instead",
+    ),
+    (
+        re.compile(r"\bstd::sto(?:i|l|ll|ul|ull|f|d|ld)\s*\("),
+        "`std::sto*` throws untyped std::invalid_argument / "
+        "std::out_of_range and accepts trailing junk -- parse with "
+        "std::from_chars and throw error::ConfigError / CorruptInput",
     ),
 )
 
