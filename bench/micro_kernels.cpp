@@ -9,12 +9,12 @@
 #include <algorithm>
 #include <vector>
 
-#include "baselines/minhash.hpp"
 #include "bench_common.hpp"
 #include "distmat/csr.hpp"
 #include "distmat/spgemm.hpp"
 #include "genome/kmer.hpp"
 #include "genome/synthetic.hpp"
+#include "sketch/bottomk.hpp"
 #include "util/popcount.hpp"
 #include "util/rng.hpp"
 
@@ -236,20 +236,20 @@ void BM_CanonicalKmers(benchmark::State& state) {
 }
 BENCHMARK(BM_CanonicalKmers)->Arg(19)->Arg(31);
 
-/// MinHash sketch construction over a k-mer-sized element set.
-void BM_MinHashSketch(benchmark::State& state) {
+/// Bottom-k MinHash sketch construction over a k-mer-sized element set.
+void BM_BottomKSketch(benchmark::State& state) {
   const auto sketch_size = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
   std::vector<std::uint64_t> elements(100000);
   for (auto& e : elements) e = rng();
   for (auto _ : state) {
-    sas::baselines::MinHashSketch sketch(elements, sketch_size, 5);
+    sas::sketch::BottomKSketch sketch(elements, sketch_size, 5);
     benchmark::DoNotOptimize(sketch.hashes().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(elements.size()));
 }
-BENCHMARK(BM_MinHashSketch)->Arg(128)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_BottomKSketch)->Arg(128)->Arg(1024)->Arg(8192);
 
 /// Accumulating-write normalization (sort + OR-merge), the local half of
 /// every redistribution.

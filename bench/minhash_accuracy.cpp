@@ -48,6 +48,7 @@
 #include "sketch/exchange.hpp"
 #include "sketch/hyperloglog.hpp"
 #include "sketch/one_perm_minhash.hpp"
+#include "sketch/sketch.hpp"
 #include "util/args.hpp"
 
 using namespace sas;
@@ -63,18 +64,18 @@ double estimate_once(const std::string& kind, std::span<const std::uint64_t> a,
                      std::span<const std::uint64_t> b, std::int64_t size,
                      std::uint64_t seed) {
   if (kind == "hll") {
-    return sketch::HyperLogLog::estimate_jaccard(
-        sketch::HyperLogLog(a, static_cast<int>(size), seed),
-        sketch::HyperLogLog(b, static_cast<int>(size), seed));
+    return sketch::estimate_jaccard_wire(
+        sketch::HyperLogLog(a, static_cast<int>(size), seed).wire(),
+        sketch::HyperLogLog(b, static_cast<int>(size), seed).wire());
   }
   if (kind == "minhash") {
-    return sketch::OnePermMinHash::estimate_jaccard(
-        sketch::OnePermMinHash(a, size, kDefaultMinhashBits, seed),
-        sketch::OnePermMinHash(b, size, kDefaultMinhashBits, seed));
+    return sketch::estimate_jaccard_wire(
+        sketch::OnePermMinHash(a, size, kDefaultMinhashBits, seed).wire(),
+        sketch::OnePermMinHash(b, size, kDefaultMinhashBits, seed).wire());
   }
-  return sketch::BottomKSketch::estimate_jaccard(
-      sketch::BottomKSketch(a, static_cast<std::size_t>(size), seed),
-      sketch::BottomKSketch(b, static_cast<std::size_t>(size), seed));
+  return sketch::estimate_jaccard_wire(
+      sketch::BottomKSketch(a, static_cast<std::size_t>(size), seed).wire(),
+      sketch::BottomKSketch(b, static_cast<std::size_t>(size), seed).wire());
 }
 
 std::int64_t sketch_bytes(const std::string& kind, std::int64_t size) {

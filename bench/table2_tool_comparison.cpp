@@ -13,10 +13,10 @@
 #include <string>
 
 #include "baselines/exact_pairwise.hpp"
-#include "baselines/minhash.hpp"
 #include "bench_common.hpp"
 #include "genome/genome_at_scale.hpp"
 #include "genome/synthetic.hpp"
+#include "sketch/bottomk.hpp"
 
 using namespace sas;
 using namespace sas::bench;
@@ -64,7 +64,7 @@ int main() {
 
   // Mash-like: single-node MinHash (sketch 1024, Mash's default scale).
   Timer t_mash;
-  const auto mash_estimates = baselines::minhash_all_pairs(sets, 1024, 42);
+  const auto mash_estimates = sketch::minhash_all_pairs(sets, 1024, 42);
   const double mash_time = t_mash.seconds();
 
   // Accuracy vs the exact matrix.

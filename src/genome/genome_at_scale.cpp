@@ -42,7 +42,9 @@ GenomeAtScaleResult run_genome_at_scale(std::vector<KmerSample> samples,
   result.sample_names = source.sample_names();
   core::Result core_result =
       core::similarity_at_scale_threaded(options.ranks, source, options.core);
-  result.similarity = std::move(core_result.similarity);
+  // A hybrid run assembles only the sparse form.
+  result.similarity = core_result.sparse_output() ? core_result.sparse_similarity.to_dense()
+                                                  : std::move(core_result.similarity);
   result.batches = std::move(core_result.batches);
   result.active_ranks = core_result.active_ranks;
   return result;

@@ -25,6 +25,8 @@ struct GenomeAtScaleOptions {
 
 struct GenomeAtScaleResult {
   std::vector<std::string> sample_names;
+  /// Dense n×n for every estimator; a hybrid run's is rebuilt from its
+  /// sparse output (SparseSimilarity::to_dense).
   core::SimilarityMatrix similarity;
   std::vector<core::BatchStats> batches;
   int active_ranks = 0;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "baselines/exact_pairwise.hpp"
 #include "util/error.hpp"
 #include "util/parse.hpp"
 
@@ -41,22 +42,7 @@ KmerSample build_sample(const std::string& name,
 }
 
 double jaccard_of_samples(const KmerSample& a, const KmerSample& b) {
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  std::int64_t inter = 0;
-  while (ia < a.kmers.size() && ib < b.kmers.size()) {
-    if (a.kmers[ia] < b.kmers[ib]) {
-      ++ia;
-    } else if (b.kmers[ib] < a.kmers[ia]) {
-      ++ib;
-    } else {
-      ++inter;
-      ++ia;
-      ++ib;
-    }
-  }
-  const auto uni = static_cast<std::int64_t>(a.kmers.size() + b.kmers.size()) - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
+  return baselines::exact_jaccard(a.kmers, b.kmers);
 }
 
 void write_sample_file(const std::string& path, const KmerSample& sample) {

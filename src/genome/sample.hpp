@@ -33,8 +33,8 @@ struct KmerSample {
                                       const std::vector<SequenceRecord>& records,
                                       const KmerCodec& codec, int min_count = 1);
 
-/// Exact Jaccard similarity of two sorted k-mer sets (merge join); the
-/// single-sample-pair primitive behind the brute-force baseline.
+/// Exact Jaccard similarity of two sorted k-mer sets:
+/// baselines::exact_jaccard (merge join) over their k-mers.
 [[nodiscard]] double jaccard_of_samples(const KmerSample& a, const KmerSample& b);
 
 /// Serialize the sorted numeric representation (one decimal code per

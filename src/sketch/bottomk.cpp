@@ -1,6 +1,7 @@
 #include "sketch/bottomk.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "util/hashing.hpp"
@@ -11,7 +12,6 @@ namespace {
 
 /// Mash's estimator over two sorted hash lists: of the `capacity`
 /// smallest hashes of the merged order, the fraction present in both.
-/// Shared by the object and wire paths (bit-identical by construction).
 double bottomk_walk(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
                     std::size_t capacity) {
   if (a.empty() && b.empty()) return 1.0;  // J(∅, ∅) = 1
@@ -61,28 +61,7 @@ void BottomKSketch::add(std::uint64_t element) {
   if (hashes_.size() > capacity_) hashes_.pop_back();
 }
 
-BottomKSketch BottomKSketch::merge(const BottomKSketch& a, const BottomKSketch& b) {
-  if (a.seed_ != b.seed_ || a.capacity_ != b.capacity_) {
-    throw std::invalid_argument("BottomKSketch::merge: incompatible sketches");
-  }
-  BottomKSketch out(a.capacity_, a.seed_);
-  out.hashes_.reserve(a.hashes_.size() + b.hashes_.size());
-  std::merge(a.hashes_.begin(), a.hashes_.end(), b.hashes_.begin(), b.hashes_.end(),
-             std::back_inserter(out.hashes_));
-  out.hashes_.erase(std::unique(out.hashes_.begin(), out.hashes_.end()),
-                    out.hashes_.end());
-  if (out.hashes_.size() > out.capacity_) out.hashes_.resize(out.capacity_);
-  return out;
-}
-
-double BottomKSketch::estimate_jaccard(const BottomKSketch& a, const BottomKSketch& b) {
-  if (a.seed_ != b.seed_ || a.capacity_ != b.capacity_) {
-    throw std::invalid_argument("BottomKSketch::estimate_jaccard: incompatible sketches");
-  }
-  return bottomk_walk(a.hashes_, b.hashes_, a.capacity_);
-}
-
-std::vector<std::uint64_t> BottomKSketch::serialize() const {
+std::vector<std::uint64_t> BottomKSketch::wire() const {
   std::vector<std::uint64_t> out;
   out.reserve(kWireHeaderWords + hashes_.size());
   out.push_back(wire_header_word(WireType::kBottomK));
@@ -92,44 +71,20 @@ std::vector<std::uint64_t> BottomKSketch::serialize() const {
   return out;
 }
 
-BottomKSketch BottomKSketch::deserialize(std::span<const std::uint64_t> wire) {
-  if (wire_type(wire) != WireType::kBottomK) {
-    throw std::invalid_argument("BottomKSketch::deserialize: not a bottom-k blob");
-  }
-  const auto capacity = static_cast<std::size_t>(wire[1]);
-  if (capacity == 0 || wire.size() > kWireHeaderWords + capacity) {
-    throw std::invalid_argument("BottomKSketch::deserialize: malformed payload");
-  }
-  BottomKSketch out(capacity, wire[2]);
-  out.hashes_.assign(wire.begin() + kWireHeaderWords, wire.end());
-  if (!std::is_sorted(out.hashes_.begin(), out.hashes_.end())) {
-    throw std::invalid_argument("BottomKSketch::deserialize: payload not sorted");
-  }
-  return out;
-}
-
-double mash_distance(double jaccard_estimate, int k) {
-  if (jaccard_estimate <= 0.0) return 1.0;
-  if (jaccard_estimate >= 1.0) return 0.0;
-  const double d =
-      -std::log(2.0 * jaccard_estimate / (1.0 + jaccard_estimate)) / static_cast<double>(k);
-  return std::clamp(d, 0.0, 1.0);
-}
-
 std::vector<double> minhash_all_pairs(
     const std::vector<std::vector<std::uint64_t>>& samples, std::size_t sketch_size,
     std::uint64_t seed) {
   const auto n = static_cast<std::int64_t>(samples.size());
-  std::vector<BottomKSketch> sketches;
-  sketches.reserve(samples.size());
+  std::vector<std::vector<std::uint64_t>> wires;
+  wires.reserve(samples.size());
   for (const auto& sample : samples) {
-    sketches.emplace_back(std::span<const std::uint64_t>(sample), sketch_size, seed);
+    wires.push_back(BottomKSketch(sample, sketch_size, seed).wire());
   }
   std::vector<double> estimates(static_cast<std::size_t>(n * n), 1.0);
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = i + 1; j < n; ++j) {
-      const double e = BottomKSketch::estimate_jaccard(
-          sketches[static_cast<std::size_t>(i)], sketches[static_cast<std::size_t>(j)]);
+      const double e = bottomk_wire_jaccard(wires[static_cast<std::size_t>(i)],
+                                            wires[static_cast<std::size_t>(j)]);
       estimates[static_cast<std::size_t>(i * n + j)] = e;
       estimates[static_cast<std::size_t>(j * n + i)] = e;
     }
@@ -154,8 +109,15 @@ double bottomk_wire_jaccard(std::span<const std::uint64_t> a,
       b.size() > kWireHeaderWords + capacity) {
     throw std::invalid_argument("bottomk_wire_jaccard: malformed blob");
   }
-  return bottomk_walk(a.subspan(kWireHeaderWords), b.subspan(kWireHeaderWords),
-                      capacity);
+  const auto pa = a.subspan(kWireHeaderWords);
+  const auto pb = b.subspan(kWireHeaderWords);
+  // The walk assumes distinct ascending minima; a swapped or repeated
+  // word would silently skew the shared fraction.
+  if (std::adjacent_find(pa.begin(), pa.end(), std::greater_equal<>()) != pa.end() ||
+      std::adjacent_find(pb.begin(), pb.end(), std::greater_equal<>()) != pb.end()) {
+    throw std::invalid_argument("bottomk_wire_jaccard: payload not strictly ascending");
+  }
+  return bottomk_walk(pa, pb, capacity);
 }
 
 }  // namespace sas::sketch

@@ -1,11 +1,10 @@
 // bottomk.hpp — Mash-style bottom-k MinHash (paper refs [63], [57]).
 //
-// The paper's principal comparison point, absorbed from the old
-// src/baselines/minhash.* into the sketch subsystem: a single 64-bit
-// hash family member emulates a random permutation, and the sketch keeps
-// the k smallest distinct hash values. The Jaccard estimator walks the
-// merged order of two sketches and reports the fraction of shared
-// elements among the k smallest of the union — exactly Mash's estimator,
+// The paper's principal comparison point: a single 64-bit hash family
+// member emulates a random permutation, and the sketch keeps the k
+// smallest distinct hash values. The Jaccard estimator walks the merged
+// order of two sketches and reports the fraction of shared elements
+// among the k smallest of the union — exactly Mash's estimator,
 // including its §I failure mode on highly dissimilar pairs, which
 // bench/minhash_accuracy quantifies.
 //
@@ -41,7 +40,7 @@ namespace sas::sketch {
 class BottomKSketch {
  public:
   /// Empty sketch retaining the `sketch_size` smallest distinct hashes.
-  /// Both sides of a comparison/merge must share (sketch_size, seed).
+  /// Both sides of a comparison must share (sketch_size, seed).
   BottomKSketch(std::size_t sketch_size, std::uint64_t seed);
 
   /// Sketch the element ids (e.g. canonical k-mer codes) in bulk.
@@ -57,32 +56,14 @@ class BottomKSketch {
     return hashes_;  // sorted ascending, size <= sketch_size
   }
 
-  /// Mergeability: the sketch of A ∪ B from the sketches of A and B —
-  /// the property that lets Mash sketch streams incrementally.
-  [[nodiscard]] static BottomKSketch merge(const BottomKSketch& a, const BottomKSketch& b);
-
-  /// Mash's Jaccard estimator: of the k smallest hashes of the union of
-  /// both sketches, the fraction present in both.
-  [[nodiscard]] static double estimate_jaccard(const BottomKSketch& a,
-                                               const BottomKSketch& b);
-
-  /// Wire blob (header + the sorted hash values). The hashes ARE the
-  /// full state, so wire() == serialize() and the blob stays mergeable
-  /// after deserialize().
-  [[nodiscard]] std::vector<std::uint64_t> serialize() const;
-  [[nodiscard]] std::vector<std::uint64_t> wire() const { return serialize(); }
-  [[nodiscard]] static BottomKSketch deserialize(std::span<const std::uint64_t> wire);
+  /// Wire blob: header + the hash values, strictly ascending.
+  [[nodiscard]] std::vector<std::uint64_t> wire() const;
 
  private:
   std::size_t capacity_ = 0;
   std::uint64_t seed_ = 0;
   std::vector<std::uint64_t> hashes_;
 };
-
-/// The Mash distance (Ondov et al. 2016): d = −(1/k)·ln(2j/(1+j)), an
-/// estimate of the per-base mutation rate from a Jaccard estimate j of
-/// k-mer sets. Returns 1.0 when j = 0 (saturated, as in Mash).
-[[nodiscard]] double mash_distance(double jaccard_estimate, int k);
 
 /// All-pairs Jaccard estimates from per-sample element sets, the way the
 /// Mash tool computes a distance table. Returns row-major n×n estimates.
@@ -91,7 +72,9 @@ class BottomKSketch {
     std::uint64_t seed);
 
 /// Wire-level Jaccard estimate (used by estimate_jaccard_wire): the
-/// merged-order walk over two sorted hash payloads.
+/// merged-order walk over two sorted hash payloads; J(∅, ∅) = 1. Throws
+/// std::invalid_argument on incompatible or malformed blobs, including a
+/// payload that is not strictly ascending.
 [[nodiscard]] double bottomk_wire_jaccard(std::span<const std::uint64_t> a,
                                           std::span<const std::uint64_t> b);
 

@@ -23,15 +23,7 @@ core::Estimator resolved_sketch_estimator(const core::Config& config) {
                                                       : config.estimator;
 }
 
-namespace {
-
-using distmat::BlockRange;
-using distmat::DenseBlock;
-
-/// Empty sketch of the configured type — the parameter/seed reference for
-/// compatibility checks and the starting state of streaming construction.
-std::variant<HyperLogLog, OnePermMinHash, BottomKSketch> make_empty_sketch(
-    const core::Config& config) {
+AnySketch make_sketch(const core::Config& config) {
   switch (resolved_sketch_estimator(config)) {
     case core::Estimator::kHll:
       return HyperLogLog(config.hll_precision, config.sketch_seed);
@@ -45,6 +37,11 @@ std::variant<HyperLogLog, OnePermMinHash, BottomKSketch> make_empty_sketch(
   }
   throw std::invalid_argument("sketch: config does not name a sketch estimator");
 }
+
+namespace {
+
+using distmat::BlockRange;
+using distmat::DenseBlock;
 
 }  // namespace
 
@@ -68,15 +65,17 @@ bool wire_matches_config(std::span<const std::uint64_t> wire,
   // The (magic|type, params, seed) header of an empty sketch under this
   // config is exactly what every compatible blob must carry.
   const auto expected =
-      std::visit([](const auto& sk) { return sk.wire(); }, make_empty_sketch(config));
+      std::visit([](const auto& sk) { return sk.wire(); }, make_sketch(config));
   for (std::size_t w = 0; w < kWireHeaderWords; ++w) {
     if (wire[w] != expected[w]) return false;
   }
   // A matching header is not enough: a truncated persisted blob (e.g. an
-  // interrupted `gas sketch` write) must be treated as "no persisted
-  // sketch" here, not throw later inside the rank threads. Running the
-  // pipeline's own comparator against the blob validates the payload
-  // exactly as deeply as the pipeline will need it.
+  // interrupted `gas sketch` write) or a corrupt payload (an HLL register
+  // above the maximum rank, bottom-k minima out of order) must be treated
+  // as "no persisted sketch" here, not throw or mis-score later inside
+  // the rank threads. Running the pipeline's own comparator against the
+  // blob validates the payload exactly as deeply as the pipeline will
+  // need it.
   try {
     (void)estimate_jaccard_wire(wire, wire);
   } catch (const std::invalid_argument&) {
@@ -101,13 +100,13 @@ double hybrid_prune_slack(const core::Config& config) {
 }
 
 StreamingSketcher::StreamingSketcher(const core::Config& config) : config_(config) {
-  (void)make_empty_sketch(config_);  // validate the estimator up front
+  (void)make_sketch(config_);  // validate the estimator up front
 }
 
 std::size_t StreamingSketcher::add_sample(std::int64_t sample,
                                           const core::SampleSource& source) {
   samples_.push_back(sample);
-  sketches_.push_back(make_empty_sketch(config_));
+  sketches_.push_back(make_sketch(config_));
   // Persisted blob first: written by `gas sketch --estimator`, trusted
   // only when its header matches this run's (type, params, seed).
   std::vector<std::uint64_t> persisted = source.persisted_sketch(sample, config_);

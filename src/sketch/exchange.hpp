@@ -3,12 +3,15 @@
 //
 // == The sketch builder ====================================================
 //
-// StreamingSketcher is the only place sketches are built from sample
-// data. Callers register the samples a rank owns (a compatible persisted
-// blob, SampleSource::persisted_sketch, replaces streaming), feed each
-// sample's attribute ids batch by batch as they are read, and collect the
-// wire blobs. add() is order-independent, so the blobs do not depend on
-// the batch count or on the read order.
+// make_sketch is the one place a Config becomes a sketch: the empty
+// sketch of the configured type, parameters and seed. StreamingSketcher
+// builds every pipeline sketch from it. Callers register the samples a
+// rank owns (a compatible persisted blob, SampleSource::persisted_sketch,
+// replaces streaming), feed each sample's attribute ids batch by batch as
+// they are read, and collect the wire blobs. `gas sketch` builds the
+// blobs it persists from make_sketch too, so a persisted blob is byte-
+// identical to the one a run would stream. add() is order-independent,
+// so the blobs do not depend on the batch count or on the read order.
 //
 // == The pure-sketch pipeline (kHll / kMinhash / kBottomK) ================
 //
@@ -107,6 +110,14 @@ namespace sas::sketch {
 /// most callers reject it downstream).
 [[nodiscard]] core::Estimator resolved_sketch_estimator(const core::Config& config);
 
+/// A sketch of any of the three types (sketch.hpp).
+using AnySketch = std::variant<HyperLogLog, OnePermMinHash, BottomKSketch>;
+
+/// Empty sketch of the type `config` resolves to (resolved_sketch_estimator),
+/// with its configured parameters and seed. Throws std::invalid_argument
+/// when the config names no sketch estimator.
+[[nodiscard]] AnySketch make_sketch(const core::Config& config);
+
 /// Does `wire` carry a sketch comparable against sketches built under
 /// `config` (same type, parameters, and seed)? False for malformed blobs.
 [[nodiscard]] bool wire_matches_config(std::span<const std::uint64_t> wire,
@@ -146,8 +157,6 @@ class StreamingSketcher {
   [[nodiscard]] std::vector<std::vector<std::uint64_t>> finish();
 
  private:
-  using AnySketch = std::variant<HyperLogLog, OnePermMinHash, BottomKSketch>;
-
   core::Config config_;
   std::vector<std::int64_t> samples_;
   std::vector<AnySketch> sketches_;

@@ -40,11 +40,21 @@ double hll_estimate_from(double inv_sum, std::int64_t zeros, std::int64_t m) noe
   return raw;
 }
 
-/// Shared Jaccard arithmetic: both the object and the wire path feed
-/// their registers through this one routine (index-ascending sums), so
-/// the two produce bit-identical estimates.
-template <typename RegA, typename RegB>
-double hll_jaccard_impl(RegA reg_a, RegB reg_b, std::int64_t m) {
+/// Register i of a packed payload (8 registers per word, little-endian
+/// byte lanes).
+unsigned packed_register(std::span<const std::uint64_t> payload, std::int64_t i) noexcept {
+  return static_cast<unsigned>(
+      (payload[static_cast<std::size_t>(i >> 3)] >> ((i & 7) * 8)) & 0xff);
+}
+
+/// Inclusion–exclusion Jaccard over two packed register payloads of
+/// m = 2^precision registers (index-ascending sums).
+double hll_jaccard(std::span<const std::uint64_t> pa, std::span<const std::uint64_t> pb,
+                   int precision) {
+  const std::int64_t m = std::int64_t{1} << precision;
+  // add() never stores a rank above 64 − p + 1; a larger byte is corrupt
+  // and would index past the 2^-r table.
+  const auto max_rank = static_cast<unsigned>(64 - precision + 1);
   const double* const inv = inv_pow2_table();
   double sum_a = 0.0;
   double sum_b = 0.0;
@@ -53,8 +63,11 @@ double hll_jaccard_impl(RegA reg_a, RegB reg_b, std::int64_t m) {
   std::int64_t zero_b = 0;
   std::int64_t zero_u = 0;
   for (std::int64_t i = 0; i < m; ++i) {
-    const unsigned a = reg_a(i);
-    const unsigned b = reg_b(i);
+    const unsigned a = packed_register(pa, i);
+    const unsigned b = packed_register(pb, i);
+    if (a > max_rank || b > max_rank) {
+      throw std::invalid_argument("hll_wire_jaccard: register above the maximum rank");
+    }
     const unsigned u = a > b ? a : b;
     sum_a += inv[a];
     sum_b += inv[b];
@@ -69,13 +82,6 @@ double hll_jaccard_impl(RegA reg_a, RegB reg_b, std::int64_t m) {
       hll_estimate_from(sum_a, zero_a, m) + hll_estimate_from(sum_b, zero_b, m) - est_u;
   if (inter <= 0.0) return 0.0;
   return std::min(1.0, inter / est_u);
-}
-
-/// Register i of a packed payload (8 registers per word, little-endian
-/// byte lanes).
-unsigned packed_register(std::span<const std::uint64_t> payload, std::int64_t i) noexcept {
-  return static_cast<unsigned>(
-      (payload[static_cast<std::size_t>(i >> 3)] >> ((i & 7) * 8)) & 0xff);
 }
 
 void check_precision(int precision) {
@@ -107,40 +113,7 @@ void HyperLogLog::add(std::uint64_t element) noexcept {
   if (rank > registers_[idx]) registers_[idx] = rank;
 }
 
-double HyperLogLog::estimate() const {
-  const double* const inv = inv_pow2_table();
-  double sum = 0.0;
-  std::int64_t zeros = 0;
-  for (std::uint8_t r : registers_) {
-    sum += inv[r];
-    zeros += r == 0;
-  }
-  return hll_estimate_from(sum, zeros, register_count());
-}
-
-HyperLogLog HyperLogLog::merge(const HyperLogLog& a, const HyperLogLog& b) {
-  if (a.precision_ != b.precision_ || a.seed_ != b.seed_) {
-    throw std::invalid_argument("HyperLogLog::merge: incompatible sketches");
-  }
-  HyperLogLog out(a.precision_, a.seed_);
-  for (std::size_t i = 0; i < out.registers_.size(); ++i) {
-    out.registers_[i] = std::max(a.registers_[i], b.registers_[i]);
-  }
-  return out;
-}
-
-double HyperLogLog::estimate_jaccard(const HyperLogLog& a, const HyperLogLog& b) {
-  if (a.precision_ != b.precision_ || a.seed_ != b.seed_) {
-    throw std::invalid_argument("HyperLogLog::estimate_jaccard: incompatible sketches");
-  }
-  const std::uint8_t* const ra = a.registers_.data();
-  const std::uint8_t* const rb = b.registers_.data();
-  return hll_jaccard_impl([ra](std::int64_t i) { return static_cast<unsigned>(ra[i]); },
-                          [rb](std::int64_t i) { return static_cast<unsigned>(rb[i]); },
-                          a.register_count());
-}
-
-std::vector<std::uint64_t> HyperLogLog::serialize() const {
+std::vector<std::uint64_t> HyperLogLog::wire() const {
   const std::int64_t m = register_count();
   std::vector<std::uint64_t> out;
   out.reserve(kWireHeaderWords + static_cast<std::size_t>(m / 8));
@@ -158,25 +131,6 @@ std::vector<std::uint64_t> HyperLogLog::serialize() const {
   return out;
 }
 
-HyperLogLog HyperLogLog::deserialize(std::span<const std::uint64_t> wire) {
-  if (wire_type(wire) != WireType::kHyperLogLog) {
-    throw std::invalid_argument("HyperLogLog::deserialize: not an HLL blob");
-  }
-  const int precision = static_cast<int>(wire[1]);
-  check_precision(precision);
-  const std::int64_t m = std::int64_t{1} << precision;
-  if (wire.size() != kWireHeaderWords + static_cast<std::size_t>(m / 8)) {
-    throw std::invalid_argument("HyperLogLog::deserialize: truncated payload");
-  }
-  HyperLogLog out(precision, wire[2]);
-  const auto payload = wire.subspan(kWireHeaderWords);
-  for (std::int64_t i = 0; i < m; ++i) {
-    out.registers_[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(packed_register(payload, i));
-  }
-  return out;
-}
-
 double hll_wire_jaccard(std::span<const std::uint64_t> a,
                         std::span<const std::uint64_t> b) {
   // Type first (same gap as oph_wire_jaccard): a blob of another sketch
@@ -189,15 +143,14 @@ double hll_wire_jaccard(std::span<const std::uint64_t> a,
       a[2] != b[2]) {
     throw std::invalid_argument("hll_wire_jaccard: incompatible blobs");
   }
-  check_precision(static_cast<int>(a[1]));  // malformed params word would UB the shift
-  const std::int64_t m = std::int64_t{1} << static_cast<int>(a[1]);
+  const auto precision = static_cast<int>(a[1]);
+  check_precision(precision);  // malformed params word would UB the shift
   const auto pa = a.subspan(kWireHeaderWords);
   const auto pb = b.subspan(kWireHeaderWords);
-  if (pa.size() != static_cast<std::size_t>(m / 8)) {
+  if (pa.size() != (std::size_t{1} << precision) / 8) {
     throw std::invalid_argument("hll_wire_jaccard: truncated payload");
   }
-  return hll_jaccard_impl([pa](std::int64_t i) { return packed_register(pa, i); },
-                          [pb](std::int64_t i) { return packed_register(pb, i); }, m);
+  return hll_jaccard(pa, pb, precision);
 }
 
 }  // namespace sas::sketch

@@ -1,17 +1,17 @@
-// hyperloglog.hpp — HyperLogLog cardinality sketch with Jaccard via
-// inclusion–exclusion (Flajolet et al. 2007; the scheme behind bonsai's
-// HLL-based distcmp).
+// hyperloglog.hpp — HyperLogLog sketch with Jaccard via inclusion–
+// exclusion (Flajolet et al. 2007; the scheme behind bonsai's HLL-based
+// distcmp).
 //
 // A dense array of m = 2^p registers, each holding the maximum leading-
-// zero rank observed among hashed elements routed to it. Cardinality is
-// estimated with the classic bias-corrected harmonic mean plus the
-// linear-counting small-range correction; two sketches merge by
-// register-wise max (exactly the sketch of the union — associative,
-// commutative, idempotent), so
+// zero rank observed among hashed elements routed to it. The register-
+// wise max of two arrays is the array of A ∪ B, so all three
+// cardinalities of
 //
 //   Ĵ = (|A|̂ + |B|̂ − |A ∪ B|̂) / |A ∪ B|̂        (inclusion–exclusion)
 //
-// needs no extra state beyond the two register arrays.
+// come from the two register arrays alone, each through the classic
+// bias-corrected harmonic mean plus the linear-counting small-range
+// correction.
 //
 // == Accuracy / bytes =====================================================
 //
@@ -50,8 +50,8 @@ class HyperLogLog {
   static constexpr int kMinPrecision = 4;
   static constexpr int kMaxPrecision = 18;
 
-  /// Empty sketch with m = 2^precision registers. Both sides of a merge
-  /// or comparison must share (precision, seed).
+  /// Empty sketch with m = 2^precision registers. Both sides of a
+  /// comparison must share (precision, seed).
   HyperLogLog(int precision, std::uint64_t seed);
 
   /// Convenience: sketch of a whole element set.
@@ -66,31 +66,10 @@ class HyperLogLog {
   [[nodiscard]] std::int64_t register_count() const noexcept {
     return static_cast<std::int64_t>(registers_.size());
   }
-  [[nodiscard]] const std::vector<std::uint8_t>& registers() const noexcept {
-    return registers_;
-  }
 
-  /// Estimated cardinality (bias-corrected harmonic mean with the
-  /// linear-counting small-range correction).
-  [[nodiscard]] double estimate() const;
-
-  /// Sketch of A ∪ B: register-wise max. Associative, commutative,
-  /// idempotent; throws std::invalid_argument on parameter mismatch.
-  [[nodiscard]] static HyperLogLog merge(const HyperLogLog& a, const HyperLogLog& b);
-
-  /// Inclusion–exclusion Jaccard estimate, clamped to [0, 1];
-  /// J(∅, ∅) = 1 by the library convention.
-  [[nodiscard]] static double estimate_jaccard(const HyperLogLog& a,
-                                               const HyperLogLog& b);
-
-  /// Full-fidelity wire blob (header + 8 registers per word). For HLL
-  /// the comparison form IS the full state, so wire() == serialize().
-  [[nodiscard]] std::vector<std::uint64_t> serialize() const;
-  [[nodiscard]] std::vector<std::uint64_t> wire() const { return serialize(); }
-
-  /// Inverse of serialize(); throws std::invalid_argument on malformed
-  /// input.
-  [[nodiscard]] static HyperLogLog deserialize(std::span<const std::uint64_t> wire);
+  /// Wire blob: header + the registers packed 8 per word (little-endian
+  /// byte lanes). The registers are the whole state.
+  [[nodiscard]] std::vector<std::uint64_t> wire() const;
 
  private:
   int precision_;
@@ -99,9 +78,10 @@ class HyperLogLog {
   std::vector<std::uint8_t> registers_;
 };
 
-/// Wire-level Jaccard estimate (used by estimate_jaccard_wire): same
-/// arithmetic as HyperLogLog::estimate_jaccard, computed directly from
-/// the packed register payloads.
+/// Wire-level Jaccard estimate (used by estimate_jaccard_wire):
+/// inclusion–exclusion over the packed register payloads, clamped to
+/// [0, 1]; J(∅, ∅) = 1. Throws std::invalid_argument on incompatible or
+/// malformed blobs, including a register above the maximum rank 64 − p + 1.
 [[nodiscard]] double hll_wire_jaccard(std::span<const std::uint64_t> a,
                                       std::span<const std::uint64_t> b);
 

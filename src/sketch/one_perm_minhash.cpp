@@ -98,77 +98,6 @@ std::vector<std::uint64_t> OnePermMinHash::densified_registers() const {
   return regs;
 }
 
-OnePermMinHash OnePermMinHash::merge(const OnePermMinHash& a, const OnePermMinHash& b) {
-  if (a.bins() != b.bins() || a.bits_ != b.bits_ || a.seed_ != b.seed_) {
-    throw std::invalid_argument("OnePermMinHash::merge: incompatible sketches");
-  }
-  OnePermMinHash out(a.bins(), a.bits_, a.seed_);
-  for (std::int64_t i = 0; i < a.bins(); ++i) {
-    const auto slot = static_cast<std::size_t>(i);
-    const bool in_a = a.bin_occupied(i);
-    const bool in_b = b.bin_occupied(i);
-    if (!in_a && !in_b) continue;
-    std::uint64_t value;
-    if (in_a && in_b) {
-      value = std::min(a.mins_[slot], b.mins_[slot]);
-    } else {
-      value = in_a ? a.mins_[slot] : b.mins_[slot];
-    }
-    out.mins_[slot] = value;
-    out.occupied_mask_[static_cast<std::size_t>(i >> 6)] |= std::uint64_t{1} << (i & 63);
-    ++out.occupied_;
-  }
-  return out;
-}
-
-double OnePermMinHash::estimate_jaccard(const OnePermMinHash& a,
-                                        const OnePermMinHash& b) {
-  if (a.bins() != b.bins() || a.bits_ != b.bits_ || a.seed_ != b.seed_) {
-    throw std::invalid_argument("OnePermMinHash::estimate_jaccard: incompatible sketches");
-  }
-  if (a.empty() && b.empty()) return 1.0;  // J(∅, ∅) = 1
-  if (a.empty() || b.empty()) return 0.0;
-  const std::vector<std::uint64_t> ra = a.densified_registers();
-  const std::vector<std::uint64_t> rb = b.densified_registers();
-  std::int64_t matches = 0;
-  for (std::size_t i = 0; i < ra.size(); ++i) matches += ra[i] == rb[i];
-  return corrected_estimate(matches, a.bins(), a.bits_);
-}
-
-std::vector<std::uint64_t> OnePermMinHash::serialize() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(kWireHeaderWords + occupied_mask_.size() + mins_.size());
-  out.push_back(wire_header_word(WireType::kOnePermMinHashRaw));
-  out.push_back(params_word(bins(), bits_));
-  out.push_back(seed_);
-  out.insert(out.end(), occupied_mask_.begin(), occupied_mask_.end());
-  // Unoccupied slots are stored as zero so equal sketches serialize
-  // identically regardless of construction history.
-  for (std::int64_t i = 0; i < bins(); ++i) {
-    out.push_back(bin_occupied(i) ? mins_[static_cast<std::size_t>(i)] : 0);
-  }
-  return out;
-}
-
-OnePermMinHash OnePermMinHash::deserialize(std::span<const std::uint64_t> wire) {
-  if (wire_type(wire) != WireType::kOnePermMinHashRaw) {
-    throw std::invalid_argument("OnePermMinHash::deserialize: not a raw OPH blob");
-  }
-  const auto bins = static_cast<std::int64_t>(wire[1] & 0xffffffffu);
-  const int bits = static_cast<int>(wire[1] >> 32);
-  check_params(bins, bits);
-  const auto mask_words = static_cast<std::size_t>((bins + 63) / 64);
-  if (wire.size() != kWireHeaderWords + mask_words + static_cast<std::size_t>(bins)) {
-    throw std::invalid_argument("OnePermMinHash::deserialize: truncated payload");
-  }
-  OnePermMinHash out(bins, bits, wire[2]);
-  std::copy_n(wire.begin() + kWireHeaderWords, mask_words, out.occupied_mask_.begin());
-  std::copy_n(wire.begin() + kWireHeaderWords + mask_words,
-              static_cast<std::size_t>(bins), out.mins_.begin());
-  for (std::int64_t i = 0; i < bins; ++i) out.occupied_ += out.bin_occupied(i);
-  return out;
-}
-
 std::vector<std::uint64_t> OnePermMinHash::wire() const {
   const std::int64_t k = bins();
   const auto payload_words = static_cast<std::size_t>((k * bits_ + 63) / 64);
@@ -181,13 +110,9 @@ std::vector<std::uint64_t> OnePermMinHash::wire() const {
   out.resize(out.size() + payload_words, 0);
   const std::vector<std::uint64_t> regs = densified_registers();
   std::uint64_t* const payload = out.data() + kWireHeaderWords + 1;
-  const std::uint64_t mask = register_mask(bits_);
   for (std::int64_t lane = 0; lane < k; ++lane) {
     const std::int64_t bit = lane * bits_;
-    // Re-mask defensively: a register wider than bits_ (impossible from
-    // add(), conceivable from a corrupted deserialized blob) would
-    // otherwise smear into the next lane.
-    payload[bit >> 6] |= (regs[static_cast<std::size_t>(lane)] & mask) << (bit & 63);
+    payload[bit >> 6] |= regs[static_cast<std::size_t>(lane)] << (bit & 63);
   }
   return out;
 }

@@ -5,7 +5,7 @@
 // One 64-bit hash evaluation per element: the hash space is split into k
 // equal bins (fixed-point multiply-high range partition) and each bin
 // retains the minimum hash routed to it. Bins that saw no element are
-// filled at comparison/serialization time by borrowing, via a seeded
+// filled when the wire blob is built by borrowing, via a seeded
 // universal probe sequence, the value of a deterministic non-empty donor
 // bin ("optimal densification") — both sides of a comparison run the
 // identical probe sequence, so borrowed bins stay unbiased match
@@ -26,11 +26,6 @@
 // observed mean error ≈ 0.01). This is the best accuracy per wire byte of
 // the subsystem's estimators — b-bit truncation shrinks the sketch 64/b×
 // at a bias cost that is negligible for b ≥ 8.
-//
-// The raw (serialize()) form keeps the full 64-bit bin minima plus the
-// empty-bin mask, so deserialized sketches remain mergeable; merging
-// truncated registers would be unsound (min does not commute with
-// truncation), which is why wire() is comparison-only.
 #pragma once
 
 #include <cmath>
@@ -53,7 +48,7 @@ class OnePermMinHash {
  public:
   /// Empty sketch with `bins` bins keeping `bits`-bit registers on the
   /// wire. `bits` must divide 64 (register lanes never straddle words).
-  /// Both sides of a merge or comparison must share (bins, bits, seed).
+  /// Both sides of a comparison must share (bins, bits, seed).
   OnePermMinHash(std::int64_t bins, int bits, std::uint64_t seed);
 
   /// Convenience: sketch of a whole element set.
@@ -68,8 +63,6 @@ class OnePermMinHash {
   }
   [[nodiscard]] int bits() const noexcept { return bits_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  [[nodiscard]] std::int64_t occupied_bins() const noexcept { return occupied_; }
-  [[nodiscard]] bool empty() const noexcept { return occupied_ == 0; }
 
   /// Densified b-bit registers (the comparison form): every empty bin
   /// borrows its donor's value via the seeded probe sequence, then all
@@ -77,25 +70,9 @@ class OnePermMinHash {
   /// return all-zero registers (flagged separately on the wire).
   [[nodiscard]] std::vector<std::uint64_t> densified_registers() const;
 
-  /// Sketch of A ∪ B: bin-wise min over the RAW (pre-densification)
-  /// state. Associative, commutative, idempotent; throws
-  /// std::invalid_argument on parameter mismatch.
-  [[nodiscard]] static OnePermMinHash merge(const OnePermMinHash& a,
-                                            const OnePermMinHash& b);
-
-  /// b-bit-corrected match-fraction estimate, clamped to [0, 1];
-  /// J(∅, ∅) = 1, J(∅, X) = 0.
-  [[nodiscard]] static double estimate_jaccard(const OnePermMinHash& a,
-                                               const OnePermMinHash& b);
-
-  /// Full-fidelity blob (raw minima + empty mask): round-trips through
-  /// deserialize() into a sketch that can keep absorbing elements and
-  /// merging.
-  [[nodiscard]] std::vector<std::uint64_t> serialize() const;
-  [[nodiscard]] static OnePermMinHash deserialize(std::span<const std::uint64_t> wire);
-
-  /// Compact comparison blob: densified registers packed b bits per
-  /// lane — k·b/8 payload bytes. This is what the exchange ring ships.
+  /// Wire blob: header, the occupied-bin count (0 flags an empty
+  /// sketch), then the densified registers packed b bits per lane —
+  /// k·b/8 payload bytes.
   [[nodiscard]] std::vector<std::uint64_t> wire() const;
 
  private:
@@ -111,8 +88,9 @@ class OnePermMinHash {
   }
 };
 
-/// Wire-level Jaccard estimate (used by estimate_jaccard_wire): compares
-/// two packed densified-register payloads lane by lane. Both blobs must
+/// Wire-level Jaccard estimate (used by estimate_jaccard_wire): the
+/// b-bit-corrected match fraction of two packed densified-register
+/// payloads, clamped to [0, 1]; J(∅, ∅) = 1, J(∅, X) = 0. Both blobs must
 /// carry the kOnePermMinHash type tag (std::invalid_argument otherwise —
 /// a bottom-k/HLL blob with coincidentally matching params must not be
 /// scored as OPH registers).

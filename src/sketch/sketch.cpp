@@ -22,8 +22,6 @@ WireType wire_type(std::span<const std::uint64_t> wire) {
       return WireType::kOnePermMinHash;
     case static_cast<std::uint64_t>(WireType::kBottomK):
       return WireType::kBottomK;
-    case static_cast<std::uint64_t>(WireType::kOnePermMinHashRaw):
-      return WireType::kOnePermMinHashRaw;
     default:
       throw std::invalid_argument("sketch::wire_type: unknown sketch type tag");
   }
@@ -42,11 +40,6 @@ double estimate_jaccard_wire(std::span<const std::uint64_t> a,
       return oph_wire_jaccard(a, b);
     case WireType::kBottomK:
       return bottomk_wire_jaccard(a, b);
-    case WireType::kOnePermMinHashRaw:
-      // Full-fidelity form: materialize (rare path — the ring ships the
-      // compact comparison form).
-      return OnePermMinHash::estimate_jaccard(OnePermMinHash::deserialize(a),
-                                              OnePermMinHash::deserialize(b));
   }
   throw std::logic_error("estimate_jaccard_wire: unreachable");
 }

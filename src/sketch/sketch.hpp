@@ -33,11 +33,9 @@
 //  * `minhash` (the default approximate estimator) gives the best
 //    accuracy per byte: one hash evaluation per element, k·b/8 bytes on
 //    the wire, and the b-bit collision bias is corrected analytically.
-//  * `hll` unions cheaply (register max) and its size is independent of
-//    k — prefer it when sketches must be merged across many partial
-//    streams or when cardinalities are also wanted. Its Jaccard estimate
-//    goes through inclusion–exclusion, which AMPLIFIES the cardinality
-//    error for dissimilar pairs; use p ≥ 12 for Jaccard work.
+//  * `hll` has a size independent of k. Its Jaccard estimate goes
+//    through inclusion–exclusion, which AMPLIFIES the cardinality error
+//    for dissimilar pairs; use p ≥ 12 for Jaccard work.
 //  * `bottomk` reproduces Mash (the paper's comparison point, §I): exact
 //    once the sketch holds the whole union, but 8 bytes per slot and the
 //    well-known failure on highly dissimilar pairs at small k.
@@ -49,16 +47,15 @@
 //
 // Every sketch type S implements:
 //   S(params..., seed)                — empty sketch
+//   S(elements, params..., seed)      — sketch of a whole element set
 //   void add(std::uint64_t element)   — incremental, order-independent
-//   static S merge(const S&, const S&)— sketch of the union; associative
-//                                       and commutative (property-tested)
-//   static double estimate_jaccard(const S&, const S&)
-//   std::vector<std::uint64_t> serialize()  — full-fidelity round trip
-//   static S deserialize(span)              — inverse of serialize()
-//   std::vector<std::uint64_t> wire()       — compact comparison form
-//                                             (what the ring ships)
-// Both sides of a comparison/merge must share identical parameters and
-// seed; mismatches throw std::invalid_argument.
+//   std::vector<std::uint64_t> wire() — the one serialized form: what the
+//                                       ring ships, what `gas sketch`
+//                                       persists, and what the estimators
+//                                       read
+// Sketches are never compared as objects: every estimate goes through
+// estimate_jaccard_wire(). Both blobs of a comparison must share type,
+// parameters and seed; mismatches throw std::invalid_argument.
 //
 // == Wire format ==========================================================
 //
@@ -82,9 +79,8 @@ namespace sas::sketch {
 /// Type tag of a wire blob (word 0, low byte).
 enum class WireType : std::uint8_t {
   kHyperLogLog = 1,     ///< packed 6-bit-in-8 register array
-  kOnePermMinHash = 2,  ///< densified b-bit registers (comparison-only)
+  kOnePermMinHash = 2,  ///< densified b-bit registers
   kBottomK = 3,         ///< sorted bottom-k hash values
-  kOnePermMinHashRaw = 4,  ///< raw bins + empty mask (mergeable, serialize())
 };
 
 inline constexpr std::uint64_t kWireMagic = 0x534b4348;  // "SKCH"
@@ -96,7 +92,7 @@ inline constexpr std::size_t kWireHeaderWords = 3;       // tag, params, seed
 }
 
 /// Type tag of `wire`; throws std::invalid_argument if the blob is too
-/// short or the magic does not match.
+/// short, the magic does not match, or the tag names no WireType.
 [[nodiscard]] WireType wire_type(std::span<const std::uint64_t> wire);
 
 /// Estimated Jaccard similarity of the two sets behind two wire blobs.
@@ -111,7 +107,7 @@ inline constexpr std::size_t kWireHeaderWords = 3;       // tag, params, seed
 //
 // Wire blobs are persisted as raw little-endian 64-bit words — the blob's
 // own (kWireMagic, type, params, seed) header is the file header, so a
-// file is self-describing and directly comparable/mergeable after a read.
+// file is self-describing and directly comparable after a read.
 // `gas sketch --estimator` writes one file per sample next to the .kmers
 // inputs; the sketch pipelines load them instead of re-sketching when the
 // header matches the run's configuration.

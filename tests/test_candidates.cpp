@@ -12,13 +12,15 @@
 //     and loses no pair the all-pairs candidate pass keeps at the same
 //     sketch budget on the genome-family corpus;
 //   * wire comparators reject blobs of the wrong type even when the
-//     params/seed words coincide, and malformed OPH payloads throw
-//     instead of smearing across register lanes.
+//     params/seed words coincide, and malformed payloads (truncated OPH
+//     blobs, HLL registers above the maximum rank, unsorted bottom-k
+//     minima) throw, so wire_matches_config never loads them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bsp/runtime.hpp"
@@ -193,27 +195,6 @@ TEST(WireValidation, AdversarialOphPayloads) {
   const sketch::OnePermMinHash honest(std::span<const std::uint64_t>(elements), bins,
                                       bits, seed);
 
-  // Corrupt a raw (mergeable) blob: every stored minimum becomes all-ones
-  // (wider than the b-bit register). The comparison wire built from the
-  // deserialized sketch must keep every lane within its register mask —
-  // no smearing into neighbouring lanes.
-  auto raw = honest.serialize();
-  for (std::size_t w = sketch::kWireHeaderWords + (bins + 63) / 64; w < raw.size(); ++w) {
-    raw[w] = ~std::uint64_t{0};
-  }
-  const auto corrupted = sketch::OnePermMinHash::deserialize(raw);
-  const auto wire = corrupted.wire();
-  const auto payload = std::span<const std::uint64_t>(wire).subspan(
-      sketch::kWireHeaderWords + 1);
-  const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
-  for (std::int64_t lane = 0; lane < bins; ++lane) {
-    const std::int64_t bit = lane * bits;
-    const std::uint64_t value = (payload[bit >> 6] >> (bit & 63)) & mask;
-    EXPECT_EQ(value, mask) << "lane " << lane;  // 0xffff, not smeared junk
-  }
-  // All corrupted minima equal ⇒ a self-comparison still estimates 1.
-  EXPECT_DOUBLE_EQ(sketch::oph_wire_jaccard(wire, wire), 1.0);
-
   // Malformed blobs must throw, not read out of bounds.
   auto good = honest.wire();
   auto truncated = good;
@@ -241,6 +222,52 @@ TEST(WireValidation, TruncatedPersistedBlobIsRejectedNotLoaded) {
   auto truncated = good;
   truncated.resize(sketch::kWireHeaderWords + 1);
   EXPECT_FALSE(sketch::wire_matches_config(truncated, cfg));
+}
+
+TEST(WireValidation, HllRegisterAboveMaxRankIsRejected) {
+  core::Config cfg;
+  cfg.estimator = core::Estimator::kHll;
+  const std::vector<std::uint64_t> elements = {5, 6, 7, 8};
+  const auto good = sketch::HyperLogLog(std::span<const std::uint64_t>(elements),
+                                        cfg.hll_precision, cfg.sketch_seed)
+                        .wire();
+  EXPECT_TRUE(sketch::wire_matches_config(good, cfg));
+  // Ranks stop at 64 − p + 1; a 0xff register byte is corrupt and must
+  // not index the 2^-r table.
+  auto corrupt = good;
+  corrupt[sketch::kWireHeaderWords] |= 0xff;
+  EXPECT_THROW((void)sketch::hll_wire_jaccard(corrupt, corrupt), std::invalid_argument);
+  EXPECT_THROW((void)sketch::hll_wire_jaccard(good, corrupt), std::invalid_argument);
+  EXPECT_FALSE(sketch::wire_matches_config(corrupt, cfg));
+  // The largest legal rank still scores.
+  auto max_rank = good;
+  max_rank[sketch::kWireHeaderWords] =
+      (max_rank[sketch::kWireHeaderWords] & ~std::uint64_t{0xff}) |
+      static_cast<std::uint64_t>(64 - cfg.hll_precision + 1);
+  EXPECT_TRUE(sketch::wire_matches_config(max_rank, cfg));
+}
+
+TEST(WireValidation, UnsortedBottomKPayloadIsRejected) {
+  core::Config cfg;
+  cfg.estimator = core::Estimator::kBottomK;
+  std::vector<std::uint64_t> elements;
+  for (std::uint64_t v = 0; v < 200; ++v) elements.push_back(v * 7919);
+  const auto good = sketch::BottomKSketch(std::span<const std::uint64_t>(elements),
+                                          static_cast<std::size_t>(cfg.sketch_size),
+                                          cfg.sketch_seed)
+                        .wire();
+  EXPECT_TRUE(sketch::wire_matches_config(good, cfg));
+  // Two swapped payload words: the walk would silently mis-count shared
+  // minima.
+  auto swapped = good;
+  std::swap(swapped[sketch::kWireHeaderWords], swapped[sketch::kWireHeaderWords + 1]);
+  EXPECT_THROW((void)sketch::bottomk_wire_jaccard(swapped, swapped), std::invalid_argument);
+  EXPECT_THROW((void)sketch::bottomk_wire_jaccard(good, swapped), std::invalid_argument);
+  EXPECT_FALSE(sketch::wire_matches_config(swapped, cfg));
+  // A repeated minimum is not a bottom-k sketch either.
+  auto repeated = good;
+  repeated[sketch::kWireHeaderWords + 1] = repeated[sketch::kWireHeaderWords];
+  EXPECT_FALSE(sketch::wire_matches_config(repeated, cfg));
 }
 
 // ---- band hashes and the banding plan -----------------------------------

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/similar_pairs.hpp"
@@ -307,10 +308,14 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
   const genome::KmerFileSource source(k, paths);
 
   // Both sketch ingests consult persisted blobs: the hybrid's one-pass
-  // ingest and the pure-sketch pipeline's block-owned build.
+  // ingest and the pure-sketch pipeline's block-owned build, for every
+  // sketch type.
   for (const core::Estimator estimator :
-       {core::Estimator::kHybrid, core::Estimator::kMinhash}) {
-    SCOPED_TRACE(estimator == core::Estimator::kHybrid ? "hybrid" : "minhash");
+       {core::Estimator::kHybrid, core::Estimator::kMinhash, core::Estimator::kHll,
+        core::Estimator::kBottomK}) {
+    SCOPED_TRACE(estimator == core::Estimator::kHybrid
+                     ? "hybrid"
+                     : sketch::estimator_wire_name(estimator));
     core::Config cfg;
     cfg.algorithm = core::Algorithm::kRing1D;
     cfg.estimator = estimator;
@@ -321,6 +326,17 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
       return estimator == core::Estimator::kHybrid ? result.candidates.test(0, 1)
                                                    : result.similarity_at(0, 1) == 1.0;
     };
+    // Sample 1's k-mers sketched under `c` with the builder `gas sketch`
+    // persists with.
+    const auto sample1_wire = [&](const core::Config& c) {
+      sketch::AnySketch sk = sketch::make_sketch(c);
+      return std::visit(
+          [&](auto& s) {
+            for (std::uint64_t kmer : samples[1].kmers) s.add(kmer);
+            return s.wire();
+          },
+          sk);
+    };
     std::filesystem::remove(source.sketch_path(0, cfg));
 
     const core::Result fresh = similarity_at_scale_threaded(2, source, cfg);
@@ -329,20 +345,42 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
     // Forge sample 0's persisted blob from sample 1's k-mers (compatible
     // header). If the pipeline loads it, pair (0, 1) estimates as J = 1 —
     // proof the blob replaced re-sketching.
-    const sketch::OnePermMinHash forged(std::span<const std::uint64_t>(samples[1].kmers),
-                                        cfg.sketch_size, cfg.minhash_bits,
-                                        cfg.sketch_seed);
-    sketch::write_wire_file(source.sketch_path(0, cfg), forged.wire());
+    const std::vector<std::uint64_t> forged = sample1_wire(cfg);
+    sketch::write_wire_file(source.sketch_path(0, cfg), forged);
     const core::Result loaded = similarity_at_scale_threaded(2, source, cfg);
     EXPECT_TRUE(sketches_match(loaded)) << "persisted blob was not loaded";
 
     // An incompatible blob (different seed) must be ignored.
-    const sketch::OnePermMinHash incompatible(
-        std::span<const std::uint64_t>(samples[1].kmers), cfg.sketch_size,
-        cfg.minhash_bits, cfg.sketch_seed + 1);
-    sketch::write_wire_file(source.sketch_path(0, cfg), incompatible.wire());
+    core::Config reseeded = cfg;
+    reseeded.sketch_seed = cfg.sketch_seed + 1;
+    sketch::write_wire_file(source.sketch_path(0, cfg), sample1_wire(reseeded));
     const core::Result ignored = similarity_at_scale_threaded(2, source, cfg);
     EXPECT_FALSE(sketches_match(ignored)) << "parameter-incompatible blob must be ignored";
+
+    // The forged blob with one corrupted byte must be ignored as well, so
+    // pair (0, 1) comes out bitwise as in the fresh run. HLL: a register
+    // above the maximum rank; bottom-k: the smallest minimum raised above
+    // the next; minhash: every b-bit register value is legal, so the
+    // corrupt byte is the type tag.
+    std::vector<std::uint64_t> corrupted = forged;
+    switch (sketch::resolved_sketch_estimator(cfg)) {
+      case core::Estimator::kHll:
+        corrupted[sketch::kWireHeaderWords] |= 0xff;
+        break;
+      case core::Estimator::kBottomK:
+        corrupted[sketch::kWireHeaderWords] |= std::uint64_t{0xff} << 56;
+        break;
+      default:
+        corrupted[0] = (corrupted[0] & ~std::uint64_t{0xff}) | 4;
+        break;
+    }
+    sketch::write_wire_file(source.sketch_path(0, cfg), corrupted);
+    const core::Result rejected = similarity_at_scale_threaded(2, source, cfg);
+    EXPECT_EQ(rejected.similarity_at(0, 1), fresh.similarity_at(0, 1))
+        << "corrupted blob must be ignored";
+    if (estimator == core::Estimator::kHybrid) {
+      EXPECT_EQ(rejected.candidates.test(0, 1), fresh.candidates.test(0, 1));
+    }
   }
 }
 

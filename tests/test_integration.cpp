@@ -210,6 +210,49 @@ TEST(Integration, AllThreeComputationPathsAgree) {
   EXPECT_EQ(mapreduce.max_abs_diff(exact), 0.0);
 }
 
+TEST(Integration, HybridThroughGenomeAtScaleYieldsTheFullMatrix) {
+  // Two families of close relatives plus one unrelated genome: the hybrid
+  // keeps the within-family pairs and prunes the rest.
+  Rng rng(47);
+  const int k = 15;
+  const genome::KmerCodec codec(k);
+  std::vector<genome::KmerSample> samples;
+  for (int family = 0; family < 2; ++family) {
+    const std::string base = genome::random_genome(6000, rng);
+    for (int i = 0; i < 3; ++i) {
+      samples.push_back(genome::build_sample(
+          "f" + std::to_string(family) + "m" + std::to_string(i),
+          {{"g", "", genome::mutate_point(base, 0.01, rng)}}, codec));
+    }
+  }
+  samples.push_back(
+      genome::build_sample("loner", {{"g", "", genome::random_genome(6000, rng)}}, codec));
+  const auto n = static_cast<std::int64_t>(samples.size());
+
+  genome::GenomeAtScaleOptions options = small_options(k);
+  const auto exact = genome::run_genome_at_scale(samples, options);
+  options.core.estimator = core::Estimator::kHybrid;
+  const auto hybrid = genome::run_genome_at_scale(samples, options);
+  ASSERT_EQ(hybrid.sample_names.size(), static_cast<std::size_t>(n));
+  ASSERT_EQ(hybrid.similarity.size(), n);
+
+  // The same hybrid run through the driver names the survivors.
+  const genome::KmerSampleSource source(k, samples);
+  const auto run = core::similarity_at_scale_threaded(options.ranks, source, options.core);
+  EXPECT_EQ(hybrid.similarity.max_abs_diff(run.sparse_similarity.to_dense()), 0.0);
+  int survivors = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = i + 1; j < n; ++j) {
+      if (!run.candidates.test(i, j)) continue;
+      ++survivors;
+      EXPECT_EQ(hybrid.similarity.similarity(i, j), exact.similarity.similarity(i, j))
+          << "(" << i << ", " << j << ")";
+    }
+  }
+  EXPECT_GT(survivors, 0);
+  EXPECT_LT(survivors, n * (n - 1) / 2);
+}
+
 TEST(Integration, FastqReadsThroughFullPipeline) {
   // Raw sequencing reads (FASTQ, with errors) -> spectrum threshold ->
   // distributed similarity: the Part I -> Part II path of Fig. 1 on the

@@ -1,13 +1,13 @@
-// test_sketch.cpp — the sketch subsystem: merge algebra (associativity,
-// commutativity, idempotence — the properties that make incremental and
-// distributed construction exact), serialization round trips, wire-form
-// parity with the object estimators, statistical accuracy against the
+// test_sketch.cpp — the sketch subsystem: wire blobs as the one sketch
+// representation (order-independent construction, layout, the Jaccard
+// conventions), statistical accuracy of the wire estimators against the
 // documented error bounds, and distributed parity of the sketch-exchange
 // pipeline (bitwise rank-count / batch-count / schedule independence).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -73,63 +73,26 @@ double exact_jaccard_sets(const std::vector<std::uint64_t>& a,
 
 // ------------------------------------------------------------ HyperLogLog
 
-TEST(HyperLogLog, CardinalityWithinRelativeErrorBound) {
-  // RSE is 1.04/√m; each fixed-seed estimate must sit within ~4σ.
-  const int p = 12;
-  const double sigma = 1.04 / std::sqrt(static_cast<double>(1 << p));
-  for (std::size_t n : {500u, 20000u, 300000u}) {
-    for (std::uint64_t seed : {1u, 2u, 3u}) {
-      HyperLogLog sk(p, seed);
-      for (std::uint64_t v = 0; v < n; ++v) sk.add(v * 0x9e3779b97f4a7c15ULL);
-      const double est = sk.estimate();
-      EXPECT_NEAR(est, static_cast<double>(n), 4.0 * sigma * static_cast<double>(n))
-          << "n=" << n << " seed=" << seed;
-    }
-  }
-}
-
-TEST(HyperLogLog, MergeEqualsSketchOfUnion) {
-  const auto a = random_set(1u << 20, 5000, 11);
-  const auto b = random_set(1u << 20, 7000, 12);
-  HyperLogLog sa(a, 10, 5);
-  HyperLogLog sb(b, 10, 5);
-  std::vector<std::uint64_t> ab(a);
-  ab.insert(ab.end(), b.begin(), b.end());
-  const HyperLogLog direct(ab, 10, 5);
-  EXPECT_EQ(HyperLogLog::merge(sa, sb).registers(), direct.registers());
-}
-
-TEST(HyperLogLog, MergeAlgebra) {
-  const HyperLogLog sa(random_set(1u << 20, 1000, 21), 8, 9);
-  const HyperLogLog sb(random_set(1u << 20, 2000, 22), 8, 9);
-  const HyperLogLog sc(random_set(1u << 20, 3000, 23), 8, 9);
-  // Commutative, associative, idempotent (register-wise max).
-  EXPECT_EQ(HyperLogLog::merge(sa, sb).registers(),
-            HyperLogLog::merge(sb, sa).registers());
-  EXPECT_EQ(HyperLogLog::merge(HyperLogLog::merge(sa, sb), sc).registers(),
-            HyperLogLog::merge(sa, HyperLogLog::merge(sb, sc)).registers());
-  EXPECT_EQ(HyperLogLog::merge(sa, sa).registers(), sa.registers());
-}
-
-TEST(HyperLogLog, SerializeRoundTripAndWireParity) {
-  const HyperLogLog sa(random_set(1u << 22, 4000, 31), 11, 77);
-  const HyperLogLog sb(random_set(1u << 22, 4000, 32), 11, 77);
-  const auto wa = sa.serialize();
-  const HyperLogLog back = HyperLogLog::deserialize(wa);
-  EXPECT_EQ(back.registers(), sa.registers());
-  EXPECT_EQ(back.precision(), sa.precision());
-  EXPECT_EQ(back.seed(), sa.seed());
-  // The wire path must produce the bit-identical estimate.
-  EXPECT_EQ(estimate_jaccard_wire(wa, sb.serialize()),
-            HyperLogLog::estimate_jaccard(sa, sb));
+TEST(HyperLogLog, WireIsOrderIndependentAndIdempotent) {
+  const auto a = random_set(1u << 22, 4000, 31);
+  const HyperLogLog bulk(a, 11, 77);
+  HyperLogLog incremental(11, 77);
+  for (auto it = a.rbegin(); it != a.rend(); ++it) incremental.add(*it);
+  for (std::uint64_t e : a) incremental.add(e);  // repeats change nothing
+  const auto wire = bulk.wire();
+  EXPECT_EQ(incremental.wire(), wire);
+  ASSERT_EQ(wire.size(), kWireHeaderWords + (std::size_t{1} << 11) / 8);
+  EXPECT_EQ(wire[0], wire_header_word(WireType::kHyperLogLog));
+  EXPECT_EQ(wire[1], 11u);
+  EXPECT_EQ(wire[2], 77u);
 }
 
 TEST(HyperLogLog, JaccardConventionsAndSelfSimilarity) {
-  const HyperLogLog empty(12, 3);
-  EXPECT_DOUBLE_EQ(HyperLogLog::estimate_jaccard(empty, empty), 1.0);
-  const HyperLogLog full(random_set(1u << 20, 5000, 41), 12, 3);
-  EXPECT_DOUBLE_EQ(HyperLogLog::estimate_jaccard(empty, full), 0.0);
-  EXPECT_DOUBLE_EQ(HyperLogLog::estimate_jaccard(full, full), 1.0);
+  const auto empty = HyperLogLog(12, 3).wire();
+  EXPECT_DOUBLE_EQ(estimate_jaccard_wire(empty, empty), 1.0);
+  const auto full = HyperLogLog(random_set(1u << 20, 5000, 41), 12, 3).wire();
+  EXPECT_DOUBLE_EQ(estimate_jaccard_wire(empty, full), 0.0);
+  EXPECT_DOUBLE_EQ(estimate_jaccard_wire(full, full), 1.0);
 }
 
 TEST(HyperLogLog, JaccardWithinDocumentedBound) {
@@ -142,95 +105,65 @@ TEST(HyperLogLog, JaccardWithinDocumentedBound) {
     const int trials = 8;
     for (int t = 0; t < trials; ++t) {
       const auto seed = 100 + static_cast<std::uint64_t>(t);
-      err += std::fabs(
-          HyperLogLog::estimate_jaccard(HyperLogLog(a, p, seed), HyperLogLog(b, p, seed)) -
-          truth);
+      err += std::fabs(estimate_jaccard_wire(HyperLogLog(a, p, seed).wire(),
+                                             HyperLogLog(b, p, seed).wire()) -
+                       truth);
     }
     EXPECT_LE(err / trials, hll_jaccard_error_bound(p)) << "p=" << p;
   }
 }
 
 TEST(HyperLogLog, RejectsIncompatibleAndMalformed) {
-  const HyperLogLog s1(8, 1);
-  const HyperLogLog s2(8, 2);   // different seed
-  const HyperLogLog s3(10, 1);  // different precision
-  EXPECT_THROW((void)HyperLogLog::estimate_jaccard(s1, s2), std::invalid_argument);
-  EXPECT_THROW((void)HyperLogLog::merge(s1, s3), std::invalid_argument);
+  const auto s1 = HyperLogLog(8, 1).wire();
+  const auto s2 = HyperLogLog(8, 2).wire();   // different seed
+  const auto s3 = HyperLogLog(10, 1).wire();  // different precision
+  EXPECT_THROW((void)estimate_jaccard_wire(s1, s2), std::invalid_argument);
+  EXPECT_THROW((void)estimate_jaccard_wire(s1, s3), std::invalid_argument);
   EXPECT_THROW((void)HyperLogLog(3, 0), std::invalid_argument);
-  auto wire = s1.serialize();
-  wire.pop_back();
-  EXPECT_THROW((void)HyperLogLog::deserialize(wire), std::invalid_argument);
+  auto truncated = s1;
+  truncated.pop_back();
+  EXPECT_THROW((void)estimate_jaccard_wire(truncated, truncated), std::invalid_argument);
 }
 
 // ------------------------------------------------------- OnePermMinHash
 
 TEST(OnePermMinHash, IdenticalSetsEstimateOne) {
   const auto a = random_set(1u << 20, 5000, 51);
-  const OnePermMinHash s1(a, 256, 16, 7);
-  const OnePermMinHash s2(a, 256, 16, 7);
-  EXPECT_DOUBLE_EQ(OnePermMinHash::estimate_jaccard(s1, s2), 1.0);
+  EXPECT_DOUBLE_EQ(estimate_jaccard_wire(OnePermMinHash(a, 256, 16, 7).wire(),
+                                         OnePermMinHash(a, 256, 16, 7).wire()),
+                   1.0);
 }
 
 TEST(OnePermMinHash, EmptyConventions) {
-  const OnePermMinHash empty(128, 16, 9);
-  const OnePermMinHash full(random_set(1u << 16, 400, 52), 128, 16, 9);
-  EXPECT_DOUBLE_EQ(OnePermMinHash::estimate_jaccard(empty, empty), 1.0);
-  EXPECT_DOUBLE_EQ(OnePermMinHash::estimate_jaccard(empty, full), 0.0);
+  const auto empty = OnePermMinHash(128, 16, 9).wire();
+  const auto full = OnePermMinHash(random_set(1u << 16, 400, 52), 128, 16, 9).wire();
+  EXPECT_DOUBLE_EQ(estimate_jaccard_wire(empty, empty), 1.0);
+  EXPECT_DOUBLE_EQ(estimate_jaccard_wire(empty, full), 0.0);
 }
 
-TEST(OnePermMinHash, MergeEqualsSketchOfUnionAndAlgebra) {
-  const auto a = random_set(1u << 20, 3000, 61);
-  const auto b = random_set(1u << 20, 3000, 62);
-  const auto c = random_set(1u << 20, 3000, 63);
-  const OnePermMinHash sa(a, 512, 16, 13);
-  const OnePermMinHash sb(b, 512, 16, 13);
-  const OnePermMinHash sc(c, 512, 16, 13);
-  std::vector<std::uint64_t> ab(a);
-  ab.insert(ab.end(), b.begin(), b.end());
-  const OnePermMinHash direct(ab, 512, 16, 13);
-  EXPECT_EQ(OnePermMinHash::merge(sa, sb).serialize(), direct.serialize());
-  EXPECT_EQ(OnePermMinHash::merge(sa, sb).serialize(),
-            OnePermMinHash::merge(sb, sa).serialize());
-  EXPECT_EQ(OnePermMinHash::merge(OnePermMinHash::merge(sa, sb), sc).serialize(),
-            OnePermMinHash::merge(sa, OnePermMinHash::merge(sb, sc)).serialize());
-  EXPECT_EQ(OnePermMinHash::merge(sa, sa).serialize(), sa.serialize());
-}
-
-TEST(OnePermMinHash, SerializeRoundTripStaysMergeable) {
-  const auto a = random_set(1u << 18, 2000, 71);
-  const auto b = random_set(1u << 18, 2000, 72);
-  OnePermMinHash sa(a, 256, 8, 15);
-  const OnePermMinHash back = OnePermMinHash::deserialize(sa.serialize());
-  EXPECT_EQ(back.serialize(), sa.serialize());
-  EXPECT_EQ(back.occupied_bins(), sa.occupied_bins());
-  // A deserialized sketch keeps absorbing elements exactly.
-  OnePermMinHash grown = back;
-  OnePermMinHash direct = sa;
-  for (std::uint64_t e : b) {
-    grown.add(e);
-    direct.add(e);
-  }
-  EXPECT_EQ(grown.serialize(), direct.serialize());
-}
-
-TEST(OnePermMinHash, WireParityWithObjectEstimate) {
+TEST(OnePermMinHash, WirePacksTheDensifiedRegisters) {
   const OnePermMinHash sa(random_set(1u << 20, 4000, 81), 1024, 16, 3);
-  const OnePermMinHash sb(random_set(1u << 20, 4000, 82), 1024, 16, 3);
-  EXPECT_EQ(estimate_jaccard_wire(sa.wire(), sb.wire()),
-            OnePermMinHash::estimate_jaccard(sa, sb));
-  // The raw (mergeable) form estimates identically too.
-  EXPECT_EQ(estimate_jaccard_wire(sa.serialize(), sb.serialize()),
-            OnePermMinHash::estimate_jaccard(sa, sb));
+  const auto wire = sa.wire();
+  ASSERT_EQ(wire.size(), kWireHeaderWords + 1 + 1024 * 16 / 64);
+  EXPECT_EQ(wire[0], wire_header_word(WireType::kOnePermMinHash));
+  EXPECT_EQ(wire[2], 3u);
+  EXPECT_GT(wire[kWireHeaderWords], 0u);  // occupied bins: not the empty flag
+  const std::vector<std::uint64_t> regs = sa.densified_registers();
+  const auto payload = std::span<const std::uint64_t>(wire).subspan(kWireHeaderWords + 1);
+  for (std::size_t lane = 0; lane < regs.size(); ++lane) {
+    const std::size_t bit = lane * 16;
+    EXPECT_EQ((payload[bit / 64] >> (bit % 64)) & 0xffff, regs[lane]) << "lane " << lane;
+  }
 }
 
 TEST(OnePermMinHash, DensificationHandlesSparseSets) {
   // Far fewer elements than bins: most bins borrow via the probe walk.
   const auto tiny = random_set(1u << 16, 10, 91);
-  const OnePermMinHash s1(tiny, 512, 16, 5);
-  const OnePermMinHash s2(tiny, 512, 16, 5);
-  EXPECT_DOUBLE_EQ(OnePermMinHash::estimate_jaccard(s1, s2), 1.0);
-  const OnePermMinHash other(random_set(1u << 16, 10, 92), 512, 16, 5);
-  const double j = OnePermMinHash::estimate_jaccard(s1, other);
+  const auto s1 = OnePermMinHash(tiny, 512, 16, 5).wire();
+  const auto s2 = OnePermMinHash(tiny, 512, 16, 5).wire();
+  EXPECT_DOUBLE_EQ(estimate_jaccard_wire(s1, s2), 1.0);
+  const auto other = OnePermMinHash(random_set(1u << 16, 10, 92), 512, 16, 5).wire();
+  const double j = estimate_jaccard_wire(s1, other);
   EXPECT_GE(j, 0.0);
   EXPECT_LE(j, 1.0);
 }
@@ -246,8 +179,8 @@ TEST(OnePermMinHash, AccuracyWithinDocumentedBound) {
       const int trials = 8;
       for (int t = 0; t < trials; ++t) {
         const auto seed = 200 + static_cast<std::uint64_t>(t);
-        err += std::fabs(OnePermMinHash::estimate_jaccard(OnePermMinHash(a, k, bits, seed),
-                                                          OnePermMinHash(b, k, bits, seed)) -
+        err += std::fabs(estimate_jaccard_wire(OnePermMinHash(a, k, bits, seed).wire(),
+                                               OnePermMinHash(b, k, bits, seed).wire()) -
                          truth);
       }
       EXPECT_LE(err / trials, oph_jaccard_error_bound(k, bits))
@@ -260,9 +193,10 @@ TEST(OnePermMinHash, RejectsBadParameters) {
   EXPECT_THROW((void)OnePermMinHash(0, 16, 1), std::invalid_argument);
   EXPECT_THROW((void)OnePermMinHash(64, 3, 1), std::invalid_argument);   // 3 ∤ 64
   EXPECT_THROW((void)OnePermMinHash(64, 128, 1), std::invalid_argument);
-  const OnePermMinHash s1(64, 16, 1);
-  const OnePermMinHash s2(64, 16, 2);
-  EXPECT_THROW((void)OnePermMinHash::estimate_jaccard(s1, s2), std::invalid_argument);
+  EXPECT_THROW(
+      (void)estimate_jaccard_wire(OnePermMinHash(64, 16, 1).wire(),
+                                  OnePermMinHash(64, 16, 2).wire()),
+      std::invalid_argument);
 }
 
 // ------------------------------------------------------------- BottomK
@@ -278,14 +212,14 @@ TEST(BottomK, IncrementalAddEqualsBulkConstruction) {
   EXPECT_EQ(incremental.hashes(), bulk.hashes());
 }
 
-TEST(BottomK, SerializeRoundTripAndWireParity) {
+TEST(BottomK, WireCarriesTheSortedHashes) {
   const BottomKSketch sa(random_set(1u << 20, 3000, 111), 256, 19);
-  const BottomKSketch sb(random_set(1u << 20, 3000, 112), 256, 19);
-  const BottomKSketch back = BottomKSketch::deserialize(sa.serialize());
-  EXPECT_EQ(back.hashes(), sa.hashes());
-  EXPECT_EQ(back.sketch_size(), sa.sketch_size());
-  EXPECT_EQ(estimate_jaccard_wire(sa.wire(), sb.wire()),
-            BottomKSketch::estimate_jaccard(sa, sb));
+  const auto wire = sa.wire();
+  EXPECT_EQ(wire[0], wire_header_word(WireType::kBottomK));
+  EXPECT_EQ(wire[1], 256u);
+  EXPECT_EQ(wire[2], 19u);
+  EXPECT_EQ(std::vector<std::uint64_t>(wire.begin() + kWireHeaderWords, wire.end()),
+            sa.hashes());
 }
 
 // ----------------------------------------------------- wire plumbing
@@ -308,6 +242,11 @@ TEST(Wire, RejectsMismatchedTypesAndGarbage) {
   EXPECT_THROW((void)estimate_jaccard_wire(hll.wire(), bk.wire()), std::invalid_argument);
   const std::vector<std::uint64_t> garbage = {1, 2, 3, 4};
   EXPECT_THROW((void)wire_type(garbage), std::invalid_argument);
+  // Tag 4 names no sketch type.
+  auto tag4 = OnePermMinHash(random_set(100, 10, 1), 64, 16, 1).wire();
+  tag4[0] = (kWireMagic << 32) | 4;
+  EXPECT_THROW((void)wire_type(tag4), std::invalid_argument);
+  EXPECT_THROW((void)estimate_jaccard_wire(tag4, tag4), std::invalid_argument);
 }
 
 // ------------------------------------------- sketch-exchange pipeline

@@ -37,6 +37,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/neighbor_joining.hpp"
@@ -49,10 +50,8 @@
 #include "genome/kmer_spectrum.hpp"
 #include "genome/phylip.hpp"
 #include "genome/synthetic.hpp"
-#include "sketch/bottomk.hpp"
 #include "sketch/exchange.hpp"
 #include "sketch/hyperloglog.hpp"
-#include "sketch/one_perm_minhash.hpp"
 #include "sketch/sketch.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -194,26 +193,6 @@ bool parse_sketch_params(const ArgParser& args, core::Config& core) {
   return true;
 }
 
-/// Wire blob of one whole k-mer set under the config's sketch estimator.
-std::vector<std::uint64_t> sketch_sample_wire(const genome::KmerSample& sample,
-                                              const core::Config& config) {
-  const std::span<const std::uint64_t> kmers(sample.kmers);
-  switch (sketch::resolved_sketch_estimator(config)) {
-    case core::Estimator::kHll:
-      return sketch::HyperLogLog(kmers, config.hll_precision, config.sketch_seed).wire();
-    case core::Estimator::kMinhash:
-      return sketch::OnePermMinHash(kmers, config.sketch_size, config.minhash_bits,
-                                    config.sketch_seed)
-          .wire();
-    case core::Estimator::kBottomK:
-      return sketch::BottomKSketch(kmers, static_cast<std::size_t>(config.sketch_size),
-                                   config.sketch_seed)
-          .wire();
-    default:
-      throw std::invalid_argument("sketch_sample_wire: not a sketch estimator");
-  }
-}
-
 int cmd_sketch(const ArgParser& args) {
   if (args.positional().size() < 2) return usage();
   const int k = static_cast<int>(args.get_int("k", 31));
@@ -254,7 +233,13 @@ int cmd_sketch(const ArgParser& args) {
                 static_cast<long long>(sample.size()), k, min_count,
                 auto_threshold ? ", auto" : "", out.string().c_str());
     if (persist_sketch) {
-      const std::vector<std::uint64_t> blob = sketch_sample_wire(sample, sketch_cfg);
+      sketch::AnySketch sk = sketch::make_sketch(sketch_cfg);
+      const std::vector<std::uint64_t> blob = std::visit(
+          [&](auto& s) {
+            for (std::uint64_t kmer : sample.kmers) s.add(kmer);
+            return s.wire();
+          },
+          sk);
       const std::string blob_path =
           out.string() + "." +
           sketch::estimator_wire_name(sketch_cfg.estimator) + ".sketch";
