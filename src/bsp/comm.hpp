@@ -1,9 +1,9 @@
 // comm.hpp — SPMD communicator for the in-process BSP runtime.
 //
-// This is the library's substitute for MPI (DESIGN.md §2): ranks are
-// threads, point-to-point messages are buffered byte copies, and the
-// collective set mirrors the MPI collectives the paper's Cyclops backend
-// uses. Collectives are implemented *on top of* point-to-point sends with
+// This is the library's substitute for MPI: ranks are threads,
+// point-to-point messages are buffered byte copies, and the collective
+// set mirrors the MPI collectives the paper's Cyclops backend uses.
+// Collectives are implemented *on top of* point-to-point sends with
 // the textbook algorithms (binomial trees, rings, dissemination), so the
 // message/byte counters reflect realistic communication structure — e.g.
 // a broadcast really costs O(log p) rounds, an all-to-all really moves

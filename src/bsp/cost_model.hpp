@@ -3,7 +3,7 @@
 // The paper analyzes SimilarityAtScale in the Bulk Synchronous Parallel
 // model (§III-C): a superstep costs α, each transferred byte costs β, and
 // each arithmetic operation costs γ, with α ≥ β ≥ γ. Because this
-// reproduction substitutes an in-process runtime for MPI (DESIGN.md §2),
+// reproduction substitutes an in-process runtime for MPI,
 // the communication-efficiency claims are validated by *measuring* the
 // α/β/γ quantities — supersteps, bytes moved, flops — rather than relying
 // on NIC wall-clock alone. Every Comm operation updates these counters.

@@ -2,9 +2,9 @@
 //
 // Runtime::run(p, fn) executes `fn` on p rank-threads, each receiving its
 // own Comm bound to a shared world communicator, and returns the per-rank
-// cost counters. This is the reproduction's stand-in for `mpirun -np p`
-// (DESIGN.md §2): the SPMD code inside `fn` is structured exactly as the
-// MPI program would be, and rank counts may exceed physical cores (the
+// cost counters. This is the reproduction's stand-in for `mpirun -np p`:
+// the SPMD code inside `fn` is structured exactly as the MPI program
+// would be, and rank counts may exceed physical cores (the
 // scaling benches oversubscribe deliberately; modelled α-β-γ cost is the
 // machine-independent signal).
 //

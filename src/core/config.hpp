@@ -8,8 +8,8 @@
 //
 //   paper ablation    batch_count (Fig. 2c/2d), bit_width, replication,
 //                     algorithm, use_zero_row_filter — the paper's own
-//                     levers, swept by bench/ablation_*, bench/fig2* and
-//                     bench/fig3
+//                     levers, swept by bench_paper_figures
+//                     (bench/paper_figures.cpp)
 //   perf ledger       compress_filter, dense_crossover — read by
 //                     bench/ledger/perf_ledger.cpp (its kernel probe packs
 //                     with compress_filter; --dense-crossover and the
@@ -28,7 +28,8 @@
 
 namespace sas::core {
 
-/// Which AᵀA parallelization the driver uses (DESIGN.md §3).
+/// Which AᵀA parallelization the driver uses (paper §III-C; the schedule
+/// ablation of bench_paper_figures compares them).
 enum class Algorithm {
   kSerial,   ///< rank 0 computes everything (reference / baseline)
   kRing1D,   ///< 1D column-panel ring — Θ(z) per-rank communication
@@ -78,11 +79,11 @@ struct Config {
   /// working set per batch at the cost of per-batch latency (Fig. 2c/2d).
   std::int64_t batch_count = 1;
 
-  /// Bits packed per word, the paper's b (§III-B technique 3). 64 is the
-  /// production setting; 1 disables compression (ablation).
+  /// Bits packed per word, the paper's b in [1, 64] (§III-B technique 3).
+  /// 64 is the production setting; 1 disables compression (ablation).
   int bit_width = 64;
 
-  /// Replication factor c of the processor grid (paper §III-C). Only
+  /// Replication factor c >= 1 of the processor grid (paper §III-C). Only
   /// meaningful for Algorithm::kSumma.
   int replication = 1;
 

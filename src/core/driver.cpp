@@ -793,6 +793,12 @@ void validate_config(const SampleSource& source, const Config& config) {
   if (config.batch_count > m && m > 0) {
     throw error::ConfigError("similarity_at_scale: more batches than matrix rows");
   }
+  if (config.bit_width < 1 || config.bit_width > 64) {
+    throw error::ConfigError("similarity_at_scale: bit_width must be in [1, 64]");
+  }
+  if (config.replication < 1) {
+    throw error::ConfigError("similarity_at_scale: replication must be >= 1");
+  }
   if (config.resume && config.checkpoint_dir.empty()) {
     throw error::ConfigError("similarity_at_scale: --resume needs a checkpoint dir");
   }
@@ -974,6 +980,9 @@ Result similarity_at_scale_threaded(int nranks, const SampleSource& source,
                                     const Config& config,
                                     std::vector<bsp::CostCounters>* counters_out,
                                     obs::Observer* observer) {
+  if (nranks < 1) {
+    throw error::ConfigError("similarity_at_scale: ranks must be >= 1");
+  }
   validate_config(source, config);
   // Observability: use the caller's observer when given (benches own
   // theirs to inspect drift); otherwise create one only if the config

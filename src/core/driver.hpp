@@ -257,7 +257,8 @@ struct Result {
 
 /// Single-threaded convenience wrapper: spins up `nranks` bsp ranks, runs
 /// the driver, and returns rank 0's result (plus the cost counters, if
-/// requested via `counters_out`).
+/// requested via `counters_out`). A bad `nranks` or Config throws
+/// error::ConfigError before any rank starts.
 ///
 /// Observability: a caller-owned `observer` (benches, tests) is bound to
 /// the rank threads for the run; when none is given but the config asks

@@ -6,8 +6,8 @@
 // number of rows (and consequently row-start counts in the CSR
 // representation) by b." CsrMatrix makes that claim measurable: it
 // converts the canonical triplet form to CSR and reports exactly how
-// many bytes go to row starts vs column indices vs values, which
-// bench/ablation_bitmask reads off directly.
+// many bytes go to row starts vs column indices vs values; the bitmask
+// tables of bench_paper_figures report the same split for whole runs.
 //
 // Two CSR forms live here:
 //   * CsrMatrix  — the general, accounting-oriented form (storage bytes,

@@ -2,11 +2,13 @@
 
 #include <stdexcept>
 
+#include "util/error.hpp"
+
 namespace sas::genome {
 
 KmerCodec::KmerCodec(int k) : k_(k) {
   if (k < 1 || k > 31) {
-    throw std::invalid_argument("KmerCodec: k must be in [1, 31]");
+    throw error::ConfigError("KmerCodec: k must be in [1, 31]");
   }
   mask_ = (k == 32) ? ~0ULL : ((std::uint64_t{1} << (2 * k)) - 1);
 }

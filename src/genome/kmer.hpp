@@ -19,7 +19,8 @@
 namespace sas::genome {
 
 /// Codec for fixed k. Valid k: 1..31 (2 bits per base in a u64, and
-/// m = 4ᵏ must fit in a signed 64-bit attribute id).
+/// m = 4ᵏ must fit in a signed 64-bit attribute id); any other k throws
+/// error::ConfigError.
 class KmerCodec {
  public:
   explicit KmerCodec(int k);

@@ -2,7 +2,8 @@
 //
 // The paper's corpora (Kingsford RNASeq, BIGSI bacterial/viral WGS) are
 // not redistributable at reproduction scale, so the benches and examples
-// generate data with matched statistical structure (DESIGN.md §2):
+// generate data with matched statistical structure (bench/paper_figures.cpp
+// records the corpus substitution):
 //  * random ancestor genomes,
 //  * point-mutation evolution with a known expected Jaccard
 //    J ≈ t/(2−t), t = (1−r)ᵏ for per-base mutation rate r,

@@ -1,8 +1,8 @@
 // args.hpp — a small, dependency-free CLI argument parser.
 //
-// Bench binaries and examples accept `--name value` overrides so that the
-// figures can be regenerated at different scales; defaults reproduce the
-// configurations recorded in EXPERIMENTS.md.
+// gas, the examples and the accuracy and ledger benches accept
+// `--name value` overrides; each binary's defaults are its documented
+// configuration.
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,7 @@
 //  * hash_combine    — boost-style combiner for composite keys.
 //
 // All functions are pure and reproducible across platforms: the library's
-// experiments must be bit-deterministic (DESIGN.md §5).
+// experiments must be bit-deterministic.
 #pragma once
 
 #include <cstddef>

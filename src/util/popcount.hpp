@@ -9,9 +9,8 @@
 #pragma once
 
 #include <bit>
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <span>
 
 namespace sas {
 
@@ -20,17 +19,10 @@ namespace sas {
   return std::popcount(x);
 }
 
-/// Σ popcount over a word span (used for column-cardinality vectors â).
-[[nodiscard]] inline std::uint64_t popcount_sum(std::span<const std::uint64_t> words) noexcept {
-  std::uint64_t total = 0;
-  for (std::uint64_t w : words) total += static_cast<std::uint64_t>(std::popcount(w));
-  return total;
-}
-
 /// Σ popcount(x[i] ∧ y[i]) over `len` words of two raw arrays, 4-way
 /// unrolled with independent accumulators (breaks the add dependence
-/// chain; ~4x ILP on POPCNT-bearing cores). The building block of
-/// popcount_and_sum and of the dense stripes of the SpGEMM tile kernel.
+/// chain; ~4x ILP on POPCNT-bearing cores). The building block of the
+/// dense stripes of the SpGEMM tile kernel.
 [[nodiscard]] inline std::uint64_t popcount_and_sum_block(
     const std::uint64_t* __restrict x, const std::uint64_t* __restrict y,
     std::size_t len) noexcept {
@@ -49,18 +41,6 @@ namespace sas {
     a0 += static_cast<std::uint64_t>(std::popcount(x[i] & y[i]));
   }
   return (a0 + a1) + (a2 + a3);
-}
-
-/// Σ popcount(x ∧ y) over two equal-length word spans — the intersection
-/// cardinality of two bit-packed columns. Spans must have equal length
-/// (asserted; a mismatch here means the packing layer produced columns
-/// over different word-row spaces). NDEBUG builds degrade to the shorter
-/// length rather than read out of bounds.
-[[nodiscard]] inline std::uint64_t popcount_and_sum(std::span<const std::uint64_t> x,
-                                                    std::span<const std::uint64_t> y) noexcept {
-  assert(x.size() == y.size() && "popcount_and_sum: span lengths must match");
-  const std::size_t len = x.size() < y.size() ? x.size() : y.size();
-  return popcount_and_sum_block(x.data(), y.data(), len);
 }
 
 /// Scatter-accumulate one word against a CSR row segment:

@@ -1,8 +1,8 @@
 // rng.hpp — deterministic pseudo-random generation (xoshiro256**).
 //
 // All synthetic datasets in the benchmark harness are generated through
-// this engine so that every figure is reproducible bit-for-bit from a
-// seed recorded in EXPERIMENTS.md. std::mt19937_64 is avoided because its
+// this engine so that every figure is reproducible bit-for-bit from the
+// seed its bench fixes. std::mt19937_64 is avoided because its
 // distributions are not guaranteed identical across standard libraries.
 #pragma once
 

@@ -1,7 +1,8 @@
 // table.hpp — aligned plain-text tables for the benchmark harness.
 //
-// Every bench binary regenerates one paper table/figure as rows printed
-// through this formatter, so EXPERIMENTS.md can diff paper vs measured.
+// The benches print the paper's tables and figures as rows through this
+// formatter (bench_paper_figures prints Fig. 2a–f, Fig. 3 and the
+// ablations), next to the paper shape each one should match.
 #pragma once
 
 #include <string>

@@ -16,6 +16,7 @@
 #include "genome/phylip.hpp"
 #include "genome/sample.hpp"
 #include "genome/synthetic.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace sas::genome {
@@ -94,8 +95,8 @@ TEST_P(CodecTest, CanonicalIsStrandNeutral) {
 INSTANTIATE_TEST_SUITE_P(Ks, CodecTest, ::testing::Values(1, 2, 3, 5, 11, 19, 31));
 
 TEST(Codec, RejectsBadK) {
-  EXPECT_THROW(KmerCodec(0), std::invalid_argument);
-  EXPECT_THROW(KmerCodec(32), std::invalid_argument);
+  EXPECT_THROW(KmerCodec(0), error::ConfigError);
+  EXPECT_THROW(KmerCodec(32), error::ConfigError);
 }
 
 TEST(Codec, UniverseIs4PowK) {

@@ -403,6 +403,33 @@ TEST_F(GasCli, UsageErrorsExitWithConfigCode) {
   // (which would let every pair survive the prune) or a truncated 3.
   EXPECT_EQ(run_command(dist("--estimator hybrid --prune-threshold abc")).exit_code, 2);
   EXPECT_EQ(run_command(dist("--batches 3x")).exit_code, 2);
+  // Rejected by the driver's validate_config, not by gas itself.
+  EXPECT_EQ(run_command(dist("--max-retries -1")).exit_code, 2);
+  EXPECT_EQ(run_command(dist("--retry-backoff-ms -1")).exit_code, 2);
+  EXPECT_EQ(run_command(dist("--mem-budget-mb -1")).exit_code, 2);
+  EXPECT_EQ(run_command(dist("--quarantine-manifest " + (dir_ / "q.json").string()))
+                .exit_code,
+            2);  // no --quarantine
+}
+
+TEST_F(GasCli, OutOfRangeDistValuesExitWithConfigCode) {
+  // Caught before the ranks spawn, not as a rank failure (4) or an
+  // unclassified error (1).
+  for (const char* extra : {"--bits 0", "--bits 65", "--replication 0", "--ranks 0",
+                            "--top -3"}) {
+    const auto result = run_command(dist(extra));
+    EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
+  }
+}
+
+TEST_F(GasCli, OutOfRangeSimulateValuesExitWithConfigCode) {
+  for (const char* extra :
+       {"--length 500 --rate 2", "--length 500 --error 2",
+        "--length 500 --reads --coverage -1", "--length 0", "--length 50 --reads"}) {
+    const auto result = run_command(bin_ + " simulate --samples 2 " + extra +
+                                    " --out-dir " + dir_.string());
+    EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
+  }
 }
 
 TEST_F(GasCli, JunkSampleLineExitsWithCorruptCode) {
@@ -422,6 +449,15 @@ TEST_F(GasCli, WrongKExitsWithConfigCode) {
   const auto result = run_command(bin_ + " dist" + samples_ + " --k 9 --ranks 2");
   EXPECT_EQ(result.exit_code, 2) << result.output;
   EXPECT_NE(result.output.find(".kmers"), std::string::npos) << result.output;
+  // gas sketch: k outside [1, 31].
+  const fs::path fasta = dir_ / "g.fa";
+  Rng rng(5);
+  genome::write_fasta_file(fasta.string(), {{"g", "", genome::random_genome(500, rng)}});
+  for (const char* k : {"0", "40"}) {
+    const auto sketch = run_command(bin_ + " sketch " + fasta.string() + " --k " + k +
+                                    " --out-dir " + dir_.string());
+    EXPECT_EQ(sketch.exit_code, 2) << "--k " << k << "\n" << sketch.output;
+  }
 }
 
 TEST_F(GasCli, MissingInputExitsWithConfigCode) {
@@ -431,6 +467,8 @@ TEST_F(GasCli, MissingInputExitsWithConfigCode) {
   const auto result =
       run_command(bin_ + " dist /nonexistent/a.kmers /nonexistent/b.kmers --k 11");
   EXPECT_EQ(result.exit_code, 2) << result.output;
+  const auto tree = run_command(bin_ + " tree /nonexistent/d.phylip");
+  EXPECT_EQ(tree.exit_code, 2) << tree.output;
 }
 
 TEST_F(GasCli, CorruptPersistedSketchExitsWithCorruptCode) {

@@ -1,7 +1,7 @@
 // test_smoke_driver.cpp — end-to-end checks of the SimilarityAtScale
 // driver against brute-force set Jaccard, across every algorithm variant,
 // rank count, batch count, bitmask width, and replication factor. These
-// are the paper's central invariants (DESIGN.md §5): the algebraic
+// are the paper's central invariants: the algebraic
 // formulation equals the set definition exactly, and the result is
 // independent of all parallelization/batching knobs.
 #include <gtest/gtest.h>

@@ -343,16 +343,16 @@ int cmd_dist(const ArgParser& args) {
     std::fprintf(stderr, "gas dist: --lsh-bands must be >= 0 (0 = auto)\n");
     return 2;
   }
+  if (args.get_int("top", 0) < 0) {
+    std::fprintf(stderr, "gas dist: --top must be >= 0\n");
+    return 2;
+  }
   // Fault-tolerance knobs (see "failure semantics" in the usage text).
   options.core.checkpoint_dir = args.get_string("checkpoint", "");
   options.core.resume = args.get_bool("resume", false);
   options.core.watchdog_ms = args.get_int("watchdog-ms", 0);
   options.core.fault_plan = args.get_string("fault-plan", "");
   options.core.verify_protocol = args.get_bool("verify-protocol", false);
-  if (options.core.resume && options.core.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "gas dist: --resume needs --checkpoint DIR\n");
-    return 2;
-  }
   if (options.core.watchdog_ms < 0) {
     std::fprintf(stderr, "gas dist: --watchdog-ms must be >= 0\n");
     return 2;
@@ -364,22 +364,6 @@ int cmd_dist(const ArgParser& args) {
   options.core.quarantine = args.get_bool("quarantine", false);
   options.core.quarantine_manifest = args.get_string("quarantine-manifest", "");
   options.core.mem_budget_mb = args.get_int("mem-budget-mb", 0);
-  if (options.core.max_retries < 0) {
-    std::fprintf(stderr, "gas dist: --max-retries must be >= 0\n");
-    return 2;
-  }
-  if (options.core.retry_backoff_ms < 0) {
-    std::fprintf(stderr, "gas dist: --retry-backoff-ms must be >= 0\n");
-    return 2;
-  }
-  if (options.core.mem_budget_mb < 0) {
-    std::fprintf(stderr, "gas dist: --mem-budget-mb must be >= 0\n");
-    return 2;
-  }
-  if (!options.core.quarantine_manifest.empty() && !options.core.quarantine) {
-    std::fprintf(stderr, "gas dist: --quarantine-manifest needs --quarantine\n");
-    return 2;
-  }
 
   // Observability artifacts (see "observability" in the usage text); the
   // driver writes both on success AND on abort (postmortem timeline).
@@ -529,7 +513,7 @@ int cmd_tree(const ArgParser& args) {
   std::ifstream in(args.positional()[1]);
   if (!in) {
     std::fprintf(stderr, "gas tree: cannot open %s\n", args.positional()[1].c_str());
-    return 1;
+    return 2;
   }
   const genome::PhylipMatrix matrix = genome::read_phylip(in);
   const std::string method = args.get_string("method", "nj");
@@ -560,6 +544,21 @@ int cmd_simulate(const ArgParser& args) {
   const bool as_reads = args.get_bool("reads", false);
   const double coverage = args.get_double("coverage", 20.0);
   const double error = args.get_double("error", 0.003);
+  constexpr int kReadLength = 100;
+  // Negated range tests, so that a NaN value fails them too.
+  if (!(rate >= 0.0 && rate <= 1.0) || !(error >= 0.0 && error <= 1.0)) {
+    std::fprintf(stderr, "gas simulate: --rate and --error must be in [0, 1]\n");
+    return 2;
+  }
+  if (!(coverage >= 0.0)) {
+    std::fprintf(stderr, "gas simulate: --coverage must be >= 0\n");
+    return 2;
+  }
+  if (length < (as_reads ? kReadLength : 1)) {
+    std::fprintf(stderr, "gas simulate: --length must be >= 1 (>= %d with --reads)\n",
+                 kReadLength);
+    return 2;
+  }
   const fs::path out_dir = args.get_string("out-dir", ".");
   fs::create_directories(out_dir);
 
@@ -571,7 +570,7 @@ int cmd_simulate(const ArgParser& args) {
     const std::string name = "sample" + std::to_string(i);
     std::vector<genome::SequenceRecord> records;
     if (as_reads) {
-      records = genome::simulate_reads(individual, 100, coverage, error, rng);
+      records = genome::simulate_reads(individual, kReadLength, coverage, error, rng);
     } else {
       records = {{name, "simulated genome", individual}};
     }
