@@ -2,8 +2,9 @@
 // the popcount-AND Eq. 7 kernels (legacy triplet merge-join vs the CSR
 // tiled kernel, same shapes so the speedup reads directly off the
 // items/sec column), CsrPanel construction, k-mer extraction, MinHash
-// sketching, and triplet normalization. These are the per-operation
-// costs behind every figure bench; regressions here move every curve.
+// sketching and wire estimation, and triplet normalization. These are the
+// per-operation costs behind every figure bench; regressions here move
+// every curve.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "genome/kmer.hpp"
 #include "genome/synthetic.hpp"
 #include "sketch/bottomk.hpp"
+#include "sketch/one_perm_minhash.hpp"
 #include "util/popcount.hpp"
 #include "util/rng.hpp"
 
@@ -250,6 +252,36 @@ void BM_BottomKSketch(benchmark::State& state) {
                           static_cast<std::int64_t>(elements.size()));
 }
 BENCHMARK(BM_BottomKSketch)->Arg(128)->Arg(1024)->Arg(8192);
+
+/// b-bit one-permutation MinHash wire estimate (Arg = b, 1,024 bins):
+/// every ordered pair of 16 sketches of overlapping sets per iteration —
+/// the inner loop of the sketch ring and both candidate passes.
+void BM_OphWireJaccard(benchmark::State& state) {
+  const int bits = static_cast<int>(state.range(0));
+  constexpr std::int64_t kBins = 1024;
+  constexpr std::size_t kSketches = 16;
+  Rng rng(17);
+  std::vector<std::uint64_t> shared(20000);
+  for (auto& e : shared) e = rng();
+  std::vector<std::vector<std::uint64_t>> wires;
+  for (std::size_t s = 0; s < kSketches; ++s) {
+    const auto common = static_cast<std::ptrdiff_t>(rng.uniform(shared.size()));
+    std::vector<std::uint64_t> set(shared.begin(), shared.begin() + common);
+    for (int e = 0; e < 5000; ++e) set.push_back(rng());
+    wires.push_back(sas::sketch::OnePermMinHash(set, kBins, bits, 3).wire());
+  }
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (const auto& a : wires) {
+      for (const auto& b : wires) sum += sas::sketch::estimate_jaccard_wire(a, b);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.counters["pairs/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kSketches * kSketches,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_OphWireJaccard)->Arg(1)->Arg(8)->Arg(16)->Arg(64);
 
 /// Accumulating-write normalization (sort + OR-merge), the local half of
 /// every redistribution.

@@ -782,11 +782,15 @@ bool batched_estimator(Estimator estimator) {
   return estimator == Estimator::kExact || estimator == Estimator::kHybrid;
 }
 
-/// Caller-error validation, shared by both entry points. The threaded
-/// entry runs it BEFORE spawning ranks so a bad config surfaces as the
-/// plain error::ConfigError it is, not as an annotated rank failure.
-void validate_config(const SampleSource& source, const Config& config) {
+/// Caller-error validation of a run over `nranks` ranks, shared by both
+/// entry points. The threaded entry runs it BEFORE spawning ranks so a
+/// bad config surfaces as the plain error::ConfigError it is, not as an
+/// annotated rank failure.
+void validate_config(const SampleSource& source, const Config& config, int nranks) {
   const std::int64_t m = source.attribute_universe();
+  if (nranks < 1) {
+    throw error::ConfigError("similarity_at_scale: ranks must be >= 1");
+  }
   if (config.batch_count < 1) {
     throw error::ConfigError("similarity_at_scale: batch_count must be >= 1");
   }
@@ -798,6 +802,15 @@ void validate_config(const SampleSource& source, const Config& config) {
   }
   if (config.replication < 1) {
     throw error::ConfigError("similarity_at_scale: replication must be >= 1");
+  }
+  // Only the batched SUMMA path builds the c-layer grid; the ring and the
+  // sketch pipelines ignore replication.
+  if (batched_estimator(config.estimator) && config.algorithm == Algorithm::kSumma &&
+      nranks < config.replication) {
+    throw error::ConfigError("similarity_at_scale: SUMMA replication " +
+                             std::to_string(config.replication) + " needs at least " +
+                             std::to_string(config.replication) + " ranks, got " +
+                             std::to_string(nranks));
   }
   if (config.resume && config.checkpoint_dir.empty()) {
     throw error::ConfigError("similarity_at_scale: --resume needs a checkpoint dir");
@@ -948,7 +961,7 @@ void write_observability_artifacts(const Config& config, const SampleSource& sou
 
 Result similarity_at_scale(bsp::Comm& world, const SampleSource& source,
                            const Config& config) {
-  validate_config(source, config);
+  validate_config(source, config, world.size());
 
   // Per-rank memory-budget guardrail: installed for the pipeline body on
   // this rank's thread, so the driver's large allocations fail as typed
@@ -980,10 +993,7 @@ Result similarity_at_scale_threaded(int nranks, const SampleSource& source,
                                     const Config& config,
                                     std::vector<bsp::CostCounters>* counters_out,
                                     obs::Observer* observer) {
-  if (nranks < 1) {
-    throw error::ConfigError("similarity_at_scale: ranks must be >= 1");
-  }
-  validate_config(source, config);
+  validate_config(source, config, nranks);
   // Observability: use the caller's observer when given (benches own
   // theirs to inspect drift); otherwise create one only if the config
   // requests an artifact, so runs with neither flag pay nothing.

@@ -5,9 +5,12 @@
 // downstream consumers (tree building, clustering, file output). Two
 // forms:
 //
-//   gather_dense_to_root    — each contributing rank ships (ranges,
-//     values); rank 0 stitches the full rows×cols matrix. Rank 0 holds
-//     rows·cols values — 8·n² bytes for the n×n similarity output
+//   gather_blocks_to_root   — each contributing rank ships (ranges,
+//     values) of its dense blocks; rank 0 stitches the full rows×cols
+//     matrix, mirroring each block for a symmetric product that shipped
+//     one triangle (the sketch ring). gather_dense_to_root is its one-
+//     block-per-rank form (the exact pipeline's output panels). Rank 0
+//     holds rows·cols values — 8·n² bytes for the n×n similarity output
 //     (~20 GB at n = 50k), which is why the mask-gated pipelines avoid
 //     this path by default.
 //   gather_triplets_to_root — each rank ships only its (i, j, value)
@@ -24,6 +27,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -33,19 +37,27 @@
 
 namespace sas::distmat {
 
-/// Collective over `comm`. Returns the assembled rows×cols row-major
-/// matrix on rank 0 and an empty vector elsewhere.
+/// Collective over `comm`: each rank ships any number of dense blocks
+/// (ranges, then values) and rank 0 writes them into the rows×cols
+/// row-major matrix — with `mirror`, each block's transpose too, so a
+/// symmetric product ships only the blocks one triangle needs (the
+/// sketch ring). Blocks must not overlap unless they agree. Returns the
+/// assembled matrix on rank 0 and an empty vector elsewhere.
 template <typename T>
-[[nodiscard]] std::vector<T> gather_dense_to_root(bsp::Comm& comm,
-                                                  const DenseBlock<T>* block,
-                                                  std::int64_t rows, std::int64_t cols) {
+[[nodiscard]] std::vector<T> gather_blocks_to_root(bsp::Comm& comm,
+                                                   std::span<const DenseBlock<T>> blocks,
+                                                   std::int64_t rows, std::int64_t cols,
+                                                   bool mirror) {
   static_assert(std::is_trivially_copyable_v<T>);
+  if (mirror && rows != cols) {
+    throw std::invalid_argument("gather_blocks_to_root: mirror needs a square matrix");
+  }
   std::vector<std::int64_t> header;
   std::vector<T> payload;
-  if (block != nullptr) {
-    header = {block->row_range.begin, block->row_range.end, block->col_range.begin,
-              block->col_range.end};
-    payload = block->values;
+  for (const DenseBlock<T>& block : blocks) {
+    header.insert(header.end(), {block.row_range.begin, block.row_range.end,
+                                 block.col_range.begin, block.col_range.end});
+    payload.insert(payload.end(), block.values.begin(), block.values.end());
   }
   auto headers = comm.gather_v<std::int64_t>(std::span<const std::int64_t>(header), 0);
   auto payloads = comm.gather_v<T>(std::span<const T>(payload), 0);
@@ -53,20 +65,50 @@ template <typename T>
 
   std::vector<T> full(static_cast<std::size_t>(rows * cols), T{});
   for (std::size_t r = 0; r < headers.size(); ++r) {
-    if (headers[r].empty()) continue;
-    const std::int64_t rb = headers[r][0];
-    const std::int64_t re = headers[r][1];
-    const std::int64_t cb = headers[r][2];
-    const std::int64_t ce = headers[r][3];
-    const std::vector<T>& vals = payloads[r];
-    std::size_t idx = 0;
-    for (std::int64_t i = rb; i < re; ++i) {
-      for (std::int64_t j = cb; j < ce; ++j) {
-        full[static_cast<std::size_t>(i * cols + j)] = vals[idx++];
+    const std::vector<std::int64_t>& ranges = headers[r];
+    const T* vals = payloads[r].data();
+    for (std::size_t b = 0; b + 4 <= ranges.size(); b += 4) {
+      const std::int64_t rb = ranges[b];
+      const std::int64_t re = ranges[b + 1];
+      const std::int64_t cb = ranges[b + 2];
+      const std::int64_t ce = ranges[b + 3];
+      const auto row = [&](std::int64_t i) { return vals + (i - rb) * (ce - cb); };
+      for (std::int64_t i = rb; i < re; ++i) {
+        std::copy(row(i), row(i) + (ce - cb),
+                  full.begin() + static_cast<std::ptrdiff_t>(i * cols + cb));
       }
+      if (mirror) {
+        // The transpose goes in square tiles, so its strided side stays
+        // cache-resident.
+        constexpr std::int64_t kTile = 64;
+        for (std::int64_t ib = rb; ib < re; ib += kTile) {
+          for (std::int64_t jb = cb; jb < ce; jb += kTile) {
+            for (std::int64_t j = jb; j < std::min(jb + kTile, ce); ++j) {
+              for (std::int64_t i = ib; i < std::min(ib + kTile, re); ++i) {
+                full[static_cast<std::size_t>(j * cols + i)] = row(i)[j - cb];
+              }
+            }
+          }
+        }
+      }
+      vals += (re - rb) * (ce - cb);
     }
   }
   return full;
+}
+
+/// Collective over `comm`: the one-block-per-rank form (nullptr for a
+/// rank that owns none). Returns the assembled rows×cols row-major
+/// matrix on rank 0 and an empty vector elsewhere.
+template <typename T>
+[[nodiscard]] std::vector<T> gather_dense_to_root(bsp::Comm& comm,
+                                                  const DenseBlock<T>* block,
+                                                  std::int64_t rows, std::int64_t cols) {
+  return gather_blocks_to_root(
+      comm,
+      block != nullptr ? std::span<const DenseBlock<T>>(block, 1)
+                       : std::span<const DenseBlock<T>>(),
+      rows, cols, /*mirror=*/false);
 }
 
 /// Collective over `comm`: gather each rank's coordinate triplets on

@@ -31,7 +31,7 @@
 // the dense bitset's word budget (n · ⌈n/64⌉), i.e. when fewer than
 // ~n/128 candidate partners survive per sample on average. The LSH
 // candidate pass (sketch/exchange.hpp) applies it automatically; the
-// all-pairs pass always builds dense (it scored all n² pairs anyway and
+// all-pairs pass always builds dense (it scored every pair anyway and
 // only runs at small n — sketch::kLshMinSamples and the candidate-mode
 // notes in core/config.hpp document the switch).
 //

@@ -335,7 +335,7 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
   const CsrPanel lpanel = CsrPanel::from_block(my_panel);
 
   ring_rotate<Triplet<std::uint64_t>>(
-      comm, bsp::tags::kSpgemmRing, "ring/step", my_panel.entries,
+      comm, bsp::tags::kSpgemmRing, "ring/step", p, my_panel.entries,
       [&](int owner, std::span<const Triplet<std::uint64_t>> held) {
         const BlockRange owner_cols = block_range(n, p, owner);
         // With a candidate mask, a panel whose owner shares no surviving

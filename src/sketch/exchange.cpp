@@ -247,7 +247,7 @@ std::vector<PairEstimate> gather_estimates(bsp::Comm& world,
 }
 
 /// The all-pairs candidate pass (PR 3): allgather every blob, score this
-/// rank's row slice of all n² pairs into a dense mask.
+/// rank's share of the n(n − 1)/2 pairs into a dense mask.
 CandidatePass all_pairs_candidate_pass(
     bsp::Comm& world, std::span<const std::int64_t> samples,
     const std::vector<std::vector<std::uint64_t>>& blobs, std::int64_t n,
@@ -287,22 +287,26 @@ CandidatePass all_pairs_candidate_pass(
   pass.mode = core::CandidateMode::kAllPairs;
   distmat::PairMask mask(n);
 
-  // Score a block partition of the rows (any disjoint cover works — all
-  // blobs are local now); the diagonal is always a candidate. Estimates
-  // ride to rank 0 as (i < j, value) pairs — each upper pair is scored
-  // by exactly the rank owning row i, and zero estimates are dropped
-  // (absent pairs read as 0.0), so the estimate payload tracks the
-  // non-zero pair structure instead of a dense n² array.
-  const BlockRange mine = distmat::block_range(n, p, r);
+  // Score each unordered pair (i, j > i) once: every wire estimator is
+  // bitwise symmetric, so one score sets both mask bits. Rows are dealt
+  // cyclically (any disjoint cover works — all blobs are local now), so
+  // every rank gets long and short rows alike and the n(n − 1)/2 pairs
+  // split evenly to within n per rank. The diagonal is always a
+  // candidate. Estimates ride to rank 0 as (i < j, value) pairs — each
+  // pair is scored by exactly the rank owning row i, and zero estimates
+  // are dropped (absent pairs read as 0.0), so the estimate payload
+  // tracks the non-zero pair structure instead of a dense n² array.
   std::vector<PairEstimate> scored;
-  for (std::int64_t i = mine.begin; i < mine.end; ++i) {
+  for (std::int64_t i = r; i < n; i += p) {
     mask.set(i, i);
-    for (std::int64_t j = 0; j < n; ++j) {
-      if (j == i) continue;
+    for (std::int64_t j = i + 1; j < n; ++j) {
       const double est = estimate_jaccard_wire(views[static_cast<std::size_t>(i)],
                                                views[static_cast<std::size_t>(j)]);
-      if (j > i && est != 0.0) scored.push_back({i, j, est});
-      if (est >= pass.effective_threshold) mask.set(i, j);
+      if (est != 0.0) scored.push_back({i, j, est});
+      if (est >= pass.effective_threshold) {
+        mask.set(i, j);
+        mask.set(j, i);
+      }
     }
   }
 
@@ -608,23 +612,43 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
   const std::vector<std::uint64_t> panel_words = core::pack_word_panel(blobs);
   const auto my_views = core::unpack_word_panel(panel_words);
 
-  // (2)+(3) Rotate panels around the shared double-buffered ring
-  // (distmat/ring.hpp) and estimate into this rank's output row panel. Stage attribution
-  // mirrors the exact pipeline: estimation time is the "multiply",
-  // rotation bytes are the "exchange".
-  DenseBlock<double> s_panel(mine, BlockRange{0, n});
+  // (2)+(3) Rotate panels ⌊p/2⌋ + 1 steps around the shared double-
+  // buffered ring (distmat/ring.hpp) and score one triangle: every wire
+  // estimator is bitwise symmetric, so each unordered pair is scored once
+  // and rank 0 mirrors it. Step s scores block (r, r − s) — at s = 0 the
+  // upper triangle of the diagonal block (mirrored in place), below p/2
+  // the whole block, and at even p's middle step one half of the block
+  // that ranks r and r + p/2 both see: the lower rank scores the first
+  // half of its rows, the upper rank the remaining ones as columns of its
+  // transposed view. Stage attribution mirrors the exact pipeline:
+  // estimation time is the "multiply", rotation bytes are the "exchange".
+  std::vector<DenseBlock<double>> computed;
   {
     auto stage = recorder.scope(core::Stage::kMultiply, core::Stage::kExchange);
     distmat::ring_rotate<std::uint64_t>(
-        world, bsp::tags::kSketchRing, "sketch-ring/step", panel_words,
+        world, bsp::tags::kSketchRing, "sketch-ring/step", p / 2 + 1, panel_words,
         [&](int owner, std::span<const std::uint64_t> held) {
           const BlockRange owner_cols = distmat::block_range(n, p, owner);
           const auto views = owner == r ? my_views : core::unpack_word_panel(held);
-          for (std::int64_t i = 0; i < mine.size(); ++i) {
-            for (std::int64_t j = 0; j < owner_cols.size(); ++j) {
-              s_panel.at_local(i, owner_cols.begin + j) =
-                  estimate_jaccard_wire(my_views[static_cast<std::size_t>(i)],
-                                        views[static_cast<std::size_t>(j)]);
+          const int step = (r - owner + p) % p;
+          BlockRange rows = mine;
+          BlockRange cols = owner_cols;
+          if (2 * step == p) {
+            if (r < owner) {
+              rows.end = mine.begin + mine.size() / 2;
+            } else {
+              cols.begin = owner_cols.begin + owner_cols.size() / 2;
+            }
+          }
+          if (rows.size() == 0 || cols.size() == 0) return;
+          DenseBlock<double>& block = computed.emplace_back(rows, cols);
+          for (std::int64_t i = rows.begin; i < rows.end; ++i) {
+            const auto row_view = my_views[static_cast<std::size_t>(i - mine.begin)];
+            for (std::int64_t j = step == 0 ? i : cols.begin; j < cols.end; ++j) {
+              const double est = estimate_jaccard_wire(
+                  row_view, views[static_cast<std::size_t>(j - owner_cols.begin)]);
+              block.at_global(i, j) = est;
+              if (step == 0) block.at_global(j, i) = est;
             }
           }
         });
@@ -638,7 +662,8 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
   std::vector<double> full;
   {
     auto stage = recorder.scope(core::Stage::kAssemble);
-    full = distmat::gather_dense_to_root(world, &s_panel, n, n);
+    full = distmat::gather_blocks_to_root(
+        world, std::span<const DenseBlock<double>>(computed), n, n, /*mirror=*/true);
   }
 
   core::Result result;

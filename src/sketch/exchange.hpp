@@ -24,13 +24,17 @@
 //      SampleSource::values_in_range — same batched reads, same bounded
 //      per-read memory as the exact path;
 //   2. flattens the owned sketches' wire blobs into one panel
-//      (core::pack_word_panel) and rotates the panels around the 1-D ring
-//      it shares with the exact SpGEMM ring (distmat/ring.hpp; send
-//      posted before the local estimation work);
-//   3. estimates all-pairs Jaccard between its sketches and each
-//      arriving panel (sketch::estimate_jaccard_wire) straight into its
-//      row panel of the SimilarityMatrix, which is assembled on rank 0
-//      exactly like the exact path's output.
+//      (core::pack_word_panel) and rotates the panels ⌊p/2⌋ + 1 steps
+//      around the 1-D ring it shares with the exact SpGEMM ring
+//      (distmat/ring.hpp; send posted before the local estimation work);
+//   3. estimates Jaccard between its sketches and each arriving panel
+//      (sketch::estimate_jaccard_wire) over one triangle of the symmetric
+//      matrix: every wire estimator is bitwise symmetric, so each
+//      unordered pair is scored once — the diagonal block's upper
+//      triangle, the whole block (r, r − s) at steps 0 < s < p/2, and at
+//      even p one half of the block that ranks p/2 apart share. Rank 0
+//      gathers only those blocks and writes each one and its transpose
+//      (distmat::gather_blocks_to_root).
 //
 // Communication per rotation step is O(samples_per_rank · sketch_bytes)
 // — independent of genome size — versus the exact ring's O(nnz) panel
@@ -39,10 +43,14 @@
 // so the result is bitwise independent of the rank count (tested).
 //
 // The ring is kept rather than routing pure sketch through the all-pairs
-// candidate pass below: that pass would ship every non-zero (i, j, est)
-// triplet to rank 0 plus an n²-bit mask allreduce, more bytes than the
-// ring's dense gather on the perf ledger's families-minhash workload
-// (≈35.8 MB + 0.66 MB against 31.85 MB).
+// candidate pass below, whose bytes follow the similarity structure: it
+// allgathers every blob and ships a 24-byte (i, j, est) triplet per
+// non-zero pair where the gather ships 8-byte values. On the perf
+// ledger's families-minhash workload (n = 2,304, p = 4) the ring moves
+// 9.62 MB of panels and 19.91 MB of gathered blocks; the pass would move
+// 14.49 MB of blobs, 3.98 MB of mask allreduce and 0.75 MB of triplets,
+// fewer because ≈98% of that corpus's pairs estimate exactly 0, but up
+// to 47.8 MB of triplets once every pair is related.
 //
 // == The hybrid candidate pass ===========================================
 //
@@ -57,10 +65,11 @@
 // (core::CandidateMode):
 //
 //   all-pairs — every blob is allgathered (ring allgather, O(n ·
-//     sketch_bytes) per rank) and each rank scores its n/p-row slice of
-//     all n² pairs into a dense PairMask (word-OR allreduce). Exact
-//     candidate set; quadratic score work and a quadratic replicated
-//     mask. The default below kLshMinSamples.
+//     sketch_bytes) per rank) and each rank scores its share of the
+//     n(n − 1)/2 unordered pairs (rows dealt cyclically, which balances
+//     the triangle) into a dense PairMask, one score setting both bits
+//     (word-OR allreduce). Exact candidate set; quadratic score work and a
+//     quadratic replicated mask. The default below kLshMinSamples.
 //
 //   lsh — LSH banding over the one-permutation MinHash registers
 //     (oph_wire_band_hashes): each rank computes B band buckets per

@@ -1,11 +1,18 @@
 #include "sketch/one_perm_minhash.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace sas::sketch {
 
 namespace {
+
+// equal_registers reads packed lane l as the little-endian bytes at bit
+// offset l·b; the persisted-blob format already assumes this byte order.
+static_assert(std::endian::native == std::endian::little,
+              "OPH wire payloads are little-endian words");
 
 /// Range partition of the 64-bit hash space into `bins` equal intervals
 /// (multiply-high, as in Rng::uniform — no modulo bias).
@@ -35,6 +42,80 @@ std::uint64_t packed_lane(std::span<const std::uint64_t> payload, std::int64_t l
                           int bits) noexcept {
   const std::int64_t bit = lane * bits;
   return (payload[static_cast<std::size_t>(bit >> 6)] >> (bit & 63)) & register_mask(bits);
+}
+
+/// Equal lanes among the first `lanes` native Lane-wide registers of two
+/// payloads. memcpy through the object bytes is the aliasing-safe read;
+/// compilers turn it into plain (vector) loads. The count runs in blocks
+/// on a Lane-wide counter, so compares and counts share one vector lane
+/// width (a 64-bit count would widen every compare); a block stays below
+/// the counter's range.
+template <typename Lane>
+std::int64_t equal_native_lanes(const std::uint64_t* a, const std::uint64_t* b,
+                                std::int64_t lanes) noexcept {
+  constexpr std::int64_t kBlock = sizeof(Lane) == 1 ? 128 : 4096;
+  constexpr auto kWidth = static_cast<std::int64_t>(sizeof(Lane));
+  const auto* ab = reinterpret_cast<const unsigned char*>(a);
+  const auto* bb = reinterpret_cast<const unsigned char*>(b);
+  std::int64_t matches = 0;
+  for (std::int64_t begin = 0; begin < lanes; begin += kBlock) {
+    const std::int64_t end = std::min(lanes, begin + kBlock);
+    Lane block_matches = 0;
+    for (std::int64_t l = begin; l < end; ++l) {
+      Lane x = 0;
+      Lane y = 0;
+      std::memcpy(&x, ab + l * kWidth, sizeof(Lane));
+      std::memcpy(&y, bb + l * kWidth, sizeof(Lane));
+      block_matches = static_cast<Lane>(block_matches + (x == y));
+    }
+    matches += static_cast<std::int64_t>(block_matches);
+  }
+  return matches;
+}
+
+/// Non-zero b-bit lanes of `x` (b ∈ {1, 2, 4}) as a word with only each
+/// such lane's high bit set: the low b − 1 bits plus all-ones carry into
+/// the high bit iff one of them is set (no carry crosses a lane), and
+/// OR-ing x adds lanes whose high bit was already set.
+std::uint64_t nonzero_lane_bits(std::uint64_t x, std::uint64_t high) noexcept {
+  return (((x & ~high) + ~high) | x) & high;
+}
+
+/// Matching registers of two packed payloads of `bins` b-bit lanes — the
+/// count the per-lane packed_lane loop would return, word-parallel.
+/// Byte-multiple widths compare native lanes; narrower ones XOR whole
+/// words and count the non-zero lanes, masking the last word's padding
+/// (whatever bits a blob carries past its last lane never count).
+std::int64_t equal_registers(std::span<const std::uint64_t> pa,
+                             std::span<const std::uint64_t> pb, std::int64_t bins,
+                             int bits) noexcept {
+  switch (bits) {
+    case 8:
+      return equal_native_lanes<std::uint8_t>(pa.data(), pb.data(), bins);
+    case 16:
+      return equal_native_lanes<std::uint16_t>(pa.data(), pb.data(), bins);
+    case 32:
+      return equal_native_lanes<std::uint32_t>(pa.data(), pb.data(), bins);
+    case 64:
+      return equal_native_lanes<std::uint64_t>(pa.data(), pb.data(), bins);
+    default:
+      break;
+  }
+  // b ∈ {1, 2, 4}: `high` holds the top bit of every lane.
+  const std::uint64_t high =
+      ~std::uint64_t{0} / register_mask(bits) << (bits - 1);
+  const std::int64_t total_bits = bins * bits;
+  const auto full_words = static_cast<std::size_t>(total_bits >> 6);
+  std::int64_t differing = 0;
+  for (std::size_t w = 0; w < full_words; ++w) {
+    differing += std::popcount(nonzero_lane_bits(pa[w] ^ pb[w], high));
+  }
+  if (const int tail = static_cast<int>(total_bits & 63); tail != 0) {
+    const std::uint64_t lanes = (std::uint64_t{1} << tail) - 1;
+    differing += std::popcount(
+        nonzero_lane_bits(pa[full_words] ^ pb[full_words], high) & lanes);
+  }
+  return bins - differing;
 }
 
 void check_params(std::int64_t bins, int bits) {
@@ -140,13 +221,10 @@ double oph_wire_jaccard(std::span<const std::uint64_t> a,
   const bool empty_b = b[kWireHeaderWords] == 0;
   if (empty_a && empty_b) return 1.0;
   if (empty_a || empty_b) return 0.0;
-  const auto pa = a.subspan(kWireHeaderWords + 1);
-  const auto pb = b.subspan(kWireHeaderWords + 1);
-  std::int64_t matches = 0;
-  for (std::int64_t lane = 0; lane < bins; ++lane) {
-    matches += packed_lane(pa, lane, bits) == packed_lane(pb, lane, bits);
-  }
-  return corrected_estimate(matches, bins, bits);
+  return corrected_estimate(
+      equal_registers(a.subspan(kWireHeaderWords + 1), b.subspan(kWireHeaderWords + 1),
+                      bins, bits),
+      bins, bits);
 }
 
 std::vector<std::uint64_t> oph_wire_band_hashes(std::span<const std::uint64_t> wire,

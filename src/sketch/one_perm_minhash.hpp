@@ -93,7 +93,12 @@ class OnePermMinHash {
 /// payloads, clamped to [0, 1]; J(∅, ∅) = 1, J(∅, X) = 0. Both blobs must
 /// carry the kOnePermMinHash type tag (std::invalid_argument otherwise —
 /// a bottom-k/HLL blob with coincidentally matching params must not be
-/// scored as OPH registers).
+/// scored as OPH registers). Every call re-validates both headers. The
+/// matching registers are counted word-parallel — an equality count
+/// over native uint{b}_t lanes for b ≥ 8, a SWAR zero-lane count of the
+/// XORed words for b ∈ {1, 2, 4} — and equal the per-lane count exactly
+/// (bits past the last lane never count), so the estimate is the same
+/// double. Symmetric bitwise: Ĵ(a, b) == Ĵ(b, a).
 [[nodiscard]] double oph_wire_jaccard(std::span<const std::uint64_t> a,
                                       std::span<const std::uint64_t> b);
 

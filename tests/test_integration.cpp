@@ -416,7 +416,7 @@ TEST_F(GasCli, OutOfRangeDistValuesExitWithConfigCode) {
   // Caught before the ranks spawn, not as a rank failure (4) or an
   // unclassified error (1).
   for (const char* extra : {"--bits 0", "--bits 65", "--replication 0", "--ranks 0",
-                            "--top -3"}) {
+                            "--top -3", "--replication 3"}) {
     const auto result = run_command(dist(extra));
     EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
   }

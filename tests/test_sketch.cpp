@@ -5,6 +5,7 @@
 // pipeline (bitwise rank-count / batch-count / schedule independence).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -199,6 +200,92 @@ TEST(OnePermMinHash, RejectsBadParameters) {
       std::invalid_argument);
 }
 
+/// Reference estimate from a per-lane match count, one packed_lane-style
+/// extraction per register: lane l is bits [l·b, (l+1)·b) of the packed
+/// payload and only the first `bins` lanes count; then the same b-bit
+/// correction. The word-parallel kernel must reproduce it bitwise.
+double lane_loop_estimate(std::span<const std::uint64_t> a,
+                          std::span<const std::uint64_t> b) {
+  const auto bins = static_cast<std::int64_t>(a[1] & 0xffffffffu);
+  const int bits = static_cast<int>(a[1] >> 32);
+  const bool empty_a = a[kWireHeaderWords] == 0;
+  const bool empty_b = b[kWireHeaderWords] == 0;
+  if (empty_a && empty_b) return 1.0;
+  if (empty_a || empty_b) return 0.0;
+  const std::uint64_t mask = bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+  const auto lane = [&](std::span<const std::uint64_t> payload, std::int64_t l) {
+    const std::int64_t bit = l * bits;
+    return (payload[static_cast<std::size_t>(bit >> 6)] >> (bit & 63)) & mask;
+  };
+  const auto pa = a.subspan(kWireHeaderWords + 1);
+  const auto pb = b.subspan(kWireHeaderWords + 1);
+  std::int64_t matches = 0;
+  for (std::int64_t l = 0; l < bins; ++l) matches += lane(pa, l) == lane(pb, l);
+  const double collision = std::ldexp(1.0, -bits);
+  const double frac = static_cast<double>(matches) / static_cast<double>(bins);
+  return std::clamp((frac - collision) / (1.0 - collision), 0.0, 1.0);
+}
+
+/// An OPH wire blob with the given registers packed b bits per lane
+/// (`occupied` = 0 flags the empty sketch).
+std::vector<std::uint64_t> oph_blob(int bits, std::uint64_t occupied,
+                                    const std::vector<std::uint64_t>& regs) {
+  const auto bins = static_cast<std::uint64_t>(regs.size());
+  std::vector<std::uint64_t> wire = {wire_header_word(WireType::kOnePermMinHash),
+                                     bins | (static_cast<std::uint64_t>(bits) << 32), 7,
+                                     occupied};
+  wire.resize(wire.size() + (bins * static_cast<std::uint64_t>(bits) + 63) / 64, 0);
+  for (std::size_t l = 0; l < regs.size(); ++l) {
+    const std::size_t bit = l * static_cast<std::size_t>(bits);
+    wire[kWireHeaderWords + 1 + bit / 64] |= regs[l] << (bit % 64);
+  }
+  return wire;
+}
+
+TEST(OnePermMinHash, WordParallelCountMatchesTheLaneLoop) {
+  Rng rng(1234);
+  for (int bits : {1, 2, 4, 8, 16, 32, 64}) {
+    const std::uint64_t mask =
+        bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+    for (std::int64_t bins : {1024, 1000, 37}) {
+      const auto k = static_cast<std::size_t>(bins);
+      std::vector<std::uint64_t> base(k);
+      for (auto& reg : base) reg = rng() & mask;
+      const auto a = oph_blob(bits, k, base);
+      // Re-draw a growing share of the lanes: match fractions from 1
+      // down to the 2^-b collision floor.
+      for (double redraw : {0.0, 0.05, 0.3, 0.7, 1.0}) {
+        std::vector<std::uint64_t> regs = base;
+        for (auto& reg : regs) {
+          if (rng.uniform(1000) < static_cast<std::uint64_t>(redraw * 1000)) {
+            reg = rng() & mask;
+          }
+        }
+        const auto b = oph_blob(bits, k, regs);
+        EXPECT_EQ(oph_wire_jaccard(a, b), lane_loop_estimate(a, b))
+            << "b=" << bits << " bins=" << bins << " redraw=" << redraw;
+        EXPECT_EQ(oph_wire_jaccard(b, a), oph_wire_jaccard(a, b));
+      }
+      const auto empty = oph_blob(bits, 0, std::vector<std::uint64_t>(k, 0));
+      EXPECT_EQ(oph_wire_jaccard(empty, empty), lane_loop_estimate(empty, empty));
+      EXPECT_EQ(oph_wire_jaccard(empty, a), lane_loop_estimate(empty, a));
+      EXPECT_EQ(oph_wire_jaccard(a, empty), 0.0);
+
+      // Bits past the last lane are not registers: set them (differently
+      // on each side) and the count must ignore them, as the loop does.
+      const std::uint64_t tail_bits = (k * static_cast<std::uint64_t>(bits)) % 64;
+      if (tail_bits == 0) continue;
+      auto noisy_a = a;
+      auto noisy_b = a;
+      noisy_a.back() |= ~std::uint64_t{0} << tail_bits;
+      noisy_b.back() |= std::uint64_t{0x5a5a5a5a5a5a5a5a} << tail_bits;
+      EXPECT_EQ(oph_wire_jaccard(noisy_a, noisy_b), lane_loop_estimate(noisy_a, noisy_b))
+          << "b=" << bits << " bins=" << bins;
+      EXPECT_EQ(oph_wire_jaccard(noisy_a, noisy_b), 1.0);
+    }
+  }
+}
+
 // ------------------------------------------------------------- BottomK
 
 TEST(BottomK, IncrementalAddEqualsBulkConstruction) {
@@ -278,7 +365,7 @@ TEST_P(PipelineEstimators, BitwiseIndependentOfRankAndBatchCount) {
   core::Config cfg = sketch_config(GetParam());
   const auto reference = core::similarity_at_scale_threaded(1, src, cfg);
   ASSERT_EQ(reference.similarity.size(), 13);
-  for (int ranks : {2, 4, 5}) {
+  for (int ranks : {2, 4, 5, 6}) {
     const auto got = core::similarity_at_scale_threaded(ranks, src, cfg);
     EXPECT_EQ(got.similarity.max_abs_diff(reference.similarity), 0.0)
         << "ranks=" << ranks;
@@ -424,10 +511,14 @@ TEST(Pipeline, BatchTrafficExcludesTheAssembleGather) {
 
 TEST(Pipeline, MoreRanksThanSamples) {
   const auto src = random_source(500, 3, 0.1, 77);
-  core::Config cfg = sketch_config(core::Estimator::kHll);
-  const auto reference = core::similarity_at_scale_threaded(1, src, cfg);
-  const auto wide = core::similarity_at_scale_threaded(6, src, cfg);
-  EXPECT_EQ(wide.similarity.max_abs_diff(reference.similarity), 0.0);
+  for (core::Estimator estimator :
+       {core::Estimator::kHll, core::Estimator::kMinhash, core::Estimator::kBottomK}) {
+    const core::Config cfg = sketch_config(estimator);
+    const auto reference = core::similarity_at_scale_threaded(1, src, cfg);
+    const auto wide = core::similarity_at_scale_threaded(6, src, cfg);
+    EXPECT_EQ(wide.similarity.max_abs_diff(reference.similarity), 0.0)
+        << "estimator " << static_cast<int>(estimator);
+  }
 }
 
 TEST(Pipeline, ExactEstimatorRejectsSketchBuild) {
