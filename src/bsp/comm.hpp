@@ -17,7 +17,6 @@
 //   });
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -65,27 +64,6 @@ struct SharedState {
 
   int size;
   std::vector<Mailbox> mailboxes;
-
-  // Simulated node topology for the hierarchical collectives: node_of[r]
-  // maps each rank to a node id in [0, nodes); node_members[q] lists node
-  // q's ranks ascending, and the first member is the node's leader.
-  // nodes == 1 means the flat single-tier network (the default) — the
-  // collectives then keep their textbook single-stage forms and no send
-  // is classified intra-node. Installed before the rank threads start
-  // (Runtime) or derived from the parent map at split(); immutable while
-  // collectives run.
-  int nodes = 1;
-  std::vector<int> node_of;
-  std::vector<std::vector<int>> node_members;
-
-  /// Group ranks into `nodes_in` contiguous near-equal blocks (clamped to
-  /// [1, size]).
-  void set_node_topology(int nodes_in);
-
-  /// Install an arbitrary rank→node map (split children inherit the
-  /// parent's placement this way; ids are renumbered dense). map.size()
-  /// must equal size.
-  void set_node_map(std::vector<int> map);
 
   // Failure semantics (fault.hpp). Split children share the parent's
   // abort token — a failure anywhere unwinds every communicator — and
@@ -157,12 +135,6 @@ enum InternalTag : int {
   kTagAllgather = -4,
   kTagAlltoall = -6,
   kTagSplit = -8,
-  // Hierarchical (two-tier) collective stages; see the hier_* helpers.
-  kTagHierBcast = -10,     ///< inter-node leader tree + root→leader hop
-  kTagHierReduce = -11,    ///< member→leader combine + leader tree
-  kTagHierAllgather = -12, ///< intra gather + leader ring frames
-  kTagHierAlltoall = -13,  ///< member→leader relay + leader↔leader frames
-  kTagHierDown = -14,      ///< leader→member redistribution stages
 };
 
 /// SPMD communicator handle. Move-only: every rank owns exactly one
@@ -182,28 +154,6 @@ class Comm {
   [[nodiscard]] int rank() const noexcept { return rank_; }
   [[nodiscard]] int size() const noexcept { return state_->size; }
   [[nodiscard]] CostCounters& counters() noexcept { return *counters_; }
-
-  // ---- node topology (hierarchical collectives) ----------------------
-  // Flat communicators report one node containing every rank.
-
-  [[nodiscard]] int node_count() const noexcept { return state_->nodes; }
-  [[nodiscard]] bool hierarchical() const noexcept { return state_->nodes > 1; }
-  [[nodiscard]] int node_of(int r) const noexcept {
-    return state_->node_of.empty() ? 0
-                                   : state_->node_of[static_cast<std::size_t>(r)];
-  }
-  [[nodiscard]] int my_node() const noexcept { return node_of(rank_); }
-  /// Ranks of `node`, ascending; the first entry is the node's leader.
-  [[nodiscard]] std::span<const int> node_ranks(int node) const {
-    if (state_->node_members.empty()) {
-      throw std::logic_error("bsp::Comm::node_ranks: flat communicator");
-    }
-    return state_->node_members[static_cast<std::size_t>(node)];
-  }
-  [[nodiscard]] bool is_node_leader() const noexcept {
-    return !hierarchical() ||
-           state_->node_members[static_cast<std::size_t>(my_node())].front() == rank_;
-  }
 
   /// Record kernel arithmetic against this rank's γ term.
   void add_flops(std::uint64_t n) noexcept { counters_->flops += n; }
@@ -256,16 +206,6 @@ class Comm {
     if (dest != rank_) {
       counters_->messages_sent += 1;
       counters_->bytes_sent += payload.size();
-      // Two-tier classification: under an active node topology, sends
-      // between ranks of the same node also accrue to the intra-tier
-      // counters (the totals above keep their flat meaning; inter-node
-      // traffic is the difference — see bsp/cost_model.hpp).
-      if (state_->nodes > 1 &&
-          state_->node_of[static_cast<std::size_t>(dest)] ==
-              state_->node_of[static_cast<std::size_t>(rank_)]) {
-        counters_->messages_intra += 1;
-        counters_->bytes_intra += payload.size();
-      }
       if (obs::RankObserver* o = obs::current()) {
         o->message_bytes.record(payload.size());
       }
@@ -317,20 +257,12 @@ class Comm {
   // ---- collectives ---------------------------------------------------
 
   /// Binomial-tree broadcast from `root`; non-root contents are replaced.
-  /// Under a node topology (node_count() > 1) the tree is split into a
-  /// root→leader hop, a binomial tree over the node leaders (inter tier),
-  /// and per-node binomial trees (intra tier) — bitwise-identical output,
-  /// fewer inter-node hops.
   template <typename T>
   void broadcast(std::vector<T>& data, int root) {
     const int p = size();
     proto_record(ProtoOp::kBroadcast, root, sizeof(T), 0);
     if (p == 1) return;
     const obs::CollectiveScope obs_scope(obs::Primitive::kBroadcast, *counters_);
-    if (hierarchical()) {
-      hier_broadcast(data, root);
-      return;
-    }
     const int vrank = virtual_rank(root);
     for (int mask = 1; mask < p; mask <<= 1) {
       if (vrank < mask) {
@@ -378,21 +310,12 @@ class Comm {
   }
 
   /// reduce-to-root followed by broadcast; result defined on all ranks.
-  /// Under a node topology: members combine onto their leader (intra),
-  /// leaders reduce+broadcast among themselves (inter), leaders fan the
-  /// result back out (intra). `op` must be associative and commutative —
-  /// the same contract reduce() already imposes — so the result is
-  /// bit-identical for the integer/bitwise/min-max ops the pipelines use.
   template <typename T, typename Op>
   void allreduce(std::vector<T>& data, Op op) {
     proto_record(ProtoOp::kAllreduce, 0, sizeof(T), data.size());
     // Outermost scope: the internal reduce + broadcast emit nested spans
     // but only this one books cost-model drift (obs/trace.hpp).
     const obs::CollectiveScope obs_scope(obs::Primitive::kAllreduce, *counters_);
-    if (hierarchical()) {
-      hier_allreduce(data, op);
-      return;
-    }
     reduce(data, op, 0);
     broadcast(data, 0);
   }
@@ -428,16 +351,12 @@ class Comm {
 
   /// Ring allgather of variable-length blocks; every rank returns all
   /// blocks in rank order. Bandwidth-optimal: p−1 rounds, each forwarding
-  /// the block received in the previous round. Under a node topology the
-  /// ring runs over node *leaders* carrying per-node aggregates, framed
-  /// by member-block lengths, with intra-node gather/redistribute stages
-  /// on either side — the returned blocks are bitwise identical.
+  /// the block received in the previous round.
   template <typename T>
   [[nodiscard]] std::vector<std::vector<T>> allgather_v(std::span<const T> mine) {
     const int p = size();
     proto_record(ProtoOp::kAllgather, 0, sizeof(T), 0);
     const obs::CollectiveScope obs_scope(obs::Primitive::kAllgather, *counters_);
-    if (hierarchical()) return hier_allgather_v(mine);
     std::vector<std::vector<T>> blocks(static_cast<std::size_t>(p));
     blocks[static_cast<std::size_t>(rank_)].assign(mine.begin(), mine.end());
     const int next = (rank_ + 1) % p;
@@ -477,7 +396,6 @@ class Comm {
     if (static_cast<int>(outgoing.size()) != p) {
       throw std::invalid_argument("bsp::Comm::alltoall_v: need one block per rank");
     }
-    if (hierarchical()) return hier_alltoall_v(outgoing);
     std::vector<std::vector<T>> incoming(static_cast<std::size_t>(p));
     incoming[static_cast<std::size_t>(rank_)] = outgoing[static_cast<std::size_t>(rank_)];
     // Pairwise-offset schedule spreads load across the "network".
@@ -499,342 +417,6 @@ class Comm {
   [[nodiscard]] Comm split(int color, int key);
 
  private:
-  // ---- hierarchical (two-tier) collective machinery ------------------
-  // Shapes: every hier_* stage is built from the same point-to-point
-  // sends as the flat collectives, so the cost counters see the real
-  // message structure; the intra/inter split falls out of send()'s
-  // node classification. All payload routing is order-preserving
-  // (mailboxes are FIFO per (source, tag)), and blocks are reassembled in
-  // world-rank order, so results are bitwise identical to the flat forms.
-
-  /// Leader rank of each node (node_members[q].front()), indexed by node.
-  [[nodiscard]] std::vector<int> node_leaders() const {
-    std::vector<int> leaders;
-    leaders.reserve(state_->node_members.size());
-    for (const auto& m : state_->node_members) leaders.push_back(m.front());
-    return leaders;
-  }
-
-  /// Index of `r` in the ascending rank list `group`.
-  [[nodiscard]] static int index_in(std::span<const int> group, int r) {
-    const auto it = std::lower_bound(group.begin(), group.end(), r);
-    return static_cast<int>(it - group.begin());
-  }
-
-  /// Binomial broadcast over an explicit rank group. Collective over
-  /// exactly the ranks in `group` (ascending); `me_idx`/`root_idx` are
-  /// indices into it. Non-root contents are replaced.
-  template <typename T>
-  void group_broadcast(std::span<const int> group, int me_idx, int root_idx,
-                       std::vector<T>& data, int tag) {
-    const int g = static_cast<int>(group.size());
-    const int v = (me_idx - root_idx + g) % g;
-    for (int mask = 1; mask < g; mask <<= 1) {
-      if (v < mask) {
-        const int partner = v + mask;
-        if (partner < g) {
-          send<T>(group[static_cast<std::size_t>((partner + root_idx) % g)], tag,
-                  std::span<const T>(data));
-        }
-      } else if (v < (mask << 1)) {
-        data = recv<T>(group[static_cast<std::size_t>((v - mask + root_idx) % g)], tag);
-      }
-    }
-  }
-
-  /// Binomial reduction over an explicit rank group; result defined on
-  /// the root member only (others have partially combined buffers).
-  template <typename T, typename Op>
-  void group_reduce(std::span<const int> group, int me_idx, int root_idx,
-                    std::vector<T>& data, Op op, int tag) {
-    const int g = static_cast<int>(group.size());
-    const int v = (me_idx - root_idx + g) % g;
-    int top = 1;
-    while (top < g) top <<= 1;
-    for (int mask = top >> 1; mask >= 1; mask >>= 1) {
-      if (v < mask) {
-        const int partner = v + mask;
-        if (partner < g) {
-          auto incoming =
-              recv<T>(group[static_cast<std::size_t>((partner + root_idx) % g)], tag);
-          combine_elementwise(data, incoming, op);
-        }
-      } else if (v < (mask << 1)) {
-        send<T>(group[static_cast<std::size_t>((v - mask + root_idx) % g)], tag,
-                std::span<const T>(data));
-        return;  // contributed; out of the tree
-      }
-    }
-  }
-
-  /// Two-tier broadcast: root→leader hop, leader tree, per-node trees.
-  template <typename T>
-  void hier_broadcast(std::vector<T>& data, int root) {
-    const int rnode = node_of(root);
-    const int rleader = state_->node_members[static_cast<std::size_t>(rnode)].front();
-    if (root != rleader) {
-      if (rank_ == root) {
-        send<T>(rleader, kTagHierBcast, std::span<const T>(data));
-      } else if (rank_ == rleader) {
-        data = recv<T>(root, kTagHierBcast);
-      }
-    }
-    const std::vector<int> leaders = node_leaders();
-    const auto& members = state_->node_members[static_cast<std::size_t>(my_node())];
-    if (rank_ == members.front()) {
-      group_broadcast<T>(leaders, my_node(), rnode, data, kTagHierBcast);
-    }
-    group_broadcast<T>(members, index_in(members, rank_), 0, data, kTagHierDown);
-  }
-
-  /// Two-tier allreduce: member→leader combine (ascending member order),
-  /// leader reduce+broadcast, leader→member fan-out.
-  template <typename T, typename Op>
-  void hier_allreduce(std::vector<T>& data, Op op) {
-    const auto& members = state_->node_members[static_cast<std::size_t>(my_node())];
-    const int leader = members.front();
-    if (rank_ == leader) {
-      for (std::size_t i = 1; i < members.size(); ++i) {
-        auto incoming = recv<T>(members[i], kTagHierReduce);
-        combine_elementwise(data, incoming, op);
-      }
-      const std::vector<int> leaders = node_leaders();
-      group_reduce<T>(leaders, my_node(), 0, data, op, kTagHierReduce);
-      group_broadcast<T>(leaders, my_node(), 0, data, kTagHierBcast);
-    } else {
-      send<T>(leader, kTagHierReduce, std::span<const T>(data));
-    }
-    group_broadcast<T>(members, index_in(members, rank_), 0, data, kTagHierDown);
-  }
-
-  /// Two-tier allgather_v: intra gather onto leaders, leader ring over
-  /// per-node aggregates (lengths frame + payload frame per hop), intra
-  /// redistribution of the assembled result.
-  template <typename T>
-  [[nodiscard]] std::vector<std::vector<T>> hier_allgather_v(std::span<const T> mine) {
-    const int p = size();
-    const int nn = state_->nodes;
-    const auto& members = state_->node_members[static_cast<std::size_t>(my_node())];
-    const int leader = members.front();
-    std::vector<std::vector<T>> blocks(static_cast<std::size_t>(p));
-
-    auto unpack = [&](const std::vector<std::uint64_t>& lengths,
-                      const std::vector<T>& payload) {
-      std::size_t off = 0;
-      for (int r = 0; r < p; ++r) {
-        const auto len = static_cast<std::size_t>(lengths[static_cast<std::size_t>(r)]);
-        blocks[static_cast<std::size_t>(r)].assign(payload.begin() + off,
-                                                   payload.begin() + off + len);
-        off += len;
-      }
-    };
-
-    if (rank_ != leader) {
-      send<T>(leader, kTagHierAllgather, mine);
-      const auto lengths = recv<std::uint64_t>(leader, kTagHierDown);
-      const auto payload = recv<T>(leader, kTagHierDown);
-      unpack(lengths, payload);
-      return blocks;
-    }
-
-    // Leader: node aggregate = member lengths + concatenated payload,
-    // members ascending (leader first).
-    std::vector<std::vector<std::uint64_t>> agg_len(static_cast<std::size_t>(nn));
-    std::vector<std::vector<T>> agg_pay(static_cast<std::size_t>(nn));
-    {
-      auto& len = agg_len[static_cast<std::size_t>(my_node())];
-      auto& pay = agg_pay[static_cast<std::size_t>(my_node())];
-      len.push_back(mine.size());
-      pay.assign(mine.begin(), mine.end());
-      for (std::size_t i = 1; i < members.size(); ++i) {
-        auto blk = recv<T>(members[i], kTagHierAllgather);
-        len.push_back(blk.size());
-        pay.insert(pay.end(), blk.begin(), blk.end());
-      }
-    }
-
-    // Inter ring over leaders, forwarding node aggregates (nn−1 rounds).
-    const std::vector<int> leaders = node_leaders();
-    const int me = my_node();
-    const int next = leaders[static_cast<std::size_t>((me + 1) % nn)];
-    const int prev = leaders[static_cast<std::size_t>((me + nn - 1) % nn)];
-    int forwarding = me;
-    for (int step = 0; step + 1 < nn; ++step) {
-      send<std::uint64_t>(next, kTagHierAllgather,
-                          std::span<const std::uint64_t>(
-                              agg_len[static_cast<std::size_t>(forwarding)]));
-      send<T>(next, kTagHierAllgather,
-              std::span<const T>(agg_pay[static_cast<std::size_t>(forwarding)]));
-      const int incoming = (me + nn - 1 - step) % nn;
-      agg_len[static_cast<std::size_t>(incoming)] =
-          recv<std::uint64_t>(prev, kTagHierAllgather);
-      agg_pay[static_cast<std::size_t>(incoming)] = recv<T>(prev, kTagHierAllgather);
-      forwarding = incoming;
-    }
-
-    // Reassemble in world-rank order and fan out to members as one
-    // (lengths, payload) pair each.
-    std::vector<std::uint64_t> flat_len(static_cast<std::size_t>(p), 0);
-    for (int q = 0; q < nn; ++q) {
-      const auto& qm = state_->node_members[static_cast<std::size_t>(q)];
-      std::size_t off = 0;
-      for (std::size_t i = 0; i < qm.size(); ++i) {
-        const auto len = static_cast<std::size_t>(agg_len[static_cast<std::size_t>(q)][i]);
-        const auto& pay = agg_pay[static_cast<std::size_t>(q)];
-        blocks[static_cast<std::size_t>(qm[i])].assign(pay.begin() + off,
-                                                       pay.begin() + off + len);
-        flat_len[static_cast<std::size_t>(qm[i])] = len;
-        off += len;
-      }
-    }
-    std::vector<T> flat_pay;
-    for (const auto& b : blocks) flat_pay.insert(flat_pay.end(), b.begin(), b.end());
-    for (std::size_t i = 1; i < members.size(); ++i) {
-      send<std::uint64_t>(members[i], kTagHierDown,
-                          std::span<const std::uint64_t>(flat_len));
-      send<T>(members[i], kTagHierDown, std::span<const T>(flat_pay));
-    }
-    return blocks;
-  }
-
-  /// Two-tier alltoall_v: same-node pairs exchange directly (intra);
-  /// remote blocks relay member→leader, one dst-major framed message per
-  /// (source node, destination node) leader pair, then leader→member.
-  template <typename T>
-  [[nodiscard]] std::vector<std::vector<T>> hier_alltoall_v(
-      const std::vector<std::vector<T>>& outgoing) {
-    const int p = size();
-    const int nn = state_->nodes;
-    const int mynode = my_node();
-    const auto& members = state_->node_members[static_cast<std::size_t>(mynode)];
-    const int m = static_cast<int>(members.size());
-    const int my_idx = index_in(members, rank_);
-    const int leader = members.front();
-    std::vector<std::vector<T>> incoming(static_cast<std::size_t>(p));
-    incoming[static_cast<std::size_t>(rank_)] = outgoing[static_cast<std::size_t>(rank_)];
-
-    // Same-node pairs: pairwise-offset exchange, as in the flat schedule.
-    for (int off = 1; off < m; ++off) {
-      const int dest = members[static_cast<std::size_t>((my_idx + off) % m)];
-      send<T>(dest, kTagAlltoall, std::span<const T>(outgoing[static_cast<std::size_t>(dest)]));
-    }
-    for (int off = 1; off < m; ++off) {
-      const int src = members[static_cast<std::size_t>((my_idx + m - off) % m)];
-      incoming[static_cast<std::size_t>(src)] = recv<T>(src, kTagAlltoall);
-    }
-
-    if (rank_ != leader) {
-      // Up: per remote node q ascending, my blocks for q's ranks as one
-      // (lengths, payload) chunk. FIFO per (rank, tag) keeps the q order.
-      for (int q = 0; q < nn; ++q) {
-        if (q == mynode) continue;
-        const auto& qm = state_->node_members[static_cast<std::size_t>(q)];
-        std::vector<std::uint64_t> len;
-        std::vector<T> pay;
-        len.reserve(qm.size());
-        for (int dst : qm) {
-          const auto& blk = outgoing[static_cast<std::size_t>(dst)];
-          len.push_back(blk.size());
-          pay.insert(pay.end(), blk.begin(), blk.end());
-        }
-        send<std::uint64_t>(leader, kTagHierAlltoall, std::span<const std::uint64_t>(len));
-        send<T>(leader, kTagHierAlltoall, std::span<const T>(pay));
-      }
-      // Down: per remote node q ascending, the blocks from q's ranks
-      // addressed to me, framed by source-member lengths.
-      for (int q = 0; q < nn; ++q) {
-        if (q == mynode) continue;
-        const auto& qm = state_->node_members[static_cast<std::size_t>(q)];
-        const auto len = recv<std::uint64_t>(leader, kTagHierDown);
-        const auto pay = recv<T>(leader, kTagHierDown);
-        std::size_t off = 0;
-        for (std::size_t i = 0; i < qm.size(); ++i) {
-          const auto l = static_cast<std::size_t>(len[i]);
-          incoming[static_cast<std::size_t>(qm[i])].assign(pay.begin() + off,
-                                                           pay.begin() + off + l);
-          off += l;
-        }
-      }
-      return incoming;
-    }
-
-    // Leader. For each remote node q: absorb every member's chunk for q,
-    // assemble one dst-major frame — for each dst member of q (asc), the
-    // blocks from this node's members (asc) — and ship it to q's leader.
-    const std::vector<int> leaders = node_leaders();
-    for (int q = 0; q < nn; ++q) {
-      if (q == mynode) continue;
-      const auto& qm = state_->node_members[static_cast<std::size_t>(q)];
-      const auto md = static_cast<std::size_t>(qm.size());
-      // chunk_len[i][j] / payload of member i: blocks for q's dst j.
-      std::vector<std::vector<std::uint64_t>> chunk_len(static_cast<std::size_t>(m));
-      std::vector<std::vector<T>> chunk_pay(static_cast<std::size_t>(m));
-      chunk_len[0].reserve(md);
-      for (int dst : qm) {
-        const auto& blk = outgoing[static_cast<std::size_t>(dst)];
-        chunk_len[0].push_back(blk.size());
-        chunk_pay[0].insert(chunk_pay[0].end(), blk.begin(), blk.end());
-      }
-      for (int i = 1; i < m; ++i) {
-        chunk_len[static_cast<std::size_t>(i)] =
-            recv<std::uint64_t>(members[static_cast<std::size_t>(i)], kTagHierAlltoall);
-        chunk_pay[static_cast<std::size_t>(i)] =
-            recv<T>(members[static_cast<std::size_t>(i)], kTagHierAlltoall);
-      }
-      std::vector<std::uint64_t> flen;
-      std::vector<T> fpay;
-      flen.reserve(md * static_cast<std::size_t>(m));
-      std::vector<std::size_t> cursor(static_cast<std::size_t>(m), 0);
-      for (std::size_t j = 0; j < md; ++j) {
-        for (int i = 0; i < m; ++i) {
-          const auto l = static_cast<std::size_t>(chunk_len[static_cast<std::size_t>(i)][j]);
-          flen.push_back(l);
-          const auto& pay = chunk_pay[static_cast<std::size_t>(i)];
-          fpay.insert(fpay.end(), pay.begin() + cursor[static_cast<std::size_t>(i)],
-                      pay.begin() + cursor[static_cast<std::size_t>(i)] + l);
-          cursor[static_cast<std::size_t>(i)] += l;
-        }
-      }
-      send<std::uint64_t>(leaders[static_cast<std::size_t>(q)], kTagHierAlltoall,
-                          std::span<const std::uint64_t>(flen));
-      send<T>(leaders[static_cast<std::size_t>(q)], kTagHierAlltoall,
-              std::span<const T>(fpay));
-    }
-
-    // Receive one frame per remote node and redistribute: dst member j of
-    // my node gets the source-member lengths row + contiguous payload.
-    for (int q = 0; q < nn; ++q) {
-      if (q == mynode) continue;
-      const auto& qm = state_->node_members[static_cast<std::size_t>(q)];
-      const auto ms = static_cast<std::size_t>(qm.size());
-      const auto flen =
-          recv<std::uint64_t>(leaders[static_cast<std::size_t>(q)], kTagHierAlltoall);
-      const auto fpay = recv<T>(leaders[static_cast<std::size_t>(q)], kTagHierAlltoall);
-      std::size_t off = 0;
-      for (int j = 0; j < m; ++j) {
-        const std::size_t row = static_cast<std::size_t>(j) * ms;
-        std::size_t seg = 0;
-        for (std::size_t i = 0; i < ms; ++i) seg += static_cast<std::size_t>(flen[row + i]);
-        if (j == 0) {
-          std::size_t o = off;
-          for (std::size_t i = 0; i < ms; ++i) {
-            const auto l = static_cast<std::size_t>(flen[row + i]);
-            incoming[static_cast<std::size_t>(qm[i])].assign(fpay.begin() + o,
-                                                             fpay.begin() + o + l);
-            o += l;
-          }
-        } else {
-          send<std::uint64_t>(members[static_cast<std::size_t>(j)], kTagHierDown,
-                              std::span<const std::uint64_t>(flen.data() + row, ms));
-          send<T>(members[static_cast<std::size_t>(j)], kTagHierDown,
-                  std::span<const T>(fpay.data() + off, seg));
-        }
-        off += seg;
-      }
-    }
-    return incoming;
-  }
-
   [[nodiscard]] int virtual_rank(int root) const noexcept {
     return (rank_ - root + size()) % size();
   }

@@ -68,7 +68,6 @@ std::vector<CostCounters> Runtime::run(int nranks, const std::function<void(Comm
   auto state = std::make_shared<detail::SharedState>(nranks);
   state->watchdog = effective_watchdog(options.watchdog);
   state->fault_plan = options.fault_plan;
-  if (options.nodes > 1) state->set_node_topology(options.nodes);
   if (effective_verify_protocol(options.verify_protocol)) {
     state->verify_protocol = true;
     state->ledgers.resize(static_cast<std::size_t>(nranks));

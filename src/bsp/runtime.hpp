@@ -52,13 +52,6 @@ struct RuntimeOptions {
   /// results, only adds the checks.
   bool verify_protocol = false;
 
-  /// Simulated node count for the hierarchical two-tier collectives:
-  /// ranks are grouped into `nodes` contiguous blocks (comm.hpp), sends
-  /// inside a block are costed on the intra tier, and broadcast /
-  /// allreduce / allgather_v / alltoall_v run as intra+inter stages.
-  /// 1 (the default) keeps the flat single-tier collectives.
-  int nodes = 1;
-
   /// Span/metric collection (obs/trace.hpp): each rank thread is bound
   /// to observer->rank(r) for the duration of the run, and on abort the
   /// failure message plus the blocked-site snapshot are noted into the

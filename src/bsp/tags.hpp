@@ -28,11 +28,7 @@ inline constexpr int kSummaTransposeBase = 200;
 // 300–309: 1-D ring A^T·A — the rotating panel hop.
 inline constexpr int kSpgemmRing = 300;
 
-// -- distmat/dist_filter.cpp -------------------------------------------
-// 310–319: hierarchical pairwise-union stages of the zero-row filter.
-inline constexpr int kPairUnionUp = 310;     ///< member → node leader
-inline constexpr int kPairUnionDown = 311;   ///< node leader → member
-inline constexpr int kPairUnionLeader = 312; ///< leader ↔ leader ring
+// 310–319: free.
 
 // -- sketch/exchange.cpp -----------------------------------------------
 // 320–329: sketch-panel ring of the distributed estimator exchange.

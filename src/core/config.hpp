@@ -14,8 +14,6 @@
 //                     bench/ledger/perf_ledger.cpp (its kernel probe packs
 //                     with compress_filter; --dense-crossover and the
 //                     --sensitivity run pin the sparse/dense crossover)
-//   topology          nodes — the simulated two-tier machine, gated by
-//                     bench/comm_model_validation section e
 //   estimator         estimator and the sketch / hybrid / LSH parameters
 //                     below it — the approximate pipelines, measured by
 //                     bench/minhash_accuracy and the perf ledger
@@ -108,17 +106,6 @@ struct Config {
   /// raw 8-byte row indices. Identical filter contents either way;
   /// disabling reproduces the raw-index byte floor for the ablation benches.
   bool compress_filter = true;
-
-  // ---- simulated topology (comm_model_validation section e) -----------
-
-  /// Simulated node count for the hierarchical collectives: ranks are
-  /// grouped into `nodes` contiguous blocks, each with a leader rank, and
-  /// broadcast / allreduce / allgather_v / alltoall_v run as intra-node +
-  /// inter-node stages costed against the two-tier (α,β) machine model
-  /// (bsp/cost_model.hpp). 1 (the default) keeps the flat single-tier
-  /// collectives and their exact message counts. Results are bitwise
-  /// identical for any value (enforced by tests).
-  int nodes = 1;
 
   // ---- estimator parameters -------------------------------------------
 

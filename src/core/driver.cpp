@@ -1008,7 +1008,6 @@ Result similarity_at_scale_threaded(int nranks, const SampleSource& source,
   bsp::RuntimeOptions options;
   options.watchdog = std::chrono::milliseconds(config.watchdog_ms);
   options.observer = observer;
-  options.nodes = config.nodes;
   options.verify_protocol = config.verify_protocol;
   if (!config.fault_plan.empty()) {
     options.fault_plan =

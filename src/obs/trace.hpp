@@ -61,11 +61,6 @@ struct SpanEvent {
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t messages = 0;
-  /// Same-node (intra-tier) subset of bytes_sent/messages under a node
-  /// topology; zero on flat runs (bsp/cost_model.hpp). Inter-tier traffic
-  /// is the difference.
-  std::uint64_t bytes_intra = 0;
-  std::uint64_t messages_intra = 0;
   std::int64_t batch = -1;       ///< ambient batch index, -1 outside batches
   double predicted_s = -1.0;     ///< α-β prediction; < 0 when not recorded
 };
@@ -351,8 +346,6 @@ class CollectiveScope {
     sent0_ = counters.bytes_sent;
     recv0_ = counters.bytes_received;
     msgs0_ = counters.messages_sent;
-    sent_intra0_ = counters.bytes_intra;
-    msgs_intra0_ = counters.messages_intra;
     outermost_ = obs_->collective_depth == 0;
     ++obs_->collective_depth;
     ++obs_->open_depth;
@@ -369,14 +362,10 @@ class CollectiveScope {
     ev.bytes_sent = counters_->bytes_sent - sent0_;
     ev.bytes_received = counters_->bytes_received - recv0_;
     ev.messages = counters_->messages_sent - msgs0_;
-    ev.bytes_intra = counters_->bytes_intra - sent_intra0_;
-    ev.messages_intra = counters_->messages_intra - msgs_intra0_;
     ev.batch = obs_->current_batch;
     if (outermost_) {
-      // Two-tier prediction: the intra deltas are zero on flat runs, so
-      // this reduces exactly to the single-tier α-β formula there.
-      const double predicted = obs_->machine().predicted_seconds(
-          ev.messages, ev.bytes_sent, ev.messages_intra, ev.bytes_intra);
+      const double predicted =
+          obs_->machine().predicted_seconds(ev.messages, ev.bytes_sent);
       ev.predicted_s = predicted;
       DriftCell& cell = obs_->drift_[static_cast<std::size_t>(prim_)];
       ++cell.samples;
@@ -398,8 +387,6 @@ class CollectiveScope {
   std::uint64_t sent0_ = 0;
   std::uint64_t recv0_ = 0;
   std::uint64_t msgs0_ = 0;
-  std::uint64_t sent_intra0_ = 0;
-  std::uint64_t msgs_intra0_ = 0;
   bool outermost_ = false;
 };
 

@@ -1,5 +1,7 @@
 #include "util/args.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 #include "util/parse.hpp"
 
@@ -61,9 +63,24 @@ double ArgParser::get_double(const std::string& name, double fallback) const {
 bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   const auto it = named_.find(name);
   if (it == named_.end()) return fallback;
-  if (it->second.empty()) return true;  // bare --flag
-  return it->second == "1" || it->second == "true" || it->second == "yes" ||
-         it->second == "on";
+  const std::string& v = it->second;
+  if (v.empty()) return true;  // bare --flag
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  throw error::ConfigError("--" + name +
+                           ": expected 1/0, true/false, yes/no or on/off, got '" + v +
+                           "' (a bare flag takes the next argument as its value)");
+}
+
+std::vector<std::string> ArgParser::unknown(
+    std::initializer_list<std::string_view> accepted) const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : named_) {
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      out.push_back(key);
+    }
+  }
+  return out;
 }
 
 }  // namespace sas

@@ -137,16 +137,23 @@ TEST_P(Collectives, AllgatherVariableSizes) {
 TEST_P(Collectives, AlltoallvRoutesEveryBlock) {
   const int p = GetParam();
   Runtime::run(p, [p](Comm& comm) {
-    // Block for rank d holds the single value 1000*src + d.
+    // Block (src, d) holds (src + d) % 3 copies of 1000*src + d: sizes
+    // vary per pair and a third of the blocks are empty, so both routing
+    // and block framing are checked.
+    const auto block_size = [](int src, int d) {
+      return static_cast<std::size_t>((src + d) % 3);
+    };
     std::vector<std::vector<std::int64_t>> outgoing(static_cast<std::size_t>(p));
     for (int d = 0; d < p; ++d) {
-      outgoing[static_cast<std::size_t>(d)] = {1000LL * comm.rank() + d};
+      outgoing[static_cast<std::size_t>(d)].assign(block_size(comm.rank(), d),
+                                                   1000LL * comm.rank() + d);
     }
     const auto incoming = comm.alltoall_v(outgoing);
     ASSERT_EQ(incoming.size(), static_cast<std::size_t>(p));
     for (int src = 0; src < p; ++src) {
-      ASSERT_EQ(incoming[static_cast<std::size_t>(src)].size(), 1u);
-      EXPECT_EQ(incoming[static_cast<std::size_t>(src)][0], 1000LL * src + comm.rank());
+      const auto& block = incoming[static_cast<std::size_t>(src)];
+      ASSERT_EQ(block.size(), block_size(src, comm.rank()));
+      for (auto v : block) EXPECT_EQ(v, 1000LL * src + comm.rank());
     }
   });
 }
@@ -177,6 +184,13 @@ TEST_P(Collectives, CostCountersTrackBytes) {
   }
   const auto summary = CostSummary::aggregate(counters);
   EXPECT_EQ(summary.total_messages, p > 1 ? static_cast<std::uint64_t>(p) : 0u);
+  // The α-β price of what one rank moved: m·α + b·β, and a rank that
+  // sent nothing (p = 1) still pays one α of synchronization.
+  const BspMachine machine{5e-6, 5e-10, 1e-9};
+  const CostCounters& c = counters.front();
+  EXPECT_DOUBLE_EQ(machine.predicted_seconds(c.messages_sent, c.bytes_sent),
+                   p > 1 ? 5e-6 + 80 * 5e-10 : 5e-6);
+  EXPECT_DOUBLE_EQ(machine.predicted_seconds(10, 4096), 10 * 5e-6 + 4096 * 5e-10);
 }
 
 TEST_P(Collectives, SplitGroupsByColorAndOrdersByKey) {

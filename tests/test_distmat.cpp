@@ -126,9 +126,13 @@ TEST_P(FilterTest, UnionMatchesSerialSetUnion) {
   const std::int64_t universe = 500;
   // Rank r contributes multiples of (r+2) < universe, with duplicates.
   std::set<std::int64_t> expected;
+  std::set<std::uint64_t> pair_set;
   for (int r = 0; r < p; ++r) {
     for (std::int64_t v = 0; v < universe; v += r + 2) expected.insert(v);
+    for (std::int64_t v = 0; v < universe; v += r + 3) pair_set.insert(v);
   }
+  pair_set.insert(expected.begin(), expected.end());
+  const std::vector<std::uint64_t> pair_keys(pair_set.begin(), pair_set.end());
   bsp::Runtime::run(p, [&](bsp::Comm& comm) {
     std::vector<std::int64_t> mine;
     for (std::int64_t v = 0; v < universe; v += comm.rank() + 2) {
@@ -138,6 +142,14 @@ TEST_P(FilterTest, UnionMatchesSerialSetUnion) {
     const auto got = distributed_index_union(comm, mine, universe);
     const std::vector<std::int64_t> want(expected.begin(), expected.end());
     EXPECT_EQ(got, want);
+    // The candidate-pair union takes the same inputs as unsorted packed
+    // keys: each rank's list overlaps its neighbours' and repeats keys.
+    std::vector<std::uint64_t> keys(mine.rbegin(), mine.rend());
+    for (std::int64_t v = 0; v < universe; v += comm.rank() + 3) {
+      keys.push_back(static_cast<std::uint64_t>(v));
+    }
+    const auto pairs = allreduce_pair_union(comm, std::move(keys));
+    EXPECT_EQ(pairs, pair_keys);
   });
 }
 

@@ -410,6 +410,25 @@ TEST_F(GasCli, UsageErrorsExitWithConfigCode) {
   EXPECT_EQ(run_command(dist("--quarantine-manifest " + (dir_ / "q.json").string()))
                 .exit_code,
             2);  // no --quarantine
+  // A flag the subcommand does not read is an error naming it, not a
+  // silent default: deleted options and typos alike.
+  for (const char* flag : {"--nodes 2", "--no-numa", "--dense-output", "--batchs 3"}) {
+    const auto result = run_command(dist(flag));
+    EXPECT_EQ(result.exit_code, 2) << flag << "\n" << result.output;
+    const std::string name = std::string(flag).substr(0, std::string(flag).find(' '));
+    EXPECT_NE(result.output.find("unknown option " + name), std::string::npos)
+        << result.output;
+  }
+  const auto tree =
+      run_command(bin_ + " tree " + (dir_ / "d.phylip").string() + " --methd nj");
+  EXPECT_EQ(tree.exit_code, 2) << tree.output;
+  EXPECT_NE(tree.output.find("unknown option --methd"), std::string::npos) << tree.output;
+  // A bare boolean flag before the paths would read the first path as its
+  // value; that is rejected, not run with the filter on and a sample lost.
+  const auto swallowed =
+      run_command(bin_ + " dist --no-filter" + samples_ + " --k 11 --ranks 2");
+  EXPECT_EQ(swallowed.exit_code, 2) << swallowed.output;
+  EXPECT_NE(swallowed.output.find("--no-filter"), std::string::npos) << swallowed.output;
 }
 
 TEST_F(GasCli, OutOfRangeDistValuesExitWithConfigCode) {

@@ -188,10 +188,10 @@ TEST(Table, Formatters) {
 }
 
 TEST(Args, ParsesNamedPositionalAndFlags) {
-  const char* argv[] = {"prog",   "--nodes", "32",   "input.fa", "--batches=64",
+  const char* argv[] = {"prog",   "--ranks", "32",   "input.fa", "--batches=64",
                         "--verbose", "--ratio", "0.5"};
   const ArgParser args(8, argv);
-  EXPECT_EQ(args.get_int("nodes", 0), 32);
+  EXPECT_EQ(args.get_int("ranks", 0), 32);
   EXPECT_EQ(args.get_int("batches", 0), 64);
   EXPECT_TRUE(args.get_bool("verbose", false));
   EXPECT_DOUBLE_EQ(args.get_double("ratio", 0.0), 0.5);
@@ -223,6 +223,35 @@ TEST(Args, NumericGettersRejectJunk) {
   } catch (const error::ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("--batches"), std::string::npos) << e.what();
   }
+}
+
+TEST(Args, BoolGetterRejectsNonBooleanValues) {
+  const char* argv[] = {"prog",   "--no-filter", "s0.kmers", "s1.kmers", "--resume",
+                        "0",      "--quarantine=off", "--fastq", "yes",  "--bare"};
+  const ArgParser args(10, argv);
+  // A bare flag written before a path reads the path as its value: that
+  // must fail loudly, not turn the flag off and drop the path.
+  EXPECT_THROW((void)args.get_bool("no-filter", false), error::ConfigError);
+  try {
+    (void)args.get_bool("no-filter", false);
+  } catch (const error::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--no-filter"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("s0.kmers"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(args.get_bool("resume", true));
+  EXPECT_FALSE(args.get_bool("quarantine", true));
+  EXPECT_TRUE(args.get_bool("fastq", false));
+  EXPECT_TRUE(args.get_bool("bare", false));
+  EXPECT_TRUE(args.get_bool("missing", true));
+  EXPECT_FALSE(args.get_bool("missing", false));
+}
+
+TEST(Args, UnknownListsFlagsOutsideTheAcceptedSet) {
+  const char* argv[] = {"prog", "--batchs", "3", "--k", "21", "x.kmers", "--nodes=2"};
+  const ArgParser args(7, argv);
+  EXPECT_EQ(args.unknown({"k", "batches"}),
+            (std::vector<std::string>{"batchs", "nodes"}));
+  EXPECT_TRUE(args.unknown({"k", "batchs", "nodes"}).empty());
 }
 
 TEST(Timer, MeasuresElapsedTime) {

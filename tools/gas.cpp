@@ -35,8 +35,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -74,7 +76,6 @@ int usage() {
                "           [--sparse-similarity-out out.sasp]\n"
                "           [--top N | --threshold J] [--algorithm summa|ring|serial]\n"
                "           [--replication 1] [--bits 64] [--no-filter]\n"
-               "           [--nodes 1]\n"
                "           [--estimator exact|hll|minhash|bottomk|hybrid]\n"
                "           [--sketch-size 1024] [--hll-precision 12]\n"
                "           [--minhash-bits 16] [--sketch-seed 1445]\n"
@@ -124,10 +125,6 @@ int usage() {
                "                     ledger entries named (exit code 6). Also armed\n"
                "                     by the SAS_VERIFY_PROTOCOL env var (CI does);\n"
                "                     results are unchanged, checks only\n"
-               "raw-speed knobs (gas dist):\n"
-               "  --nodes N          simulate N nodes: hierarchical two-tier\n"
-               "                     collectives (bitwise-identical results) with\n"
-               "                     intra/inter traffic costed separately\n"
                "exit codes: 0 ok, 1 generic error, 2 bad config/usage,\n"
                "            3 corrupt input, 4 rank failure, 5 watchdog timeout,\n"
                "            6 protocol violation (--verify-protocol),\n"
@@ -146,6 +143,18 @@ int usage() {
                "                     histograms, and per-primitive cost-model drift\n"
                "                     (alpha-beta predicted vs measured seconds)\n");
   return 2;
+}
+
+/// True when every `--flag` in `args` is one that `command` reads;
+/// otherwise names each other flag (a typo such as --batchs would
+/// silently run with the default) so the caller can exit via usage().
+bool only_known_flags(const ArgParser& args, const char* command,
+                      std::initializer_list<std::string_view> accepted) {
+  const std::vector<std::string> unknown = args.unknown(accepted);
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "gas %s: unknown option --%s\n", command, name.c_str());
+  }
+  return unknown.empty();
 }
 
 std::string stem_of(const std::string& path) {
@@ -194,6 +203,12 @@ bool parse_sketch_params(const ArgParser& args, core::Config& core) {
 }
 
 int cmd_sketch(const ArgParser& args) {
+  if (!only_known_flags(args, "sketch",
+                        {"k", "min-count", "auto-threshold", "fastq", "out-dir",
+                         "estimator", "sketch-size", "hll-precision", "minhash-bits",
+                         "sketch-seed"})) {
+    return usage();
+  }
   if (args.positional().size() < 2) return usage();
   const int k = static_cast<int>(args.get_int("k", 31));
   const bool fastq = args.get_bool("fastq", false);
@@ -251,6 +266,18 @@ int cmd_sketch(const ArgParser& args) {
 }
 
 int cmd_dist(const ArgParser& args) {
+  if (!only_known_flags(
+          args, "dist",
+          {"k", "ranks", "batches", "phylip", "similarity-out", "tsv",
+           "sparse-similarity-out", "top", "threshold", "algorithm", "replication",
+           "bits", "no-filter", "estimator", "sketch-size", "hll-precision",
+           "minhash-bits", "sketch-seed", "hybrid-sketch", "prune-threshold",
+           "prune-slack", "candidate-mode", "lsh-bands", "checkpoint", "resume",
+           "watchdog-ms", "fault-plan", "verify-protocol", "max-retries",
+           "retry-backoff-ms", "quarantine", "quarantine-manifest", "mem-budget-mb",
+           "trace-out", "report-json"})) {
+    return usage();
+  }
   if (args.positional().size() < 3) {
     std::fprintf(stderr, "gas dist: need at least two sample files\n");
     return 2;
@@ -263,13 +290,6 @@ int cmd_dist(const ArgParser& args) {
   options.core.bit_width = static_cast<int>(args.get_int("bits", 64));
   options.core.replication = static_cast<int>(args.get_int("replication", 1));
   options.core.use_zero_row_filter = !args.get_bool("no-filter", false);
-  // Two-tier topology: group ranks into simulated nodes so the
-  // collectives run hierarchically and traffic is costed per tier.
-  options.core.nodes = static_cast<int>(args.get_int("nodes", 1));
-  if (options.core.nodes < 1) {
-    std::fprintf(stderr, "gas dist: --nodes must be >= 1\n");
-    return 2;
-  }
   const std::string algorithm = args.get_string("algorithm", "summa");
   if (algorithm == "ring") {
     options.core.algorithm = core::Algorithm::kRing1D;
@@ -509,6 +529,7 @@ int cmd_dist(const ArgParser& args) {
 }
 
 int cmd_tree(const ArgParser& args) {
+  if (!only_known_flags(args, "tree", {"method", "out"})) return usage();
   if (args.positional().size() != 2) return usage();
   std::ifstream in(args.positional()[1]);
   if (!in) {
@@ -538,6 +559,11 @@ int cmd_tree(const ArgParser& args) {
 }
 
 int cmd_simulate(const ArgParser& args) {
+  if (!only_known_flags(args, "simulate",
+                        {"samples", "length", "rate", "reads", "coverage", "error",
+                         "seed", "out-dir"})) {
+    return usage();
+  }
   const auto n_samples = args.get_int("samples", 8);
   const auto length = args.get_int("length", 20000);
   const double rate = args.get_double("rate", 0.01);
