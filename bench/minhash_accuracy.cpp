@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
   for (std::int64_t i = 0; i < fn; ++i) {
     for (std::int64_t j = i + 1; j < fn; ++j) {
       const double truth = family_exact.result.similarity.similarity(i, j);
-      const bool kept = hybrid.result.candidates.test(i, j);
+      const bool kept = hybrid.result.sparse_similarity.is_survivor(i, j);
       if (truth >= hybrid_cfg.prune_threshold + slack) {
         ++must_survive;
         if (!kept) ++recall_violations;
@@ -403,7 +403,7 @@ int main(int argc, char** argv) {
   std::int64_t mf_parity_violations = 0;
   for (std::int64_t i = 0; i < mfn; ++i) {
     for (std::int64_t j = i + 1; j < mfn; ++j) {
-      if (!mf_hybrid.result.candidates.test(i, j)) continue;
+      if (!mf_hybrid.result.sparse_similarity.is_survivor(i, j)) continue;
       if (mf_hybrid.result.similarity_at(i, j) !=
           mf_exact.result.similarity.similarity(i, j)) {
         ++mf_parity_violations;
@@ -503,11 +503,11 @@ int main(int argc, char** argv) {
            std::to_string(lsh_must_survive);
   };
   TextTable lsh_table({"candidate pass", "plan", "pairs kept", "recall@J>=thr+slack",
-                       "mask", "pass bytes", "vs all-pairs", "gate"});
+                       "pass bytes", "vs all-pairs", "gate"});
   lsh_table.add_row(
       {"all-pairs allgather", "-",
        std::to_string((all_pairs_run.pass.mask.count() - ln) / 2),
-       fmt_recall(allpairs_recall_misses), "dense",
+       fmt_recall(allpairs_recall_misses),
        std::to_string(all_pairs_run.cost.total_bytes), "1.00x", "-"});
   lsh_table.add_row(
       {"lsh-banded",
@@ -515,7 +515,6 @@ int main(int argc, char** argv) {
            " R=" + std::to_string(lsh_run.pass.plan.rows_per_band),
        std::to_string((lsh_run.pass.mask.count() - ln) / 2),
        fmt_recall(lsh_recall_misses),
-       lsh_run.pass.mask.is_sparse() ? "sparse" : "dense",
        std::to_string(lsh_run.cost.total_bytes),
        fmt_fixed(static_cast<double>(lsh_run.cost.total_bytes) /
                      static_cast<double>(all_pairs_run.cost.total_bytes),

@@ -264,9 +264,9 @@ std::uint64_t checkpoint_fingerprint(const Config& config, std::int64_t n,
   mix(config.sketch_seed);
   mix(static_cast<std::uint64_t>(config.hybrid_sketch));
   mix(std::bit_cast<std::uint64_t>(config.prune_threshold));
-  mix(std::bit_cast<std::uint64_t>(config.prune_slack));
+  mix(std::bit_cast<std::uint64_t>(-1.0));  // default of the retired prune_slack
   mix(static_cast<std::uint64_t>(config.candidate_mode));
-  mix(static_cast<std::uint64_t>(config.lsh_bands));
+  mix(std::uint64_t{0});  // default of the retired lsh_bands
   return h;
 }
 

@@ -135,14 +135,10 @@ struct Config {
 
   /// Candidate threshold of the hybrid: pairs with estimated Jaccard
   /// Ĵ ≥ prune_threshold − slack survive into the exact rescore pass;
-  /// the rest are reported at their sketch estimate.
+  /// the rest are reported at their sketch estimate. The slack guards
+  /// recall against sketch estimation error: it is the chosen sketch's
+  /// documented mean-error bound (sketch::hybrid_prune_slack).
   double prune_threshold = 0.1;
-
-  /// Slack subtracted from prune_threshold when masking, guarding recall
-  /// against sketch estimation error. Negative (the default) derives it
-  /// from the chosen sketch's documented mean-error bound
-  /// (sketch::hybrid_prune_slack); an explicit value ≥ 0 pins it.
-  double prune_slack = -1.0;
 
   /// Candidate-pass strategy of the hybrid (estimator == kHybrid). kAuto
   /// switches from all-pairs scoring to LSH banding once the corpus
@@ -151,13 +147,6 @@ struct Config {
   /// non-positive effective threshold always falls back to all-pairs
   /// (every pair survives — banding could only lose candidates).
   CandidateMode candidate_mode = CandidateMode::kAuto;
-
-  /// LSH band count B (candidate_mode kLsh/kAuto). 0 (the default)
-  /// derives (bands, rows_per_band) from the effective prune threshold —
-  /// the largest band width R whose required band count C/m^R still fits
-  /// the register budget (sketch::lsh_candidate_plan). A positive value
-  /// pins B with rows_per_band = max(1, sketch_size / B).
-  std::int64_t lsh_bands = 0;
 
   // ---- operational: failure semantics (ROADMAP "Failure semantics") ----
 

@@ -261,8 +261,8 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
 /// rank 0 never holds an n² structure.
 Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int64_t n,
                 std::vector<std::int64_t>& ahat, std::vector<BatchStats> stats,
-                StageRecorder& recorder, sketch::CandidatePass* candidates) {
-  distmat::CandidateMask* const mask = candidates ? &candidates->mask : nullptr;
+                StageRecorder& recorder, const sketch::CandidatePass* candidates) {
+  const distmat::CandidateMask* const mask = candidates ? &candidates->mask : nullptr;
   const bool owns_output =
       layout.b_block.has_value() &&
       (config.algorithm != Algorithm::kSumma || layout.grid->layer() == 0);
@@ -335,7 +335,6 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
       result.similarity = SimilarityMatrix(n, std::move(full));
     }
     result.batches = std::move(stats);
-    if (mask != nullptr) result.candidates = std::move(*mask);
   }
   return result;
 }
@@ -682,7 +681,7 @@ Result run_batched_pipeline(bsp::Comm& world, const SampleSource& source,
   if (config.estimator == Estimator::kHybrid) {
     candidates = sketch_prune(world, source, config, recorder, cache);
   }
-  distmat::CandidateMask* const mask = candidates ? &candidates->mask : nullptr;
+  const distmat::CandidateMask* const mask = candidates ? &candidates->mask : nullptr;
   const std::vector<std::uint8_t> active =
       mask != nullptr ? mask->active_columns() : std::vector<std::uint8_t>{};
 
@@ -848,6 +847,10 @@ void validate_config(const SampleSource& source, const Config& config, int nrank
       default:
         throw error::ConfigError(
             "similarity_at_scale: hybrid_sketch must be a sketch estimator");
+    }
+    // Negated range test, so that a NaN threshold fails it too.
+    if (!(config.prune_threshold >= 0.0 && config.prune_threshold <= 1.0)) {
+      throw error::ConfigError("similarity_at_scale: prune_threshold must be in [0, 1]");
     }
   }
 }

@@ -31,8 +31,8 @@
 //                         sketch (one read, raw reads cached); candidate
 //                         pass → replicated candidate mask (Ĵ ≥
 //                         prune_threshold − slack; all-pairs scoring or
-//                         LSH banding per Config::candidate_mode, dense
-//                         or sparse per the pair_mask.hpp crossover)]
+//                         LSH banding per Config::candidate_mode, one
+//                         CSR of surviving pairs, pair_mask.hpp)]
 //                        for each batch: ingest (cache or read) →
 //                          [drop columns with no surviving pair] → pack →
 //                          exchange (serial / ring / SUMMA; a mask turns
@@ -63,7 +63,6 @@
 #include "core/config.hpp"
 #include "core/sample_source.hpp"
 #include "core/similarity_matrix.hpp"
-#include "distmat/pair_mask.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -211,19 +210,15 @@ struct Result {
   /// it on demand).
   SimilarityMatrix similarity;
   /// Survivor-proportional output (rank 0), populated by kHybrid: exact
-  /// values for surviving pairs, sketch estimates for scored-but-pruned
-  /// pairs, 0.0 elsewhere. Rank 0 never materializes an n² array on this
-  /// path.
+  /// values for the pairs that survived the sketch prune (is_survivor —
+  /// exactly the candidate mask's off-diagonal pairs), sketch estimates
+  /// for scored-but-pruned pairs, 0.0 elsewhere (an LSH pair that never
+  /// collided is never scored). Rank 0 never materializes an n² array on
+  /// this path.
   SparseSimilarity sparse_similarity;
   std::vector<BatchStats> batches;  ///< valid on world rank 0
   int active_ranks = 0;             ///< ranks that took part in the product
   PipelineStats stages;             ///< per-stage cost breakdown (rank 0)
-  /// kHybrid only (rank 0): the candidate-pair mask of the sketch-prune
-  /// pass (dense bitset or sparse CSR-of-pairs, per the storage-parity
-  /// crossover in pair_mask.hpp). Masked pairs carry exact similarities;
-  /// unmasked pairs carry their sketch estimate (0.0 under LSH banding
-  /// when the pair never collided). Empty for every other estimator.
-  distmat::CandidateMask candidates;
 
   // ---- in-run recovery (rank-0 view) ---------------------------------
 

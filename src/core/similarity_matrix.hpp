@@ -62,8 +62,8 @@ class SimilarityMatrix {
 /// rescored survivors and the sketch estimates of scored-but-pruned
 /// pairs — plus the union cardinalities â (O(n), kept for diagnostics
 /// and on-demand reconstruction). The survivor key set IS the candidate
-/// mask restricted to off-diagonal pairs; Result::candidates retains the
-/// full mask alongside.
+/// mask restricted to off-diagonal pairs, so the result keeps no mask
+/// alongside.
 class SparseSimilarity {
  public:
   SparseSimilarity() = default;
@@ -78,7 +78,7 @@ class SparseSimilarity {
                    std::vector<double> estimate_values, std::vector<std::int64_t> ahat);
 
   /// (i, j) with i < j packed into one word (i in the high half) — the
-  /// same 31-bit packing as distmat::SparsePairMask, so sorting keys
+  /// same 31-bit packing as distmat::CandidateMask, so sorting keys
   /// sorts by (i, j). Throws when an index exceeds 31 bits or i ≥ j.
   [[nodiscard]] static std::uint64_t pack_pair(std::int64_t i, std::int64_t j);
   [[nodiscard]] static std::pair<std::int64_t, std::int64_t> unpack_pair(

@@ -285,12 +285,6 @@ std::vector<std::int64_t> distributed_index_union(bsp::Comm& comm,
   return comm.allgather<std::int64_t>(owned);
 }
 
-void allreduce_pair_mask(bsp::Comm& comm, PairMask& mask) {
-  comm.allreduce(mask.words(),
-                 [](std::uint64_t a, std::uint64_t b) { return a | b; });
-  mask.symmetrize();
-}
-
 std::vector<std::uint64_t> allreduce_pair_union(bsp::Comm& comm,
                                                 std::vector<std::uint64_t> mine) {
   std::sort(mine.begin(), mine.end());

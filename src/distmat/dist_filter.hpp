@@ -34,13 +34,11 @@
 // move.
 //
 // Pair-mask union: the pair-space analogue for the hybrid estimator —
-// each rank fills the mask rows of the samples whose sketches it scored;
-// a bitwise-OR allreduce replicates the union so every rank can prune
-// columns, exchanges, and kernel tiles against the same candidate set.
-// The sparse counterpart (allreduce_pair_union) replicates the union of
-// packed candidate-pair lists instead: O(total pairs) bytes per hop
-// instead of the dense mask's O(n²/8), which is what the LSH candidate
-// pass ships when the surviving pair set is far below n².
+// each rank keeps the candidate pairs it scored above the threshold, and
+// allreduce_pair_union replicates the union of those packed pair lists so
+// every rank can prune columns, exchanges, and kernel tiles against the
+// same candidate set (pair_mask.hpp). The allgather ships 8 bytes per
+// kept pair, so the bytes follow the survivor count, not n².
 #pragma once
 
 #include <cstdint>
@@ -48,7 +46,6 @@
 #include <vector>
 
 #include "bsp/comm.hpp"
-#include "distmat/pair_mask.hpp"
 
 namespace sas::distmat {
 
@@ -81,16 +78,10 @@ namespace sas::distmat {
 [[nodiscard]] std::int64_t compact_row_id(std::span<const std::int64_t> sorted_filter,
                                           std::int64_t global_row);
 
-/// Collective: replace every rank's `mask` with the bitwise-OR union of
-/// all ranks' masks, then symmetrize. All ranks must pass masks of the
-/// same size.
-void allreduce_pair_mask(bsp::Comm& comm, PairMask& mask);
-
 /// Collective union-merge of packed candidate pairs
-/// (SparsePairMask::pack_pair format): returns the sorted, deduplicated
+/// (CandidateMask::pack_pair format): returns the sorted, deduplicated
 /// union of all ranks' lists, replicated on every rank. `mine` need not
-/// be sorted. This is the sparse mask's replacement for the dense
-/// word-OR allreduce — bytes scale with the pair count, not with n².
+/// be sorted. Bytes scale with the pair count, not with n².
 [[nodiscard]] std::vector<std::uint64_t> allreduce_pair_union(
     bsp::Comm& comm, std::vector<std::uint64_t> mine);
 

@@ -85,7 +85,6 @@ bool wire_matches_config(std::span<const std::uint64_t> wire,
 }
 
 double hybrid_prune_slack(const core::Config& config) {
-  if (config.prune_slack >= 0.0) return config.prune_slack;
   switch (resolved_sketch_estimator(config)) {
     case core::Estimator::kHll:
       return hll_jaccard_error_bound(config.hll_precision);
@@ -150,14 +149,8 @@ LshPlan lsh_candidate_plan(const core::Config& config, double effective_threshol
         "lsh_candidate_plan: banding is defined over the minhash registers");
   }
   const std::int64_t k = config.sketch_size;
-  if (config.lsh_bands > 0) {
-    LshPlan plan;
-    plan.bands = std::min<std::int64_t>(config.lsh_bands, k);
-    plan.rows_per_band = std::max<std::int64_t>(1, k / plan.bands);
-    return plan;
-  }
-  // Auto rule (see exchange.hpp): register match fraction at the
-  // threshold, then the largest feasible band width.
+  // Register match fraction at the threshold, then the largest feasible
+  // band width (see exchange.hpp).
   const double collision = std::ldexp(1.0, -config.minhash_bits);
   const double m = std::clamp(
       effective_threshold * (1.0 - collision) + collision, collision, 1.0);
@@ -246,8 +239,21 @@ std::vector<PairEstimate> gather_estimates(bsp::Comm& world,
   return out;
 }
 
-/// The all-pairs candidate pass (PR 3): allgather every blob, score this
-/// rank's share of the n(n − 1)/2 pairs into a dense mask.
+/// Shared tail of both candidate passes: replicate the union of every
+/// rank's kept (i < j) pairs as the candidate mask — 8 bytes per kept
+/// pair on the wire, whatever n is — and gather the non-zero estimates on
+/// rank 0.
+void finish_candidate_pass(bsp::Comm& world, std::int64_t n,
+                           std::vector<std::uint64_t> kept,
+                           std::vector<PairEstimate> scored, CandidatePass& pass) {
+  const std::vector<std::uint64_t> survivors =
+      distmat::allreduce_pair_union(world, std::move(kept));
+  pass.mask = distmat::CandidateMask(n, std::span<const std::uint64_t>(survivors));
+  pass.estimates = gather_estimates(world, std::move(scored));
+}
+
+/// The all-pairs candidate pass: allgather every blob and score this
+/// rank's share of the n(n − 1)/2 pairs.
 CandidatePass all_pairs_candidate_pass(
     bsp::Comm& world, std::span<const std::int64_t> samples,
     const std::vector<std::vector<std::uint64_t>>& blobs, std::int64_t n,
@@ -285,40 +291,35 @@ CandidatePass all_pairs_candidate_pass(
   CandidatePass pass;
   pass.effective_threshold = effective_threshold;
   pass.mode = core::CandidateMode::kAllPairs;
-  distmat::PairMask mask(n);
 
   // Score each unordered pair (i, j > i) once: every wire estimator is
-  // bitwise symmetric, so one score sets both mask bits. Rows are dealt
+  // bitwise symmetric, so one score decides the pair. Rows are dealt
   // cyclically (any disjoint cover works — all blobs are local now), so
   // every rank gets long and short rows alike and the n(n − 1)/2 pairs
-  // split evenly to within n per rank. The diagonal is always a
-  // candidate. Estimates ride to rank 0 as (i < j, value) pairs — each
-  // pair is scored by exactly the rank owning row i, and zero estimates
-  // are dropped (absent pairs read as 0.0), so the estimate payload
-  // tracks the non-zero pair structure instead of a dense n² array.
+  // split evenly to within n per rank. Estimates ride to rank 0 as
+  // (i < j, value) pairs — each pair is scored by exactly the rank owning
+  // row i, and zero estimates are dropped (absent pairs read as 0.0), so
+  // the estimate payload tracks the non-zero pair structure instead of a
+  // dense n² array.
   std::vector<PairEstimate> scored;
+  std::vector<std::uint64_t> kept;
   for (std::int64_t i = r; i < n; i += p) {
-    mask.set(i, i);
     for (std::int64_t j = i + 1; j < n; ++j) {
       const double est = estimate_jaccard_wire(views[static_cast<std::size_t>(i)],
                                                views[static_cast<std::size_t>(j)]);
       if (est != 0.0) scored.push_back({i, j, est});
       if (est >= pass.effective_threshold) {
-        mask.set(i, j);
-        mask.set(j, i);
+        kept.push_back(distmat::CandidateMask::pack_pair(i, j));
       }
     }
   }
 
-  distmat::allreduce_pair_mask(world, mask);
-  pass.mask = distmat::CandidateMask(std::move(mask));
-  pass.estimates = gather_estimates(world, std::move(scored));
+  finish_candidate_pass(world, n, std::move(kept), std::move(scored), pass);
   return pass;
 }
 
 /// The LSH-banded candidate pass: band keys through the alltoall, score
-/// only colliding pairs, replicate a sparse (or dense, above the
-/// crossover) candidate mask. See the strategy note in exchange.hpp.
+/// only colliding pairs. See the strategy note in exchange.hpp.
 CandidatePass lsh_candidate_pass(bsp::Comm& world,
                                  std::span<const std::int64_t> samples,
                                  const std::vector<std::vector<std::uint64_t>>& blobs,
@@ -326,10 +327,6 @@ CandidatePass lsh_candidate_pass(bsp::Comm& world,
                                  double effective_threshold) {
   const int p = world.size();
   const int r = world.rank();
-  if (n >= (std::int64_t{1} << 31)) {
-    // Key/pair words carry 31-bit sample ids (SparsePairMask::pack_pair).
-    throw std::invalid_argument("sketch_candidate_pass: lsh requires n < 2^31");
-  }
 
   CandidatePass pass;
   pass.effective_threshold = effective_threshold;
@@ -406,7 +403,7 @@ CandidatePass lsh_candidate_pass(bsp::Comm& world,
       for (std::size_t b = a + 1; b < end; ++b) {
         const auto j = static_cast<std::int64_t>(keys[b] & 0xffffffffULL);
         pair_blocks[static_cast<std::size_t>(owner[static_cast<std::size_t>(i)])]
-            .push_back(distmat::SparsePairMask::pack_pair(i, j));
+            .push_back(distmat::CandidateMask::pack_pair(i, j));
       }
     }
     begin = end;
@@ -442,7 +439,7 @@ CandidatePass lsh_candidate_pass(bsp::Comm& world,
     const std::int64_t i = capped_union[a];
     if (owner[static_cast<std::size_t>(i)] != r) continue;
     for (std::size_t b = a + 1; b < capped_union.size(); ++b) {
-      todo.push_back(distmat::SparsePairMask::pack_pair(i, capped_union[b]));
+      todo.push_back(distmat::CandidateMask::pack_pair(i, capped_union[b]));
     }
   }
   std::sort(todo.begin(), todo.end());
@@ -450,7 +447,7 @@ CandidatePass lsh_candidate_pass(bsp::Comm& world,
 
   std::vector<std::vector<std::int64_t>> requests(static_cast<std::size_t>(p));
   for (std::uint64_t packed : todo) {
-    const auto [i, j] = distmat::SparsePairMask::unpack_pair(packed);
+    const auto [i, j] = distmat::CandidateMask::unpack_pair(packed);
     (void)i;
     if (local_index[static_cast<std::size_t>(j)] >= 0) continue;
     requests[static_cast<std::size_t>(owner[static_cast<std::size_t>(j)])].push_back(j);
@@ -512,40 +509,19 @@ CandidatePass lsh_candidate_pass(bsp::Comm& world,
   scored.reserve(todo.size());
   std::vector<std::uint64_t> kept;
   for (std::uint64_t packed : todo) {
-    const auto [i, j] = distmat::SparsePairMask::unpack_pair(packed);
+    const auto [i, j] = distmat::CandidateMask::unpack_pair(packed);
     const double est = estimate_jaccard_wire(view_of(i), view_of(j));
     if (est != 0.0) scored.push_back({i, j, est});
     if (est >= pass.effective_threshold) kept.push_back(packed);
   }
 
   phase_score.close();
-  obs::Span phase_mask("lsh/mask-union", "lsh", &world.counters());
+  obs::Span phase_finish("lsh/finish", "lsh", &world.counters());
 
-  // (7) Replicate the union — O(survivors) bytes, not O(n²/8) — and pick
-  // the representation by the storage-parity crossover.
-  const std::vector<std::uint64_t> survivors =
-      distmat::allreduce_pair_union(world, std::move(kept));
-  if (distmat::sparse_pair_mask_wins(n, static_cast<std::int64_t>(survivors.size()))) {
-    pass.mask = distmat::CandidateMask(distmat::SparsePairMask(
-        n, std::span<const std::uint64_t>(survivors)));
-  } else {
-    distmat::PairMask mask(n);
-    for (std::int64_t i = 0; i < n; ++i) mask.set(i, i);
-    for (std::uint64_t packed : survivors) {
-      const auto [i, j] = distmat::SparsePairMask::unpack_pair(packed);
-      mask.set(i, j);
-      mask.set(j, i);
-    }
-    pass.mask = distmat::CandidateMask(std::move(mask));
-  }
-
-  phase_mask.close();
-  obs::Span phase_estimates("lsh/estimates", "lsh", &world.counters());
-
-  // (8) Estimates to rank 0 as sorted (i < j, value) pairs — O(scored)
-  // memory; never-collided pairs stay absent and read as 0.0 (they are
-  // below the S-curve's collision range).
-  pass.estimates = gather_estimates(world, std::move(scored));
+  // (7) Replicate the kept pairs as the mask and gather the estimates;
+  // never-collided pairs stay absent and read as 0.0 (they are below the
+  // S-curve's collision range).
+  finish_candidate_pass(world, n, std::move(kept), std::move(scored), pass);
   return pass;
 }
 

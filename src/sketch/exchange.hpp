@@ -48,9 +48,9 @@
 // non-zero pair where the gather ships 8-byte values. On the perf
 // ledger's families-minhash workload (n = 2,304, p = 4) the ring moves
 // 9.62 MB of panels and 19.91 MB of gathered blocks; the pass would move
-// 14.49 MB of blobs, 3.98 MB of mask allreduce and 0.75 MB of triplets,
-// fewer because ≈98% of that corpus's pairs estimate exactly 0, but up
-// to 47.8 MB of triplets once every pair is related.
+// 14.49 MB of blobs and 0.75 MB of triplets, fewer because ≈98% of that
+// corpus's pairs estimate exactly 0, but up to 47.8 MB of triplets once
+// every pair is related.
 //
 // == The hybrid candidate pass ===========================================
 //
@@ -67,9 +67,10 @@
 //   all-pairs — every blob is allgathered (ring allgather, O(n ·
 //     sketch_bytes) per rank) and each rank scores its share of the
 //     n(n − 1)/2 unordered pairs (rows dealt cyclically, which balances
-//     the triangle) into a dense PairMask, one score setting both bits
-//     (word-OR allreduce). Exact candidate set; quadratic score work and a
-//     quadratic replicated mask. The default below kLshMinSamples.
+//     the triangle), keeping each pair that clears the threshold. Exact
+//     candidate set; quadratic score work. The default below
+//     kLshMinSamples, and the only pass the hll and bottom-k prune
+//     sketches can run.
 //
 //   lsh — LSH banding over the one-permutation MinHash registers
 //     (oph_wire_band_hashes): each rank computes B band buckets per
@@ -77,13 +78,10 @@
 //     band through the existing alltoall, and only pairs colliding in
 //     ≥ 1 bucket are routed (to the rank owning the lower sample's
 //     blob), deduplicated, blob-fetched, and scored. Bytes and score
-//     work are O(collisions), not O(n²); the replicated mask switches to
-//     the CSR SparsePairMask when the surviving density is low
-//     (sparse_pair_mask_wins), with a union-merge allreduce
-//     (allreduce_pair_union) replacing the dense word-OR. Recall follows
-//     the banding S-curve 1 − (1 − m^R)^B (lsh_candidate_plan picks
-//     (B, R) from the effective threshold); pairs that never collide
-//     report a 0.0 estimate. Pairs BELOW the effective threshold that do
+//     work are O(collisions), not O(n²). Recall follows the banding
+//     S-curve 1 − (1 − m^R)^B (lsh_candidate_plan picks (B, R) from the
+//     effective threshold); pairs that never collide report a 0.0
+//     estimate. Pairs BELOW the effective threshold that do
 //     collide still report their scored estimate, so precision is
 //     identical to all-pairs. Degenerate buckets larger than
 //     kLshBucketCap (e.g. all-empty sketches hashing into one bucket,
@@ -91,6 +89,12 @@
 //     member list instead and are rescored by a mini all-pairs pass over
 //     the capped union on the blob owners — O(s) routed bytes, recall a
 //     superset of the uncapped bucket's.
+//
+// Both passes end the same way: the kept (i < j) pairs of every rank go
+// through allreduce_pair_union (dist_filter.hpp) into the replicated
+// CandidateMask — 8 bytes per kept pair on the wire and O(survivors)
+// memory per rank, whatever n is — and the non-zero estimates are
+// gathered on rank 0.
 #pragma once
 
 #include <cstdint>
@@ -132,9 +136,8 @@ using AnySketch = std::variant<HyperLogLog, OnePermMinHash, BottomKSketch>;
 [[nodiscard]] bool wire_matches_config(std::span<const std::uint64_t> wire,
                                        const core::Config& config);
 
-/// Effective prune slack of the hybrid: Config::prune_slack when pinned
-/// (≥ 0), else the documented mean-error bound of the configured
-/// hybrid_sketch at its configured size.
+/// Effective prune slack of the hybrid: the documented mean-error bound
+/// of the configured hybrid_sketch at its configured size.
 [[nodiscard]] double hybrid_prune_slack(const core::Config& config);
 
 /// Incremental per-sample sketch builders for one rank (see "The sketch
@@ -174,7 +177,7 @@ class StreamingSketcher {
 
 /// Sample count below which CandidateMode::kAuto keeps the all-pairs
 /// candidate pass: under ~10² samples the n² score work is trivial and
-/// the dense mask is bytes-cheaper than band keys.
+/// the pass keeps the exact candidate set.
 inline constexpr std::int64_t kLshMinSamples = 128;
 
 /// LSH bucket-size cap. A degenerate bucket of s samples would emit
@@ -192,9 +195,8 @@ struct LshPlan {
 };
 
 /// (B, R) for the LSH candidate pass under `config` at the given
-/// effective Jaccard threshold. Config::lsh_bands > 0 pins B (with
-/// R = max(1, sketch_size / B)); 0 derives both from the threshold's
-/// register match fraction m = t(1−2⁻ᵇ) + 2⁻ᵇ: the LARGEST R whose
+/// effective Jaccard threshold, derived from the threshold's register
+/// match fraction m = t(1−2⁻ᵇ) + 2⁻ᵇ: the LARGEST R whose
 /// required band count B = ⌈C/mᴿ⌉ (detection constant C = 7, i.e.
 /// P(miss at exactly the threshold) ≤ e⁻⁷) still fits the register
 /// budget B·R ≤ sketch_size. Larger R sharpens the S-curve (fewer
@@ -228,8 +230,7 @@ static_assert(std::is_trivially_copyable_v<PairEstimate>);
 struct CandidatePass {
   /// Replicated candidate mask: pair (i, j) set iff Ĵ(i, j) ≥
   /// prune_threshold − slack (and, under kLsh, the pair collided in ≥ 1
-  /// band), plus the full diagonal. Symmetric; dense or sparse per the
-  /// storage-parity crossover.
+  /// band), plus the full diagonal. Symmetric.
   distmat::CandidateMask mask;
   /// Rank 0: the scored pairs with a non-zero estimate, sorted by
   /// (i, j) — O(scored pairs) memory, never an n² array. All-pairs mode

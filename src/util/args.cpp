@@ -1,6 +1,7 @@
 #include "util/args.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -57,7 +58,14 @@ std::int64_t ArgParser::get_int(const std::string& name, std::int64_t fallback) 
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto it = named_.find(name);
   if (it == named_.end() || it->second.empty()) return fallback;
-  return parse_flag<double>(name, it->second, "a number");
+  // from_chars accepts "nan" and "inf", which slip past every range check
+  // (a comparison with NaN is false), so only finite values are numbers.
+  const double value = parse_flag<double>(name, it->second, "a number");
+  if (!std::isfinite(value)) {
+    throw error::ConfigError("--" + name + ": expected a finite number, got '" +
+                             it->second + "'");
+  }
+  return value;
 }
 
 bool ArgParser::get_bool(const std::string& name, bool fallback) const {

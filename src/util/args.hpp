@@ -30,7 +30,8 @@ class ArgParser {
                                        const std::string& fallback) const;
   /// Numeric value of `--name`, or `fallback` when the flag is absent or
   /// bare. Throws error::ConfigError unless the whole value parses (base
-  /// 10 for integers) and is in range.
+  /// 10 for integers) and is in range; get_double also rejects NaN and
+  /// infinities.
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   /// `fallback` when `--name` is absent, true when it is bare; otherwise

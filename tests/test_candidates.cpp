@@ -1,13 +1,10 @@
-// test_candidates.cpp — the LSH-banded candidate pass, the sparse
-// candidate-mask representation, and the wire-validation hardening.
+// test_candidates.cpp — the LSH-banded candidate pass, the CSR
+// candidate mask, and the wire-validation hardening.
 //
 // Covered contracts:
-//   * SparsePairMask answers every probe (test / any_pair / row_active /
-//     active_columns / count) identically to the dense PairMask on
-//     randomized masks, and the storage-parity crossover picks it only
-//     when it is no larger;
-//   * PairMask::symmetrize (the 64×64 block-transpose rewrite) matches
-//     the per-bit reference on sizes straddling word boundaries;
+//   * CandidateMask answers every probe (test / count / row_active /
+//     active_columns / any_pair / for_each_pair_in) as a brute-force
+//     n × n reference does, on random masks whose sizes straddle 64;
 //   * the LSH band/bucket exchange is deterministic across rank counts
 //     and loses no pair the all-pairs candidate pass keeps at the same
 //     sketch budget on the genome-family corpus;
@@ -17,6 +14,7 @@
 //     minima) throw, so wire_matches_config never loads them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -44,36 +42,47 @@ namespace {
 
 using distmat::BlockRange;
 using distmat::CandidateMask;
-using distmat::PairMask;
-using distmat::SparsePairMask;
 
-// ---- sparse vs dense equivalence ----------------------------------------
+// ---- the CSR mask against a brute-force reference -----------------------
 
-TEST(SparsePairMask, ProbesMatchDenseOnRandomMasks) {
+TEST(CandidateMask, ProbesMatchReference) {
   for (const std::int64_t n : {1, 5, 63, 64, 65, 130}) {
     Rng rng(static_cast<std::uint64_t>(1000 + n));
+    // Reference: an n × n byte matrix with the diagonal and both
+    // directions of every kept pair set.
+    std::vector<std::uint8_t> ref(static_cast<std::size_t>(n * n), 0);
+    const auto at = [&](std::int64_t i, std::int64_t j) -> std::uint8_t& {
+      return ref[static_cast<std::size_t>(i * n + j)];
+    };
     std::vector<std::uint64_t> upper;
-    PairMask dense(n);
-    for (std::int64_t i = 0; i < n; ++i) dense.set(i, i);
+    for (std::int64_t i = 0; i < n; ++i) at(i, i) = 1;
     for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t j = i + 1; j < n; ++j) {
         if (!rng.bernoulli(0.07)) continue;
-        upper.push_back(SparsePairMask::pack_pair(i, j));
-        dense.set(i, j);
-        dense.set(j, i);
+        upper.push_back(CandidateMask::pack_pair(i, j));
+        at(i, j) = 1;
+        at(j, i) = 1;
       }
     }
-    const SparsePairMask sparse(n, upper);
+    // Duplicates and any order are accepted.
+    if (!upper.empty()) upper.push_back(upper.front());
+    std::reverse(upper.begin(), upper.end());
+    const CandidateMask mask(n, upper);
 
-    EXPECT_EQ(sparse.size(), dense.size());
-    EXPECT_EQ(sparse.count(), dense.count()) << "n=" << n;
-    EXPECT_EQ(sparse.active_columns(), dense.active_columns());
+    std::int64_t set = 0;
+    std::vector<std::uint8_t> active(static_cast<std::size_t>(n), 0);
     for (std::int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(sparse.row_active(i), dense.row_active(i)) << "row " << i;
       for (std::int64_t j = 0; j < n; ++j) {
-        EXPECT_EQ(sparse.test(i, j), dense.test(i, j)) << i << "," << j;
+        EXPECT_EQ(mask.test(i, j), at(i, j) != 0) << i << "," << j;
+        set += at(i, j);
+        if (i != j && at(i, j) != 0) active[static_cast<std::size_t>(i)] = 1;
       }
+      EXPECT_EQ(mask.row_active(i), active[static_cast<std::size_t>(i)] != 0)
+          << "row " << i;
     }
+    EXPECT_EQ(mask.count(), set) << "n=" << n;
+    EXPECT_EQ(mask.active_columns(), active);
+
     for (int trial = 0; trial < 200; ++trial) {
       const auto r0 = static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(n)));
       const auto r1 = static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(n)));
@@ -81,69 +90,43 @@ TEST(SparsePairMask, ProbesMatchDenseOnRandomMasks) {
       const auto c1 = static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(n)));
       const BlockRange rows{std::min(r0, r1), std::max(r0, r1) + 1};
       const BlockRange cols{std::min(c0, c1), std::max(c0, c1) + 1};
-      EXPECT_EQ(sparse.any_pair(rows, cols), dense.any_pair(rows, cols))
-          << "rows [" << rows.begin << "," << rows.end << ") cols [" << cols.begin
-          << "," << cols.end << ")";
-    }
 
-    // The CandidateMask wrapper dispatches to whichever it holds.
-    const CandidateMask as_sparse{SparsePairMask(n, upper)};
-    const CandidateMask as_dense{PairMask(dense)};
-    EXPECT_TRUE(as_sparse.is_sparse());
-    EXPECT_FALSE(as_dense.is_sparse());
-    EXPECT_EQ(as_sparse.count(), as_dense.count());
-    std::vector<std::pair<std::int64_t, std::int64_t>> sparse_pairs;
-    std::vector<std::pair<std::int64_t, std::int64_t>> dense_pairs;
-    as_sparse.for_each_pair_in({0, n}, {0, n}, [&](std::int64_t i, std::int64_t j) {
-      sparse_pairs.emplace_back(i, j);
-    });
-    as_dense.for_each_pair_in({0, n}, {0, n}, [&](std::int64_t i, std::int64_t j) {
-      dense_pairs.emplace_back(i, j);
-    });
-    EXPECT_EQ(sparse_pairs, dense_pairs);
+      bool any = false;
+      std::vector<std::pair<std::int64_t, std::int64_t>> expected;
+      for (std::int64_t i = rows.begin; i < rows.end; ++i) {
+        for (std::int64_t j = cols.begin; j < cols.end; ++j) {
+          if (at(i, j) == 0) continue;
+          any = true;
+          if (j > i) expected.emplace_back(i, j);
+        }
+      }
+      std::vector<std::pair<std::int64_t, std::int64_t>> walked;
+      mask.for_each_pair_in(
+          rows, cols, [&](std::int64_t i, std::int64_t j) { walked.emplace_back(i, j); });
+      EXPECT_EQ(mask.any_pair(rows, cols), any)
+          << "rows [" << rows.begin << "," << rows.end << ") cols [" << cols.begin << ","
+          << cols.end << ")";
+      EXPECT_EQ(walked, expected)
+          << "rows [" << rows.begin << "," << rows.end << ") cols [" << cols.begin << ","
+          << cols.end << ")";
+    }
   }
 }
 
-TEST(SparsePairMask, PackPairRejectsWideIndices) {
-  EXPECT_THROW((void)SparsePairMask::pack_pair(-1, 0), std::invalid_argument);
-  EXPECT_THROW((void)SparsePairMask::pack_pair(0, std::int64_t{1} << 31),
+TEST(CandidateMask, PackPairRejectsWideIndices) {
+  EXPECT_THROW((void)CandidateMask::pack_pair(-1, 0), std::invalid_argument);
+  EXPECT_THROW((void)CandidateMask::pack_pair(0, std::int64_t{1} << 31),
                std::invalid_argument);
-  const auto packed = SparsePairMask::pack_pair(3, 9);
-  const auto [i, j] = SparsePairMask::unpack_pair(packed);
+  const auto packed = CandidateMask::pack_pair(3, 9);
+  const auto [i, j] = CandidateMask::unpack_pair(packed);
   EXPECT_EQ(i, 3);
   EXPECT_EQ(j, 9);
-}
-
-TEST(SparsePairMask, CrossoverIsStorageParity) {
-  // n = 128 → 2 words per row → dense budget 256 words; diagonal costs
-  // 128, so the sparse form wins up to 64 pairs and loses after.
-  EXPECT_TRUE(distmat::sparse_pair_mask_wins(128, 0));
-  EXPECT_TRUE(distmat::sparse_pair_mask_wins(128, 64));
-  EXPECT_FALSE(distmat::sparse_pair_mask_wins(128, 65));
-  // Below one word per row the dense bitset always wins.
-  EXPECT_FALSE(distmat::sparse_pair_mask_wins(64, 1));
-}
-
-// ---- symmetrize: block transpose vs per-bit reference -------------------
-
-TEST(PairMaskSymmetrize, MatchesPerBitReference) {
-  for (const std::int64_t n : {1, 2, 63, 64, 65, 127, 128, 130, 200}) {
-    Rng rng(static_cast<std::uint64_t>(7000 + n));
-    PairMask mask(n);
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        if (rng.bernoulli(0.1)) mask.set(i, j);
-      }
-    }
-    // Reference: the old O(n²) per-bit union.
-    PairMask expected = mask;
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        if (mask.test(j, i)) expected.set(i, j);
-      }
-    }
-    mask.symmetrize();
-    EXPECT_EQ(mask.words(), expected.words()) << "n=" << n;
+  // The mask packs its diagonal too, so n itself must fit 31 bits, and
+  // every pair must be an upper pair inside [0, n).
+  EXPECT_THROW(CandidateMask(std::int64_t{1} << 31, {}), std::invalid_argument);
+  for (const auto& [i, j] : {std::pair{2, 1}, std::pair{1, 1}, std::pair{1, 4}}) {
+    const std::vector<std::uint64_t> pairs = {CandidateMask::pack_pair(i, j)};
+    EXPECT_THROW(CandidateMask(4, pairs), std::invalid_argument) << i << "," << j;
   }
 }
 
@@ -306,21 +289,14 @@ TEST(LshBands, BucketHashesTrackBandRegisters) {
   EXPECT_THROW((void)sketch::oph_wire_band_hashes(a, 0, 4), std::invalid_argument);
 }
 
-TEST(LshBands, PlanAdaptsToThresholdAndPins) {
+TEST(LshBands, PlanAdaptsToThreshold) {
   core::Config cfg;
   cfg.estimator = core::Estimator::kMinhash;
   cfg.sketch_size = 1024;
   cfg.minhash_bits = 16;
 
-  // Pinned band count: B as given, R = k/B.
-  cfg.lsh_bands = 64;
-  const auto pinned = sketch::lsh_candidate_plan(cfg, 0.3);
-  EXPECT_EQ(pinned.bands, 64);
-  EXPECT_EQ(pinned.rows_per_band, 16);
-
-  // Auto: wider bands (larger R, sharper S-curve) at higher thresholds,
-  // and always within the register budget.
-  cfg.lsh_bands = 0;
+  // Wider bands (larger R, sharper S-curve) at higher thresholds, and
+  // always within the register budget.
   const auto low = sketch::lsh_candidate_plan(cfg, 0.05);
   const auto mid = sketch::lsh_candidate_plan(cfg, 0.25);
   const auto high = sketch::lsh_candidate_plan(cfg, 0.5);
@@ -434,8 +410,6 @@ TEST(LshCandidatePass, DeterministicAcrossRankCountsAndFindsTwins) {
   for (std::int64_t i = 0; i < n; ++i) {
     EXPECT_TRUE(reference.mask.test(i, i)) << "diagonal must be a candidate";
   }
-  // 200 samples, ~40 surviving pairs: far below the crossover → sparse.
-  EXPECT_TRUE(reference.mask.is_sparse());
   // Rank 0 carries pair-keyed estimates: 1.0 for twins, 0.0 (absent) for
   // never-collided — O(scored pairs), never an n² array.
   EXPECT_LT(reference.estimates.size(), static_cast<std::size_t>(n * n) / 4);
@@ -455,7 +429,6 @@ TEST(LshCandidatePass, DeterministicAcrossRankCountsAndFindsTwins) {
 
   for (const int ranks : {2, 3, 4}) {
     const auto pass = run_candidate_pass(sets, cfg, ranks);
-    EXPECT_EQ(pass.mask.is_sparse(), reference.mask.is_sparse()) << ranks << " ranks";
     EXPECT_EQ(pass.mask.count(), reference.mask.count()) << ranks << " ranks";
     for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t j = 0; j < n; ++j) {
@@ -613,22 +586,21 @@ TEST(LshCandidatePass, HybridDriverParityAcrossRankCounts) {
   const core::Result reference = similarity_at_scale_threaded(1, src, hybrid_cfg);
   for (const int ranks : {1, 2, 4}) {
     const core::Result hybrid = similarity_at_scale_threaded(ranks, src, hybrid_cfg);
+    EXPECT_EQ(hybrid.sparse_similarity.survivor_keys(),
+              reference.sparse_similarity.survivor_keys())
+        << ranks << " ranks: survivor sets differ";
     std::int64_t surviving = 0;
     for (std::int64_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(hybrid.candidates.test(i, i));
-      for (std::int64_t j = 0; j < n; ++j) {
-        ASSERT_EQ(hybrid.candidates.test(i, j), reference.candidates.test(i, j))
-            << ranks << " ranks: mask differs at (" << i << ", " << j << ")";
-        if (i != j && hybrid.candidates.test(i, j)) {
-          ++surviving;
-          EXPECT_EQ(hybrid.similarity_at(i, j), exact.similarity.similarity(i, j))
-              << ranks << " ranks: survivor (" << i << ", " << j
-              << ") must be bitwise-exact";
-        }
+      for (std::int64_t j = i + 1; j < n; ++j) {
+        if (!hybrid.sparse_similarity.is_survivor(i, j)) continue;
+        ++surviving;
+        EXPECT_EQ(hybrid.similarity_at(i, j), exact.similarity.similarity(i, j))
+            << ranks << " ranks: survivor (" << i << ", " << j << ") must be bitwise-exact";
       }
     }
+    EXPECT_EQ(surviving, hybrid.sparse_similarity.survivor_count()) << ranks << " ranks";
     EXPECT_GT(surviving, 0) << "within-cluster pairs must survive";
-    EXPECT_LT(surviving, n * (n - 1)) << "cross-cluster pairs must be pruned";
+    EXPECT_LT(surviving, n * (n - 1) / 2) << "cross-cluster pairs must be pruned";
   }
 }
 

@@ -155,6 +155,15 @@ TEST(Driver, RejectsInvalidConfigs) {
   EXPECT_THROW((void)similarity_at_scale_threaded(1, src, bad), error::ConfigError);
   bad.batch_count = 11;  // more batches than rows
   EXPECT_THROW((void)similarity_at_scale_threaded(1, src, bad), error::ConfigError);
+  // A hybrid prune threshold outside [0, 1], NaN included, fails before
+  // the ranks spawn.
+  bad.batch_count = 1;
+  bad.estimator = Estimator::kHybrid;
+  for (const double threshold : {-0.1, 1.5, std::nan("")}) {
+    bad.prune_threshold = threshold;
+    EXPECT_THROW((void)similarity_at_scale_threaded(1, src, bad), error::ConfigError)
+        << threshold;
+  }
 }
 
 TEST(Driver, ReportsBatchStats) {

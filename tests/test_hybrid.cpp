@@ -113,7 +113,6 @@ TEST_P(HybridEquivalence, SurvivingPairsBitwiseEqualExact) {
   const core::Result hybrid = similarity_at_scale_threaded(c.nranks, src, hybrid_cfg);
 
   ASSERT_EQ(hybrid.n, n);
-  ASSERT_EQ(hybrid.candidates.size(), n);
   // The hybrid assembles the survivor-sparse output by default: the
   // dense matrix must not even exist on rank 0.
   EXPECT_TRUE(hybrid.sparse_output());
@@ -123,17 +122,10 @@ TEST_P(HybridEquivalence, SurvivingPairsBitwiseEqualExact) {
   std::int64_t surviving = 0;
   std::int64_t pruned = 0;
   for (std::int64_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(hybrid.candidates.test(i, i)) << "diagonal must be a candidate";
     for (std::int64_t j = 0; j < n; ++j) {
-      EXPECT_EQ(hybrid.candidates.test(i, j), hybrid.candidates.test(j, i))
-          << "mask must be symmetric at (" << i << ", " << j << ")";
-      EXPECT_EQ(hybrid.sparse_similarity.is_survivor(i, j),
-                i != j && hybrid.candidates.test(i, j))
-          << "survivor set must mirror the off-diagonal mask at (" << i << ", " << j
-          << ")";
       const double h = hybrid.similarity_at(i, j);
       const double e = exact.similarity.similarity(i, j);
-      if (hybrid.candidates.test(i, j)) {
+      if (i == j || hybrid.sparse_similarity.is_survivor(i, j)) {
         EXPECT_EQ(h, e) << "surviving pair (" << i << ", " << j
                         << ") must be bitwise-exact";
         ++surviving;
@@ -180,7 +172,7 @@ TEST(Hybrid, PrunedEntriesEqualPureSketchEstimates) {
 
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
-      if (i == j || hybrid.candidates.test(i, j)) continue;
+      if (i == j || hybrid.sparse_similarity.is_survivor(i, j)) continue;
       EXPECT_EQ(hybrid.similarity_at(i, j), sketched.similarity.similarity(i, j))
           << "pruned pair (" << i << ", " << j
           << ") must carry the sketch estimate";
@@ -210,13 +202,14 @@ TEST(Hybrid, RecallOnGenomeFamilies) {
     for (std::int64_t j = i + 1; j < n; ++j) {
       const double truth = exact.similarity.similarity(i, j);
       if (truth >= hybrid_cfg.prune_threshold + slack) {
-        EXPECT_TRUE(hybrid.candidates.test(i, j))
+        EXPECT_TRUE(hybrid.sparse_similarity.is_survivor(i, j))
             << "pair (" << i << ", " << j << ") with true J = " << truth
             << " must not be pruned";
       }
-      if (!hybrid.candidates.test(i, j)) ++pruned;
-      if (hybrid.candidates.test(i, j)) {
+      if (hybrid.sparse_similarity.is_survivor(i, j)) {
         EXPECT_EQ(hybrid.similarity_at(i, j), truth);
+      } else {
+        ++pruned;
       }
     }
   }
@@ -255,7 +248,7 @@ TEST(Hybrid, TargetedExchangeBeatsExactRingBytes) {
   const std::int64_t n = src.sample_count();
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
-      if (hybrid.candidates.test(i, j)) {
+      if (hybrid.sparse_similarity.is_survivor(i, j)) {
         EXPECT_EQ(hybrid.similarity_at(i, j), exact.similarity.similarity(i, j));
       }
     }
@@ -323,8 +316,9 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
     // Does pair (0, 1) look identical to the sketches? The hybrid keeps
     // it as a candidate; the pure sketch reports its estimate J = 1.
     const auto sketches_match = [&](const core::Result& result) {
-      return estimator == core::Estimator::kHybrid ? result.candidates.test(0, 1)
-                                                   : result.similarity_at(0, 1) == 1.0;
+      return estimator == core::Estimator::kHybrid
+                 ? result.sparse_similarity.is_survivor(0, 1)
+                 : result.similarity_at(0, 1) == 1.0;
     };
     // Sample 1's k-mers sketched under `c` with the builder `gas sketch`
     // persists with.
@@ -379,7 +373,8 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
     EXPECT_EQ(rejected.similarity_at(0, 1), fresh.similarity_at(0, 1))
         << "corrupted blob must be ignored";
     if (estimator == core::Estimator::kHybrid) {
-      EXPECT_EQ(rejected.candidates.test(0, 1), fresh.candidates.test(0, 1));
+      EXPECT_EQ(rejected.sparse_similarity.is_survivor(0, 1),
+                fresh.sparse_similarity.is_survivor(0, 1));
     }
   }
 }
@@ -403,13 +398,13 @@ TEST(Hybrid, RingSkipsFullyPrunedPanels) {
 
   // Two clusters of 8; with 4 ranks each rank's rows pair with only one
   // other rank's columns, so half the arriving panels are skipped whole.
-  distmat::PairMask bits(n);
+  std::vector<std::uint64_t> pairs;
   for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      if ((i < 8) == (j < 8)) bits.set(i, j);
+    for (std::int64_t j = i + 1; j < n; ++j) {
+      if ((i < 8) == (j < 8)) pairs.push_back(distmat::CandidateMask::pack_pair(i, j));
     }
   }
-  const distmat::CandidateMask mask(std::move(bits));
+  const distmat::CandidateMask mask(n, pairs);
 
   bsp::Runtime::run(4, [&](bsp::Comm& comm) {
     const int p = comm.size();
@@ -447,15 +442,15 @@ TEST(Hybrid, CandidatePairsWalksTheMask) {
   // The survivor walk IS the pair listing.
   ASSERT_TRUE(result.sparse_output());
   const auto pairs = analysis::candidate_pairs(result.sparse_similarity);
-  std::int64_t masked_offdiag = 0;
+  std::int64_t survivors = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = i + 1; j < n; ++j) {
-      if (result.candidates.test(i, j)) ++masked_offdiag;
+      if (result.sparse_similarity.is_survivor(i, j)) ++survivors;
     }
   }
-  ASSERT_EQ(static_cast<std::int64_t>(pairs.size()), masked_offdiag);
+  ASSERT_EQ(static_cast<std::int64_t>(pairs.size()), survivors);
   for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
-    EXPECT_TRUE(result.candidates.test(pairs[idx].a, pairs[idx].b));
+    EXPECT_TRUE(result.sparse_similarity.is_survivor(pairs[idx].a, pairs[idx].b));
     EXPECT_LT(pairs[idx].a, pairs[idx].b);
     EXPECT_EQ(pairs[idx].similarity,
               result.similarity_at(pairs[idx].a, pairs[idx].b));

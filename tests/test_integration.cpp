@@ -243,7 +243,7 @@ TEST(Integration, HybridThroughGenomeAtScaleYieldsTheFullMatrix) {
   int survivors = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = i + 1; j < n; ++j) {
-      if (!run.candidates.test(i, j)) continue;
+      if (!run.sparse_similarity.is_survivor(i, j)) continue;
       ++survivors;
       EXPECT_EQ(hybrid.similarity.similarity(i, j), exact.similarity.similarity(i, j))
           << "(" << i << ", " << j << ")";
@@ -412,7 +412,8 @@ TEST_F(GasCli, UsageErrorsExitWithConfigCode) {
             2);  // no --quarantine
   // A flag the subcommand does not read is an error naming it, not a
   // silent default: deleted options and typos alike.
-  for (const char* flag : {"--nodes 2", "--no-numa", "--dense-output", "--batchs 3"}) {
+  for (const char* flag : {"--nodes 2", "--no-numa", "--dense-output", "--prune-slack 0.05",
+                           "--lsh-bands 8", "--batchs 3"}) {
     const auto result = run_command(dist(flag));
     EXPECT_EQ(result.exit_code, 2) << flag << "\n" << result.output;
     const std::string name = std::string(flag).substr(0, std::string(flag).find(' '));
@@ -439,12 +440,34 @@ TEST_F(GasCli, OutOfRangeDistValuesExitWithConfigCode) {
     const auto result = run_command(dist(extra));
     EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
   }
+  // NaN fails every plain range check, so a non-finite number is refused
+  // where it is parsed, naming the flag.
+  for (const char* extra : {"--estimator hybrid --prune-threshold nan", "--threshold nan",
+                            "--threshold inf"}) {
+    const auto result = run_command(dist(extra));
+    EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
+    const std::string flag = std::string(extra).substr(std::string(extra).rfind("--"));
+    EXPECT_NE(result.output.find(flag.substr(0, flag.find(' '))), std::string::npos)
+        << result.output;
+  }
+}
+
+TEST_F(GasCli, SparseSimilarityOutWithoutHybridFailsBeforeTheRun) {
+  const fs::path phylip = dir_ / "d.phylip";
+  const auto result = run_command(dist("--phylip " + phylip.string() +
+                                       " --sparse-similarity-out " +
+                                       (dir_ / "x.sasp").string()));
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--sparse-similarity-out"), std::string::npos)
+      << result.output;
+  EXPECT_FALSE(fs::exists(phylip)) << "the run must not start";
 }
 
 TEST_F(GasCli, OutOfRangeSimulateValuesExitWithConfigCode) {
   for (const char* extra :
        {"--length 500 --rate 2", "--length 500 --error 2",
-        "--length 500 --reads --coverage -1", "--length 0", "--length 50 --reads"}) {
+        "--length 500 --reads --coverage -1", "--length 500 --reads --coverage inf",
+        "--length 500 --rate nan", "--length 0", "--length 50 --reads"}) {
     const auto result = run_command(bin_ + " simulate --samples 2 " + extra +
                                     " --out-dir " + dir_.string());
     EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;

@@ -27,7 +27,6 @@
 #include "core/matrix_io.hpp"
 #include "core/sample_source.hpp"
 #include "core/similarity_matrix.hpp"
-#include "distmat/pair_mask.hpp"
 #include "util/rng.hpp"
 
 namespace sas {
@@ -93,22 +92,21 @@ TEST_P(SparseAssemblyParity, SurvivorsMatchExactBitwise) {
   EXPECT_TRUE(hybrid.similarity.empty()) << "hybrid runs must not build the matrix";
   ASSERT_EQ(hybrid.sparse_similarity.size(), n);
 
-  // Every masked pair is a survivor carrying the exact value bitwise, and
-  // the reconstruction agrees with the lookup everywhere.
+  // Every survivor carries the exact value bitwise, and the
+  // reconstruction agrees with the lookup everywhere.
   const core::SimilarityMatrix reconstructed = hybrid.sparse_similarity.to_dense();
-  std::int64_t masked_offdiag = 0;
+  std::int64_t survivors_offdiag = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
       EXPECT_EQ(reconstructed.similarity(i, j), hybrid.similarity_at(i, j))
           << "to_dense differs at (" << i << ", " << j << ")";
-      if (i == j || !hybrid.candidates.test(i, j)) continue;
-      ++masked_offdiag;
-      EXPECT_TRUE(hybrid.sparse_similarity.is_survivor(i, j)) << i << "," << j;
+      if (!hybrid.sparse_similarity.is_survivor(i, j)) continue;
+      ++survivors_offdiag;
       EXPECT_EQ(hybrid.similarity_at(i, j), exact.similarity.similarity(i, j))
           << "survivor differs from exact at (" << i << ", " << j << ")";
     }
   }
-  EXPECT_EQ(hybrid.sparse_similarity.survivor_count(), masked_offdiag / 2);
+  EXPECT_EQ(hybrid.sparse_similarity.survivor_count(), survivors_offdiag / 2);
 
   // â is exact on active columns and rides along for diagnostics.
   ASSERT_EQ(hybrid.sparse_similarity.union_cardinalities().size(),
@@ -305,50 +303,6 @@ TEST(SparseSimilarity, AnalysisOverloadsWalkSurvivors) {
   EXPECT_EQ(top[3].similarity, 0.1);
   EXPECT_EQ(top[3].a, 1);
   EXPECT_EQ(top[3].b, 2);
-}
-
-TEST(CandidateMaskWalk, ForEachPairInMatchesReference) {
-  for (const bool use_sparse : {false, true}) {
-    const std::int64_t n = 130;
-    Rng rng(use_sparse ? 5u : 6u);
-    distmat::PairMask dense(n);
-    std::vector<std::uint64_t> upper;
-    for (std::int64_t i = 0; i < n; ++i) dense.set(i, i);
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = i + 1; j < n; ++j) {
-        if (!rng.bernoulli(0.05)) continue;
-        dense.set(i, j);
-        dense.set(j, i);
-        upper.push_back(distmat::SparsePairMask::pack_pair(i, j));
-      }
-    }
-    const distmat::CandidateMask mask =
-        use_sparse ? distmat::CandidateMask(distmat::SparsePairMask(n, upper))
-                   : distmat::CandidateMask(std::move(dense));
-
-    Rng range_rng(77);
-    for (int trial = 0; trial < 50; ++trial) {
-      const auto r0 = static_cast<std::int64_t>(range_rng.uniform(static_cast<std::uint64_t>(n)));
-      const auto r1 = static_cast<std::int64_t>(range_rng.uniform(static_cast<std::uint64_t>(n)));
-      const auto c0 = static_cast<std::int64_t>(range_rng.uniform(static_cast<std::uint64_t>(n)));
-      const auto c1 = static_cast<std::int64_t>(range_rng.uniform(static_cast<std::uint64_t>(n)));
-      const distmat::BlockRange rows{std::min(r0, r1), std::max(r0, r1) + 1};
-      const distmat::BlockRange cols{std::min(c0, c1), std::max(c0, c1) + 1};
-
-      std::vector<std::pair<std::int64_t, std::int64_t>> walked;
-      mask.for_each_pair_in(rows, cols,
-                            [&](std::int64_t i, std::int64_t j) { walked.emplace_back(i, j); });
-      std::vector<std::pair<std::int64_t, std::int64_t>> expected;
-      for (std::int64_t i = rows.begin; i < rows.end; ++i) {
-        for (std::int64_t j = cols.begin; j < cols.end; ++j) {
-          if (j > i && mask.test(i, j)) expected.emplace_back(i, j);
-        }
-      }
-      EXPECT_EQ(walked, expected)
-          << (use_sparse ? "sparse" : "dense") << " rows [" << rows.begin << ","
-          << rows.end << ") cols [" << cols.begin << "," << cols.end << ")";
-    }
-  }
 }
 
 }  // namespace

@@ -225,6 +225,26 @@ TEST(Args, NumericGettersRejectJunk) {
   }
 }
 
+TEST(Args, DoubleGetterRejectsNonFiniteValues) {
+  // std::from_chars reads these as numbers, and NaN compares false with
+  // everything, so each would slip past a `v < lo || v > hi` check.
+  const char* argv[] = {"prog",       "--a", "nan",  "--b",      "inf",
+                        "--c",        "-inf", "--d", "infinity", "--e",
+                        "NAN",        "--f", "1e999", "--g",      "-0.0"};
+  const ArgParser args(15, argv);
+  for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+    EXPECT_THROW((void)args.get_double(name, 0.5), error::ConfigError) << name;
+  }
+  try {
+    (void)args.get_double("a", 0.5);
+    ADD_FAILURE() << "nan accepted";
+  } catch (const error::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--a"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("nan"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(args.get_double("g", 0.5), 0.0);
+}
+
 TEST(Args, BoolGetterRejectsNonBooleanValues) {
   const char* argv[] = {"prog",   "--no-filter", "s0.kmers", "s1.kmers", "--resume",
                         "0",      "--quarantine=off", "--fastq", "yes",  "--bare"};

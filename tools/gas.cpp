@@ -80,8 +80,7 @@ int usage() {
                "           [--sketch-size 1024] [--hll-precision 12]\n"
                "           [--minhash-bits 16] [--sketch-seed 1445]\n"
                "           [--hybrid-sketch hll|minhash|bottomk]\n"
-               "           [--prune-threshold 0.1] [--prune-slack auto]\n"
-               "           [--candidate-mode auto|allpairs|lsh] [--lsh-bands 0]\n"
+               "           [--prune-threshold 0.1] [--candidate-mode auto|allpairs|lsh]\n"
                "           [--checkpoint DIR] [--resume] [--watchdog-ms N]\n"
                "           [--fault-plan SPEC] [--verify-protocol]\n"
                "           [--max-retries N] [--retry-backoff-ms N]\n"
@@ -272,10 +271,9 @@ int cmd_dist(const ArgParser& args) {
            "sparse-similarity-out", "top", "threshold", "algorithm", "replication",
            "bits", "no-filter", "estimator", "sketch-size", "hll-precision",
            "minhash-bits", "sketch-seed", "hybrid-sketch", "prune-threshold",
-           "prune-slack", "candidate-mode", "lsh-bands", "checkpoint", "resume",
-           "watchdog-ms", "fault-plan", "verify-protocol", "max-retries",
-           "retry-backoff-ms", "quarantine", "quarantine-manifest", "mem-budget-mb",
-           "trace-out", "report-json"})) {
+           "candidate-mode", "checkpoint", "resume", "watchdog-ms", "fault-plan",
+           "verify-protocol", "max-retries", "retry-backoff-ms", "quarantine",
+           "quarantine-manifest", "mem-budget-mb", "trace-out", "report-json"})) {
     return usage();
   }
   if (args.positional().size() < 3) {
@@ -316,6 +314,11 @@ int cmd_dist(const ArgParser& args) {
     std::fprintf(stderr, "gas dist: unknown --estimator '%s'\n", estimator.c_str());
     return 2;
   }
+  if (args.has("sparse-similarity-out") &&
+      options.core.estimator != core::Estimator::kHybrid) {
+    std::fprintf(stderr, "gas dist: --sparse-similarity-out needs --estimator hybrid\n");
+    return 2;
+  }
   if (!parse_sketch_params(args, options.core)) return 2;
   const std::string hybrid_sketch = args.get_string("hybrid-sketch", "minhash");
   if (!parse_sketch_estimator(hybrid_sketch, options.core.hybrid_sketch)) {
@@ -324,15 +327,6 @@ int cmd_dist(const ArgParser& args) {
     return 2;
   }
   options.core.prune_threshold = args.get_double("prune-threshold", 0.1);
-  // "auto" keeps the sketch-derived slack (Config::prune_slack < 0);
-  // anything else pins it and must be a number ≥ 0.
-  if (args.get_string("prune-slack", "auto") != "auto") {
-    options.core.prune_slack = args.get_double("prune-slack", -1.0);
-    if (options.core.prune_slack < 0.0) {
-      std::fprintf(stderr, "gas dist: --prune-slack must be 'auto' or a number >= 0\n");
-      return 2;
-    }
-  }
   if (options.core.prune_threshold < 0.0 || options.core.prune_threshold > 1.0) {
     std::fprintf(stderr, "gas dist: --prune-threshold must be in [0, 1]\n");
     return 2;
@@ -358,15 +352,11 @@ int cmd_dist(const ArgParser& args) {
                  candidate_mode.c_str());
     return 2;
   }
-  options.core.lsh_bands = args.get_int("lsh-bands", 0);
-  if (options.core.lsh_bands < 0) {
-    std::fprintf(stderr, "gas dist: --lsh-bands must be >= 0 (0 = auto)\n");
-    return 2;
-  }
   if (args.get_int("top", 0) < 0) {
     std::fprintf(stderr, "gas dist: --top must be >= 0\n");
     return 2;
   }
+  const double threshold = args.get_double("threshold", 0.9);
   // Fault-tolerance knobs (see "failure semantics" in the usage text).
   options.core.checkpoint_dir = args.get_string("checkpoint", "");
   options.core.resume = args.get_bool("resume", false);
@@ -419,17 +409,15 @@ int cmd_dist(const ArgParser& args) {
   }
 
   if (options.core.estimator == core::Estimator::kHybrid) {
-    const std::int64_t candidates = (result.candidates.count() - n) / 2;
     const core::CandidateMode mode =
         sketch::resolved_candidate_mode(options.core, n);
     std::printf("hybrid: %lld of %lld pairs survived the sketch prune "
-                "(threshold %.3f, %s candidates, %s mask); "
+                "(threshold %.3f, %s candidates); "
                 "survivors rescored exactly\n\n",
-                static_cast<long long>(candidates),
+                static_cast<long long>(result.sparse_similarity.survivor_count()),
                 static_cast<long long>(n * (n - 1) / 2),
                 options.core.prune_threshold,
-                mode == core::CandidateMode::kLsh ? "lsh-banded" : "all-pairs",
-                result.candidates.is_sparse() ? "sparse" : "dense");
+                mode == core::CandidateMode::kLsh ? "lsh-banded" : "all-pairs");
   }
 
   // Dense view on demand: the full-matrix artifacts below reconstruct a
@@ -456,7 +444,6 @@ int cmd_dist(const ArgParser& args) {
       // The hybrid's survivor set IS the thresholded pair set — walk it
       // directly instead of re-thresholding the dense reconstruction
       // (which would also surface sketch-estimated pruned values).
-      const double threshold = args.get_double("threshold", 0.9);
       const double effective =
           options.core.prune_threshold - sketch::hybrid_prune_slack(options.core);
       if (threshold < effective) {
@@ -469,8 +456,7 @@ int cmd_dist(const ArgParser& args) {
       }
       pairs = analysis::candidate_pairs(result.sparse_similarity, threshold);
     } else {
-      pairs = analysis::pairs_above(result.similarity,
-                                    args.get_double("threshold", 0.9));
+      pairs = analysis::pairs_above(result.similarity, threshold);
     }
     TextTable table({"sample A", "sample B", "Jaccard", "distance"});
     for (const auto& pair : pairs) {
@@ -506,11 +492,6 @@ int cmd_dist(const ArgParser& args) {
   if (args.has("sparse-similarity-out")) {
     const std::string out =
         args.get_string("sparse-similarity-out", "similarity.sasp");
-    if (!result.sparse_output()) {
-      std::fprintf(stderr,
-                   "gas dist: --sparse-similarity-out needs --estimator hybrid\n");
-      return 2;
-    }
     core::write_sparse_similarity_binary_file(out, names, result.sparse_similarity);
     std::printf("Sparse similarity (%lld survivors) written to %s\n",
                 static_cast<long long>(result.sparse_similarity.survivor_count()),
