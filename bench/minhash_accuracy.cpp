@@ -29,7 +29,7 @@
 // communicate fewer bytes than the exact pipeline on this workload, or
 // when the hybrid violates recall / parity / bytes on the family corpus.
 // Fourth part (gated): the LSH-banded candidate pass vs the all-pairs
-// sketch allgather on a genome-family corpus — the banded pass must keep
+// sketch ring on a genome-family corpus — the banded pass must keep
 // every pair the all-pairs pass keeps above threshold + slack (equal
 // prune recall) while exchanging fewer bytes.
 #include <cmath>
@@ -423,12 +423,12 @@ int main(int argc, char** argv) {
   std::printf("\nmask-first gate: hybrid pack/sketch bytes strictly below exact — the\n"
               "pruned columns never reach the zero-row filter union or the packer.\n");
 
-  // ---- LSH-banded candidate pass vs all-pairs allgather ------------------
+  // ---- LSH-banded candidate pass vs the all-pairs ring -------------------
   // Larger family corpus (24 families x 2 members, 8 ranks): the regime
   // past the all-pairs pass's comfort zone. The banded pass must match
   // the all-pairs recall above threshold + slack while moving fewer
-  // candidate-pass bytes than the blob allgather.
-  std::printf("\nLSH-banded candidate pass vs all-pairs sketch allgather "
+  // candidate-pass bytes than the all-pairs pass's panel hops.
+  std::printf("\nLSH-banded candidate pass vs the all-pairs sketch ring "
               "(24 genome families x 2 members, 8 ranks, threshold 0.1)\n\n");
   std::vector<genome::KmerSample> lsh_corpus;
   Rng lsh_rng(91);
@@ -505,7 +505,7 @@ int main(int argc, char** argv) {
   TextTable lsh_table({"candidate pass", "plan", "pairs kept", "recall@J>=thr+slack",
                        "pass bytes", "vs all-pairs", "gate"});
   lsh_table.add_row(
-      {"all-pairs allgather", "-",
+      {"all-pairs ring", "-",
        std::to_string((all_pairs_run.pass.mask.count() - ln) / 2),
        fmt_recall(allpairs_recall_misses),
        std::to_string(all_pairs_run.cost.total_bytes), "1.00x", "-"});
@@ -522,8 +522,8 @@ int main(int argc, char** argv) {
        lsh_ok ? "PASS" : "FAIL"});
   lsh_table.print();
   std::printf("\nbanded pass gate: recall no worse than all-pairs at equal sketch\n"
-              "budget, and candidate-pass bytes strictly below the all-pairs blob\n"
-              "allgather (keys + colliding-pair blob fetches vs every blob).\n");
+              "budget, and candidate-pass bytes strictly below the all-pairs ring\n"
+              "(keys + colliding-pair blob fetches vs floor(p/2) panel hops).\n");
 
   // ---- the CI gate --------------------------------------------------------
   std::printf("\nAccuracy gate (mean |err| at default sizes vs documented bounds):\n");

@@ -58,9 +58,9 @@ enum class CandidateMode {
   /// positive, and sample_count >= sketch::kLshMinSamples; kAllPairs
   /// otherwise.
   kAuto,
-  /// Allgather every sketch blob and score n(n − 1)/(2p) pairs per rank —
-  /// the exact candidate set at O(n · sketch_bytes) exchange bytes and
-  /// O(n²) score work. The right call at small n.
+  /// Rotate the sketch blobs around the sketch ring (⌊p/2⌋ hops of n/p
+  /// blobs per rank) and score n(n − 1)/(2p) pairs per rank — the exact
+  /// candidate set at O(n²) score work. The right call at small n.
   kAllPairs,
   /// LSH banding over the one-permutation MinHash registers: exchange
   /// only (band, bucket, sample) keys and score just the pairs that

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -612,63 +613,33 @@ void record_batch(bsp::Comm& world, const Timer& timer, std::int64_t filtered_ro
   }
 }
 
-/// The hybrid's prologue (sketch-prune), run before the batch loop:
-///
-///   1. ONE pass over the inputs: each batch's reads feed the streaming
-///      sketch builders and are cached raw in `cache` for the batch loop
-///      (O(nnz/p) per rank — the same order as the rank's share of the
-///      input). Packing is deferred: the candidate mask is not known yet,
-///      and packing first would spend filter-union traffic and triplet
-///      work on columns the mask is about to drop. Persisted, parameter-
-///      compatible blobs skip the streaming (their samples are still
-///      read — the packer needs them).
-///   2. The sketch exchange scores all pairs and thresholds them into the
-///      replicated candidate mask (Ĵ ≥ prune_threshold − slack). Scoring
-///      time is sketch work; the blob allgather and mask union are
-///      exchange traffic.
+/// The hybrid's prologue (sketch-prune), run before the batch loop: each
+/// rank sketches its cyclically owned samples (sketch::sketch_sample),
+/// then the candidate pass thresholds all pairs into the replicated
+/// candidate mask (Ĵ ≥ prune_threshold − slack). The batch loop reads
+/// the inputs again, only for the samples the mask keeps. Sketching and
+/// scoring are sketch work; the candidate traffic is exchange.
 sketch::CandidatePass sketch_prune(bsp::Comm& world, const SampleSource& source,
-                                   const Config& config, StageRecorder& recorder,
-                                   std::vector<BatchReads>& cache) {
+                                   const Config& config, StageRecorder& recorder) {
   const std::int64_t n = source.sample_count();
-  const std::int64_t m = source.attribute_universe();
-  const int p = world.size();
-  const int r = world.rank();
-  sketch::StreamingSketcher sketcher(config);
-  for (std::int64_t i = r; i < n; i += p) (void)sketcher.add_sample(i, source);
-
-  const int batches = static_cast<int>(config.batch_count);
-  cache.reserve(static_cast<std::size_t>(batches));
-  for (int l = 0; l < batches; ++l) {
-    const BlockRange rows = distmat::block_range(m, batches, l);
-    BatchReads reads;
-    {
-      auto stage = recorder.scope(Stage::kIngest);
-      reads = read_batch(r, p, source, rows);
-    }
-    {
-      auto stage = recorder.scope(Stage::kPackSketch);
-      for (std::size_t s = 0; s < reads.samples.size(); ++s) {
-        sketcher.absorb(s, std::span<const std::int64_t>(reads.values[s]));
-      }
-    }
-    cache.push_back(std::move(reads));
-  }
-
   auto stage = recorder.scope(Stage::kPackSketch, Stage::kExchange);
-  return sketch::sketch_candidate_pass(
-      world, std::span<const std::int64_t>(sketcher.samples()), sketcher.finish(), n,
-      config);
+  std::vector<std::int64_t> samples;
+  std::vector<std::vector<std::uint64_t>> blobs;
+  for (std::int64_t i = world.rank(); i < n; i += world.size()) {
+    samples.push_back(i);
+    blobs.push_back(sketch::sketch_sample(source, config, i));
+  }
+  return sketch::sketch_candidate_pass(world, std::span<const std::int64_t>(samples),
+                                       blobs, n, config);
 }
 
 /// The batched pipeline (paper Listings 1–2) behind kExact and kHybrid:
 /// per batch ingest → pack → exchange → multiply, then assemble. The
 /// hybrid is the same loop with a candidate mask computed up front by
-/// sketch_prune: its batches come from the prologue's read cache instead
-/// of a fresh read, samples with no surviving pair are dropped before the
-/// pack, the ring schedule becomes the mask-targeted alltoall, and the
-/// kernels tile-skip pruned pairs. Surviving pairs come out
-/// bitwise-identical to kExact (their columns keep every entry and â is
-/// exact on active columns).
+/// sketch_prune: samples with no surviving pair are never read, the ring
+/// schedule becomes the mask-targeted alltoall, and the kernels tile-skip
+/// pruned pairs. Surviving pairs come out bitwise-identical to kExact
+/// (their columns keep every entry and â is exact on active columns).
 Result run_batched_pipeline(bsp::Comm& world, const SampleSource& source,
                             const Config& config) {
   const std::int64_t n = source.sample_count();
@@ -676,10 +647,9 @@ Result run_batched_pipeline(bsp::Comm& world, const SampleSource& source,
   Layout layout = make_layout(world, config, n);
   StageRecorder recorder(world.counters());
 
-  std::vector<BatchReads> cache;
   std::optional<sketch::CandidatePass> candidates;
   if (config.estimator == Estimator::kHybrid) {
-    candidates = sketch_prune(world, source, config, recorder, cache);
+    candidates = sketch_prune(world, source, config, recorder);
   }
   const distmat::CandidateMask* const mask = candidates ? &candidates->mask : nullptr;
   const std::vector<std::uint8_t> active =
@@ -707,42 +677,22 @@ Result run_batched_pipeline(bsp::Comm& world, const SampleSource& source,
       const bsp::CostCounters batch_start = world.counters();
       Timer timer;
 
-      // Cached reads are consumed destructively on the fast path but must
-      // survive a rollback when recovery is armed, so the armed path
-      // copies.
+      // Mask-first ingest: samples with no surviving pair are never read,
+      // so the zero-row filter union and the triplet build never see them
+      // — a column the candidate pass pruned costs zero pack work and zero
+      // filter-union bytes. Their â stays 0, their diagonal falls back to
+      // the J(∅, ∅) = 1 convention, and off-diagonal entries are filled
+      // from the sketch estimates. Rows observed only in pruned samples
+      // leave the filter too; they contributed only to pruned pairs, so
+      // surviving pairs are unchanged.
       BatchReads reads;
-      if (candidates) {
-        reads = rs.armed ? cache[static_cast<std::size_t>(l)]
-                         : std::move(cache[static_cast<std::size_t>(l)]);
-      } else {
+      {
         auto stage = recorder.scope(Stage::kIngest);
-        reads = read_batch(world.rank(), world.size(), source, rows);
+        reads = read_batch(world.rank(), world.size(), source, rows, active);
       }
       PackedBatch packed;
       {
         auto stage = recorder.scope(Stage::kPackSketch);
-        // Mask-first packing: drop samples with no surviving pair BEFORE
-        // the pack, so the zero-row filter union and the triplet build
-        // never see them — a column the candidate pass pruned costs zero
-        // pack work and zero filter-union bytes. Dropped samples' â stays
-        // 0, their diagonal falls back to the J(∅, ∅) = 1 convention, and
-        // off-diagonal entries are filled from the sketch estimates. Rows
-        // observed only in pruned samples leave the filter too; they
-        // contributed only to pruned pairs, so surviving pairs are
-        // unchanged.
-        if (mask != nullptr) {
-          std::size_t keep = 0;
-          for (std::size_t s = 0; s < reads.samples.size(); ++s) {
-            if (active[static_cast<std::size_t>(reads.samples[s])] == 0) continue;
-            if (keep != s) {
-              reads.samples[keep] = reads.samples[s];
-              reads.values[keep] = std::move(reads.values[s]);
-            }
-            ++keep;
-          }
-          reads.samples.resize(keep);
-          reads.values.resize(keep);
-        }
         packed = pack_batch(world, reads, rows, config.bit_width,
                             config.use_zero_row_filter, config.compress_filter);
       }
@@ -796,6 +746,11 @@ void validate_config(const SampleSource& source, const Config& config, int nrank
   if (config.batch_count > m && m > 0) {
     throw error::ConfigError("similarity_at_scale: more batches than matrix rows");
   }
+  // Batch indices are ints (distmat::block_range), whatever m allows.
+  if (config.batch_count > std::numeric_limits<int>::max()) {
+    throw error::ConfigError("similarity_at_scale: batch_count must be <= " +
+                             std::to_string(std::numeric_limits<int>::max()));
+  }
   if (config.bit_width < 1 || config.bit_width > 64) {
     throw error::ConfigError("similarity_at_scale: bit_width must be in [1, 64]");
   }
@@ -837,6 +792,9 @@ void validate_config(const SampleSource& source, const Config& config, int nrank
     throw error::ConfigError(
         "similarity_at_scale: checkpointing requires a batched pipeline "
         "(estimator exact or hybrid)");
+  }
+  if (config.estimator != Estimator::kExact) {
+    sketch::validate_sketch_params(config);
   }
   if (config.estimator == Estimator::kHybrid) {
     switch (config.hybrid_sketch) {

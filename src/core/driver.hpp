@@ -6,10 +6,9 @@
 //   ingest    — read each rank's cyclic share of one row batch A⁽ˡ⁾
 //               (packing.hpp read_batch; purely local)
 //   pack /    — zero-row filter + bitmask compression of the reads
-//   sketch      (pack_batch, Eq. 5–7) and/or streaming sketch
-//               construction (sketch/exchange.hpp StreamingSketcher —
-//               fed by the SAME reads in the hybrid, which reads inputs
-//               once)
+//   sketch      (pack_batch, Eq. 5–7) and/or per-sample sketch
+//               construction (sketch/exchange.hpp sketch_sample, which
+//               reads each sample one row batch at a time)
 //   exchange  — move data where it multiplies: triplet redistribution
 //               onto the grid, ring/SUMMA panel movement, sketch-panel
 //               rotation, or the hybrid's mask-targeted alltoall
@@ -27,14 +26,14 @@
 // Two pipelines compose the stages:
 //
 //   kExact, kHybrid    ONE batched loop (run_batched_pipeline):
-//                        [hybrid prologue: for each batch ingest →
-//                         sketch (one read, raw reads cached); candidate
-//                         pass → replicated candidate mask (Ĵ ≥
-//                         prune_threshold − slack; all-pairs scoring or
-//                         LSH banding per Config::candidate_mode, one
-//                         CSR of surviving pairs, pair_mask.hpp)]
-//                        for each batch: ingest (cache or read) →
-//                          [drop columns with no surviving pair] → pack →
+//                        [hybrid prologue: sketch each owned sample;
+//                         candidate pass → replicated candidate mask (Ĵ ≥
+//                         prune_threshold − slack; all-pairs scoring on
+//                         the sketch ring or LSH banding per
+//                         Config::candidate_mode, one CSR of surviving
+//                         pairs, pair_mask.hpp)]
+//                        for each batch: ingest [only the samples with
+//                          a surviving pair] → pack →
 //                          exchange (serial / ring / SUMMA; a mask turns
 //                          the ring into the targeted alltoall) →
 //                          multiply (tile-level mask skip)

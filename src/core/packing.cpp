@@ -8,7 +8,7 @@
 namespace sas::core {
 
 BatchReads read_batch(int rank, int nranks, const SampleSource& source,
-                      distmat::BlockRange rows) {
+                      distmat::BlockRange rows, std::span<const std::uint8_t> active) {
   const std::int64_t n = source.sample_count();
   BatchReads reads;
   const auto my_sample_count =
@@ -16,6 +16,7 @@ BatchReads read_batch(int rank, int nranks, const SampleSource& source,
   reads.samples.reserve(my_sample_count);
   reads.values.reserve(my_sample_count);
   for (std::int64_t i = rank; i < n; i += nranks) {
+    if (!active.empty() && active[static_cast<std::size_t>(i)] == 0) continue;
     reads.samples.push_back(i);
     reads.values.push_back(source.values_in_range(i, rows));
   }

@@ -4,18 +4,17 @@
 //   ingest (read_batch)  — read the attribute values of this rank's
 //      samples restricted to the batch (cyclic sample ownership: sample i
 //      is read by rank i mod p). Purely local; the returned values are
-//      GLOBAL attribute ids so the same reads can feed streaming sketch
-//      construction (sketch hashing is defined over global ids).
+//      GLOBAL attribute ids.
 //   pack (pack_batch)    — contribute observed row offsets to the
 //      distributed filter f⁽ˡ⁾, obtain the replicated sorted filter
 //      (Eq. 5), remap each value to its compacted row id — the prefix
 //      sum p⁽ˡ⁾ of the filter (Eq. 6) — and pack segments of `bit_width`
 //      compacted rows into word masks (Eq. 7).
 //
-// The split is what lets the hybrid estimator read inputs ONCE: the
-// driver hands each batch's reads to both the sketch builders and the
-// packer. The output triplets are globally indexed (word_row, sample)
-// pairs ready for redistribution onto the processor grid.
+// The hybrid reads only the samples its candidate mask keeps, so pruned
+// samples cost no reads and no filter-union bytes. The output triplets
+// are globally indexed (word_row, sample) pairs ready for redistribution
+// onto the processor grid.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +29,7 @@
 namespace sas::core {
 
 /// One rank's raw reads of one row batch (the ingest stage): the global
-/// attribute ids of each cyclically owned sample, restricted to the
+/// attribute ids of each cyclically owned sample read, restricted to the
 /// batch's row range.
 struct BatchReads {
   std::vector<std::int64_t> samples;  ///< global sample ids (rank, rank+p, ...)
@@ -38,9 +37,11 @@ struct BatchReads {
 };
 
 /// Ingest stage: read this rank's share of batch `rows` (sample i is read
-/// by rank i mod nranks). Local — no communication.
+/// by rank i mod nranks), skipping each sample i with active[i] == 0 when
+/// `active` is non-empty. Local — no communication.
 [[nodiscard]] BatchReads read_batch(int rank, int nranks, const SampleSource& source,
-                                    distmat::BlockRange rows);
+                                    distmat::BlockRange rows,
+                                    std::span<const std::uint8_t> active = {});
 
 struct PackedBatch {
   /// h: word-rows of the packed batch matrix Â⁽ˡ⁾ (absent words are zero).

@@ -1,7 +1,8 @@
 // ring.hpp — the double-buffered 1-D ring rotation (the 1-D rotation of
 // Özkural & Aykanat, with an overlapped send), shared by the exact SpGEMM
-// ring (spgemm.hpp ring_ata_accumulate) and the sketch-exchange ring
-// (sketch/exchange.hpp sketch_similarity_at_scale).
+// ring (spgemm.hpp ring_ata_accumulate) and the sketch ring, which scores
+// both the pure-sketch pipeline and the hybrid's all-pairs candidate pass
+// (sketch/exchange.hpp).
 //
 // Each rank starts holding its own panel. At step s rank r holds the
 // panel of rank (r − s) mod p, forwards it to rank r + 1, hands it to the

@@ -338,13 +338,6 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
       comm, bsp::tags::kSpgemmRing, "ring/step", p, my_panel.entries,
       [&](int owner, std::span<const Triplet<std::uint64_t>> held) {
         const BlockRange owner_cols = block_range(n, p, owner);
-        // With a candidate mask, a panel whose owner shares no surviving
-        // pair with this rank's output rows is forwarded without even a
-        // CSR build.
-        if (options.prune != nullptr &&
-            !options.prune->any_pair(b_panel.row_range, owner_cols)) {
-          return;
-        }
         CsrPanel received;
         const CsrPanel* npanel = &lpanel;
         if (owner != r) {

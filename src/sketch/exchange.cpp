@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "bsp/tags.hpp"
@@ -14,6 +15,7 @@
 #include "distmat/gather.hpp"
 #include "distmat/ring.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace sas::sketch {
@@ -98,49 +100,42 @@ double hybrid_prune_slack(const core::Config& config) {
   throw std::invalid_argument("hybrid_prune_slack: config names no sketch estimator");
 }
 
-StreamingSketcher::StreamingSketcher(const core::Config& config) : config_(config) {
-  (void)make_sketch(config_);  // validate the estimator up front
+void validate_sketch_params(const core::Config& config) {
+  if (config.sketch_size < 1) {
+    throw error::ConfigError("sketch: sketch_size must be >= 1");
+  }
+  if (config.minhash_bits < 1 || config.minhash_bits > 64 ||
+      64 % config.minhash_bits != 0) {
+    throw error::ConfigError("sketch: minhash_bits must divide 64");
+  }
+  if (config.hll_precision < HyperLogLog::kMinPrecision ||
+      config.hll_precision > HyperLogLog::kMaxPrecision) {
+    throw error::ConfigError("sketch: hll_precision must be in [" +
+                             std::to_string(HyperLogLog::kMinPrecision) + ", " +
+                             std::to_string(HyperLogLog::kMaxPrecision) + "]");
+  }
 }
 
-std::size_t StreamingSketcher::add_sample(std::int64_t sample,
-                                          const core::SampleSource& source) {
-  samples_.push_back(sample);
-  sketches_.push_back(make_sketch(config_));
+std::vector<std::uint64_t> sketch_sample(const core::SampleSource& source,
+                                         const core::Config& config, std::int64_t sample) {
+  AnySketch sketch = make_sketch(config);
   // Persisted blob first: written by `gas sketch --estimator`, trusted
-  // only when its header matches this run's (type, params, seed).
-  std::vector<std::uint64_t> persisted = source.persisted_sketch(sample, config_);
-  if (!persisted.empty() && wire_matches_config(persisted, config_)) {
-    preloaded_.push_back(std::move(persisted));
-  } else {
-    preloaded_.emplace_back();
-  }
-  return samples_.size() - 1;
-}
-
-bool StreamingSketcher::needs_stream(std::size_t index) const {
-  return preloaded_[index].empty();
-}
-
-void StreamingSketcher::absorb(std::size_t index, std::span<const std::int64_t> values) {
-  if (!needs_stream(index)) return;
-  std::visit(
+  // only when it matches this run's (type, params, seed) and validates.
+  std::vector<std::uint64_t> persisted = source.persisted_sketch(sample, config);
+  if (!persisted.empty() && wire_matches_config(persisted, config)) return persisted;
+  const std::int64_t m = source.attribute_universe();
+  const int batches = static_cast<int>(config.batch_count);
+  return std::visit(
       [&](auto& sk) {
-        for (std::int64_t v : values) sk.add(static_cast<std::uint64_t>(v));
+        for (int l = 0; l < batches; ++l) {
+          const BlockRange rows = distmat::block_range(m, batches, l);
+          for (std::int64_t v : source.values_in_range(sample, rows)) {
+            sk.add(static_cast<std::uint64_t>(v));
+          }
+        }
+        return sk.wire();
       },
-      sketches_[index]);
-}
-
-std::vector<std::vector<std::uint64_t>> StreamingSketcher::finish() {
-  std::vector<std::vector<std::uint64_t>> blobs;
-  blobs.reserve(sketches_.size());
-  for (std::size_t i = 0; i < sketches_.size(); ++i) {
-    if (!preloaded_[i].empty()) {
-      blobs.push_back(std::move(preloaded_[i]));
-    } else {
-      blobs.push_back(std::visit([](const auto& sk) { return sk.wire(); }, sketches_[i]));
-    }
-  }
-  return blobs;
+      sketch);
 }
 
 LshPlan lsh_candidate_plan(const core::Config& config, double effective_threshold) {
@@ -222,116 +217,105 @@ std::vector<int> owner_map(const std::vector<std::vector<std::int64_t>>& id_bloc
   return owner;
 }
 
-/// Gather each rank's non-zero (i < j) pair estimates on rank 0, sorted
-/// by (i, j). Every scored pair is scored by exactly one rank (all-pairs
-/// partitions the rows; LSH routes a pair to its lower sample's blob
-/// owner and dedupes), which the shared triplet gather's
-/// overlapping-contribution check enforces.
-std::vector<PairEstimate> gather_estimates(bsp::Comm& world,
-                                           std::vector<PairEstimate> mine) {
-  std::vector<distmat::Triplet<double>> triplets;
-  triplets.reserve(mine.size());
-  for (const PairEstimate& pe : mine) triplets.push_back({pe.i, pe.j, pe.est});
-  const auto merged = distmat::gather_triplets_to_root(world, std::move(triplets));
-  std::vector<PairEstimate> out;
-  out.reserve(merged.size());
-  for (const auto& t : merged) out.push_back({t.row, t.col, t.value});
-  return out;
-}
-
 /// Shared tail of both candidate passes: replicate the union of every
 /// rank's kept (i < j) pairs as the candidate mask — 8 bytes per kept
-/// pair on the wire, whatever n is — and gather the non-zero estimates on
-/// rank 0.
+/// pair on the wire, whatever n is — and gather the non-zero (i < j, est)
+/// estimates on rank 0, sorted by (i, j). Each pair is scored by exactly
+/// one rank (the ring scores each block once; LSH routes a pair to its
+/// lower sample's blob owner and dedupes), which the triplet gather's
+/// overlapping-contribution check enforces.
 void finish_candidate_pass(bsp::Comm& world, std::int64_t n,
                            std::vector<std::uint64_t> kept,
-                           std::vector<PairEstimate> scored, CandidatePass& pass) {
+                           std::vector<distmat::Triplet<double>> scored,
+                           CandidatePass& pass) {
   const std::vector<std::uint64_t> survivors =
       distmat::allreduce_pair_union(world, std::move(kept));
   pass.mask = distmat::CandidateMask(n, std::span<const std::uint64_t>(survivors));
-  pass.estimates = gather_estimates(world, std::move(scored));
+  const auto merged = distmat::gather_triplets_to_root(world, std::move(scored));
+  pass.estimates.reserve(merged.size());
+  for (const auto& t : merged) pass.estimates.push_back({t.row, t.col, t.value});
 }
 
-/// The all-pairs candidate pass: allgather every blob and score this
-/// rank's share of the n(n − 1)/2 pairs.
-CandidatePass all_pairs_candidate_pass(
-    bsp::Comm& world, std::span<const std::int64_t> samples,
-    const std::vector<std::vector<std::uint64_t>>& blobs, std::int64_t n,
-    double effective_threshold) {
+/// Score one triangle of the symmetric pair matrix on the sketch ring
+/// (pure-sketch steps 2–3 in exchange.hpp): rotate this rank's wire panel
+/// (core::pack_word_panel) ⌊p/2⌋ + 1 steps, scoring each unordered pair
+/// exactly once across the ranks, whichever samples each rank holds; with
+/// `diagonal`, each blob against itself too. At even p's middle step the
+/// lower rank scores the first half of its rows, the upper rank the second
+/// half of its held columns. `on_block(owner, rows, cols)` is called once
+/// per non-empty block with position ranges in this rank's panel and in
+/// `owner`'s, and returns the visitor `(a, b, est)` of its pairs.
+template <typename OnBlock>
+void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& panel,
+                         bool diagonal, OnBlock&& on_block) {
   const int p = world.size();
   const int r = world.rank();
+  const auto mine = core::unpack_word_panel(panel);
+  distmat::ring_rotate<std::uint64_t>(
+      world, bsp::tags::kSketchRing, "sketch-ring/step", p / 2 + 1, panel,
+      [&](int owner, std::span<const std::uint64_t> held) {
+        const auto theirs = core::unpack_word_panel(held);
+        const int step = (r - owner + p) % p;
+        BlockRange rows{0, static_cast<std::int64_t>(mine.size())};
+        BlockRange cols{0, static_cast<std::int64_t>(theirs.size())};
+        if (2 * step == p) {
+          if (r < owner) {
+            rows.end = rows.size() / 2;
+          } else {
+            cols.begin = cols.size() / 2;
+          }
+        }
+        if (rows.size() == 0 || cols.size() == 0) return;
+        auto visit = on_block(owner, rows, cols);
+        for (std::int64_t a = rows.begin; a < rows.end; ++a) {
+          const std::int64_t first = step == 0 ? (diagonal ? a : a + 1) : cols.begin;
+          for (std::int64_t b = first; b < cols.end; ++b) {
+            visit(a, b,
+                  estimate_jaccard_wire(mine[static_cast<std::size_t>(a)],
+                                        theirs[static_cast<std::size_t>(b)]));
+          }
+        }
+      });
+}
+
+/// The all-pairs candidate pass: score every unordered pair once on the
+/// sketch ring, mapping panel positions to sample ids through an id
+/// allgather.
+void all_pairs_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
+                              const std::vector<std::vector<std::uint64_t>>& blobs,
+                              std::int64_t n, CandidatePass& pass) {
   const obs::Span stage_span("allpairs-candidates", "sketch",
                              &world.counters());
-
-  // Every rank needs every blob (the mask prunes rank-local columns and
-  // tiles), so the exchange is a ring allgather of the wire panels —
-  // O(n · sketch_bytes) per rank, the same as a full rotation would move.
-  const std::vector<std::uint64_t> panel = core::pack_word_panel(blobs);
   const auto id_blocks = world.allgather_v<std::int64_t>(samples);
-  const auto panel_blocks =
-      world.allgather_v<std::uint64_t>(std::span<const std::uint64_t>(panel));
+  (void)owner_map(id_blocks, n);  // the lists must cover [0, n) disjointly
 
-  std::vector<std::span<const std::uint64_t>> views(static_cast<std::size_t>(n));
-  std::int64_t seen = 0;
-  for (int q = 0; q < p; ++q) {
-    const auto q_views = core::unpack_word_panel(panel_blocks[static_cast<std::size_t>(q)]);
-    const auto& q_ids = id_blocks[static_cast<std::size_t>(q)];
-    if (q_views.size() != q_ids.size()) {
-      throw std::invalid_argument("sketch_candidate_pass: panel/id mismatch");
-    }
-    for (std::size_t i = 0; i < q_ids.size(); ++i) {
-      views[static_cast<std::size_t>(q_ids[i])] = q_views[i];
-      ++seen;
-    }
-  }
-  if (seen != n) {
-    throw std::invalid_argument("sketch_candidate_pass: samples do not cover [0, n)");
-  }
-
-  CandidatePass pass;
-  pass.effective_threshold = effective_threshold;
-  pass.mode = core::CandidateMode::kAllPairs;
-
-  // Score each unordered pair (i, j > i) once: every wire estimator is
-  // bitwise symmetric, so one score decides the pair. Rows are dealt
-  // cyclically (any disjoint cover works — all blobs are local now), so
-  // every rank gets long and short rows alike and the n(n − 1)/2 pairs
-  // split evenly to within n per rank. Estimates ride to rank 0 as
-  // (i < j, value) pairs — each pair is scored by exactly the rank owning
-  // row i, and zero estimates are dropped (absent pairs read as 0.0), so
-  // the estimate payload tracks the non-zero pair structure instead of a
-  // dense n² array.
-  std::vector<PairEstimate> scored;
+  std::vector<distmat::Triplet<double>> scored;
   std::vector<std::uint64_t> kept;
-  for (std::int64_t i = r; i < n; i += p) {
-    for (std::int64_t j = i + 1; j < n; ++j) {
-      const double est = estimate_jaccard_wire(views[static_cast<std::size_t>(i)],
-                                               views[static_cast<std::size_t>(j)]);
-      if (est != 0.0) scored.push_back({i, j, est});
-      if (est >= pass.effective_threshold) {
-        kept.push_back(distmat::CandidateMask::pack_pair(i, j));
-      }
-    }
-  }
-
+  score_ring_triangle(
+      world, core::pack_word_panel(blobs), /*diagonal=*/false,
+      [&](int owner, BlockRange, BlockRange) {
+        return [&, owner](std::int64_t a, std::int64_t b, double est) {
+          const std::int64_t x = samples[static_cast<std::size_t>(a)];
+          const std::int64_t y =
+              id_blocks[static_cast<std::size_t>(owner)][static_cast<std::size_t>(b)];
+          const std::int64_t i = std::min(x, y);
+          const std::int64_t j = std::max(x, y);
+          if (est != 0.0) scored.push_back({i, j, est});
+          if (est >= pass.effective_threshold) {
+            kept.push_back(distmat::CandidateMask::pack_pair(i, j));
+          }
+        };
+      });
   finish_candidate_pass(world, n, std::move(kept), std::move(scored), pass);
-  return pass;
 }
 
 /// The LSH-banded candidate pass: band keys through the alltoall, score
 /// only colliding pairs. See the strategy note in exchange.hpp.
-CandidatePass lsh_candidate_pass(bsp::Comm& world,
-                                 std::span<const std::int64_t> samples,
-                                 const std::vector<std::vector<std::uint64_t>>& blobs,
-                                 std::int64_t n, const core::Config& config,
-                                 double effective_threshold) {
+void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
+                        const std::vector<std::vector<std::uint64_t>>& blobs,
+                        std::int64_t n, CandidatePass& pass) {
   const int p = world.size();
   const int r = world.rank();
-
-  CandidatePass pass;
-  pass.effective_threshold = effective_threshold;
-  pass.mode = core::CandidateMode::kLsh;
-  pass.plan = lsh_candidate_plan(config, effective_threshold);
 
   // Phase spans: the pass is straight-line code with locals flowing
   // across phases, so each span is an explicit object closed at the
@@ -505,7 +489,7 @@ CandidatePass lsh_candidate_pass(bsp::Comm& world,
   // (6) Score exactly the colliding pairs; keep every non-zero estimate
   // (pruned colliders still fill the assembled output better than 0) and
   // threshold into the local candidate list.
-  std::vector<PairEstimate> scored;
+  std::vector<distmat::Triplet<double>> scored;
   scored.reserve(todo.size());
   std::vector<std::uint64_t> kept;
   for (std::uint64_t packed : todo) {
@@ -522,7 +506,6 @@ CandidatePass lsh_candidate_pass(bsp::Comm& world,
   // never-collided pairs stay absent and read as 0.0 (they are below the
   // S-curve's collision range).
   finish_candidate_pass(world, n, std::move(kept), std::move(scored), pass);
-  return pass;
 }
 
 }  // namespace
@@ -543,20 +526,23 @@ CandidatePass sketch_candidate_pass(bsp::Comm& world,
   if (samples.size() != blobs.size()) {
     throw std::invalid_argument("sketch_candidate_pass: ids/blobs length mismatch");
   }
-  const double effective =
+  CandidatePass pass;
+  pass.effective_threshold =
       std::max(0.0, config.prune_threshold - hybrid_prune_slack(config));
-  if (resolved_candidate_mode(config, n) == core::CandidateMode::kLsh) {
-    return lsh_candidate_pass(world, samples, blobs, n, config, effective);
+  pass.mode = resolved_candidate_mode(config, n);
+  if (pass.mode == core::CandidateMode::kLsh) {
+    pass.plan = lsh_candidate_plan(config, pass.effective_threshold);
+    lsh_candidate_pass(world, samples, blobs, n, pass);
+  } else {
+    all_pairs_candidate_pass(world, samples, blobs, n, pass);
   }
-  return all_pairs_candidate_pass(world, samples, blobs, n, effective);
+  return pass;
 }
 
 core::Result sketch_similarity_at_scale(bsp::Comm& world,
                                         const core::SampleSource& source,
                                         const core::Config& config) {
   const std::int64_t n = source.sample_count();
-  const std::int64_t m = source.attribute_universe();
-  const int batches = static_cast<int>(config.batch_count);
   const int p = world.size();
   const int r = world.rank();
 
@@ -566,67 +552,41 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
 
   // (1) Sketch the owned samples (block distribution, matching the ring
   // panel layout so arriving panels map onto contiguous output columns),
-  // streaming each sample's attribute ids batch by batch. Reading and
-  // hashing are one fused loop, so the whole build lands in the
-  // pack/sketch stage. Samples with a compatible persisted blob are not
-  // read at all. One sketcher per sample keeps a single sketch's working
-  // state live at a time; only the compact wire blobs accumulate.
+  // one sample at a time: only the compact wire blobs accumulate. Reading
+  // and hashing are one fused loop, so the whole build lands in the
+  // pack/sketch stage; samples with a compatible persisted blob are not
+  // read at all.
   const BlockRange mine = distmat::block_range(n, p, r);
   std::vector<std::vector<std::uint64_t>> blobs;
   {
     auto stage = recorder.scope(core::Stage::kPackSketch);
     blobs.reserve(static_cast<std::size_t>(mine.size()));
     for (std::int64_t i = mine.begin; i < mine.end; ++i) {
-      StreamingSketcher sketcher(config);
-      const std::size_t idx = sketcher.add_sample(i, source);
-      for (int l = 0; l < batches && sketcher.needs_stream(idx); ++l) {
-        sketcher.absorb(idx, source.values_in_range(i, distmat::block_range(m, batches, l)));
-      }
-      blobs.push_back(std::move(sketcher.finish().front()));
+      blobs.push_back(sketch_sample(source, config, i));
     }
   }
   const std::vector<std::uint64_t> panel_words = core::pack_word_panel(blobs);
-  const auto my_views = core::unpack_word_panel(panel_words);
 
-  // (2)+(3) Rotate panels ⌊p/2⌋ + 1 steps around the shared double-
-  // buffered ring (distmat/ring.hpp) and score one triangle: every wire
-  // estimator is bitwise symmetric, so each unordered pair is scored once
-  // and rank 0 mirrors it. Step s scores block (r, r − s) — at s = 0 the
-  // upper triangle of the diagonal block (mirrored in place), below p/2
-  // the whole block, and at even p's middle step one half of the block
-  // that ranks r and r + p/2 both see: the lower rank scores the first
-  // half of its rows, the upper rank the remaining ones as columns of its
-  // transposed view. Stage attribution mirrors the exact pipeline:
-  // estimation time is the "multiply", rotation bytes are the "exchange".
+  // (2)+(3) Score one triangle on the sketch ring; rank 0 mirrors it.
+  // Panel positions are offsets into each owner's block of samples. Stage
+  // attribution mirrors the exact pipeline: estimation time is the
+  // "multiply", rotation bytes are the "exchange".
   std::vector<DenseBlock<double>> computed;
   {
     auto stage = recorder.scope(core::Stage::kMultiply, core::Stage::kExchange);
-    distmat::ring_rotate<std::uint64_t>(
-        world, bsp::tags::kSketchRing, "sketch-ring/step", p / 2 + 1, panel_words,
-        [&](int owner, std::span<const std::uint64_t> held) {
-          const BlockRange owner_cols = distmat::block_range(n, p, owner);
-          const auto views = owner == r ? my_views : core::unpack_word_panel(held);
-          const int step = (r - owner + p) % p;
-          BlockRange rows = mine;
-          BlockRange cols = owner_cols;
-          if (2 * step == p) {
-            if (r < owner) {
-              rows.end = mine.begin + mine.size() / 2;
-            } else {
-              cols.begin = owner_cols.begin + owner_cols.size() / 2;
-            }
-          }
-          if (rows.size() == 0 || cols.size() == 0) return;
-          DenseBlock<double>& block = computed.emplace_back(rows, cols);
-          for (std::int64_t i = rows.begin; i < rows.end; ++i) {
-            const auto row_view = my_views[static_cast<std::size_t>(i - mine.begin)];
-            for (std::int64_t j = step == 0 ? i : cols.begin; j < cols.end; ++j) {
-              const double est = estimate_jaccard_wire(
-                  row_view, views[static_cast<std::size_t>(j - owner_cols.begin)]);
-              block.at_global(i, j) = est;
-              if (step == 0) block.at_global(j, i) = est;
-            }
-          }
+    score_ring_triangle(
+        world, panel_words, /*diagonal=*/true,
+        [&](int owner, BlockRange rows, BlockRange cols) {
+          const std::int64_t row0 = mine.begin;
+          const std::int64_t col0 = distmat::block_range(n, p, owner).begin;
+          DenseBlock<double>* block = &computed.emplace_back(
+              BlockRange{row0 + rows.begin, row0 + rows.end},
+              BlockRange{col0 + cols.begin, col0 + cols.end});
+          const bool diagonal_block = owner == r;
+          return [=](std::int64_t a, std::int64_t b, double est) {
+            block->at_global(row0 + a, col0 + b) = est;
+            if (diagonal_block) block->at_global(col0 + b, row0 + a) = est;
+          };
         });
   }
 

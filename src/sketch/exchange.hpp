@@ -1,17 +1,19 @@
 // exchange.hpp — the distributed sketch-exchange pipeline and the
-// hybrid's candidate pass, both fed by one sketch builder.
+// hybrid's candidate pass, both fed by one sketch builder and scored on
+// one ring.
 //
 // == The sketch builder ====================================================
 //
 // make_sketch is the one place a Config becomes a sketch: the empty
-// sketch of the configured type, parameters and seed. StreamingSketcher
-// builds every pipeline sketch from it. Callers register the samples a
-// rank owns (a compatible persisted blob, SampleSource::persisted_sketch,
-// replaces streaming), feed each sample's attribute ids batch by batch as
-// they are read, and collect the wire blobs. `gas sketch` builds the
-// blobs it persists from make_sketch too, so a persisted blob is byte-
-// identical to the one a run would stream. add() is order-independent,
-// so the blobs do not depend on the batch count or on the read order.
+// sketch of the configured type, parameters and seed. sketch_sample
+// builds every pipeline blob from it, one sample at a time: a compatible
+// persisted blob (SampleSource::persisted_sketch, wire_matches_config)
+// is returned as is; otherwise the sample's attribute ids are read one
+// row batch at a time (values_in_range) and added, so a single sketch's
+// working state is live at a time. `gas sketch` builds the blobs it
+// persists from make_sketch too, so a persisted blob is byte-identical to
+// the one a run would build. add() is order-independent, so the blobs do
+// not depend on the batch count or on the read order.
 //
 // == The pure-sketch pipeline (kHll / kMinhash / kBottomK) ================
 //
@@ -20,13 +22,13 @@
 // popcount semiring, each rank
 //
 //   1. sketches its OWNED samples (block distribution over the n samples)
-//      through a StreamingSketcher, per sample and per batch through
-//      SampleSource::values_in_range — same batched reads, same bounded
-//      per-read memory as the exact path;
+//      with sketch_sample — same batched reads, same bounded per-read
+//      memory as the exact path;
 //   2. flattens the owned sketches' wire blobs into one panel
 //      (core::pack_word_panel) and rotates the panels ⌊p/2⌋ + 1 steps
-//      around the 1-D ring it shares with the exact SpGEMM ring
-//      (distmat/ring.hpp; send posted before the local estimation work);
+//      around the 1-D ring it shares with the exact SpGEMM ring and the
+//      all-pairs candidate pass (distmat/ring.hpp; send posted before the
+//      local estimation work);
 //   3. estimates Jaccard between its sketches and each arriving panel
 //      (sketch::estimate_jaccard_wire) over one triangle of the symmetric
 //      matrix: every wire estimator is bitwise symmetric, so each
@@ -42,15 +44,16 @@
 // counters. Estimates are symmetric and deterministic in (config, data),
 // so the result is bitwise independent of the rank count (tested).
 //
-// The ring is kept rather than routing pure sketch through the all-pairs
-// candidate pass below, whose bytes follow the similarity structure: it
-// allgathers every blob and ships a 24-byte (i, j, est) triplet per
-// non-zero pair where the gather ships 8-byte values. On the perf
-// ledger's families-minhash workload (n = 2,304, p = 4) the ring moves
-// 9.62 MB of panels and 19.91 MB of gathered blocks; the pass would move
-// 14.49 MB of blobs and 0.75 MB of triplets, fewer because ≈98% of that
-// corpus's pairs estimate exactly 0, but up to 47.8 MB of triplets once
-// every pair is related.
+// Pure sketch and the all-pairs candidate pass below score on the same
+// ring and differ only in what they keep. Pure sketch keeps every
+// estimate, so rank 0 gathers the dense blocks (8 bytes per pair); the
+// pass keeps the non-zero estimates as 24-byte (i, j, est) triplets, so
+// its bytes follow the similarity structure. On the perf ledger's
+// families-minhash workload (n = 2,304, p = 4) the gather moves 19.91 MB;
+// triplets would move 0.75 MB, because ≈98% of that corpus's pairs
+// estimate exactly 0, but up to 47.8 MB once every pair is related.
+// Routing pure sketch through the pass waits for a ledger workload with
+// related samples to measure that trade.
 //
 // == The hybrid candidate pass ===========================================
 //
@@ -59,18 +62,19 @@
 // (distmat::CandidateMask) — every pair whose estimated Jaccard clears
 // prune_threshold − slack — plus the estimates themselves (rank 0), which
 // the driver uses to fill the pruned entries of the final matrix. The
-// blobs arrive from the batched pipeline's one-pass ingest (the
-// StreamingSketcher fed by the same reads that are later bitmask-packed),
-// so the hybrid reads each input exactly once. Two candidate strategies exist
-// (core::CandidateMode):
+// driver builds the blobs of its cyclically owned samples with
+// sketch_sample before the batch loop, which then reads each batch again
+// for packing: a re-read costs less than holding every batch's reads for
+// the whole run. Two candidate strategies exist (core::CandidateMode):
 //
-//   all-pairs — every blob is allgathered (ring allgather, O(n ·
-//     sketch_bytes) per rank) and each rank scores its share of the
-//     n(n − 1)/2 unordered pairs (rows dealt cyclically, which balances
-//     the triangle), keeping each pair that clears the threshold. Exact
-//     candidate set; quadratic score work. The default below
-//     kLshMinSamples, and the only pass the hll and bottom-k prune
-//     sketches can run.
+//   all-pairs — the blob panels rotate ⌊p/2⌋ + 1 steps around the sketch
+//     ring, as in the pure-sketch pipeline (⌊p/2⌋ panel hops and O(n/p)
+//     blobs held per rank), and each rank scores its share of the
+//     n(n − 1)/2 unordered pairs, keeping each pair that clears the
+//     threshold. An id allgather maps panel positions to sample ids, so
+//     any disjoint cover of the samples works. Exact candidate set;
+//     quadratic score work. The default below kLshMinSamples, and the
+//     only pass the hll and bottom-k prune sketches can run.
 //
 //   lsh — LSH banding over the one-permutation MinHash registers
 //     (oph_wire_band_hashes): each rank computes B band buckets per
@@ -140,40 +144,19 @@ using AnySketch = std::variant<HyperLogLog, OnePermMinHash, BottomKSketch>;
 /// of the configured hybrid_sketch at its configured size.
 [[nodiscard]] double hybrid_prune_slack(const core::Config& config);
 
-/// Incremental per-sample sketch builders for one rank (see "The sketch
-/// builder" above). add() is order- and batch-independent, so the blobs
-/// are identical to whole-sample sketches.
-class StreamingSketcher {
- public:
-  /// `config` must resolve to a sketch estimator (a pure sketch
-  /// estimator, or a hybrid config whose hybrid_sketch is used); throws
-  /// std::invalid_argument otherwise.
-  explicit StreamingSketcher(const core::Config& config);
+/// Caller-error check of all three sketch parameters, whichever sketch
+/// the run uses: sketch_size ≥ 1, minhash_bits dividing 64, and
+/// hll_precision in [HyperLogLog::kMinPrecision, kMaxPrecision]. Throws
+/// error::ConfigError naming the first bad one.
+void validate_sketch_params(const core::Config& config);
 
-  /// Register a sample; returns its local index (registration order).
-  /// A persisted blob of `source` whose header matches this config
-  /// (wire_matches_config) is preloaded and replaces streaming.
-  std::size_t add_sample(std::int64_t sample, const core::SampleSource& source);
-
-  /// False when `index` is preloaded — its absorb calls may be skipped.
-  [[nodiscard]] bool needs_stream(std::size_t index) const;
-
-  /// Feed one batch of the sample's global attribute ids.
-  void absorb(std::size_t index, std::span<const std::int64_t> values);
-
-  [[nodiscard]] const std::vector<std::int64_t>& samples() const noexcept {
-    return samples_;
-  }
-
-  /// Wire blobs in registration order. The sketcher is spent afterwards.
-  [[nodiscard]] std::vector<std::vector<std::uint64_t>> finish();
-
- private:
-  core::Config config_;
-  std::vector<std::int64_t> samples_;
-  std::vector<AnySketch> sketches_;
-  std::vector<std::vector<std::uint64_t>> preloaded_;  ///< empty = stream
-};
+/// The wire blob of `sample` under `config` (see "The sketch builder"
+/// above): the persisted blob when wire_matches_config accepts it, else
+/// make_sketch(config) fed from values_in_range one row batch at a time.
+/// Throws std::invalid_argument when `config` names no sketch estimator.
+[[nodiscard]] std::vector<std::uint64_t> sketch_sample(const core::SampleSource& source,
+                                                       const core::Config& config,
+                                                       std::int64_t sample);
 
 /// Sample count below which CandidateMode::kAuto keeps the all-pairs
 /// candidate pass: under ~10² samples the n² score work is trivial and
@@ -252,9 +235,9 @@ struct CandidatePass {
 /// Collective over `world`: generate and score candidate pairs from
 /// per-sample wire blobs and threshold them into a replicated candidate
 /// mask (all-pairs or LSH-banded per Config::candidate_mode).
-/// `samples`/`blobs` are this rank's registered samples (any disjoint
-/// cover of [0, n) across ranks works; the driver passes its cyclic read
-/// ownership). `config` is the sketch view of the hybrid config
+/// `samples`/`blobs` are this rank's samples and their wire blobs (any
+/// disjoint cover of [0, n) across ranks works; the driver passes its
+/// cyclic read ownership). `config` is the sketch view of the hybrid config
 /// (estimator already resolved to the prune sketch).
 [[nodiscard]] CandidatePass sketch_candidate_pass(
     bsp::Comm& world, std::span<const std::int64_t> samples,

@@ -5,6 +5,8 @@
 //   * CandidateMask answers every probe (test / count / row_active /
 //     active_columns / any_pair / for_each_pair_in) as a brute-force
 //     n × n reference does, on random masks whose sizes straddle 64;
+//   * the all-pairs pass keeps exactly the brute-force candidate set and
+//     estimates on any disjoint cover of the samples, at any rank count;
 //   * the LSH band/bucket exchange is deterministic across rank counts
 //     and loses no pair the all-pairs candidate pass keeps at the same
 //     sketch budget on the genome-family corpus;
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -385,6 +388,105 @@ sketch::CandidatePass run_candidate_pass(
     if (comm.rank() == 0) out = std::move(pass);
   });
   return out;
+}
+
+// ---- the all-pairs pass against brute force -----------------------------
+
+TEST(AllPairsCandidatePass, MatchesBruteForceOnAnyCover) {
+  // The ring-scored pass keeps exactly the pairs a brute-force loop over
+  // the wire estimator keeps, with bitwise-equal estimates, whichever
+  // disjoint cover of the samples the ranks hold: block, cyclic, or a
+  // seeded shuffle dealt out of order — on more ranks than samples too,
+  // and with even p's split middle block.
+  core::Config cfg;
+  cfg.estimator = core::Estimator::kMinhash;
+  cfg.candidate_mode = core::CandidateMode::kAllPairs;
+  cfg.sketch_size = 128;
+  cfg.prune_threshold = 0.4;
+  const double effective =
+      std::max(0.0, cfg.prune_threshold - sketch::hybrid_prune_slack(cfg));
+
+  for (const std::int64_t n : {1, 2, 5, 13}) {
+    // Subsets of one pool at varied keep rates, so that the estimates
+    // straddle the threshold.
+    Rng rng(static_cast<std::uint64_t>(300 + n));
+    std::vector<std::uint64_t> pool(200);
+    for (std::uint64_t& v : pool) v = rng();
+    std::vector<std::vector<std::uint64_t>> blobs;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const double keep = 0.2 + 0.7 * rng.uniform_real();
+      std::vector<std::uint64_t> set;
+      for (std::uint64_t v : pool) {
+        if (rng.bernoulli(keep)) set.push_back(v);
+      }
+      blobs.push_back(sketch::OnePermMinHash(std::span<const std::uint64_t>(set),
+                                             cfg.sketch_size, cfg.minhash_bits,
+                                             cfg.sketch_seed)
+                          .wire());
+    }
+    std::vector<sketch::PairEstimate> expected;
+    std::vector<std::uint8_t> kept(static_cast<std::size_t>(n * n), 0);
+    std::int64_t kept_pairs = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t j = i + 1; j < n; ++j) {
+        const double est = sketch::estimate_jaccard_wire(
+            blobs[static_cast<std::size_t>(i)], blobs[static_cast<std::size_t>(j)]);
+        if (est != 0.0) expected.push_back({i, j, est});
+        if (est >= effective) {
+          kept[static_cast<std::size_t>(i * n + j)] = 1;
+          ++kept_pairs;
+        }
+      }
+    }
+    if (n == 13) {
+      ASSERT_GT(kept_pairs, 0);
+      ASSERT_LT(kept_pairs, n * (n - 1) / 2);
+    }
+
+    for (const int p : {1, 2, 3, 4, 5, 6, 8}) {
+      std::vector<std::int64_t> shuffled(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i) shuffled[static_cast<std::size_t>(i)] = i;
+      Rng deal(static_cast<std::uint64_t>(n * 100 + p));
+      for (std::size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1], shuffled[deal.uniform(i)]);
+      }
+      // Each cover lists every rank's samples in the order it holds them.
+      std::vector<std::vector<std::vector<std::int64_t>>> covers(
+          3, std::vector<std::vector<std::int64_t>>(static_cast<std::size_t>(p)));
+      for (std::int64_t i = 0; i < n; ++i) {
+        covers[0][static_cast<std::size_t>(distmat::block_owner(n, p, i))].push_back(i);
+        covers[1][static_cast<std::size_t>(i % p)].push_back(i);
+        covers[2][static_cast<std::size_t>(distmat::block_owner(n, p, i))].push_back(
+            shuffled[static_cast<std::size_t>(i)]);
+      }
+      for (std::size_t c = 0; c < covers.size(); ++c) {
+        const char* const names[] = {"block", "cyclic", "shuffled"};
+        SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p) +
+                     " cover=" + names[c]);
+        sketch::CandidatePass out;
+        bsp::Runtime::run(p, [&](bsp::Comm& comm) {
+          const std::vector<std::int64_t>& ids =
+              covers[c][static_cast<std::size_t>(comm.rank())];
+          std::vector<std::vector<std::uint64_t>> mine;
+          for (std::int64_t i : ids) mine.push_back(blobs[static_cast<std::size_t>(i)]);
+          auto pass = sketch::sketch_candidate_pass(
+              comm, std::span<const std::int64_t>(ids), mine, n, cfg);
+          // Single writer (rank 0), read only after run() joins the ranks.
+          if (comm.rank() == 0) out = std::move(pass);
+        });
+        EXPECT_EQ(out.mode, core::CandidateMode::kAllPairs);
+        EXPECT_EQ(out.effective_threshold, effective);
+        EXPECT_EQ(out.mask.count(), n + 2 * kept_pairs);
+        for (std::int64_t i = 0; i < n; ++i) {
+          for (std::int64_t j = i + 1; j < n; ++j) {
+            ASSERT_EQ(out.mask.test(i, j), kept[static_cast<std::size_t>(i * n + j)] != 0)
+                << "pair (" << i << ", " << j << ")";
+          }
+        }
+        EXPECT_EQ(out.estimates, expected);
+      }
+    }
+  }
 }
 
 TEST(LshCandidatePass, DeterministicAcrossRankCountsAndFindsTwins) {

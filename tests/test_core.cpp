@@ -102,6 +102,18 @@ TEST(Packing, RejectsBadBitWidth) {
   });
 }
 
+TEST(Packing, ReadBatchReadsOnlyActiveSamples) {
+  // The hybrid's mask-first ingest: a sample the candidate mask pruned is
+  // never read, so it never reaches the filter union or the packer.
+  VectorSampleSource src(10, {{1}, {2, 3}, {4}, {5, 9}, {6}});
+  const BatchReads all = read_batch(1, 2, src, distmat::BlockRange{0, 8});
+  EXPECT_EQ(all.samples, (std::vector<std::int64_t>{1, 3}));
+  const std::vector<std::uint8_t> active{1, 0, 1, 1, 0};
+  const BatchReads kept = read_batch(1, 2, src, distmat::BlockRange{0, 8}, active);
+  EXPECT_EQ(kept.samples, (std::vector<std::int64_t>{3}));
+  EXPECT_EQ(kept.values, (std::vector<std::vector<std::int64_t>>{{5}}));
+}
+
 // ------------------------------------------------------------ conventions
 
 TEST(Driver, EmptySamplesHaveSimilarityOne) {
@@ -163,6 +175,39 @@ TEST(Driver, RejectsInvalidConfigs) {
     bad.prune_threshold = threshold;
     EXPECT_THROW((void)similarity_at_scale_threaded(1, src, bad), error::ConfigError)
         << threshold;
+  }
+
+  // Batch indices are ints: a batch count above INT_MAX is refused even
+  // when the universe has that many rows.
+  VectorSampleSource huge(std::int64_t{1} << 32, {{1}, {2}});
+  Config many;
+  many.batch_count = std::int64_t{1} << 31;
+  for (const Estimator e : {Estimator::kExact, Estimator::kMinhash, Estimator::kHybrid}) {
+    many.estimator = e;
+    EXPECT_THROW((void)similarity_at_scale_threaded(2, huge, many), error::ConfigError)
+        << static_cast<int>(e);
+  }
+
+  // Bad sketch parameters fail before the ranks spawn, not as a rank
+  // failure inside the sketch constructors.
+  const auto sketch_config = [](Estimator e, auto&& set) {
+    Config c;
+    c.estimator = e;
+    set(c);
+    return c;
+  };
+  for (const Config& c :
+       {sketch_config(Estimator::kMinhash, [](Config& c) { c.sketch_size = 0; }),
+        sketch_config(Estimator::kMinhash, [](Config& c) { c.minhash_bits = 3; }),
+        sketch_config(Estimator::kHll, [](Config& c) { c.hll_precision = 2; }),
+        sketch_config(Estimator::kBottomK, [](Config& c) { c.sketch_size = 0; }),
+        sketch_config(Estimator::kHybrid, [](Config& c) { c.sketch_size = -5; }),
+        sketch_config(Estimator::kHybrid, [](Config& c) {
+          c.hybrid_sketch = Estimator::kHll;
+          c.hll_precision = 40;
+        })}) {
+    EXPECT_THROW((void)similarity_at_scale_threaded(2, src, c), error::ConfigError)
+        << static_cast<int>(c.estimator);
   }
 }
 

@@ -300,9 +300,9 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
   }
   const genome::KmerFileSource source(k, paths);
 
-  // Both sketch ingests consult persisted blobs: the hybrid's one-pass
-  // ingest and the pure-sketch pipeline's block-owned build, for every
-  // sketch type.
+  // Both sketch pipelines build their blobs with sketch_sample, which
+  // consults persisted blobs: the hybrid's cyclically owned prologue and
+  // the pure-sketch pipeline's block-owned build, for every sketch type.
   for (const core::Estimator estimator :
        {core::Estimator::kHybrid, core::Estimator::kMinhash, core::Estimator::kHll,
         core::Estimator::kBottomK}) {
@@ -379,11 +379,12 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
   }
 }
 
-TEST(Hybrid, RingSkipsFullyPrunedPanels) {
-  // Direct kernel-level coverage of ring_ata_accumulate's whole-panel
-  // prune skip (the driver's Ring1D hybrid path uses the targeted
-  // exchange instead, so this branch needs its own exercise): masked
-  // pairs must still come out identical to the unpruned ring.
+TEST(Hybrid, RingKernelPruneKeepsMaskedPairs) {
+  // The only direct test of the kernel's prune (CsrAtaOptions::prune):
+  // ring_ata_accumulate hands the mask to every kernel call, which skips
+  // fully pruned blocks and tiles, and the masked pairs must still come
+  // out identical to the unpruned product. (The driver's hybrid ring
+  // runs the targeted exchange instead.)
   const std::int64_t h = 37;
   const std::int64_t n = 16;
   Rng rng(404);
@@ -397,7 +398,8 @@ TEST(Hybrid, RingSkipsFullyPrunedPanels) {
   const distmat::DenseBlock<std::int64_t> expected = distmat::serial_ata(full);
 
   // Two clusters of 8; with 4 ranks each rank's rows pair with only one
-  // other rank's columns, so half the arriving panels are skipped whole.
+  // other rank's columns, so the kernel skips half the arriving panels as
+  // whole blocks.
   std::vector<std::uint64_t> pairs;
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = i + 1; j < n; ++j) {

@@ -435,8 +435,11 @@ TEST_F(GasCli, UsageErrorsExitWithConfigCode) {
 TEST_F(GasCli, OutOfRangeDistValuesExitWithConfigCode) {
   // Caught before the ranks spawn, not as a rank failure (4) or an
   // unclassified error (1).
+  // A batch count above INT_MAX fits under m = 4³¹ at k = 31 (the later
+  // --k overrides the fixture's), but batch indices are ints.
   for (const char* extra : {"--bits 0", "--bits 65", "--replication 0", "--ranks 0",
-                            "--top -3", "--replication 3"}) {
+                            "--top -3", "--replication 3", "--k 31 --batches 2147483648",
+                            "--k 31 --batches 2147483648 --estimator hybrid"}) {
     const auto result = run_command(dist(extra));
     EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
   }

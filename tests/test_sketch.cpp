@@ -522,7 +522,8 @@ TEST(Pipeline, MoreRanksThanSamples) {
 }
 
 TEST(Pipeline, ExactEstimatorRejectsSketchBuild) {
-  EXPECT_THROW(StreamingSketcher{core::Config{}}, std::invalid_argument);
+  const core::VectorSampleSource src(16, {{1, 2, 3}});
+  EXPECT_THROW((void)sketch_sample(src, core::Config{}, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -53,7 +53,6 @@
 #include "genome/phylip.hpp"
 #include "genome/synthetic.hpp"
 #include "sketch/exchange.hpp"
-#include "sketch/hyperloglog.hpp"
 #include "sketch/sketch.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -174,31 +173,15 @@ bool parse_sketch_estimator(const std::string& name, core::Estimator& out) {
   return true;
 }
 
-/// Shared sketch-parameter flags of `gas sketch` and `gas dist`; returns
-/// false (after printing a usage error) on invalid values.
-bool parse_sketch_params(const ArgParser& args, core::Config& core) {
+/// Shared sketch-parameter flags of `gas sketch` and `gas dist`. Bad
+/// values throw error::ConfigError (exit 2) here, not inside the rank
+/// threads.
+void parse_sketch_params(const ArgParser& args, core::Config& core) {
   core.sketch_size = args.get_int("sketch-size", 1024);
   core.hll_precision = static_cast<int>(args.get_int("hll-precision", 12));
   core.minhash_bits = static_cast<int>(args.get_int("minhash-bits", 16));
   core.sketch_seed = static_cast<std::uint64_t>(args.get_int("sketch-seed", 0x5a5));
-  // Reject bad sketch parameters here with a usage error; left to the
-  // sketch constructors they throw inside the rank threads and abort.
-  if (core.sketch_size < 1) {
-    std::fprintf(stderr, "gas: --sketch-size must be >= 1\n");
-    return false;
-  }
-  if (core.hll_precision < sketch::HyperLogLog::kMinPrecision ||
-      core.hll_precision > sketch::HyperLogLog::kMaxPrecision) {
-    std::fprintf(stderr, "gas: --hll-precision must be in [%d, %d]\n",
-                 sketch::HyperLogLog::kMinPrecision, sketch::HyperLogLog::kMaxPrecision);
-    return false;
-  }
-  if (core.minhash_bits < 1 || core.minhash_bits > 64 ||
-      64 % core.minhash_bits != 0) {
-    std::fprintf(stderr, "gas: --minhash-bits must divide 64\n");
-    return false;
-  }
-  return true;
+  sketch::validate_sketch_params(core);
 }
 
 int cmd_sketch(const ArgParser& args) {
@@ -225,7 +208,7 @@ int cmd_sketch(const ArgParser& args) {
       std::fprintf(stderr, "gas sketch: unknown --estimator '%s'\n", estimator.c_str());
       return 2;
     }
-    if (!parse_sketch_params(args, sketch_cfg)) return 2;
+    parse_sketch_params(args, sketch_cfg);
     persist_sketch = true;
   }
 
@@ -319,7 +302,7 @@ int cmd_dist(const ArgParser& args) {
     std::fprintf(stderr, "gas dist: --sparse-similarity-out needs --estimator hybrid\n");
     return 2;
   }
-  if (!parse_sketch_params(args, options.core)) return 2;
+  parse_sketch_params(args, options.core);
   const std::string hybrid_sketch = args.get_string("hybrid-sketch", "minhash");
   if (!parse_sketch_estimator(hybrid_sketch, options.core.hybrid_sketch)) {
     std::fprintf(stderr, "gas dist: unknown --hybrid-sketch '%s'\n",
