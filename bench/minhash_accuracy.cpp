@@ -299,7 +299,9 @@ int main(int argc, char** argv) {
   hybrid_table.add_row({"exact ring", std::to_string(fn * (fn - 1) / 2), "-", "-",
                         std::to_string(family_exact.cost.total_bytes), "1.00x", "-"});
   hybrid_table.add_row(
-      {"hybrid(" + std::string(sketch::estimator_wire_name(hybrid_cfg.hybrid_sketch)) +
+      {"hybrid(" +
+           std::string(sketch::estimator_wire_name(
+               sketch::resolved_sketch_estimator(hybrid_cfg))) +
            ")",
        std::to_string(surviving),
        std::to_string(must_survive - recall_violations) + "/" +
@@ -458,10 +460,8 @@ int main(int argc, char** argv) {
     cfg.candidate_mode = mode;
     PassRun out;
     auto counters = bsp::Runtime::run(8, [&](bsp::Comm& comm) {
-      std::vector<std::int64_t> ids;
       std::vector<std::vector<std::uint64_t>> blobs;
       for (std::int64_t i = comm.rank(); i < ln; i += comm.size()) {
-        ids.push_back(i);
         blobs.push_back(
             sketch::OnePermMinHash(
                 std::span<const std::uint64_t>(
@@ -469,8 +469,7 @@ int main(int argc, char** argv) {
                 cfg.sketch_size, cfg.minhash_bits, cfg.sketch_seed)
                 .wire());
       }
-      auto pass = sketch::sketch_candidate_pass(
-          comm, std::span<const std::int64_t>(ids), blobs, ln, cfg);
+      auto pass = sketch::sketch_candidate_pass(comm, blobs, ln, cfg);
       // Single writer (rank 0), read only after run() joins the ranks.
       if (comm.rank() == 0) out.pass = std::move(pass);
     });

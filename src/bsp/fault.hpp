@@ -200,8 +200,10 @@ void wait_or_abort(std::condition_variable& cv, std::unique_lock<std::mutex>& lo
       throw RankAborted();
     }
     if (cv.wait_for(lock, kAbortPollInterval, ready)) return;
+    // In ms: the deadline in the clock's ns overflows above INT64_MAX / 10⁶.
     if (policy.watchdog.count() > 0 &&
-        std::chrono::steady_clock::now() - start >= policy.watchdog) {
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start) >= policy.watchdog) {
       std::string message = "bsp watchdog: " + site + " for over " +
                             std::to_string(policy.watchdog.count()) + " ms";
       if (policy.token != nullptr) {

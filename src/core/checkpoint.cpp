@@ -245,6 +245,8 @@ void check_header(Reader& reader, const std::string& path, const char (&magic)[4
 
 }  // namespace
 
+// A retired knob mixes its old default in its old position: a checkpoint
+// written with that default resumes, one written with another does not.
 std::uint64_t checkpoint_fingerprint(const Config& config, std::int64_t n,
                                      std::int64_t m, int nranks) {
   std::uint64_t h = hash_bytes("sas-checkpoint-v1");
@@ -262,7 +264,7 @@ std::uint64_t checkpoint_fingerprint(const Config& config, std::int64_t n,
   mix(static_cast<std::uint64_t>(config.sketch_size));
   mix(static_cast<std::uint64_t>(config.minhash_bits));
   mix(config.sketch_seed);
-  mix(static_cast<std::uint64_t>(config.hybrid_sketch));
+  mix(static_cast<std::uint64_t>(Estimator::kMinhash));  // retired hybrid_sketch
   mix(std::bit_cast<std::uint64_t>(config.prune_threshold));
   mix(std::bit_cast<std::uint64_t>(-1.0));  // default of the retired prune_slack
   mix(static_cast<std::uint64_t>(config.candidate_mode));

@@ -54,9 +54,8 @@ enum class Estimator {
 /// How the hybrid's candidate pass generates the pair set
 /// (sketch/exchange.hpp documents both paths).
 enum class CandidateMode {
-  /// kLsh when the prune sketch is minhash, the effective threshold is
-  /// positive, and sample_count >= sketch::kLshMinSamples; kAllPairs
-  /// otherwise.
+  /// kLsh when the effective threshold is positive and sample_count >=
+  /// sketch::kLshMinSamples; kAllPairs otherwise.
   kAuto,
   /// Rotate the sketch blobs around the sketch ring (⌊p/2⌋ hops of n/p
   /// blobs per rank) and score n(n − 1)/(2p) pairs per rank — the exact
@@ -65,8 +64,8 @@ enum class CandidateMode {
   /// LSH banding over the one-permutation MinHash registers: exchange
   /// only (band, bucket, sample) keys and score just the pairs that
   /// collide in ≥ 1 band — O(collisions) score work and candidate bytes.
-  /// Requires the minhash prune sketch; recall follows the banding
-  /// S-curve (sketch::lsh_candidate_plan), not the all-pairs guarantee.
+  /// Recall follows the banding S-curve (sketch::lsh_candidate_plan), not
+  /// the all-pairs guarantee.
   kLsh,
 };
 
@@ -128,24 +127,19 @@ struct Config {
   /// runs are reproducible given (seed, estimator parameters).
   std::uint64_t sketch_seed = 0x5a5;
 
-  /// Sketch used by the hybrid's prune pass (estimator == kHybrid). Must
-  /// be one of the sketch estimators; the sketch parameter knobs above
-  /// apply to it unchanged.
-  Estimator hybrid_sketch = Estimator::kMinhash;
-
   /// Candidate threshold of the hybrid: pairs with estimated Jaccard
   /// Ĵ ≥ prune_threshold − slack survive into the exact rescore pass;
-  /// the rest are reported at their sketch estimate. The slack guards
-  /// recall against sketch estimation error: it is the chosen sketch's
-  /// documented mean-error bound (sketch::hybrid_prune_slack).
+  /// the rest are reported at their sketch estimate. The prune sketch is
+  /// always minhash (sketch_size bins of minhash_bits bits), and the slack
+  /// guarding recall against its estimation error is its documented
+  /// mean-error bound (sketch::hybrid_prune_slack).
   double prune_threshold = 0.1;
 
   /// Candidate-pass strategy of the hybrid (estimator == kHybrid). kAuto
   /// switches from all-pairs scoring to LSH banding once the corpus
-  /// clears sketch::kLshMinSamples; kLsh with a non-minhash hybrid_sketch
-  /// throws (banding is defined over the OPH registers), and a
-  /// non-positive effective threshold always falls back to all-pairs
-  /// (every pair survives — banding could only lose candidates).
+  /// clears sketch::kLshMinSamples, and a non-positive effective
+  /// threshold always falls back to all-pairs (every pair survives —
+  /// banding could only lose candidates).
   CandidateMode candidate_mode = CandidateMode::kAuto;
 
   // ---- operational: failure semantics (ROADMAP "Failure semantics") ----
@@ -193,7 +187,9 @@ struct Config {
 
   /// Base backoff before retry attempt k: retry_backoff_ms · 2^(k−1),
   /// plus a deterministic seeded jitter of up to 50% (keyed on batch,
-  /// attempt, and rank so replays stay reproducible).
+  /// attempt, and rank so replays stay reproducible). At most
+  /// INT64_MAX >> 7 (2⁵⁶ − 1), so the longest backoff, 2⁶ · 1.5 times the
+  /// base, stays an int64 count of milliseconds.
   std::int64_t retry_backoff_ms = 10;
 
   /// Degraded completion (gas dist --quarantine): when a batch exhausts

@@ -257,12 +257,13 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
 /// against the mask (for_each_pair_in, i < j so disjoint blocks emit
 /// disjoint pairs), finalizes ONLY those cells with the same
 /// sᵢⱼ = bᵢⱼ / (âᵢ + âⱼ − bᵢⱼ) expression, and ships survivor triplets;
-/// rank 0 assembles a SparseSimilarity whose pruned pairs read their
-/// pair-keyed sketch estimates. No dense double block is ever built and
-/// rank 0 never holds an n² structure.
+/// rank 0 assembles a SparseSimilarity from them and moves in the
+/// candidate pass's pruned estimates, already in its packed-key form. No
+/// dense double block is ever built and rank 0 never holds an n²
+/// structure.
 Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int64_t n,
                 std::vector<std::int64_t>& ahat, std::vector<BatchStats> stats,
-                StageRecorder& recorder, const sketch::CandidatePass* candidates) {
+                StageRecorder& recorder, sketch::CandidatePass* candidates) {
   const distmat::CandidateMask* const mask = candidates ? &candidates->mask : nullptr;
   const bool owns_output =
       layout.b_block.has_value() &&
@@ -320,18 +321,10 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
         survivor_keys.push_back(SparseSimilarity::pack_pair(t.row, t.col));
         survivor_values.push_back(t.value);
       }
-      std::vector<std::uint64_t> estimate_keys;
-      std::vector<double> estimate_values;
-      estimate_keys.reserve(candidates->estimates.size());
-      estimate_values.reserve(candidates->estimates.size());
-      for (const sketch::PairEstimate& pe : candidates->estimates) {
-        if (mask->test(pe.i, pe.j)) continue;  // survivors carry exact values
-        estimate_keys.push_back(SparseSimilarity::pack_pair(pe.i, pe.j));
-        estimate_values.push_back(pe.est);
-      }
       result.sparse_similarity = SparseSimilarity(
           n, std::move(survivor_keys), std::move(survivor_values),
-          std::move(estimate_keys), std::move(estimate_values), ahat);
+          std::move(candidates->estimate_keys), std::move(candidates->estimate_values),
+          ahat);
     } else {
       result.similarity = SimilarityMatrix(n, std::move(full));
     }
@@ -623,14 +616,11 @@ sketch::CandidatePass sketch_prune(bsp::Comm& world, const SampleSource& source,
                                    const Config& config, StageRecorder& recorder) {
   const std::int64_t n = source.sample_count();
   auto stage = recorder.scope(Stage::kPackSketch, Stage::kExchange);
-  std::vector<std::int64_t> samples;
   std::vector<std::vector<std::uint64_t>> blobs;
   for (std::int64_t i = world.rank(); i < n; i += world.size()) {
-    samples.push_back(i);
     blobs.push_back(sketch::sketch_sample(source, config, i));
   }
-  return sketch::sketch_candidate_pass(world, std::span<const std::int64_t>(samples),
-                                       blobs, n, config);
+  return sketch::sketch_candidate_pass(world, blobs, n, config);
 }
 
 /// The batched pipeline (paper Listings 1–2) behind kExact and kHybrid:
@@ -772,8 +762,11 @@ void validate_config(const SampleSource& source, const Config& config, int nrank
   if (config.max_retries < 0) {
     throw error::ConfigError("similarity_at_scale: max_retries must be >= 0");
   }
-  if (config.retry_backoff_ms < 0) {
-    throw error::ConfigError("similarity_at_scale: retry_backoff_ms must be >= 0");
+  // retry_backoff scales the base by up to 2⁶ · 1.5, which must fit int64.
+  if (config.retry_backoff_ms < 0 ||
+      config.retry_backoff_ms > (std::numeric_limits<std::int64_t>::max() >> 7)) {
+    throw error::ConfigError(
+        "similarity_at_scale: retry_backoff_ms must be in [0, 2^56 - 1]");
   }
   if (config.mem_budget_mb < 0) {
     throw error::ConfigError("similarity_at_scale: mem_budget_mb must be >= 0");
@@ -797,15 +790,6 @@ void validate_config(const SampleSource& source, const Config& config, int nrank
     sketch::validate_sketch_params(config);
   }
   if (config.estimator == Estimator::kHybrid) {
-    switch (config.hybrid_sketch) {
-      case Estimator::kHll:
-      case Estimator::kMinhash:
-      case Estimator::kBottomK:
-        break;
-      default:
-        throw error::ConfigError(
-            "similarity_at_scale: hybrid_sketch must be a sketch estimator");
-    }
     // Negated range test, so that a NaN threshold fails it too.
     if (!(config.prune_threshold >= 0.0 && config.prune_threshold <= 1.0)) {
       throw error::ConfigError("similarity_at_scale: prune_threshold must be in [0, 1]");

@@ -21,7 +21,7 @@
 namespace sas::sketch {
 
 core::Estimator resolved_sketch_estimator(const core::Config& config) {
-  return config.estimator == core::Estimator::kHybrid ? config.hybrid_sketch
+  return config.estimator == core::Estimator::kHybrid ? core::Estimator::kMinhash
                                                       : config.estimator;
 }
 
@@ -165,11 +165,6 @@ LshPlan lsh_candidate_plan(const core::Config& config, double effective_threshol
 }
 
 core::CandidateMode resolved_candidate_mode(const core::Config& config, std::int64_t n) {
-  const bool minhash = resolved_sketch_estimator(config) == core::Estimator::kMinhash;
-  if (config.candidate_mode == core::CandidateMode::kLsh && !minhash) {
-    throw std::invalid_argument(
-        "sketch_candidate_pass: candidate_mode lsh requires the minhash prune sketch");
-  }
   // A non-positive effective threshold keeps every pair: banding could
   // only lose candidates, so all-pairs is a correctness fallback.
   const double effective =
@@ -183,57 +178,32 @@ core::CandidateMode resolved_candidate_mode(const core::Config& config, std::int
     case core::CandidateMode::kAuto:
       break;
   }
-  return (minhash && n >= kLshMinSamples) ? core::CandidateMode::kLsh
-                                          : core::CandidateMode::kAllPairs;
+  return n >= kLshMinSamples ? core::CandidateMode::kLsh : core::CandidateMode::kAllPairs;
 }
 
 namespace {
 
-/// Ascending (i, j) order over pair estimates — the sort/search order of
-/// CandidatePass::estimates.
-bool pair_estimate_order(const PairEstimate& a, const PairEstimate& b) noexcept {
-  return a.i != b.i ? a.i < b.i : a.j < b.j;
-}
-
-/// Sample-id → owning-rank map from the per-rank id lists; validates that
-/// the lists cover [0, n) disjointly.
-std::vector<int> owner_map(const std::vector<std::vector<std::int64_t>>& id_blocks,
-                           std::int64_t n) {
-  std::vector<int> owner(static_cast<std::size_t>(n), -1);
-  std::int64_t seen = 0;
-  for (std::size_t q = 0; q < id_blocks.size(); ++q) {
-    for (std::int64_t id : id_blocks[q]) {
-      if (id < 0 || id >= n || owner[static_cast<std::size_t>(id)] != -1) {
-        throw std::invalid_argument(
-            "sketch_candidate_pass: samples do not cover [0, n)");
-      }
-      owner[static_cast<std::size_t>(id)] = static_cast<int>(q);
-      ++seen;
-    }
-  }
-  if (seen != n) {
-    throw std::invalid_argument("sketch_candidate_pass: samples do not cover [0, n)");
-  }
-  return owner;
-}
-
 /// Shared tail of both candidate passes: replicate the union of every
 /// rank's kept (i < j) pairs as the candidate mask — 8 bytes per kept
-/// pair on the wire, whatever n is — and gather the non-zero (i < j, est)
-/// estimates on rank 0, sorted by (i, j). Each pair is scored by exactly
-/// one rank (the ring scores each block once; LSH routes a pair to its
-/// lower sample's blob owner and dedupes), which the triplet gather's
-/// overlapping-contribution check enforces.
+/// pair on the wire, whatever n is — and gather the pruned pairs'
+/// non-zero (i < j, est) estimates on rank 0 as ascending packed keys.
+/// Each pair is scored by exactly one rank (the ring scores each block
+/// once; LSH routes a pair to its lower sample's blob owner and dedupes),
+/// which the triplet gather's overlapping-contribution check enforces.
 void finish_candidate_pass(bsp::Comm& world, std::int64_t n,
                            std::vector<std::uint64_t> kept,
-                           std::vector<distmat::Triplet<double>> scored,
+                           std::vector<distmat::Triplet<double>> pruned,
                            CandidatePass& pass) {
   const std::vector<std::uint64_t> survivors =
       distmat::allreduce_pair_union(world, std::move(kept));
   pass.mask = distmat::CandidateMask(n, std::span<const std::uint64_t>(survivors));
-  const auto merged = distmat::gather_triplets_to_root(world, std::move(scored));
-  pass.estimates.reserve(merged.size());
-  for (const auto& t : merged) pass.estimates.push_back({t.row, t.col, t.value});
+  const auto merged = distmat::gather_triplets_to_root(world, std::move(pruned));
+  pass.estimate_keys.reserve(merged.size());
+  pass.estimate_values.reserve(merged.size());
+  for (const auto& t : merged) {
+    pass.estimate_keys.push_back(distmat::CandidateMask::pack_pair(t.row, t.col));
+    pass.estimate_values.push_back(t.value);
+  }
 }
 
 /// Score one triangle of the symmetric pair matrix on the sketch ring
@@ -279,61 +249,51 @@ void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& pan
 }
 
 /// The all-pairs candidate pass: score every unordered pair once on the
-/// sketch ring, mapping panel positions to sample ids through an id
-/// allgather.
-void all_pairs_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
+/// sketch ring. Panel position a of rank q is sample q + a·p (the cyclic
+/// layout), so no ids travel.
+void all_pairs_candidate_pass(bsp::Comm& world,
                               const std::vector<std::vector<std::uint64_t>>& blobs,
                               std::int64_t n, CandidatePass& pass) {
   const obs::Span stage_span("allpairs-candidates", "sketch",
                              &world.counters());
-  const auto id_blocks = world.allgather_v<std::int64_t>(samples);
-  (void)owner_map(id_blocks, n);  // the lists must cover [0, n) disjointly
-
-  std::vector<distmat::Triplet<double>> scored;
+  const std::int64_t p = world.size();
+  const std::int64_t r = world.rank();
+  std::vector<distmat::Triplet<double>> pruned;
   std::vector<std::uint64_t> kept;
   score_ring_triangle(
       world, core::pack_word_panel(blobs), /*diagonal=*/false,
       [&](int owner, BlockRange, BlockRange) {
         return [&, owner](std::int64_t a, std::int64_t b, double est) {
-          const std::int64_t x = samples[static_cast<std::size_t>(a)];
-          const std::int64_t y =
-              id_blocks[static_cast<std::size_t>(owner)][static_cast<std::size_t>(b)];
+          const std::int64_t x = r + a * p;
+          const std::int64_t y = owner + b * p;
           const std::int64_t i = std::min(x, y);
           const std::int64_t j = std::max(x, y);
-          if (est != 0.0) scored.push_back({i, j, est});
           if (est >= pass.effective_threshold) {
             kept.push_back(distmat::CandidateMask::pack_pair(i, j));
+          } else if (est != 0.0) {
+            pruned.push_back({i, j, est});
           }
         };
       });
-  finish_candidate_pass(world, n, std::move(kept), std::move(scored), pass);
+  finish_candidate_pass(world, n, std::move(kept), std::move(pruned), pass);
 }
 
 /// The LSH-banded candidate pass: band keys through the alltoall, score
 /// only colliding pairs. See the strategy note in exchange.hpp.
-void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
+void lsh_candidate_pass(bsp::Comm& world,
                         const std::vector<std::vector<std::uint64_t>>& blobs,
                         std::int64_t n, CandidatePass& pass) {
   const int p = world.size();
   const int r = world.rank();
+  // The cyclic layout: sample id lives on rank id mod p, at blob id / p.
+  const auto owner = [p](std::int64_t id) { return static_cast<int>(id % p); };
 
   // Phase spans: the pass is straight-line code with locals flowing
   // across phases, so each span is an explicit object closed at the
   // phase boundary instead of a nested block.
-  obs::Span phase_ownership("lsh/ownership", "lsh", &world.counters());
-
-  // (1) Ownership map: who holds which blob (cheap — ids only, no blobs).
-  const auto id_blocks = world.allgather_v<std::int64_t>(samples);
-  const std::vector<int> owner = owner_map(id_blocks, n);
-  std::vector<std::int64_t> local_index(static_cast<std::size_t>(n), -1);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    local_index[static_cast<std::size_t>(samples[i])] = static_cast<std::int64_t>(i);
-  }
-
-  phase_ownership.close();
   obs::Span phase_band_keys("lsh/band-keys", "lsh", &world.counters());
 
-  // (2) Band keys, one packed word per (sample, band): the bucket hash's
+  // (1) Band keys, one packed word per (sample, band): the bucket hash's
   // high 32 bits form the routing group, the low half carries the sample
   // id. Equal band registers ⇒ equal group, so true collisions always
   // co-locate; cross-band groups that alias in 32 bits only add scored-
@@ -341,13 +301,12 @@ void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
   // independent of the rank count.
   std::vector<std::vector<std::uint64_t>> key_blocks(static_cast<std::size_t>(p));
   for (std::size_t s = 0; s < blobs.size(); ++s) {
-    const std::vector<std::uint64_t> buckets =
-        oph_wire_band_hashes(blobs[s], pass.plan.bands, pass.plan.rows_per_band);
-    for (std::uint64_t bucket : buckets) {
+    const auto id = static_cast<std::uint64_t>(r) + s * static_cast<std::uint64_t>(p);
+    for (std::uint64_t bucket :
+         oph_wire_band_hashes(blobs[s], pass.plan.bands, pass.plan.rows_per_band)) {
       const std::uint64_t group = bucket >> 32;
       const int dest = static_cast<int>((group * static_cast<std::uint64_t>(p)) >> 32);
-      key_blocks[static_cast<std::size_t>(dest)].push_back(
-          (group << 32) | static_cast<std::uint64_t>(samples[s]));
+      key_blocks[static_cast<std::size_t>(dest)].push_back((group << 32) | id);
     }
   }
   const auto incoming_keys = world.alltoall_v(key_blocks);
@@ -355,7 +314,7 @@ void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
   phase_band_keys.close();
   obs::Span phase_buckets("lsh/buckets", "lsh", &world.counters());
 
-  // (3) Bucket grouping: sorting the packed words groups by (group,
+  // (2) Bucket grouping: sorting the packed words groups by (group,
   // sample); every within-group sample pair is a collision candidate,
   // routed to the rank owning the LOWER sample's blob. Degenerate
   // buckets — s samples hashing identically (e.g. all-empty sketches)
@@ -386,8 +345,8 @@ void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
       const auto i = static_cast<std::int64_t>(keys[a] & 0xffffffffULL);
       for (std::size_t b = a + 1; b < end; ++b) {
         const auto j = static_cast<std::int64_t>(keys[b] & 0xffffffffULL);
-        pair_blocks[static_cast<std::size_t>(owner[static_cast<std::size_t>(i)])]
-            .push_back(distmat::CandidateMask::pack_pair(i, j));
+        pair_blocks[static_cast<std::size_t>(owner(i))].push_back(
+            distmat::CandidateMask::pack_pair(i, j));
       }
     }
     begin = end;
@@ -412,7 +371,7 @@ void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
   phase_buckets.close();
   obs::Span phase_dedup("lsh/dedup", "lsh", &world.counters());
 
-  // (4) Deduplicate (a pair may collide in several bands, possibly via
+  // (3) Deduplicate (a pair may collide in several bands, possibly via
   // different group owners, or re-arrive via the capped union) and list
   // the partner blobs to fetch.
   std::vector<std::uint64_t> todo;
@@ -421,7 +380,7 @@ void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
   }
   for (std::size_t a = 0; a < capped_union.size(); ++a) {
     const std::int64_t i = capped_union[a];
-    if (owner[static_cast<std::size_t>(i)] != r) continue;
+    if (owner(i) != r) continue;
     for (std::size_t b = a + 1; b < capped_union.size(); ++b) {
       todo.push_back(distmat::CandidateMask::pack_pair(i, capped_union[b]));
     }
@@ -431,10 +390,8 @@ void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
 
   std::vector<std::vector<std::int64_t>> requests(static_cast<std::size_t>(p));
   for (std::uint64_t packed : todo) {
-    const auto [i, j] = distmat::CandidateMask::unpack_pair(packed);
-    (void)i;
-    if (local_index[static_cast<std::size_t>(j)] >= 0) continue;
-    requests[static_cast<std::size_t>(owner[static_cast<std::size_t>(j)])].push_back(j);
+    const std::int64_t j = distmat::CandidateMask::unpack_pair(packed).second;
+    if (owner(j) != r) requests[static_cast<std::size_t>(owner(j))].push_back(j);
   }
   for (auto& block : requests) {
     std::sort(block.begin(), block.end());
@@ -444,7 +401,7 @@ void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
   phase_dedup.close();
   obs::Span phase_fetch("lsh/blob-fetch", "lsh", &world.counters());
 
-  // (5) Blob fetch, request/response over two alltoalls — O(distinct
+  // (4) Blob fetch, request/response over two alltoalls — O(distinct
   // colliding partners · sketch_bytes), the LSH pass's only blob traffic.
   const auto incoming_requests = world.alltoall_v(requests);
   std::vector<std::vector<std::uint64_t>> responses(static_cast<std::size_t>(p));
@@ -454,11 +411,10 @@ void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
     std::vector<std::vector<std::uint64_t>> payload;
     payload.reserve(wanted.size());
     for (std::int64_t id : wanted) {
-      const std::int64_t idx = local_index[static_cast<std::size_t>(id)];
-      if (idx < 0) {
+      if (id < 0 || id >= n || owner(id) != r) {
         throw std::invalid_argument("sketch_candidate_pass: blob request misrouted");
       }
-      payload.push_back(blobs[static_cast<std::size_t>(idx)]);
+      payload.push_back(blobs[static_cast<std::size_t>(id / p)]);
     }
     responses[static_cast<std::size_t>(q)] = core::pack_word_panel(payload);
   }
@@ -478,53 +434,47 @@ void lsh_candidate_pass(bsp::Comm& world, std::span<const std::int64_t> samples,
     }
   }
   const auto view_of = [&](std::int64_t id) -> std::span<const std::uint64_t> {
-    const std::int64_t idx = local_index[static_cast<std::size_t>(id)];
-    return idx >= 0 ? std::span<const std::uint64_t>(blobs[static_cast<std::size_t>(idx)])
-                    : fetched[static_cast<std::size_t>(id)];
+    if (owner(id) == r) return blobs[static_cast<std::size_t>(id / p)];
+    return fetched[static_cast<std::size_t>(id)];
   };
 
   phase_fetch.close();
   obs::Span phase_score("lsh/score", "lsh", &world.counters());
 
-  // (6) Score exactly the colliding pairs; keep every non-zero estimate
-  // (pruned colliders still fill the assembled output better than 0) and
-  // threshold into the local candidate list.
-  std::vector<distmat::Triplet<double>> scored;
-  scored.reserve(todo.size());
+  // (5) Score exactly the colliding pairs and threshold them into the
+  // local candidate list; a pruned collider keeps its non-zero estimate,
+  // which fills the assembled output better than 0.
+  std::vector<distmat::Triplet<double>> pruned;
   std::vector<std::uint64_t> kept;
   for (std::uint64_t packed : todo) {
     const auto [i, j] = distmat::CandidateMask::unpack_pair(packed);
     const double est = estimate_jaccard_wire(view_of(i), view_of(j));
-    if (est != 0.0) scored.push_back({i, j, est});
-    if (est >= pass.effective_threshold) kept.push_back(packed);
+    if (est >= pass.effective_threshold) {
+      kept.push_back(packed);
+    } else if (est != 0.0) {
+      pruned.push_back({i, j, est});
+    }
   }
 
   phase_score.close();
   obs::Span phase_finish("lsh/finish", "lsh", &world.counters());
 
-  // (7) Replicate the kept pairs as the mask and gather the estimates;
-  // never-collided pairs stay absent and read as 0.0 (they are below the
-  // S-curve's collision range).
-  finish_candidate_pass(world, n, std::move(kept), std::move(scored), pass);
+  // (6) Replicate the kept pairs as the mask and gather the pruned
+  // estimates; never-collided pairs stay absent and read as 0.0 (they are
+  // below the S-curve's collision range).
+  finish_candidate_pass(world, n, std::move(kept), std::move(pruned), pass);
 }
 
 }  // namespace
 
-double CandidatePass::estimate_at(std::int64_t i, std::int64_t j) const noexcept {
-  if (i == j) return 1.0;
-  const PairEstimate key{std::min(i, j), std::max(i, j), 0.0};
-  const auto it =
-      std::lower_bound(estimates.begin(), estimates.end(), key, pair_estimate_order);
-  if (it == estimates.end() || it->i != key.i || it->j != key.j) return 0.0;
-  return it->est;
-}
-
 CandidatePass sketch_candidate_pass(bsp::Comm& world,
-                                    std::span<const std::int64_t> samples,
                                     const std::vector<std::vector<std::uint64_t>>& blobs,
                                     std::int64_t n, const core::Config& config) {
-  if (samples.size() != blobs.size()) {
-    throw std::invalid_argument("sketch_candidate_pass: ids/blobs length mismatch");
+  const std::int64_t p = world.size();
+  const std::int64_t r = world.rank();
+  if (static_cast<std::int64_t>(blobs.size()) != (n - r + p - 1) / p) {
+    throw std::invalid_argument(
+        "sketch_candidate_pass: need one blob per cyclic sample r, r + p, ...");
   }
   CandidatePass pass;
   pass.effective_threshold =
@@ -532,9 +482,9 @@ CandidatePass sketch_candidate_pass(bsp::Comm& world,
   pass.mode = resolved_candidate_mode(config, n);
   if (pass.mode == core::CandidateMode::kLsh) {
     pass.plan = lsh_candidate_plan(config, pass.effective_threshold);
-    lsh_candidate_pass(world, samples, blobs, n, pass);
+    lsh_candidate_pass(world, blobs, n, pass);
   } else {
-    all_pairs_candidate_pass(world, samples, blobs, n, pass);
+    all_pairs_candidate_pass(world, blobs, n, pass);
   }
   return pass;
 }

@@ -47,34 +47,37 @@
 // Pure sketch and the all-pairs candidate pass below score on the same
 // ring and differ only in what they keep. Pure sketch keeps every
 // estimate, so rank 0 gathers the dense blocks (8 bytes per pair); the
-// pass keeps the non-zero estimates as 24-byte (i, j, est) triplets, so
-// its bytes follow the similarity structure. On the perf ledger's
-// families-minhash workload (n = 2,304, p = 4) the gather moves 19.91 MB;
-// triplets would move 0.75 MB, because ≈98% of that corpus's pairs
-// estimate exactly 0, but up to 47.8 MB once every pair is related.
+// pass gathers non-zero estimates (only the pruned ones) as 24-byte
+// (i, j, est) triplets, so its bytes follow the similarity structure. On
+// the perf ledger's families-minhash workload (n = 2,304, p = 4) the
+// gather moves 19.91 MB; triplets would move 0.75 MB, because ≈98% of
+// that corpus's pairs estimate exactly 0, but up to 47.8 MB once every
+// pair is related.
 // Routing pure sketch through the pass waits for a ledger workload with
 // related samples to measure that trade.
 //
 // == The hybrid candidate pass ===========================================
 //
-// Estimator::kHybrid uses the same wire blobs differently: instead of a
-// similarity matrix alone, the pass returns a replicated candidate mask
-// (distmat::CandidateMask) — every pair whose estimated Jaccard clears
-// prune_threshold − slack — plus the estimates themselves (rank 0), which
-// the driver uses to fill the pruned entries of the final matrix. The
-// driver builds the blobs of its cyclically owned samples with
+// Estimator::kHybrid uses the same wire blobs differently, always as
+// minhash sketches: instead of a similarity matrix alone, the pass
+// returns a replicated candidate mask (distmat::CandidateMask) — every
+// pair whose estimated Jaccard clears prune_threshold − slack — plus, on
+// rank 0, the non-zero estimates of the pairs it prunes, which the driver
+// uses to fill the pruned entries of the final matrix (survivors get
+// their exact values). The driver builds the blobs of its cyclically
+// owned samples — rank r holds samples r, r + p, r + 2p, … — with
 // sketch_sample before the batch loop, which then reads each batch again
 // for packing: a re-read costs less than holding every batch's reads for
-// the whole run. Two candidate strategies exist (core::CandidateMode):
+// the whole run. Every rank computes where a sample lives (rank id mod p,
+// position id / p), so no id directory travels. Two candidate strategies
+// exist (core::CandidateMode):
 //
 //   all-pairs — the blob panels rotate ⌊p/2⌋ + 1 steps around the sketch
 //     ring, as in the pure-sketch pipeline (⌊p/2⌋ panel hops and O(n/p)
 //     blobs held per rank), and each rank scores its share of the
 //     n(n − 1)/2 unordered pairs, keeping each pair that clears the
-//     threshold. An id allgather maps panel positions to sample ids, so
-//     any disjoint cover of the samples works. Exact candidate set;
-//     quadratic score work. The default below kLshMinSamples, and the
-//     only pass the hll and bottom-k prune sketches can run.
+//     threshold. Exact candidate set; quadratic score work. The default
+//     below kLshMinSamples.
 //
 //   lsh — LSH banding over the one-permutation MinHash registers
 //     (oph_wire_band_hashes): each rank computes B band buckets per
@@ -97,8 +100,8 @@
 // Both passes end the same way: the kept (i < j) pairs of every rank go
 // through allreduce_pair_union (dist_filter.hpp) into the replicated
 // CandidateMask — 8 bytes per kept pair on the wire and O(survivors)
-// memory per rank, whatever n is — and the non-zero estimates are
-// gathered on rank 0.
+// memory per rank, whatever n is — and only the pruned pairs' non-zero
+// estimates are gathered on rank 0.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +126,8 @@ namespace sas::sketch {
 [[nodiscard]] const char* estimator_wire_name(core::Estimator estimator);
 
 /// The sketch estimator `config` resolves to: the estimator itself, or
-/// Config::hybrid_sketch for a hybrid config (kExact resolves to kExact;
-/// most callers reject it downstream).
+/// kMinhash, the hybrid's one prune sketch, for a hybrid config (kExact
+/// resolves to kExact; most callers reject it downstream).
 [[nodiscard]] core::Estimator resolved_sketch_estimator(const core::Config& config);
 
 /// A sketch of any of the three types (sketch.hpp).
@@ -141,7 +144,7 @@ using AnySketch = std::variant<HyperLogLog, OnePermMinHash, BottomKSketch>;
                                        const core::Config& config);
 
 /// Effective prune slack of the hybrid: the documented mean-error bound
-/// of the configured hybrid_sketch at its configured size.
+/// of the resolved sketch (minhash for a hybrid) at its configured size.
 [[nodiscard]] double hybrid_prune_slack(const core::Config& config);
 
 /// Caller-error check of all three sketch parameters, whichever sketch
@@ -190,24 +193,10 @@ struct LshPlan {
                                          double effective_threshold);
 
 /// Candidate strategy `config` resolves to for an n-sample corpus (the
-/// kAuto rule, plus the correctness fallbacks documented in
-/// core::CandidateMode). Throws std::invalid_argument when kLsh is
-/// pinned with a non-minhash prune sketch.
+/// kAuto rule, plus the correctness fallback documented in
+/// core::CandidateMode).
 [[nodiscard]] core::CandidateMode resolved_candidate_mode(const core::Config& config,
                                                           std::int64_t n);
-
-/// One scored pair's sketch estimate (i < j). What the candidate pass
-/// hands rank 0 instead of a dense n² estimate array: pairs the pass
-/// never scored (LSH non-colliders) or scored at exactly 0 are simply
-/// absent — their estimate reads as 0.0.
-struct PairEstimate {
-  std::int64_t i = 0;
-  std::int64_t j = 0;  ///< i < j
-  double est = 0.0;
-
-  friend bool operator==(const PairEstimate&, const PairEstimate&) = default;
-};
-static_assert(std::is_trivially_copyable_v<PairEstimate>);
 
 /// Output of the hybrid's sketch-prune pass.
 struct CandidatePass {
@@ -215,34 +204,31 @@ struct CandidatePass {
   /// prune_threshold − slack (and, under kLsh, the pair collided in ≥ 1
   /// band), plus the full diagonal. Symmetric.
   distmat::CandidateMask mask;
-  /// Rank 0: the scored pairs with a non-zero estimate, sorted by
-  /// (i, j) — O(scored pairs) memory, never an n² array. All-pairs mode
-  /// scores every pair (zeros are dropped); LSH mode scores colliding
-  /// pairs; estimate_at reports 0.0 for everything absent. Empty on
-  /// other ranks.
-  std::vector<PairEstimate> estimates;
+  /// Rank 0: the pruned pairs' estimates — scored non-zero and below
+  /// effective_threshold — as ascending CandidateMask::pack_pair keys
+  /// with parallel values, SparseSimilarity's estimate form. O(pruned
+  /// scored pairs) memory, never an n² array; a pair absent here is a
+  /// survivor or reads as 0.0. Empty on other ranks.
+  std::vector<std::uint64_t> estimate_keys;
+  std::vector<double> estimate_values;
   /// The threshold actually applied (prune_threshold − slack, floored at 0).
   double effective_threshold = 0.0;
   /// Strategy actually used (kAuto resolved) and, for kLsh, the banding.
   core::CandidateMode mode = core::CandidateMode::kAllPairs;
   LshPlan plan;
-
-  /// The estimate of (i, j): 1.0 on the diagonal, the scored value when
-  /// present, 0.0 otherwise. O(log estimates); rank 0 only.
-  [[nodiscard]] double estimate_at(std::int64_t i, std::int64_t j) const noexcept;
 };
 
 /// Collective over `world`: generate and score candidate pairs from
 /// per-sample wire blobs and threshold them into a replicated candidate
-/// mask (all-pairs or LSH-banded per Config::candidate_mode).
-/// `samples`/`blobs` are this rank's samples and their wire blobs (any
-/// disjoint cover of [0, n) across ranks works; the driver passes its
-/// cyclic read ownership). `config` is the sketch view of the hybrid config
-/// (estimator already resolved to the prune sketch).
+/// mask (all-pairs or LSH-banded per Config::candidate_mode). `blobs`
+/// are the wire blobs of this rank's samples in the driver's cyclic
+/// layout: samples r, r + p, r + 2p, … of [0, n), in that order; throws
+/// std::invalid_argument unless there are ⌈(n − r)/p⌉ of them. `config`
+/// supplies prune_threshold, candidate_mode and the sketch parameters (a
+/// hybrid config resolves to minhash).
 [[nodiscard]] CandidatePass sketch_candidate_pass(
-    bsp::Comm& world, std::span<const std::int64_t> samples,
-    const std::vector<std::vector<std::uint64_t>>& blobs, std::int64_t n,
-    const core::Config& config);
+    bsp::Comm& world, const std::vector<std::vector<std::uint64_t>>& blobs,
+    std::int64_t n, const core::Config& config);
 
 /// Run the sketch-exchange pipeline collectively over `world`. Every
 /// rank must call with identical `config` (estimator must be a sketch

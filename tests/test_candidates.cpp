@@ -6,7 +6,8 @@
 //     active_columns / any_pair / for_each_pair_in) as a brute-force
 //     n × n reference does, on random masks whose sizes straddle 64;
 //   * the all-pairs pass keeps exactly the brute-force candidate set and
-//     estimates on any disjoint cover of the samples, at any rank count;
+//     pruned estimates over the driver's cyclic layout, at any rank
+//     count, and refuses blobs that do not fit that layout;
 //   * the LSH band/bucket exchange is deterministic across rank counts
 //     and loses no pair the all-pairs candidate pass keeps at the same
 //     sketch budget on the genome-family corpus;
@@ -318,7 +319,6 @@ TEST(LshBands, PlanAdaptsToThreshold) {
 TEST(LshBands, ModeResolution) {
   core::Config cfg;
   cfg.estimator = core::Estimator::kHybrid;
-  cfg.hybrid_sketch = core::Estimator::kMinhash;
   cfg.prune_threshold = 0.3;
 
   EXPECT_EQ(sketch::resolved_candidate_mode(cfg, 16), core::CandidateMode::kAllPairs);
@@ -330,13 +330,6 @@ TEST(LshBands, ModeResolution) {
   // Non-positive effective threshold keeps every pair: banding could only
   // lose candidates, so all-pairs is forced.
   cfg.prune_threshold = 0.0;
-  EXPECT_EQ(sketch::resolved_candidate_mode(cfg, 1 << 20),
-            core::CandidateMode::kAllPairs);
-
-  cfg.prune_threshold = 0.3;
-  cfg.hybrid_sketch = core::Estimator::kHll;
-  EXPECT_THROW((void)sketch::resolved_candidate_mode(cfg, 16), std::invalid_argument);
-  cfg.candidate_mode = core::CandidateMode::kAuto;
   EXPECT_EQ(sketch::resolved_candidate_mode(cfg, 1 << 20),
             core::CandidateMode::kAllPairs);
 }
@@ -365,25 +358,28 @@ std::vector<std::vector<std::uint64_t>> twin_corpus(std::int64_t pairs,
   return sets;
 }
 
-/// Run sketch_candidate_pass over `sets` on `ranks` ranks with cyclic
-/// blob ownership (the driver's layout) and return rank 0's pass output.
+/// The minhash wire blob of `set` under `config`'s sketch parameters.
+std::vector<std::uint64_t> oph_blob(const std::vector<std::uint64_t>& set,
+                                    const core::Config& config) {
+  return sketch::OnePermMinHash(std::span<const std::uint64_t>(set), config.sketch_size,
+                                config.minhash_bits, config.sketch_seed)
+      .wire();
+}
+
+/// Run sketch_candidate_pass over `sets` on `ranks` ranks in the driver's
+/// cyclic layout (rank r holds samples r, r + p, ...) and return rank 0's
+/// pass output.
 sketch::CandidatePass run_candidate_pass(
     const std::vector<std::vector<std::uint64_t>>& sets, const core::Config& config,
     int ranks) {
   const auto n = static_cast<std::int64_t>(sets.size());
   sketch::CandidatePass out;
   bsp::Runtime::run(ranks, [&](bsp::Comm& comm) {
-    std::vector<std::int64_t> samples;
     std::vector<std::vector<std::uint64_t>> blobs;
     for (std::int64_t i = comm.rank(); i < n; i += comm.size()) {
-      samples.push_back(i);
-      blobs.push_back(sketch::OnePermMinHash(
-                          std::span<const std::uint64_t>(sets[static_cast<std::size_t>(i)]),
-                          config.sketch_size, config.minhash_bits, config.sketch_seed)
-                          .wire());
+      blobs.push_back(oph_blob(sets[static_cast<std::size_t>(i)], config));
     }
-    auto pass = sketch::sketch_candidate_pass(
-        comm, std::span<const std::int64_t>(samples), blobs, n, config);
+    auto pass = sketch::sketch_candidate_pass(comm, blobs, n, config);
     // Single writer (rank 0), read only after run() joins the ranks.
     if (comm.rank() == 0) out = std::move(pass);
   });
@@ -392,12 +388,11 @@ sketch::CandidatePass run_candidate_pass(
 
 // ---- the all-pairs pass against brute force -----------------------------
 
-TEST(AllPairsCandidatePass, MatchesBruteForceOnAnyCover) {
+TEST(AllPairsCandidatePass, MatchesBruteForce) {
   // The ring-scored pass keeps exactly the pairs a brute-force loop over
-  // the wire estimator keeps, with bitwise-equal estimates, whichever
-  // disjoint cover of the samples the ranks hold: block, cyclic, or a
-  // seeded shuffle dealt out of order — on more ranks than samples too,
-  // and with even p's split middle block.
+  // the wire estimator keeps, and returns exactly its pruned pairs'
+  // non-zero estimates, bitwise — on more ranks than samples too, and
+  // with even p's split middle block.
   core::Config cfg;
   cfg.estimator = core::Estimator::kMinhash;
   cfg.candidate_mode = core::CandidateMode::kAllPairs;
@@ -412,78 +407,82 @@ TEST(AllPairsCandidatePass, MatchesBruteForceOnAnyCover) {
     Rng rng(static_cast<std::uint64_t>(300 + n));
     std::vector<std::uint64_t> pool(200);
     for (std::uint64_t& v : pool) v = rng();
-    std::vector<std::vector<std::uint64_t>> blobs;
+    std::vector<std::vector<std::uint64_t>> sets;
     for (std::int64_t i = 0; i < n; ++i) {
       const double keep = 0.2 + 0.7 * rng.uniform_real();
       std::vector<std::uint64_t> set;
       for (std::uint64_t v : pool) {
         if (rng.bernoulli(keep)) set.push_back(v);
       }
-      blobs.push_back(sketch::OnePermMinHash(std::span<const std::uint64_t>(set),
-                                             cfg.sketch_size, cfg.minhash_bits,
-                                             cfg.sketch_seed)
-                          .wire());
+      sets.push_back(std::move(set));
     }
-    std::vector<sketch::PairEstimate> expected;
+    std::vector<std::vector<std::uint64_t>> blobs;
+    for (const auto& set : sets) blobs.push_back(oph_blob(set, cfg));
+    std::vector<std::uint64_t> pruned_keys;
+    std::vector<double> pruned_values;
     std::vector<std::uint8_t> kept(static_cast<std::size_t>(n * n), 0);
     std::int64_t kept_pairs = 0;
     for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t j = i + 1; j < n; ++j) {
         const double est = sketch::estimate_jaccard_wire(
             blobs[static_cast<std::size_t>(i)], blobs[static_cast<std::size_t>(j)]);
-        if (est != 0.0) expected.push_back({i, j, est});
         if (est >= effective) {
           kept[static_cast<std::size_t>(i * n + j)] = 1;
           ++kept_pairs;
+        } else if (est != 0.0) {
+          pruned_keys.push_back(CandidateMask::pack_pair(i, j));
+          pruned_values.push_back(est);
         }
       }
     }
     if (n == 13) {
       ASSERT_GT(kept_pairs, 0);
-      ASSERT_LT(kept_pairs, n * (n - 1) / 2);
+      ASSERT_FALSE(pruned_keys.empty());
     }
 
     for (const int p : {1, 2, 3, 4, 5, 6, 8}) {
-      std::vector<std::int64_t> shuffled(static_cast<std::size_t>(n));
-      for (std::int64_t i = 0; i < n; ++i) shuffled[static_cast<std::size_t>(i)] = i;
-      Rng deal(static_cast<std::uint64_t>(n * 100 + p));
-      for (std::size_t i = shuffled.size(); i > 1; --i) {
-        std::swap(shuffled[i - 1], shuffled[deal.uniform(i)]);
-      }
-      // Each cover lists every rank's samples in the order it holds them.
-      std::vector<std::vector<std::vector<std::int64_t>>> covers(
-          3, std::vector<std::vector<std::int64_t>>(static_cast<std::size_t>(p)));
+      SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p));
+      const sketch::CandidatePass out = run_candidate_pass(sets, cfg, p);
+      EXPECT_EQ(out.mode, core::CandidateMode::kAllPairs);
+      EXPECT_EQ(out.effective_threshold, effective);
+      EXPECT_EQ(out.mask.count(), n + 2 * kept_pairs);
       for (std::int64_t i = 0; i < n; ++i) {
-        covers[0][static_cast<std::size_t>(distmat::block_owner(n, p, i))].push_back(i);
-        covers[1][static_cast<std::size_t>(i % p)].push_back(i);
-        covers[2][static_cast<std::size_t>(distmat::block_owner(n, p, i))].push_back(
-            shuffled[static_cast<std::size_t>(i)]);
-      }
-      for (std::size_t c = 0; c < covers.size(); ++c) {
-        const char* const names[] = {"block", "cyclic", "shuffled"};
-        SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p) +
-                     " cover=" + names[c]);
-        sketch::CandidatePass out;
-        bsp::Runtime::run(p, [&](bsp::Comm& comm) {
-          const std::vector<std::int64_t>& ids =
-              covers[c][static_cast<std::size_t>(comm.rank())];
-          std::vector<std::vector<std::uint64_t>> mine;
-          for (std::int64_t i : ids) mine.push_back(blobs[static_cast<std::size_t>(i)]);
-          auto pass = sketch::sketch_candidate_pass(
-              comm, std::span<const std::int64_t>(ids), mine, n, cfg);
-          // Single writer (rank 0), read only after run() joins the ranks.
-          if (comm.rank() == 0) out = std::move(pass);
-        });
-        EXPECT_EQ(out.mode, core::CandidateMode::kAllPairs);
-        EXPECT_EQ(out.effective_threshold, effective);
-        EXPECT_EQ(out.mask.count(), n + 2 * kept_pairs);
-        for (std::int64_t i = 0; i < n; ++i) {
-          for (std::int64_t j = i + 1; j < n; ++j) {
-            ASSERT_EQ(out.mask.test(i, j), kept[static_cast<std::size_t>(i * n + j)] != 0)
-                << "pair (" << i << ", " << j << ")";
-          }
+        for (std::int64_t j = i + 1; j < n; ++j) {
+          ASSERT_EQ(out.mask.test(i, j), kept[static_cast<std::size_t>(i * n + j)] != 0)
+              << "pair (" << i << ", " << j << ")";
         }
-        EXPECT_EQ(out.estimates, expected);
+      }
+      EXPECT_EQ(out.estimate_keys, pruned_keys);
+      EXPECT_EQ(out.estimate_values, pruned_values);
+    }
+  }
+}
+
+TEST(CandidatePassLayout, WrongBlobCountThrows) {
+  // Rank r must hold the blobs of samples r, r + p, ...: ⌈(n − r)/p⌉ of
+  // them, here 3 and 2 for n = 5 on 2 ranks. One too few or too many is
+  // refused before any traffic, in either candidate mode.
+  core::Config cfg;
+  cfg.estimator = core::Estimator::kMinhash;
+  cfg.sketch_size = 64;
+  const std::vector<std::uint64_t> empty =
+      sketch::OnePermMinHash(cfg.sketch_size, cfg.minhash_bits, cfg.sketch_seed).wire();
+  for (const core::CandidateMode mode :
+       {core::CandidateMode::kAllPairs, core::CandidateMode::kLsh}) {
+    cfg.candidate_mode = mode;
+    for (const int skew : {-1, 1}) {
+      try {
+        bsp::Runtime::run(2, [&](bsp::Comm& comm) {
+          const int count = (comm.rank() == 0 ? 3 : 2) + skew;
+          const std::vector<std::vector<std::uint64_t>> blobs(
+              static_cast<std::size_t>(count), empty);
+          (void)sketch::sketch_candidate_pass(comm, blobs, 5, cfg);
+        });
+        ADD_FAILURE() << "skew " << skew << ": expected a throw";
+      } catch (const std::exception& e) {
+        EXPECT_NE(std::string(e.what()).find("one blob per cyclic sample"),
+                  std::string::npos)
+            << e.what();
       }
     }
   }
@@ -512,19 +511,19 @@ TEST(LshCandidatePass, DeterministicAcrossRankCountsAndFindsTwins) {
   for (std::int64_t i = 0; i < n; ++i) {
     EXPECT_TRUE(reference.mask.test(i, i)) << "diagonal must be a candidate";
   }
-  // Rank 0 carries pair-keyed estimates: 1.0 for twins, 0.0 (absent) for
-  // never-collided — O(scored pairs), never an n² array.
-  EXPECT_LT(reference.estimates.size(), static_cast<std::size_t>(n * n) / 4);
-  EXPECT_DOUBLE_EQ(reference.estimate_at(0, 1), 1.0);  // twin (0, 1)
-  EXPECT_DOUBLE_EQ(reference.estimate_at(1, 0), 1.0);  // symmetric lookup
-  EXPECT_DOUBLE_EQ(reference.estimate_at(0, 0), 1.0);  // diagonal convention
-  for (std::size_t e = 0; e < reference.estimates.size(); ++e) {
-    EXPECT_LT(reference.estimates[e].i, reference.estimates[e].j);
-    EXPECT_NE(reference.estimates[e].est, 0.0) << "zeros must be dropped";
+  // Rank 0 carries only the pruned colliders' non-zero estimates, as
+  // strictly ascending packed keys — O(scored pairs), never an n² array.
+  // Survivors (the twins) and never-collided pairs are absent.
+  EXPECT_LT(reference.estimate_keys.size(), static_cast<std::size_t>(n * n) / 4);
+  ASSERT_EQ(reference.estimate_values.size(), reference.estimate_keys.size());
+  for (std::size_t e = 0; e < reference.estimate_keys.size(); ++e) {
+    const auto [i, j] = CandidateMask::unpack_pair(reference.estimate_keys[e]);
+    EXPECT_LT(i, j);
+    EXPECT_FALSE(reference.mask.test(i, j)) << "survivor (" << i << ", " << j << ")";
+    EXPECT_NE(reference.estimate_values[e], 0.0) << "zeros must be dropped";
+    EXPECT_LT(reference.estimate_values[e], reference.effective_threshold);
     if (e > 0) {
-      EXPECT_TRUE(reference.estimates[e - 1].i < reference.estimates[e].i ||
-                  (reference.estimates[e - 1].i == reference.estimates[e].i &&
-                   reference.estimates[e - 1].j < reference.estimates[e].j))
+      EXPECT_LT(reference.estimate_keys[e - 1], reference.estimate_keys[e])
           << "estimates must be (i, j)-sorted";
     }
   }
@@ -538,7 +537,8 @@ TEST(LshCandidatePass, DeterministicAcrossRankCountsAndFindsTwins) {
             << ranks << " ranks, pair (" << i << ", " << j << ")";
       }
     }
-    EXPECT_EQ(pass.estimates, reference.estimates) << ranks << " ranks";
+    EXPECT_EQ(pass.estimate_keys, reference.estimate_keys) << ranks << " ranks";
+    EXPECT_EQ(pass.estimate_values, reference.estimate_values) << ranks << " ranks";
   }
 }
 
@@ -583,7 +583,8 @@ TEST(LshCandidatePass, BucketCapRoutesDegenerateBucketsThroughMiniAllPairs) {
             << ranks << " ranks, pair (" << i << ", " << j << ")";
       }
     }
-    EXPECT_EQ(capped.estimates, reference.estimates) << ranks << " ranks";
+    EXPECT_EQ(capped.estimate_keys, reference.estimate_keys) << ranks << " ranks";
+    EXPECT_EQ(capped.estimate_values, reference.estimate_values) << ranks << " ranks";
   }
 
   // Recall: every clone pair and every twin pair survives under the cap.
@@ -632,11 +633,13 @@ TEST(LshCandidatePass, RecallMatchesAllPairsOnGenomeFamilies) {
 
   const auto n = static_cast<std::int64_t>(sets.size());
   const double slack = sketch::hybrid_prune_slack(cfg);
+  std::vector<std::vector<std::uint64_t>> blobs;
+  for (const auto& set : sets) blobs.push_back(oph_blob(set, cfg));
   std::int64_t must_survive = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = i + 1; j < n; ++j) {
-      ASSERT_LT(i + 1, n);
-      const double est = all_pairs.estimate_at(i, j);
+      const double est = sketch::estimate_jaccard_wire(
+          blobs[static_cast<std::size_t>(i)], blobs[static_cast<std::size_t>(j)]);
       if (est < cfg.prune_threshold + slack) continue;
       ++must_survive;
       EXPECT_TRUE(all_pairs.mask.test(i, j));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -177,6 +178,16 @@ TEST(Driver, RejectsInvalidConfigs) {
         << threshold;
   }
 
+  // The longest retry backoff, 2⁶ · 1.5 times the base, must fit int64
+  // milliseconds: a base above 2⁵⁶ − 1 fails before the ranks spawn.
+  Config backoff;
+  backoff.retry_backoff_ms = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW((void)similarity_at_scale_threaded(1, src, backoff), error::ConfigError);
+  backoff.retry_backoff_ms = (std::numeric_limits<std::int64_t>::max() >> 7) + 1;
+  EXPECT_THROW((void)similarity_at_scale_threaded(1, src, backoff), error::ConfigError);
+  backoff.retry_backoff_ms = std::numeric_limits<std::int64_t>::max() >> 7;
+  EXPECT_NO_THROW((void)similarity_at_scale_threaded(1, src, backoff));
+
   // Batch indices are ints: a batch count above INT_MAX is refused even
   // when the universe has that many rows.
   VectorSampleSource huge(std::int64_t{1} << 32, {{1}, {2}});
@@ -202,10 +213,7 @@ TEST(Driver, RejectsInvalidConfigs) {
         sketch_config(Estimator::kHll, [](Config& c) { c.hll_precision = 2; }),
         sketch_config(Estimator::kBottomK, [](Config& c) { c.sketch_size = 0; }),
         sketch_config(Estimator::kHybrid, [](Config& c) { c.sketch_size = -5; }),
-        sketch_config(Estimator::kHybrid, [](Config& c) {
-          c.hybrid_sketch = Estimator::kHll;
-          c.hll_precision = 40;
-        })}) {
+        sketch_config(Estimator::kHybrid, [](Config& c) { c.hll_precision = 40; })}) {
     EXPECT_THROW((void)similarity_at_scale_threaded(2, src, c), error::ConfigError)
         << static_cast<int>(c.estimator);
   }

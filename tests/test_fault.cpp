@@ -13,6 +13,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bsp/fault.hpp"
@@ -189,6 +190,28 @@ TEST(Watchdog, ReportsBlockedBarrier) {
     EXPECT_EQ(e.code(), error::Code::kWatchdogTimeout);
     EXPECT_NE(std::string(e.what()).find("in barrier"), std::string::npos) << e.what();
   }
+}
+
+TEST(Watchdog, HugeDeadlineNeverFiresEarly) {
+  // A deadline above INT64_MAX / 10⁶ ms overflows once converted to the
+  // clock's nanoseconds, and compared that way fires on the first 5 ms
+  // poll. Rank 0 blocks well past one poll on a message that does come.
+  bsp::RuntimeOptions options;
+  options.watchdog = std::chrono::milliseconds::max();
+  const std::vector<std::int64_t> payload = {42};
+  bsp::Runtime::run(
+      2,
+      [&](bsp::Comm& comm) {
+        if (comm.rank() == 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(30));
+          comm.send<std::int64_t>(0, /*tag=*/5, std::span<const std::int64_t>(payload));
+        } else {
+          const Clock::time_point start = Clock::now();
+          EXPECT_EQ(comm.recv<std::int64_t>(1, /*tag=*/5), payload);
+          EXPECT_GE(seconds_since(start), 0.020) << "rank 0 must have blocked";
+        }
+      },
+      options);
 }
 
 TEST(Watchdog, QuietRunsAreUnaffected) {

@@ -2,7 +2,8 @@
 //
 // The hybrid's contract (core/driver.hpp):
 //   * every surviving (masked) pair is BITWISE-identical to the kExact
-//     pipeline's value, for every algorithm / rank count / batch count;
+//     pipeline's value, for every algorithm / rank count / batch count,
+//     and the sparse output's dense reconstruction matches its lookup;
 //   * no pair with true J ≥ prune_threshold + slack is ever pruned
 //     (recall — the slack guards against sketch estimation error);
 //   * pruned pairs carry their sketch estimates, not garbage;
@@ -116,15 +117,23 @@ TEST_P(HybridEquivalence, SurvivingPairsBitwiseEqualExact) {
   // The hybrid assembles the survivor-sparse output by default: the
   // dense matrix must not even exist on rank 0.
   EXPECT_TRUE(hybrid.sparse_output());
+  EXPECT_FALSE(exact.sparse_output());
   EXPECT_TRUE(hybrid.similarity.empty());
   ASSERT_EQ(hybrid.sparse_similarity.size(), n);
+  // â is exact on active columns and rides along for diagnostics.
+  EXPECT_EQ(hybrid.sparse_similarity.union_cardinalities().size(),
+            static_cast<std::size_t>(n));
 
+  // The reconstruction agrees with the lookup everywhere.
+  const core::SimilarityMatrix reconstructed = hybrid.sparse_similarity.to_dense();
   std::int64_t surviving = 0;
   std::int64_t pruned = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
       const double h = hybrid.similarity_at(i, j);
       const double e = exact.similarity.similarity(i, j);
+      EXPECT_EQ(reconstructed.similarity(i, j), h)
+          << "to_dense differs at (" << i << ", " << j << ")";
       if (i == j || hybrid.sparse_similarity.is_survivor(i, j)) {
         EXPECT_EQ(h, e) << "surviving pair (" << i << ", " << j
                         << ") must be bitwise-exact";
@@ -138,6 +147,8 @@ TEST_P(HybridEquivalence, SurvivingPairsBitwiseEqualExact) {
       }
     }
   }
+  // The diagonal plus both orders of every survivor pair.
+  EXPECT_EQ(surviving, n + 2 * hybrid.sparse_similarity.survivor_count());
   // The two-cluster fixture must actually exercise both sides.
   EXPECT_GT(surviving, n);  // diagonal + within-cluster pairs
   EXPECT_GT(pruned, 0);     // cross-cluster pairs
@@ -148,6 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(HybridCase{core::Algorithm::kSerial, 1, 1, 1},
                       HybridCase{core::Algorithm::kSerial, 3, 2, 1},
                       HybridCase{core::Algorithm::kRing1D, 1, 1, 1},
+                      HybridCase{core::Algorithm::kRing1D, 2, 2, 1},
                       HybridCase{core::Algorithm::kRing1D, 4, 3, 1},
                       HybridCase{core::Algorithm::kRing1D, 5, 2, 1},
                       HybridCase{core::Algorithm::kSumma, 4, 2, 1},
@@ -166,7 +178,6 @@ TEST(Hybrid, PrunedEntriesEqualPureSketchEstimates) {
 
   core::Config hybrid_cfg = sketch_cfg;
   hybrid_cfg.estimator = core::Estimator::kHybrid;
-  hybrid_cfg.hybrid_sketch = core::Estimator::kMinhash;
   hybrid_cfg.prune_threshold = 0.3;
   const core::Result hybrid = similarity_at_scale_threaded(3, src, hybrid_cfg);
 

@@ -413,7 +413,7 @@ TEST_F(GasCli, UsageErrorsExitWithConfigCode) {
   // A flag the subcommand does not read is an error naming it, not a
   // silent default: deleted options and typos alike.
   for (const char* flag : {"--nodes 2", "--no-numa", "--dense-output", "--prune-slack 0.05",
-                           "--lsh-bands 8", "--batchs 3"}) {
+                           "--lsh-bands 8", "--hybrid-sketch minhash", "--batchs 3"}) {
     const auto result = run_command(dist(flag));
     EXPECT_EQ(result.exit_code, 2) << flag << "\n" << result.output;
     const std::string name = std::string(flag).substr(0, std::string(flag).find(' '));
@@ -437,9 +437,12 @@ TEST_F(GasCli, OutOfRangeDistValuesExitWithConfigCode) {
   // unclassified error (1).
   // A batch count above INT_MAX fits under m = 4³¹ at k = 31 (the later
   // --k overrides the fixture's), but batch indices are ints.
+  // A retry backoff above 2⁵⁶ − 1 ms would overflow int64 once doubled
+  // six times and jittered.
   for (const char* extra : {"--bits 0", "--bits 65", "--replication 0", "--ranks 0",
                             "--top -3", "--replication 3", "--k 31 --batches 2147483648",
-                            "--k 31 --batches 2147483648 --estimator hybrid"}) {
+                            "--k 31 --batches 2147483648 --estimator hybrid",
+                            "--retry-backoff-ms 9223372036854775807"}) {
     const auto result = run_command(dist(extra));
     EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
   }
@@ -544,6 +547,31 @@ TEST_F(GasCli, WatchdogExpiryExitsWithTimeoutCode) {
       dist("--algorithm ring --watchdog-ms 150 --fault-plan rank=1:op=0:delay=2000"));
   EXPECT_EQ(result.exit_code, 5) << result.output;
   EXPECT_NE(result.output.find("watchdog"), std::string::npos) << result.output;
+}
+
+TEST_F(GasCli, HugeWatchdogNeverFiresEarly) {
+  // Compared in the clock's nanoseconds, a --watchdog-ms above
+  // INT64_MAX / 10⁶ overflows and fires on the first 5 ms poll. Rank 0
+  // sleeps 60 ms at its op 3, so its peers block past one poll: a 10 ms
+  // deadline fires, and no huge one does.
+  const std::string corpus = (dir_ / "corpus").string();
+  ASSERT_EQ(run_command(bin_ + " simulate --samples 6 --length 6000 --rate 0.02" +
+                        " --out-dir " + corpus)
+                .exit_code,
+            0);
+  ASSERT_EQ(run_command(bin_ + " sketch " + corpus + "/*.fa --k 17 --out-dir " + corpus)
+                .exit_code,
+            0);
+  const auto delayed = [&](const std::string& watchdog) {
+    return run_command(bin_ + " dist " + corpus +
+                       "/*.kmers --k 17 --ranks 4 --batches 3 --watchdog-ms " + watchdog +
+                       " --fault-plan rank=0:op=3:delay=60");
+  };
+  EXPECT_EQ(delayed("10").exit_code, 5);
+  for (const char* watchdog : {"9223372036854", "9223372036855", "9223372036854775807"}) {
+    const auto result = delayed(watchdog);
+    EXPECT_EQ(result.exit_code, 0) << watchdog << "\n" << result.output;
+  }
 }
 
 TEST_F(GasCli, CheckpointResumeReproducesUninterruptedRun) {

@@ -1,10 +1,7 @@
 // test_sparse_output.cpp — the survivor-sparse output path.
 //
-// Contracts under test (ISSUE 5 tentpole):
-//   * sparse assembly parity: for every algorithm / rank count / batch
-//     count / prune sketch, every survivor of the hybrid's sparse gather
-//     is BITWISE-identical to the kExact value of the same pair, and
-//     SparseSimilarity::to_dense agrees with the lookup everywhere;
+// Contracts under test (survivor parity with kExact across algorithms,
+// rank and batch counts lives in test_hybrid's HybridEquivalence):
 //   * no quadratic structures: a SparseSimilarity at an n where n²
 //     doubles could never be allocated still constructs and answers
 //     lookups, and a driver-level sparse run's rank-0 output stays
@@ -59,72 +56,6 @@ core::VectorSampleSource clustered_source(std::int64_t m, int per_cluster,
   }
   return core::VectorSampleSource(m, std::move(samples));
 }
-
-struct SparseCase {
-  core::Algorithm algorithm;
-  int nranks;
-  int batch_count;
-  int replication;
-  core::Estimator prune_sketch;
-};
-
-class SparseAssemblyParity : public ::testing::TestWithParam<SparseCase> {};
-
-TEST_P(SparseAssemblyParity, SurvivorsMatchExactBitwise) {
-  const SparseCase c = GetParam();
-  const auto src = clustered_source(/*m=*/600, /*per_cluster=*/7, /*seed=*/21);
-  const std::int64_t n = src.sample_count();
-
-  core::Config exact_cfg;
-  exact_cfg.algorithm = c.algorithm;
-  exact_cfg.batch_count = c.batch_count;
-  exact_cfg.replication = c.replication;
-  const core::Result exact = similarity_at_scale_threaded(c.nranks, src, exact_cfg);
-
-  core::Config hybrid_cfg = exact_cfg;
-  hybrid_cfg.estimator = core::Estimator::kHybrid;
-  hybrid_cfg.hybrid_sketch = c.prune_sketch;
-  hybrid_cfg.prune_threshold = 0.3;
-  const core::Result hybrid = similarity_at_scale_threaded(c.nranks, src, hybrid_cfg);
-
-  ASSERT_TRUE(hybrid.sparse_output());
-  ASSERT_FALSE(exact.sparse_output());
-  EXPECT_TRUE(hybrid.similarity.empty()) << "hybrid runs must not build the matrix";
-  ASSERT_EQ(hybrid.sparse_similarity.size(), n);
-
-  // Every survivor carries the exact value bitwise, and the
-  // reconstruction agrees with the lookup everywhere.
-  const core::SimilarityMatrix reconstructed = hybrid.sparse_similarity.to_dense();
-  std::int64_t survivors_offdiag = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      EXPECT_EQ(reconstructed.similarity(i, j), hybrid.similarity_at(i, j))
-          << "to_dense differs at (" << i << ", " << j << ")";
-      if (!hybrid.sparse_similarity.is_survivor(i, j)) continue;
-      ++survivors_offdiag;
-      EXPECT_EQ(hybrid.similarity_at(i, j), exact.similarity.similarity(i, j))
-          << "survivor differs from exact at (" << i << ", " << j << ")";
-    }
-  }
-  EXPECT_EQ(hybrid.sparse_similarity.survivor_count(), survivors_offdiag / 2);
-
-  // â is exact on active columns and rides along for diagnostics.
-  ASSERT_EQ(hybrid.sparse_similarity.union_cardinalities().size(),
-            static_cast<std::size_t>(n));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllVariants, SparseAssemblyParity,
-    ::testing::Values(
-        SparseCase{core::Algorithm::kSerial, 1, 1, 1, core::Estimator::kMinhash},
-        SparseCase{core::Algorithm::kSerial, 3, 2, 1, core::Estimator::kMinhash},
-        SparseCase{core::Algorithm::kRing1D, 4, 3, 1, core::Estimator::kMinhash},
-        SparseCase{core::Algorithm::kRing1D, 5, 2, 1, core::Estimator::kHll},
-        SparseCase{core::Algorithm::kRing1D, 2, 2, 1, core::Estimator::kBottomK},
-        SparseCase{core::Algorithm::kSumma, 4, 2, 1, core::Estimator::kMinhash},
-        SparseCase{core::Algorithm::kSumma, 9, 3, 1, core::Estimator::kMinhash},
-        SparseCase{core::Algorithm::kSumma, 8, 2, 2, core::Estimator::kMinhash},
-        SparseCase{core::Algorithm::kSumma, 6, 2, 1, core::Estimator::kMinhash}));
 
 TEST(SparseSimilarity, LookupSemantics) {
   // survivors: (0, 2) = 0.75; estimates: (1, 3) = 0.05.

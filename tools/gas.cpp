@@ -21,8 +21,9 @@
 //                [--estimator exact|hll|minhash|bottomk|hybrid]
 //       All-pairs Jaccard via the distributed SimilarityAtScale
 //       pipeline; prints the distance matrix and optionally writes
-//       PHYLIP for downstream tools. `hybrid` sketch-prunes the pair
-//       space at --prune-threshold and rescores survivors exactly.
+//       PHYLIP for downstream tools. `hybrid` prunes the pair space with
+//       minhash sketches (--sketch-size bins of --minhash-bits bits) at
+//       --prune-threshold and rescores survivors exactly.
 //
 //   gas tree     <dist.phylip> [--out tree.nwk]
 //       Neighbor-joining tree from a PHYLIP distance matrix (Fig. 1
@@ -78,7 +79,6 @@ int usage() {
                "           [--estimator exact|hll|minhash|bottomk|hybrid]\n"
                "           [--sketch-size 1024] [--hll-precision 12]\n"
                "           [--minhash-bits 16] [--sketch-seed 1445]\n"
-               "           [--hybrid-sketch hll|minhash|bottomk]\n"
                "           [--prune-threshold 0.1] [--candidate-mode auto|allpairs|lsh]\n"
                "           [--checkpoint DIR] [--resume] [--watchdog-ms N]\n"
                "           [--fault-plan SPEC] [--verify-protocol]\n"
@@ -253,7 +253,7 @@ int cmd_dist(const ArgParser& args) {
           {"k", "ranks", "batches", "phylip", "similarity-out", "tsv",
            "sparse-similarity-out", "top", "threshold", "algorithm", "replication",
            "bits", "no-filter", "estimator", "sketch-size", "hll-precision",
-           "minhash-bits", "sketch-seed", "hybrid-sketch", "prune-threshold",
+           "minhash-bits", "sketch-seed", "prune-threshold",
            "candidate-mode", "checkpoint", "resume", "watchdog-ms", "fault-plan",
            "verify-protocol", "max-retries", "retry-backoff-ms", "quarantine",
            "quarantine-manifest", "mem-budget-mb", "trace-out", "report-json"})) {
@@ -303,12 +303,6 @@ int cmd_dist(const ArgParser& args) {
     return 2;
   }
   parse_sketch_params(args, options.core);
-  const std::string hybrid_sketch = args.get_string("hybrid-sketch", "minhash");
-  if (!parse_sketch_estimator(hybrid_sketch, options.core.hybrid_sketch)) {
-    std::fprintf(stderr, "gas dist: unknown --hybrid-sketch '%s'\n",
-                 hybrid_sketch.c_str());
-    return 2;
-  }
   options.core.prune_threshold = args.get_double("prune-threshold", 0.1);
   if (options.core.prune_threshold < 0.0 || options.core.prune_threshold > 1.0) {
     std::fprintf(stderr, "gas dist: --prune-threshold must be in [0, 1]\n");
@@ -325,11 +319,6 @@ int cmd_dist(const ArgParser& args) {
     options.core.candidate_mode = core::CandidateMode::kAllPairs;
   } else if (candidate_mode == "lsh") {
     options.core.candidate_mode = core::CandidateMode::kLsh;
-    if (options.core.hybrid_sketch != core::Estimator::kMinhash) {
-      std::fprintf(stderr,
-                   "gas dist: --candidate-mode lsh requires --hybrid-sketch minhash\n");
-      return 2;
-    }
   } else {
     std::fprintf(stderr, "gas dist: unknown --candidate-mode '%s'\n",
                  candidate_mode.c_str());
