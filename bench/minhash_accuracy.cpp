@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const int k = 21;
   const std::int64_t genome_length = args.get_int("length", 60000);
-  const int trials = static_cast<int>(args.get_int("trials", 6));
+  const int trials = args.get_int32("trials", 6);
   print_header("Sketch-estimator accuracy vs exact Jaccard (paper §I / §VI motivation)",
                "Besta et al., IPDPS'20, §I (Mash limitations) + sketch subsystem",
                "genome pairs at controlled true J, k=21, " +

@@ -45,7 +45,7 @@ std::vector<std::string> tokenize(const std::string& text) {
 
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const int ranks = static_cast<int>(args.get_int("ranks", 4));
+  const int ranks = args.get_int32("ranks", 4);
   const double threshold = args.get_double("threshold", 0.35);
 
   const std::vector<std::pair<std::string, std::string>> corpus{

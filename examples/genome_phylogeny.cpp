@@ -24,9 +24,9 @@ using namespace sas;
 
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const int leaves = static_cast<int>(args.get_int("leaves", 8));
-  const int k = static_cast<int>(args.get_int("k", 15));
-  const int ranks = static_cast<int>(args.get_int("ranks", 4));
+  const int leaves = args.get_int32("leaves", 8);
+  const int k = args.get_int32("k", 15);
+  const int ranks = args.get_int32("ranks", 4);
   const auto genome_length = args.get_int("genome-length", 20000);
   const double branch_rate = args.get_double("branch-rate", 0.008);
 

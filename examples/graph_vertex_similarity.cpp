@@ -25,7 +25,7 @@ using namespace sas;
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const auto n = args.get_int("vertices", 24);
-  const int ranks = static_cast<int>(args.get_int("ranks", 4));
+  const int ranks = args.get_int32("ranks", 4);
   const double p_in = args.get_double("p-in", 0.6);
   const double p_out = args.get_double("p-out", 0.05);
 

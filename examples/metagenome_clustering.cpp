@@ -23,10 +23,10 @@ using namespace sas;
 
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const int clades = static_cast<int>(args.get_int("clades", 3));
-  const int per_clade = static_cast<int>(args.get_int("per-clade", 4));
-  const int k = static_cast<int>(args.get_int("k", 15));
-  const int ranks = static_cast<int>(args.get_int("ranks", 4));
+  const int clades = args.get_int32("clades", 3);
+  const int per_clade = args.get_int32("per-clade", 4);
+  const int k = args.get_int32("k", 15);
+  const int ranks = args.get_int32("ranks", 4);
 
   Rng rng(90210);
   const genome::KmerCodec codec(k);

@@ -23,8 +23,8 @@ using namespace sas;
 
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const int k = static_cast<int>(args.get_int("k", 17));
-  const int ranks = static_cast<int>(args.get_int("ranks", 4));
+  const int k = args.get_int32("k", 17);
+  const int ranks = args.get_int32("ranks", 4);
   const auto batches = args.get_int("batches", 4);
   const auto genome_length = args.get_int("genome-length", 20000);
 

@@ -269,6 +269,11 @@ std::uint64_t checkpoint_fingerprint(const Config& config, std::int64_t n,
   mix(std::bit_cast<std::uint64_t>(-1.0));  // default of the retired prune_slack
   mix(static_cast<std::uint64_t>(config.candidate_mode));
   mix(std::uint64_t{0});  // default of the retired lsh_bands
+  // The ring fills only its distmat::ring_share blocks of each B panel
+  // and leaves the rest zero, where rings before the symmetric schedule
+  // filled whole panels: a checkpoint from either layout would resume
+  // silently wrong under the other.
+  if (config.algorithm == Algorithm::kRing1D) mix(hash_bytes("ring-triangle-shares"));
   return h;
 }
 

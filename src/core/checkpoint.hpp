@@ -55,8 +55,10 @@ struct CheckpointManifest {
 
 /// Everything that must match between the checkpointing run and the
 /// resuming run for the restored accumulators to be meaningful: the
-/// input shape (n, m), the rank count, and every config knob that shapes
-/// the batch loop or the numbers it accumulates.
+/// input shape (n, m), the rank count, every config knob that shapes
+/// the batch loop or the numbers it accumulates, and which blocks of the
+/// B panel are filled (a ring tag: the ring fills only its triangle of
+/// shares, so ring checkpoints from before that layout fail to resume).
 [[nodiscard]] std::uint64_t checkpoint_fingerprint(const Config& config, std::int64_t n,
                                                    std::int64_t m, int nranks);
 

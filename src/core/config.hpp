@@ -30,7 +30,8 @@ namespace sas::core {
 /// ablation of bench_paper_figures compares them).
 enum class Algorithm {
   kSerial,   ///< rank 0 computes everything (reference / baseline)
-  kRing1D,   ///< 1D column-panel ring — Θ(z) per-rank communication
+  kRing1D,   ///< symmetric 1D column-panel ring — Θ(z) per-rank communication,
+             ///< each unordered block pair multiplied once
   kSumma,    ///< 2D/2.5D SUMMA — Θ(z/√(cp) + cn²/p) per-rank communication
 };
 

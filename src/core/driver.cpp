@@ -76,25 +76,6 @@ using distmat::DenseBlock;
 using distmat::SparseBlock;
 using distmat::Triplet;
 
-/// Finalize one local block: sᵢⱼ = bᵢⱼ / (âᵢ + âⱼ − bᵢⱼ), with the
-/// J(∅, ∅) = 1 convention when the union is empty (paper §II-A).
-DenseBlock<double> finalize_block(const DenseBlock<std::int64_t>& b,
-                                  const std::vector<std::int64_t>& ahat) {
-  DenseBlock<double> s(b.row_range, b.col_range);
-  for (std::int64_t i = 0; i < b.local_rows(); ++i) {
-    const std::int64_t gi = b.row_range.begin + i;
-    for (std::int64_t j = 0; j < b.local_cols(); ++j) {
-      const std::int64_t gj = b.col_range.begin + j;
-      const std::int64_t inter = b.at_local(i, j);
-      const std::int64_t uni = ahat[static_cast<std::size_t>(gi)] +
-                               ahat[static_cast<std::size_t>(gj)] - inter;
-      s.at_local(i, j) =
-          uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
-    }
-  }
-  return s;
-}
-
 /// Parallel layout of the batched pipeline. The SUMMA
 /// path builds the √(p/c)×√(p/c)×c grid; the others use the flat
 /// communicator directly.
@@ -248,14 +229,45 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
   }
 }
 
-/// Assemble stage: â allreduce, then one of two output paths.
+/// One block of this rank's B panel in global coordinates.
+struct OutputBlock {
+  BlockRange rows;
+  BlockRange cols;
+};
+
+/// The blocks of B this rank finalizes: its whole block, or on the ring
+/// its distmat::ring_share of each block (r, owner) — the ring multiplies
+/// each unordered block pair once, so its shares cover one triangle of
+/// the symmetric product.
+std::vector<OutputBlock> output_blocks(const bsp::Comm& world, const Layout& layout,
+                                       const Config& config, std::int64_t n) {
+  const DenseBlock<std::int64_t>& b = *layout.b_block;
+  if (config.algorithm != Algorithm::kRing1D) return {{b.row_range, b.col_range}};
+  const int p = world.size();
+  std::vector<OutputBlock> blocks;
+  for (int owner = 0; owner < p; ++owner) {
+    const BlockRange cols = distmat::block_range(n, p, owner);
+    const distmat::RingShare share =
+        distmat::ring_share(p, world.rank(), owner, b.row_range.size(), cols.size());
+    if (share.empty()) continue;
+    blocks.push_back({{b.row_range.begin + share.rows.begin, b.row_range.begin + share.rows.end},
+                      {cols.begin + share.cols.begin, cols.begin + share.cols.end}});
+  }
+  return blocks;
+}
+
+/// Assemble stage: â allreduce, then one of two output paths over this
+/// rank's output blocks.
 ///
-/// Dense (no mask: kExact): S = B ⊘ C on the owning ranks, whole blocks
-/// gathered on rank 0.
+/// Dense (no mask: kExact): S = B ⊘ C on the owning ranks, the blocks
+/// gathered on rank 0 — mirrored on the ring, whose blocks cover one
+/// triangle (S(j, i) equals S(i, j) bitwise: B, â and the union are
+/// integers).
 ///
-/// Sparse (a candidate mask: kHybrid): each owning rank walks its block
+/// Sparse (a candidate mask: kHybrid): each owning rank walks its blocks
 /// against the mask (for_each_pair_in, i < j so disjoint blocks emit
-/// disjoint pairs), finalizes ONLY those cells with the same
+/// disjoint pairs; a ring block below the diagonal is walked as its
+/// transpose and reads B(j, i)), finalizes ONLY those cells with the same
 /// sᵢⱼ = bᵢⱼ / (âᵢ + âⱼ − bᵢⱼ) expression, and ships survivor triplets;
 /// rank 0 assembles a SparseSimilarity from them and moves in the
 /// candidate pass's pruned estimates, already in its packed-key form. No
@@ -268,6 +280,7 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
   const bool owns_output =
       layout.b_block.has_value() &&
       (config.algorithm != Algorithm::kSumma || layout.grid->layer() == 0);
+  const bool triangle = config.algorithm == Algorithm::kRing1D;
 
   std::vector<double> full;
   std::vector<Triplet<double>> survivors;
@@ -278,6 +291,8 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
     // exact.
     world.allreduce(ahat, std::plus<std::int64_t>{});
 
+    // sᵢⱼ = bᵢⱼ / (âᵢ + âⱼ − bᵢⱼ), with the J(∅, ∅) = 1 convention when
+    // the union is empty (paper §II-A).
     const auto finalize_cell = [&](std::int64_t gi, std::int64_t gj,
                                    std::int64_t inter) {
       const std::int64_t uni = ahat[static_cast<std::size_t>(gi)] +
@@ -285,25 +300,43 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
       return uni == 0 ? 1.0
                       : static_cast<double>(inter) / static_cast<double>(uni);
     };
+    // With SUMMA replication only layer 0 holds the reduced B.
+    const std::vector<OutputBlock> blocks =
+        owns_output ? output_blocks(world, layout, config, n) : std::vector<OutputBlock>{};
 
     if (mask != nullptr) {
       std::vector<Triplet<double>> mine;
-      if (owns_output) {
+      for (const OutputBlock& block : blocks) {
         const DenseBlock<std::int64_t>& b = *layout.b_block;
-        mask->for_each_pair_in(b.row_range, b.col_range,
-                               [&](std::int64_t i, std::int64_t j) {
-                                 mine.push_back(
-                                     {i, j, finalize_cell(i, j, b.at_global(i, j))});
-                               });
+        if (triangle && block.cols.end <= block.rows.begin) {
+          mask->for_each_pair_in(block.cols, block.rows,
+                                 [&](std::int64_t i, std::int64_t j) {
+                                   mine.push_back(
+                                       {i, j, finalize_cell(i, j, b.at_global(j, i))});
+                                 });
+        } else {
+          mask->for_each_pair_in(block.rows, block.cols,
+                                 [&](std::int64_t i, std::int64_t j) {
+                                   mine.push_back(
+                                       {i, j, finalize_cell(i, j, b.at_global(i, j))});
+                                 });
+        }
       }
       survivors = distmat::gather_triplets_to_root(world, std::move(mine));
     } else {
-      // S = B ⊘ C on the owning ranks, then assembled on rank 0. With
-      // SUMMA replication only layer 0 holds the reduced B.
-      std::optional<DenseBlock<double>> s_block;
-      if (owns_output) s_block = finalize_block(*layout.b_block, ahat);
-      full = distmat::gather_dense_to_root(
-          world, s_block.has_value() ? &*s_block : nullptr, n, n);
+      std::vector<DenseBlock<double>> finalized;
+      finalized.reserve(blocks.size());
+      for (const OutputBlock& block : blocks) {
+        const DenseBlock<std::int64_t>& b = *layout.b_block;
+        DenseBlock<double>& s = finalized.emplace_back(block.rows, block.cols);
+        for (std::int64_t i = block.rows.begin; i < block.rows.end; ++i) {
+          for (std::int64_t j = block.cols.begin; j < block.cols.end; ++j) {
+            s.at_global(i, j) = finalize_cell(i, j, b.at_global(i, j));
+          }
+        }
+      }
+      full = distmat::gather_blocks_to_root(
+          world, std::span<const DenseBlock<double>>(finalized), n, n, triangle);
     }
   }
 

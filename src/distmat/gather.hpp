@@ -8,11 +8,11 @@
 //   gather_blocks_to_root   — each contributing rank ships (ranges,
 //     values) of its dense blocks; rank 0 stitches the full rows×cols
 //     matrix, mirroring each block for a symmetric product that shipped
-//     one triangle (the sketch ring). gather_dense_to_root is its one-
-//     block-per-rank form (the exact pipeline's output panels). Rank 0
-//     holds rows·cols values — 8·n² bytes for the n×n similarity output
-//     (~20 GB at n = 50k), which is why the mask-gated pipelines avoid
-//     this path by default.
+//     one triangle (the ring shares of the exact ring and of the sketch
+//     ring, distmat/ring.hpp); the serial and SUMMA output panels ship
+//     one block per rank, unmirrored. Rank 0 holds rows·cols values —
+//     8·n² bytes for the n×n similarity output (~20 GB at n = 50k),
+//     which is why the mask-gated pipelines avoid this path by default.
 //   gather_triplets_to_root — each rank ships only its (i, j, value)
 //     triplets (for the hybrid: its block's cells that survive the
 //     candidate mask, walked by CandidateMask::for_each_pair_in with the
@@ -40,8 +40,8 @@ namespace sas::distmat {
 /// Collective over `comm`: each rank ships any number of dense blocks
 /// (ranges, then values) and rank 0 writes them into the rows×cols
 /// row-major matrix — with `mirror`, each block's transpose too, so a
-/// symmetric product ships only the blocks one triangle needs (the
-/// sketch ring). Blocks must not overlap unless they agree. Returns the
+/// symmetric product ships only the blocks one triangle needs (the ring
+/// shares). Blocks must not overlap unless they agree. Returns the
 /// assembled matrix on rank 0 and an empty vector elsewhere.
 template <typename T>
 [[nodiscard]] std::vector<T> gather_blocks_to_root(bsp::Comm& comm,
@@ -95,20 +95,6 @@ template <typename T>
     }
   }
   return full;
-}
-
-/// Collective over `comm`: the one-block-per-rank form (nullptr for a
-/// rank that owns none). Returns the assembled rows×cols row-major
-/// matrix on rank 0 and an empty vector elsewhere.
-template <typename T>
-[[nodiscard]] std::vector<T> gather_dense_to_root(bsp::Comm& comm,
-                                                  const DenseBlock<T>* block,
-                                                  std::int64_t rows, std::int64_t cols) {
-  return gather_blocks_to_root(
-      comm,
-      block != nullptr ? std::span<const DenseBlock<T>>(block, 1)
-                       : std::span<const DenseBlock<T>>(),
-      rows, cols, /*mirror=*/false);
 }
 
 /// Collective over `comm`: gather each rank's coordinate triplets on

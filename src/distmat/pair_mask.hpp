@@ -10,8 +10,9 @@
 //                     dropped before redistribution (its panel entries
 //                     never enter the network);
 //   * panel level   — the targeted 1D exchange ships a panel column to a
-//                     peer only when the mask pairs it with one of that
-//                     peer's output rows (spgemm.hpp);
+//                     peer only when the mask pairs it with one of the
+//                     rows of that peer's ring share, so each crossing
+//                     pair's column travels one way (spgemm.hpp);
 //   * tile level    — the CSR kernel skips output-column tiles whose
 //                     pair set is fully pruned (CsrAtaOptions::prune).
 //
@@ -140,7 +141,9 @@ class CandidateMask {
   /// matrix (the mirrored cell (j, i) fails the test in its block) —
   /// this is the survivor-gather walk: each owning rank emits its
   /// block's surviving (i, j, value) triplets and the concatenation
-  /// covers every survivor exactly once. O(Σᵢ log deg + hits).
+  /// covers every survivor exactly once. The ring's shares cover one
+  /// triangle of blocks, so a share below the diagonal is walked as its
+  /// transpose. O(Σᵢ log deg + hits).
   template <typename Visitor>
   void for_each_pair_in(BlockRange rows, BlockRange cols, Visitor&& visit) const {
     const BlockRange r{std::max<std::int64_t>(rows.begin, 0), std::min(rows.end, n_)};

@@ -264,6 +264,31 @@ std::uint64_t dense_accumulate(const DenseColumnPanel& ld, std::int64_t l_cols,
   return fill_l * fill_n >= crossover;
 }
 
+/// CSR panel of the columns `keep` of a canonical `cols`-column panel's
+/// triplets, renumbered from keep.begin: the sliced side of even p's
+/// split middle ring block (ring_share). Built straight from `entries`
+/// when `keep` is all of [0, cols).
+CsrPanel column_slice(std::int64_t rows, std::int64_t cols,
+                      std::span<const Triplet<std::uint64_t>> entries, BlockRange keep) {
+  if (keep.begin == 0 && keep.end == cols) return CsrPanel::from_triplets(rows, cols, entries);
+  std::vector<Triplet<std::uint64_t>> kept;
+  for (const Triplet<std::uint64_t>& t : entries) {
+    if (keep.contains(t.col)) kept.push_back({t.row, t.col - keep.begin, t.value});
+  }
+  return CsrPanel::from_triplets(rows, keep.size(),
+                                 std::span<const Triplet<std::uint64_t>>(kept));
+}
+
+/// The L side of a ring share: `whole` (built once per batch, with its
+/// memoized densification) when the share keeps every row of `panel`,
+/// else the share's rows sliced into `slice`.
+const CsrPanel& share_rows_panel(const CsrPanel& whole, const SparseBlock& panel,
+                                 BlockRange rows, CsrPanel& slice) {
+  if (rows.size() == panel.cols) return whole;
+  slice = column_slice(panel.rows, panel.cols, panel.entries, rows);
+  return slice;
+}
+
 }  // namespace
 
 void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
@@ -335,16 +360,24 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
   const CsrPanel lpanel = CsrPanel::from_block(my_panel);
 
   ring_rotate<Triplet<std::uint64_t>>(
-      comm, bsp::tags::kSpgemmRing, "ring/step", p, my_panel.entries,
+      comm, bsp::tags::kSpgemmRing, "ring/step", my_panel.entries,
       [&](int owner, std::span<const Triplet<std::uint64_t>> held) {
         const BlockRange owner_cols = block_range(n, p, owner);
+        const RingShare share =
+            ring_share(p, r, owner, my_panel.cols, owner_cols.size());
+        if (share.empty()) return;
+        // Only even p's middle step slices a side: the lower rank its own
+        // rows, the upper rank the held columns.
+        CsrPanel lslice;
+        const CsrPanel& lside = share_rows_panel(lpanel, my_panel, share.rows, lslice);
         CsrPanel received;
-        const CsrPanel* npanel = &lpanel;
+        const CsrPanel* nside = &lpanel;
         if (owner != r) {
-          received = CsrPanel::from_triplets(my_panel.rows, owner_cols.size(), held);
-          npanel = &received;
+          received = column_slice(my_panel.rows, owner_cols.size(), held, share.cols);
+          nside = &received;
         }
-        csr_popcount_ata_accumulate(lpanel, *npanel, 0, owner_cols.begin, b_panel,
+        csr_popcount_ata_accumulate(lside, *nside, share.rows.begin,
+                                    owner_cols.begin + share.cols.begin, b_panel,
                                     &comm.counters(), options);
       });
 }
@@ -367,21 +400,26 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
   csr_popcount_ata_accumulate(lpanel, lpanel, 0, my_cols.begin, b_panel,
                               &comm.counters(), options);
 
-  // Column-targeted exchange: peer q needs this rank's column j (global
-  // id my_cols.begin + j) iff the mask pairs it with one of q's output
-  // rows. Each needed column is shipped to each needing peer exactly
-  // once, so total bytes track the surviving pair structure instead of
-  // the ring's everything-to-everyone Θ(z·(p−1)).
+  // Column-targeted exchange, one way per block pair: peer q needs this
+  // rank's column j (global id my_cols.begin + j) iff j lies in q's
+  // ring_share of block (q, r) and the mask pairs it with one of that
+  // share's rows. Of the two ranks of a crossing pair only the one whose
+  // share holds it receives a column, so total bytes track the surviving
+  // pair structure instead of the ring's ⌊p/2⌋·z rotation.
   std::vector<std::vector<Triplet<std::uint64_t>>> outgoing(static_cast<std::size_t>(p));
   std::vector<std::uint8_t> needed(static_cast<std::size_t>(my_panel.cols));
   for (int q = 0; q < p; ++q) {
     if (q == r) continue;
     const BlockRange q_rows = block_range(n, p, q);
+    const RingShare share = ring_share(p, q, r, q_rows.size(), my_panel.cols);
+    if (share.empty()) continue;
+    const BlockRange share_rows{q_rows.begin + share.rows.begin,
+                                q_rows.begin + share.rows.end};
     bool any = false;
-    for (std::int64_t j = 0; j < my_panel.cols; ++j) {
+    std::fill(needed.begin(), needed.end(), std::uint8_t{0});
+    for (std::int64_t j = share.cols.begin; j < share.cols.end; ++j) {
       const std::int64_t gj = my_cols.begin + j;
-      needed[static_cast<std::size_t>(j)] =
-          mask.any_pair(q_rows, {gj, gj + 1}) ? 1 : 0;
+      needed[static_cast<std::size_t>(j)] = mask.any_pair(share_rows, {gj, gj + 1}) ? 1 : 0;
       any = any || needed[static_cast<std::size_t>(j)] != 0;
     }
     if (!any) continue;
@@ -395,12 +433,17 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
   for (int q = 0; q < p; ++q) {
     if (q == r || incoming[static_cast<std::size_t>(q)].empty()) continue;
     const BlockRange q_cols = block_range(n, p, q);
+    // The sender shipped only columns of this rank's share, so only the
+    // share's rows multiply them.
+    const RingShare share = ring_share(p, r, q, my_panel.cols, q_cols.size());
+    CsrPanel lslice;
+    const CsrPanel& lside = share_rows_panel(lpanel, my_panel, share.rows, lslice);
     // Filtering preserved the sender's (row, col) order, so the received
     // subset is already canonical for the CSR build.
     const CsrPanel npanel = CsrPanel::from_triplets(
         my_panel.rows, q_cols.size(),
         std::span<const Triplet<std::uint64_t>>(incoming[static_cast<std::size_t>(q)]));
-    csr_popcount_ata_accumulate(lpanel, npanel, 0, q_cols.begin, b_panel,
+    csr_popcount_ata_accumulate(lside, npanel, share.rows.begin, q_cols.begin, b_panel,
                                 &comm.counters(), options);
   }
 }

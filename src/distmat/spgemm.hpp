@@ -4,13 +4,15 @@
 // sparse blocks, in four interchangeable parallel forms:
 //
 //   serial_ata             — single-block reference (tests, baselines)
-//   ring_ata_accumulate    — 1D column-panel ring: per-rank comm Θ(z)
+//   ring_ata_accumulate    — symmetric 1D column-panel ring: ⌊p/2⌋ hops,
+//                            per-rank comm ⌊p/2⌋·z/p ≈ z/2
 //   summa_ata_accumulate   — 2D/2.5D SUMMA on the √(p/c)×√(p/c)×c grid:
 //                            per-rank comm Θ(z/√(cp) + cn²/p)  [paper bound]
 //
-// All variants produce bit-identical results (enforced by tests); the
-// communication difference is the paper's headline claim and is measured
-// by bench/comm_model_validation through the bsp cost counters.
+// All variants produce bit-identical B entries (the ring in its shares;
+// enforced by tests); the communication difference is the paper's
+// headline claim and is measured by bench/comm_model_validation through
+// the bsp cost counters.
 //
 // == Kernel architecture (CSR tiles + overlapped rotation) ===============
 //
@@ -66,7 +68,7 @@
 //
 // The ring schedule is double-buffered: the send of the currently held
 // panel is posted *before* the local multiply (distmat/ring.hpp, the
-// rotation shared with the sketch-exchange ring), which lets the
+// symmetric rotation shared with the sketch-exchange ring), which lets the
 // neighbour's receive — and hence the whole rotation hop — complete
 // while this rank computes. SUMMA overlaps its stages the same way: the
 // stage-k+1 transpose send is posted before the stage-k broadcasts and
@@ -140,22 +142,29 @@ void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
 
 /// 1D ring variant. Rank r owns the column panel for block_range(n, p, r)
 /// (global word-row ids) and the dense output row-panel
-/// rows = its column chunk × cols = [0, n). Panels circulate p−1 times.
-/// The local CsrPanel is built once up front; each received panel is
-/// converted once on arrival.
+/// rows = its column chunk × cols = [0, n). The product is symmetric, so
+/// panels circulate ⌊p/2⌋ times (distmat/ring.hpp) and each rank fills
+/// only its ring_share of each block (r, owner) it sees: every unordered
+/// block pair is multiplied once, and the rest of the panel stays zero.
+/// The caller reads B(i, j) from the share that holds it (or B(j, i)
+/// from its transpose). The local CsrPanel is built once up front; each
+/// received panel is converted once on arrival, and even p's middle step
+/// slices the side its share splits.
 void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_panel,
                          DenseBlock<std::int64_t>& b_panel,
                          const CsrAtaOptions& options = {});
 
 /// Mask-targeted 1D exchange — the hybrid estimator's rescore schedule.
-/// Same data layout and output contract as ring_ata_accumulate, but
-/// instead of rotating every panel through every rank, each rank ships to
-/// each peer only the panel columns that participate in at least one
-/// surviving pair with that peer's output rows (one alltoall_v). Per-rank
-/// bytes are therefore proportional to the surviving pair structure —
-/// never more than the ring's Θ(z), and a small fraction of it on the
-/// pair-sparse corpora the sketch-prune pass targets. The diagonal block
-/// is computed locally from the rank's own panel.
+/// Same data layout and output contract as ring_ata_accumulate (each
+/// rank fills only its ring shares), but instead of rotating every panel
+/// through every rank, each rank ships to each peer q only the panel
+/// columns that lie in q's share of block (q, r) and participate in at
+/// least one surviving pair with that share's rows (one alltoall_v), so
+/// each crossing pair's column travels one way. Per-rank bytes are
+/// therefore proportional to the surviving pair structure — never more
+/// than the ring's Θ(z), and a small fraction of it on the pair-sparse
+/// corpora the sketch-prune pass targets. The diagonal block is computed
+/// locally from the rank's own panel.
 void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
                              const SparseBlock& my_panel, const CandidateMask& mask,
                              DenseBlock<std::int64_t>& b_panel,

@@ -208,13 +208,13 @@ void finish_candidate_pass(bsp::Comm& world, std::int64_t n,
 
 /// Score one triangle of the symmetric pair matrix on the sketch ring
 /// (pure-sketch steps 2–3 in exchange.hpp): rotate this rank's wire panel
-/// (core::pack_word_panel) ⌊p/2⌋ + 1 steps, scoring each unordered pair
+/// (core::pack_word_panel) ⌊p/2⌋ + 1 steps and score this rank's
+/// distmat::ring_share of each block, so each unordered pair is scored
 /// exactly once across the ranks, whichever samples each rank holds; with
-/// `diagonal`, each blob against itself too. At even p's middle step the
-/// lower rank scores the first half of its rows, the upper rank the second
-/// half of its held columns. `on_block(owner, rows, cols)` is called once
-/// per non-empty block with position ranges in this rank's panel and in
-/// `owner`'s, and returns the visitor `(a, b, est)` of its pairs.
+/// `diagonal`, each blob against itself too. `on_block(owner, rows, cols)`
+/// is called once per non-empty share with position ranges in this
+/// rank's panel and in `owner`'s, and returns the visitor `(a, b, est)`
+/// of its pairs.
 template <typename OnBlock>
 void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& panel,
                          bool diagonal, OnBlock&& on_block) {
@@ -222,24 +222,18 @@ void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& pan
   const int r = world.rank();
   const auto mine = core::unpack_word_panel(panel);
   distmat::ring_rotate<std::uint64_t>(
-      world, bsp::tags::kSketchRing, "sketch-ring/step", p / 2 + 1, panel,
+      world, bsp::tags::kSketchRing, "sketch-ring/step", panel,
       [&](int owner, std::span<const std::uint64_t> held) {
         const auto theirs = core::unpack_word_panel(held);
-        const int step = (r - owner + p) % p;
-        BlockRange rows{0, static_cast<std::int64_t>(mine.size())};
-        BlockRange cols{0, static_cast<std::int64_t>(theirs.size())};
-        if (2 * step == p) {
-          if (r < owner) {
-            rows.end = rows.size() / 2;
-          } else {
-            cols.begin = cols.size() / 2;
-          }
-        }
-        if (rows.size() == 0 || cols.size() == 0) return;
-        auto visit = on_block(owner, rows, cols);
-        for (std::int64_t a = rows.begin; a < rows.end; ++a) {
-          const std::int64_t first = step == 0 ? (diagonal ? a : a + 1) : cols.begin;
-          for (std::int64_t b = first; b < cols.end; ++b) {
+        const distmat::RingShare share =
+            distmat::ring_share(p, r, owner, static_cast<std::int64_t>(mine.size()),
+                                static_cast<std::int64_t>(theirs.size()));
+        if (share.empty()) return;
+        auto visit = on_block(owner, share.rows, share.cols);
+        for (std::int64_t a = share.rows.begin; a < share.rows.end; ++a) {
+          const std::int64_t first =
+              owner == r ? (diagonal ? a : a + 1) : share.cols.begin;
+          for (std::int64_t b = first; b < share.cols.end; ++b) {
             visit(a, b,
                   estimate_jaccard_wire(mine[static_cast<std::size_t>(a)],
                                         theirs[static_cast<std::size_t>(b)]));

@@ -55,6 +55,12 @@ std::int64_t ArgParser::get_int(const std::string& name, std::int64_t fallback) 
   return parse_flag<std::int64_t>(name, it->second, "an integer");
 }
 
+int ArgParser::get_int32(const std::string& name, int fallback) const {
+  const auto it = named_.find(name);
+  if (it == named_.end() || it->second.empty()) return fallback;
+  return parse_flag<int>(name, it->second, "a 32-bit integer");
+}
+
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto it = named_.find(name);
   if (it == named_.end() || it->second.empty()) return fallback;

@@ -33,6 +33,9 @@ class ArgParser {
   /// 10 for integers) and is in range; get_double also rejects NaN and
   /// infinities.
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int for an `int` setting: a value outside [INT_MIN, INT_MAX]
+  /// throws too, instead of wrapping mod 2³² in a narrowing cast.
+  [[nodiscard]] int get_int32(const std::string& name, int fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   /// `fallback` when `--name` is absent, true when it is bare; otherwise
   /// 1/true/yes/on or 0/false/no/off, and any other value throws

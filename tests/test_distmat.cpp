@@ -1,11 +1,13 @@
 // test_distmat.cpp — the mini-Cyclops layer: block partitioning, triplet
 // normalization, the distributed filter, processor grids, redistribution,
-// and all SpGEMM variants against a brute-force dense reference.
+// SUMMA against a brute-force dense reference, and the ring's triangle
+// rule (ring_share).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <mutex>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "bsp/runtime.hpp"
@@ -15,6 +17,7 @@
 #include "distmat/gather.hpp"
 #include "distmat/proc_grid.hpp"
 #include "distmat/redistribute.hpp"
+#include "distmat/ring.hpp"
 #include "distmat/spgemm.hpp"
 #include "util/error.hpp"
 #include "util/popcount.hpp"
@@ -411,11 +414,12 @@ TEST(Spgemm, ColumnPopcountsSumBits) {
 struct ParallelCase {
   int ranks;
   int layers;
-  bool use_ring;
 };
 
 class ParallelSpgemm : public ::testing::TestWithParam<ParallelCase> {};
 
+// SUMMA against the serial reference; the ring's cases are RingAta's
+// (test_spgemm_kernels.cpp).
 TEST_P(ParallelSpgemm, MatchesSerialReference) {
   const ParallelCase pc = GetParam();
   const std::int64_t h = 37;   // word rows
@@ -426,53 +430,34 @@ TEST_P(ParallelSpgemm, MatchesSerialReference) {
   std::vector<std::int64_t> got(static_cast<std::size_t>(n * n), 0);
   std::mutex got_mutex;
   bsp::Runtime::run(pc.ranks, [&](bsp::Comm& comm) {
-    const int p = comm.size();
-    std::vector<double> assembled;
-    if (pc.use_ring) {
-      // Column panels.
-      const BlockRange my_cols = block_range(n, p, comm.rank());
+    ProcGrid grid(comm, pc.layers);
+    const int s = grid.side();
+    const int c = grid.layers();
+    std::optional<DenseBlock<std::int64_t>> b_block;
+    std::optional<SparseBlock> my_block;
+    if (grid.active()) {
+      const int q = grid.layer() * s + grid.grid_row();
+      const BlockRange chunk = block_range(h, s * c, q);
+      const BlockRange cols = block_range(n, s, grid.grid_col());
       std::vector<Triplet<std::uint64_t>> mine;
       for (const auto& t : full.entries) {
-        if (my_cols.contains(t.col)) mine.push_back({t.row, t.col - my_cols.begin, t.value});
-      }
-      SparseBlock panel{h, my_cols.size(), std::move(mine)};
-      DenseBlock<std::int64_t> b_panel(my_cols, BlockRange{0, n});
-      ring_ata_accumulate(comm, n, panel, b_panel);
-      DenseBlock<double> s(b_panel.row_range, b_panel.col_range);
-      for (std::size_t i = 0; i < s.values.size(); ++i) {
-        s.values[i] = static_cast<double>(b_panel.values[i]);
-      }
-      assembled = gather_dense_to_root(comm, &s, n, n);
-    } else {
-      ProcGrid grid(comm, pc.layers);
-      const int s = grid.side();
-      const int c = grid.layers();
-      std::optional<DenseBlock<std::int64_t>> b_block;
-      std::optional<SparseBlock> my_block;
-      if (grid.active()) {
-        const int q = grid.layer() * s + grid.grid_row();
-        const BlockRange chunk = block_range(h, s * c, q);
-        const BlockRange cols = block_range(n, s, grid.grid_col());
-        std::vector<Triplet<std::uint64_t>> mine;
-        for (const auto& t : full.entries) {
-          if (chunk.contains(t.row) && cols.contains(t.col)) {
-            mine.push_back({t.row - chunk.begin, t.col - cols.begin, t.value});
-          }
-        }
-        my_block = SparseBlock{chunk.size(), cols.size(), std::move(mine)};
-        b_block.emplace(block_range(n, s, grid.grid_row()), cols);
-        summa_ata_accumulate(grid, *my_block, *b_block);
-      }
-      std::optional<DenseBlock<double>> s_block;
-      if (grid.active() && grid.layer() == 0) {
-        s_block.emplace(b_block->row_range, b_block->col_range);
-        for (std::size_t i = 0; i < s_block->values.size(); ++i) {
-          s_block->values[i] = static_cast<double>(b_block->values[i]);
+        if (chunk.contains(t.row) && cols.contains(t.col)) {
+          mine.push_back({t.row - chunk.begin, t.col - cols.begin, t.value});
         }
       }
-      assembled =
-          gather_dense_to_root(comm, s_block.has_value() ? &*s_block : nullptr, n, n);
+      my_block = SparseBlock{chunk.size(), cols.size(), std::move(mine)};
+      b_block.emplace(block_range(n, s, grid.grid_row()), cols);
+      summa_ata_accumulate(grid, *my_block, *b_block);
     }
+    std::vector<DenseBlock<double>> s_blocks;
+    if (grid.active() && grid.layer() == 0) {
+      DenseBlock<double>& s_block = s_blocks.emplace_back(b_block->row_range, b_block->col_range);
+      for (std::size_t i = 0; i < s_block.values.size(); ++i) {
+        s_block.values[i] = static_cast<double>(b_block->values[i]);
+      }
+    }
+    const std::vector<double> assembled = gather_blocks_to_root(
+        comm, std::span<const DenseBlock<double>>(s_blocks), n, n, /*mirror=*/false);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lock(got_mutex);
       for (std::size_t i = 0; i < assembled.size(); ++i) {
@@ -485,11 +470,57 @@ TEST_P(ParallelSpgemm, MatchesSerialReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, ParallelSpgemm,
-    ::testing::Values(ParallelCase{1, 1, true}, ParallelCase{3, 1, true},
-                      ParallelCase{6, 1, true}, ParallelCase{1, 1, false},
-                      ParallelCase{4, 1, false}, ParallelCase{9, 1, false},
-                      ParallelCase{8, 2, false}, ParallelCase{12, 3, false},
-                      ParallelCase{7, 1, false}));
+    ::testing::Values(ParallelCase{1, 1}, ParallelCase{4, 1}, ParallelCase{9, 1},
+                      ParallelCase{8, 2}, ParallelCase{12, 3}, ParallelCase{7, 1}));
+
+TEST(RingShare, CoversEachBlockPairOnce) {
+  // Uneven blocks (n mod p != 0), empty blocks (p > n) and n = 0.
+  for (const std::int64_t n : {0, 1, 2, 5, 19}) {
+    for (int p = 1; p <= 9; ++p) {
+      // cover[i·n + j]: how many shares (or transposes of shares) hold
+      // cell (i, j).
+      std::vector<int> cover(static_cast<std::size_t>(n * n), 0);
+      for (int r = 0; r < p; ++r) {
+        const BlockRange rows = block_range(n, p, r);
+        for (int owner = 0; owner < p; ++owner) {
+          const BlockRange cols = block_range(n, p, owner);
+          const RingShare share = ring_share(p, r, owner, rows.size(), cols.size());
+          const int step = (r - owner + p) % p;
+          if (2 * step > p) {
+            EXPECT_TRUE(share.empty()) << "p=" << p << " r=" << r << " owner=" << owner
+                                       << ": the rotation never reaches this step";
+          }
+          if (owner == r) {
+            EXPECT_EQ(share.rows.begin, 0);
+            EXPECT_EQ(share.rows.end, rows.size());
+            EXPECT_EQ(share.cols.begin, 0);
+            EXPECT_EQ(share.cols.end, cols.size());
+          }
+          if (share.empty()) continue;
+          EXPECT_GE(share.rows.begin, 0);
+          EXPECT_LE(share.rows.end, rows.size());
+          EXPECT_GE(share.cols.begin, 0);
+          EXPECT_LE(share.cols.end, cols.size());
+          for (std::int64_t a = share.rows.begin; a < share.rows.end; ++a) {
+            for (std::int64_t b = share.cols.begin; b < share.cols.end; ++b) {
+              const std::int64_t i = rows.begin + a;
+              const std::int64_t j = cols.begin + b;
+              ++cover[static_cast<std::size_t>(i * n + j)];
+              // A diagonal block is its owner's alone: no transpose.
+              if (owner != r) ++cover[static_cast<std::size_t>(j * n + i)];
+            }
+          }
+        }
+      }
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          EXPECT_EQ(cover[static_cast<std::size_t>(i * n + j)], 1)
+              << "n=" << n << " p=" << p << " cell (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+}
 
 TEST(GatherDense, AssemblesBlocksOnRoot) {
   bsp::Runtime::run(4, [](bsp::Comm& comm) {
@@ -502,7 +533,8 @@ TEST(GatherDense, AssemblesBlocksOnRoot) {
                                                    block.col_range.begin + j);
       }
     }
-    const auto full = gather_dense_to_root(comm, &block, 6, 6);
+    const auto full = gather_blocks_to_root(comm, std::span<const DenseBlock<double>>(&block, 1),
+                                            6, 6, /*mirror=*/false);
     if (comm.rank() == 0) {
       ASSERT_EQ(full.size(), 36u);
       for (std::size_t i = 0; i < 36; ++i) EXPECT_DOUBLE_EQ(full[i], static_cast<double>(i));

@@ -5,6 +5,7 @@
 // and bitwise-identical resume after a mid-run kill.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -24,6 +25,7 @@
 #include "sketch/one_perm_minhash.hpp"
 #include "sketch/sketch.hpp"
 #include "util/error.hpp"
+#include "util/hashing.hpp"
 #include "util/rng.hpp"
 
 namespace sas {
@@ -515,6 +517,57 @@ TEST(Checkpoint, ResumeWithDifferentConfigIsRejected) {
         << e.what();
   }
   fs::remove_all(dir);
+}
+
+/// checkpoint_fingerprint as it was while every ring filled whole B
+/// panels — the formula the ring checkpoints of that layout carry.
+std::uint64_t whole_panel_fingerprint(const core::Config& config, std::int64_t n,
+                                      std::int64_t m, int nranks) {
+  std::uint64_t h = hash_bytes("sas-checkpoint-v1");
+  const auto mix = [&h](std::uint64_t v) { h = hash_combine(h, v); };
+  mix(static_cast<std::uint64_t>(n));
+  mix(static_cast<std::uint64_t>(m));
+  mix(static_cast<std::uint64_t>(nranks));
+  mix(static_cast<std::uint64_t>(config.batch_count));
+  mix(static_cast<std::uint64_t>(config.bit_width));
+  mix(static_cast<std::uint64_t>(config.replication));
+  mix(static_cast<std::uint64_t>(config.algorithm));
+  mix(config.use_zero_row_filter ? 1 : 0);
+  mix(static_cast<std::uint64_t>(config.estimator));
+  mix(static_cast<std::uint64_t>(config.hll_precision));
+  mix(static_cast<std::uint64_t>(config.sketch_size));
+  mix(static_cast<std::uint64_t>(config.minhash_bits));
+  mix(config.sketch_seed);
+  mix(static_cast<std::uint64_t>(core::Estimator::kMinhash));
+  mix(std::bit_cast<std::uint64_t>(config.prune_threshold));
+  mix(std::bit_cast<std::uint64_t>(-1.0));
+  mix(static_cast<std::uint64_t>(config.candidate_mode));
+  mix(std::uint64_t{0});
+  return h;
+}
+
+TEST(Checkpoint, RingFingerprintNamesTheTriangleLayout) {
+  // The ring leaves the non-share blocks of its B panels zero, so a ring
+  // checkpoint of the whole-panel layout must fail to resume (and the
+  // other way round) with the typed fingerprint mismatch, instead of
+  // resuming into a silently wrong matrix. The SUMMA and serial panels
+  // did not change, so their checkpoints still resume.
+  for (const core::Estimator estimator : {core::Estimator::kExact, core::Estimator::kHybrid}) {
+    for (const core::Algorithm algorithm :
+         {core::Algorithm::kSerial, core::Algorithm::kRing1D, core::Algorithm::kSumma}) {
+      core::Config config = checkpoint_config(estimator);
+      config.algorithm = algorithm;
+      const std::uint64_t now = core::checkpoint_fingerprint(config, 12, 4096, 4);
+      const std::uint64_t before = whole_panel_fingerprint(config, 12, 4096, 4);
+      const std::string label = "estimator " + std::to_string(static_cast<int>(estimator)) +
+                                ", algorithm " + std::to_string(static_cast<int>(algorithm));
+      if (algorithm == core::Algorithm::kRing1D) {
+        EXPECT_NE(now, before) << label;
+      } else {
+        EXPECT_EQ(now, before) << label;
+      }
+    }
+  }
 }
 
 TEST(Checkpoint, CorruptedStateFileIsRejected) {

@@ -162,6 +162,8 @@ INSTANTIATE_TEST_SUITE_P(
                       HybridCase{core::Algorithm::kRing1D, 2, 2, 1},
                       HybridCase{core::Algorithm::kRing1D, 4, 3, 1},
                       HybridCase{core::Algorithm::kRing1D, 5, 2, 1},
+                      HybridCase{core::Algorithm::kRing1D, 6, 2, 1},
+                      HybridCase{core::Algorithm::kRing1D, 18, 2, 1},  // p > n
                       HybridCase{core::Algorithm::kSumma, 4, 2, 1},
                       HybridCase{core::Algorithm::kSumma, 9, 3, 1},
                       HybridCase{core::Algorithm::kSumma, 8, 2, 2},   // 2.5D
@@ -431,15 +433,111 @@ TEST(Hybrid, RingKernelPruneKeepsMaskedPairs) {
     distmat::CsrAtaOptions options;
     options.prune = &mask;
     distmat::ring_ata_accumulate(comm, n, panel, b_panel, options);
-    for (std::int64_t i = my_cols.begin; i < my_cols.end; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        if (mask.test(i, j)) {
-          EXPECT_EQ(b_panel.at_global(i, j), expected.at_global(i, j))
-              << "masked pair (" << i << ", " << j << ")";
+    // The ring fills only this rank's share of each block.
+    for (int owner = 0; owner < p; ++owner) {
+      const distmat::BlockRange owner_cols = distmat::block_range(n, p, owner);
+      const distmat::RingShare share = distmat::ring_share(
+          p, comm.rank(), owner, my_cols.size(), owner_cols.size());
+      for (std::int64_t a = share.rows.begin; a < share.rows.end; ++a) {
+        for (std::int64_t b = share.cols.begin; b < share.cols.end; ++b) {
+          const std::int64_t i = my_cols.begin + a;
+          const std::int64_t j = owner_cols.begin + b;
+          if (mask.test(i, j)) {
+            EXPECT_EQ(b_panel.at_global(i, j), expected.at_global(i, j))
+                << "masked pair (" << i << ", " << j << ")";
+          }
         }
       }
     }
   });
+}
+
+TEST(Hybrid, TargetedExchangeShipsEachColumnOneWay) {
+  // The targeted alltoall ships rank r's column j to peer q iff some
+  // masked pair (i, j), i on q, is computed by q — its cell lies in q's
+  // ring_share of block (q, r). Every crossing pair is computed by
+  // exactly one of its two ranks, so its column travels one way; the
+  // alltoall's bytes must equal that brute-force count.
+  const std::int64_t h = 29;
+  const std::int64_t n = 13;
+  Rng rng(2323);
+  std::vector<distmat::Triplet<std::uint64_t>> entries;
+  for (std::int64_t w = 0; w < h; ++w) {
+    for (std::int64_t c = 0; c < n; ++c) {
+      if (rng.bernoulli(0.3)) entries.push_back({w, c, rng()});
+    }
+  }
+  const distmat::SparseBlock full{h, n, entries};
+  const distmat::DenseBlock<std::int64_t> expected = distmat::serial_ata(full);
+  std::vector<std::uint64_t> pairs;
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = i + 1; j < n; ++j) {
+      if (rng.bernoulli(0.2)) pairs.push_back(distmat::CandidateMask::pack_pair(i, j));
+    }
+  }
+  const distmat::CandidateMask mask(n, pairs);
+  std::vector<std::int64_t> column_nnz(static_cast<std::size_t>(n), 0);
+  for (const auto& t : entries) ++column_nnz[static_cast<std::size_t>(t.col)];
+
+  for (const int p : {2, 3, 4, 5, 6}) {
+    // Does the rank owning row i compute cell (i, j)?
+    const auto computes = [&](std::int64_t i, std::int64_t j) {
+      const int a = distmat::block_owner(n, p, i);
+      const int b = distmat::block_owner(n, p, j);
+      const distmat::BlockRange rows = distmat::block_range(n, p, a);
+      const distmat::BlockRange cols = distmat::block_range(n, p, b);
+      const distmat::RingShare share =
+          distmat::ring_share(p, a, b, rows.size(), cols.size());
+      return share.rows.contains(i - rows.begin) && share.cols.contains(j - cols.begin);
+    };
+    std::uint64_t one_way_bytes = 0;
+    for (int r = 0; r < p; ++r) {
+      for (int q = 0; q < p; ++q) {
+        if (q == r) continue;
+        const distmat::BlockRange q_rows = distmat::block_range(n, p, q);
+        const distmat::BlockRange r_cols = distmat::block_range(n, p, r);
+        for (std::int64_t j = r_cols.begin; j < r_cols.end; ++j) {
+          bool shipped = false;
+          for (std::int64_t i = q_rows.begin; i < q_rows.end; ++i) {
+            if (mask.test(i, j) && computes(i, j)) {
+              EXPECT_FALSE(computes(j, i)) << "pair (" << i << ", " << j << ") twice";
+              shipped = true;
+            } else if (mask.test(i, j)) {
+              EXPECT_TRUE(computes(j, i)) << "pair (" << i << ", " << j << ") never";
+            }
+          }
+          if (shipped) {
+            one_way_bytes += static_cast<std::uint64_t>(column_nnz[static_cast<std::size_t>(j)]) *
+                             sizeof(distmat::Triplet<std::uint64_t>);
+          }
+        }
+      }
+    }
+
+    std::vector<bsp::CostCounters> counters = bsp::Runtime::run(p, [&](bsp::Comm& comm) {
+      const distmat::BlockRange my_cols = distmat::block_range(n, p, comm.rank());
+      std::vector<distmat::Triplet<std::uint64_t>> mine;
+      for (const auto& t : full.entries) {
+        if (my_cols.contains(t.col)) mine.push_back({t.row, t.col - my_cols.begin, t.value});
+      }
+      const distmat::SparseBlock panel{h, my_cols.size(), std::move(mine)};
+      distmat::DenseBlock<std::int64_t> b_panel(my_cols, distmat::BlockRange{0, n});
+      distmat::CsrAtaOptions options;
+      options.prune = &mask;
+      distmat::targeted_ata_accumulate(comm, n, panel, mask, b_panel, options);
+      for (std::int64_t i = my_cols.begin; i < my_cols.end; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          if (mask.test(i, j) && computes(i, j)) {
+            EXPECT_EQ(b_panel.at_global(i, j), expected.at_global(i, j))
+                << "p=" << p << " masked pair (" << i << ", " << j << ")";
+          }
+        }
+      }
+    });
+    std::uint64_t sent = 0;
+    for (const bsp::CostCounters& c : counters) sent += c.bytes_sent;
+    EXPECT_EQ(sent, one_way_bytes) << "p=" << p;
+  }
 }
 
 TEST(Hybrid, CandidatePairsWalksTheMask) {

@@ -446,6 +446,17 @@ TEST_F(GasCli, OutOfRangeDistValuesExitWithConfigCode) {
     const auto result = run_command(dist(extra));
     EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
   }
+  // int flags refuse values past INT_MAX, naming the flag, instead of
+  // wrapping mod 2³² to 1 rank, k = 17, 64 bits, c = 1, precision 12 or
+  // 16-bit registers and running.
+  for (const char* extra : {"--ranks 4294967297", "--k 4294967313", "--bits 4294967360",
+                            "--replication 4294967297", "--hll-precision 4294967308",
+                            "--minhash-bits 4294967312"}) {
+    const auto result = run_command(dist(extra));
+    EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
+    const std::string flag(extra, std::string(extra).find(' '));
+    EXPECT_NE(result.output.find(flag), std::string::npos) << result.output;
+  }
   // NaN fails every plain range check, so a non-finite number is refused
   // where it is parsed, naming the flag.
   for (const char* extra : {"--estimator hybrid --prune-threshold nan", "--threshold nan",
@@ -501,10 +512,12 @@ TEST_F(GasCli, WrongKExitsWithConfigCode) {
   const fs::path fasta = dir_ / "g.fa";
   Rng rng(5);
   genome::write_fasta_file(fasta.string(), {{"g", "", genome::random_genome(500, rng)}});
-  for (const char* k : {"0", "40"}) {
-    const auto sketch = run_command(bin_ + " sketch " + fasta.string() + " --k " + k +
+  // ... and int flags past INT_MAX, which used to wrap (k = 17, min
+  // count 1) and run.
+  for (const char* extra : {"--k 0", "--k 40", "--k 4294967313", "--min-count 4294967297"}) {
+    const auto sketch = run_command(bin_ + " sketch " + fasta.string() + " " + extra +
                                     " --out-dir " + dir_.string());
-    EXPECT_EQ(sketch.exit_code, 2) << "--k " << k << "\n" << sketch.output;
+    EXPECT_EQ(sketch.exit_code, 2) << extra << "\n" << sketch.output;
   }
 }
 

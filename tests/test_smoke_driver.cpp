@@ -99,6 +99,8 @@ INSTANTIATE_TEST_SUITE_P(
         Case{Algorithm::kRing1D, 1, 1, 64, 1, true},
         Case{Algorithm::kRing1D, 4, 3, 64, 1, true},
         Case{Algorithm::kRing1D, 5, 2, 32, 1, false},
+        Case{Algorithm::kRing1D, 6, 3, 64, 1, true},
+        Case{Algorithm::kRing1D, 25, 2, 64, 1, true},   // p > n: empty blocks
         Case{Algorithm::kSumma, 1, 1, 64, 1, true},
         Case{Algorithm::kSumma, 4, 2, 64, 1, true},
         Case{Algorithm::kSumma, 9, 3, 64, 1, true},

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bsp/runtime.hpp"
@@ -17,6 +18,7 @@
 #include "distmat/csr.hpp"
 #include "distmat/gather.hpp"
 #include "distmat/proc_grid.hpp"
+#include "distmat/ring.hpp"
 #include "distmat/spgemm.hpp"
 #include "util/popcount.hpp"
 #include "util/rng.hpp"
@@ -252,8 +254,9 @@ TEST(DenseStream2x2, DensePathStillMatchesReferenceOnOddShapes) {
 
 // ------------------------------------------------- ring and SUMMA parity
 
-/// Run the 1D ring over column panels of `full` and assemble the n×n
-/// result on rank 0.
+/// Run the symmetric 1D ring over column panels of `full` and assemble
+/// the n×n result on rank 0: each rank ships its ring shares, and the
+/// root mirrors them.
 std::vector<std::int64_t> run_ring(const SparseBlock& full, int p) {
   const std::int64_t n = full.cols;
   std::vector<std::int64_t> assembled(static_cast<std::size_t>(n * n), 0);
@@ -267,11 +270,24 @@ std::vector<std::int64_t> run_ring(const SparseBlock& full, int p) {
     SparseBlock panel{full.rows, my_cols.size(), std::move(mine)};
     DenseBlock<std::int64_t> b_panel(my_cols, BlockRange{0, n});
     ring_ata_accumulate(comm, n, panel, b_panel);
-    DenseBlock<double> s(b_panel.row_range, b_panel.col_range);
-    for (std::size_t i = 0; i < s.values.size(); ++i) {
-      s.values[i] = static_cast<double>(b_panel.values[i]);
+    std::vector<DenseBlock<double>> shares;
+    for (int owner = 0; owner < p; ++owner) {
+      const BlockRange owner_cols = block_range(n, p, owner);
+      const RingShare share =
+          ring_share(p, comm.rank(), owner, my_cols.size(), owner_cols.size());
+      if (share.empty()) continue;
+      DenseBlock<double>& s = shares.emplace_back(
+          BlockRange{my_cols.begin + share.rows.begin, my_cols.begin + share.rows.end},
+          BlockRange{owner_cols.begin + share.cols.begin,
+                     owner_cols.begin + share.cols.end});
+      for (std::int64_t i = s.row_range.begin; i < s.row_range.end; ++i) {
+        for (std::int64_t j = s.col_range.begin; j < s.col_range.end; ++j) {
+          s.at_global(i, j) = static_cast<double>(b_panel.at_global(i, j));
+        }
+      }
     }
-    const auto full_rows = gather_dense_to_root(comm, &s, n, n);
+    const auto full_rows = gather_blocks_to_root(
+        comm, std::span<const DenseBlock<double>>(shares), n, n, /*mirror=*/true);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lock(mutex);
       for (std::size_t i = 0; i < full_rows.size(); ++i) {
@@ -307,15 +323,15 @@ std::vector<std::int64_t> run_summa(const SparseBlock& full, int p, int layers) 
       b_block.emplace(block_range(n, s, grid.grid_row()), cols);
       summa_ata_accumulate(grid, block, *b_block);
     }
-    std::optional<DenseBlock<double>> s_block;
+    std::vector<DenseBlock<double>> s_blocks;
     if (grid.active() && grid.layer() == 0) {
-      s_block.emplace(b_block->row_range, b_block->col_range);
-      for (std::size_t i = 0; i < s_block->values.size(); ++i) {
-        s_block->values[i] = static_cast<double>(b_block->values[i]);
+      DenseBlock<double>& s_block = s_blocks.emplace_back(b_block->row_range, b_block->col_range);
+      for (std::size_t i = 0; i < s_block.values.size(); ++i) {
+        s_block.values[i] = static_cast<double>(b_block->values[i]);
       }
     }
-    const auto full_rows =
-        gather_dense_to_root(comm, s_block.has_value() ? &*s_block : nullptr, n, n);
+    const auto full_rows = gather_blocks_to_root(
+        comm, std::span<const DenseBlock<double>>(s_blocks), n, n, /*mirror=*/false);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lock(mutex);
       for (std::size_t i = 0; i < full_rows.size(); ++i) {
@@ -326,15 +342,25 @@ std::vector<std::int64_t> run_summa(const SparseBlock& full, int p, int layers) 
   return assembled;
 }
 
-class RingAta : public ::testing::TestWithParam<int> {};
+struct RingCase {
+  int ranks;
+  int samples;
+};
+
+class RingAta : public ::testing::TestWithParam<RingCase> {};
 
 TEST_P(RingAta, MatchesReference) {
-  const int p = GetParam();
-  const SparseBlock full = random_block(37, 19, 0.35, 64, 1234);
-  EXPECT_EQ(run_ring(full, p), dense_reference(full, full));
+  const RingCase c = GetParam();
+  const SparseBlock full = random_block(37, c.samples, 0.35, 64, 1234);
+  EXPECT_EQ(run_ring(full, c.ranks), dense_reference(full, full));
 }
 
-INSTANTIATE_TEST_SUITE_P(RankCounts, RingAta, ::testing::Values(1, 2, 4, 5, 6));
+// Odd and even p (even p splits the middle block), and p > n, where some
+// ranks hold no samples.
+INSTANTIATE_TEST_SUITE_P(RankCounts, RingAta,
+                         ::testing::Values(RingCase{1, 19}, RingCase{2, 19}, RingCase{3, 19},
+                                           RingCase{4, 19}, RingCase{5, 19}, RingCase{6, 19},
+                                           RingCase{8, 19}, RingCase{9, 5}));
 
 TEST(RingSummaParity, DoubleBufferedRingMatchesSummaOnSameInput) {
   const SparseBlock full = random_block(41, 23, 0.3, 64, 4321);

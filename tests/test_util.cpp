@@ -205,8 +205,10 @@ TEST(Args, NumericGettersRejectJunk) {
   const char* argv[] = {"prog",         "--threshold", "abc",  "--batches", "3x",
                         "--seed",       "0x5a5",       "--big", "99999999999999999999",
                         "--slack",      "0.5e",        "--seconds", "8.000000",
-                        "--neg",        "-5",          "--bare"};
-  const ArgParser args(16, argv);
+                        "--neg",        "-5",          "--ranks", "4294967297",
+                        "--under",      "-2147483649", "--max", "2147483647",
+                        "--min",        "-2147483648", "--bare"};
+  const ArgParser args(24, argv);
   EXPECT_THROW((void)args.get_double("threshold", 0.1), error::ConfigError);
   EXPECT_THROW((void)args.get_int("batches", 16), error::ConfigError);
   EXPECT_THROW((void)args.get_int("seed", 1), error::ConfigError);
@@ -223,6 +225,22 @@ TEST(Args, NumericGettersRejectJunk) {
   } catch (const error::ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("--batches"), std::string::npos) << e.what();
   }
+  // An int setting refuses what does not fit instead of wrapping mod 2³²
+  // (--ranks 4294967297 used to run one rank); int64 still reads it.
+  for (const char* name : {"ranks", "under", "big", "batches"}) {
+    EXPECT_THROW((void)args.get_int32(name, 1), error::ConfigError) << name;
+  }
+  try {
+    (void)args.get_int32("ranks", 8);
+    ADD_FAILURE() << "4294967297 accepted";
+  } catch (const error::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--ranks"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(args.get_int32("max", 0), 2147483647);
+  EXPECT_EQ(args.get_int32("min", 0), -2147483647 - 1);
+  EXPECT_EQ(args.get_int32("neg", 0), -5);
+  EXPECT_EQ(args.get_int32("bare", 7), 7);
+  EXPECT_EQ(args.get_int("ranks", 0), 4294967297);
 }
 
 TEST(Args, DoubleGetterRejectsNonFiniteValues) {

@@ -178,8 +178,8 @@ bool parse_sketch_estimator(const std::string& name, core::Estimator& out) {
 /// threads.
 void parse_sketch_params(const ArgParser& args, core::Config& core) {
   core.sketch_size = args.get_int("sketch-size", 1024);
-  core.hll_precision = static_cast<int>(args.get_int("hll-precision", 12));
-  core.minhash_bits = static_cast<int>(args.get_int("minhash-bits", 16));
+  core.hll_precision = args.get_int32("hll-precision", 12);
+  core.minhash_bits = args.get_int32("minhash-bits", 16);
   core.sketch_seed = static_cast<std::uint64_t>(args.get_int("sketch-seed", 0x5a5));
   sketch::validate_sketch_params(core);
 }
@@ -192,7 +192,7 @@ int cmd_sketch(const ArgParser& args) {
     return usage();
   }
   if (args.positional().size() < 2) return usage();
-  const int k = static_cast<int>(args.get_int("k", 31));
+  const int k = args.get_int32("k", 31);
   const bool fastq = args.get_bool("fastq", false);
   const bool auto_threshold = args.get_bool("auto-threshold", false);
   const fs::path out_dir = args.get_string("out-dir", ".");
@@ -219,7 +219,7 @@ int cmd_sketch(const ArgParser& args) {
                                : genome::read_fasta_file(path);
     // Noise threshold: explicit --min-count, or the per-sample spectrum
     // valley when --auto-threshold is given (paper §V-A2 preprocessing).
-    int min_count = static_cast<int>(args.get_int("min-count", 1));
+    int min_count = args.get_int32("min-count", 1);
     if (auto_threshold) {
       min_count = genome::suggest_min_count(genome::build_spectrum(records, codec));
     }
@@ -263,13 +263,13 @@ int cmd_dist(const ArgParser& args) {
     std::fprintf(stderr, "gas dist: need at least two sample files\n");
     return 2;
   }
-  const int k = static_cast<int>(args.get_int("k", 31));
+  const int k = args.get_int32("k", 31);
   genome::GenomeAtScaleOptions options;
   options.k = k;
-  options.ranks = static_cast<int>(args.get_int("ranks", 8));
+  options.ranks = args.get_int32("ranks", 8);
   options.core.batch_count = args.get_int("batches", 16);
-  options.core.bit_width = static_cast<int>(args.get_int("bits", 64));
-  options.core.replication = static_cast<int>(args.get_int("replication", 1));
+  options.core.bit_width = args.get_int32("bits", 64);
+  options.core.replication = args.get_int32("replication", 1);
   options.core.use_zero_row_filter = !args.get_bool("no-filter", false);
   const std::string algorithm = args.get_string("algorithm", "summa");
   if (algorithm == "ring") {
