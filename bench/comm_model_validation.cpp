@@ -21,11 +21,21 @@ using namespace sas::bench;
 
 namespace {
 
-/// Predicted bandwidth volume per rank (bytes): entries are 24-byte
-/// triplets, the dense reduction moves 8-byte words.
-double predicted_bytes(double z, double n, int p, int c) {
-  const double input_term = 24.0 * 2.0 * z / std::sqrt(static_cast<double>(c * p));
-  const double output_term = 8.0 * static_cast<double>(c) * n * n / p;
+/// Predicted bandwidth volume per rank (bytes sent over the whole run).
+/// Input: the redistribution, transposes and broadcasts move each rank
+/// 2z/√(cp) nonzeros, and the compact panel wire (distmat/panel_wire.hpp)
+/// codes each nonzero as one LEB128 gap between set bits, about the
+/// varint length of the mean gap 1/density: ⌈log₂(1/density)/7⌉ bytes.
+/// Output: the rank's c·n²/p block of 8-byte words, moved once at c = 1
+/// (the gather to the root) and once per batch at c > 1, where every
+/// batch reduces the layers' partial sums onto layer 0.
+double predicted_bytes(double z, double n, double density, int p, int c,
+                       std::int64_t batches) {
+  const double bytes_per_nonzero = std::ceil(std::log2(1.0 / density) / 7.0);
+  const double input_term =
+      bytes_per_nonzero * 2.0 * z / std::sqrt(static_cast<double>(c * p));
+  const double output_term =
+      8.0 * static_cast<double>(c) * n * n / p * static_cast<double>(c > 1 ? batches : 1);
   return input_term + output_term;
 }
 
@@ -35,6 +45,7 @@ int main() {
   const std::int64_t m = std::int64_t{1} << 19;
   const std::int64_t n = 512;
   const double density = 2e-3;
+  const std::int64_t batches = 4;
   const double z = density * static_cast<double>(m) * static_cast<double>(n);
   print_header("BSP cost model validation",
                "Besta et al., IPDPS'20, §III-C analysis + §VI MapReduce comparison",
@@ -48,10 +59,10 @@ int main() {
                          "measured/model", "supersteps"});
   for (int ranks : {1, 4, 9, 16, 25}) {
     core::Config config;
-    config.batch_count = 4;
+    config.batch_count = batches;
     const RunResult run = run_driver(ranks, source, config);
     const int active = run.result.active_ranks;
-    const double model = predicted_bytes(z, static_cast<double>(n), active, 1);
+    const double model = predicted_bytes(z, static_cast<double>(n), density, active, 1, batches);
     ranks_table.add_row(
         {std::to_string(active), fmt_bytes(static_cast<double>(run.cost.max_bytes)),
          fmt_bytes(model),
@@ -68,12 +79,12 @@ int main() {
                      "measured/model"});
   for (int c : {1, 2, 4}) {
     core::Config config;
-    config.batch_count = 4;
+    config.batch_count = batches;
     config.replication = c;
     const RunResult run = run_driver(16, source, config);
     const int active = run.result.active_ranks;
     const int side = static_cast<int>(std::sqrt(active / c));
-    const double model = predicted_bytes(z, static_cast<double>(n), active, c);
+    const double model = predicted_bytes(z, static_cast<double>(n), density, active, c, batches);
     c_table.add_row({std::to_string(c),
                      std::to_string(side) + "x" + std::to_string(side) + "x" +
                          std::to_string(c),
@@ -118,10 +129,13 @@ int main() {
   const core::BernoulliSampleSource wide(std::int64_t{1} << 19, 1024, 2e-4, 17);
   compare_schedules(wide, 4, "output-dominated (n=1024, z~107k)");
 
-  std::printf("Shape to match: SUMMA moves the fewest bytes per rank at both operating\n"
-              "points; the ring pays Θ(z) input circulation; MapReduce pays the Θ(n²)\n"
-              "allreduce the paper criticizes — dominant at the second operating point\n"
-              "— plus quadratic reduce-side work on dense attribute rows.\n\n");
+  std::printf("Shape to match: SUMMA moves the fewest bytes per rank at the\n"
+              "input-dominated point, where the ring pays Θ(z) input circulation; at the\n"
+              "output-dominated point the symmetric ring moves fewer, because it gathers\n"
+              "one triangle of the output (ring_share) where SUMMA gathers every block.\n"
+              "MapReduce pays the Θ(n²) allreduce the paper criticizes — dominant at the\n"
+              "second operating point — plus quadratic reduce-side work on dense\n"
+              "attribute rows.\n\n");
 
   // (d) cost-model drift gate: every instrumented collective books its
   // α-β prediction next to the measured time (obs::CollectiveScope). The

@@ -151,17 +151,15 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
 
   switch (config.algorithm) {
     case Algorithm::kSerial: {
-      std::vector<Triplet<std::uint64_t>> merged;
+      SparseBlock block;
       {
         auto stage = recorder.scope(Stage::kExchange);
-        merged = distmat::redistribute_triplets(
-            world, std::move(packed.triplets),
-            [](std::int64_t, std::int64_t) { return 0; },
-            [](std::uint64_t a, std::uint64_t b) { return a | b; });
+        block = distmat::redistribute_panel(
+            world, std::move(packed.triplets), [](std::int64_t, std::int64_t) { return 0; },
+            {{0, h}, {0, n}});
       }
       if (world.rank() == 0) {
         auto stage = recorder.scope(Stage::kMultiply);
-        SparseBlock block{h, n, std::move(merged)};
         const distmat::CsrPanel panel = distmat::CsrPanel::from_block(block);
         distmat::csr_popcount_ata_accumulate(panel, panel, 0, 0, *layout.b_block,
                                              &world.counters(), kernel_options);
@@ -170,19 +168,15 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
       break;
     }
     case Algorithm::kRing1D: {
-      std::vector<Triplet<std::uint64_t>> merged;
+      SparseBlock panel;
       {
+        // Columns arrive localized to this rank's panel; rows stay global.
         auto stage = recorder.scope(Stage::kExchange);
-        merged = distmat::redistribute_triplets(
+        panel = distmat::redistribute_panel(
             world, std::move(packed.triplets),
-            [n, p](std::int64_t, std::int64_t col) {
-              return distmat::block_owner(n, p, col);
-            },
-            [](std::uint64_t a, std::uint64_t b) { return a | b; });
-        // Localize columns to this rank's panel; rows stay global.
-        for (auto& t : merged) t.col -= layout.my_cols.begin;
+            [n, p](std::int64_t, std::int64_t col) { return distmat::block_owner(n, p, col); },
+            {{0, h}, layout.my_cols});
       }
-      SparseBlock panel{h, layout.my_cols.size(), std::move(merged)};
       {
         // Multiply time; the only bytes inside are panel movement hops.
         auto stage = recorder.scope(Stage::kMultiply, Stage::kExchange);
@@ -199,26 +193,25 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
     case Algorithm::kSumma: {
       const int s = layout.grid->side();
       const int c = layout.grid->layers();
-      std::vector<Triplet<std::uint64_t>> merged;
+      // Word-row chunk q = ℓ·s + i of this rank; inactive ranks own no
+      // block and receive nothing.
+      BlockRange chunk;
+      if (layout.grid->active()) {
+        chunk = distmat::block_range(h, s * c, layout.grid->layer() * s + layout.grid->grid_row());
+      }
+      SparseBlock block;
       {
         auto stage = recorder.scope(Stage::kExchange);
-        merged = distmat::redistribute_triplets(
+        block = distmat::redistribute_panel(
             world, std::move(packed.triplets),
             [&](std::int64_t w, std::int64_t col) {
               const int q = distmat::block_owner(h, s * c, w);
               const int j = distmat::block_owner(n, s, col);
               return layout.grid->world_rank_of(q / s, q % s, j);
             },
-            [](std::uint64_t a, std::uint64_t b) { return a | b; });
+            {chunk, layout.my_cols});
       }
       if (layout.grid->active()) {
-        const int q = layout.grid->layer() * s + layout.grid->grid_row();
-        const BlockRange chunk = distmat::block_range(h, s * c, q);
-        for (auto& t : merged) {
-          t.row -= chunk.begin;
-          t.col -= layout.my_cols.begin;
-        }
-        SparseBlock block{chunk.size(), layout.my_cols.size(), std::move(merged)};
         auto stage = recorder.scope(Stage::kMultiply, Stage::kExchange);
         distmat::summa_ata_accumulate(*layout.grid, block, *layout.b_block,
                                       kernel_options);

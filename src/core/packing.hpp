@@ -13,8 +13,9 @@
 //
 // The hybrid reads only the samples its candidate mask keeps, so pruned
 // samples cost no reads and no filter-union bytes. The output triplets
-// are globally indexed (word_row, sample) pairs ready for redistribution
-// onto the processor grid.
+// are globally indexed (word_row, sample) pairs in sample-major order,
+// which is the order distmat::redistribute_panel codes them in on the
+// wire to their owners on the processor grid.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,7 @@ struct PackedBatch {
   /// disabled). Equals the length of the filter vector's support.
   std::int64_t filtered_rows = 0;
   /// This rank's packed entries: (word_row, sample, mask), global indices,
-  /// at most one entry per (word_row, sample) pair.
+  /// sorted by (sample, word_row) with at most one entry per pair.
   std::vector<distmat::Triplet<std::uint64_t>> triplets;
 };
 

@@ -34,6 +34,7 @@
 #include "bsp/comm.hpp"
 #include "distmat/dense_block.hpp"
 #include "distmat/triplet.hpp"
+#include "util/error.hpp"
 
 namespace sas::distmat {
 
@@ -63,6 +64,27 @@ template <typename T>
   auto payloads = comm.gather_v<T>(std::span<const T>(payload), 0);
   if (comm.rank() != 0) return {};
 
+  // The headers arrived over the wire: every block must lie inside the
+  // matrix, and the payload must hold exactly its values, before any
+  // write indexes with them.
+  for (std::size_t r = 0; r < headers.size(); ++r) {
+    const std::vector<std::int64_t>& ranges = headers[r];
+    if (ranges.size() % 4 != 0) {
+      throw error::CorruptInput("gather_blocks_to_root: truncated block header");
+    }
+    std::uint64_t values = 0;
+    for (std::size_t b = 0; b < ranges.size(); b += 4) {
+      if (ranges[b] < 0 || ranges[b + 1] < ranges[b] || ranges[b + 1] > rows ||
+          ranges[b + 2] < 0 || ranges[b + 3] < ranges[b + 2] || ranges[b + 3] > cols) {
+        throw error::CorruptInput("gather_blocks_to_root: block outside the matrix");
+      }
+      values += static_cast<std::uint64_t>((ranges[b + 1] - ranges[b]) *
+                                           (ranges[b + 3] - ranges[b + 2]));
+    }
+    if (values != payloads[r].size()) {
+      throw error::CorruptInput("gather_blocks_to_root: payload does not match its blocks");
+    }
+  }
   std::vector<T> full(static_cast<std::size_t>(rows * cols), T{});
   for (std::size_t r = 0; r < headers.size(); ++r) {
     const std::vector<std::int64_t>& ranges = headers[r];

@@ -1,52 +1,65 @@
-// redistribute.hpp — Cyclops-style accumulating write().
+// redistribute.hpp — Cyclops-style accumulating write() of packed panels.
 //
-// Each rank contributes an arbitrary bag of (row, col, value) entries; the
-// entries are routed to their owning ranks with one all-to-all exchange
-// and merged there under the semiring's combine operation. This is the
-// communication pattern behind the paper's `write()` calls (§IV-A): bulk,
-// collective, and accumulation-based so repeated coordinates are legal.
+// Each rank contributes the bit-packed entries it packed; the entries are
+// routed to their owning ranks with one all-to-all exchange and OR-merged
+// there. This is the communication pattern behind the paper's `write()`
+// calls (§IV-A): bulk, collective, and accumulation-based so repeated
+// coordinates are legal. Each bucket travels in the compact panel wire
+// (panel_wire.hpp): coded column-major, as pack_batch emits its entries,
+// and bounds-checked against the receiver's block on decode.
 //
 // Tag audit (bsp/tags.hpp): this header is collective-only — alltoall_v
 // runs on comm.hpp's reserved internal tags, so no user tag is minted
 // here. New point-to-point traffic must take its tag from bsp::tags.
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bsp/comm.hpp"
-#include "distmat/triplet.hpp"
+#include "distmat/panel_wire.hpp"
+#include "distmat/sparse_block.hpp"
 
 namespace sas::distmat {
 
-/// Route `mine` to owners and return this rank's merged entries.
+/// Route `mine` to owners and return this rank's merged block.
 ///
-/// `owner_of(row, col)` maps a coordinate to a rank of `comm`; `combine`
-/// merges values landing on the same coordinate. The result is sorted by
-/// (row, col) with unique coordinates — the canonical local form.
-template <typename T, typename OwnerFn, typename Combine>
-[[nodiscard]] std::vector<Triplet<T>> redistribute_triplets(
-    bsp::Comm& comm, std::vector<Triplet<T>> mine, OwnerFn owner_of, Combine combine) {
+/// `mine` holds global (word_row, sample, mask) entries sorted by
+/// (sample, word_row) with unique coordinates — pack_batch's order — and
+/// is released before the exchange. `owner_of(row, col)` maps a
+/// coordinate to a rank of `comm`, and `extents` is this rank's block in
+/// global ids: an entry routed here outside it fails the decode with
+/// error::CorruptInput. Entries landing on the same coordinate are
+/// OR-merged. The result is canonical (sorted by (row, col), unique
+/// coordinates), `extents.rows.size()` × `extents.cols.size()`, with
+/// coordinates relative to the extents.
+template <typename OwnerFn>
+[[nodiscard]] SparseBlock redistribute_panel(bsp::Comm& comm,
+                                             std::vector<Triplet<std::uint64_t>> mine,
+                                             OwnerFn owner_of, PanelExtents extents) {
   const int p = comm.size();
-  std::vector<std::vector<Triplet<T>>> outgoing(static_cast<std::size_t>(p));
-  for (Triplet<T>& t : mine) {
-    const int owner = owner_of(t.row, t.col);
-    outgoing[static_cast<std::size_t>(owner)].push_back(t);
+  std::vector<PanelEncoder> encoders(static_cast<std::size_t>(p),
+                                     PanelEncoder(PanelOrder::kColMajor));
+  for (const Triplet<std::uint64_t>& t : mine) {
+    encoders[static_cast<std::size_t>(owner_of(t.row, t.col))].add(t);
   }
   mine.clear();
   mine.shrink_to_fit();
-
-  std::vector<std::vector<Triplet<T>>> incoming = comm.alltoall_v(outgoing);
-  std::vector<Triplet<T>> merged;
-  std::size_t total = 0;
-  for (const auto& block : incoming) total += block.size();
-  merged.reserve(total);
-  for (auto& block : incoming) {
-    merged.insert(merged.end(), block.begin(), block.end());
-    block.clear();
+  std::vector<std::vector<std::uint8_t>> outgoing(static_cast<std::size_t>(p));
+  for (std::size_t q = 0; q < outgoing.size(); ++q) {
+    outgoing[q] = std::move(encoders[q]).finish();
   }
-  normalize_triplets(merged, combine);
-  return merged;
+  encoders.clear();
+
+  const std::vector<std::vector<std::uint8_t>> incoming = comm.alltoall_v(outgoing);
+  std::vector<Triplet<std::uint64_t>> merged;
+  for (const std::vector<std::uint8_t>& message : incoming) {
+    decode_panel_append(message, PanelOrder::kColMajor, extents, merged);
+  }
+  normalize_triplets(merged, [](std::uint64_t a, std::uint64_t b) { return a | b; });
+  return SparseBlock{extents.rows.size(), extents.cols.size(), std::move(merged)};
 }
 
 }  // namespace sas::distmat

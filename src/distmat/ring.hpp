@@ -11,7 +11,10 @@
 // last step only computes. The forward send is posted BEFORE the
 // callback — bsp sends are buffered copies, so the payload is immutable
 // once posted and the neighbour's receive (hence the whole hop) completes
-// while this rank computes.
+// while this rank computes. Payloads are opaque here: the exact ring
+// rotates its panel in the compact panel wire (panel_wire.hpp), encoded
+// once per batch and forwarded verbatim, and decodes each held panel in
+// its callback; the sketch ring rotates flattened wire blobs.
 //
 // Every product on the ring is symmetric (B(i, j) = B(j, i) bitwise: an
 // integer popcount sum; the wire estimators are symmetric too), so the

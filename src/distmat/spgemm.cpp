@@ -7,6 +7,7 @@
 
 #include "bsp/tags.hpp"
 #include "distmat/crossover.hpp"
+#include "distmat/panel_wire.hpp"
 #include "distmat/ring.hpp"
 #include "obs/trace.hpp"
 #include "util/popcount.hpp"
@@ -264,28 +265,28 @@ std::uint64_t dense_accumulate(const DenseColumnPanel& ld, std::int64_t l_cols,
   return fill_l * fill_n >= crossover;
 }
 
-/// CSR panel of the columns `keep` of a canonical `cols`-column panel's
-/// triplets, renumbered from keep.begin: the sliced side of even p's
-/// split middle ring block (ring_share). Built straight from `entries`
-/// when `keep` is all of [0, cols).
-CsrPanel column_slice(std::int64_t rows, std::int64_t cols,
-                      std::span<const Triplet<std::uint64_t>> entries, BlockRange keep) {
-  if (keep.begin == 0 && keep.end == cols) return CsrPanel::from_triplets(rows, cols, entries);
-  std::vector<Triplet<std::uint64_t>> kept;
-  for (const Triplet<std::uint64_t>& t : entries) {
-    if (keep.contains(t.col)) kept.push_back({t.row, t.col - keep.begin, t.value});
-  }
-  return CsrPanel::from_triplets(rows, keep.size(),
-                                 std::span<const Triplet<std::uint64_t>>(kept));
+/// A SUMMA stage panel decoded from the wire, its height the tight bound
+/// of its occupied word-rows.
+CsrPanel decode_stage_panel(std::span<const std::uint8_t> bytes, BlockRange rows,
+                            std::int64_t cols) {
+  CsrPanel panel = decode_panel(bytes, {rows, {0, cols}});
+  panel.rows = panel.row_ids.empty() ? 0 : panel.row_ids.back() + 1;
+  return panel;
 }
 
 /// The L side of a ring share: `whole` (built once per batch, with its
 /// memoized densification) when the share keeps every row of `panel`,
-/// else the share's rows sliced into `slice`.
+/// else — the lower rank of even p's split middle block (ring_share) —
+/// the panel columns `rows`, renumbered from rows.begin, in `slice`.
 const CsrPanel& share_rows_panel(const CsrPanel& whole, const SparseBlock& panel,
                                  BlockRange rows, CsrPanel& slice) {
   if (rows.size() == panel.cols) return whole;
-  slice = column_slice(panel.rows, panel.cols, panel.entries, rows);
+  std::vector<Triplet<std::uint64_t>> kept;
+  for (const Triplet<std::uint64_t>& t : panel.entries) {
+    if (rows.contains(t.col)) kept.push_back({t.row, t.col - rows.begin, t.value});
+  }
+  slice = CsrPanel::from_triplets(panel.rows, rows.size(),
+                                  std::span<const Triplet<std::uint64_t>>(kept));
   return slice;
 }
 
@@ -357,11 +358,15 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
   }
 
   // The L-side panel participates in every step: convert once per batch.
+  // The panel travels in the compact wire, encoded once per batch and
+  // forwarded verbatim; each received panel is decoded once.
   const CsrPanel lpanel = CsrPanel::from_block(my_panel);
+  std::vector<std::uint8_t> wire;
+  if (p > 1) wire = encode_panel(my_panel.entries, PanelOrder::kRowMajor);
 
-  ring_rotate<Triplet<std::uint64_t>>(
-      comm, bsp::tags::kSpgemmRing, "ring/step", my_panel.entries,
-      [&](int owner, std::span<const Triplet<std::uint64_t>> held) {
+  ring_rotate<std::uint8_t>(
+      comm, bsp::tags::kSpgemmRing, "ring/step", std::move(wire),
+      [&](int owner, std::span<const std::uint8_t> held) {
         const BlockRange owner_cols = block_range(n, p, owner);
         const RingShare share =
             ring_share(p, r, owner, my_panel.cols, owner_cols.size());
@@ -373,7 +378,8 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
         CsrPanel received;
         const CsrPanel* nside = &lpanel;
         if (owner != r) {
-          received = column_slice(my_panel.rows, owner_cols.size(), held, share.cols);
+          received = decode_panel(held, {{0, my_panel.rows}, {0, owner_cols.size()}},
+                                  share.cols);
           nside = &received;
         }
         csr_popcount_ata_accumulate(lside, *nside, share.rows.begin,
@@ -406,7 +412,7 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
   // share's rows. Of the two ranks of a crossing pair only the one whose
   // share holds it receives a column, so total bytes track the surviving
   // pair structure instead of the ring's ⌊p/2⌋·z rotation.
-  std::vector<std::vector<Triplet<std::uint64_t>>> outgoing(static_cast<std::size_t>(p));
+  std::vector<std::vector<std::uint8_t>> outgoing(static_cast<std::size_t>(p));
   std::vector<std::uint8_t> needed(static_cast<std::size_t>(my_panel.cols));
   for (int q = 0; q < p; ++q) {
     if (q == r) continue;
@@ -423,10 +429,11 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
       any = any || needed[static_cast<std::size_t>(j)] != 0;
     }
     if (!any) continue;
-    auto& block = outgoing[static_cast<std::size_t>(q)];
-    for (const Triplet<std::uint64_t>& t : my_panel.entries) {
-      if (needed[static_cast<std::size_t>(t.col)] != 0) block.push_back(t);
-    }
+    outgoing[static_cast<std::size_t>(q)] =
+        encode_panel(my_panel.entries, PanelOrder::kRowMajor,
+                     [&](const Triplet<std::uint64_t>& t) {
+                       return needed[static_cast<std::size_t>(t.col)] != 0;
+                     });
   }
   const auto incoming = comm.alltoall_v(outgoing);
 
@@ -438,11 +445,8 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
     const RingShare share = ring_share(p, r, q, my_panel.cols, q_cols.size());
     CsrPanel lslice;
     const CsrPanel& lside = share_rows_panel(lpanel, my_panel, share.rows, lslice);
-    // Filtering preserved the sender's (row, col) order, so the received
-    // subset is already canonical for the CSR build.
-    const CsrPanel npanel = CsrPanel::from_triplets(
-        my_panel.rows, q_cols.size(),
-        std::span<const Triplet<std::uint64_t>>(incoming[static_cast<std::size_t>(q)]));
+    const CsrPanel npanel = decode_panel(incoming[static_cast<std::size_t>(q)],
+                                         {{0, my_panel.rows}, {0, q_cols.size()}});
     csr_popcount_ata_accumulate(lside, npanel, share.rows.begin, q_cols.begin, b_panel,
                                 &comm.counters(), options);
   }
@@ -489,6 +493,13 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
   const bool my_rows_active = block_active(b_accum.row_range);
   const bool my_cols_active = block_active(b_accum.col_range);
 
+  // Every stage ships this rank's block in the compact panel wire, so it
+  // is encoded once per batch. The stage panels are slices of chunks of
+  // one block_range partition, which differ by at most one word-row, so
+  // my_block.rows + 1 bounds the height of every panel received.
+  const std::vector<std::uint8_t> wire = encode_panel(my_block.entries, PanelOrder::kRowMajor);
+  const BlockRange chunk_rows{0, my_block.rows + 1};
+
   // (1) Transpose exchange: owner (ℓ, k, i) ships R(ℓ·s+k, i) to (ℓ, i, k).
   // Sends are posted one stage AHEAD of the multiply that consumes them
   // (stage 0 before the loop, stage k+1 before stage k's local work):
@@ -502,9 +513,8 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
     // and row chunks equal column chunks on the square grid.
     if (grid.grid_row() == k && my_cols_active) {
       const int dest = grid.world_rank_of(grid.layer(), grid.grid_col(), k);
-      grid.world().send<Triplet<std::uint64_t>>(
-          dest, bsp::tags::summa_transpose(k),
-          std::span<const Triplet<std::uint64_t>>(my_block.entries));
+      grid.world().send<std::uint8_t>(dest, bsp::tags::summa_transpose(k),
+                                      std::span<const std::uint8_t>(wire));
     }
   };
   post_transpose(0);
@@ -514,11 +524,10 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
     // their own drift samples, so this span stays prediction-free.
     const obs::Span stage("summa/stage", "summa", &grid.world().counters());
     if (k + 1 < s) post_transpose(k + 1);
-    std::vector<Triplet<std::uint64_t>> lbuf;
+    std::vector<std::uint8_t> lbuf;
     if (grid.grid_col() == k && my_rows_active) {
       const int source = grid.world_rank_of(grid.layer(), k, grid.grid_row());
-      lbuf = grid.world().recv<Triplet<std::uint64_t>>(source,
-                                                       bsp::tags::summa_transpose(k));
+      lbuf = grid.world().recv<std::uint8_t>(source, bsp::tags::summa_transpose(k));
     }
     // (2) L-side broadcast along the grid row (root = grid column k).
     // All ranks of one grid row share the same output-row block, so the
@@ -526,21 +535,17 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
     if (my_rows_active) grid.row_comm().broadcast(lbuf, k);
     // (3) N-side broadcast along the grid column (root = grid row k);
     // uniform verdict along the column, which shares the output-col block.
-    std::vector<Triplet<std::uint64_t>> nbuf;
+    std::vector<std::uint8_t> nbuf;
     if (my_cols_active) {
-      if (grid.grid_row() == k) nbuf = my_block.entries;
+      if (grid.grid_row() == k) nbuf = wire;
       grid.col_comm().broadcast(nbuf, k);
     }
     if (!my_rows_active || !my_cols_active) continue;
-    // (4) Local multiply-accumulate on CSR panels built once per stage.
+    // (4) Local multiply-accumulate on CSR panels decoded once per stage.
     // Both buffers are slices of chunk ℓ·s+k, so they share a row space;
     // the tight per-panel row bounds are enough (the kernel intersects).
-    const std::span<const Triplet<std::uint64_t>> lspan(lbuf);
-    const std::span<const Triplet<std::uint64_t>> nspan(nbuf);
-    const CsrPanel lpanel =
-        CsrPanel::from_triplets(sorted_row_bound(lspan), target.row_range.size(), lspan);
-    const CsrPanel npanel =
-        CsrPanel::from_triplets(sorted_row_bound(nspan), target.col_range.size(), nspan);
+    const CsrPanel lpanel = decode_stage_panel(lbuf, chunk_rows, target.row_range.size());
+    const CsrPanel npanel = decode_stage_panel(nbuf, chunk_rows, target.col_range.size());
     csr_popcount_ata_accumulate(lpanel, npanel, 0, 0, target, &grid.world().counters(),
                                 options);
   }

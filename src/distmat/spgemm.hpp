@@ -12,7 +12,13 @@
 // All variants produce bit-identical B entries (the ring in its shares;
 // enforced by tests); the communication difference is the paper's
 // headline claim and is measured by bench/comm_model_validation through
-// the bsp cost counters.
+// the bsp cost counters. Every panel a variant ships — ring hops, SUMMA
+// transposes and broadcasts, the targeted alltoall — travels in the
+// compact panel wire (panel_wire.hpp): a rank encodes its panel once per
+// batch (the targeted exchange once per peer's column subset), and each
+// receiver decodes straight into the CsrPanel it multiplies, bounds-
+// checked against its own panel extents, so a damaged message fails as
+// error::CorruptInput before a kernel indexes with it.
 //
 // == Kernel architecture (CSR tiles + overlapped rotation) ===============
 //
@@ -148,8 +154,8 @@ void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
 /// block pair is multiplied once, and the rest of the panel stays zero.
 /// The caller reads B(i, j) from the share that holds it (or B(j, i)
 /// from its transpose). The local CsrPanel is built once up front; each
-/// received panel is converted once on arrival, and even p's middle step
-/// slices the side its share splits.
+/// received panel is decoded once on arrival, and even p's middle step
+/// slices the side its share splits (the held side while decoding).
 void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_panel,
                          DenseBlock<std::int64_t>& b_panel,
                          const CsrAtaOptions& options = {});
@@ -177,8 +183,9 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
 /// partials are reduced onto layer 0, accumulating into `b_accum`
 /// (meaningful on layer-0 ranks). Collective over active grid ranks;
 /// inactive ranks must not call. `b_accum` must cover column chunk
-/// grid_row × column chunk grid_col of the n×n output. Broadcast panels
-/// are CSR-converted once per stage before the local multiply.
+/// grid_row × column chunk grid_col of the n×n output. Each rank encodes
+/// its block once per batch; transposed and broadcast panels are decoded
+/// into CSR once per stage before the local multiply.
 ///
 /// With a candidate mask (options.prune), the stage collectives are
 /// mask-gated: transpose hops and row/column broadcasts that feed an

@@ -1,9 +1,11 @@
 // triplet.hpp — coordinate-format sparse entries and normalization.
 //
-// Sparse data travels between ranks as flat arrays of trivially copyable
-// Triplets (the bsp layer memcpys payloads); normalize_triplets sorts and
-// merges duplicates under a caller-supplied combine operation, which is
-// how the Cyclops-style accumulating write() is realized (paper §IV-A).
+// Triplets are the in-memory form of sparse data: packed batches,
+// SparseBlock panels and the survivor gather. The exact pipeline's panels
+// travel between ranks in the compact panel wire (panel_wire.hpp), not as
+// Triplet arrays. normalize_triplets sorts and merges duplicates under a
+// caller-supplied combine operation, which is how the Cyclops-style
+// accumulating write() is realized (paper §IV-A).
 #pragma once
 
 #include <algorithm>
@@ -14,7 +16,9 @@
 
 namespace sas::distmat {
 
-/// One sparse entry. POD so it can be shipped through bsp::Comm.
+/// One sparse entry. Trivially copyable, so it can be shipped through
+/// bsp::Comm (the survivor gather does) and memcpy'd by the panel wire's
+/// raw fallback.
 template <typename T>
 struct Triplet {
   std::int64_t row = 0;
@@ -30,14 +34,6 @@ static_assert(std::is_trivially_copyable_v<Triplet<std::uint64_t>>);
 template <typename T>
 [[nodiscard]] inline bool triplet_order(const Triplet<T>& a, const Triplet<T>& b) noexcept {
   return a.row != b.row ? a.row < b.row : a.col < b.col;
-}
-
-/// Exclusive upper bound on the row ids of a (row, col)-sorted span —
-/// the tight word-row count for building a CsrPanel from a panel whose
-/// nominal height is not carried alongside (e.g. SUMMA broadcast buffers).
-template <typename T>
-[[nodiscard]] inline std::int64_t sorted_row_bound(std::span<const Triplet<T>> entries) noexcept {
-  return entries.empty() ? 0 : entries.back().row + 1;
 }
 
 /// Sort by (row, col) and merge duplicate coordinates with `combine`.

@@ -1,5 +1,5 @@
-// test_corruption.cpp — the corruption matrix (ISSUE 6 satellite): every
-// byte-level truncation and single-byte flip of each persisted artifact
+// test_corruption.cpp — the corruption matrix: every byte-level
+// truncation and single-byte flip of each persisted artifact and wire codec
 // must either parse to a benign value or throw the TYPED
 // sas::error::CorruptInput (sketch estimate layers may also reject with
 // std::invalid_argument) — never crash, never allocate absurd memory,
@@ -17,6 +17,7 @@
 #include "core/matrix_io.hpp"
 #include "core/similarity_matrix.hpp"
 #include "distmat/dist_filter.hpp"
+#include "distmat/panel_wire.hpp"
 #include "genome/kmer_source.hpp"
 #include "genome/sample.hpp"
 #include "sketch/one_perm_minhash.hpp"
@@ -339,6 +340,92 @@ TEST(CorruptionMatrix, IndexSetDamageIsBenignOrTyped) {
                                 mode + " flip word " + std::to_string(w) + " byte " +
                                     std::to_string(byte));
       }
+    }
+  }
+}
+
+// ---------------------------------------------- compact panel wire decode
+
+/// Decode a damaged panel message both ways: each must throw the typed
+/// CorruptInput or yield a canonical panel inside the extents.
+void expect_panel_contained(const std::vector<std::uint8_t>& bytes,
+                            distmat::PanelOrder order, distmat::PanelExtents extents,
+                            const std::string& label) {
+  const std::int64_t rows = extents.rows.size();
+  const std::int64_t cols = extents.cols.size();
+  const bool row_major = order == distmat::PanelOrder::kRowMajor;
+  try {
+    std::vector<distmat::Triplet<std::uint64_t>> entries;
+    distmat::decode_panel_append(bytes, order, extents, entries);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const auto& t = entries[i];
+      ASSERT_TRUE(t.row >= 0 && t.row < rows && t.col >= 0 && t.col < cols) << label;
+      if (i == 0) continue;
+      const auto& prev = entries[i - 1];
+      const std::int64_t major = row_major ? t.row : t.col;
+      const std::int64_t minor = row_major ? t.col : t.row;
+      const std::int64_t prev_major = row_major ? prev.row : prev.col;
+      const std::int64_t prev_minor = row_major ? prev.col : prev.row;
+      ASSERT_TRUE(major > prev_major || (major == prev_major && minor > prev_minor)) << label;
+    }
+    if (!row_major) return;
+    const distmat::CsrPanel panel = distmat::decode_panel(bytes, extents);
+    ASSERT_EQ(panel.row_ptr.size(), panel.row_ids.size() + 1) << label;
+    for (std::int64_t k = 0; k < panel.occupied(); ++k) {
+      ASSERT_TRUE(panel.row_id(k) >= 0 && panel.row_id(k) < rows) << label;
+      if (k > 0) {
+        ASSERT_GT(panel.row_id(k), panel.row_id(k - 1)) << label;
+      }
+      for (std::int64_t e = panel.row_begin(k); e < panel.row_end(k); ++e) {
+        const std::int64_t c = panel.col_idx[static_cast<std::size_t>(e)];
+        ASSERT_TRUE(c >= 0 && c < cols) << label;
+        if (e > panel.row_begin(k)) {
+          ASSERT_GT(c, panel.col_idx[static_cast<std::size_t>(e - 1)]) << label;
+        }
+      }
+    }
+  } catch (const error::CorruptInput&) {
+    // typed rejection: fine
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << " escaped the taxonomy: " << e.what();
+  }
+}
+
+TEST(CorruptionMatrix, PanelWireDamageIsContainedOrTyped) {
+  // Three messages covering both coded orders and the raw fallback: a
+  // sparse row-major panel, a column-major bucket whose word ids near
+  // 4^31 need 10-byte varints, and a panel of full masks (raw).
+  struct Shape {
+    std::vector<distmat::Triplet<std::uint64_t>> entries;
+    distmat::PanelOrder order;
+    distmat::PanelExtents extents;
+  };
+  const std::int64_t m = std::int64_t{1} << 62;
+  const std::vector<Shape> shapes{
+      {{{0, 3, 0x11}, {0, 9, 1}, {4, 0, 0x8000000000000001ULL}, {7, 9, 6}},
+       distmat::PanelOrder::kRowMajor,
+       {{0, 8}, {0, 10}}},
+      {{{5, 2, 1}, {m - 1, 2, 1}, {0, 3, 1}, {m - 3, 3, 1}},
+       distmat::PanelOrder::kColMajor,
+       {{0, m}, {2, 4}}},
+      {{{1, 1, ~0ULL}, {1, 2, ~0ULL}, {3, 0, ~0ULL}},
+       distmat::PanelOrder::kRowMajor,
+       {{0, 4}, {0, 3}}},
+  };
+  for (const Shape& shape : shapes) {
+    const std::vector<std::uint8_t> bytes = distmat::encode_panel(shape.entries, shape.order);
+    const std::string mode = "mode " + std::to_string(bytes.at(0));
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      expect_panel_contained(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() +
+                                                                          static_cast<long>(len)),
+                             shape.order, shape.extents,
+                             mode + " truncated to " + std::to_string(len));
+    }
+    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+      std::vector<std::uint8_t> flipped = bytes;
+      flipped[pos] ^= 0xff;
+      expect_panel_contained(flipped, shape.order, shape.extents,
+                             mode + " flip at byte " + std::to_string(pos));
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <span>
@@ -15,6 +16,7 @@
 #include "distmat/csr.hpp"
 #include "distmat/dist_filter.hpp"
 #include "distmat/gather.hpp"
+#include "distmat/panel_wire.hpp"
 #include "distmat/proc_grid.hpp"
 #include "distmat/redistribute.hpp"
 #include "distmat/ring.hpp"
@@ -325,26 +327,191 @@ TEST_P(RedistributeTest, EveryEntryArrivesOnceAndMerges) {
   const std::int64_t rows = 40;
   const std::int64_t cols = 30;
   bsp::Runtime::run(p, [&](bsp::Comm& comm) {
-    // Every rank emits the full grid with value 1<<rank; owner = row block.
+    // Every rank emits the full grid, column-major as pack_batch does,
+    // with value 1<<rank; owner = row block.
     std::vector<Triplet<std::uint64_t>> mine;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t c = 0; c < cols; ++c) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      for (std::int64_t r = 0; r < rows; ++r) {
         mine.push_back({r, c, std::uint64_t{1} << comm.rank()});
       }
     }
-    auto merged = redistribute_triplets(
+    const BlockRange my_rows = block_range(rows, p, comm.rank());
+    const SparseBlock merged = redistribute_panel(
         comm, std::move(mine),
         [&](std::int64_t row, std::int64_t) { return block_owner(rows, p, row); },
-        [](std::uint64_t a, std::uint64_t b) { return a | b; });
-    const BlockRange my_rows = block_range(rows, p, comm.rank());
-    ASSERT_EQ(static_cast<std::int64_t>(merged.size()), my_rows.size() * cols);
+        {my_rows, {0, cols}});
+    EXPECT_EQ(merged.rows, my_rows.size());
+    EXPECT_EQ(merged.cols, cols);
+    ASSERT_EQ(merged.nnz(), my_rows.size() * cols);
     const std::uint64_t all_ranks_mask = (p == 64) ? ~0ULL : ((1ULL << p) - 1);
-    for (const auto& t : merged) {
-      EXPECT_TRUE(my_rows.contains(t.row));
+    for (const auto& t : merged.entries) {
+      EXPECT_GE(t.row, 0);  // rows arrive relative to the block
+      EXPECT_LT(t.row, my_rows.size());
       EXPECT_EQ(t.value, all_ranks_mask);  // contributions from every rank merged
     }
-    EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end(), triplet_order<std::uint64_t>));
+    // Strictly ascending: each coordinate exactly once.
+    EXPECT_EQ(std::adjacent_find(merged.entries.begin(), merged.entries.end(),
+                                 [](const auto& a, const auto& b) {
+                                   return !triplet_order<std::uint64_t>(a, b);
+                                 }),
+              merged.entries.end());
   });
+}
+
+TEST(Redistribute, EntryOutsideTheReceiversBlockIsCorruptInput) {
+  // An owner function that disagrees with the receiver's extents is what
+  // a damaged coordinate looks like to the receiver: a typed rejection.
+  try {
+    bsp::Runtime::run(2, [](bsp::Comm& comm) {
+      std::vector<Triplet<std::uint64_t>> mine{{5, 0, 1}};
+      (void)redistribute_panel(
+          comm, std::move(mine), [](std::int64_t, std::int64_t) { return 1; },
+          {{0, 4}, {0, 1}});
+    });
+    FAIL() << "expected the receiver to reject row 5 of a 4-row block";
+  } catch (const error::Error& e) {
+    EXPECT_EQ(e.code(), error::Code::kCorruptInput) << e.what();
+  }
+}
+
+// ------------------------------------------------------------- panel wire
+
+/// A random panel with `nnz`-ish entries over rows × cols whose masks use
+/// the low `bits` bits, sorted in `order` with unique coordinates.
+std::vector<Triplet<std::uint64_t>> random_panel(std::int64_t rows, std::int64_t cols,
+                                                 int bits, double density,
+                                                 PanelOrder order, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::uint64_t low = bits == 64 ? ~0ULL : (std::uint64_t{1} << bits) - 1;
+  std::vector<Triplet<std::uint64_t>> entries;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      if (!rng.bernoulli(density)) continue;
+      std::uint64_t mask = rng() & low;
+      if (mask == 0) mask = 1;
+      entries.push_back({r, c, mask});
+    }
+  }
+  if (order == PanelOrder::kColMajor) {
+    std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+      return a.col != b.col ? a.col < b.col : a.row < b.row;
+    });
+  }
+  return entries;
+}
+
+std::vector<Triplet<std::uint64_t>> round_trip(std::span<const Triplet<std::uint64_t>> entries,
+                                               PanelOrder order, PanelExtents extents) {
+  const std::vector<std::uint8_t> wire = encode_panel(entries, order);
+  EXPECT_LE(wire.size(), 24 * entries.size() + 1);
+  std::vector<Triplet<std::uint64_t>> decoded;
+  decode_panel_append(wire, order, extents, decoded);
+  return decoded;
+}
+
+void expect_same_csr(const CsrPanel& got, const CsrPanel& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.cols, want.cols);
+  EXPECT_EQ(got.row_ids, want.row_ids);
+  EXPECT_EQ(got.row_ptr, want.row_ptr);
+  EXPECT_EQ(got.col_idx, want.col_idx);
+  EXPECT_EQ(got.values, want.values);
+}
+
+TEST(PanelWire, RoundTripsInBothOrdersAtEveryBitWidth) {
+  const std::int64_t rows = 37;
+  const std::int64_t cols = 23;
+  const PanelExtents box{{0, rows}, {0, cols}};
+  for (const int bits : {1, 2, 7, 32, 64}) {
+    for (const PanelOrder order : {PanelOrder::kRowMajor, PanelOrder::kColMajor}) {
+      for (const double density : {0.0, 0.05, 0.4}) {
+        const auto entries = random_panel(rows, cols, bits, density, order,
+                                          static_cast<std::uint64_t>(bits * 100) +
+                                              static_cast<std::uint64_t>(density * 10));
+        const std::span<const Triplet<std::uint64_t>> span(entries);
+        EXPECT_EQ(round_trip(span, order, box), entries) << "b=" << bits;
+        if (order != PanelOrder::kRowMajor) continue;
+        // Straight into the kernel's operand, whole and column-sliced.
+        const std::vector<std::uint8_t> wire = encode_panel(span, order);
+        expect_same_csr(decode_panel(wire, box), CsrPanel::from_triplets(rows, cols, span));
+        std::vector<Triplet<std::uint64_t>> sliced;
+        for (const auto& t : entries) {
+          if (t.col >= 5 && t.col < 17) sliced.push_back({t.row, t.col - 5, t.value});
+        }
+        expect_same_csr(decode_panel(wire, box, {5, 17}),
+                        CsrPanel::from_triplets(rows, 12, sliced));
+      }
+    }
+  }
+  // Empty and single-entry panels.
+  EXPECT_TRUE(encode_panel({}, PanelOrder::kRowMajor).empty());
+  EXPECT_EQ(decode_panel({}, box).row_ptr, std::vector<std::int64_t>{0});
+  const std::vector<Triplet<std::uint64_t>> one{{36, 22, std::uint64_t{1} << 63}};
+  for (const PanelOrder order : {PanelOrder::kRowMajor, PanelOrder::kColMajor}) {
+    EXPECT_EQ(round_trip(one, order, box), one);
+  }
+}
+
+TEST(PanelWire, DenseMasksFallBackToRawEntries) {
+  const std::vector<Triplet<std::uint64_t>> dense{{0, 0, ~0ULL}, {0, 3, ~0ULL}, {2, 1, ~0ULL}};
+  const std::vector<std::uint8_t> wire = encode_panel(dense, PanelOrder::kRowMajor);
+  EXPECT_EQ(wire.size(), 24 * dense.size() + 1);
+  EXPECT_EQ(round_trip(dense, PanelOrder::kRowMajor, {{0, 3}, {0, 4}}), dense);
+  // An empty mask has no set bit to code: raw carries it.
+  const std::vector<Triplet<std::uint64_t>> with_empty{{0, 1, 5}, {1, 0, 0}, {4, 2, 9}};
+  EXPECT_EQ(encode_panel(with_empty, PanelOrder::kRowMajor).size(), 24 * 3 + 1);
+  EXPECT_EQ(round_trip(with_empty, PanelOrder::kRowMajor, {{0, 5}, {0, 3}}), with_empty);
+  // A sparse panel codes well below the raw form.
+  const std::vector<Triplet<std::uint64_t>> sparse{{0, 0, 1}, {0, 3, 2}, {2, 1, 4}};
+  EXPECT_LT(encode_panel(sparse, PanelOrder::kRowMajor).size(), 24 * sparse.size() / 3);
+}
+
+TEST(PanelWire, WordIdsNearFourToThe31RoundTripColumnMajor) {
+  // b = 1 with no row filter at k = 31: a batch spans up to 4^31 word
+  // ids, where minor · 64 overflows int64.
+  const std::int64_t m = std::int64_t{1} << 62;
+  const std::vector<Triplet<std::uint64_t>> entries{
+      {0, 0, 1}, {m - 2, 0, 1}, {m - 1, 0, 1}, {5, 3, 1}, {m - 1, 3, 1}};
+  EXPECT_EQ(round_trip(entries, PanelOrder::kColMajor, {{0, m}, {0, 4}}), entries);
+  // The largest coordinates an extent admits, up to bit 63 of a mask.
+  const std::int64_t top = std::numeric_limits<std::int64_t>::max();
+  const std::vector<Triplet<std::uint64_t>> extreme{{top - 1, 0, 1ULL << 63},
+                                                    {top - 1, top - 1, 3}};
+  EXPECT_EQ(round_trip(extreme, PanelOrder::kRowMajor, {{0, top}, {0, top}}), extreme);
+  // One word-row past the receiver's extent is rejected, not wrapped.
+  const std::vector<std::uint8_t> wire = encode_panel(entries, PanelOrder::kColMajor);
+  std::vector<Triplet<std::uint64_t>> out;
+  EXPECT_THROW(decode_panel_append(wire, PanelOrder::kColMajor, {{0, m - 1}, {0, 4}}, out),
+               error::CorruptInput);
+}
+
+TEST(PanelWire, DecoderChecksTheReceiversExtents) {
+  const std::vector<Triplet<std::uint64_t>> entries{{1, 2, 6}, {3, 9, 1}};
+  const std::vector<std::uint8_t> wire = encode_panel(entries, PanelOrder::kRowMajor);
+  EXPECT_NO_THROW((void)decode_panel(wire, {{0, 4}, {0, 10}}));
+  EXPECT_THROW((void)decode_panel(wire, {{0, 4}, {0, 9}}), error::CorruptInput);
+  EXPECT_THROW((void)decode_panel(wire, {{0, 3}, {0, 10}}), error::CorruptInput);
+  EXPECT_THROW((void)decode_panel(wire, {{2, 4}, {0, 10}}), error::CorruptInput);
+  // Extents with a nonzero origin localize the coordinates.
+  std::vector<Triplet<std::uint64_t>> out;
+  decode_panel_append(wire, PanelOrder::kRowMajor, {{1, 4}, {2, 10}}, out);
+  EXPECT_EQ(out, (std::vector<Triplet<std::uint64_t>>{{0, 0, 6}, {2, 7, 1}}));
+  // A row-major message is not a column-major one.
+  EXPECT_THROW(decode_panel_append(wire, PanelOrder::kColMajor, {{0, 10}, {0, 10}}, out),
+               error::CorruptInput);
+  // A gap past 2^64 saturates and lands outside the extents; an eleventh
+  // varint byte is a runaway.
+  std::vector<std::uint8_t> huge{wire[0], 0x00};
+  huge.insert(huge.end(), 9, 0xff);
+  huge.insert(huge.end(), {0x7f, 0x00});
+  EXPECT_THROW((void)decode_panel(huge, {{0, 4}, {0, 10}}), error::CorruptInput);
+  std::vector<std::uint8_t> runaway{wire[0], 0x00};
+  runaway.insert(runaway.end(), 10, 0xff);
+  runaway.push_back(0x01);
+  EXPECT_THROW((void)decode_panel(runaway, {{0, 4}, {0, 10}}), error::CorruptInput);
+  // The encoder takes canonical input only.
+  const std::vector<Triplet<std::uint64_t>> unsorted{{3, 0, 1}, {1, 0, 1}};
+  EXPECT_THROW((void)encode_panel(unsorted, PanelOrder::kRowMajor), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, RedistributeTest, ::testing::Values(1, 2, 4, 7));

@@ -386,6 +386,48 @@ INSTANTIATE_TEST_SUITE_P(
                       StressCase{4, core::Estimator::kHybrid},
                       StressCase{16, core::Estimator::kHybrid}));
 
+TEST(FaultInjection, FlippedPanelBytesAreTypedOrBenign) {
+  // A byte flipped in flight at any op of a small exact run — filter
+  // union, redistribution alltoall, ring hops, SUMMA transposes and
+  // broadcasts, output gather — must either let the run finish or end it
+  // with a typed sas::error::Error: received panels are bounds-checked on
+  // decode (distmat/panel_wire.hpp), so a damaged coordinate is rejected
+  // before a kernel indexes with it; at least one flip must meet that
+  // decoder. SUMMA's first 24 ops at 4 ranks are the ProcGrid split
+  // allgathers, where a flipped color can hang until the watchdog; its
+  // sweep starts at the batch body. Past the last op the flip never
+  // fires, so the sweep's last run must not throw.
+  const auto source = stress_source(2424);
+  struct Sweep {
+    core::Algorithm algorithm;
+    std::uint64_t first_op;
+  };
+  constexpr std::uint64_t kPastLastOp = 100;
+  int decoder_rejections = 0;
+  for (const Sweep sweep :
+       {Sweep{core::Algorithm::kRing1D, 0}, Sweep{core::Algorithm::kSumma, 24}}) {
+    core::Config config;
+    config.algorithm = sweep.algorithm;
+    config.batch_count = 2;
+    config.watchdog_ms = 30000;  // safety net: a hang fails fast, not never
+    for (std::uint64_t op = sweep.first_op; op <= kPastLastOp; ++op) {
+      config.fault_plan = "rank=1:op=" + std::to_string(op) + ":flip=13";
+      try {
+        (void)core::similarity_at_scale_threaded(4, source, config);
+      } catch (const error::Error& e) {
+        EXPECT_NE(e.code(), error::Code::kWatchdogTimeout) << config.fault_plan;
+        EXPECT_NE(op, kPastLastOp) << "the sweep must outlast the run's ops";
+        if (std::string(e.what()).find("decode_panel") != std::string::npos) {
+          ++decoder_rejections;
+        }
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << config.fault_plan << " escaped the taxonomy: " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(decoder_rejections, 0);
+}
+
 // ------------------------------------------------------ checkpoint/restart
 
 /// Fresh scratch directory under the system temp dir.

@@ -23,6 +23,7 @@
 #include "bsp/runtime.hpp"
 #include "core/driver.hpp"
 #include "core/sample_source.hpp"
+#include "distmat/panel_wire.hpp"
 #include "distmat/spgemm.hpp"
 #include "genome/kmer_source.hpp"
 #include "genome/sample.hpp"
@@ -457,7 +458,8 @@ TEST(Hybrid, TargetedExchangeShipsEachColumnOneWay) {
   // masked pair (i, j), i on q, is computed by q — its cell lies in q's
   // ring_share of block (q, r). Every crossing pair is computed by
   // exactly one of its two ranks, so its column travels one way; the
-  // alltoall's bytes must equal that brute-force count.
+  // alltoall's bytes must equal the brute-force one-way column sets,
+  // each (sender, receiver) set encoded in the compact panel wire.
   const std::int64_t h = 29;
   const std::int64_t n = 13;
   Rng rng(2323);
@@ -476,8 +478,6 @@ TEST(Hybrid, TargetedExchangeShipsEachColumnOneWay) {
     }
   }
   const distmat::CandidateMask mask(n, pairs);
-  std::vector<std::int64_t> column_nnz(static_cast<std::size_t>(n), 0);
-  for (const auto& t : entries) ++column_nnz[static_cast<std::size_t>(t.col)];
 
   for (const int p : {2, 3, 4, 5, 6}) {
     // Does the rank owning row i compute cell (i, j)?
@@ -492,25 +492,31 @@ TEST(Hybrid, TargetedExchangeShipsEachColumnOneWay) {
     };
     std::uint64_t one_way_bytes = 0;
     for (int r = 0; r < p; ++r) {
+      const distmat::BlockRange r_cols = distmat::block_range(n, p, r);
+      std::vector<distmat::Triplet<std::uint64_t>> r_panel;  // canonical, local columns
+      for (const auto& t : entries) {
+        if (r_cols.contains(t.col)) r_panel.push_back({t.row, t.col - r_cols.begin, t.value});
+      }
       for (int q = 0; q < p; ++q) {
         if (q == r) continue;
         const distmat::BlockRange q_rows = distmat::block_range(n, p, q);
-        const distmat::BlockRange r_cols = distmat::block_range(n, p, r);
+        std::vector<std::uint8_t> shipped(static_cast<std::size_t>(r_cols.size()), 0);
         for (std::int64_t j = r_cols.begin; j < r_cols.end; ++j) {
-          bool shipped = false;
           for (std::int64_t i = q_rows.begin; i < q_rows.end; ++i) {
             if (mask.test(i, j) && computes(i, j)) {
               EXPECT_FALSE(computes(j, i)) << "pair (" << i << ", " << j << ") twice";
-              shipped = true;
+              shipped[static_cast<std::size_t>(j - r_cols.begin)] = 1;
             } else if (mask.test(i, j)) {
               EXPECT_TRUE(computes(j, i)) << "pair (" << i << ", " << j << ") never";
             }
           }
-          if (shipped) {
-            one_way_bytes += static_cast<std::uint64_t>(column_nnz[static_cast<std::size_t>(j)]) *
-                             sizeof(distmat::Triplet<std::uint64_t>);
-          }
         }
+        one_way_bytes += distmat::encode_panel(r_panel, distmat::PanelOrder::kRowMajor,
+                                               [&](const distmat::Triplet<std::uint64_t>& t) {
+                                                 return shipped[static_cast<std::size_t>(
+                                                            t.col)] != 0;
+                                               })
+                             .size();
       }
     }
 

@@ -93,12 +93,6 @@ TEST(CsrPanel, AstronomicalRowSpaceCostsOnlyOccupiedRows) {
   EXPECT_EQ(out.at_local(0, 1), 0);
 }
 
-TEST(CsrPanel, SortedRowBoundIsTight) {
-  const std::vector<Triplet<std::uint64_t>> entries{{1, 0, 1}, {7, 2, 1}};
-  EXPECT_EQ(sorted_row_bound(std::span<const Triplet<std::uint64_t>>(entries)), 8);
-  EXPECT_EQ(sorted_row_bound(std::span<const Triplet<std::uint64_t>>()), 0);
-}
-
 // ------------------------------------------------- kernel property tests
 
 struct KernelCase {
