@@ -7,6 +7,7 @@
 
 #include "distmat/block.hpp"
 #include "util/error.hpp"
+#include "util/leb128.hpp"
 
 namespace sas::distmat {
 
@@ -29,13 +30,8 @@ std::vector<std::uint64_t> delta_body(std::span<const std::int64_t> sorted) {
   bytes.reserve(sorted.size() * 4);
   std::int64_t prev = -1;
   for (std::int64_t v : sorted) {
-    auto gap = static_cast<std::uint64_t>(v - prev);
+    util::put_leb128(bytes, static_cast<std::uint64_t>(v - prev));
     prev = v;
-    while (gap >= 0x80) {
-      bytes.push_back(static_cast<std::uint8_t>((gap & 0x7f) | 0x80));
-      gap >>= 7;
-    }
-    bytes.push_back(static_cast<std::uint8_t>(gap));
   }
   std::vector<std::uint64_t> words((bytes.size() + 7) / 8, 0);
   for (std::size_t b = 0; b < bytes.size(); ++b) {
@@ -46,38 +42,26 @@ std::vector<std::uint64_t> delta_body(std::span<const std::int64_t> sorted) {
 
 std::vector<std::int64_t> decode_delta(std::span<const std::uint64_t> words,
                                        std::int64_t extent) {
+  std::vector<std::uint8_t> bytes(words.size() * 8);
+  for (std::size_t b = 0; b < bytes.size(); ++b) {
+    bytes[b] = static_cast<std::uint8_t>(words[b >> 3] >> ((b & 7) * 8));
+  }
+  util::Leb128Reader in(bytes, "decode_index_set");
   std::vector<std::int64_t> out;
   std::int64_t prev = -1;
-  std::uint64_t gap = 0;
-  int shift = 0;
-  for (std::size_t b = 0; b < words.size() * 8; ++b) {
-    const auto byte =
-        static_cast<std::uint8_t>(words[b >> 3] >> ((b & 7) * 8));
-    if (byte == 0 && shift == 0) break;  // padding terminator (gaps >= 1)
-    gap |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) != 0) {
-      shift += 7;
-      if (shift > 63) {
-        throw error::CorruptInput("decode_index_set: runaway varint");
-      }
-      continue;
-    }
+  // A 0 byte where a varint starts is the padding terminator (gaps >= 1).
+  while (!in.done() && in.peek() != 0) {
+    const auto gap = in.read<std::uint64_t>();
     // Bound the gap BEFORE forming the index: a hostile varint can carry
-    // bit 63 (or silently wrap past it), and prev + gap in signed space
-    // would go negative / overflow. extent − 1 − prev is the largest
-    // admissible gap and is non-negative by the loop invariant prev <
-    // extent, so the unsigned comparison is exact.
+    // bit 63 (or saturate past it), and prev + gap in signed space would
+    // go negative / overflow. extent − 1 − prev is the largest admissible
+    // gap and is non-negative by the loop invariant prev < extent, so the
+    // unsigned comparison is exact.
     if (gap == 0 || gap > static_cast<std::uint64_t>(extent - 1 - prev)) {
       throw error::CorruptInput("decode_index_set: malformed delta stream");
     }
-    const std::int64_t idx = prev + static_cast<std::int64_t>(gap);
-    out.push_back(idx);
-    prev = idx;
-    gap = 0;
-    shift = 0;
-  }
-  if (shift != 0) {
-    throw error::CorruptInput("decode_index_set: truncated varint");
+    prev += static_cast<std::int64_t>(gap);
+    out.push_back(prev);
   }
   return out;
 }

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "util/error.hpp"
+#include "util/leb128.hpp"
 
 namespace sas::distmat {
 
@@ -21,9 +22,6 @@ constexpr std::uint8_t kModeRowMajor = 1;
 constexpr std::uint8_t kModeColMajor = 2;
 
 constexpr std::size_t kRawEntryBytes = sizeof(Triplet<std::uint64_t>);
-
-/// 10 LEB128 bytes carry 70 bits, enough for any position gap (< 2^69).
-constexpr int kMaxVarintBytes = 10;
 
 /// Below this minor coordinate a position (minor · 64 + bit) + 1 fits in
 /// 63 bits, so the codec runs its 64-bit path; past it, 128-bit.
@@ -43,56 +41,11 @@ struct Key {
   return order == PanelOrder::kRowMajor ? Key{t.row, t.col} : Key{t.col, t.row};
 }
 
-template <typename Value>
-void put_varint(std::vector<std::uint8_t>& out, Value value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(static_cast<std::uint8_t>(value) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
 void put_raw(std::vector<std::uint8_t>& out, const Triplet<std::uint64_t>& t) {
   const std::size_t at = out.size();
   out.resize(at + kRawEntryBytes);
   std::memcpy(out.data() + at, &t, kRawEntryBytes);
 }
-
-/// LEB128 reader over one message body.
-class VarintReader {
- public:
-  explicit VarintReader(std::span<const std::uint8_t> bytes)
-      : next_(bytes.data()), end_(bytes.data() + bytes.size()) {}
-
-  [[nodiscard]] bool done() const noexcept { return next_ == end_; }
-
-  /// The next varint. A std::uint64_t read saturates a value past 2^64
-  /// to the maximum, which lies outside every extent just the same.
-  template <typename Value>
-  [[nodiscard]] Value read() {
-    if (next_ == end_) throw error::CorruptInput("decode_panel: truncated message");
-    std::uint8_t byte = *next_++;
-    if (byte < 0x80) return byte;
-    Value value = byte & 0x7f;
-    for (int shift = 7;; shift += 7) {
-      if (shift == 7 * kMaxVarintBytes) {
-        throw error::CorruptInput("decode_panel: runaway varint");
-      }
-      if (next_ == end_) throw error::CorruptInput("decode_panel: truncated message");
-      byte = *next_++;
-      if (sizeof(Value) == sizeof(std::uint64_t) && shift == 63 && (byte & 0x7e) != 0) {
-        value = ~Value{0};
-      } else {
-        value |= static_cast<Value>(byte & 0x7f) << shift;
-      }
-      if (byte < 0x80) return value;
-    }
-  }
-
- private:
-  const std::uint8_t* next_;
-  const std::uint8_t* end_;
-};
 
 /// An upper bound on a message's entries, to size the output once: raw
 /// entries exactly, coded ones by their varints (each entry has at least
@@ -112,7 +65,7 @@ class VarintReader {
 /// Positions are `Pos` arithmetic, std::uint64_t when minors.end ≤
 /// kNarrowMinors.
 template <typename Pos, typename Emit>
-void decode_coded(VarintReader& in, BlockRange majors, BlockRange minors, Emit& emit) {
+void decode_coded(util::Leb128Reader& in, BlockRange majors, BlockRange minors, Emit& emit) {
   // Set-bit positions of a major lie in [lowest, past_highest); `next` is
   // the last position + 1, so the bounds read next ∈ (lowest, past_highest].
   const Pos lowest = static_cast<Pos>(minors.begin) << 6;
@@ -193,7 +146,7 @@ void decode_entries(std::span<const std::uint8_t> bytes, PanelOrder order,
   if (mode != coded_mode(order)) {
     throw error::CorruptInput("decode_panel: unexpected mode byte " + std::to_string(mode));
   }
-  VarintReader in(body);
+  util::Leb128Reader in(body, "decode_panel");
   if (minors.end <= kNarrowMinors) {
     decode_coded<std::uint64_t>(in, majors, minors, emit);
   } else {
@@ -216,19 +169,13 @@ void PanelEncoder::add(const Triplet<std::uint64_t>& entry) {
   if (key.major < major_ || (key.major == major_ && key.minor <= minor_)) {
     throw std::invalid_argument("PanelEncoder: entries out of order");
   }
+  if (entry.value == 0) throw std::invalid_argument("PanelEncoder: empty mask");
   if (count_ == 0) bytes_.push_back(coded_mode(order_));
   ++count_;
-  if (!raw_ && entry.value == 0) switch_to_raw();
-  if (raw_) {
-    major_ = key.major;
-    minor_ = key.minor;
-    put_raw(bytes_, entry);
-    return;
-  }
   if (key.major != major_) {
     if (major_ >= 0) bytes_.push_back(0);  // end the previous major
-    put_varint(bytes_, static_cast<std::uint64_t>(key.major) -
-                           static_cast<std::uint64_t>(major_ + 1));
+    util::put_leb128(bytes_, static_cast<std::uint64_t>(key.major) -
+                                 static_cast<std::uint64_t>(major_ + 1));
     major_ = key.major;
     next_position_ = 0;
   }
@@ -239,7 +186,7 @@ void PanelEncoder::add(const Triplet<std::uint64_t>& entry) {
     auto next = static_cast<std::uint64_t>(next_position_);
     for (std::uint64_t bits = entry.value; bits != 0; bits &= bits - 1) {
       const std::uint64_t position = base | static_cast<unsigned>(std::countr_zero(bits));
-      put_varint(bytes_, position + 1 - next);
+      util::put_leb128(bytes_, position + 1 - next);
       next = position + 1;
     }
     next_position_ = next;
@@ -248,36 +195,24 @@ void PanelEncoder::add(const Triplet<std::uint64_t>& entry) {
   const u128 base = static_cast<u128>(key.minor) << 6;
   for (std::uint64_t bits = entry.value; bits != 0; bits &= bits - 1) {
     const u128 position = base | static_cast<unsigned>(std::countr_zero(bits));
-    put_varint(bytes_, position + 1 - next_position_);
+    util::put_leb128(bytes_, position + 1 - next_position_);
     next_position_ = position + 1;
   }
 }
 
-void PanelEncoder::switch_to_raw() {
-  // The coded prefix holds no empty mask, so it decodes back losslessly.
-  if (major_ >= 0) bytes_.push_back(0);
-  std::vector<Triplet<std::uint64_t>> entries;
-  decode_entries(bytes_, order_, kUnbounded,
-                 [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
-                   entries.push_back({row, col, mask});
-                 });
-  bytes_.assign(1, kModeRaw);
-  bytes_.reserve(1 + count_ * kRawEntryBytes);
-  for (const Triplet<std::uint64_t>& t : entries) put_raw(bytes_, t);
-  raw_ = true;
-}
-
 std::vector<std::uint8_t> PanelEncoder::finish() && {
   if (count_ == 0) return {};
-  // Raw is 1 + 24·count bytes; coded is bytes_ plus the last terminator.
-  if (!raw_) {
-    if (count_ * kRawEntryBytes < bytes_.size()) {
-      switch_to_raw();
-    } else {
-      bytes_.push_back(0);  // end the last major
-    }
-  }
-  return std::move(bytes_);
+  bytes_.push_back(0);  // end the last major
+  if (bytes_.size() <= 1 + count_ * kRawEntryBytes) return std::move(bytes_);
+  // The size guard: masks so dense that the raw entries are smaller. The
+  // coded message decodes back losslessly.
+  std::vector<std::uint8_t> raw(1, kModeRaw);
+  raw.reserve(1 + count_ * kRawEntryBytes);
+  decode_entries(bytes_, order_, kUnbounded,
+                 [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
+                   put_raw(raw, {row, col, mask});
+                 });
+  return raw;
 }
 
 CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents,
@@ -308,6 +243,12 @@ CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents,
 
 CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents) {
   return decode_panel(bytes, extents, {0, extents.cols.size()});
+}
+
+CsrPanel decode_tight_panel(std::span<const std::uint8_t> bytes, PanelExtents extents) {
+  CsrPanel panel = decode_panel(bytes, extents);
+  panel.rows = panel.row_ids.empty() ? 0 : panel.row_ids.back() + 1;
+  return panel;
 }
 
 void decode_panel_append(std::span<const std::uint8_t> bytes, PanelOrder order,

@@ -15,15 +15,21 @@
 //     LEB128 gaps between its set-bit positions minor · 64 + bit (the
 //     first from −1, so every gap is ≥ 1), ended by a 0 byte;
 //   * raw: the entries' 24-byte Triplets verbatim, in the same order —
-//     chosen whenever that is smaller (masks so dense that a byte per
-//     set bit costs more than 24 per entry), and whenever an entry has
-//     an empty mask, which the coded form cannot carry.
+//     a size guard, chosen only when that is smaller (masks so dense
+//     that a byte per set bit costs more than 24 per entry), so no
+//     message is ever longer than 1 + 24 · nnz bytes.
+//
+// Every mask the pipeline ships has a set bit (pack_batch emits no empty
+// mask and the OR-merge keeps them nonzero); the encoder rejects an
+// empty one.
 //
 // An empty panel is an empty message. The code is lossless: a decoded
 // panel equals the encoded one entry for entry. Positions reach
 // minor · 64 + 63, past int64 for word-rows near 4³¹ (b = 1 with no row
 // filter at k = 31), so past minor 2⁵⁷ they are formed in 128-bit
-// arithmetic (64-bit below it) and a varint is at most 10 bytes.
+// arithmetic (64-bit below it) and a varint is at most 10 bytes. The
+// varints are util/leb128.hpp's, shared with the filter union's index
+// sets.
 //
 // The decoders take the receiver's extents and throw error::CorruptInput
 // on an unknown mode, truncation, a runaway varint, a major with no set
@@ -54,9 +60,9 @@ struct PanelExtents {
 };
 
 /// Streaming encoder of one panel message. Entries must arrive strictly
-/// ascending in the encoder's order with non-negative coordinates (a
-/// canonical panel, or a column-major pack bucket); add throws
-/// std::invalid_argument otherwise.
+/// ascending in the encoder's order with non-negative coordinates and a
+/// nonzero mask (a canonical panel, or a column-major pack bucket); add
+/// throws std::invalid_argument otherwise.
 class PanelEncoder {
  public:
   explicit PanelEncoder(PanelOrder order) : order_(order) {}
@@ -64,19 +70,16 @@ class PanelEncoder {
   void add(const Triplet<std::uint64_t>& entry);
 
   /// The finished message: the coded form, or the raw one when that is
-  /// smaller or an entry had an empty mask; empty for an empty panel.
+  /// smaller; empty for an empty panel.
   [[nodiscard]] std::vector<std::uint8_t> finish() &&;
 
  private:
-  void switch_to_raw();
-
   PanelOrder order_;
   std::vector<std::uint8_t> bytes_;
   std::uint64_t count_ = 0;
   std::int64_t major_ = -1;
   std::int64_t minor_ = -1;
   unsigned __int128 next_position_ = 0;  ///< last position + 1 in the major
-  bool raw_ = false;
 };
 
 /// Encode the entries of `entries` that `keep` accepts.
@@ -105,6 +108,13 @@ template <typename Keep>
 /// decode_panel keeping every column of the extents.
 [[nodiscard]] CsrPanel decode_panel(std::span<const std::uint8_t> bytes,
                                     PanelExtents extents);
+
+/// decode_panel with the panel's height cut to its occupied word-rows:
+/// the last one + 1, 0 for an empty panel. SUMMA decodes its stage
+/// panels this way, because the kernel sizes its densified operand
+/// (CsrPanel::dense_columns) and its dense-path decision by that height.
+[[nodiscard]] CsrPanel decode_tight_panel(std::span<const std::uint8_t> bytes,
+                                          PanelExtents extents);
 
 /// Decode a message of either order, appending its entries, in the
 /// message's order and relative to the extents, to `out`. Throws

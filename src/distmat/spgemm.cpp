@@ -265,15 +265,6 @@ std::uint64_t dense_accumulate(const DenseColumnPanel& ld, std::int64_t l_cols,
   return fill_l * fill_n >= crossover;
 }
 
-/// A SUMMA stage panel decoded from the wire, its height the tight bound
-/// of its occupied word-rows.
-CsrPanel decode_stage_panel(std::span<const std::uint8_t> bytes, BlockRange rows,
-                            std::int64_t cols) {
-  CsrPanel panel = decode_panel(bytes, {rows, {0, cols}});
-  panel.rows = panel.row_ids.empty() ? 0 : panel.row_ids.back() + 1;
-  return panel;
-}
-
 /// The L side of a ring share: `whole` (built once per batch, with its
 /// memoized densification) when the share keeps every row of `panel`,
 /// else — the lower rank of even p's split middle block (ring_share) —
@@ -544,8 +535,8 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
     // (4) Local multiply-accumulate on CSR panels decoded once per stage.
     // Both buffers are slices of chunk ℓ·s+k, so they share a row space;
     // the tight per-panel row bounds are enough (the kernel intersects).
-    const CsrPanel lpanel = decode_stage_panel(lbuf, chunk_rows, target.row_range.size());
-    const CsrPanel npanel = decode_stage_panel(nbuf, chunk_rows, target.col_range.size());
+    const CsrPanel lpanel = decode_tight_panel(lbuf, {chunk_rows, {0, target.row_range.size()}});
+    const CsrPanel npanel = decode_tight_panel(nbuf, {chunk_rows, {0, target.col_range.size()}});
     csr_popcount_ata_accumulate(lpanel, npanel, 0, 0, target, &grid.world().counters(),
                                 options);
   }

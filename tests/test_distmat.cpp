@@ -457,10 +457,14 @@ TEST(PanelWire, DenseMasksFallBackToRawEntries) {
   const std::vector<std::uint8_t> wire = encode_panel(dense, PanelOrder::kRowMajor);
   EXPECT_EQ(wire.size(), 24 * dense.size() + 1);
   EXPECT_EQ(round_trip(dense, PanelOrder::kRowMajor, {{0, 3}, {0, 4}}), dense);
-  // An empty mask has no set bit to code: raw carries it.
+  // Raw is a size guard over the whole message: a sparse entry beside a
+  // full mask still travels raw, as that is smaller in total.
+  const std::vector<Triplet<std::uint64_t>> mixed{{0, 0, ~0ULL}, {3, 1, 1}};
+  EXPECT_EQ(encode_panel(mixed, PanelOrder::kRowMajor).size(), 24 * mixed.size() + 1);
+  EXPECT_EQ(round_trip(mixed, PanelOrder::kRowMajor, {{0, 4}, {0, 2}}), mixed);
+  // An empty mask has no set bit to code, and the pipeline ships none.
   const std::vector<Triplet<std::uint64_t>> with_empty{{0, 1, 5}, {1, 0, 0}, {4, 2, 9}};
-  EXPECT_EQ(encode_panel(with_empty, PanelOrder::kRowMajor).size(), 24 * 3 + 1);
-  EXPECT_EQ(round_trip(with_empty, PanelOrder::kRowMajor, {{0, 5}, {0, 3}}), with_empty);
+  EXPECT_THROW((void)encode_panel(with_empty, PanelOrder::kRowMajor), std::invalid_argument);
   // A sparse panel codes well below the raw form.
   const std::vector<Triplet<std::uint64_t>> sparse{{0, 0, 1}, {0, 3, 2}, {2, 1, 4}};
   EXPECT_LT(encode_panel(sparse, PanelOrder::kRowMajor).size(), 24 * sparse.size() / 3);

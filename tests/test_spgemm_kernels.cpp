@@ -17,6 +17,7 @@
 #include "distmat/crossover.hpp"
 #include "distmat/csr.hpp"
 #include "distmat/gather.hpp"
+#include "distmat/panel_wire.hpp"
 #include "distmat/proc_grid.hpp"
 #include "distmat/ring.hpp"
 #include "distmat/spgemm.hpp"
@@ -91,6 +92,20 @@ TEST(CsrPanel, AstronomicalRowSpaceCostsOnlyOccupiedRows) {
   EXPECT_EQ(out.at_local(0, 0), 2);  // rows 7 and 2^42-1, popcount(1)+popcount(4)
   EXPECT_EQ(out.at_local(1, 1), 1);
   EXPECT_EQ(out.at_local(0, 1), 0);
+}
+
+TEST(CsrPanel, SortedRowBoundIsTight) {
+  // SUMMA's stage panels are decoded inside the chunk height and then cut
+  // to their last occupied word-row + 1, which sizes the densified operand
+  // and the dense-path decision.
+  const std::vector<Triplet<std::uint64_t>> entries{{11, 0, 1}, {17, 2, 1}};
+  const std::vector<std::uint8_t> wire = encode_panel(entries, PanelOrder::kRowMajor);
+  const PanelExtents chunk{{10, 110}, {0, 3}};
+  EXPECT_EQ(decode_panel(wire, chunk).rows, 100);
+  const CsrPanel tight = decode_tight_panel(wire, chunk);
+  EXPECT_EQ(tight.rows, 8);
+  EXPECT_EQ(tight.row_ids, (std::vector<std::int64_t>{1, 7}));
+  EXPECT_EQ(decode_tight_panel({}, chunk).rows, 0);
 }
 
 // ------------------------------------------------- kernel property tests

@@ -1,5 +1,5 @@
 // test_util.cpp — unit tests for the util substrate: hashing, popcount,
-// RNG, statistics, text tables, and CLI parsing.
+// RNG, statistics, text tables, CLI parsing and the LEB128 varints.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include "util/args.hpp"
 #include "util/error.hpp"
 #include "util/hashing.hpp"
+#include "util/leb128.hpp"
 #include "util/popcount.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -93,6 +94,34 @@ TEST(Popcount, AndScatterMatchesScalarAcrossCountsAndTails) {
     popcount_and_scatter(word, cols.data(), vals.data(), count, got.data());
     EXPECT_EQ(got, expect) << "count=" << count;
   }
+}
+
+TEST(Leb128, RoundTripsAndRejectsDamage) {
+  using u128 = unsigned __int128;
+  const std::vector<std::uint64_t> values{0, 1, 127, 128, 16383, 16384, 1ULL << 63, ~0ULL};
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t v : values) util::put_leb128(bytes, v);
+  const u128 wide = (u128{1} << 69) + 5;  // the panel wire's widest position gap
+  util::put_leb128(bytes, wide);
+  EXPECT_EQ(bytes.size(), 1 + 1 + 1 + 2 + 2 + 3 + 10 + 10 + 10u);
+  util::Leb128Reader in(bytes, "test");
+  for (std::uint64_t v : values) EXPECT_EQ(in.read<std::uint64_t>(), v);
+  EXPECT_TRUE(in.read<u128>() == wide);
+  EXPECT_TRUE(in.done());
+  EXPECT_THROW((void)in.read<std::uint64_t>(), error::CorruptInput);  // truncated
+
+  // A value past 2^64 saturates instead of wrapping to a small one.
+  const std::vector<std::uint8_t> past64{0x85, 0x80, 0x80, 0x80, 0x80,
+                                         0x80, 0x80, 0x80, 0x80, 0x02};
+  util::Leb128Reader saturating(past64, "test");
+  EXPECT_EQ(saturating.read<std::uint64_t>(), ~0ULL);
+  // An eleventh byte is a runaway; a cut-off varint is truncated.
+  const std::vector<std::uint8_t> runaway(11, 0x80);
+  util::Leb128Reader eleven(runaway, "test");
+  EXPECT_THROW((void)eleven.read<u128>(), error::CorruptInput);
+  const std::vector<std::uint8_t> cut{0xff, 0xff};
+  util::Leb128Reader short_read(cut, "test");
+  EXPECT_THROW((void)short_read.read<std::uint64_t>(), error::CorruptInput);
 }
 
 TEST(Rng, DeterministicPerSeed) {
