@@ -101,10 +101,11 @@ struct Config {
   /// reproducing a recorded run).
   double dense_crossover = 0.0;
 
-  /// Replicate each batch's zero-row filter union as a compressed bitmap
-  /// (word-RLE segments, raw-list fallback — dist_filter.hpp) instead of
-  /// raw 8-byte row indices. Identical filter contents either way;
-  /// disabling reproduces the raw-index byte floor for the ablation benches.
+  /// Ship each batch's zero-row filter union in the set-bit wire code
+  /// (word runs or index gaps, whichever is smaller — distmat/panel_wire.hpp)
+  /// instead of raw 8-byte row indices. Identical filter contents either
+  /// way; disabling reproduces the raw-index byte floor for the ablation
+  /// benches.
   bool compress_filter = true;
 
   // ---- estimator parameters -------------------------------------------

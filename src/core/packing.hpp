@@ -58,8 +58,10 @@ struct PackedBatch {
 /// Pack stage, collective over `comm`: filter + compact + bitmask-pack
 /// one batch of reads. `bit_width` ∈ [1, 64] is the paper's b;
 /// `use_filter` toggles the zero-row compaction (Eq. 5–6);
-/// `compress_filter` replicates the filter union as a compressed bitmap
-/// (dist_filter.hpp) instead of raw indices — same filter, fewer bytes.
+/// `compress_filter` ships the filter union's index sets in the set-bit
+/// wire code (distmat/panel_wire.hpp, as the panels travel) instead of
+/// raw 8-byte indices — same filter, fewer bytes. A received filter that
+/// lacks a row this rank read fails with error::CorruptInput.
 [[nodiscard]] PackedBatch pack_batch(bsp::Comm& comm, const BatchReads& reads,
                                      distmat::BlockRange rows, int bit_width,
                                      bool use_filter, bool compress_filter = true);

@@ -1,23 +1,19 @@
-// csr.hpp — Compressed Sparse Row storage with byte accounting.
+// csr.hpp — the SpGEMM hot path's Compressed Sparse Row panel.
 //
 // The paper's bitmask argument (§III-B) is a *storage* argument: "In the
 // CSR layout, the same amount of meta-data is necessary to store each
 // 'row start' count. We reduce the latter overhead ... reducing the
 // number of rows (and consequently row-start counts in the CSR
-// representation) by b." CsrMatrix makes that claim measurable: it
-// converts the canonical triplet form to CSR and reports exactly how
-// many bytes go to row starts vs column indices vs values; the bitmask
-// tables of bench_paper_figures report the same split for whole runs.
+// representation) by b." A CSR of the packed batch spends 8 bytes per
+// word-row on row starts and an index plus a mask per entry;
+// bench_paper_figures' "CSR storage" column reports that split for whole
+// runs from their word-row and packed-entry counters.
 //
-// Two CSR forms live here:
-//   * CsrMatrix  — the general, accounting-oriented form (storage bytes,
-//     row slicing, triplet round-trips) used by the §III-B ablation.
-//   * CsrPanel   — the SpGEMM hot-path form: a panel of the bit-packed
-//     indicator matrix built ONCE per received panel, with row starts
-//     indexed over word-rows and the column indices / word masks split
-//     into two contiguous (SoA) arrays. The tiled popcount kernel in
-//     spgemm.cpp streams those flat arrays instead of re-scanning
-//     24-byte triplet runs on every multiply.
+// CsrPanel is a panel of the bit-packed indicator matrix built ONCE per
+// received panel, with row starts indexed over its occupied word-rows and
+// the column indices / word masks split into two contiguous (SoA)
+// arrays. The tiled popcount kernel in spgemm.cpp streams those flat
+// arrays instead of re-scanning 24-byte triplet runs on every multiply.
 #pragma once
 
 #include <cstdint>
@@ -28,91 +24,6 @@
 #include "distmat/triplet.hpp"
 
 namespace sas::distmat {
-
-template <typename T>
-class CsrMatrix {
- public:
-  CsrMatrix() = default;
-
-  /// Build from canonical triplets (sorted by (row, col), unique coords).
-  static CsrMatrix from_triplets(std::int64_t rows, std::int64_t cols,
-                                 std::span<const Triplet<T>> entries) {
-    CsrMatrix m;
-    m.rows_ = rows;
-    m.cols_ = cols;
-    m.row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
-    m.col_idx_.reserve(entries.size());
-    m.values_.reserve(entries.size());
-    for (const Triplet<T>& t : entries) {
-      ++m.row_ptr_[static_cast<std::size_t>(t.row) + 1];
-      m.col_idx_.push_back(t.col);
-      m.values_.push_back(t.value);
-    }
-    for (std::size_t r = 1; r < m.row_ptr_.size(); ++r) {
-      m.row_ptr_[r] += m.row_ptr_[r - 1];
-    }
-    return m;
-  }
-
-  [[nodiscard]] std::int64_t rows() const noexcept { return rows_; }
-  [[nodiscard]] std::int64_t cols() const noexcept { return cols_; }
-  [[nodiscard]] std::int64_t nnz() const noexcept {
-    return static_cast<std::int64_t>(values_.size());
-  }
-
-  /// Column indices of row r.
-  [[nodiscard]] std::span<const std::int64_t> row_columns(std::int64_t r) const {
-    const auto begin = static_cast<std::size_t>(row_ptr_[static_cast<std::size_t>(r)]);
-    const auto end = static_cast<std::size_t>(row_ptr_[static_cast<std::size_t>(r) + 1]);
-    return {col_idx_.data() + begin, end - begin};
-  }
-
-  /// Values of row r (parallel to row_columns(r)).
-  [[nodiscard]] std::span<const T> row_values(std::int64_t r) const {
-    const auto begin = static_cast<std::size_t>(row_ptr_[static_cast<std::size_t>(r)]);
-    const auto end = static_cast<std::size_t>(row_ptr_[static_cast<std::size_t>(r) + 1]);
-    return {values_.data() + begin, end - begin};
-  }
-
-  /// Round-trip back to canonical triplets.
-  [[nodiscard]] std::vector<Triplet<T>> to_triplets() const {
-    std::vector<Triplet<T>> out;
-    out.reserve(values_.size());
-    for (std::int64_t r = 0; r < rows_; ++r) {
-      const auto columns = row_columns(r);
-      const auto vals = row_values(r);
-      for (std::size_t i = 0; i < columns.size(); ++i) {
-        out.push_back({r, columns[i], vals[i]});
-      }
-    }
-    return out;
-  }
-
-  /// Storage accounting (the §III-B trade-off, in bytes).
-  struct StorageBytes {
-    std::uint64_t row_starts = 0;  ///< (rows+1) × 8 — what the bitmask divides by b
-    std::uint64_t col_indices = 0; ///< nnz × 8
-    std::uint64_t values = 0;      ///< nnz × sizeof(T)
-    [[nodiscard]] std::uint64_t total() const noexcept {
-      return row_starts + col_indices + values;
-    }
-  };
-
-  [[nodiscard]] StorageBytes storage() const noexcept {
-    StorageBytes s;
-    s.row_starts = (static_cast<std::uint64_t>(rows_) + 1) * sizeof(std::int64_t);
-    s.col_indices = static_cast<std::uint64_t>(nnz()) * sizeof(std::int64_t);
-    s.values = static_cast<std::uint64_t>(nnz()) * sizeof(T);
-    return s;
-  }
-
- private:
-  std::int64_t rows_ = 0;
-  std::int64_t cols_ = 0;
-  std::vector<std::int64_t> row_ptr_;
-  std::vector<std::int64_t> col_idx_;
-  std::vector<T> values_;
-};
 
 /// Column-major densified form of a CsrPanel over its first `words`
 /// word-rows: column c occupies data[c·words, (c+1)·words) with absent

@@ -16,22 +16,22 @@
 // bytes per batch — this was the hybrid's remaining byte floor after the
 // targeted rescore exchange. With compression (the default,
 // Config::compress_filter) every shipped index list — both the
-// contribution all-to-all and the replication allgather — travels as the
-// smallest of three encodings chosen per list:
+// contribution all-to-all and the replication allgather — travels as a
+// one-row message of the set-bit wire code (panel_wire.hpp's
+// encode_index_set), the same code the exact pipeline's panels use. Its
+// encoder picks per list the smaller of
 //
-//   * word-RLE bitmap: segments of [header(skip_words:32 | literal
-//     words:32), literal bitmap words...] over the block's row range.
-//     A batch that keeps most rows compresses toward 1 BIT per row
-//     (~64x below the raw list); interior gaps of one zero word are
-//     inlined, longer gaps start a new segment.
-//   * delta-varint: LEB128-encoded gaps between consecutive indices —
-//     the hypersparse winner (k-mer universes of ~4^21 rows leave gaps
-//     of ~10^7: ~4 bytes per index instead of 8).
-//   * raw sorted list (1 word per index) — the safety net; never more
-//     than one mode word above the uncompressed cost.
+//   * word runs: the 64-row bitmap words that hold a kept row, 8 bytes
+//     each, with a varint header per run of consecutive words. A batch
+//     that keeps most rows compresses toward 1 BIT per row (~64x below
+//     the raw list);
+//   * gaps: LEB128-coded gaps between consecutive indices — the
+//     hypersparse winner (k-mer universes of ~4^21 rows leave gaps of
+//     ~10^7: ~4 bytes per index instead of 8).
 //
-// Contents are identical in every mode (tested); only the wire bytes
-// move.
+// Gaps past 2^56 rows cost 9–10 bytes per index, more than the 8 of the
+// uncompressed list; that needs k ≥ 29 with one or two batches. Contents
+// are identical either way (tested); only the wire bytes move.
 //
 // Pair-mask union: the pair-space analogue for the hybrid estimator —
 // each rank keeps the candidate pairs it scored above the threshold, and
@@ -58,23 +58,10 @@ namespace sas::distmat {
     bsp::Comm& comm, std::span<const std::int64_t> mine, std::int64_t universe,
     bool compress = true);
 
-/// Compressed encoding of a SORTED, UNIQUE index set within [0, extent):
-/// one mode word — word-RLE bitmap (0), raw index list (1), or
-/// delta-varint gaps (2) — followed by that mode's body, whichever of
-/// the three encodes smallest (the replication-bytes note above walks
-/// the tradeoff). An empty set encodes to an empty vector.
-[[nodiscard]] std::vector<std::uint64_t> encode_index_set(
-    std::span<const std::int64_t> sorted, std::int64_t extent);
-
-/// Inverse of encode_index_set. Throws sas::error::CorruptInput on
-/// malformed input (unknown mode, truncated segments, runaway varints,
-/// indices outside [0, extent)) — the words arrived over the wire or
-/// from disk, so damage is input corruption, not a caller bug.
-[[nodiscard]] std::vector<std::int64_t> decode_index_set(
-    std::span<const std::uint64_t> words, std::int64_t extent);
-
 /// Compacted id of `global_row` in the sorted filter (Eq. 6), i.e. the
-/// prefix-sum p⁽ˡ⁾ evaluated at a nonzero row. Precondition: present.
+/// prefix-sum p⁽ˡ⁾ evaluated at a nonzero row. Throws
+/// error::CorruptInput when the row is absent: the union holds every row
+/// a rank observed, so a filter without one arrived damaged.
 [[nodiscard]] std::int64_t compact_row_id(std::span<const std::int64_t> sorted_filter,
                                           std::int64_t global_row);
 

@@ -17,11 +17,11 @@ namespace {
 using u128 = unsigned __int128;
 
 /// Mode bytes.
-constexpr std::uint8_t kModeRaw = 0;
+constexpr std::uint8_t kModeRuns = 0;
 constexpr std::uint8_t kModeRowMajor = 1;
 constexpr std::uint8_t kModeColMajor = 2;
 
-constexpr std::size_t kRawEntryBytes = sizeof(Triplet<std::uint64_t>);
+constexpr std::size_t kMaskBytes = sizeof(std::uint64_t);
 
 /// Below this minor coordinate a position (minor · 64 + bit) + 1 fits in
 /// 63 bits, so the codec runs its 64-bit path; past it, 128-bit.
@@ -41,18 +41,12 @@ struct Key {
   return order == PanelOrder::kRowMajor ? Key{t.row, t.col} : Key{t.col, t.row};
 }
 
-void put_raw(std::vector<std::uint8_t>& out, const Triplet<std::uint64_t>& t) {
-  const std::size_t at = out.size();
-  out.resize(at + kRawEntryBytes);
-  std::memcpy(out.data() + at, &t, kRawEntryBytes);
-}
-
-/// An upper bound on a message's entries, to size the output once: raw
-/// entries exactly, coded ones by their varints (each entry has at least
+/// An upper bound on a message's entries, to size the output once: word
+/// runs by their masks, gaps by their varints (each entry has at least
 /// one, and each varint ends in a byte below 0x80).
 [[nodiscard]] std::size_t entry_bound(std::span<const std::uint8_t> bytes) {
   if (bytes.empty()) return 0;
-  if (bytes[0] == kModeRaw) return (bytes.size() - 1) / kRawEntryBytes;
+  if (bytes[0] == kModeRuns) return (bytes.size() - 1) / kMaskBytes;
   return static_cast<std::size_t>(std::count_if(bytes.begin() + 1, bytes.end(),
                                                 [](std::uint8_t b) { return b < 0x80; }));
 }
@@ -61,26 +55,32 @@ void put_raw(std::vector<std::uint8_t>& out, const Triplet<std::uint64_t>& t) {
   throw error::CorruptInput("decode_panel: coordinate outside the receiver's panel");
 }
 
-/// The coded body of one message: emit(major, minor, mask) per entry.
+[[noreturn]] void no_set_bit() {
+  throw error::CorruptInput("decode_panel: coordinate with no set bit");
+}
+
+/// The next major coordinate, coded as its gap from prev_major + 1.
+[[nodiscard]] std::int64_t read_major(util::Leb128Reader& in, BlockRange majors,
+                                      std::int64_t prev_major) {
+  // prev_major < majors.end, so the admissible gap bound is >= 0.
+  const auto gap = in.read<std::uint64_t>();
+  if (gap >= static_cast<std::uint64_t>(majors.end - (prev_major + 1))) outside_extents();
+  const std::int64_t major = prev_major + 1 + static_cast<std::int64_t>(gap);
+  if (major < majors.begin) outside_extents();
+  return major;
+}
+
+/// The gap-coded body of one message: emit(major, minor, mask) per entry.
 /// Positions are `Pos` arithmetic, std::uint64_t when minors.end ≤
 /// kNarrowMinors.
 template <typename Pos, typename Emit>
-void decode_coded(util::Leb128Reader& in, BlockRange majors, BlockRange minors, Emit& emit) {
+void decode_gaps(util::Leb128Reader& in, BlockRange majors, BlockRange minors, Emit& emit) {
   // Set-bit positions of a major lie in [lowest, past_highest); `next` is
   // the last position + 1, so the bounds read next ∈ (lowest, past_highest].
   const Pos lowest = static_cast<Pos>(minors.begin) << 6;
   const Pos past_highest = static_cast<Pos>(minors.end) << 6;
-  std::int64_t prev_major = -1;
-  while (!in.done()) {
-    // prev_major < majors.end, so the admissible gap bound is >= 0.
-    const auto major_gap = in.read<std::uint64_t>();
-    if (major_gap >= static_cast<std::uint64_t>(majors.end - (prev_major + 1))) {
-      outside_extents();
-    }
-    const std::int64_t major = prev_major + 1 + static_cast<std::int64_t>(major_gap);
-    if (major < majors.begin) outside_extents();
-    prev_major = major;
-
+  for (std::int64_t major = -1; !in.done();) {
+    major = read_major(in, majors, major);
     Pos next = 0;
     std::int64_t minor = -1;
     std::uint64_t mask = 0;
@@ -97,8 +97,39 @@ void decode_coded(util::Leb128Reader& in, BlockRange majors, BlockRange minors, 
       }
       mask |= std::uint64_t{1} << static_cast<int>(position & 63);
     }
-    if (minor < 0) throw error::CorruptInput("decode_panel: coordinate with no set bit");
+    if (minor < 0) no_set_bit();
     emit(major, minor, mask);
+  }
+}
+
+/// The word-run body of one message: emit(major, minor, mask) per entry.
+template <typename Emit>
+void decode_runs(util::Leb128Reader& in, BlockRange majors, BlockRange minors, Emit& emit) {
+  for (std::int64_t major = -1; !in.done();) {
+    major = read_major(in, majors, major);
+    auto count = in.read<std::uint64_t>();
+    if (count == 0) no_set_bit();
+    // `end` is the previous run's end, at most minors.end, so both bounds
+    // below are >= 0.
+    for (std::int64_t end = 0; count != 0; count = in.read<std::uint64_t>()) {
+      const auto skip = in.read<std::uint64_t>();
+      if (skip >= static_cast<std::uint64_t>(minors.end - end)) outside_extents();
+      const std::int64_t first = end + static_cast<std::int64_t>(skip);
+      if (first < minors.begin || count > static_cast<std::uint64_t>(minors.end - first)) {
+        outside_extents();
+      }
+      if (count > in.remaining() / kMaskBytes) {
+        throw error::CorruptInput("decode_panel: truncated run");
+      }
+      const std::span<const std::uint8_t> masks = in.take(count * kMaskBytes);
+      for (std::uint64_t k = 0; k < count; ++k) {
+        std::uint64_t mask = 0;
+        std::memcpy(&mask, masks.data() + k * kMaskBytes, kMaskBytes);
+        if (mask == 0) throw error::CorruptInput("decode_panel: empty mask");
+        emit(major, first + static_cast<std::int64_t>(k), mask);
+      }
+      end = first + static_cast<std::int64_t>(count);
+    }
   }
 }
 
@@ -123,34 +154,15 @@ void decode_entries(std::span<const std::uint8_t> bytes, PanelOrder order,
     }
   };
   const std::uint8_t mode = bytes[0];
-  const std::span<const std::uint8_t> body = bytes.subspan(1);
-
-  if (mode == kModeRaw) {
-    if (body.size() % kRawEntryBytes != 0) {
-      throw error::CorruptInput("decode_panel: truncated raw entry");
-    }
-    Key prev{-1, -1};
-    for (std::size_t at = 0; at < body.size(); at += kRawEntryBytes) {
-      Triplet<std::uint64_t> t;
-      std::memcpy(&t, body.data() + at, kRawEntryBytes);
-      const Key key = key_of(t, order);
-      if (!majors.contains(key.major) || !minors.contains(key.minor)) outside_extents();
-      if (key.major < prev.major || (key.major == prev.major && key.minor <= prev.minor)) {
-        throw error::CorruptInput("decode_panel: raw entries out of order");
-      }
-      prev = key;
-      emit(key.major, key.minor, t.value);
-    }
-    return;
-  }
-  if (mode != coded_mode(order)) {
+  util::Leb128Reader in(bytes.subspan(1), "decode_panel");
+  if (mode == kModeRuns) {
+    decode_runs(in, majors, minors, emit);
+  } else if (mode != coded_mode(order)) {
     throw error::CorruptInput("decode_panel: unexpected mode byte " + std::to_string(mode));
-  }
-  util::Leb128Reader in(body, "decode_panel");
-  if (minors.end <= kNarrowMinors) {
-    decode_coded<std::uint64_t>(in, majors, minors, emit);
+  } else if (minors.end <= kNarrowMinors) {
+    decode_gaps<std::uint64_t>(in, majors, minors, emit);
   } else {
-    decode_coded<u128>(in, majors, minors, emit);
+    decode_gaps<u128>(in, majors, minors, emit);
   }
 }
 
@@ -158,6 +170,53 @@ void decode_entries(std::span<const std::uint8_t> bytes, PanelOrder order,
 /// encoder's own output).
 constexpr PanelExtents kUnbounded{{0, std::numeric_limits<std::int64_t>::max()},
                                   {0, std::numeric_limits<std::int64_t>::max()}};
+
+/// Writes the word-run form of entries arriving in message order.
+class RunWriter {
+ public:
+  explicit RunWriter(std::size_t size) {
+    out_.reserve(size);
+    out_.push_back(kModeRuns);
+  }
+
+  void add(std::int64_t major, std::int64_t minor, std::uint64_t mask) {
+    if (major != major_) {
+      end_run();
+      if (major_ >= 0) out_.push_back(0);  // end the previous major
+      util::put_leb128(out_, static_cast<std::uint64_t>(major - (major_ + 1)));
+      major_ = major;
+      end_ = 0;
+    } else if (minor != start_ + static_cast<std::int64_t>(run_.size())) {
+      end_run();
+    }
+    if (run_.empty()) start_ = minor;
+    run_.push_back(mask);
+  }
+
+  [[nodiscard]] std::vector<std::uint8_t> finish() && {
+    end_run();
+    out_.push_back(0);  // end the last major
+    return std::move(out_);
+  }
+
+ private:
+  void end_run() {
+    if (run_.empty()) return;
+    util::put_leb128(out_, run_.size());
+    util::put_leb128(out_, static_cast<std::uint64_t>(start_ - end_));
+    const std::size_t at = out_.size();
+    out_.resize(at + run_.size() * kMaskBytes);
+    std::memcpy(out_.data() + at, run_.data(), run_.size() * kMaskBytes);
+    end_ = start_ + static_cast<std::int64_t>(run_.size());
+    run_.clear();
+  }
+
+  std::vector<std::uint8_t> out_;
+  std::vector<std::uint64_t> run_;  ///< the open run's masks
+  std::int64_t major_ = -1;
+  std::int64_t start_ = 0;  ///< the open run's first minor
+  std::int64_t end_ = 0;    ///< the previous run's end in this major
+};
 
 }  // namespace
 
@@ -170,15 +229,22 @@ void PanelEncoder::add(const Triplet<std::uint64_t>& entry) {
     throw std::invalid_argument("PanelEncoder: entries out of order");
   }
   if (entry.value == 0) throw std::invalid_argument("PanelEncoder: empty mask");
-  if (count_ == 0) bytes_.push_back(coded_mode(order_));
-  ++count_;
+  if (bytes_.empty()) {
+    bytes_.push_back(coded_mode(order_));
+    runs_floor_ = 1;
+  }
   if (key.major != major_) {
     if (major_ >= 0) bytes_.push_back(0);  // end the previous major
-    util::put_leb128(bytes_, static_cast<std::uint64_t>(key.major) -
-                                 static_cast<std::uint64_t>(major_ + 1));
+    const std::uint64_t major_gap =
+        static_cast<std::uint64_t>(key.major) - static_cast<std::uint64_t>(major_ + 1);
+    util::put_leb128(bytes_, major_gap);
+    // Its gap and 0 count, as in the gap code, and its first run's count
+    // and skip.
+    runs_floor_ += util::leb128_bytes(major_gap) + 1 + 2;
     major_ = key.major;
     next_position_ = 0;
   }
+  runs_floor_ += kMaskBytes;
   minor_ = key.minor;
   if (key.minor < kNarrowMinors) {
     // Minors ascend within a major, so next_position_ fits 64 bits too.
@@ -201,18 +267,23 @@ void PanelEncoder::add(const Triplet<std::uint64_t>& entry) {
 }
 
 std::vector<std::uint8_t> PanelEncoder::finish() && {
-  if (count_ == 0) return {};
+  if (bytes_.empty()) return {};
   bytes_.push_back(0);  // end the last major
-  if (bytes_.size() <= 1 + count_ * kRawEntryBytes) return std::move(bytes_);
-  // The size guard: masks so dense that the raw entries are smaller. The
-  // coded message decodes back losslessly.
-  std::vector<std::uint8_t> raw(1, kModeRaw);
-  raw.reserve(1 + count_ * kRawEntryBytes);
+  if (bytes_.size() <= runs_floor_) return std::move(bytes_);
+  // Masks dense enough that word runs may be smaller: write them from the
+  // gap code, which decodes back losslessly, and send the smaller form.
+  RunWriter writer(bytes_.size());
+  const bool row_major = order_ == PanelOrder::kRowMajor;
   decode_entries(bytes_, order_, kUnbounded,
                  [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
-                   put_raw(raw, {row, col, mask});
+                   if (row_major) {
+                     writer.add(row, col, mask);
+                   } else {
+                     writer.add(col, row, mask);
+                   }
                  });
-  return raw;
+  std::vector<std::uint8_t> runs = std::move(writer).finish();
+  return runs.size() < bytes_.size() ? std::move(runs) : std::move(bytes_);
 }
 
 CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents,
@@ -259,6 +330,45 @@ void decode_panel_append(std::span<const std::uint8_t> bytes, PanelOrder order,
                  [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
                    out.push_back({row, col, mask});
                  });
+}
+
+std::vector<std::uint8_t> encode_index_set(std::span<const std::int64_t> sorted,
+                                           std::int64_t extent) {
+  PanelEncoder encoder(PanelOrder::kRowMajor);
+  std::int64_t prev = -1;
+  std::int64_t word = 0;
+  std::uint64_t mask = 0;
+  for (const std::int64_t index : sorted) {
+    if (index <= prev || index >= extent) {
+      throw std::invalid_argument("encode_index_set: need sorted unique in [0, extent)");
+    }
+    prev = index;
+    if ((index >> 6) != word) {
+      if (mask != 0) encoder.add({0, word, mask});
+      word = index >> 6;
+      mask = 0;
+    }
+    mask |= std::uint64_t{1} << (index & 63);
+  }
+  if (mask != 0) encoder.add({0, word, mask});
+  return std::move(encoder).finish();
+}
+
+std::vector<std::int64_t> decode_index_set(std::span<const std::uint8_t> bytes,
+                                           std::int64_t extent) {
+  const std::int64_t words = extent / 64 + (extent % 64 != 0 ? 1 : 0);
+  std::vector<std::int64_t> out;
+  decode_entries(bytes, PanelOrder::kRowMajor, {{0, 1}, {0, words}},
+                 [&](std::int64_t, std::int64_t col, std::uint64_t mask) {
+                   for (; mask != 0; mask &= mask - 1) {
+                     const std::int64_t index = col * 64 + std::countr_zero(mask);
+                     if (index >= extent) {
+                       throw error::CorruptInput("decode_index_set: index beyond extent");
+                     }
+                     out.push_back(index);
+                   }
+                 });
+  return out;
 }
 
 }  // namespace sas::distmat

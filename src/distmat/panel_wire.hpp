@@ -1,23 +1,34 @@
-// panel_wire.hpp — the compact wire form of bit-packed panel entries.
+// panel_wire.hpp — the one wire code of sorted bit sets: bit-packed
+// panel entries and the zero-row filter's index sets.
 //
 // Every exchange of the exact pipeline moves bit-packed entries
 // (word-row, sample, 64-bit mask): the driver's redistribution alltoall
 // (redistribute.hpp), the ring hops, SUMMA's transposes and broadcasts,
 // and the hybrid's targeted alltoall (spgemm.hpp). In memory an entry is
 // a 24-byte Triplet, 16 bytes of it coordinates, and its mask is nearly
-// empty. On the wire a panel is therefore coded by its set bits:
+// empty. The filter union (dist_filter.hpp) ships sorted row-index sets,
+// which are one-row panels: index i is bit i & 63 of the mask at column
+// i >> 6. On the wire both are coded by their set bits:
 //
-//   one mode byte, then
-//   * kRowMajor / kColMajor: for each major coordinate in ascending
-//     order (the row of a canonical row-major panel, the column of a
-//     pack's column-major bucket), the LEB128 gap to it from the
-//     previous major + 1 (the first major is its own gap), then the
-//     LEB128 gaps between its set-bit positions minor · 64 + bit (the
-//     first from −1, so every gap is ≥ 1), ended by a 0 byte;
-//   * raw: the entries' 24-byte Triplets verbatim, in the same order —
-//     a size guard, chosen only when that is smaller (masks so dense
-//     that a byte per set bit costs more than 24 per entry), so no
-//     message is ever longer than 1 + 24 · nnz bytes.
+//   one mode byte, then for each major coordinate in ascending order (the
+//   row of a canonical row-major panel, the column of a pack's
+//   column-major bucket) the LEB128 gap to it from the previous major + 1
+//   (the first major is its own gap), followed by either
+//   * gaps (modes kRowMajor / kColMajor): the LEB128 gaps between its
+//     set-bit positions minor · 64 + bit (the first from −1, so every gap
+//     is ≥ 1), ended by a 0 byte; or
+//   * word runs (one mode for both orders): runs of consecutive minors,
+//     each a LEB128 count ≥ 1, the LEB128 skip from the previous run's
+//     end (its last minor + 1; 0 before the major's first run) and
+//     `count` nonzero 8-byte masks in host byte order, ended by a 0 count.
+//
+// The encoder streams the gap code and sends the smaller form (gaps on a
+// tie). It tracks a floor under the word runs' size as it goes and writes
+// them only when the gap code outgrows that floor, so sparse messages,
+// the common case, are never coded twice. That is the size guard: a
+// sparse mask costs a byte or two per set bit, and no message costs more
+// than 8 bytes per mask plus its run and major headers, so a dense filter
+// bitmap travels at about a bit per row.
 //
 // Every mask the pipeline ships has a set bit (pack_batch emits no empty
 // mask and the OR-merge keeps them nonzero); the encoder rejects an
@@ -27,15 +38,14 @@
 // panel equals the encoded one entry for entry. Positions reach
 // minor · 64 + 63, past int64 for word-rows near 4³¹ (b = 1 with no row
 // filter at k = 31), so past minor 2⁵⁷ they are formed in 128-bit
-// arithmetic (64-bit below it) and a varint is at most 10 bytes. The
-// varints are util/leb128.hpp's, shared with the filter union's index
-// sets.
+// arithmetic (64-bit below it) and a varint is at most 10 bytes
+// (util/leb128.hpp).
 //
 // The decoders take the receiver's extents and throw error::CorruptInput
 // on an unknown mode, truncation, a runaway varint, a major with no set
-// bit, a raw body out of order, or any coordinate outside the extents:
-// whatever a damaged message decodes to is a canonical panel inside the
-// box the receiver indexes with.
+// bit, an empty mask, or any coordinate outside the extents: whatever a
+// damaged message decodes to is a canonical panel inside the box the
+// receiver indexes with.
 #pragma once
 
 #include <cstdint>
@@ -69,14 +79,16 @@ class PanelEncoder {
 
   void add(const Triplet<std::uint64_t>& entry);
 
-  /// The finished message: the coded form, or the raw one when that is
+  /// The finished message: the gap code, or the word runs when those are
   /// smaller; empty for an empty panel.
   [[nodiscard]] std::vector<std::uint8_t> finish() &&;
 
  private:
   PanelOrder order_;
-  std::vector<std::uint8_t> bytes_;
-  std::uint64_t count_ = 0;
+  std::vector<std::uint8_t> bytes_;  ///< the gap code so far
+  /// A floor under the word runs' size: 8 bytes a mask, 2 of run header
+  /// a major, and the major gaps and 0 counts both forms share.
+  std::uint64_t runs_floor_ = 0;
   std::int64_t major_ = -1;
   std::int64_t minor_ = -1;
   unsigned __int128 next_position_ = 0;  ///< last position + 1 in the major
@@ -121,5 +133,17 @@ template <typename Keep>
 /// error::CorruptInput on a malformed message.
 void decode_panel_append(std::span<const std::uint8_t> bytes, PanelOrder order,
                          PanelExtents extents, std::vector<Triplet<std::uint64_t>>& out);
+
+/// The one-row message of a SORTED, UNIQUE index set within [0, extent)
+/// (the filter union's form); an empty set is an empty message. Throws
+/// std::invalid_argument on unsorted or out-of-range input.
+[[nodiscard]] std::vector<std::uint8_t> encode_index_set(std::span<const std::int64_t> sorted,
+                                                         std::int64_t extent);
+
+/// Inverse of encode_index_set, decoded straight into the index vector.
+/// Throws error::CorruptInput on a malformed message or an index outside
+/// [0, extent): the bytes arrived over the wire.
+[[nodiscard]] std::vector<std::int64_t> decode_index_set(std::span<const std::uint8_t> bytes,
+                                                         std::int64_t extent);
 
 }  // namespace sas::distmat

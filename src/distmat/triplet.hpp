@@ -17,8 +17,7 @@
 namespace sas::distmat {
 
 /// One sparse entry. Trivially copyable, so it can be shipped through
-/// bsp::Comm (the survivor gather does) and memcpy'd by the panel wire's
-/// raw fallback.
+/// bsp::Comm (the survivor gather does).
 template <typename T>
 struct Triplet {
   std::int64_t row = 0;

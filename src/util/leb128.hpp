@@ -1,17 +1,21 @@
 // leb128.hpp — the one LEB128 varint writer and bounded reader.
 //
-// Both delta codes of the exact pipeline use it: the filter union's
-// delta-varint index sets (distmat/dist_filter.hpp) and the compact
-// panel wire (distmat/panel_wire.hpp). A varint is 7 bits a byte, low
-// bits first, the high bit set on every byte but the last.
+// The set-bit wire code (distmat/panel_wire.hpp) is its one user: the
+// exact pipeline's panels and the filter union's index sets. A varint is
+// 7 bits a byte, low bits first, the high bit set on every byte but the
+// last.
 //
 // The reader is for untrusted bytes: it throws error::CorruptInput on a
 // varint cut off by the end of the input and on a runaway varint (more
 // than kMaxLeb128Bytes bytes), and a std::uint64_t read saturates a value
 // past 2^64 to the maximum instead of wrapping it, so the caller's range
-// check rejects it. Value is std::uint64_t or unsigned __int128.
+// check rejects it. Value is std::uint64_t or unsigned __int128. It also
+// hands out raw byte spans (take), which the wire interleaves with its
+// varints.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -34,6 +38,11 @@ void put_leb128(std::vector<std::uint8_t>& out, Value value) {
   out.push_back(static_cast<std::uint8_t>(value));
 }
 
+/// The bytes put_leb128 writes for `value`.
+[[nodiscard]] constexpr std::uint64_t leb128_bytes(std::uint64_t value) noexcept {
+  return (static_cast<std::uint64_t>(std::bit_width(value | 1)) + 6) / 7;
+}
+
 /// LEB128 reader over one untrusted byte stream. `who` names the decoder
 /// in the errors it throws.
 class Leb128Reader {
@@ -43,8 +52,9 @@ class Leb128Reader {
 
   [[nodiscard]] bool done() const noexcept { return next_ == end_; }
 
-  /// The next byte, unread. Requires !done().
-  [[nodiscard]] std::uint8_t peek() const noexcept { return *next_; }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return static_cast<std::size_t>(end_ - next_);
+  }
 
   template <typename Value>
   [[nodiscard]] Value read() {
@@ -63,6 +73,15 @@ class Leb128Reader {
       }
       if (byte < 0x80) return value;
     }
+  }
+
+  /// The next `n` bytes, raw. Throws error::CorruptInput when fewer are
+  /// left.
+  [[nodiscard]] std::span<const std::uint8_t> take(std::size_t n) {
+    if (remaining() < n) fail("truncated");
+    const std::span<const std::uint8_t> bytes(next_, n);
+    next_ += n;
+    return bytes;
   }
 
  private:

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -16,7 +17,6 @@
 
 #include "core/matrix_io.hpp"
 #include "core/similarity_matrix.hpp"
-#include "distmat/dist_filter.hpp"
 #include "distmat/panel_wire.hpp"
 #include "genome/kmer_source.hpp"
 #include "genome/sample.hpp"
@@ -280,71 +280,7 @@ TEST(CorruptionMatrix, KmersCodesOutsideTheUniverseAreConfigErrors) {
   fs::remove_all(dir);
 }
 
-// ------------------------------------------- compressed index set decode
-
-void expect_decode_contained(const std::vector<std::uint64_t>& words,
-                             std::int64_t extent, const std::string& label) {
-  try {
-    const auto decoded =
-        distmat::decode_index_set(std::span<const std::uint64_t>(words), extent);
-    for (std::size_t i = 0; i < decoded.size(); ++i) {
-      ASSERT_GE(decoded[i], 0) << label;
-      ASSERT_LT(decoded[i], extent) << label;
-    }
-  } catch (const error::CorruptInput&) {
-    // typed rejection: fine
-  } catch (const std::exception& e) {
-    ADD_FAILURE() << label << " escaped the taxonomy: " << e.what();
-  }
-}
-
-TEST(CorruptionMatrix, IndexSetDamageIsBenignOrTyped) {
-  // Three inputs chosen to exercise all three encodings: dense (RLE),
-  // huge-gap hypersparse (delta varint), and a tiny set (raw list).
-  struct Shape {
-    std::vector<std::int64_t> indices;
-    std::int64_t extent;
-  };
-  std::vector<Shape> shapes;
-  Shape dense;
-  dense.extent = 512;
-  for (std::int64_t v = 0; v < 512; v += 2) dense.indices.push_back(v);
-  shapes.push_back(dense);
-  Shape hypersparse;
-  hypersparse.extent = std::int64_t{1} << 45;
-  for (std::int64_t v = 0; v < 200; ++v) {
-    hypersparse.indices.push_back(v * 33554432);
-  }
-  shapes.push_back(hypersparse);
-  shapes.push_back(Shape{{3, 99, 1000}, 4096});
-
-  for (const Shape& shape : shapes) {
-    const auto words = distmat::encode_index_set(
-        std::span<const std::int64_t>(shape.indices), shape.extent);
-    const std::string mode = "mode " + std::to_string(words.empty() ? 99 : words[0]);
-
-    // Truncations: drop trailing words one at a time.
-    for (std::size_t len = 0; len < words.size(); ++len) {
-      const std::vector<std::uint64_t> cut(words.begin(),
-                                           words.begin() + static_cast<long>(len));
-      expect_decode_contained(cut, shape.extent,
-                              mode + " truncated to " + std::to_string(len));
-    }
-
-    // Byte flips in every word.
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      for (int byte = 0; byte < 8; ++byte) {
-        std::vector<std::uint64_t> flipped = words;
-        flipped[w] ^= std::uint64_t{0xff} << (byte * 8);
-        expect_decode_contained(flipped, shape.extent,
-                                mode + " flip word " + std::to_string(w) + " byte " +
-                                    std::to_string(byte));
-      }
-    }
-  }
-}
-
-// ---------------------------------------------- compact panel wire decode
+// ------------------------------------------------ set-bit wire decode
 
 /// Decode a damaged panel message both ways: each must throw the typed
 /// CorruptInput or yield a canonical panel inside the extents.
@@ -391,17 +327,55 @@ void expect_panel_contained(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-TEST(CorruptionMatrix, PanelWireDamageIsContainedOrTyped) {
-  // Three messages covering both coded orders and the raw fallback: a
-  // sparse row-major panel, a column-major bucket whose word ids near
-  // 4^31 need 10-byte varints, and a panel of full masks (raw).
-  struct Shape {
+/// Decode a damaged index-set message: it must throw the typed
+/// CorruptInput or yield a sorted set inside [0, extent).
+void expect_index_set_contained(const std::vector<std::uint8_t>& bytes, std::int64_t extent,
+                                const std::string& label) {
+  try {
+    const auto decoded = distmat::decode_index_set(bytes, extent);
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      ASSERT_TRUE(decoded[i] >= 0 && decoded[i] < extent) << label;
+      if (i > 0) {
+        ASSERT_GT(decoded[i], decoded[i - 1]) << label;
+      }
+    }
+  } catch (const error::CorruptInput&) {
+    // typed rejection: fine
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << " escaped the taxonomy: " << e.what();
+  }
+}
+
+/// Every truncation and every single-byte flip of `bytes`, labelled.
+template <typename Check>
+void sweep_damage(const std::vector<std::uint8_t>& bytes, const std::string& label,
+                  Check check) {
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    check(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + static_cast<long>(len)),
+          label + " truncated to " + std::to_string(len));
+  }
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::vector<std::uint8_t> flipped = bytes;
+    flipped[pos] ^= 0xff;
+    check(flipped, label + " flip at byte " + std::to_string(pos));
+  }
+}
+
+TEST(CorruptionMatrix, SetBitWireDamageIsContainedOrTyped) {
+  // The one set-bit wire code in every form it takes. Panels: gaps in
+  // both orders (a sparse row-major panel; a column-major bucket whose
+  // word ids near 4^31 need 10-byte varints) and word runs (a row-major
+  // panel of full masks; a column-major bucket of full masks near 4^31).
+  // Index sets, as the filter union ships them: a dense set whose last
+  // mask word is partial (word runs), a huge-gap hypersparse one and a
+  // tiny one (gaps).
+  struct PanelShape {
     std::vector<distmat::Triplet<std::uint64_t>> entries;
     distmat::PanelOrder order;
     distmat::PanelExtents extents;
   };
   const std::int64_t m = std::int64_t{1} << 62;
-  const std::vector<Shape> shapes{
+  const std::vector<PanelShape> panels{
       {{{0, 3, 0x11}, {0, 9, 1}, {4, 0, 0x8000000000000001ULL}, {7, 9, 6}},
        distmat::PanelOrder::kRowMajor,
        {{0, 8}, {0, 10}}},
@@ -411,23 +385,44 @@ TEST(CorruptionMatrix, PanelWireDamageIsContainedOrTyped) {
       {{{1, 1, ~0ULL}, {1, 2, ~0ULL}, {3, 0, ~0ULL}},
        distmat::PanelOrder::kRowMajor,
        {{0, 4}, {0, 3}}},
+      {{{m - 2, 2, ~0ULL}, {m - 1, 2, ~0ULL}, {0, 3, ~0ULL}, {m - 1, 3, ~0ULL}},
+       distmat::PanelOrder::kColMajor,
+       {{0, m}, {2, 4}}},
   };
-  for (const Shape& shape : shapes) {
+  std::set<std::uint8_t> modes;
+  for (const PanelShape& shape : panels) {
     const std::vector<std::uint8_t> bytes = distmat::encode_panel(shape.entries, shape.order);
-    const std::string mode = "mode " + std::to_string(bytes.at(0));
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-      expect_panel_contained(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() +
-                                                                          static_cast<long>(len)),
-                             shape.order, shape.extents,
-                             mode + " truncated to " + std::to_string(len));
-    }
-    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-      std::vector<std::uint8_t> flipped = bytes;
-      flipped[pos] ^= 0xff;
-      expect_panel_contained(flipped, shape.order, shape.extents,
-                             mode + " flip at byte " + std::to_string(pos));
-    }
+    modes.insert(bytes.at(0));
+    sweep_damage(bytes, "panel mode " + std::to_string(bytes.at(0)),
+                 [&](const std::vector<std::uint8_t>& damaged, const std::string& label) {
+                   expect_panel_contained(damaged, shape.order, shape.extents, label);
+                 });
   }
+  EXPECT_EQ(modes.size(), 3u);  // word runs and the gaps of either order
+
+  struct IndexShape {
+    std::vector<std::int64_t> indices;
+    std::int64_t extent;
+  };
+  std::vector<IndexShape> sets;
+  IndexShape dense{{}, 509};
+  for (std::int64_t v = 0; v < dense.extent; v += 2) dense.indices.push_back(v);
+  sets.push_back(dense);
+  IndexShape hypersparse{{}, std::int64_t{1} << 45};
+  for (std::int64_t v = 0; v < 200; ++v) hypersparse.indices.push_back(v * 33554432);
+  sets.push_back(hypersparse);
+  sets.push_back(IndexShape{{3, 99, 1000}, 4096});
+  std::set<std::uint8_t> set_modes;
+  for (const IndexShape& shape : sets) {
+    const std::vector<std::uint8_t> bytes =
+        distmat::encode_index_set(shape.indices, shape.extent);
+    set_modes.insert(bytes.at(0));
+    sweep_damage(bytes, "index set mode " + std::to_string(bytes.at(0)),
+                 [&](const std::vector<std::uint8_t>& damaged, const std::string& label) {
+                   expect_index_set_contained(damaged, shape.extent, label);
+                 });
+  }
+  EXPECT_EQ(set_modes.size(), 2u);  // word runs and gaps
 }
 
 }  // namespace

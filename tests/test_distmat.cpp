@@ -22,6 +22,7 @@
 #include "distmat/ring.hpp"
 #include "distmat/spgemm.hpp"
 #include "util/error.hpp"
+#include "util/leb128.hpp"
 #include "util/popcount.hpp"
 #include "util/rng.hpp"
 
@@ -85,43 +86,6 @@ TEST(Triplets, NormalizeWithAdditionCounts) {
   EXPECT_EQ(entries[0].value, 5u);
 }
 
-// -------------------------------------------------------------------- CSR
-
-TEST(Csr, RoundTripsCanonicalTriplets) {
-  std::vector<Triplet<std::uint64_t>> entries{
-      {0, 2, 5}, {0, 7, 9}, {2, 0, 1}, {4, 3, 8}};
-  const auto csr = CsrMatrix<std::uint64_t>::from_triplets(5, 8, entries);
-  EXPECT_EQ(csr.rows(), 5);
-  EXPECT_EQ(csr.cols(), 8);
-  EXPECT_EQ(csr.nnz(), 4);
-  EXPECT_EQ(csr.to_triplets(), entries);
-  // Row access.
-  ASSERT_EQ(csr.row_columns(0).size(), 2u);
-  EXPECT_EQ(csr.row_columns(0)[1], 7);
-  EXPECT_EQ(csr.row_values(0)[1], 9u);
-  EXPECT_TRUE(csr.row_columns(1).empty());
-  EXPECT_TRUE(csr.row_columns(3).empty());
-}
-
-TEST(Csr, StorageAccountsRowStartsSeparately) {
-  // The §III-B claim: row-start bytes scale with rows, not nnz.
-  std::vector<Triplet<std::uint64_t>> entries{{0, 0, 1}, {63, 1, 2}};
-  const auto tall = CsrMatrix<std::uint64_t>::from_triplets(64, 2, entries);
-  std::vector<Triplet<std::uint64_t>> packed_entries{{0, 0, 1}, {0, 1, 2}};
-  const auto packed = CsrMatrix<std::uint64_t>::from_triplets(1, 2, packed_entries);
-  EXPECT_EQ(tall.storage().row_starts, 65u * 8u);
-  EXPECT_EQ(packed.storage().row_starts, 2u * 8u);
-  EXPECT_EQ(tall.storage().col_indices, packed.storage().col_indices);
-  EXPECT_EQ(tall.storage().values, packed.storage().values);
-  EXPECT_GT(tall.storage().total(), packed.storage().total());
-}
-
-TEST(Csr, EmptyMatrix) {
-  const auto csr = CsrMatrix<std::uint64_t>::from_triplets(0, 0, {});
-  EXPECT_EQ(csr.nnz(), 0);
-  EXPECT_EQ(csr.storage().row_starts, 8u);  // the single sentinel row start
-}
-
 // ----------------------------------------------------------------- filter
 
 class FilterTest : public ::testing::TestWithParam<int> {};
@@ -168,93 +132,17 @@ TEST_P(FilterTest, CompactRowIdIsThePrefixSum) {
     EXPECT_EQ(compact_row_id(filter, 10), 0);
     EXPECT_EQ(compact_row_id(filter, 40), 1);
     EXPECT_EQ(compact_row_id(filter, 200), 3);
-    EXPECT_THROW((void)compact_row_id(filter, 11), std::logic_error);
+    // A filter without a row some rank read arrived damaged.
+    EXPECT_THROW((void)compact_row_id(filter, 11), error::CorruptInput);
   });
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, FilterTest, ::testing::Values(1, 2, 3, 5, 8));
 
-TEST(FilterEncoding, RoundTripsEveryShape) {
-  struct Shape {
-    const char* name;
-    std::vector<std::int64_t> indices;
-    std::int64_t extent;
-  };
-  std::vector<Shape> shapes = {
-      {"empty", {}, 100},
-      {"single", {0}, 1},
-      {"last", {999}, 1000},
-      {"dense run", {}, 500},
-      {"every other", {}, 512},
-      {"isolated huge gaps", {3, 1000000, 123456789, 999999999}, std::int64_t{1} << 30},
-      {"word boundary", {62, 63, 64, 65, 127, 128}, 200},
-      {"one-word gap inlined", {10, 140}, 4096},
-  };
-  for (std::int64_t v = 0; v < 500; ++v) shapes[3].indices.push_back(v);
-  for (std::int64_t v = 0; v < 512; v += 2) shapes[4].indices.push_back(v);
-  Rng rng(404);
-  Shape random{"random", {}, 1 << 20};
-  for (std::int64_t v = 0; v < (1 << 20); ++v) {
-    if (rng.bernoulli(0.001)) random.indices.push_back(v);
-  }
-  shapes.push_back(std::move(random));
-
-  for (const Shape& shape : shapes) {
-    const auto encoded =
-        encode_index_set(std::span<const std::int64_t>(shape.indices), shape.extent);
-    const auto decoded =
-        decode_index_set(std::span<const std::uint64_t>(encoded), shape.extent);
-    EXPECT_EQ(decoded, shape.indices) << shape.name;
-    // Never more than one mode word above the raw cost.
-    EXPECT_LE(encoded.size(), shape.indices.size() + 1) << shape.name;
-  }
-
-  // Compression wins where it should: ~1 bit/row on dense runs (RLE),
-  // about half the raw words on huge-gap hypersparse sets (delta-varint).
-  const auto dense_encoded =
-      encode_index_set(std::span<const std::int64_t>(shapes[3].indices), 500);
-  EXPECT_LE(dense_encoded.size(), shapes[3].indices.size() / 32 + 2);
-  std::vector<std::int64_t> hypersparse;
-  for (std::int64_t v = 0; v < 1000; ++v) hypersparse.push_back(v * 33554432);
-  const auto sparse_encoded = encode_index_set(
-      std::span<const std::int64_t>(hypersparse), std::int64_t{1} << 45);
-  EXPECT_LE(sparse_encoded.size(), hypersparse.size() / 2 + 2);
-
-  // Malformed inputs throw.
-  const std::vector<std::int64_t> unsorted = {5, 3};
-  EXPECT_THROW((void)encode_index_set(std::span<const std::int64_t>(unsorted), 10),
-               std::invalid_argument);
-  const std::vector<std::int64_t> beyond = {12};
-  EXPECT_THROW((void)encode_index_set(std::span<const std::int64_t>(beyond), 10),
-               std::invalid_argument);
-  const std::vector<std::uint64_t> bad_mode = {99, 1, 2};
-  EXPECT_THROW((void)decode_index_set(std::span<const std::uint64_t>(bad_mode), 10),
-               sas::error::CorruptInput);
-  // Hostile delta streams must throw, never yield negative or
-  // out-of-extent indices: a complete 10-byte varint encoding gap = 2^63
-  // (the sign bit — nine 0x80 continuation bytes, then 0x01) and a gap
-  // one past the extent.
-  const std::vector<std::uint64_t> sign_bit_gap = {2, 0x8080808080808080ULL, 0x0180ULL};
-  EXPECT_THROW((void)decode_index_set(std::span<const std::uint64_t>(sign_bit_gap),
-                                      std::int64_t{1} << 40),
-               sas::error::CorruptInput);
-  const std::vector<std::uint64_t> gap_past_extent = {2, 11};  // gap 11, extent 10
-  EXPECT_THROW((void)decode_index_set(std::span<const std::uint64_t>(gap_past_extent),
-                                      10),
-               sas::error::CorruptInput);
-  // Hostile RLE skip headers chained past the extent must throw before
-  // pos * 64 can overflow.
-  const std::uint64_t skip_only = 0xffffffffULL << 32;  // skip 2^32-1, 0 literals
-  const std::vector<std::uint64_t> runaway_skip = {
-      0, skip_only, skip_only, skip_only, (1ULL << 32) | 1, 1};
-  EXPECT_THROW((void)decode_index_set(std::span<const std::uint64_t>(runaway_skip), 64),
-               sas::error::CorruptInput);
-}
-
 TEST_P(FilterTest, CompressedUnionMatchesRawBitForBit) {
   const int p = GetParam();
-  // Two regimes per run: a dense-ish range (RLE territory) and an
-  // isolated hypersparse tail (delta/list territory).
+  // Two regimes per run: a dense-ish range (word-run territory) and an
+  // isolated hypersparse tail (gap territory).
   bsp::Runtime::run(p, [&](bsp::Comm& comm) {
     const std::int64_t universe = 1 << 16;
     Rng rng(static_cast<std::uint64_t>(900 + comm.rank()));
@@ -452,20 +340,30 @@ TEST(PanelWire, RoundTripsInBothOrdersAtEveryBitWidth) {
   }
 }
 
-TEST(PanelWire, DenseMasksFallBackToRawEntries) {
+TEST(PanelWire, DenseMasksTravelAsWordRuns) {
+  // A full mask costs 64 gap bytes but 8 as a word run, plus a count and
+  // a skip per run: the mode byte, then row 0 (gap 0; a run at column 0,
+  // skip 0; a run at column 3, skip 2; 0), then row 2 (gap 1; a run at
+  // column 1, skip 1; 0).
   const std::vector<Triplet<std::uint64_t>> dense{{0, 0, ~0ULL}, {0, 3, ~0ULL}, {2, 1, ~0ULL}};
   const std::vector<std::uint8_t> wire = encode_panel(dense, PanelOrder::kRowMajor);
-  EXPECT_EQ(wire.size(), 24 * dense.size() + 1);
+  EXPECT_EQ(wire.size(), 1 + (1 + 2 + 8 + 2 + 8 + 1) + (1 + 2 + 8 + 1));
+  EXPECT_LT(wire.size(), 24 * dense.size() + 1);
   EXPECT_EQ(round_trip(dense, PanelOrder::kRowMajor, {{0, 3}, {0, 4}}), dense);
-  // Raw is a size guard over the whole message: a sparse entry beside a
-  // full mask still travels raw, as that is smaller in total.
+  // Consecutive columns share one run, whatever their masks.
+  const std::vector<Triplet<std::uint64_t>> run{{1, 4, ~0ULL}, {1, 5, 6}, {1, 6, ~0ULL}};
+  EXPECT_EQ(encode_panel(run, PanelOrder::kRowMajor).size(), 1 + (1 + 2 + 3 * 8 + 1));
+  EXPECT_EQ(round_trip(run, PanelOrder::kRowMajor, {{0, 2}, {0, 7}}), run);
+  // The form is chosen per message: a sparse entry beside a full mask
+  // travels as a word run too, as that is smaller in total.
   const std::vector<Triplet<std::uint64_t>> mixed{{0, 0, ~0ULL}, {3, 1, 1}};
-  EXPECT_EQ(encode_panel(mixed, PanelOrder::kRowMajor).size(), 24 * mixed.size() + 1);
+  EXPECT_EQ(encode_panel(mixed, PanelOrder::kRowMajor).size(),
+            1 + (1 + 2 + 8 + 1) + (1 + 2 + 8 + 1));
   EXPECT_EQ(round_trip(mixed, PanelOrder::kRowMajor, {{0, 4}, {0, 2}}), mixed);
   // An empty mask has no set bit to code, and the pipeline ships none.
   const std::vector<Triplet<std::uint64_t>> with_empty{{0, 1, 5}, {1, 0, 0}, {4, 2, 9}};
   EXPECT_THROW((void)encode_panel(with_empty, PanelOrder::kRowMajor), std::invalid_argument);
-  // A sparse panel codes well below the raw form.
+  // A sparse panel keeps its gaps, well below the raw Triplets.
   const std::vector<Triplet<std::uint64_t>> sparse{{0, 0, 1}, {0, 3, 2}, {2, 1, 4}};
   EXPECT_LT(encode_panel(sparse, PanelOrder::kRowMajor).size(), 24 * sparse.size() / 3);
 }
@@ -486,6 +384,16 @@ TEST(PanelWire, WordIdsNearFourToThe31RoundTripColumnMajor) {
   const std::vector<std::uint8_t> wire = encode_panel(entries, PanelOrder::kColMajor);
   std::vector<Triplet<std::uint64_t>> out;
   EXPECT_THROW(decode_panel_append(wire, PanelOrder::kColMajor, {{0, m - 1}, {0, 4}}, out),
+               error::CorruptInput);
+  // Full masks there travel as word runs, whose skips take 9 bytes:
+  // column 1 is one run of 3 from row m − 3, column 2 a run at row 0 and
+  // one at m − 1.
+  const std::vector<Triplet<std::uint64_t>> dense{
+      {m - 3, 1, ~0ULL}, {m - 2, 1, ~0ULL}, {m - 1, 1, 5}, {0, 2, ~0ULL}, {m - 1, 2, ~0ULL}};
+  const std::vector<std::uint8_t> runs = encode_panel(dense, PanelOrder::kColMajor);
+  EXPECT_EQ(runs.size(), 1 + (1 + 1 + 9 + 3 * 8 + 1) + (1 + 2 + 8 + 1 + 9 + 8 + 1));
+  EXPECT_EQ(round_trip(dense, PanelOrder::kColMajor, {{0, m}, {0, 3}}), dense);
+  EXPECT_THROW(decode_panel_append(runs, PanelOrder::kColMajor, {{0, m - 1}, {0, 3}}, out),
                error::CorruptInput);
 }
 
@@ -513,9 +421,115 @@ TEST(PanelWire, DecoderChecksTheReceiversExtents) {
   runaway.insert(runaway.end(), 10, 0xff);
   runaway.push_back(0x01);
   EXPECT_THROW((void)decode_panel(runaway, {{0, 4}, {0, 10}}), error::CorruptInput);
+  // Word runs: row 0 holds one run of count 1 at skip 0 with a full mask.
+  // Damage its count, skip or mask and the decoder rejects it.
+  const std::uint8_t runs = encode_panel(std::vector<Triplet<std::uint64_t>>{{0, 0, ~0ULL}},
+                                         PanelOrder::kRowMajor)[0];
+  const auto run_message = [&](std::uint64_t count, std::uint64_t skip, std::uint64_t mask) {
+    std::vector<std::uint8_t> bytes{runs, 0x00};
+    util::put_leb128(bytes, count);
+    util::put_leb128(bytes, skip);
+    for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<std::uint8_t>(mask >> (8 * b)));
+    bytes.push_back(0x00);
+    return bytes;
+  };
+  EXPECT_EQ(decode_panel(run_message(1, 9, 1), {{0, 4}, {0, 10}}).col_idx,
+            std::vector<std::int64_t>{9});
+  EXPECT_THROW((void)decode_panel(run_message(1, 10, 1), {{0, 4}, {0, 10}}),
+               error::CorruptInput);  // skip past the extent
+  EXPECT_THROW((void)decode_panel(run_message(2, 9, 1), {{0, 4}, {0, 10}}),
+               error::CorruptInput);  // run past the extent
+  EXPECT_THROW((void)decode_panel(run_message(1, 0, 0), {{0, 4}, {0, 10}}),
+               error::CorruptInput);  // empty mask
+  EXPECT_THROW((void)decode_panel(run_message(0, 0, 1), {{0, 4}, {0, 10}}),
+               error::CorruptInput);  // a row with no run
+  // A count whose masks would run past the message, even one whose byte
+  // length overflows 64 bits, is truncation.
+  const std::int64_t top = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW(decode_panel_append(run_message(2, 0, 1), PanelOrder::kColMajor,
+                                   {{0, top}, {0, 1}}, out),
+               error::CorruptInput);
+  EXPECT_THROW(decode_panel_append(run_message(std::uint64_t{1} << 61, 0, 1),
+                                   PanelOrder::kColMajor, {{0, top}, {0, 1}}, out),
+               error::CorruptInput);
   // The encoder takes canonical input only.
   const std::vector<Triplet<std::uint64_t>> unsorted{{3, 0, 1}, {1, 0, 1}};
   EXPECT_THROW((void)encode_panel(unsorted, PanelOrder::kRowMajor), std::invalid_argument);
+}
+
+TEST(PanelWire, IndexSetsRoundTripEveryShape) {
+  // The filter union's index sets are one-row messages: index i is bit
+  // i & 63 of the mask at column i >> 6.
+  struct Shape {
+    const char* name;
+    std::vector<std::int64_t> indices;
+    std::int64_t extent;
+  };
+  std::vector<Shape> shapes = {
+      {"empty", {}, 100},
+      {"single", {0}, 1},
+      {"last", {999}, 1000},
+      {"dense run", {}, 500},
+      {"every other", {}, 512},
+      {"isolated huge gaps", {3, 1000000, 123456789, 999999999}, std::int64_t{1} << 30},
+      {"word boundary", {62, 63, 64, 65, 127, 128}, 200},
+      {"one-word gap", {10, 140}, 4096},
+  };
+  for (std::int64_t v = 0; v < 500; ++v) shapes[3].indices.push_back(v);
+  for (std::int64_t v = 0; v < 512; v += 2) shapes[4].indices.push_back(v);
+  Rng rng(404);
+  Shape random{"random", {}, 1 << 20};
+  for (std::int64_t v = 0; v < (1 << 20); ++v) {
+    if (rng.bernoulli(0.001)) random.indices.push_back(v);
+  }
+  shapes.push_back(std::move(random));
+
+  for (const Shape& shape : shapes) {
+    const auto encoded = encode_index_set(shape.indices, shape.extent);
+    EXPECT_EQ(decode_index_set(encoded, shape.extent), shape.indices) << shape.name;
+    // Never above the raw list and its mode word (every gap here is
+    // below 2^56 rows).
+    EXPECT_LE(encoded.size(), 8 * (shape.indices.size() + 1)) << shape.name;
+  }
+  EXPECT_TRUE(encode_index_set(shapes[0].indices, 100).empty());
+
+  // Compression wins where it should: about a bit per row on dense runs
+  // (word runs), and 4 bytes an index on gaps of 2^25 rows.
+  EXPECT_LE(encode_index_set(shapes[3].indices, 500).size(), 500 / 8 + 8);
+  std::vector<std::int64_t> hypersparse;
+  for (std::int64_t v = 0; v < 1000; ++v) hypersparse.push_back(v * 33554432);
+  EXPECT_LE(encode_index_set(hypersparse, std::int64_t{1} << 45).size(),
+            4 * hypersparse.size() + 4);
+
+  // Malformed inputs throw.
+  const std::vector<std::int64_t> unsorted = {5, 3};
+  EXPECT_THROW((void)encode_index_set(unsorted, 10), std::invalid_argument);
+  const std::vector<std::int64_t> beyond = {12};
+  EXPECT_THROW((void)encode_index_set(beyond, 10), std::invalid_argument);
+  const std::vector<std::int64_t> negative = {-1, 3};
+  EXPECT_THROW((void)encode_index_set(negative, 10), std::invalid_argument);
+  const std::vector<std::uint8_t> bad_mode = {99, 0, 1, 0};
+  EXPECT_THROW((void)decode_index_set(bad_mode, 10), error::CorruptInput);
+  // Hostile gap streams must throw, never yield negative or out-of-extent
+  // indices: a complete 10-byte varint coding gap = 2^63 (the sign bit:
+  // nine 0x80 continuation bytes, then 0x01), and a gap to index 10 of a
+  // 10-row set, inside its one mask word.
+  const std::uint8_t gaps = encode_index_set(std::vector<std::int64_t>{5}, 10)[0];
+  std::vector<std::uint8_t> sign_bit_gap{gaps, 0x00};
+  sign_bit_gap.insert(sign_bit_gap.end(), 9, 0x80);
+  sign_bit_gap.insert(sign_bit_gap.end(), {0x01, 0x00});
+  EXPECT_THROW((void)decode_index_set(sign_bit_gap, std::int64_t{1} << 40),
+               error::CorruptInput);
+  const std::vector<std::uint8_t> gap_past_extent{gaps, 0x00, 11, 0x00};
+  EXPECT_THROW((void)decode_index_set(gap_past_extent, 10), error::CorruptInput);
+  // A word-run skip past the extent must throw before minor · 64 can
+  // overflow.
+  const std::uint8_t runs = encode_index_set(shapes[3].indices, 500)[0];
+  std::vector<std::uint8_t> runaway_skip{runs, 0x00, 0x01};
+  util::put_leb128(runaway_skip, std::uint64_t{1} << 62);
+  runaway_skip.insert(runaway_skip.end(), 8, 0xff);
+  runaway_skip.push_back(0x00);
+  EXPECT_THROW((void)decode_index_set(runaway_skip, 64), error::CorruptInput);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, RedistributeTest, ::testing::Values(1, 2, 4, 7));

@@ -5,6 +5,7 @@
 // and bitwise-identical resume after a mid-run kill.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -321,6 +322,19 @@ core::VectorSampleSource stress_source(std::uint64_t seed) {
   return core::VectorSampleSource(220, std::move(samples));
 }
 
+/// 24 samples of 30 rows each over 2^20: hypersparse, where
+/// stress_source is dense.
+core::VectorSampleSource hypersparse_source(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<std::int64_t>> samples(24);
+  for (auto& s : samples) {
+    for (int i = 0; i < 30; ++i) s.push_back(static_cast<std::int64_t>(rng.uniform(1 << 20)));
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+  }
+  return core::VectorSampleSource(1 << 20, std::move(samples));
+}
+
 struct StressCase {
   int nranks;
   core::Estimator estimator;
@@ -390,22 +404,30 @@ TEST(FaultInjection, FlippedPanelBytesAreTypedOrBenign) {
   // A byte flipped in flight at any op of a small exact run — filter
   // union, redistribution alltoall, ring hops, SUMMA transposes and
   // broadcasts, output gather — must either let the run finish or end it
-  // with a typed sas::error::Error: received panels are bounds-checked on
-  // decode (distmat/panel_wire.hpp), so a damaged coordinate is rejected
-  // before a kernel indexes with it; at least one flip must meet that
-  // decoder. SUMMA's first 24 ops at 4 ranks are the ProcGrid split
-  // allgathers, where a flipped color can hang until the watchdog; its
-  // sweep starts at the batch body. Past the last op the flip never
-  // fires, so the sweep's last run must not throw.
-  const auto source = stress_source(2424);
+  // as corrupt input (exit 3): received panels and filter index sets are
+  // bounds-checked on decode (distmat/panel_wire.hpp), so a damaged
+  // coordinate is rejected before a kernel indexes with it, and a filter
+  // that decodes cleanly but lacks a row some rank read fails
+  // compact_row_id; at least one flip must meet the panel decoder. Wire
+  // damage is never a rank failure (exit 4), which names a program bug.
+  // The dense corpus's filter index sets travel as word runs, the
+  // hypersparse one's as gaps, where a flip mostly decodes to a
+  // well-formed filter that misses a row. SUMMA's first 24 ops at 4
+  // ranks are the ProcGrid split allgathers, where a flipped color can
+  // hang until the watchdog; its sweep starts at the batch body. Past the
+  // last op the flip never fires, so the sweep's last run must not throw.
+  const auto dense = stress_source(2424);
+  const auto hypersparse = hypersparse_source(2525);
   struct Sweep {
+    const core::SampleSource* source;
     core::Algorithm algorithm;
     std::uint64_t first_op;
   };
   constexpr std::uint64_t kPastLastOp = 100;
   int decoder_rejections = 0;
-  for (const Sweep sweep :
-       {Sweep{core::Algorithm::kRing1D, 0}, Sweep{core::Algorithm::kSumma, 24}}) {
+  for (const Sweep sweep : {Sweep{&dense, core::Algorithm::kRing1D, 0},
+                            Sweep{&dense, core::Algorithm::kSumma, 24},
+                            Sweep{&hypersparse, core::Algorithm::kRing1D, 0}}) {
     core::Config config;
     config.algorithm = sweep.algorithm;
     config.batch_count = 2;
@@ -413,9 +435,9 @@ TEST(FaultInjection, FlippedPanelBytesAreTypedOrBenign) {
     for (std::uint64_t op = sweep.first_op; op <= kPastLastOp; ++op) {
       config.fault_plan = "rank=1:op=" + std::to_string(op) + ":flip=13";
       try {
-        (void)core::similarity_at_scale_threaded(4, source, config);
+        (void)core::similarity_at_scale_threaded(4, *sweep.source, config);
       } catch (const error::Error& e) {
-        EXPECT_NE(e.code(), error::Code::kWatchdogTimeout) << config.fault_plan;
+        EXPECT_EQ(e.code(), error::Code::kCorruptInput) << config.fault_plan << ": " << e.what();
         EXPECT_NE(op, kPastLastOp) << "the sweep must outlast the run's ops";
         if (std::string(e.what()).find("decode_panel") != std::string::npos) {
           ++decoder_rejections;
