@@ -118,10 +118,7 @@ void decode_runs(util::Leb128Reader& in, BlockRange majors, BlockRange minors, E
       if (first < minors.begin || count > static_cast<std::uint64_t>(minors.end - first)) {
         outside_extents();
       }
-      if (count > in.remaining() / kMaskBytes) {
-        throw error::CorruptInput("decode_panel: truncated run");
-      }
-      const std::span<const std::uint8_t> masks = in.take(count * kMaskBytes);
+      const std::span<const std::uint8_t> masks = in.take(count, kMaskBytes);
       for (std::uint64_t k = 0; k < count; ++k) {
         std::uint64_t mask = 0;
         std::memcpy(&mask, masks.data() + k * kMaskBytes, kMaskBytes);

@@ -10,8 +10,8 @@
 // than kMaxLeb128Bytes bytes), and a std::uint64_t read saturates a value
 // past 2^64 to the maximum instead of wrapping it, so the caller's range
 // check rejects it. Value is std::uint64_t or unsigned __int128. It also
-// hands out raw byte spans (take), which the wire interleaves with its
-// varints.
+// hands out raw byte spans (take: the wire's 8-byte masks), bounds-checked
+// the same way.
 #pragma once
 
 #include <bit>
@@ -52,10 +52,6 @@ class Leb128Reader {
 
   [[nodiscard]] bool done() const noexcept { return next_ == end_; }
 
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return static_cast<std::size_t>(end_ - next_);
-  }
-
   template <typename Value>
   [[nodiscard]] Value read() {
     if (next_ == end_) fail("truncated varint");
@@ -75,12 +71,13 @@ class Leb128Reader {
     }
   }
 
-  /// The next `n` bytes, raw. Throws error::CorruptInput when fewer are
-  /// left.
-  [[nodiscard]] std::span<const std::uint8_t> take(std::size_t n) {
-    if (remaining() < n) fail("truncated");
-    const std::span<const std::uint8_t> bytes(next_, n);
-    next_ += n;
+  /// The next `count` items of `width` bytes, raw. Throws
+  /// error::CorruptInput when fewer are left, before count · width can
+  /// overflow.
+  [[nodiscard]] std::span<const std::uint8_t> take(std::uint64_t count, std::size_t width) {
+    if (count > static_cast<std::size_t>(end_ - next_) / width) fail("truncated");
+    const std::span<const std::uint8_t> bytes(next_, count * width);
+    next_ += count * width;
     return bytes;
   }
 
