@@ -104,8 +104,9 @@ struct Config {
   /// Ship each batch's zero-row filter union in the set-bit wire code
   /// (word runs or index gaps, whichever is smaller — distmat/panel_wire.hpp)
   /// instead of raw 8-byte row indices. Identical filter contents either
-  /// way; disabling reproduces the raw-index byte floor for the ablation
-  /// benches.
+  /// way. Nothing in the pipeline sets it false: the field stays because
+  /// the perf ledger (bench/ledger) reads it, and the raw-index branch it
+  /// guards is the reference the compressed union is tested against.
   bool compress_filter = true;
 
   // ---- estimator parameters -------------------------------------------

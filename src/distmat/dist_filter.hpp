@@ -29,9 +29,11 @@
 //     hypersparse winner (k-mer universes of ~4^21 rows leave gaps of
 //     ~10^7: ~4 bytes per index instead of 8).
 //
-// Gaps past 2^56 rows cost 9–10 bytes per index, more than the 8 of the
-// uncompressed list; that needs k ≥ 29 with one or two batches. Contents
-// are identical either way (tested); only the wire bytes move.
+// Each message ends in a 4-byte CRC-32, so a damaged list fails as
+// corrupt input instead of decoding to another set. Gaps past 2^56 rows
+// cost 9–10 bytes per index, more than the 8 of the uncompressed list;
+// that needs k ≥ 29 with one or two batches. Contents are identical
+// either way (tested); only the wire bytes move.
 //
 // Pair-mask union: the pair-space analogue for the hybrid estimator —
 // each rank keeps the candidate pairs it scored above the threshold, and

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/leb128.hpp"
 
@@ -18,18 +19,14 @@ using u128 = unsigned __int128;
 
 /// Mode bytes.
 constexpr std::uint8_t kModeRuns = 0;
-constexpr std::uint8_t kModeRowMajor = 1;
-constexpr std::uint8_t kModeColMajor = 2;
+constexpr std::uint8_t kModeGaps = 1;
 
 constexpr std::size_t kMaskBytes = sizeof(std::uint64_t);
+constexpr std::size_t kCrcBytes = sizeof(std::uint32_t);
 
 /// Below this minor coordinate a position (minor · 64 + bit) + 1 fits in
 /// 63 bits, so the codec runs its 64-bit path; past it, 128-bit.
 constexpr std::int64_t kNarrowMinors = std::int64_t{1} << 57;
-
-[[nodiscard]] std::uint8_t coded_mode(PanelOrder order) noexcept {
-  return order == PanelOrder::kRowMajor ? kModeRowMajor : kModeColMajor;
-}
 
 /// An entry's (major, minor) coordinates in `order`.
 struct Key {
@@ -41,13 +38,27 @@ struct Key {
   return order == PanelOrder::kRowMajor ? Key{t.row, t.col} : Key{t.col, t.row};
 }
 
-/// An upper bound on a message's entries, to size the output once: word
+/// A message's body (its mode byte and code) once the CRC-32 trailer
+/// checks out; empty for the empty message.
+[[nodiscard]] std::span<const std::uint8_t> checked_body(std::span<const std::uint8_t> bytes) {
+  if (bytes.empty()) return bytes;
+  if (bytes.size() <= kCrcBytes) throw error::CorruptInput("decode_panel: truncated message");
+  const std::span<const std::uint8_t> body = bytes.first(bytes.size() - kCrcBytes);
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + body.size(), kCrcBytes);
+  if (stored != crc32(body.data(), body.size())) {
+    throw error::CorruptInput("decode_panel: checksum mismatch");
+  }
+  return body;
+}
+
+/// An upper bound on a body's entries, to size the output once: word
 /// runs by their masks, gaps by their varints (each entry has at least
 /// one, and each varint ends in a byte below 0x80).
-[[nodiscard]] std::size_t entry_bound(std::span<const std::uint8_t> bytes) {
-  if (bytes.empty()) return 0;
-  if (bytes[0] == kModeRuns) return (bytes.size() - 1) / kMaskBytes;
-  return static_cast<std::size_t>(std::count_if(bytes.begin() + 1, bytes.end(),
+[[nodiscard]] std::size_t entry_bound(std::span<const std::uint8_t> body) {
+  if (body.empty()) return 0;
+  if (body[0] == kModeRuns) return (body.size() - 1) / kMaskBytes;
+  return static_cast<std::size_t>(std::count_if(body.begin() + 1, body.end(),
                                                 [](std::uint8_t b) { return b < 0x80; }));
 }
 
@@ -130,16 +141,16 @@ void decode_runs(util::Leb128Reader& in, BlockRange majors, BlockRange minors, E
   }
 }
 
-/// Decode one message, calling sink(row, col, mask) per entry in the
-/// message's order with extent-relative coordinates.
+/// Decode one message body, calling sink(row, col, mask) per entry in
+/// the message's order with extent-relative coordinates.
 template <typename Sink>
-void decode_entries(std::span<const std::uint8_t> bytes, PanelOrder order,
+void decode_entries(std::span<const std::uint8_t> body, PanelOrder order,
                     PanelExtents extents, Sink&& sink) {
   if (extents.rows.begin < 0 || extents.rows.size() < 0 || extents.cols.begin < 0 ||
       extents.cols.size() < 0) {
     throw std::invalid_argument("decode_panel: invalid extents");
   }
-  if (bytes.empty()) return;
+  if (body.empty()) return;
   const bool row_major = order == PanelOrder::kRowMajor;
   const BlockRange majors = row_major ? extents.rows : extents.cols;
   const BlockRange minors = row_major ? extents.cols : extents.rows;
@@ -150,11 +161,11 @@ void decode_entries(std::span<const std::uint8_t> bytes, PanelOrder order,
       sink(minor - extents.rows.begin, major - extents.cols.begin, mask);
     }
   };
-  const std::uint8_t mode = bytes[0];
-  util::Leb128Reader in(bytes.subspan(1), "decode_panel");
+  const std::uint8_t mode = body[0];
+  util::Leb128Reader in(body.subspan(1), "decode_panel");
   if (mode == kModeRuns) {
     decode_runs(in, majors, minors, emit);
-  } else if (mode != coded_mode(order)) {
+  } else if (mode != kModeGaps) {
     throw error::CorruptInput("decode_panel: unexpected mode byte " + std::to_string(mode));
   } else if (minors.end <= kNarrowMinors) {
     decode_gaps<std::uint64_t>(in, majors, minors, emit);
@@ -164,7 +175,7 @@ void decode_entries(std::span<const std::uint8_t> bytes, PanelOrder order,
 }
 
 /// Extents that admit every non-negative coordinate (re-reading this
-/// encoder's own output).
+/// encoder's own gap code).
 constexpr PanelExtents kUnbounded{{0, std::numeric_limits<std::int64_t>::max()},
                                   {0, std::numeric_limits<std::int64_t>::max()}};
 
@@ -227,7 +238,7 @@ void PanelEncoder::add(const Triplet<std::uint64_t>& entry) {
   }
   if (entry.value == 0) throw std::invalid_argument("PanelEncoder: empty mask");
   if (bytes_.empty()) {
-    bytes_.push_back(coded_mode(order_));
+    bytes_.push_back(kModeGaps);
     runs_floor_ = 1;
   }
   if (key.major != major_) {
@@ -266,21 +277,33 @@ void PanelEncoder::add(const Triplet<std::uint64_t>& entry) {
 std::vector<std::uint8_t> PanelEncoder::finish() && {
   if (bytes_.empty()) return {};
   bytes_.push_back(0);  // end the last major
-  if (bytes_.size() <= runs_floor_) return std::move(bytes_);
-  // Masks dense enough that word runs may be smaller: write them from the
-  // gap code, which decodes back losslessly, and send the smaller form.
-  RunWriter writer(bytes_.size());
-  const bool row_major = order_ == PanelOrder::kRowMajor;
-  decode_entries(bytes_, order_, kUnbounded,
-                 [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
-                   if (row_major) {
-                     writer.add(row, col, mask);
-                   } else {
-                     writer.add(col, row, mask);
-                   }
-                 });
-  std::vector<std::uint8_t> runs = std::move(writer).finish();
-  return runs.size() < bytes_.size() ? std::move(runs) : std::move(bytes_);
+  if (bytes_.size() > runs_floor_) {
+    // Masks dense enough that word runs may be smaller: write them from
+    // the gap code, which decodes back losslessly, and send the smaller
+    // form. The writer reserves the floor, which is below their size,
+    // not the gap code's larger one.
+    RunWriter writer(static_cast<std::size_t>(runs_floor_) + kCrcBytes);
+    const bool row_major = order_ == PanelOrder::kRowMajor;
+    decode_entries(bytes_, order_, kUnbounded,
+                   [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
+                     if (row_major) {
+                       writer.add(row, col, mask);
+                     } else {
+                       writer.add(col, row, mask);
+                     }
+                   });
+    std::vector<std::uint8_t> runs = std::move(writer).finish();
+    if (runs.size() < bytes_.size()) bytes_ = std::move(runs);
+  }
+  seal_message(bytes_);
+  return std::move(bytes_);
+}
+
+void seal_message(std::vector<std::uint8_t>& body) {
+  const std::uint32_t crc = crc32(body.data(), body.size());
+  const std::size_t at = body.size();
+  body.resize(at + kCrcBytes);
+  std::memcpy(body.data() + at, &crc, kCrcBytes);
 }
 
 CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents,
@@ -292,10 +315,11 @@ CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents,
   CsrPanel panel;
   panel.rows = extents.rows.size();
   panel.cols = keep_cols.size();
-  const std::size_t bound = entry_bound(bytes);
+  const std::span<const std::uint8_t> body = checked_body(bytes);
+  const std::size_t bound = entry_bound(body);
   panel.col_idx.reserve(bound);
   panel.values.reserve(bound);
-  decode_entries(bytes, PanelOrder::kRowMajor, extents,
+  decode_entries(body, PanelOrder::kRowMajor, extents,
                  [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
                    if (!keep_cols.contains(col)) return;
                    if (panel.row_ids.empty() || panel.row_ids.back() != row) {
@@ -321,9 +345,10 @@ CsrPanel decode_tight_panel(std::span<const std::uint8_t> bytes, PanelExtents ex
 
 void decode_panel_append(std::span<const std::uint8_t> bytes, PanelOrder order,
                          PanelExtents extents, std::vector<Triplet<std::uint64_t>>& out) {
-  const std::size_t need = out.size() + entry_bound(bytes);
+  const std::span<const std::uint8_t> body = checked_body(bytes);
+  const std::size_t need = out.size() + entry_bound(body);
   if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
-  decode_entries(bytes, order, extents,
+  decode_entries(body, order, extents,
                  [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
                    out.push_back({row, col, mask});
                  });
@@ -355,7 +380,7 @@ std::vector<std::int64_t> decode_index_set(std::span<const std::uint8_t> bytes,
                                            std::int64_t extent) {
   const std::int64_t words = extent / 64 + (extent % 64 != 0 ? 1 : 0);
   std::vector<std::int64_t> out;
-  decode_entries(bytes, PanelOrder::kRowMajor, {{0, 1}, {0, words}},
+  decode_entries(checked_body(bytes), PanelOrder::kRowMajor, {{0, 1}, {0, words}},
                  [&](std::int64_t, std::int64_t col, std::uint64_t mask) {
                    for (; mask != 0; mask &= mask - 1) {
                      const std::int64_t index = col * 64 + std::countr_zero(mask);

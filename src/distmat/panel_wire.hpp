@@ -14,38 +14,46 @@
 //   row of a canonical row-major panel, the column of a pack's
 //   column-major bucket) the LEB128 gap to it from the previous major + 1
 //   (the first major is its own gap), followed by either
-//   * gaps (modes kRowMajor / kColMajor): the LEB128 gaps between its
-//     set-bit positions minor · 64 + bit (the first from −1, so every gap
-//     is ≥ 1), ended by a 0 byte; or
-//   * word runs (one mode for both orders): runs of consecutive minors,
-//     each a LEB128 count ≥ 1, the LEB128 skip from the previous run's
-//     end (its last minor + 1; 0 before the major's first run) and
-//     `count` nonzero 8-byte masks in host byte order, ended by a 0 count.
+//   * gaps (mode 1): the LEB128 gaps between its set-bit positions
+//     minor · 64 + bit (the first from −1, so every gap is ≥ 1), ended by
+//     a 0 byte; or
+//   * word runs (mode 0): runs of consecutive minors, each a LEB128
+//     count ≥ 1, the LEB128 skip from the previous run's end (its last
+//     minor + 1; 0 before the major's first run) and `count` nonzero
+//     8-byte masks in host byte order, ended by a 0 count;
+//   then the CRC-32 (util/crc32.hpp) of all the bytes before it, 4 bytes
+//   in host byte order.
+//
+// The mode byte does not name the order: the receiver knows which order
+// it asked for.
 //
 // The encoder streams the gap code and sends the smaller form (gaps on a
 // tie). It tracks a floor under the word runs' size as it goes and writes
 // them only when the gap code outgrows that floor, so sparse messages,
 // the common case, are never coded twice. That is the size guard: a
 // sparse mask costs a byte or two per set bit, and no message costs more
-// than 8 bytes per mask plus its run and major headers, so a dense filter
-// bitmap travels at about a bit per row.
+// than 8 bytes per mask plus its run and major headers and the CRC, so a
+// dense filter bitmap travels at about a bit per row.
 //
 // Every mask the pipeline ships has a set bit (pack_batch emits no empty
 // mask and the OR-merge keeps them nonzero); the encoder rejects an
 // empty one.
 //
-// An empty panel is an empty message. The code is lossless: a decoded
+// An empty panel is an empty message, with no CRC. The code is lossless: a decoded
 // panel equals the encoded one entry for entry. Positions reach
 // minor · 64 + 63, past int64 for word-rows near 4³¹ (b = 1 with no row
 // filter at k = 31), so past minor 2⁵⁷ they are formed in 128-bit
 // arithmetic (64-bit below it) and a varint is at most 10 bytes
 // (util/leb128.hpp).
 //
-// The decoders take the receiver's extents and throw error::CorruptInput
-// on an unknown mode, truncation, a runaway varint, a major with no set
-// bit, an empty mask, or any coordinate outside the extents: whatever a
-// damaged message decodes to is a canonical panel inside the box the
-// receiver indexes with.
+// The decoders check the CRC first, so damage inside any four
+// consecutive bytes of a message (a mask as much as a coordinate: word
+// runs carry masks verbatim) fails as corrupt input instead of decoding
+// to another, well-formed panel. They also take the receiver's extents and throw
+// error::CorruptInput on an unknown mode, truncation, a runaway varint, a
+// major with no set bit, an empty mask, or any coordinate outside the
+// extents: whatever a message that passes the CRC decodes to is a
+// canonical panel inside the box the receiver indexes with.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +88,7 @@ class PanelEncoder {
   void add(const Triplet<std::uint64_t>& entry);
 
   /// The finished message: the gap code, or the word runs when those are
-  /// smaller; empty for an empty panel.
+  /// smaller, sealed by its CRC; empty for an empty panel.
   [[nodiscard]] std::vector<std::uint8_t> finish() &&;
 
  private:
@@ -93,6 +101,11 @@ class PanelEncoder {
   std::int64_t minor_ = -1;
   unsigned __int128 next_position_ = 0;  ///< last position + 1 in the major
 };
+
+/// Append the CRC-32 trailer that seals a message body (its mode byte and
+/// code). PanelEncoder::finish seals every message it writes; the tests
+/// seal hand-built bodies with it to reach the decoder's structural checks.
+void seal_message(std::vector<std::uint8_t>& body);
 
 /// Encode the entries of `entries` that `keep` accepts.
 template <typename Keep>

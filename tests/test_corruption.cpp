@@ -13,6 +13,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/matrix_io.hpp"
@@ -283,16 +284,18 @@ TEST(CorruptionMatrix, KmersCodesOutsideTheUniverseAreConfigErrors) {
 // ------------------------------------------------ set-bit wire decode
 
 /// Decode a damaged panel message both ways: each must throw the typed
-/// CorruptInput or yield a canonical panel inside the extents.
+/// CorruptInput or, unless `must_reject`, yield a canonical panel inside
+/// the extents.
 void expect_panel_contained(const std::vector<std::uint8_t>& bytes,
                             distmat::PanelOrder order, distmat::PanelExtents extents,
-                            const std::string& label) {
+                            const std::string& label, bool must_reject) {
   const std::int64_t rows = extents.rows.size();
   const std::int64_t cols = extents.cols.size();
   const bool row_major = order == distmat::PanelOrder::kRowMajor;
   try {
     std::vector<distmat::Triplet<std::uint64_t>> entries;
     distmat::decode_panel_append(bytes, order, extents, entries);
+    ASSERT_FALSE(must_reject) << label << " passed the CRC";
     for (std::size_t i = 0; i < entries.size(); ++i) {
       const auto& t = entries[i];
       ASSERT_TRUE(t.row >= 0 && t.row < rows && t.col >= 0 && t.col < cols) << label;
@@ -328,11 +331,13 @@ void expect_panel_contained(const std::vector<std::uint8_t>& bytes,
 }
 
 /// Decode a damaged index-set message: it must throw the typed
-/// CorruptInput or yield a sorted set inside [0, extent).
+/// CorruptInput or, unless `must_reject`, yield a sorted set inside
+/// [0, extent).
 void expect_index_set_contained(const std::vector<std::uint8_t>& bytes, std::int64_t extent,
-                                const std::string& label) {
+                                const std::string& label, bool must_reject) {
   try {
     const auto decoded = distmat::decode_index_set(bytes, extent);
+    ASSERT_FALSE(must_reject) << label << " passed the CRC";
     for (std::size_t i = 0; i < decoded.size(); ++i) {
       ASSERT_TRUE(decoded[i] >= 0 && decoded[i] < extent) << label;
       if (i > 0) {
@@ -348,8 +353,8 @@ void expect_index_set_contained(const std::vector<std::uint8_t>& bytes, std::int
 
 /// Every truncation and every single-byte flip of `bytes`, labelled.
 template <typename Check>
-void sweep_damage(const std::vector<std::uint8_t>& bytes, const std::string& label,
-                  Check check) {
+void each_damage(const std::vector<std::uint8_t>& bytes, const std::string& label,
+                 Check check) {
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     check(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + static_cast<long>(len)),
           label + " truncated to " + std::to_string(len));
@@ -361,6 +366,24 @@ void sweep_damage(const std::vector<std::uint8_t>& bytes, const std::string& lab
   }
 }
 
+/// Damage a sealed message two ways. As it stands, the CRC must reject
+/// every flip and every truncation but the one to nothing (the empty
+/// message). Damage its body and reseal it, and the structural checks
+/// behind the CRC must contain the result: check(bytes, label,
+/// must_reject).
+template <typename Check>
+void sweep_damage(const std::vector<std::uint8_t>& bytes, const std::string& label,
+                  Check check) {
+  each_damage(bytes, label, [&](const std::vector<std::uint8_t>& damaged,
+                                const std::string& what) { check(damaged, what, !damaged.empty()); });
+  const std::vector<std::uint8_t> body(bytes.begin(), bytes.end() - 4);
+  each_damage(body, label + " resealed", [&](std::vector<std::uint8_t> damaged,
+                                             const std::string& what) {
+    distmat::seal_message(damaged);
+    check(damaged, what, false);
+  });
+}
+
 TEST(CorruptionMatrix, SetBitWireDamageIsContainedOrTyped) {
   // The one set-bit wire code in every form it takes. Panels: gaps in
   // both orders (a sparse row-major panel; a column-major bucket whose
@@ -368,7 +391,8 @@ TEST(CorruptionMatrix, SetBitWireDamageIsContainedOrTyped) {
   // panel of full masks; a column-major bucket of full masks near 4^31).
   // Index sets, as the filter union ships them: a dense set whose last
   // mask word is partial (word runs), a huge-gap hypersparse one and a
-  // tiny one (gaps).
+  // tiny one (gaps). Each is swept sealed, where the CRC must reject all
+  // damage, and resealed, where the decoder's own checks must contain it.
   struct PanelShape {
     std::vector<distmat::Triplet<std::uint64_t>> entries;
     distmat::PanelOrder order;
@@ -389,16 +413,18 @@ TEST(CorruptionMatrix, SetBitWireDamageIsContainedOrTyped) {
        distmat::PanelOrder::kColMajor,
        {{0, m}, {2, 4}}},
   };
-  std::set<std::uint8_t> modes;
+  std::set<std::pair<std::uint8_t, distmat::PanelOrder>> forms;
   for (const PanelShape& shape : panels) {
     const std::vector<std::uint8_t> bytes = distmat::encode_panel(shape.entries, shape.order);
-    modes.insert(bytes.at(0));
+    forms.insert({bytes.at(0), shape.order});
     sweep_damage(bytes, "panel mode " + std::to_string(bytes.at(0)),
-                 [&](const std::vector<std::uint8_t>& damaged, const std::string& label) {
-                   expect_panel_contained(damaged, shape.order, shape.extents, label);
+                 [&](const std::vector<std::uint8_t>& damaged, const std::string& label,
+                     bool must_reject) {
+                   expect_panel_contained(damaged, shape.order, shape.extents, label,
+                                          must_reject);
                  });
   }
-  EXPECT_EQ(modes.size(), 3u);  // word runs and the gaps of either order
+  EXPECT_EQ(forms.size(), 4u);  // word runs and gaps, each in either order
 
   struct IndexShape {
     std::vector<std::int64_t> indices;
@@ -418,8 +444,9 @@ TEST(CorruptionMatrix, SetBitWireDamageIsContainedOrTyped) {
         distmat::encode_index_set(shape.indices, shape.extent);
     set_modes.insert(bytes.at(0));
     sweep_damage(bytes, "index set mode " + std::to_string(bytes.at(0)),
-                 [&](const std::vector<std::uint8_t>& damaged, const std::string& label) {
-                   expect_index_set_contained(damaged, shape.extent, label);
+                 [&](const std::vector<std::uint8_t>& damaged, const std::string& label,
+                     bool must_reject) {
+                   expect_index_set_contained(damaged, shape.extent, label, must_reject);
                  });
   }
   EXPECT_EQ(set_modes.size(), 2u);  // word runs and gaps

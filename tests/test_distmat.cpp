@@ -288,10 +288,20 @@ std::vector<Triplet<std::uint64_t>> random_panel(std::int64_t rows, std::int64_t
   return entries;
 }
 
+/// The CRC-32 trailer every nonempty message ends in.
+constexpr std::size_t kSeal = 4;
+
+/// A hand-built message body (mode byte and code), sealed so that it
+/// reaches the decoder's structural checks.
+std::vector<std::uint8_t> sealed(std::vector<std::uint8_t> body) {
+  seal_message(body);
+  return body;
+}
+
 std::vector<Triplet<std::uint64_t>> round_trip(std::span<const Triplet<std::uint64_t>> entries,
                                                PanelOrder order, PanelExtents extents) {
   const std::vector<std::uint8_t> wire = encode_panel(entries, order);
-  EXPECT_LE(wire.size(), 24 * entries.size() + 1);
+  EXPECT_LE(wire.size(), 24 * entries.size() + 1 + kSeal);
   std::vector<Triplet<std::uint64_t>> decoded;
   decode_panel_append(wire, order, extents, decoded);
   return decoded;
@@ -344,21 +354,21 @@ TEST(PanelWire, DenseMasksTravelAsWordRuns) {
   // A full mask costs 64 gap bytes but 8 as a word run, plus a count and
   // a skip per run: the mode byte, then row 0 (gap 0; a run at column 0,
   // skip 0; a run at column 3, skip 2; 0), then row 2 (gap 1; a run at
-  // column 1, skip 1; 0).
+  // column 1, skip 1; 0), then the CRC.
   const std::vector<Triplet<std::uint64_t>> dense{{0, 0, ~0ULL}, {0, 3, ~0ULL}, {2, 1, ~0ULL}};
   const std::vector<std::uint8_t> wire = encode_panel(dense, PanelOrder::kRowMajor);
-  EXPECT_EQ(wire.size(), 1 + (1 + 2 + 8 + 2 + 8 + 1) + (1 + 2 + 8 + 1));
+  EXPECT_EQ(wire.size(), 1 + (1 + 2 + 8 + 2 + 8 + 1) + (1 + 2 + 8 + 1) + kSeal);
   EXPECT_LT(wire.size(), 24 * dense.size() + 1);
   EXPECT_EQ(round_trip(dense, PanelOrder::kRowMajor, {{0, 3}, {0, 4}}), dense);
   // Consecutive columns share one run, whatever their masks.
   const std::vector<Triplet<std::uint64_t>> run{{1, 4, ~0ULL}, {1, 5, 6}, {1, 6, ~0ULL}};
-  EXPECT_EQ(encode_panel(run, PanelOrder::kRowMajor).size(), 1 + (1 + 2 + 3 * 8 + 1));
+  EXPECT_EQ(encode_panel(run, PanelOrder::kRowMajor).size(), 1 + (1 + 2 + 3 * 8 + 1) + kSeal);
   EXPECT_EQ(round_trip(run, PanelOrder::kRowMajor, {{0, 2}, {0, 7}}), run);
   // The form is chosen per message: a sparse entry beside a full mask
   // travels as a word run too, as that is smaller in total.
   const std::vector<Triplet<std::uint64_t>> mixed{{0, 0, ~0ULL}, {3, 1, 1}};
   EXPECT_EQ(encode_panel(mixed, PanelOrder::kRowMajor).size(),
-            1 + (1 + 2 + 8 + 1) + (1 + 2 + 8 + 1));
+            1 + (1 + 2 + 8 + 1) + (1 + 2 + 8 + 1) + kSeal);
   EXPECT_EQ(round_trip(mixed, PanelOrder::kRowMajor, {{0, 4}, {0, 2}}), mixed);
   // An empty mask has no set bit to code, and the pipeline ships none.
   const std::vector<Triplet<std::uint64_t>> with_empty{{0, 1, 5}, {1, 0, 0}, {4, 2, 9}};
@@ -391,7 +401,7 @@ TEST(PanelWire, WordIdsNearFourToThe31RoundTripColumnMajor) {
   const std::vector<Triplet<std::uint64_t>> dense{
       {m - 3, 1, ~0ULL}, {m - 2, 1, ~0ULL}, {m - 1, 1, 5}, {0, 2, ~0ULL}, {m - 1, 2, ~0ULL}};
   const std::vector<std::uint8_t> runs = encode_panel(dense, PanelOrder::kColMajor);
-  EXPECT_EQ(runs.size(), 1 + (1 + 1 + 9 + 3 * 8 + 1) + (1 + 2 + 8 + 1 + 9 + 8 + 1));
+  EXPECT_EQ(runs.size(), 1 + (1 + 1 + 9 + 3 * 8 + 1) + (1 + 2 + 8 + 1 + 9 + 8 + 1) + kSeal);
   EXPECT_EQ(round_trip(dense, PanelOrder::kColMajor, {{0, m}, {0, 3}}), dense);
   EXPECT_THROW(decode_panel_append(runs, PanelOrder::kColMajor, {{0, m - 1}, {0, 3}}, out),
                error::CorruptInput);
@@ -408,31 +418,32 @@ TEST(PanelWire, DecoderChecksTheReceiversExtents) {
   std::vector<Triplet<std::uint64_t>> out;
   decode_panel_append(wire, PanelOrder::kRowMajor, {{1, 4}, {2, 10}}, out);
   EXPECT_EQ(out, (std::vector<Triplet<std::uint64_t>>{{0, 0, 6}, {2, 7, 1}}));
-  // A row-major message is not a column-major one.
-  EXPECT_THROW(decode_panel_append(wire, PanelOrder::kColMajor, {{0, 10}, {0, 10}}, out),
-               error::CorruptInput);
   // A gap past 2^64 saturates and lands outside the extents; an eleventh
   // varint byte is a runaway.
   std::vector<std::uint8_t> huge{wire[0], 0x00};
   huge.insert(huge.end(), 9, 0xff);
   huge.insert(huge.end(), {0x7f, 0x00});
-  EXPECT_THROW((void)decode_panel(huge, {{0, 4}, {0, 10}}), error::CorruptInput);
+  EXPECT_THROW((void)decode_panel(sealed(huge), {{0, 4}, {0, 10}}), error::CorruptInput);
   std::vector<std::uint8_t> runaway{wire[0], 0x00};
   runaway.insert(runaway.end(), 10, 0xff);
   runaway.push_back(0x01);
-  EXPECT_THROW((void)decode_panel(runaway, {{0, 4}, {0, 10}}), error::CorruptInput);
+  EXPECT_THROW((void)decode_panel(sealed(runaway), {{0, 4}, {0, 10}}), error::CorruptInput);
+  // An unknown mode byte.
+  EXPECT_THROW((void)decode_panel(sealed({7, 0x00, 0x01, 0x00}), {{0, 4}, {0, 10}}),
+               error::CorruptInput);
   // Word runs: row 0 holds one run of count 1 at skip 0 with a full mask.
   // Damage its count, skip or mask and the decoder rejects it.
-  const std::uint8_t runs = encode_panel(std::vector<Triplet<std::uint64_t>>{{0, 0, ~0ULL}},
-                                         PanelOrder::kRowMajor)[0];
+  const std::vector<std::uint8_t> full = encode_panel(
+      std::vector<Triplet<std::uint64_t>>{{0, 0, ~0ULL}}, PanelOrder::kRowMajor);
   const auto run_message = [&](std::uint64_t count, std::uint64_t skip, std::uint64_t mask) {
-    std::vector<std::uint8_t> bytes{runs, 0x00};
+    std::vector<std::uint8_t> bytes{full[0], 0x00};
     util::put_leb128(bytes, count);
     util::put_leb128(bytes, skip);
     for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<std::uint8_t>(mask >> (8 * b)));
     bytes.push_back(0x00);
-    return bytes;
+    return sealed(std::move(bytes));
   };
+  EXPECT_EQ(run_message(1, 0, ~0ULL), full);
   EXPECT_EQ(decode_panel(run_message(1, 9, 1), {{0, 4}, {0, 10}}).col_idx,
             std::vector<std::int64_t>{9});
   EXPECT_THROW((void)decode_panel(run_message(1, 10, 1), {{0, 4}, {0, 10}}),
@@ -455,6 +466,34 @@ TEST(PanelWire, DecoderChecksTheReceiversExtents) {
   // The encoder takes canonical input only.
   const std::vector<Triplet<std::uint64_t>> unsorted{{3, 0, 1}, {1, 0, 1}};
   EXPECT_THROW((void)encode_panel(unsorted, PanelOrder::kRowMajor), std::invalid_argument);
+}
+
+TEST(PanelWire, ChecksumRejectsEveryFlippedByte) {
+  // Word runs carry masks verbatim and a gap code's varints decode to
+  // other well-formed panels, so extents alone cannot see a flipped mask
+  // bit or a shifted coordinate inside the box: the CRC does. Every byte
+  // of both forms, the trailer included, flipped in every bit.
+  const PanelExtents box{{0, 4}, {0, 10}};
+  const std::vector<Triplet<std::uint64_t>> dense{{0, 0, ~0ULL}, {0, 1, 0x00ff00ff00ff00ffULL},
+                                                  {3, 9, ~0ULL}};
+  const std::vector<Triplet<std::uint64_t>> sparse{{1, 2, 6}, {3, 9, 1}};
+  for (const auto* entries : {&dense, &sparse}) {
+    const std::vector<std::uint8_t> wire = encode_panel(*entries, PanelOrder::kRowMajor);
+    ASSERT_NO_THROW((void)decode_panel(wire, box));
+    for (std::size_t pos = 0; pos < wire.size(); ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::vector<std::uint8_t> flipped = wire;
+        flipped[pos] ^= static_cast<std::uint8_t>(1U << bit);
+        EXPECT_THROW((void)decode_panel(flipped, box), error::CorruptInput)
+            << "mode " << int{wire[0]} << " byte " << pos << " bit " << bit;
+      }
+    }
+    // A message cut short, down to its bare trailer or less.
+    for (std::size_t len = 1; len < wire.size(); ++len) {
+      const std::span<const std::uint8_t> cut(wire.data(), len);
+      EXPECT_THROW((void)decode_panel(cut, box), error::CorruptInput) << "length " << len;
+    }
+  }
 }
 
 TEST(PanelWire, IndexSetsRoundTripEveryShape) {
@@ -487,19 +526,19 @@ TEST(PanelWire, IndexSetsRoundTripEveryShape) {
   for (const Shape& shape : shapes) {
     const auto encoded = encode_index_set(shape.indices, shape.extent);
     EXPECT_EQ(decode_index_set(encoded, shape.extent), shape.indices) << shape.name;
-    // Never above the raw list and its mode word (every gap here is
-    // below 2^56 rows).
-    EXPECT_LE(encoded.size(), 8 * (shape.indices.size() + 1)) << shape.name;
+    // Never above the raw list and its mode word, plus the CRC (every gap
+    // here is below 2^56 rows).
+    EXPECT_LE(encoded.size(), 8 * (shape.indices.size() + 1) + kSeal) << shape.name;
   }
   EXPECT_TRUE(encode_index_set(shapes[0].indices, 100).empty());
 
   // Compression wins where it should: about a bit per row on dense runs
   // (word runs), and 4 bytes an index on gaps of 2^25 rows.
-  EXPECT_LE(encode_index_set(shapes[3].indices, 500).size(), 500 / 8 + 8);
+  EXPECT_LE(encode_index_set(shapes[3].indices, 500).size(), 500 / 8 + 8 + kSeal);
   std::vector<std::int64_t> hypersparse;
   for (std::int64_t v = 0; v < 1000; ++v) hypersparse.push_back(v * 33554432);
   EXPECT_LE(encode_index_set(hypersparse, std::int64_t{1} << 45).size(),
-            4 * hypersparse.size() + 4);
+            4 * hypersparse.size() + 4 + kSeal);
 
   // Malformed inputs throw.
   const std::vector<std::int64_t> unsorted = {5, 3};
@@ -508,8 +547,7 @@ TEST(PanelWire, IndexSetsRoundTripEveryShape) {
   EXPECT_THROW((void)encode_index_set(beyond, 10), std::invalid_argument);
   const std::vector<std::int64_t> negative = {-1, 3};
   EXPECT_THROW((void)encode_index_set(negative, 10), std::invalid_argument);
-  const std::vector<std::uint8_t> bad_mode = {99, 0, 1, 0};
-  EXPECT_THROW((void)decode_index_set(bad_mode, 10), error::CorruptInput);
+  EXPECT_THROW((void)decode_index_set(sealed({99, 0, 1, 0}), 10), error::CorruptInput);
   // Hostile gap streams must throw, never yield negative or out-of-extent
   // indices: a complete 10-byte varint coding gap = 2^63 (the sign bit:
   // nine 0x80 continuation bytes, then 0x01), and a gap to index 10 of a
@@ -518,10 +556,12 @@ TEST(PanelWire, IndexSetsRoundTripEveryShape) {
   std::vector<std::uint8_t> sign_bit_gap{gaps, 0x00};
   sign_bit_gap.insert(sign_bit_gap.end(), 9, 0x80);
   sign_bit_gap.insert(sign_bit_gap.end(), {0x01, 0x00});
-  EXPECT_THROW((void)decode_index_set(sign_bit_gap, std::int64_t{1} << 40),
+  EXPECT_THROW((void)decode_index_set(sealed(sign_bit_gap), std::int64_t{1} << 40),
                error::CorruptInput);
-  const std::vector<std::uint8_t> gap_past_extent{gaps, 0x00, 11, 0x00};
-  EXPECT_THROW((void)decode_index_set(gap_past_extent, 10), error::CorruptInput);
+  EXPECT_EQ(decode_index_set(sealed({gaps, 0x00, 10, 0x00}), 10),
+            std::vector<std::int64_t>{9});
+  EXPECT_THROW((void)decode_index_set(sealed({gaps, 0x00, 11, 0x00}), 10),
+               error::CorruptInput);
   // A word-run skip past the extent must throw before minor · 64 can
   // overflow.
   const std::uint8_t runs = encode_index_set(shapes[3].indices, 500)[0];
@@ -529,7 +569,7 @@ TEST(PanelWire, IndexSetsRoundTripEveryShape) {
   util::put_leb128(runaway_skip, std::uint64_t{1} << 62);
   runaway_skip.insert(runaway_skip.end(), 8, 0xff);
   runaway_skip.push_back(0x00);
-  EXPECT_THROW((void)decode_index_set(runaway_skip, 64), error::CorruptInput);
+  EXPECT_THROW((void)decode_index_set(sealed(runaway_skip), 64), error::CorruptInput);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, RedistributeTest, ::testing::Values(1, 2, 4, 7));

@@ -405,17 +405,16 @@ TEST(FaultInjection, FlippedPanelBytesAreTypedOrBenign) {
   // union, redistribution alltoall, ring hops, SUMMA transposes and
   // broadcasts, output gather — must either let the run finish or end it
   // as corrupt input (exit 3): received panels and filter index sets are
-  // bounds-checked on decode (distmat/panel_wire.hpp), so a damaged
-  // coordinate is rejected before a kernel indexes with it, and a filter
-  // that decodes cleanly but lacks a row some rank read fails
-  // compact_row_id; at least one flip must meet the panel decoder. Wire
-  // damage is never a rank failure (exit 4), which names a program bug.
-  // The dense corpus's filter index sets travel as word runs, the
-  // hypersparse one's as gaps, where a flip mostly decodes to a
-  // well-formed filter that misses a row. SUMMA's first 24 ops at 4
-  // ranks are the ProcGrid split allgathers, where a flipped color can
-  // hang until the watchdog; its sweep starts at the batch body. Past the
-  // last op the flip never fires, so the sweep's last run must not throw.
+  // CRC-checked and bounds-checked on decode (distmat/panel_wire.hpp), so
+  // damage is rejected before a kernel indexes with it, and a filter
+  // that lacks a row some rank read fails compact_row_id; at least one
+  // flip must meet the panel decoder. Wire damage is never a rank failure
+  // (exit 4), which names a program bug. The dense corpus's filter index
+  // sets travel as word runs, the hypersparse one's as gaps. SUMMA's
+  // first 24 ops at 4 ranks are the ProcGrid split allgathers, where a
+  // flipped color can hang until the watchdog; its sweep starts at the
+  // batch body. Past the last op the flip never fires, so the sweep's
+  // last run must not throw.
   const auto dense = stress_source(2424);
   const auto hypersparse = hypersparse_source(2525);
   struct Sweep {
