@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/args.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/hashing.hpp"
 #include "util/leb128.hpp"
@@ -100,7 +101,11 @@ TEST(Leb128, RoundTripsAndRejectsDamage) {
   using u128 = unsigned __int128;
   const std::vector<std::uint64_t> values{0, 1, 127, 128, 16383, 16384, 1ULL << 63, ~0ULL};
   std::vector<std::uint8_t> bytes;
-  for (std::uint64_t v : values) util::put_leb128(bytes, v);
+  for (std::uint64_t v : values) {
+    const std::size_t before = bytes.size();
+    util::put_leb128(bytes, v);
+    EXPECT_EQ(util::leb128_bytes(v), bytes.size() - before) << v;
+  }
   const u128 wide = (u128{1} << 69) + 5;  // the panel wire's widest position gap
   util::put_leb128(bytes, wide);
   EXPECT_EQ(bytes.size(), 1 + 1 + 1 + 2 + 2 + 3 + 10 + 10 + 10u);
@@ -122,6 +127,38 @@ TEST(Leb128, RoundTripsAndRejectsDamage) {
   const std::vector<std::uint8_t> cut{0xff, 0xff};
   util::Leb128Reader short_read(cut, "test");
   EXPECT_THROW((void)short_read.read<std::uint64_t>(), error::CorruptInput);
+  // Raw bytes between varints: take hands out exactly what is left, and
+  // no more, even for a count whose byte length overflows 64 bits.
+  util::Leb128Reader raw(cut, "test");
+  EXPECT_THROW((void)raw.take(3, 1), error::CorruptInput);
+  EXPECT_THROW((void)raw.take(std::uint64_t{1} << 61, 8), error::CorruptInput);
+  EXPECT_EQ(raw.take(1, 2).size(), 2u);
+  EXPECT_TRUE(raw.done());
+}
+
+TEST(Crc32, MatchesTheBytewiseDefinitionAtEveryLengthAndOffset) {
+  // The standard check value, then the eight-bytes-a-step loop against
+  // the polynomial applied a bit at a time, across tails and alignments.
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926U);
+  EXPECT_EQ(crc32(nullptr, 0), 0U);
+  std::vector<unsigned char> bytes(80);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 151 + 7);
+  }
+  const auto bitwise = [](const unsigned char* data, std::size_t size) {
+    std::uint32_t crc = ~0U;
+    for (std::size_t i = 0; i < size; ++i) {
+      crc ^= data[i];
+      for (int bit = 0; bit < 8; ++bit) crc = (crc & 1U) != 0 ? (crc >> 1) ^ 0xEDB88320U : crc >> 1;
+    }
+    return ~crc;
+  };
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size + offset <= bytes.size(); ++size) {
+      EXPECT_EQ(crc32(bytes.data() + offset, size), bitwise(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
 }
 
 TEST(Rng, DeterministicPerSeed) {
