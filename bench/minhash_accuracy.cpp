@@ -112,9 +112,11 @@ int main(int argc, char** argv) {
     const char* kind;
     std::vector<std::int64_t> sizes;  // hll: precision p; others: slots k
   };
+  // Minhash at 2,048 bins is 4,096 B, the bytes of hll at p = 12: the
+  // equal-bytes row of the two.
   const std::vector<Variant> variants = {
       {"hll", {8, kDefaultHllPrecision, 16}},
-      {"minhash", {128, kDefaultSketchSize, 8192}},
+      {"minhash", {128, kDefaultSketchSize, 2048, 8192}},
       {"bottomk", {128, kDefaultSketchSize, 8192}},
   };
 
