@@ -4,7 +4,7 @@
 // Quantifies the paper's §I motivation ("these approximations often lead
 // to inaccurate approximations of d_J for highly similar pairs ... and
 // tend to be ineffective ... for highly dissimilar sets unless very
-// large sketch sizes are used") across the three src/sketch/ estimators:
+// large sketch sizes are used") across the two src/sketch/ estimators:
 // genome pairs are generated at controlled true Jaccard levels via the
 // point-mutation model and each estimator's mean absolute error over
 // hash-seed trials is compared against the exact value the
@@ -24,10 +24,10 @@
 //
 // EXIT CODE is the CI gate: non-zero when any default-size estimator's
 // mean absolute Jaccard error exceeds its documented bound
-// (hll_jaccard_error_bound / oph_jaccard_error_bound /
-// bottomk_jaccard_error_bound), when a sketch pipeline fails to
-// communicate fewer bytes than the exact pipeline on this workload, or
-// when the hybrid violates recall / parity / bytes on the family corpus.
+// (oph_jaccard_error_bound / bottomk_jaccard_error_bound), when a sketch
+// pipeline fails to communicate fewer bytes than the exact pipeline on
+// this workload, or when the hybrid violates recall / parity / bytes on
+// the family corpus.
 // Fourth part (gated): the LSH-banded candidate pass vs the all-pairs
 // sketch ring on a genome-family corpus — the banded pass must keep
 // every pair the all-pairs pass keeps above threshold + slack (equal
@@ -46,7 +46,6 @@
 #include "genome/synthetic.hpp"
 #include "sketch/bottomk.hpp"
 #include "sketch/exchange.hpp"
-#include "sketch/hyperloglog.hpp"
 #include "sketch/one_perm_minhash.hpp"
 #include "sketch/sketch.hpp"
 #include "util/args.hpp"
@@ -56,18 +55,12 @@ using namespace sas::bench;
 
 namespace {
 
-constexpr int kDefaultHllPrecision = 12;
 constexpr std::int64_t kDefaultSketchSize = 1024;
 constexpr int kDefaultMinhashBits = 16;
 
 double estimate_once(const std::string& kind, std::span<const std::uint64_t> a,
                      std::span<const std::uint64_t> b, std::int64_t size,
                      std::uint64_t seed) {
-  if (kind == "hll") {
-    return sketch::estimate_jaccard_wire(
-        sketch::HyperLogLog(a, static_cast<int>(size), seed).wire(),
-        sketch::HyperLogLog(b, static_cast<int>(size), seed).wire());
-  }
   if (kind == "minhash") {
     return sketch::estimate_jaccard_wire(
         sketch::OnePermMinHash(a, size, kDefaultMinhashBits, seed).wire(),
@@ -79,9 +72,8 @@ double estimate_once(const std::string& kind, std::span<const std::uint64_t> a,
 }
 
 std::int64_t sketch_bytes(const std::string& kind, std::int64_t size) {
-  if (kind == "hll") return std::int64_t{1} << size;            // 2^p registers
-  if (kind == "minhash") return size * kDefaultMinhashBits / 8; // k·b/8
-  return size * 8;                                              // bottom-k slots
+  if (kind == "minhash") return size * kDefaultMinhashBits / 8;  // k·b/8
+  return size * 8;                                               // bottom-k slots
 }
 
 }  // namespace
@@ -103,19 +95,17 @@ int main(int argc, char** argv) {
   const auto base_sample = genome::build_sample("base", {{"g", "", base}}, codec);
 
   // Default-size error accumulators for the CI gate.
-  double gate_err_hll = 0.0;
   double gate_err_oph = 0.0;
   double gate_err_bk = 0.0;
   int gate_count = 0;
 
   struct Variant {
     const char* kind;
-    std::vector<std::int64_t> sizes;  // hll: precision p; others: slots k
+    std::vector<std::int64_t> sizes;  // slots k
   };
-  // Minhash at 2,048 bins is 4,096 B, the bytes of hll at p = 12: the
-  // equal-bytes row of the two.
+  // Minhash at 2,048 bins is 4,096 B, what HyperLogLog took at p = 12:
+  // sketch/sketch.hpp records the equal-bytes comparison that deleted it.
   const std::vector<Variant> variants = {
-      {"hll", {8, kDefaultHllPrecision, 16}},
       {"minhash", {128, kDefaultSketchSize, 2048, 8192}},
       {"bottomk", {128, kDefaultSketchSize, 8192}},
   };
@@ -143,12 +133,7 @@ int main(int argc, char** argv) {
         }
         abs_err /= trials;
         rel_err /= trials;
-        const bool is_default = (variant.kind == std::string("hll") &&
-                                 size == kDefaultHllPrecision) ||
-                                (variant.kind != std::string("hll") &&
-                                 size == kDefaultSketchSize);
-        if (is_default) {
-          if (variant.kind == std::string("hll")) gate_err_hll += abs_err;
+        if (size == kDefaultSketchSize) {
           if (variant.kind == std::string("minhash")) gate_err_oph += abs_err;
           if (variant.kind == std::string("bottomk")) gate_err_bk += abs_err;
         }
@@ -160,7 +145,6 @@ int main(int argc, char** argv) {
     ++gate_count;
   }
   table.print();
-  gate_err_hll /= gate_count;
   gate_err_oph /= gate_count;
   gate_err_bk /= gate_count;
 
@@ -199,7 +183,6 @@ int main(int argc, char** argv) {
     double bound;
   };
   const std::vector<PipelineCase> cases = {
-      {"hll", core::Estimator::kHll, sketch::hll_jaccard_error_bound(kDefaultHllPrecision)},
       {"minhash", core::Estimator::kMinhash,
        sketch::oph_jaccard_error_bound(kDefaultSketchSize, kDefaultMinhashBits)},
       {"bottomk", core::Estimator::kBottomK,
@@ -533,9 +516,7 @@ int main(int argc, char** argv) {
     double err;
     double bound;
   };
-  for (const Gate& g : {Gate{"hll p=12", gate_err_hll,
-                             sketch::hll_jaccard_error_bound(kDefaultHllPrecision)},
-                        Gate{"minhash k=1024 b=16", gate_err_oph,
+  for (const Gate& g : {Gate{"minhash k=1024 b=16", gate_err_oph,
                              sketch::oph_jaccard_error_bound(kDefaultSketchSize,
                                                              kDefaultMinhashBits)},
                         Gate{"bottomk k=1024", gate_err_bk,

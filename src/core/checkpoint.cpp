@@ -260,7 +260,7 @@ std::uint64_t checkpoint_fingerprint(const Config& config, std::int64_t n,
   mix(static_cast<std::uint64_t>(config.algorithm));
   mix(config.use_zero_row_filter ? 1 : 0);
   mix(static_cast<std::uint64_t>(config.estimator));
-  mix(static_cast<std::uint64_t>(config.hll_precision));
+  mix(std::uint64_t{12});  // default of the retired hll_precision
   mix(static_cast<std::uint64_t>(config.sketch_size));
   mix(static_cast<std::uint64_t>(config.minhash_bits));
   mix(config.sketch_seed);

@@ -16,7 +16,10 @@
 //                     --sensitivity run pin the sparse/dense crossover)
 //   estimator         estimator and the sketch / hybrid / LSH parameters
 //                     below it — the approximate pipelines, measured by
-//                     bench/minhash_accuracy and the perf ledger
+//                     bench/minhash_accuracy and the perf ledger. Minhash
+//                     prunes for the hybrid and bottom-k is Mash, the
+//                     paper's comparator; hll_precision went with
+//                     HyperLogLog, which no workload or ablation ran
 //   operational       failure semantics, recovery, memory budget and
 //                     observability — no effect on results
 #pragma once
@@ -44,12 +47,14 @@ enum class Algorithm {
 /// pair space (Ĵ < prune_threshold − slack), then the exact pipeline
 /// rescores only the surviving pairs — sketch-level traffic on the
 /// pruned mass, bitwise-exact answers on every reported candidate.
+///
+/// The values are mixed into checkpoint_fingerprint, so they are fixed;
+/// 1 was HyperLogLog's (deleted; sketch/sketch.hpp says why).
 enum class Estimator {
-  kExact,    ///< exact popcount-semiring AᵀA (zero error)
-  kHll,      ///< HyperLogLog + inclusion–exclusion (sketch/hyperloglog.hpp)
-  kMinhash,  ///< b-bit one-permutation MinHash (sketch/one_perm_minhash.hpp)
-  kBottomK,  ///< Mash-style bottom-k MinHash (sketch/bottomk.hpp)
-  kHybrid,   ///< sketch-prune → exact-rescore (core/driver.hpp stage diagram)
+  kExact = 0,    ///< exact popcount-semiring AᵀA (zero error)
+  kMinhash = 2,  ///< b-bit one-permutation MinHash (sketch/one_perm_minhash.hpp)
+  kBottomK = 3,  ///< Mash-style bottom-k MinHash (sketch/bottomk.hpp)
+  kHybrid = 4,   ///< sketch-prune → exact-rescore (core/driver.hpp stage diagram)
 };
 
 /// How the hybrid's candidate pass generates the pair set
@@ -114,9 +119,6 @@ struct Config {
   /// Jaccard estimator (kExact = the paper's pipeline; others trade a
   /// documented error bound for fixed-size communication).
   Estimator estimator = Estimator::kExact;
-
-  /// HyperLogLog precision p (2^p registers), estimator == kHll.
-  int hll_precision = 12;
 
   /// Sketch slots: one-permutation MinHash bins (kMinhash) or bottom-k
   /// capacity (kBottomK).

@@ -827,8 +827,6 @@ const char* estimator_name(Estimator e) {
   switch (e) {
     case Estimator::kExact:
       return "exact";
-    case Estimator::kHll:
-      return "hll";
     case Estimator::kMinhash:
       return "minhash";
     case Estimator::kBottomK:

@@ -43,8 +43,8 @@
 //                      pair-keyed sketch estimates fill the pruned
 //                      entries. Checkpoint/resume and in-run recovery
 //                      wrap each batch of this loop.
-//   kHll/kMinhash/     ingest+sketch fused per owned sample → exchange
-//   kBottomK           (sketch-panel rotation on the same 1-D ring
+//   kMinhash/kBottomK  ingest+sketch fused per owned sample → exchange
+//                      (sketch-panel rotation on the same 1-D ring
 //                      schedule as the exact ring) → multiply
 //                      (estimation) → assemble; one pseudo-batch.
 //

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "distmat/dist_filter.hpp"
+#include "util/error.hpp"
 
 namespace sas::core {
 
@@ -98,24 +99,26 @@ std::vector<std::uint64_t> pack_word_panel(
 
 std::vector<std::span<const std::uint64_t>> unpack_word_panel(
     std::span<const std::uint64_t> panel) {
-  if (panel.empty()) throw std::invalid_argument("unpack_word_panel: empty panel");
-  const auto count = static_cast<std::size_t>(panel[0]);
-  if (panel.size() < 1 + count) {
-    throw std::invalid_argument("unpack_word_panel: truncated length table");
+  if (panel.empty()) throw error::CorruptInput("unpack_word_panel: empty panel");
+  // Sizes are compared by subtraction, so a damaged count or length near
+  // 2^64 cannot wrap a sum past the checks.
+  const std::uint64_t count = panel[0];
+  if (count > panel.size() - 1) {
+    throw error::CorruptInput("unpack_word_panel: truncated length table");
   }
   std::vector<std::span<const std::uint64_t>> views;
-  views.reserve(count);
-  std::size_t offset = 1 + count;
+  views.reserve(static_cast<std::size_t>(count));
+  std::size_t offset = 1 + static_cast<std::size_t>(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const auto len = static_cast<std::size_t>(panel[1 + i]);
-    if (offset + len > panel.size()) {
-      throw std::invalid_argument("unpack_word_panel: truncated payload");
+    const std::uint64_t len = panel[1 + i];
+    if (len > panel.size() - offset) {
+      throw error::CorruptInput("unpack_word_panel: truncated payload");
     }
-    views.push_back(panel.subspan(offset, len));
-    offset += len;
+    views.push_back(panel.subspan(offset, static_cast<std::size_t>(len)));
+    offset += static_cast<std::size_t>(len);
   }
   if (offset != panel.size()) {
-    throw std::invalid_argument("unpack_word_panel: trailing bytes");
+    throw error::CorruptInput("unpack_word_panel: trailing bytes");
   }
   return views;
 }

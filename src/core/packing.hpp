@@ -86,7 +86,8 @@ struct PackedBatch {
     const std::vector<std::vector<std::uint64_t>>& blobs);
 
 /// Slice a packed panel back into per-blob views. The returned spans
-/// alias `panel`; throws std::invalid_argument on malformed input.
+/// alias `panel`; throws error::CorruptInput unless the length table and
+/// the payloads fill `panel` exactly.
 [[nodiscard]] std::vector<std::span<const std::uint64_t>> unpack_word_panel(
     std::span<const std::uint64_t> panel);
 

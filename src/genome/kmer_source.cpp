@@ -81,7 +81,6 @@ std::vector<std::uint64_t> KmerFileSource::persisted_sketch(
     std::int64_t sample, const core::Config& config) const {
   const core::Estimator est = sketch::resolved_sketch_estimator(config);
   switch (est) {
-    case core::Estimator::kHll:
     case core::Estimator::kMinhash:
     case core::Estimator::kBottomK:
       break;

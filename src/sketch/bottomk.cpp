@@ -94,7 +94,7 @@ std::vector<double> minhash_all_pairs(
 
 double bottomk_wire_jaccard(std::span<const std::uint64_t> a,
                             std::span<const std::uint64_t> b) {
-  // Type first (same gap as oph_wire_jaccard): an OPH/HLL blob with
+  // Type first (same gap as oph_wire_jaccard): an OPH blob with
   // coincidentally matching params/seed words must throw, not have its
   // payload walked as sorted bottom-k minima.
   if (wire_type(a) != WireType::kBottomK || wire_type(b) != WireType::kBottomK) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "bsp/tags.hpp"
@@ -27,8 +26,6 @@ core::Estimator resolved_sketch_estimator(const core::Config& config) {
 
 AnySketch make_sketch(const core::Config& config) {
   switch (resolved_sketch_estimator(config)) {
-    case core::Estimator::kHll:
-      return HyperLogLog(config.hll_precision, config.sketch_seed);
     case core::Estimator::kMinhash:
       return OnePermMinHash(config.sketch_size, config.minhash_bits, config.sketch_seed);
     case core::Estimator::kBottomK:
@@ -49,8 +46,6 @@ using distmat::DenseBlock;
 
 const char* estimator_wire_name(core::Estimator estimator) {
   switch (estimator) {
-    case core::Estimator::kHll:
-      return "hll";
     case core::Estimator::kMinhash:
       return "minhash";
     case core::Estimator::kBottomK:
@@ -72,12 +67,11 @@ bool wire_matches_config(std::span<const std::uint64_t> wire,
     if (wire[w] != expected[w]) return false;
   }
   // A matching header is not enough: a truncated persisted blob (e.g. an
-  // interrupted `gas sketch` write) or a corrupt payload (an HLL register
-  // above the maximum rank, bottom-k minima out of order) must be treated
-  // as "no persisted sketch" here, not throw or mis-score later inside
-  // the rank threads. Running the pipeline's own comparator against the
-  // blob validates the payload exactly as deeply as the pipeline will
-  // need it.
+  // interrupted `gas sketch` write) or a corrupt payload (bottom-k minima
+  // out of order) must be treated as "no persisted sketch" here, not
+  // throw or mis-score later inside the rank threads. Running the
+  // pipeline's own comparator against the blob validates the payload
+  // exactly as deeply as the pipeline will need it.
   try {
     (void)estimate_jaccard_wire(wire, wire);
   } catch (const std::invalid_argument&) {
@@ -88,8 +82,6 @@ bool wire_matches_config(std::span<const std::uint64_t> wire,
 
 double hybrid_prune_slack(const core::Config& config) {
   switch (resolved_sketch_estimator(config)) {
-    case core::Estimator::kHll:
-      return hll_jaccard_error_bound(config.hll_precision);
     case core::Estimator::kMinhash:
       return oph_jaccard_error_bound(config.sketch_size, config.minhash_bits);
     case core::Estimator::kBottomK:
@@ -107,12 +99,6 @@ void validate_sketch_params(const core::Config& config) {
   if (config.minhash_bits < 1 || config.minhash_bits > 64 ||
       64 % config.minhash_bits != 0) {
     throw error::ConfigError("sketch: minhash_bits must divide 64");
-  }
-  if (config.hll_precision < HyperLogLog::kMinPrecision ||
-      config.hll_precision > HyperLogLog::kMaxPrecision) {
-    throw error::ConfigError("sketch: hll_precision must be in [" +
-                             std::to_string(HyperLogLog::kMinPrecision) + ", " +
-                             std::to_string(HyperLogLog::kMaxPrecision) + "]");
   }
 }
 
@@ -406,7 +392,7 @@ void lsh_candidate_pass(bsp::Comm& world,
     payload.reserve(wanted.size());
     for (std::int64_t id : wanted) {
       if (id < 0 || id >= n || owner(id) != r) {
-        throw std::invalid_argument("sketch_candidate_pass: blob request misrouted");
+        throw error::CorruptInput("sketch_candidate_pass: blob request misrouted");
       }
       payload.push_back(blobs[static_cast<std::size_t>(id / p)]);
     }
@@ -421,7 +407,7 @@ void lsh_candidate_pass(bsp::Comm& world,
     const auto views =
         core::unpack_word_panel(incoming_responses[static_cast<std::size_t>(q)]);
     if (views.size() != asked.size()) {
-      throw std::invalid_argument("sketch_candidate_pass: blob response mismatch");
+      throw error::CorruptInput("sketch_candidate_pass: blob response mismatch");
     }
     for (std::size_t v = 0; v < asked.size(); ++v) {
       fetched[static_cast<std::size_t>(asked[v])] = views[v];

@@ -15,7 +15,7 @@
 // the one a run would build. add() is order-independent, so the blobs do
 // not depend on the batch count or on the read order.
 //
-// == The pure-sketch pipeline (kHll / kMinhash / kBottomK) ================
+// == The pure-sketch pipeline (kMinhash / kBottomK) =======================
 //
 // The approximate counterpart of the SpGEMM driver path: instead of
 // redistributing bit-packed k-mer panels and multiplying under the
@@ -115,12 +115,11 @@
 #include "core/sample_source.hpp"
 #include "distmat/pair_mask.hpp"
 #include "sketch/bottomk.hpp"
-#include "sketch/hyperloglog.hpp"
 #include "sketch/one_perm_minhash.hpp"
 
 namespace sas::sketch {
 
-/// Short name of a sketch estimator ("hll" | "minhash" | "bottomk") —
+/// Short name of a sketch estimator ("minhash" | "bottomk") —
 /// the persisted-blob file suffix and the CLI spelling. Throws
 /// std::invalid_argument for non-sketch estimators.
 [[nodiscard]] const char* estimator_wire_name(core::Estimator estimator);
@@ -130,8 +129,8 @@ namespace sas::sketch {
 /// resolves to kExact; most callers reject it downstream).
 [[nodiscard]] core::Estimator resolved_sketch_estimator(const core::Config& config);
 
-/// A sketch of any of the three types (sketch.hpp).
-using AnySketch = std::variant<HyperLogLog, OnePermMinHash, BottomKSketch>;
+/// A sketch of either type (sketch.hpp).
+using AnySketch = std::variant<OnePermMinHash, BottomKSketch>;
 
 /// Empty sketch of the type `config` resolves to (resolved_sketch_estimator),
 /// with its configured parameters and seed. Throws std::invalid_argument
@@ -147,9 +146,8 @@ using AnySketch = std::variant<HyperLogLog, OnePermMinHash, BottomKSketch>;
 /// of the resolved sketch (minhash for a hybrid) at its configured size.
 [[nodiscard]] double hybrid_prune_slack(const core::Config& config);
 
-/// Caller-error check of all three sketch parameters, whichever sketch
-/// the run uses: sketch_size ≥ 1, minhash_bits dividing 64, and
-/// hll_precision in [HyperLogLog::kMinPrecision, kMaxPrecision]. Throws
+/// Caller-error check of both sketch parameters, whichever sketch the
+/// run uses: sketch_size ≥ 1 and minhash_bits dividing 64. Throws
 /// error::ConfigError naming the first bad one.
 void validate_sketch_params(const core::Config& config);
 

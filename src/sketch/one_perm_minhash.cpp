@@ -200,7 +200,7 @@ std::vector<std::uint64_t> OnePermMinHash::wire() const {
 
 double oph_wire_jaccard(std::span<const std::uint64_t> a,
                         std::span<const std::uint64_t> b) {
-  // Type first: a bottom-k or HLL blob whose params/seed words happen to
+  // Type first: a bottom-k blob whose params/seed words happen to
   // match must throw, not be scored as if it carried OPH registers.
   if (wire_type(a) != WireType::kOnePermMinHash ||
       wire_type(b) != WireType::kOnePermMinHash) {

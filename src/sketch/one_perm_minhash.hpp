@@ -92,7 +92,7 @@ class OnePermMinHash {
 /// b-bit-corrected match fraction of two packed densified-register
 /// payloads, clamped to [0, 1]; J(∅, ∅) = 1, J(∅, X) = 0. Both blobs must
 /// carry the kOnePermMinHash type tag (std::invalid_argument otherwise —
-/// a bottom-k/HLL blob with coincidentally matching params must not be
+/// a bottom-k blob with coincidentally matching params must not be
 /// scored as OPH registers). Every call re-validates both headers. The
 /// matching registers are counted word-parallel — an equality count
 /// over native uint{b}_t lanes for b ≥ 8, a SWAR zero-lane count of the

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "sketch/bottomk.hpp"
-#include "sketch/hyperloglog.hpp"
 #include "sketch/one_perm_minhash.hpp"
 #include "util/error.hpp"
 
@@ -16,8 +15,6 @@ WireType wire_type(std::span<const std::uint64_t> wire) {
     throw std::invalid_argument("sketch::wire_type: not a sketch wire blob");
   }
   switch (wire[0] & 0xff) {
-    case static_cast<std::uint64_t>(WireType::kHyperLogLog):
-      return WireType::kHyperLogLog;
     case static_cast<std::uint64_t>(WireType::kOnePermMinHash):
       return WireType::kOnePermMinHash;
     case static_cast<std::uint64_t>(WireType::kBottomK):
@@ -34,8 +31,6 @@ double estimate_jaccard_wire(std::span<const std::uint64_t> a,
     throw std::invalid_argument("estimate_jaccard_wire: mismatched sketch types");
   }
   switch (type) {
-    case WireType::kHyperLogLog:
-      return hll_wire_jaccard(a, b);
     case WireType::kOnePermMinHash:
       return oph_wire_jaccard(a, b);
     case WireType::kBottomK:

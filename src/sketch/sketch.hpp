@@ -21,8 +21,6 @@
 //  estimator  class            bytes/sample          mean |Ĵ − J| bound
 //  ---------  ---------------  -------------------   -------------------------
 //  exact      (no sketch)      O(set size)           0
-//  hll        HyperLogLog      2^p registers         hll_jaccard_error_bound(p)
-//             (hyperloglog.hpp)  = 2^p bytes           ≈ 6.24/√(2^p)
 //  minhash    b-bit one-perm   k·b/8 bytes           oph_jaccard_error_bound(k, b)
 //             MinHash            (k bins, b bits)      ≈ 1.5/√k + 2^(1−b)
 //             (one_perm_minhash.hpp)
@@ -30,18 +28,23 @@
 //             (bottomk.hpp)      (full 64-bit mins)    ≈ 1.5/√k
 //
 // Rules of thumb:
-//  * `minhash` (the default approximate estimator) gives the best
-//    accuracy per byte: one hash evaluation per element, k·b/8 bytes on
-//    the wire, and the b-bit collision bias is corrected analytically.
-//  * `hll` has a size independent of k. Its Jaccard estimate goes
-//    through inclusion–exclusion, which AMPLIFIES the cardinality error
-//    for dissimilar pairs; use p ≥ 12 for Jaccard work.
+//  * `minhash` (the default approximate estimator, and the hybrid's prune
+//    sketch) gives the best accuracy per byte: one hash evaluation per
+//    element, k·b/8 bytes on the wire, and the b-bit collision bias is
+//    corrected analytically.
 //  * `bottomk` reproduces Mash (the paper's comparison point, §I): exact
 //    once the sketch holds the whole union, but 8 bytes per slot and the
 //    well-known failure on highly dissimilar pairs at small k.
 //  * `exact` remains the only option when downstream analyses (UPGMA/NJ
 //    on near-identical genomes) need error ≪ 1/√k — the paper's §I
 //    motivation for computing Jaccard exactly in the first place.
+//
+// HyperLogLog (Jaccard by inclusion–exclusion over 2^p registers) is
+// gone. At its p = 12 size, 4,096 B, 2,048-bin minhash erred less
+// (bench_minhash_accuracy --trials 4) on dissimilar pairs — 0.0014
+// against 0.0068 at J = 0.0104 and 0.0007 against 0.0093 at J = 0.0021 —
+// and at J = 0.09 and 0.91; HLL tied at J = 0.51 and won only at
+// J = 0.99, 0.0007 against 0.0013. No workload needs that edge.
 //
 // == Sketch concept =======================================================
 //
@@ -76,9 +79,10 @@
 
 namespace sas::sketch {
 
-/// Type tag of a wire blob (word 0, low byte).
+/// Type tag of a wire blob (word 0, low byte). Tag 1 was HyperLogLog's:
+/// wire_type rejects it as it does any unknown tag, so a persisted HLL
+/// blob is never scored.
 enum class WireType : std::uint8_t {
-  kHyperLogLog = 1,     ///< packed 6-bit-in-8 register array
   kOnePermMinHash = 2,  ///< densified b-bit registers
   kBottomK = 3,         ///< sorted bottom-k hash values
 };
@@ -98,8 +102,7 @@ inline constexpr std::size_t kWireHeaderWords = 3;       // tag, params, seed
 /// Estimated Jaccard similarity of the two sets behind two wire blobs.
 /// Dispatches on the type tag; both blobs must share type, parameters,
 /// and seed (std::invalid_argument otherwise). This is the inner loop of
-/// the sketch-exchange pipeline; it allocates nothing for the minhash
-/// and bottomk types.
+/// the sketch-exchange pipeline; it allocates nothing.
 [[nodiscard]] double estimate_jaccard_wire(std::span<const std::uint64_t> a,
                                            std::span<const std::uint64_t> b);
 

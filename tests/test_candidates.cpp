@@ -12,8 +12,8 @@
 //     and loses no pair the all-pairs candidate pass keeps at the same
 //     sketch budget on the genome-family corpus;
 //   * wire comparators reject blobs of the wrong type even when the
-//     params/seed words coincide, and malformed payloads (truncated OPH
-//     blobs, HLL registers above the maximum rank, unsorted bottom-k
+//     params/seed words coincide or the type is HyperLogLog's retired
+//     tag, and malformed payloads (truncated OPH blobs, unsorted bottom-k
 //     minima) throw, so wire_matches_config never loads them.
 #include <gtest/gtest.h>
 
@@ -36,7 +36,6 @@
 #include "genome/synthetic.hpp"
 #include "sketch/bottomk.hpp"
 #include "sketch/exchange.hpp"
-#include "sketch/hyperloglog.hpp"
 #include "sketch/one_perm_minhash.hpp"
 #include "sketch/sketch.hpp"
 #include "util/rng.hpp"
@@ -142,7 +141,6 @@ TEST(WireValidation, ComparatorsRejectWrongTypeBlobs) {
   const std::uint64_t seed = 0x5a5;
 
   const auto oph = sketch::OnePermMinHash(span, 64, 16, seed).wire();
-  const auto hll = sketch::HyperLogLog(span, 9, seed).wire();
   const auto bk = sketch::BottomKSketch(span, 64, seed).wire();
 
   // Forge blobs whose params/seed words match but whose type word lies:
@@ -154,19 +152,24 @@ TEST(WireValidation, ComparatorsRejectWrongTypeBlobs) {
   EXPECT_THROW((void)sketch::oph_wire_jaccard(forged_as_bottomk, oph),
                std::invalid_argument);
 
-  auto forged_as_hll = hll;
-  forged_as_hll[0] = sketch::wire_header_word(sketch::WireType::kOnePermMinHash);
-  EXPECT_THROW((void)sketch::hll_wire_jaccard(hll, forged_as_hll),
-               std::invalid_argument);
-
   auto forged_as_oph = bk;
-  forged_as_oph[0] = sketch::wire_header_word(sketch::WireType::kHyperLogLog);
+  forged_as_oph[0] = sketch::wire_header_word(sketch::WireType::kOnePermMinHash);
   EXPECT_THROW((void)sketch::bottomk_wire_jaccard(bk, forged_as_oph),
                std::invalid_argument);
+  EXPECT_THROW((void)sketch::bottomk_wire_jaccard(forged_as_oph, bk),
+               std::invalid_argument);
+
+  // Tag 1 was HyperLogLog's: no comparator scores it any more.
+  for (const auto& blob : {oph, bk}) {
+    auto retired = blob;
+    retired[0] = (sketch::kWireMagic << 32) | 1;
+    EXPECT_THROW((void)sketch::oph_wire_jaccard(retired, retired), std::invalid_argument);
+    EXPECT_THROW((void)sketch::bottomk_wire_jaccard(retired, retired),
+                 std::invalid_argument);
+  }
 
   // Cross-type blobs fed to the wrong comparator directly must throw too.
-  EXPECT_THROW((void)sketch::oph_wire_jaccard(hll, hll), std::invalid_argument);
-  EXPECT_THROW((void)sketch::hll_wire_jaccard(bk, bk), std::invalid_argument);
+  EXPECT_THROW((void)sketch::oph_wire_jaccard(bk, bk), std::invalid_argument);
   EXPECT_THROW((void)sketch::bottomk_wire_jaccard(oph, oph), std::invalid_argument);
 
   // Sanity: same-type comparisons still work.
@@ -209,29 +212,6 @@ TEST(WireValidation, TruncatedPersistedBlobIsRejectedNotLoaded) {
   auto truncated = good;
   truncated.resize(sketch::kWireHeaderWords + 1);
   EXPECT_FALSE(sketch::wire_matches_config(truncated, cfg));
-}
-
-TEST(WireValidation, HllRegisterAboveMaxRankIsRejected) {
-  core::Config cfg;
-  cfg.estimator = core::Estimator::kHll;
-  const std::vector<std::uint64_t> elements = {5, 6, 7, 8};
-  const auto good = sketch::HyperLogLog(std::span<const std::uint64_t>(elements),
-                                        cfg.hll_precision, cfg.sketch_seed)
-                        .wire();
-  EXPECT_TRUE(sketch::wire_matches_config(good, cfg));
-  // Ranks stop at 64 − p + 1; a 0xff register byte is corrupt and must
-  // not index the 2^-r table.
-  auto corrupt = good;
-  corrupt[sketch::kWireHeaderWords] |= 0xff;
-  EXPECT_THROW((void)sketch::hll_wire_jaccard(corrupt, corrupt), std::invalid_argument);
-  EXPECT_THROW((void)sketch::hll_wire_jaccard(good, corrupt), std::invalid_argument);
-  EXPECT_FALSE(sketch::wire_matches_config(corrupt, cfg));
-  // The largest legal rank still scores.
-  auto max_rank = good;
-  max_rank[sketch::kWireHeaderWords] =
-      (max_rank[sketch::kWireHeaderWords] & ~std::uint64_t{0xff}) |
-      static_cast<std::uint64_t>(64 - cfg.hll_precision + 1);
-  EXPECT_TRUE(sketch::wire_matches_config(max_rank, cfg));
 }
 
 TEST(WireValidation, UnsortedBottomKPayloadIsRejected) {
@@ -312,7 +292,7 @@ TEST(LshBands, PlanAdaptsToThreshold) {
     EXPECT_LE(plan.bands * plan.rows_per_band, cfg.sketch_size);
   }
 
-  cfg.estimator = core::Estimator::kHll;
+  cfg.estimator = core::Estimator::kBottomK;
   EXPECT_THROW((void)sketch::lsh_candidate_plan(cfg, 0.3), std::invalid_argument);
 }
 

@@ -210,10 +210,10 @@ TEST(Driver, RejectsInvalidConfigs) {
   for (const Config& c :
        {sketch_config(Estimator::kMinhash, [](Config& c) { c.sketch_size = 0; }),
         sketch_config(Estimator::kMinhash, [](Config& c) { c.minhash_bits = 3; }),
-        sketch_config(Estimator::kHll, [](Config& c) { c.hll_precision = 2; }),
+        sketch_config(Estimator::kBottomK, [](Config& c) { c.minhash_bits = 0; }),
         sketch_config(Estimator::kBottomK, [](Config& c) { c.sketch_size = 0; }),
         sketch_config(Estimator::kHybrid, [](Config& c) { c.sketch_size = -5; }),
-        sketch_config(Estimator::kHybrid, [](Config& c) { c.hll_precision = 40; })}) {
+        sketch_config(Estimator::kHybrid, [](Config& c) { c.minhash_bits = 40; })}) {
     EXPECT_THROW((void)similarity_at_scale_threaded(2, src, c), error::ConfigError)
         << static_cast<int>(c.estimator);
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/matrix_io.hpp"
+#include "core/packing.hpp"
 #include "core/similarity_matrix.hpp"
 #include "distmat/panel_wire.hpp"
 #include "genome/kmer_source.hpp"
@@ -450,6 +452,46 @@ TEST(CorruptionMatrix, SetBitWireDamageIsContainedOrTyped) {
                  });
   }
   EXPECT_EQ(set_modes.size(), 2u);  // word runs and gaps
+}
+
+// ------------------------------------------------------ sketch word panels
+
+/// Unpack a damaged sketch panel, given as the bytes of its words: it must
+/// throw the typed CorruptInput or yield views inside the panel. The ring
+/// delivers whole words, so a truncation inside a word never reaches the
+/// decoder and is skipped.
+void expect_word_panel_contained(const std::vector<std::uint8_t>& bytes,
+                                 const std::string& label) {
+  if (bytes.size() % sizeof(std::uint64_t) != 0) return;
+  std::vector<std::uint64_t> words(bytes.size() / sizeof(std::uint64_t));
+  if (!words.empty()) std::memcpy(words.data(), bytes.data(), bytes.size());
+  try {
+    const std::uint64_t* const end = words.data() + words.size();
+    for (const auto& view : core::unpack_word_panel(words)) {
+      ASSERT_TRUE(view.data() >= words.data() && view.data() + view.size() <= end)
+          << label;
+    }
+  } catch (const error::CorruptInput&) {
+    // typed rejection: fine
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << " escaped the taxonomy: " << e.what();
+  }
+}
+
+TEST(CorruptionMatrix, SketchPanelDamageIsContainedOrTyped) {
+  // What the sketch ring and the LSH blob fetch ship: minhash blobs packed
+  // by core::pack_word_panel behind a count and a length table.
+  std::vector<std::vector<std::uint64_t>> blobs;
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    std::vector<std::uint64_t> kmers;
+    for (std::uint64_t v = 0; v < 200; ++v) kmers.push_back(v * 13 + s);
+    blobs.push_back(
+        sketch::OnePermMinHash(std::span<const std::uint64_t>(kmers), 32, 16, 7).wire());
+  }
+  const std::vector<std::uint64_t> panel = core::pack_word_panel(blobs);
+  std::vector<std::uint8_t> bytes(panel.size() * sizeof(std::uint64_t));
+  std::memcpy(bytes.data(), panel.data(), bytes.size());
+  each_damage(bytes, "sketch panel", expect_word_panel_contained);
 }
 
 }  // namespace

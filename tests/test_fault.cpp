@@ -387,9 +387,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(StressCase{2, core::Estimator::kExact},
                       StressCase{4, core::Estimator::kExact},
                       StressCase{16, core::Estimator::kExact},
-                      StressCase{2, core::Estimator::kHll},
-                      StressCase{4, core::Estimator::kHll},
-                      StressCase{16, core::Estimator::kHll},
                       StressCase{2, core::Estimator::kMinhash},
                       StressCase{4, core::Estimator::kMinhash},
                       StressCase{16, core::Estimator::kMinhash},
@@ -597,7 +594,7 @@ std::uint64_t whole_panel_fingerprint(const core::Config& config, std::int64_t n
   mix(static_cast<std::uint64_t>(config.algorithm));
   mix(config.use_zero_row_filter ? 1 : 0);
   mix(static_cast<std::uint64_t>(config.estimator));
-  mix(static_cast<std::uint64_t>(config.hll_precision));
+  mix(std::uint64_t{12});
   mix(static_cast<std::uint64_t>(config.sketch_size));
   mix(static_cast<std::uint64_t>(config.minhash_bits));
   mix(config.sketch_seed);
@@ -678,12 +675,16 @@ TEST(Checkpoint, ResumeRequiresCheckpointDir) {
 }
 
 TEST(Checkpoint, SketchEstimatorsRejectCheckpointing) {
-  core::Config config = checkpoint_config(core::Estimator::kHll);
-  config.checkpoint_dir =
-      (fs::temp_directory_path() / "sas_ckpt_sketch_reject").string();
-  const auto source = stress_source(10);
-  EXPECT_THROW((void)core::similarity_at_scale_threaded(2, source, config),
-               error::ConfigError);
+  for (const core::Estimator estimator :
+       {core::Estimator::kMinhash, core::Estimator::kBottomK}) {
+    core::Config config = checkpoint_config(estimator);
+    config.checkpoint_dir =
+        (fs::temp_directory_path() / "sas_ckpt_sketch_reject").string();
+    const auto source = stress_source(10);
+    EXPECT_THROW((void)core::similarity_at_scale_threaded(2, source, config),
+                 error::ConfigError)
+        << static_cast<int>(estimator);
+  }
 }
 
 }  // namespace

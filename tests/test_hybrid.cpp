@@ -318,8 +318,7 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
   // consults persisted blobs: the hybrid's cyclically owned prologue and
   // the pure-sketch pipeline's block-owned build, for every sketch type.
   for (const core::Estimator estimator :
-       {core::Estimator::kHybrid, core::Estimator::kMinhash, core::Estimator::kHll,
-        core::Estimator::kBottomK}) {
+       {core::Estimator::kHybrid, core::Estimator::kMinhash, core::Estimator::kBottomK}) {
     SCOPED_TRACE(estimator == core::Estimator::kHybrid
                      ? "hybrid"
                      : sketch::estimator_wire_name(estimator));
@@ -366,21 +365,15 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
     EXPECT_FALSE(sketches_match(ignored)) << "parameter-incompatible blob must be ignored";
 
     // The forged blob with one corrupted byte must be ignored as well, so
-    // pair (0, 1) comes out bitwise as in the fresh run. HLL: a register
-    // above the maximum rank; bottom-k: the smallest minimum raised above
-    // the next; minhash: every b-bit register value is legal, so the
-    // corrupt byte is the type tag.
+    // pair (0, 1) comes out bitwise as in the fresh run. Bottom-k: the
+    // smallest minimum raised above the next; minhash: every b-bit
+    // register value is legal, so the corrupt byte is the type tag, set to
+    // 1, the tag of the deleted HyperLogLog blobs.
     std::vector<std::uint64_t> corrupted = forged;
-    switch (sketch::resolved_sketch_estimator(cfg)) {
-      case core::Estimator::kHll:
-        corrupted[sketch::kWireHeaderWords] |= 0xff;
-        break;
-      case core::Estimator::kBottomK:
-        corrupted[sketch::kWireHeaderWords] |= std::uint64_t{0xff} << 56;
-        break;
-      default:
-        corrupted[0] = (corrupted[0] & ~std::uint64_t{0xff}) | 4;
-        break;
+    if (sketch::resolved_sketch_estimator(cfg) == core::Estimator::kBottomK) {
+      corrupted[sketch::kWireHeaderWords] |= std::uint64_t{0xff} << 56;
+    } else {
+      corrupted[0] = (corrupted[0] & ~std::uint64_t{0xff}) | 1;
     }
     sketch::write_wire_file(source.sketch_path(0, cfg), corrupted);
     const core::Result rejected = similarity_at_scale_threaded(2, source, cfg);

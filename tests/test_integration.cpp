@@ -413,12 +413,23 @@ TEST_F(GasCli, UsageErrorsExitWithConfigCode) {
   // A flag the subcommand does not read is an error naming it, not a
   // silent default: deleted options and typos alike.
   for (const char* flag : {"--nodes 2", "--no-numa", "--dense-output", "--prune-slack 0.05",
-                           "--lsh-bands 8", "--hybrid-sketch minhash", "--batchs 3"}) {
+                           "--lsh-bands 8", "--hybrid-sketch minhash", "--hll-precision 12",
+                           "--batchs 3"}) {
     const auto result = run_command(dist(flag));
     EXPECT_EQ(result.exit_code, 2) << flag << "\n" << result.output;
     const std::string name = std::string(flag).substr(0, std::string(flag).find(' '));
     EXPECT_NE(result.output.find("unknown option " + name), std::string::npos)
         << result.output;
+  }
+  // HyperLogLog is gone from both subcommands that took it: its estimator
+  // name and its precision flag.
+  const std::string sketch = bin_ + " sketch" + samples_ + " --k 11 --out-dir " +
+                             dir_.string() + " --estimator ";
+  for (const std::string& command :
+       {dist("--estimator hll"), sketch + "hll", sketch + "minhash --hll-precision 12"}) {
+    const auto result = run_command(command);
+    EXPECT_EQ(result.exit_code, 2) << command << "\n" << result.output;
+    EXPECT_NE(result.output.find("hll"), std::string::npos) << result.output;
   }
   const auto tree =
       run_command(bin_ + " tree " + (dir_ / "d.phylip").string() + " --methd nj");
@@ -447,11 +458,10 @@ TEST_F(GasCli, OutOfRangeDistValuesExitWithConfigCode) {
     EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
   }
   // int flags refuse values past INT_MAX, naming the flag, instead of
-  // wrapping mod 2³² to 1 rank, k = 17, 64 bits, c = 1, precision 12 or
-  // 16-bit registers and running.
+  // wrapping mod 2³² to 1 rank, k = 17, 64 bits, c = 1 or 16-bit
+  // registers and running.
   for (const char* extra : {"--ranks 4294967297", "--k 4294967313", "--bits 4294967360",
-                            "--replication 4294967297", "--hll-precision 4294967308",
-                            "--minhash-bits 4294967312"}) {
+                            "--replication 4294967297", "--minhash-bits 4294967312"}) {
     const auto result = run_command(dist(extra));
     EXPECT_EQ(result.exit_code, 2) << extra << "\n" << result.output;
     const std::string flag(extra, std::string(extra).find(' '));

@@ -288,7 +288,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{core::Estimator::kExact, core::Algorithm::kRing1D, 1},
         SweepCase{core::Estimator::kExact, core::Algorithm::kRing1D, 2},
         SweepCase{core::Estimator::kExact, core::Algorithm::kSumma, 4},
-        SweepCase{core::Estimator::kHll, core::Algorithm::kRing1D, 2},
+        SweepCase{core::Estimator::kMinhash, core::Algorithm::kRing1D, 2},
         SweepCase{core::Estimator::kMinhash, core::Algorithm::kRing1D, 4},
         SweepCase{core::Estimator::kBottomK, core::Algorithm::kRing1D, 2},
         SweepCase{core::Estimator::kHybrid, core::Algorithm::kRing1D, 1},

@@ -302,7 +302,7 @@ TEST(Severity, RecoveryRequiresBatchedPipeline) {
   // Sketch estimators have no batch boundary to roll back to.
   const auto source = stress_source(7);
   core::Config config;
-  config.estimator = core::Estimator::kHll;
+  config.estimator = core::Estimator::kMinhash;
   config.max_retries = 2;
   EXPECT_THROW((void)core::similarity_at_scale_threaded(2, source, config),
                error::ConfigError);

@@ -16,7 +16,6 @@
 #include "core/sample_source.hpp"
 #include "sketch/bottomk.hpp"
 #include "sketch/exchange.hpp"
-#include "sketch/hyperloglog.hpp"
 #include "sketch/one_perm_minhash.hpp"
 #include "sketch/sketch.hpp"
 #include "util/rng.hpp"
@@ -70,60 +69,6 @@ double exact_jaccard_sets(const std::vector<std::uint64_t>& a,
   }
   const std::size_t uni = a.size() + b.size() - inter;
   return uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-// ------------------------------------------------------------ HyperLogLog
-
-TEST(HyperLogLog, WireIsOrderIndependentAndIdempotent) {
-  const auto a = random_set(1u << 22, 4000, 31);
-  const HyperLogLog bulk(a, 11, 77);
-  HyperLogLog incremental(11, 77);
-  for (auto it = a.rbegin(); it != a.rend(); ++it) incremental.add(*it);
-  for (std::uint64_t e : a) incremental.add(e);  // repeats change nothing
-  const auto wire = bulk.wire();
-  EXPECT_EQ(incremental.wire(), wire);
-  ASSERT_EQ(wire.size(), kWireHeaderWords + (std::size_t{1} << 11) / 8);
-  EXPECT_EQ(wire[0], wire_header_word(WireType::kHyperLogLog));
-  EXPECT_EQ(wire[1], 11u);
-  EXPECT_EQ(wire[2], 77u);
-}
-
-TEST(HyperLogLog, JaccardConventionsAndSelfSimilarity) {
-  const auto empty = HyperLogLog(12, 3).wire();
-  EXPECT_DOUBLE_EQ(estimate_jaccard_wire(empty, empty), 1.0);
-  const auto full = HyperLogLog(random_set(1u << 20, 5000, 41), 12, 3).wire();
-  EXPECT_DOUBLE_EQ(estimate_jaccard_wire(empty, full), 0.0);
-  EXPECT_DOUBLE_EQ(estimate_jaccard_wire(full, full), 1.0);
-}
-
-TEST(HyperLogLog, JaccardWithinDocumentedBound) {
-  std::vector<std::uint64_t> a;
-  std::vector<std::uint64_t> b;
-  thirds_sets(30000, a, b);
-  const double truth = exact_jaccard_sets(a, b);
-  for (int p : {10, 12}) {
-    double err = 0.0;
-    const int trials = 8;
-    for (int t = 0; t < trials; ++t) {
-      const auto seed = 100 + static_cast<std::uint64_t>(t);
-      err += std::fabs(estimate_jaccard_wire(HyperLogLog(a, p, seed).wire(),
-                                             HyperLogLog(b, p, seed).wire()) -
-                       truth);
-    }
-    EXPECT_LE(err / trials, hll_jaccard_error_bound(p)) << "p=" << p;
-  }
-}
-
-TEST(HyperLogLog, RejectsIncompatibleAndMalformed) {
-  const auto s1 = HyperLogLog(8, 1).wire();
-  const auto s2 = HyperLogLog(8, 2).wire();   // different seed
-  const auto s3 = HyperLogLog(10, 1).wire();  // different precision
-  EXPECT_THROW((void)estimate_jaccard_wire(s1, s2), std::invalid_argument);
-  EXPECT_THROW((void)estimate_jaccard_wire(s1, s3), std::invalid_argument);
-  EXPECT_THROW((void)HyperLogLog(3, 0), std::invalid_argument);
-  auto truncated = s1;
-  truncated.pop_back();
-  EXPECT_THROW((void)estimate_jaccard_wire(truncated, truncated), std::invalid_argument);
 }
 
 // ------------------------------------------------------- OnePermMinHash
@@ -324,16 +269,20 @@ TEST(Wire, PackUnpackWordPanelRoundTrip) {
 }
 
 TEST(Wire, RejectsMismatchedTypesAndGarbage) {
-  const HyperLogLog hll(8, 1);
+  const OnePermMinHash oph(random_set(100, 10, 1), 64, 16, 1);
   const BottomKSketch bk(random_set(100, 10, 1), 16, 1);
-  EXPECT_THROW((void)estimate_jaccard_wire(hll.wire(), bk.wire()), std::invalid_argument);
+  EXPECT_THROW((void)estimate_jaccard_wire(oph.wire(), bk.wire()), std::invalid_argument);
   const std::vector<std::uint64_t> garbage = {1, 2, 3, 4};
   EXPECT_THROW((void)wire_type(garbage), std::invalid_argument);
-  // Tag 4 names no sketch type.
-  auto tag4 = OnePermMinHash(random_set(100, 10, 1), 64, 16, 1).wire();
-  tag4[0] = (kWireMagic << 32) | 4;
-  EXPECT_THROW((void)wire_type(tag4), std::invalid_argument);
-  EXPECT_THROW((void)estimate_jaccard_wire(tag4, tag4), std::invalid_argument);
+  // Tag 4 names no sketch type, and tag 1, HyperLogLog's before it was
+  // deleted, names none any more: neither is ever scored.
+  for (const std::uint64_t tag : {std::uint64_t{1}, std::uint64_t{4}}) {
+    auto retagged = oph.wire();
+    retagged[0] = (kWireMagic << 32) | tag;
+    EXPECT_THROW((void)wire_type(retagged), std::invalid_argument) << tag;
+    EXPECT_THROW((void)estimate_jaccard_wire(retagged, retagged), std::invalid_argument)
+        << tag;
+  }
 }
 
 // ------------------------------------------- sketch-exchange pipeline
@@ -353,7 +302,6 @@ core::VectorSampleSource random_source(std::int64_t m, std::int64_t n, double de
 core::Config sketch_config(core::Estimator estimator) {
   core::Config cfg;
   cfg.estimator = estimator;
-  cfg.hll_precision = 8;
   cfg.sketch_size = 128;
   return cfg;
 }
@@ -385,8 +333,6 @@ std::vector<std::uint64_t> reference_wire(const core::SampleSource& src, std::in
       src.values_in_range(i, {0, src.attribute_universe()});
   const std::vector<std::uint64_t> set(values.begin(), values.end());
   switch (cfg.estimator) {
-    case core::Estimator::kHll:
-      return HyperLogLog(set, cfg.hll_precision, cfg.sketch_seed).wire();
     case core::Estimator::kMinhash:
       return OnePermMinHash(set, cfg.sketch_size, cfg.minhash_bits, cfg.sketch_seed)
           .wire();
@@ -417,8 +363,7 @@ TEST_P(PipelineEstimators, MatchesDirectAllPairsOverWires) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSketches, PipelineEstimators,
-                         ::testing::Values(core::Estimator::kHll,
-                                           core::Estimator::kMinhash,
+                         ::testing::Values(core::Estimator::kMinhash,
                                            core::Estimator::kBottomK));
 
 TEST(Pipeline, EstimateAccuracyWithinBoundVsExactDriver) {
@@ -447,9 +392,8 @@ TEST(Pipeline, EstimateAccuracyWithinBoundVsExactDriver) {
     core::Estimator estimator;
     double bound;
   };
-  core::Config cfg;  // default sketch parameters (p=12, k=1024, b=16)
-  for (const Case c : {Case{core::Estimator::kHll, hll_jaccard_error_bound(12)},
-                       Case{core::Estimator::kMinhash, oph_jaccard_error_bound(1024, 16)},
+  core::Config cfg;  // default sketch parameters (k=1024, b=16)
+  for (const Case c : {Case{core::Estimator::kMinhash, oph_jaccard_error_bound(1024, 16)},
                        Case{core::Estimator::kBottomK, bottomk_jaccard_error_bound(1024)}}) {
     cfg.estimator = c.estimator;
     const auto got = core::similarity_at_scale_threaded(2, src, cfg);
@@ -511,8 +455,7 @@ TEST(Pipeline, BatchTrafficExcludesTheAssembleGather) {
 
 TEST(Pipeline, MoreRanksThanSamples) {
   const auto src = random_source(500, 3, 0.1, 77);
-  for (core::Estimator estimator :
-       {core::Estimator::kHll, core::Estimator::kMinhash, core::Estimator::kBottomK}) {
+  for (core::Estimator estimator : {core::Estimator::kMinhash, core::Estimator::kBottomK}) {
     const core::Config cfg = sketch_config(estimator);
     const auto reference = core::similarity_at_scale_threaded(1, src, cfg);
     const auto wide = core::similarity_at_scale_threaded(6, src, cfg);

@@ -7,7 +7,7 @@
 // files, PHYLIP matrices, and Newick trees.
 //
 //   gas sketch   <in.fa|in.fq> ... --k 31 --min-count 1 --out-dir DIR
-//                [--estimator hll|minhash|bottomk]
+//                [--estimator minhash|bottomk]
 //       Extract canonical k-mer sets ("sorted numerical representation",
 //       §IV) from sequence files, one .kmers sample file per input. With
 //       --estimator, additionally persist each sample's sketch wire blob
@@ -18,7 +18,7 @@
 //   gas dist     <a.kmers> <b.kmers> ... --ranks 8 --batches 16
 //                [--phylip out.phylip] [--algorithm summa|ring|serial]
 //                [--replication c] [--bits b] [--no-filter]
-//                [--estimator exact|hll|minhash|bottomk|hybrid]
+//                [--estimator exact|minhash|bottomk|hybrid]
 //       All-pairs Jaccard via the distributed SimilarityAtScale
 //       pipeline; prints the distance matrix and optionally writes
 //       PHYLIP for downstream tools. `hybrid` prunes the pair space with
@@ -69,16 +69,15 @@ int usage() {
                "usage: gas <sketch|dist|tree|simulate> [args...]\n"
                "  gas sketch <seq files...> --k 31 [--min-count 1 | --auto-threshold]\n"
                "           [--fastq] [--out-dir .]\n"
-               "           [--estimator hll|minhash|bottomk] [--sketch-size 1024]\n"
-               "           [--hll-precision 12] [--minhash-bits 16] [--sketch-seed 1445]\n"
+               "           [--estimator minhash|bottomk] [--sketch-size 1024]\n"
+               "           [--minhash-bits 16] [--sketch-seed 1445]\n"
                "  gas dist <sample files...> --k 31 [--ranks 8] [--batches 16]\n"
                "           [--phylip out] [--similarity-out out.sasm] [--tsv out.tsv]\n"
                "           [--sparse-similarity-out out.sasp]\n"
                "           [--top N | --threshold J] [--algorithm summa|ring|serial]\n"
                "           [--replication 1] [--bits 64] [--no-filter]\n"
-               "           [--estimator exact|hll|minhash|bottomk|hybrid]\n"
-               "           [--sketch-size 1024] [--hll-precision 12]\n"
-               "           [--minhash-bits 16] [--sketch-seed 1445]\n"
+               "           [--estimator exact|minhash|bottomk|hybrid]\n"
+               "           [--sketch-size 1024] [--minhash-bits 16] [--sketch-seed 1445]\n"
                "           [--prune-threshold 0.1] [--candidate-mode auto|allpairs|lsh]\n"
                "           [--checkpoint DIR] [--resume] [--watchdog-ms N]\n"
                "           [--fault-plan SPEC] [--verify-protocol]\n"
@@ -161,9 +160,7 @@ std::string stem_of(const std::string& path) {
 
 /// Parse a sketch-estimator name; returns false on unknown names.
 bool parse_sketch_estimator(const std::string& name, core::Estimator& out) {
-  if (name == "hll") {
-    out = core::Estimator::kHll;
-  } else if (name == "minhash") {
+  if (name == "minhash") {
     out = core::Estimator::kMinhash;
   } else if (name == "bottomk") {
     out = core::Estimator::kBottomK;
@@ -178,7 +175,6 @@ bool parse_sketch_estimator(const std::string& name, core::Estimator& out) {
 /// threads.
 void parse_sketch_params(const ArgParser& args, core::Config& core) {
   core.sketch_size = args.get_int("sketch-size", 1024);
-  core.hll_precision = args.get_int32("hll-precision", 12);
   core.minhash_bits = args.get_int32("minhash-bits", 16);
   core.sketch_seed = static_cast<std::uint64_t>(args.get_int("sketch-seed", 0x5a5));
   sketch::validate_sketch_params(core);
@@ -187,8 +183,7 @@ void parse_sketch_params(const ArgParser& args, core::Config& core) {
 int cmd_sketch(const ArgParser& args) {
   if (!only_known_flags(args, "sketch",
                         {"k", "min-count", "auto-threshold", "fastq", "out-dir",
-                         "estimator", "sketch-size", "hll-precision", "minhash-bits",
-                         "sketch-seed"})) {
+                         "estimator", "sketch-size", "minhash-bits", "sketch-seed"})) {
     return usage();
   }
   if (args.positional().size() < 2) return usage();
@@ -252,9 +247,9 @@ int cmd_dist(const ArgParser& args) {
           args, "dist",
           {"k", "ranks", "batches", "phylip", "similarity-out", "tsv",
            "sparse-similarity-out", "top", "threshold", "algorithm", "replication",
-           "bits", "no-filter", "estimator", "sketch-size", "hll-precision",
-           "minhash-bits", "sketch-seed", "prune-threshold",
-           "candidate-mode", "checkpoint", "resume", "watchdog-ms", "fault-plan",
+           "bits", "no-filter", "estimator", "sketch-size", "minhash-bits",
+           "sketch-seed", "prune-threshold", "candidate-mode", "checkpoint",
+           "resume", "watchdog-ms", "fault-plan",
            "verify-protocol", "max-retries", "retry-backoff-ms", "quarantine",
            "quarantine-manifest", "mem-budget-mb", "trace-out", "report-json"})) {
     return usage();
