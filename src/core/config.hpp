@@ -17,9 +17,8 @@
 //   estimator         estimator and the sketch / hybrid / LSH parameters
 //                     below it — the approximate pipelines, measured by
 //                     bench/minhash_accuracy and the perf ledger. Minhash
-//                     prunes for the hybrid and bottom-k is Mash, the
-//                     paper's comparator; hll_precision went with
-//                     HyperLogLog, which no workload or ablation ran
+//                     prunes for the hybrid; bottom-k is Mash, the paper's
+//                     comparator (Table II)
 //   operational       failure semantics, recovery, memory budget and
 //                     observability — no effect on results
 #pragma once

@@ -79,9 +79,9 @@
 
 namespace sas::sketch {
 
-/// Type tag of a wire blob (word 0, low byte). Tag 1 was HyperLogLog's:
-/// wire_type rejects it as it does any unknown tag, so a persisted HLL
-/// blob is never scored.
+/// Type tag of a wire blob (word 0, low byte). Tag 1, HyperLogLog's,
+/// stays unused: wire_type rejects it like any unknown tag, so an old
+/// persisted HLL blob is never scored.
 enum class WireType : std::uint8_t {
   kOnePermMinHash = 2,  ///< densified b-bit registers
   kBottomK = 3,         ///< sorted bottom-k hash values

@@ -12,9 +12,9 @@
 //     and loses no pair the all-pairs candidate pass keeps at the same
 //     sketch budget on the genome-family corpus;
 //   * wire comparators reject blobs of the wrong type even when the
-//     params/seed words coincide or the type is HyperLogLog's retired
-//     tag, and malformed payloads (truncated OPH blobs, unsorted bottom-k
-//     minima) throw, so wire_matches_config never loads them.
+//     params/seed words coincide, and malformed payloads (truncated OPH
+//     blobs, unsorted bottom-k minima) throw, so wire_matches_config
+//     never loads them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,15 +158,6 @@ TEST(WireValidation, ComparatorsRejectWrongTypeBlobs) {
                std::invalid_argument);
   EXPECT_THROW((void)sketch::bottomk_wire_jaccard(forged_as_oph, bk),
                std::invalid_argument);
-
-  // Tag 1 was HyperLogLog's: no comparator scores it any more.
-  for (const auto& blob : {oph, bk}) {
-    auto retired = blob;
-    retired[0] = (sketch::kWireMagic << 32) | 1;
-    EXPECT_THROW((void)sketch::oph_wire_jaccard(retired, retired), std::invalid_argument);
-    EXPECT_THROW((void)sketch::bottomk_wire_jaccard(retired, retired),
-                 std::invalid_argument);
-  }
 
   // Cross-type blobs fed to the wrong comparator directly must throw too.
   EXPECT_THROW((void)sketch::oph_wire_jaccard(bk, bk), std::invalid_argument);
