@@ -222,50 +222,50 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
   }
 }
 
-/// One block of this rank's B panel in global coordinates.
-struct OutputBlock {
-  BlockRange rows;
-  BlockRange cols;
-};
-
-/// The blocks of B this rank finalizes: its whole block, or on the ring
-/// its distmat::ring_share of each block (r, owner) — the ring multiplies
-/// each unordered block pair once, so its shares cover one triangle of
-/// the symmetric product.
-std::vector<OutputBlock> output_blocks(const bsp::Comm& world, const Layout& layout,
-                                       const Config& config, std::int64_t n) {
+/// The blocks of B this rank ships: its whole block, or on the ring its
+/// distmat::ring_share of each block (r, owner) — the ring multiplies each
+/// unordered block pair once, so its shares cover one triangle of the
+/// symmetric product.
+std::vector<distmat::GatherBlock<std::int64_t>> output_blocks(const bsp::Comm& world,
+                                                              const Layout& layout,
+                                                              const Config& config,
+                                                              std::int64_t n) {
   const DenseBlock<std::int64_t>& b = *layout.b_block;
-  if (config.algorithm != Algorithm::kRing1D) return {{b.row_range, b.col_range}};
+  if (config.algorithm != Algorithm::kRing1D) return {distmat::GatherBlock(b)};
   const int p = world.size();
-  std::vector<OutputBlock> blocks;
+  std::vector<distmat::GatherBlock<std::int64_t>> blocks;
   for (int owner = 0; owner < p; ++owner) {
     const BlockRange cols = distmat::block_range(n, p, owner);
     const distmat::RingShare share =
         distmat::ring_share(p, world.rank(), owner, b.row_range.size(), cols.size());
     if (share.empty()) continue;
-    blocks.push_back({{b.row_range.begin + share.rows.begin, b.row_range.begin + share.rows.end},
-                      {cols.begin + share.cols.begin, cols.begin + share.cols.end}});
+    blocks.emplace_back(
+        b, BlockRange{b.row_range.begin + share.rows.begin, b.row_range.begin + share.rows.end},
+        BlockRange{cols.begin + share.cols.begin, cols.begin + share.cols.end});
   }
   return blocks;
 }
 
 /// Assemble stage: â allreduce, then one of two output paths over this
-/// rank's output blocks.
+/// rank's output blocks. Both finalize a cell with the one expression
+/// sᵢⱼ = bᵢⱼ / (âᵢ + âⱼ − bᵢⱼ), and J(∅, ∅) = 1 where the union is empty
+/// (paper §II-A).
 ///
-/// Dense (no mask: kExact): S = B ⊘ C on the owning ranks, the blocks
-/// gathered on rank 0 — mirrored on the ring, whose blocks cover one
-/// triangle (S(j, i) equals S(i, j) bitwise: B, â and the union are
-/// integers).
+/// Dense (no mask: kExact): each owning rank ships its blocks' integer
+/// counts bᵢⱼ straight from its B panel, zero-run coded
+/// (distmat::gather_blocks_to_root), and rank 0 finalizes every cell as
+/// it decodes it, mirrored on the ring, whose blocks cover one triangle
+/// (S(j, i) equals S(i, j) bitwise: B, â and the union are integers). No
+/// rank builds a block of doubles; rank 0 holds the n² output and the
+/// coded counts.
 ///
 /// Sparse (a candidate mask: kHybrid): each owning rank walks its blocks
 /// against the mask (for_each_pair_in, i < j so disjoint blocks emit
 /// disjoint pairs; a ring block below the diagonal is walked as its
-/// transpose and reads B(j, i)), finalizes ONLY those cells with the same
-/// sᵢⱼ = bᵢⱼ / (âᵢ + âⱼ − bᵢⱼ) expression, and ships survivor triplets;
-/// rank 0 assembles a SparseSimilarity from them and moves in the
-/// candidate pass's pruned estimates, already in its packed-key form. No
-/// dense double block is ever built and rank 0 never holds an n²
-/// structure.
+/// transpose and reads B(j, i)), finalizes ONLY those cells, and ships
+/// survivor triplets; rank 0 assembles a SparseSimilarity from them and
+/// moves in the candidate pass's pruned estimates, already in its
+/// packed-key form. Rank 0 never holds an n² structure.
 Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int64_t n,
                 std::vector<std::int64_t>& ahat, std::vector<BatchStats> stats,
                 StageRecorder& recorder, sketch::CandidatePass* candidates) {
@@ -284,8 +284,6 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
     // exact.
     world.allreduce(ahat, std::plus<std::int64_t>{});
 
-    // sᵢⱼ = bᵢⱼ / (âᵢ + âⱼ − bᵢⱼ), with the J(∅, ∅) = 1 convention when
-    // the union is empty (paper §II-A).
     const auto finalize_cell = [&](std::int64_t gi, std::int64_t gj,
                                    std::int64_t inter) {
       const std::int64_t uni = ahat[static_cast<std::size_t>(gi)] +
@@ -294,13 +292,14 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
                       : static_cast<double>(inter) / static_cast<double>(uni);
     };
     // With SUMMA replication only layer 0 holds the reduced B.
-    const std::vector<OutputBlock> blocks =
-        owns_output ? output_blocks(world, layout, config, n) : std::vector<OutputBlock>{};
+    const std::vector<distmat::GatherBlock<std::int64_t>> blocks =
+        owns_output ? output_blocks(world, layout, config, n)
+                    : std::vector<distmat::GatherBlock<std::int64_t>>{};
 
     if (mask != nullptr) {
       std::vector<Triplet<double>> mine;
-      for (const OutputBlock& block : blocks) {
-        const DenseBlock<std::int64_t>& b = *layout.b_block;
+      for (const distmat::GatherBlock<std::int64_t>& block : blocks) {
+        const DenseBlock<std::int64_t>& b = *block.source;
         if (triangle && block.cols.end <= block.rows.begin) {
           mask->for_each_pair_in(block.cols, block.rows,
                                  [&](std::int64_t i, std::int64_t j) {
@@ -315,21 +314,11 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
                                  });
         }
       }
-      survivors = distmat::gather_triplets_to_root(world, std::move(mine));
+      survivors = distmat::gather_triplets_to_root(world, std::move(mine), n);
     } else {
-      std::vector<DenseBlock<double>> finalized;
-      finalized.reserve(blocks.size());
-      for (const OutputBlock& block : blocks) {
-        const DenseBlock<std::int64_t>& b = *layout.b_block;
-        DenseBlock<double>& s = finalized.emplace_back(block.rows, block.cols);
-        for (std::int64_t i = block.rows.begin; i < block.rows.end; ++i) {
-          for (std::int64_t j = block.cols.begin; j < block.cols.end; ++j) {
-            s.at_global(i, j) = finalize_cell(i, j, b.at_global(i, j));
-          }
-        }
-      }
       full = distmat::gather_blocks_to_root(
-          world, std::span<const DenseBlock<double>>(finalized), n, n, triangle);
+          world, std::span<const distmat::GatherBlock<std::int64_t>>(blocks), n, n, triangle,
+          finalize_cell);
     }
   }
 

@@ -42,14 +42,7 @@ struct Key {
 /// checks out; empty for the empty message.
 [[nodiscard]] std::span<const std::uint8_t> checked_body(std::span<const std::uint8_t> bytes) {
   if (bytes.empty()) return bytes;
-  if (bytes.size() <= kCrcBytes) throw error::CorruptInput("decode_panel: truncated message");
-  const std::span<const std::uint8_t> body = bytes.first(bytes.size() - kCrcBytes);
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body.size(), kCrcBytes);
-  if (stored != crc32(body.data(), body.size())) {
-    throw error::CorruptInput("decode_panel: checksum mismatch");
-  }
-  return body;
+  return unseal_message(bytes, "decode_panel");
 }
 
 /// An upper bound on a body's entries, to size the output once: word
@@ -304,6 +297,20 @@ void seal_message(std::vector<std::uint8_t>& body) {
   const std::size_t at = body.size();
   body.resize(at + kCrcBytes);
   std::memcpy(body.data() + at, &crc, kCrcBytes);
+}
+
+std::span<const std::uint8_t> unseal_message(std::span<const std::uint8_t> bytes,
+                                             const char* who) {
+  if (bytes.size() <= kCrcBytes) {
+    throw error::CorruptInput(std::string(who) + ": truncated message");
+  }
+  const std::span<const std::uint8_t> body = bytes.first(bytes.size() - kCrcBytes);
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + body.size(), kCrcBytes);
+  if (stored != crc32(body.data(), body.size())) {
+    throw error::CorruptInput(std::string(who) + ": checksum mismatch");
+  }
+  return body;
 }
 
 CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents,

@@ -103,9 +103,16 @@ class PanelEncoder {
 };
 
 /// Append the CRC-32 trailer that seals a message body (its mode byte and
-/// code). PanelEncoder::finish seals every message it writes; the tests
-/// seal hand-built bodies with it to reach the decoder's structural checks.
+/// code). PanelEncoder::finish seals every message it writes, and so does
+/// the output gather (gather.hpp); the tests seal hand-built bodies with it
+/// to reach the decoders' structural checks.
 void seal_message(std::vector<std::uint8_t>& body);
+
+/// The body of a sealed message once its CRC-32 trailer checks out.
+/// Throws error::CorruptInput naming `who` on a message of 4 bytes or
+/// less (`truncated message`) or a mismatch (`checksum mismatch`).
+[[nodiscard]] std::span<const std::uint8_t> unseal_message(std::span<const std::uint8_t> bytes,
+                                                           const char* who);
 
 /// Encode the entries of `entries` that `keep` accepts.
 template <typename Keep>

@@ -56,16 +56,27 @@ const char* estimator_wire_name(core::Estimator estimator) {
   throw std::invalid_argument("estimator_wire_name: not a sketch estimator");
 }
 
+namespace {
+
+/// The (magic|type, params, seed) header words of an empty sketch under
+/// `config`: exactly what every compatible blob carries.
+std::vector<std::uint64_t> wire_header(const core::Config& config) {
+  std::vector<std::uint64_t> wire =
+      std::visit([](const auto& sk) { return sk.wire(); }, make_sketch(config));
+  wire.resize(kWireHeaderWords);
+  return wire;
+}
+
+/// Does `wire` start with the `header` words?
+bool has_header(std::span<const std::uint64_t> wire, std::span<const std::uint64_t> header) {
+  return wire.size() >= header.size() && std::equal(header.begin(), header.end(), wire.begin());
+}
+
+}  // namespace
+
 bool wire_matches_config(std::span<const std::uint64_t> wire,
                          const core::Config& config) {
-  if (wire.size() < kWireHeaderWords) return false;
-  // The (magic|type, params, seed) header of an empty sketch under this
-  // config is exactly what every compatible blob must carry.
-  const auto expected =
-      std::visit([](const auto& sk) { return sk.wire(); }, make_sketch(config));
-  for (std::size_t w = 0; w < kWireHeaderWords; ++w) {
-    if (wire[w] != expected[w]) return false;
-  }
+  if (!has_header(wire, wire_header(config))) return false;
   // A matching header is not enough: a truncated persisted blob (e.g. an
   // interrupted `gas sketch` write) or a corrupt payload (bottom-k minima
   // out of order) must be treated as "no persisted sketch" here, not
@@ -175,7 +186,7 @@ namespace {
 /// non-zero (i < j, est) estimates on rank 0 as ascending packed keys.
 /// Each pair is scored by exactly one rank (the ring scores each block
 /// once; LSH routes a pair to its lower sample's blob owner and dedupes),
-/// which the triplet gather's overlapping-contribution check enforces.
+/// which the triplet gather's duplicate check enforces.
 void finish_candidate_pass(bsp::Comm& world, std::int64_t n,
                            std::vector<std::uint64_t> kept,
                            std::vector<distmat::Triplet<double>> pruned,
@@ -183,7 +194,7 @@ void finish_candidate_pass(bsp::Comm& world, std::int64_t n,
   const std::vector<std::uint64_t> survivors =
       distmat::allreduce_pair_union(world, std::move(kept));
   pass.mask = distmat::CandidateMask(n, std::span<const std::uint64_t>(survivors));
-  const auto merged = distmat::gather_triplets_to_root(world, std::move(pruned));
+  const auto merged = distmat::gather_triplets_to_root(world, std::move(pruned), n);
   pass.estimate_keys.reserve(merged.size());
   pass.estimate_values.reserve(merged.size());
   for (const auto& t : merged) {
@@ -200,10 +211,14 @@ void finish_candidate_pass(bsp::Comm& world, std::int64_t n,
 /// `diagonal`, each blob against itself too. `on_block(owner, rows, cols)`
 /// is called once per non-empty share with position ranges in this
 /// rank's panel and in `owner`'s, and returns the visitor `(a, b, est)`
-/// of its pairs.
+/// of its pairs. Every held blob must carry the run's `header`
+/// (wire_header): the panels crossed the wire, so a blob whose tag,
+/// parameter or seed word differs throws error::CorruptInput before the
+/// estimators, whose mismatch errors name a caller's bug, see it.
 template <typename OnBlock>
 void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& panel,
-                         bool diagonal, OnBlock&& on_block) {
+                         std::span<const std::uint64_t> header, bool diagonal,
+                         OnBlock&& on_block) {
   const int p = world.size();
   const int r = world.rank();
   const auto mine = core::unpack_word_panel(panel);
@@ -211,6 +226,12 @@ void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& pan
       world, bsp::tags::kSketchRing, "sketch-ring/step", panel,
       [&](int owner, std::span<const std::uint64_t> held) {
         const auto theirs = core::unpack_word_panel(held);
+        for (const std::span<const std::uint64_t> blob : theirs) {
+          if (!has_header(blob, header)) {
+            throw error::CorruptInput(
+                "score_ring_triangle: sketch blob header does not match the run's");
+          }
+        }
         const distmat::RingShare share =
             distmat::ring_share(p, r, owner, static_cast<std::int64_t>(mine.size()),
                                 static_cast<std::int64_t>(theirs.size()));
@@ -233,7 +254,8 @@ void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& pan
 /// layout), so no ids travel.
 void all_pairs_candidate_pass(bsp::Comm& world,
                               const std::vector<std::vector<std::uint64_t>>& blobs,
-                              std::int64_t n, CandidatePass& pass) {
+                              std::int64_t n, const core::Config& config,
+                              CandidatePass& pass) {
   const obs::Span stage_span("allpairs-candidates", "sketch",
                              &world.counters());
   const std::int64_t p = world.size();
@@ -241,7 +263,7 @@ void all_pairs_candidate_pass(bsp::Comm& world,
   std::vector<distmat::Triplet<double>> pruned;
   std::vector<std::uint64_t> kept;
   score_ring_triangle(
-      world, core::pack_word_panel(blobs), /*diagonal=*/false,
+      world, core::pack_word_panel(blobs), wire_header(config), /*diagonal=*/false,
       [&](int owner, BlockRange, BlockRange) {
         return [&, owner](std::int64_t a, std::int64_t b, double est) {
           const std::int64_t x = r + a * p;
@@ -464,7 +486,7 @@ CandidatePass sketch_candidate_pass(bsp::Comm& world,
     pass.plan = lsh_candidate_plan(config, pass.effective_threshold);
     lsh_candidate_pass(world, blobs, n, pass);
   } else {
-    all_pairs_candidate_pass(world, blobs, n, pass);
+    all_pairs_candidate_pass(world, blobs, n, config, pass);
   }
   return pass;
 }
@@ -505,7 +527,7 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
   {
     auto stage = recorder.scope(core::Stage::kMultiply, core::Stage::kExchange);
     score_ring_triangle(
-        world, panel_words, /*diagonal=*/true,
+        world, panel_words, wire_header(config), /*diagonal=*/true,
         [&](int owner, BlockRange rows, BlockRange cols) {
           const std::int64_t row0 = mine.begin;
           const std::int64_t col0 = distmat::block_range(n, p, owner).begin;
@@ -528,8 +550,9 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
   std::vector<double> full;
   {
     auto stage = recorder.scope(core::Stage::kAssemble);
+    const std::vector<distmat::GatherBlock<double>> shares(computed.begin(), computed.end());
     full = distmat::gather_blocks_to_root(
-        world, std::span<const DenseBlock<double>>(computed), n, n, /*mirror=*/true);
+        world, std::span<const distmat::GatherBlock<double>>(shares), n, n, /*mirror=*/true);
   }
 
   core::Result result;

@@ -34,9 +34,13 @@
 //      matrix: every wire estimator is bitwise symmetric, so each
 //      unordered pair is scored once — the diagonal block's upper
 //      triangle, the whole block (r, r − s) at steps 0 < s < p/2, and at
-//      even p one half of the block that ranks p/2 apart share. Rank 0
-//      gathers only those blocks and writes each one and its transpose
-//      (distmat::gather_blocks_to_root).
+//      even p one half of the block that ranks p/2 apart share. Before
+//      scoring, every held blob's tag, parameter and seed words must equal
+//      the run's (make_sketch's empty sketch): the panels crossed the
+//      wire, so a mismatch is error::CorruptInput, not the estimators'
+//      std::invalid_argument. Rank 0 gathers only those blocks, as raw
+//      doubles in the output gather's zero-run code, and writes each one
+//      and its transpose (distmat::gather_blocks_to_root).
 //
 // Communication per rotation step is O(samples_per_rank · sketch_bytes)
 // — independent of genome size — versus the exact ring's O(nnz) panel
@@ -46,15 +50,13 @@
 //
 // Pure sketch and the all-pairs candidate pass below score on the same
 // ring and differ only in what they keep. Pure sketch keeps every
-// estimate, so rank 0 gathers the dense blocks (8 bytes per pair); the
-// pass gathers non-zero estimates (only the pruned ones) as 24-byte
-// (i, j, est) triplets, so its bytes follow the similarity structure. On
-// the perf ledger's families-minhash workload (n = 2,304, p = 4) the
-// gather moves 19.91 MB; triplets would move 0.75 MB, because ≈98% of
-// that corpus's pairs estimate exactly 0, but up to 47.8 MB once every
-// pair is related.
-// Routing pure sketch through the pass waits for a ledger workload with
-// related samples to measure that trade.
+// estimate: rank 0 gathers the dense blocks, whose zero estimates travel
+// as runs and whose others as 8 raw bytes each; the pass gathers non-zero
+// estimates (only the pruned ones) as 24-byte (i, j, est) triplets. On
+// the perf ledger's families-minhash workload (n = 2,304, p = 4), where
+// ≈98% of the pairs estimate exactly 0, the block gather moves 0.41 MB
+// (19.91 MB as dense doubles); triplets would move 0.75 MB, and up to
+// 47.8 MB once every pair is related.
 //
 // == The hybrid candidate pass ===========================================
 //

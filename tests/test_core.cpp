@@ -128,6 +128,27 @@ TEST(Driver, EmptySamplesHaveSimilarityOne) {
   EXPECT_DOUBLE_EQ(result.similarity.similarity(2, 2), 1.0);
 }
 
+TEST(Driver, EmptyPairReachesTheRootThroughAZeroRun) {
+  // Samples 4 and 5 are empty. At 4 ranks the ring's rank 3 holds cell
+  // (5, 4) and SUMMA's grid rank (1, 1) holds (4, 5): a zero count, which
+  // travels in a zero run and which the root finalizes to J(∅, ∅) = 1,
+  // bit for bit what the serial run computes.
+  VectorSampleSource src(100, {{1, 2, 3}, {2, 3, 4}, {50, 60}, {1, 60}, {}, {}});
+  Config cfg;
+  cfg.algorithm = Algorithm::kSerial;
+  const Result serial = similarity_at_scale_threaded(1, src, cfg);
+  for (const Algorithm algorithm : {Algorithm::kRing1D, Algorithm::kSumma}) {
+    cfg.algorithm = algorithm;
+    const Result result = similarity_at_scale_threaded(4, src, cfg);
+    EXPECT_EQ(result.similarity.similarity(4, 5), 1.0);
+    EXPECT_EQ(result.similarity.similarity(5, 4), 1.0);
+    EXPECT_EQ(result.similarity.similarity(5, 5), 1.0);
+    EXPECT_EQ(result.similarity.similarity(0, 4), 0.0);
+    EXPECT_EQ(result.similarity.values(), serial.similarity.values())
+        << "algorithm " << static_cast<int>(algorithm);
+  }
+}
+
 TEST(Driver, IdenticalAndDisjointSamples) {
   VectorSampleSource src(50, {{1, 5, 9}, {1, 5, 9}, {20, 30}});
   Config cfg;

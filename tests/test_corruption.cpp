@@ -6,6 +6,7 @@
 // never silently index out of bounds. Run under ASan/UBSan/TSan in CI.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -20,6 +21,7 @@
 #include "core/matrix_io.hpp"
 #include "core/packing.hpp"
 #include "core/similarity_matrix.hpp"
+#include "distmat/gather.hpp"
 #include "distmat/panel_wire.hpp"
 #include "genome/kmer_source.hpp"
 #include "genome/sample.hpp"
@@ -452,6 +454,86 @@ TEST(CorruptionMatrix, SetBitWireDamageIsContainedOrTyped) {
                  });
   }
   EXPECT_EQ(set_modes.size(), 2u);  // word runs and gaps
+}
+
+// ------------------------------------------------------ output gather
+
+/// Decode a damaged block message into a 6×6 matrix framed by canary
+/// cells: it must throw the typed CorruptInput or, unless `must_reject`,
+/// write only inside the matrix.
+template <typename T>
+void expect_block_message_contained(const std::vector<std::uint8_t>& bytes, bool mirror,
+                                    const std::string& label, bool must_reject) {
+  constexpr std::int64_t kN = 6;
+  constexpr std::size_t kFrame = 16;
+  const T canary = static_cast<T>(-77);
+  std::vector<T> buffer(kFrame + kN * kN + kFrame, canary);
+  try {
+    distmat::decode_block_message<T>(bytes, kN, kN, mirror, distmat::KeepValue{},
+                                     std::span<T>(buffer).subspan(kFrame, kN * kN));
+    ASSERT_FALSE(must_reject) << label << " passed the CRC";
+  } catch (const error::CorruptInput&) {
+    // typed rejection: fine
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << " escaped the taxonomy: " << e.what();
+  }
+  for (std::size_t k = 0; k < kFrame; ++k) {
+    ASSERT_EQ(buffer[k], canary) << label << " wrote before the matrix";
+    ASSERT_EQ(buffer[kFrame + kN * kN + k], canary) << label << " wrote past the matrix";
+  }
+}
+
+TEST(CorruptionMatrix, OutputGatherDamageIsContainedOrTyped) {
+  // What one rank ships to the output gather: ring shares of a 6×6 count
+  // matrix (zero runs, counts of one and three LEB128 bytes, an empty
+  // block), the sketch ring's doubles (−0.0 and a NaN among them), and
+  // a rank with no blocks. Every message is sealed, so every flip and
+  // every truncation, to nothing included, must fail the CRC; resealed,
+  // the decoder's range and run checks must keep every write inside the
+  // matrix.
+  distmat::DenseBlock<std::int64_t> counts({2, 4}, {0, 6});
+  counts.at_global(2, 2) = 5;
+  counts.at_global(2, 3) = 70000;
+  counts.at_global(3, 5) = 1;
+  const std::vector<distmat::GatherBlock<std::int64_t>> count_blocks{
+      {counts, {2, 4}, {2, 4}}, {counts, {2, 4}, {0, 2}}, {counts, {3, 3}, {0, 6}},
+      {counts, {3, 4}, {4, 6}}};
+  distmat::DenseBlock<double> estimates({0, 3}, {3, 6});
+  estimates.at_global(0, 3) = -0.0;
+  estimates.at_global(1, 4) = std::bit_cast<double>(0x7ff80000deadbeefULL);
+  estimates.at_global(2, 5) = 0.25;
+  const std::vector<distmat::GatherBlock<double>> estimate_blocks{
+      distmat::GatherBlock<double>(estimates)};
+
+  const auto sweep_counts = [&](std::span<const distmat::GatherBlock<std::int64_t>> blocks,
+                                const std::string& label) {
+    const std::vector<std::uint8_t> bytes = distmat::encode_block_message(blocks);
+    std::vector<std::int64_t> out(36, 0);
+    distmat::decode_block_message<std::int64_t>(bytes, 6, 6, true, distmat::KeepValue{},
+                                                std::span<std::int64_t>(out));
+    sweep_damage(bytes, label,
+                 [&](const std::vector<std::uint8_t>& damaged, const std::string& what,
+                     bool must_reject) {
+                   expect_block_message_contained<std::int64_t>(damaged, true, what,
+                                                                must_reject || damaged.empty());
+                 });
+    return out;
+  };
+  const std::vector<std::int64_t> decoded = sweep_counts(count_blocks, "count message");
+  EXPECT_EQ(decoded[2 * 6 + 3], 70000);
+  EXPECT_EQ(decoded[3 * 6 + 2], 0);  // the block's own cell, not mirrored over
+  EXPECT_EQ(decoded[3 * 6 + 5], 1);
+  EXPECT_EQ(decoded[5 * 6 + 3], 1);  // mirrored
+  (void)sweep_counts({}, "message with no blocks");
+
+  const std::vector<std::uint8_t> bytes = distmat::encode_block_message(
+      std::span<const distmat::GatherBlock<double>>(estimate_blocks));
+  sweep_damage(bytes, "estimate message",
+               [&](const std::vector<std::uint8_t>& damaged, const std::string& what,
+                   bool must_reject) {
+                 expect_block_message_contained<double>(damaged, false, what,
+                                                        must_reject || damaged.empty());
+               });
 }
 
 // ------------------------------------------------------ sketch word panels

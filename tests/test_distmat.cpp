@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bsp/runtime.hpp"
@@ -674,20 +677,13 @@ TEST_P(ParallelSpgemm, MatchesSerialReference) {
       b_block.emplace(block_range(n, s, grid.grid_row()), cols);
       summa_ata_accumulate(grid, *my_block, *b_block);
     }
-    std::vector<DenseBlock<double>> s_blocks;
-    if (grid.active() && grid.layer() == 0) {
-      DenseBlock<double>& s_block = s_blocks.emplace_back(b_block->row_range, b_block->col_range);
-      for (std::size_t i = 0; i < s_block.values.size(); ++i) {
-        s_block.values[i] = static_cast<double>(b_block->values[i]);
-      }
-    }
-    const std::vector<double> assembled = gather_blocks_to_root(
-        comm, std::span<const DenseBlock<double>>(s_blocks), n, n, /*mirror=*/false);
+    std::vector<GatherBlock<std::int64_t>> counts;
+    if (grid.active() && grid.layer() == 0) counts.emplace_back(*b_block);
+    std::vector<std::int64_t> assembled = gather_blocks_to_root(
+        comm, std::span<const GatherBlock<std::int64_t>>(counts), n, n, /*mirror=*/false);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lock(got_mutex);
-      for (std::size_t i = 0; i < assembled.size(); ++i) {
-        got[i] = static_cast<std::int64_t>(assembled[i]);
-      }
+      got = std::move(assembled);
     }
   });
   EXPECT_EQ(got, expected);
@@ -750,23 +746,183 @@ TEST(RingShare, CoversEachBlockPairOnce) {
 TEST(GatherDense, AssemblesBlocksOnRoot) {
   bsp::Runtime::run(4, [](bsp::Comm& comm) {
     ProcGrid grid(comm, 1);
-    DenseBlock<double> block(block_range(6, 2, grid.grid_row()),
-                             block_range(6, 2, grid.grid_col()));
+    DenseBlock<std::int64_t> block(block_range(6, 2, grid.grid_row()),
+                                   block_range(6, 2, grid.grid_col()));
     for (std::int64_t i = 0; i < block.local_rows(); ++i) {
       for (std::int64_t j = 0; j < block.local_cols(); ++j) {
-        block.at_local(i, j) = static_cast<double>((block.row_range.begin + i) * 6 +
-                                                   block.col_range.begin + j);
+        block.at_local(i, j) = (block.row_range.begin + i) * 6 + block.col_range.begin + j;
       }
     }
-    const auto full = gather_blocks_to_root(comm, std::span<const DenseBlock<double>>(&block, 1),
-                                            6, 6, /*mirror=*/false);
+    const GatherBlock<std::int64_t> whole(block);
+    const auto full = gather_blocks_to_root(
+        comm, std::span<const GatherBlock<std::int64_t>>(&whole, 1), 6, 6, /*mirror=*/false);
     if (comm.rank() == 0) {
       ASSERT_EQ(full.size(), 36u);
-      for (std::size_t i = 0; i < 36; ++i) EXPECT_DOUBLE_EQ(full[i], static_cast<double>(i));
+      for (std::size_t i = 0; i < 36; ++i) EXPECT_EQ(full[i], static_cast<std::int64_t>(i));
     } else {
       EXPECT_TRUE(full.empty());
     }
   });
+}
+
+/// The blocks rank r of p contributes to an n×n gather: with `mirror`, its
+/// ring shares (one triangle, distmat/ring.hpp); without, its row block
+/// split into two column blocks. Each also carries an empty block.
+std::vector<std::pair<BlockRange, BlockRange>> gather_layout(std::int64_t n, int p, int r,
+                                                             bool mirror) {
+  const BlockRange rows = block_range(n, p, r);
+  std::vector<std::pair<BlockRange, BlockRange>> blocks{
+      {{rows.begin, rows.begin}, {0, n}}};
+  if (!mirror) {
+    blocks.push_back({rows, {0, n / 2}});
+    blocks.push_back({rows, {n / 2, n}});
+    return blocks;
+  }
+  for (int owner = 0; owner < p; ++owner) {
+    const BlockRange cols = block_range(n, p, owner);
+    const RingShare share = ring_share(p, r, owner, rows.size(), cols.size());
+    if (share.empty()) continue;
+    blocks.push_back({{rows.begin + share.rows.begin, rows.begin + share.rows.end},
+                      {cols.begin + share.cols.begin, cols.begin + share.cols.end}});
+  }
+  return blocks;
+}
+
+/// Cell values with runs of zeros, row 0 all zero and row 1 all nonzero;
+/// symmetric when `symmetric`. Integers include negatives and values past
+/// 2^56; doubles include −0.0, NaN payloads and subnormals, whose bit
+/// patterns are nonzero.
+template <typename T>
+std::vector<T> gather_truth(std::int64_t n, bool symmetric, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<T> truth(static_cast<std::size_t>(n * n), T{});
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = symmetric ? i : 0; j < n; ++j) {
+      T value{};
+      if (i == 1 || j == 1 || (i != 0 && j != 0 && rng.bernoulli(0.5))) {
+        const std::uint64_t pick = rng.uniform(4);
+        if constexpr (std::is_integral_v<T>) {
+          const std::int64_t choices[] = {1, 300, -107, std::int64_t{1} << 60};
+          value = choices[pick] + static_cast<std::int64_t>(rng.uniform(100));
+        } else {
+          const double choices[] = {-0.0, std::bit_cast<double>(0x7ff80000deadbeefULL),
+                                    std::numeric_limits<double>::denorm_min(),
+                                    rng.uniform_real()};
+          value = choices[pick];
+        }
+        if (i == 0 || j == 0) value = T{};
+      }
+      truth[static_cast<std::size_t>(i * n + j)] = value;
+      if (symmetric) truth[static_cast<std::size_t>(j * n + i)] = value;
+    }
+  }
+  return truth;
+}
+
+/// Gather `truth`'s blocks (gather_layout) from p ranks with `finalize`
+/// and check the root's matrix bit for bit against a plain assembly.
+template <typename T, typename Finalize>
+void expect_gather_matches_reference(std::int64_t n, int p, bool mirror, Finalize finalize) {
+  const std::vector<T> truth = gather_truth<T>(n, mirror, 1000 * n + p);
+  using Out = std::invoke_result_t<Finalize&, std::int64_t, std::int64_t, T>;
+  std::vector<Out> expected(static_cast<std::size_t>(n * n), Out{});
+  for (int r = 0; r < p; ++r) {
+    for (const auto& [rows, cols] : gather_layout(n, p, r, mirror)) {
+      for (std::int64_t i = rows.begin; i < rows.end; ++i) {
+        for (std::int64_t j = cols.begin; j < cols.end; ++j) {
+          const Out value = finalize(i, j, truth[static_cast<std::size_t>(i * n + j)]);
+          expected[static_cast<std::size_t>(i * n + j)] = value;
+          if (mirror && !(rows.contains(j) && cols.contains(i))) {
+            expected[static_cast<std::size_t>(j * n + i)] = value;
+          }
+        }
+      }
+    }
+  }
+  std::vector<Out> got;
+  bsp::Runtime::run(p, [&](bsp::Comm& comm) {
+    const BlockRange rows = block_range(n, p, comm.rank());
+    DenseBlock<T> panel(rows, {0, n});
+    for (std::int64_t i = rows.begin; i < rows.end; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        panel.at_global(i, j) = truth[static_cast<std::size_t>(i * n + j)];
+      }
+    }
+    std::vector<GatherBlock<T>> blocks;
+    for (const auto& [block_rows, block_cols] : gather_layout(n, p, comm.rank(), mirror)) {
+      blocks.emplace_back(panel, block_rows, block_cols);
+    }
+    std::vector<Out> full = gather_blocks_to_root(
+        comm, std::span<const GatherBlock<T>>(blocks), n, n, mirror, finalize);
+    if (comm.rank() == 0) {
+      got = std::move(full);
+    } else {
+      EXPECT_TRUE(full.empty());
+    }
+  });
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[c]), std::bit_cast<std::uint64_t>(expected[c]))
+        << "n=" << n << " p=" << p << " mirror=" << mirror << " cell " << c;
+  }
+}
+
+TEST(GatherDense, RoundTripMatchesReferenceAssembly) {
+  // Counts finalized on the root, as the exact pipeline does (a finalize
+  // that reads both coordinates, so a misplaced cell shows), and doubles
+  // kept as shipped, as the sketch ring does. 1×1 blocks (n = 1, and
+  // p ≥ n), uneven ring shares (n = 7 at p = 4 splits a block of 2 and
+  // one of 1), and ranks with no rows (p > n).
+  const auto counts_to_double = [](std::int64_t i, std::int64_t j, std::int64_t count) {
+    return static_cast<double>(count) + 0.5 * static_cast<double>(i) -
+           0.25 * static_cast<double>(j);
+  };
+  for (const std::int64_t n : {1, 5, 7}) {
+    for (const int p : {1, 2, 3, 4, 8}) {
+      for (const bool mirror : {false, true}) {
+        expect_gather_matches_reference<std::int64_t>(n, p, mirror, counts_to_double);
+        expect_gather_matches_reference<std::int64_t>(n, p, mirror, KeepValue{});
+        expect_gather_matches_reference<double>(n, p, mirror, KeepValue{});
+      }
+    }
+  }
+}
+
+TEST(GatherDense, ZeroRunsCostBytesOnlyForNonzeroCells) {
+  // A 64×64 block of counts with 3 nonzero cells: the ranges, three runs
+  // and the CRC, not 8 bytes a cell.
+  DenseBlock<std::int64_t> block({0, 64}, {0, 64});
+  block.at_global(0, 5) = 1;
+  block.at_global(17, 17) = 2;
+  block.at_global(63, 63) = 300;
+  const GatherBlock<std::int64_t> whole(block);
+  const std::vector<std::uint8_t> message =
+      encode_block_message(std::span<const GatherBlock<std::int64_t>>(&whole, 1));
+  EXPECT_LE(message.size(), 30u);
+  std::vector<std::int64_t> out(64 * 64, -1);
+  decode_block_message<std::int64_t>(message, 64, 64, false, KeepValue{},
+                                     std::span<std::int64_t>(out));
+  EXPECT_EQ(out, block.values);
+}
+
+TEST(GatherTriplets, PairsOutsideTheTriangleOrRepeatedAreCorruptInput) {
+  // The triplets cross the wire: a pair below the diagonal, past n, or
+  // sent twice is damage, not a caller's bug.
+  const std::vector<std::vector<Triplet<double>>> bad{
+      {{2, 1, 0.5}}, {{1, 1, 0.5}}, {{0, 4, 0.5}}, {{-1, 2, 0.5}}, {{0, 1, 0.5}, {0, 1, 0.5}}};
+  for (const auto& from_rank_1 : bad) {
+    try {
+      bsp::Runtime::run(2, [&](bsp::Comm& comm) {
+        std::vector<Triplet<double>> mine;
+        if (comm.rank() == 1) mine = from_rank_1;
+        (void)gather_triplets_to_root(comm, std::move(mine), 4);
+      });
+      ADD_FAILURE() << "expected rank 0 to reject (" << from_rank_1[0].row << ", "
+                    << from_rank_1[0].col << ")";
+    } catch (const error::Error& e) {
+      EXPECT_EQ(e.code(), error::Code::kCorruptInput) << e.what();
+    }
+  }
 }
 
 }  // namespace

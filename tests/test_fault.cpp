@@ -400,43 +400,64 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FaultInjection, FlippedPanelBytesAreTypedOrBenign) {
   // A byte flipped in flight at any op of a small exact run — filter
   // union, redistribution alltoall, ring hops, SUMMA transposes and
-  // broadcasts, output gather — must either let the run finish or end it
-  // as corrupt input (exit 3): received panels and filter index sets are
-  // CRC-checked and bounds-checked on decode (distmat/panel_wire.hpp), so
-  // damage is rejected before a kernel indexes with it, and a filter
-  // that lacks a row some rank read fails compact_row_id; at least one
-  // flip must meet the panel decoder. Wire damage is never a rank failure
-  // (exit 4), which names a program bug. The dense corpus's filter index
-  // sets travel as word runs, the hypersparse one's as gaps. SUMMA's
-  // first 24 ops at 4 ranks are the ProcGrid split allgathers, where a
-  // flipped color can hang until the watchdog; its sweep starts at the
-  // batch body. Past the last op the flip never fires, so the sweep's
-  // last run must not throw.
+  // broadcasts, output gather — must either leave the output bit for bit
+  // the fault-free one or end the run as corrupt input (exit 3): received
+  // panels, filter index sets and the output gather's block messages are
+  // CRC-checked and bounds-checked on decode (distmat/panel_wire.hpp,
+  // distmat/gather.hpp), so damage is rejected before anything indexes
+  // with it. Wire damage is never a rank failure (exit 4), which names a
+  // program bug. A flip at the gather's op (rank 1's one block message)
+  // must fail its CRC. Only rank 1's two ops of the â reduce into the root
+  // (its receive from rank 3, then its send to rank 0) still finish with
+  // a different matrix: that reduce is unsealed until the transport CRC
+  // of ROADMAP direction 1. The dense corpus's filter index sets travel
+  // as word runs, the hypersparse one's as gaps. SUMMA's first 24 ops at
+  // 4 ranks are the ProcGrid split allgathers, where a flipped color can
+  // hang until the watchdog; its sweep starts at the batch body. Past the
+  // last op the flip never fires, so the sweep's last run must not throw.
   const auto dense = stress_source(2424);
   const auto hypersparse = hypersparse_source(2525);
   struct Sweep {
     const core::SampleSource* source;
     core::Algorithm algorithm;
     std::uint64_t first_op;
+    std::uint64_t ahat_reduce_op;  ///< the first of rank 1's two reduce ops
+    std::uint64_t gather_op;
   };
   constexpr std::uint64_t kPastLastOp = 100;
   int decoder_rejections = 0;
-  for (const Sweep sweep : {Sweep{&dense, core::Algorithm::kRing1D, 0},
-                            Sweep{&dense, core::Algorithm::kSumma, 24},
-                            Sweep{&hypersparse, core::Algorithm::kRing1D, 0}}) {
+  for (const Sweep sweep : {Sweep{&dense, core::Algorithm::kRing1D, 0, 52, 56},
+                            Sweep{&dense, core::Algorithm::kSumma, 24, 80, 84},
+                            Sweep{&hypersparse, core::Algorithm::kRing1D, 0, 52, 56}}) {
     core::Config config;
     config.algorithm = sweep.algorithm;
     config.batch_count = 2;
     config.watchdog_ms = 30000;  // safety net: a hang fails fast, not never
+    const std::vector<double> fault_free =
+        core::similarity_at_scale_threaded(4, *sweep.source, config).similarity.values();
     for (std::uint64_t op = sweep.first_op; op <= kPastLastOp; ++op) {
       config.fault_plan = "rank=1:op=" + std::to_string(op) + ":flip=13";
       try {
-        (void)core::similarity_at_scale_threaded(4, *sweep.source, config);
+        const core::Result result = core::similarity_at_scale_threaded(4, *sweep.source, config);
+        EXPECT_NE(op, sweep.gather_op) << config.fault_plan << " passed the gather's CRC";
+        const std::vector<double>& got = result.similarity.values();
+        const bool same = got.size() == fault_free.size() &&
+                          std::equal(got.begin(), got.end(), fault_free.begin(),
+                                     [](double a, double b) {
+                                       return std::bit_cast<std::uint64_t>(a) ==
+                                              std::bit_cast<std::uint64_t>(b);
+                                     });
+        if (op != sweep.ahat_reduce_op && op != sweep.ahat_reduce_op + 1) {
+          EXPECT_TRUE(same) << config.fault_plan << " finished with a different matrix";
+        }
       } catch (const error::Error& e) {
         EXPECT_EQ(e.code(), error::Code::kCorruptInput) << config.fault_plan << ": " << e.what();
         EXPECT_NE(op, kPastLastOp) << "the sweep must outlast the run's ops";
-        if (std::string(e.what()).find("decode_panel") != std::string::npos) {
-          ++decoder_rejections;
+        const std::string what = e.what();
+        if (what.find("decode_panel") != std::string::npos) ++decoder_rejections;
+        if (op == sweep.gather_op) {
+          EXPECT_NE(what.find("decode_block_message: checksum mismatch"), std::string::npos)
+              << what;
         }
       } catch (const std::exception& e) {
         ADD_FAILURE() << config.fault_plan << " escaped the taxonomy: " << e.what();
@@ -444,6 +465,36 @@ TEST(FaultInjection, FlippedPanelBytesAreTypedOrBenign) {
     }
   }
   EXPECT_GT(decoder_rejections, 0);
+}
+
+TEST(FaultInjection, FlippedSketchHeaderWordsAreCorruptInput) {
+  // A flipped tag, parameter or seed word of a sketch blob on the sketch
+  // ring is wire damage: the scorer checks every held blob's header
+  // against the run's before the estimators, whose mismatch errors name a
+  // caller's bug (exit 4), see it. Rank 1 holds 6 of the 24 samples in
+  // both layouts, so the first blob's header words start at byte
+  // 8 · (1 + 6) of its panel, after the count and length words
+  // (core::pack_word_panel); op 0 is its first ring hop. Pure minhash and
+  // the hybrid's all-pairs candidate pass share the scorer.
+  const auto source = stress_source(2626);
+  for (const core::Estimator estimator : {core::Estimator::kMinhash, core::Estimator::kHybrid}) {
+    core::Config config;
+    config.estimator = estimator;
+    config.algorithm = core::Algorithm::kRing1D;
+    config.candidate_mode = core::CandidateMode::kAllPairs;
+    config.watchdog_ms = 30000;  // safety net: a hang fails fast, not never
+    for (const int byte : {56, 64, 72}) {
+      config.fault_plan = "rank=1:op=0:flip=" + std::to_string(byte);
+      try {
+        (void)core::similarity_at_scale_threaded(4, source, config);
+        ADD_FAILURE() << config.fault_plan << " finished";
+      } catch (const error::Error& e) {
+        EXPECT_EQ(e.code(), error::Code::kCorruptInput) << config.fault_plan << ": " << e.what();
+        EXPECT_NE(std::string(e.what()).find("score_ring_triangle"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ checkpoint/restart

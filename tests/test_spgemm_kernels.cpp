@@ -279,29 +279,21 @@ std::vector<std::int64_t> run_ring(const SparseBlock& full, int p) {
     SparseBlock panel{full.rows, my_cols.size(), std::move(mine)};
     DenseBlock<std::int64_t> b_panel(my_cols, BlockRange{0, n});
     ring_ata_accumulate(comm, n, panel, b_panel);
-    std::vector<DenseBlock<double>> shares;
+    std::vector<GatherBlock<std::int64_t>> shares;
     for (int owner = 0; owner < p; ++owner) {
       const BlockRange owner_cols = block_range(n, p, owner);
       const RingShare share =
           ring_share(p, comm.rank(), owner, my_cols.size(), owner_cols.size());
       if (share.empty()) continue;
-      DenseBlock<double>& s = shares.emplace_back(
-          BlockRange{my_cols.begin + share.rows.begin, my_cols.begin + share.rows.end},
-          BlockRange{owner_cols.begin + share.cols.begin,
-                     owner_cols.begin + share.cols.end});
-      for (std::int64_t i = s.row_range.begin; i < s.row_range.end; ++i) {
-        for (std::int64_t j = s.col_range.begin; j < s.col_range.end; ++j) {
-          s.at_global(i, j) = static_cast<double>(b_panel.at_global(i, j));
-        }
-      }
+      shares.emplace_back(
+          b_panel, BlockRange{my_cols.begin + share.rows.begin, my_cols.begin + share.rows.end},
+          BlockRange{owner_cols.begin + share.cols.begin, owner_cols.begin + share.cols.end});
     }
-    const auto full_rows = gather_blocks_to_root(
-        comm, std::span<const DenseBlock<double>>(shares), n, n, /*mirror=*/true);
+    std::vector<std::int64_t> full_rows = gather_blocks_to_root(
+        comm, std::span<const GatherBlock<std::int64_t>>(shares), n, n, /*mirror=*/true);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lock(mutex);
-      for (std::size_t i = 0; i < full_rows.size(); ++i) {
-        assembled[i] = static_cast<std::int64_t>(full_rows[i]);
-      }
+      assembled = std::move(full_rows);
     }
   });
   return assembled;
@@ -332,20 +324,13 @@ std::vector<std::int64_t> run_summa(const SparseBlock& full, int p, int layers) 
       b_block.emplace(block_range(n, s, grid.grid_row()), cols);
       summa_ata_accumulate(grid, block, *b_block);
     }
-    std::vector<DenseBlock<double>> s_blocks;
-    if (grid.active() && grid.layer() == 0) {
-      DenseBlock<double>& s_block = s_blocks.emplace_back(b_block->row_range, b_block->col_range);
-      for (std::size_t i = 0; i < s_block.values.size(); ++i) {
-        s_block.values[i] = static_cast<double>(b_block->values[i]);
-      }
-    }
-    const auto full_rows = gather_blocks_to_root(
-        comm, std::span<const DenseBlock<double>>(s_blocks), n, n, /*mirror=*/false);
+    std::vector<GatherBlock<std::int64_t>> counts;
+    if (grid.active() && grid.layer() == 0) counts.emplace_back(*b_block);
+    std::vector<std::int64_t> full_rows = gather_blocks_to_root(
+        comm, std::span<const GatherBlock<std::int64_t>>(counts), n, n, /*mirror=*/false);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lock(mutex);
-      for (std::size_t i = 0; i < full_rows.size(); ++i) {
-        assembled[i] = static_cast<std::int64_t>(full_rows[i]);
-      }
+      assembled = std::move(full_rows);
     }
   });
   return assembled;
