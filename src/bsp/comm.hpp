@@ -37,6 +37,8 @@
 #include "bsp/mailbox.hpp"
 #include "bsp/protocol.hpp"
 #include "obs/trace.hpp"
+#include "util/crc32.hpp"
+#include "util/error.hpp"
 #include "util/membudget.hpp"
 
 namespace sas::bsp {
@@ -189,8 +191,12 @@ class Comm {
   // ---- point-to-point ----------------------------------------------------
 
   /// Buffered send of a trivially copyable span. Never blocks.
-  /// Self-sends are delivered but not counted: they are local memcpys,
-  /// not network traffic, and would skew the α-β accounting.
+  /// A nonempty payload travels with its CRC-32 (util/crc32.hpp) appended,
+  /// 4 bytes in host byte order, before the fault point: every message is
+  /// checked by recv(), whatever codec wrote it. An empty payload travels
+  /// as 0 bytes. Self-sends are delivered but not counted: they are local
+  /// memcpys, not network traffic, and would skew the α-β accounting.
+  /// Counted bytes include the trailer.
   template <typename T>
   void send(int dest, int tag, std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -200,8 +206,15 @@ class Comm {
     // error::ResourceExhausted at the allocation site. Transient charge —
     // the mailbox's resident copy is the receiver's cost to bear.
     const util::ScopedCharge charge(data.size_bytes(), "send payload staging");
-    Mailbox::Message payload(data.size_bytes());
-    if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size_bytes());
+    Mailbox::Message payload;
+    if (!data.empty()) {
+      const auto* bytes = reinterpret_cast<const std::byte*>(data.data());
+      payload.reserve(data.size_bytes() + kTrailerBytes);
+      payload.assign(bytes, bytes + data.size_bytes());
+      const std::uint32_t crc = crc32(payload.data(), payload.size());
+      const auto* trailer = reinterpret_cast<const std::byte*>(&crc);
+      payload.insert(payload.end(), trailer, trailer + kTrailerBytes);
+    }
     fault_point(&payload);
     if (dest != rank_) {
       counters_->messages_sent += 1;
@@ -220,7 +233,10 @@ class Comm {
   }
 
   /// Blocking receive of a message from (source, tag). Mirrors send():
-  /// self-receives are local memcpys and are not counted as traffic.
+  /// after the fault point it checks and strips the CRC-32 trailer, and
+  /// throws error::CorruptInput naming the source and the tag on a
+  /// mismatch or a nonempty payload of 4 bytes or less. Self-receives are
+  /// local memcpys and are not counted as traffic.
   template <typename T>
   [[nodiscard]] std::vector<T> recv(int source, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -235,13 +251,14 @@ class Comm {
     }
     fault_point(&payload);
     if (source != rank_) counters_->bytes_received += payload.size();
-    if (payload.size() % sizeof(T) != 0) {
+    const std::size_t size = unseal(payload, source, tag);
+    if (size % sizeof(T) != 0) {
       throw std::logic_error("bsp::Comm::recv: payload size not a multiple of element size");
     }
     // Budget the unpack copy (see send(): typed failure, not an OOM kill).
-    const util::ScopedCharge charge(payload.size(), "recv payload unpack");
-    std::vector<T> data(payload.size() / sizeof(T));
-    if (!data.empty()) std::memcpy(data.data(), payload.data(), payload.size());
+    const util::ScopedCharge charge(size, "recv payload unpack");
+    std::vector<T> data(size / sizeof(T));
+    if (!data.empty()) std::memcpy(data.data(), payload.data(), size);
     return data;
   }
 
@@ -425,6 +442,25 @@ class Comm {
   }
   void check_rank(int r) const {
     if (r < 0 || r >= size()) throw std::out_of_range("bsp::Comm: rank out of range");
+  }
+
+  static constexpr std::size_t kTrailerBytes = sizeof(std::uint32_t);
+
+  /// The size of a received payload's body once its CRC-32 trailer
+  /// checks out; 0 for an empty payload.
+  [[nodiscard]] static std::size_t unseal(const Mailbox::Message& payload, int source,
+                                          int tag) {
+    if (payload.empty()) return 0;
+    const char* what = "truncated message";
+    if (payload.size() > kTrailerBytes) {
+      const std::size_t size = payload.size() - kTrailerBytes;
+      std::uint32_t stored = 0;
+      std::memcpy(&stored, payload.data() + size, kTrailerBytes);
+      if (stored == crc32(payload.data(), size)) return size;
+      what = "checksum mismatch";
+    }
+    throw error::CorruptInput(std::string("bsp::Comm::recv: ") + what + " from rank " +
+                              std::to_string(source) + " (tag " + std::to_string(tag) + ")");
   }
 
   [[nodiscard]] WaitPolicy wait_policy() const noexcept {

@@ -27,8 +27,8 @@ namespace sas::bsp {
 /// avoid false sharing between rank threads.
 struct alignas(64) CostCounters {
   std::uint64_t messages_sent = 0;  ///< point-to-point sends issued
-  std::uint64_t bytes_sent = 0;     ///< payload bytes across all sends
-  std::uint64_t bytes_received = 0; ///< payload bytes across all receives
+  std::uint64_t bytes_sent = 0;     ///< wire bytes (CRC trailers included) of all sends
+  std::uint64_t bytes_received = 0; ///< wire bytes (CRC trailers included) of all receives
   std::uint64_t supersteps = 0;     ///< barrier synchronizations entered
   std::uint64_t flops = 0;          ///< arithmetic ops recorded by kernels
 

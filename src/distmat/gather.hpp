@@ -5,7 +5,7 @@
 // downstream consumers (tree building, clustering, file output). Two
 // forms:
 //
-//   gather_blocks_to_root   — each rank ships ONE sealed byte message
+//   gather_blocks_to_root   — each rank ships ONE byte message
 //     holding its dense blocks (the block message below); rank 0 decodes
 //     each into the full rows×cols matrix, writing finalize(i, j, value)
 //     for every cell and, for a symmetric product that shipped one
@@ -35,18 +35,18 @@
 //   then each block's cells in row-major order as runs: a LEB128 count of
 //   zero cells, a LEB128 count k of nonzero cells, then those k values,
 //   until the block's cells are used up (a block's last run may have
-//   k = 0; an empty block has no runs);
-//   then the CRC-32 trailer of distmat::seal_message (panel_wire.hpp).
+//   k = 0; an empty block has no runs).
 //
 // A cell is zero when its bit pattern is, so −0.0 and NaN travel as
 // values and the code is lossless for doubles too. Integer values are
 // the LEB128 of their two's-complement bits (an intersection count takes
 // a byte or two); doubles are their 8 raw bytes in host byte order.
-// Every rank's message is sealed, even one with no blocks, so an empty
-// message is a truncation. The decoder checks the CRC first, then every
-// block range against the matrix and every run against its block's
-// remaining cells, and throws error::CorruptInput on any failure: what
-// it accepts writes only inside the matrix.
+// A rank with no blocks ships its 1-byte zero count, so an empty message
+// is a truncation. The message carries no checksum of its own: bsp::Comm
+// checks the CRC-32 of every message it delivers (bsp/comm.hpp). The
+// decoder checks every block range against the matrix and every run
+// against its block's remaining cells, and throws error::CorruptInput on
+// any failure: what it accepts writes only inside the matrix.
 //
 // Tag audit (bsp/tags.hpp): both forms are built on gather_v, which runs
 // on comm.hpp's reserved internal tags — no user tag is minted here. New
@@ -66,7 +66,6 @@
 
 #include "bsp/comm.hpp"
 #include "distmat/dense_block.hpp"
-#include "distmat/panel_wire.hpp"
 #include "distmat/triplet.hpp"
 #include "util/error.hpp"
 #include "util/leb128.hpp"
@@ -178,7 +177,7 @@ template <typename T>
 
 }  // namespace gather_detail
 
-/// One rank's block message (see "The block message" above), sealed.
+/// One rank's block message (see "The block message" above).
 /// Throws std::invalid_argument when a block is not inside its source.
 template <typename T>
 [[nodiscard]] std::vector<std::uint8_t> encode_block_message(
@@ -206,16 +205,15 @@ template <typename T>
     }
     writer.finish();
   }
-  seal_message(out);
   return out;
 }
 
-/// Decode one rank's sealed block message into `out`, the rows×cols
+/// Decode one rank's block message into `out`, the rows×cols
 /// row-major matrix: out(i, j) = finalize(i, j, value) for every cell of
 /// every block, and with `mirror` out(j, i) the same value unless the
 /// block holds (j, i) itself. Throws error::CorruptInput on a damaged
-/// message (a checksum mismatch, a block outside the matrix, a run past
-/// its block's cells) and std::invalid_argument when `out` is not
+/// message (a truncation, a block outside the matrix, a run past its
+/// block's cells) and std::invalid_argument when `out` is not
 /// rows×cols or `mirror` has a non-square matrix. Whatever it accepts
 /// writes only inside `out`.
 template <typename T, typename Out, typename Finalize>
@@ -226,12 +224,11 @@ void decode_block_message(std::span<const std::uint8_t> message, std::int64_t ro
       (mirror && rows != cols)) {
     throw std::invalid_argument("decode_block_message: bad output matrix");
   }
-  const std::span<const std::uint8_t> body = unseal_message(message, "decode_block_message");
-  util::Leb128Reader in(body, "decode_block_message");
+  util::Leb128Reader in(message, "decode_block_message");
   // A block's header takes at least 4 bytes, which bounds the count
   // before anything is sized by it.
   const auto count = in.read<std::uint64_t>();
-  if (count > body.size() / 4) gather_detail::corrupt("more blocks than the message holds");
+  if (count > message.size() / 4) gather_detail::corrupt("more blocks than the message holds");
   std::vector<std::pair<BlockRange, BlockRange>> blocks;
   blocks.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t b = 0; b < count; ++b) {

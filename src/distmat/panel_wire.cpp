@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/leb128.hpp"
 
@@ -22,7 +21,6 @@ constexpr std::uint8_t kModeRuns = 0;
 constexpr std::uint8_t kModeGaps = 1;
 
 constexpr std::size_t kMaskBytes = sizeof(std::uint64_t);
-constexpr std::size_t kCrcBytes = sizeof(std::uint32_t);
 
 /// Below this minor coordinate a position (minor · 64 + bit) + 1 fits in
 /// 63 bits, so the codec runs its 64-bit path; past it, 128-bit.
@@ -38,20 +36,13 @@ struct Key {
   return order == PanelOrder::kRowMajor ? Key{t.row, t.col} : Key{t.col, t.row};
 }
 
-/// A message's body (its mode byte and code) once the CRC-32 trailer
-/// checks out; empty for the empty message.
-[[nodiscard]] std::span<const std::uint8_t> checked_body(std::span<const std::uint8_t> bytes) {
-  if (bytes.empty()) return bytes;
-  return unseal_message(bytes, "decode_panel");
-}
-
-/// An upper bound on a body's entries, to size the output once: word
+/// An upper bound on a message's entries, to size the output once: word
 /// runs by their masks, gaps by their varints (each entry has at least
 /// one, and each varint ends in a byte below 0x80).
-[[nodiscard]] std::size_t entry_bound(std::span<const std::uint8_t> body) {
-  if (body.empty()) return 0;
-  if (body[0] == kModeRuns) return (body.size() - 1) / kMaskBytes;
-  return static_cast<std::size_t>(std::count_if(body.begin() + 1, body.end(),
+[[nodiscard]] std::size_t entry_bound(std::span<const std::uint8_t> bytes) {
+  if (bytes.empty()) return 0;
+  if (bytes[0] == kModeRuns) return (bytes.size() - 1) / kMaskBytes;
+  return static_cast<std::size_t>(std::count_if(bytes.begin() + 1, bytes.end(),
                                                 [](std::uint8_t b) { return b < 0x80; }));
 }
 
@@ -134,16 +125,16 @@ void decode_runs(util::Leb128Reader& in, BlockRange majors, BlockRange minors, E
   }
 }
 
-/// Decode one message body, calling sink(row, col, mask) per entry in
-/// the message's order with extent-relative coordinates.
+/// Decode one message, calling sink(row, col, mask) per entry in the
+/// message's order with extent-relative coordinates.
 template <typename Sink>
-void decode_entries(std::span<const std::uint8_t> body, PanelOrder order,
+void decode_entries(std::span<const std::uint8_t> bytes, PanelOrder order,
                     PanelExtents extents, Sink&& sink) {
   if (extents.rows.begin < 0 || extents.rows.size() < 0 || extents.cols.begin < 0 ||
       extents.cols.size() < 0) {
     throw std::invalid_argument("decode_panel: invalid extents");
   }
-  if (body.empty()) return;
+  if (bytes.empty()) return;
   const bool row_major = order == PanelOrder::kRowMajor;
   const BlockRange majors = row_major ? extents.rows : extents.cols;
   const BlockRange minors = row_major ? extents.cols : extents.rows;
@@ -154,8 +145,8 @@ void decode_entries(std::span<const std::uint8_t> body, PanelOrder order,
       sink(minor - extents.rows.begin, major - extents.cols.begin, mask);
     }
   };
-  const std::uint8_t mode = body[0];
-  util::Leb128Reader in(body.subspan(1), "decode_panel");
+  const std::uint8_t mode = bytes[0];
+  util::Leb128Reader in(bytes.subspan(1), "decode_panel");
   if (mode == kModeRuns) {
     decode_runs(in, majors, minors, emit);
   } else if (mode != kModeGaps) {
@@ -275,7 +266,7 @@ std::vector<std::uint8_t> PanelEncoder::finish() && {
     // the gap code, which decodes back losslessly, and send the smaller
     // form. The writer reserves the floor, which is below their size,
     // not the gap code's larger one.
-    RunWriter writer(static_cast<std::size_t>(runs_floor_) + kCrcBytes);
+    RunWriter writer(static_cast<std::size_t>(runs_floor_));
     const bool row_major = order_ == PanelOrder::kRowMajor;
     decode_entries(bytes_, order_, kUnbounded,
                    [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
@@ -288,29 +279,7 @@ std::vector<std::uint8_t> PanelEncoder::finish() && {
     std::vector<std::uint8_t> runs = std::move(writer).finish();
     if (runs.size() < bytes_.size()) bytes_ = std::move(runs);
   }
-  seal_message(bytes_);
   return std::move(bytes_);
-}
-
-void seal_message(std::vector<std::uint8_t>& body) {
-  const std::uint32_t crc = crc32(body.data(), body.size());
-  const std::size_t at = body.size();
-  body.resize(at + kCrcBytes);
-  std::memcpy(body.data() + at, &crc, kCrcBytes);
-}
-
-std::span<const std::uint8_t> unseal_message(std::span<const std::uint8_t> bytes,
-                                             const char* who) {
-  if (bytes.size() <= kCrcBytes) {
-    throw error::CorruptInput(std::string(who) + ": truncated message");
-  }
-  const std::span<const std::uint8_t> body = bytes.first(bytes.size() - kCrcBytes);
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body.size(), kCrcBytes);
-  if (stored != crc32(body.data(), body.size())) {
-    throw error::CorruptInput(std::string(who) + ": checksum mismatch");
-  }
-  return body;
 }
 
 CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents,
@@ -322,11 +291,10 @@ CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents,
   CsrPanel panel;
   panel.rows = extents.rows.size();
   panel.cols = keep_cols.size();
-  const std::span<const std::uint8_t> body = checked_body(bytes);
-  const std::size_t bound = entry_bound(body);
+  const std::size_t bound = entry_bound(bytes);
   panel.col_idx.reserve(bound);
   panel.values.reserve(bound);
-  decode_entries(body, PanelOrder::kRowMajor, extents,
+  decode_entries(bytes, PanelOrder::kRowMajor, extents,
                  [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
                    if (!keep_cols.contains(col)) return;
                    if (panel.row_ids.empty() || panel.row_ids.back() != row) {
@@ -352,10 +320,9 @@ CsrPanel decode_tight_panel(std::span<const std::uint8_t> bytes, PanelExtents ex
 
 void decode_panel_append(std::span<const std::uint8_t> bytes, PanelOrder order,
                          PanelExtents extents, std::vector<Triplet<std::uint64_t>>& out) {
-  const std::span<const std::uint8_t> body = checked_body(bytes);
-  const std::size_t need = out.size() + entry_bound(body);
+  const std::size_t need = out.size() + entry_bound(bytes);
   if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
-  decode_entries(body, order, extents,
+  decode_entries(bytes, order, extents,
                  [&](std::int64_t row, std::int64_t col, std::uint64_t mask) {
                    out.push_back({row, col, mask});
                  });
@@ -387,7 +354,7 @@ std::vector<std::int64_t> decode_index_set(std::span<const std::uint8_t> bytes,
                                            std::int64_t extent) {
   const std::int64_t words = extent / 64 + (extent % 64 != 0 ? 1 : 0);
   std::vector<std::int64_t> out;
-  decode_entries(checked_body(bytes), PanelOrder::kRowMajor, {{0, 1}, {0, words}},
+  decode_entries(bytes, PanelOrder::kRowMajor, {{0, 1}, {0, words}},
                  [&](std::int64_t, std::int64_t col, std::uint64_t mask) {
                    for (; mask != 0; mask &= mask - 1) {
                      const std::int64_t index = col * 64 + std::countr_zero(mask);

@@ -145,7 +145,7 @@ class RankObserver {
   int collective_depth = 0;  ///< nesting level of CollectiveScopes
   std::int64_t current_batch = -1;
 
-  Histogram message_bytes;    ///< payload size of every non-self send
+  Histogram message_bytes;    ///< wire size (CRC trailer included) of every non-self send
   Histogram mailbox_wait_ns;  ///< time blocked in each mailbox retrieve
 
   std::array<DriftCell, kPrimitiveCount> drift_{};

@@ -211,14 +211,10 @@ void finish_candidate_pass(bsp::Comm& world, std::int64_t n,
 /// `diagonal`, each blob against itself too. `on_block(owner, rows, cols)`
 /// is called once per non-empty share with position ranges in this
 /// rank's panel and in `owner`'s, and returns the visitor `(a, b, est)`
-/// of its pairs. Every held blob must carry the run's `header`
-/// (wire_header): the panels crossed the wire, so a blob whose tag,
-/// parameter or seed word differs throws error::CorruptInput before the
-/// estimators, whose mismatch errors name a caller's bug, see it.
+/// of its pairs.
 template <typename OnBlock>
 void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& panel,
-                         std::span<const std::uint64_t> header, bool diagonal,
-                         OnBlock&& on_block) {
+                         bool diagonal, OnBlock&& on_block) {
   const int p = world.size();
   const int r = world.rank();
   const auto mine = core::unpack_word_panel(panel);
@@ -226,12 +222,6 @@ void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& pan
       world, bsp::tags::kSketchRing, "sketch-ring/step", panel,
       [&](int owner, std::span<const std::uint64_t> held) {
         const auto theirs = core::unpack_word_panel(held);
-        for (const std::span<const std::uint64_t> blob : theirs) {
-          if (!has_header(blob, header)) {
-            throw error::CorruptInput(
-                "score_ring_triangle: sketch blob header does not match the run's");
-          }
-        }
         const distmat::RingShare share =
             distmat::ring_share(p, r, owner, static_cast<std::int64_t>(mine.size()),
                                 static_cast<std::int64_t>(theirs.size()));
@@ -254,8 +244,7 @@ void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& pan
 /// layout), so no ids travel.
 void all_pairs_candidate_pass(bsp::Comm& world,
                               const std::vector<std::vector<std::uint64_t>>& blobs,
-                              std::int64_t n, const core::Config& config,
-                              CandidatePass& pass) {
+                              std::int64_t n, CandidatePass& pass) {
   const obs::Span stage_span("allpairs-candidates", "sketch",
                              &world.counters());
   const std::int64_t p = world.size();
@@ -263,7 +252,7 @@ void all_pairs_candidate_pass(bsp::Comm& world,
   std::vector<distmat::Triplet<double>> pruned;
   std::vector<std::uint64_t> kept;
   score_ring_triangle(
-      world, core::pack_word_panel(blobs), wire_header(config), /*diagonal=*/false,
+      world, core::pack_word_panel(blobs), /*diagonal=*/false,
       [&](int owner, BlockRange, BlockRange) {
         return [&, owner](std::int64_t a, std::int64_t b, double est) {
           const std::int64_t x = r + a * p;
@@ -486,7 +475,7 @@ CandidatePass sketch_candidate_pass(bsp::Comm& world,
     pass.plan = lsh_candidate_plan(config, pass.effective_threshold);
     lsh_candidate_pass(world, blobs, n, pass);
   } else {
-    all_pairs_candidate_pass(world, blobs, n, config, pass);
+    all_pairs_candidate_pass(world, blobs, n, pass);
   }
   return pass;
 }
@@ -527,7 +516,7 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
   {
     auto stage = recorder.scope(core::Stage::kMultiply, core::Stage::kExchange);
     score_ring_triangle(
-        world, panel_words, wire_header(config), /*diagonal=*/true,
+        world, panel_words, /*diagonal=*/true,
         [&](int owner, BlockRange rows, BlockRange cols) {
           const std::int64_t row0 = mine.begin;
           const std::int64_t col0 = distmat::block_range(n, p, owner).begin;

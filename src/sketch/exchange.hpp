@@ -34,13 +34,13 @@
 //      matrix: every wire estimator is bitwise symmetric, so each
 //      unordered pair is scored once — the diagonal block's upper
 //      triangle, the whole block (r, r − s) at steps 0 < s < p/2, and at
-//      even p one half of the block that ranks p/2 apart share. Before
-//      scoring, every held blob's tag, parameter and seed words must equal
-//      the run's (make_sketch's empty sketch): the panels crossed the
-//      wire, so a mismatch is error::CorruptInput, not the estimators'
-//      std::invalid_argument. Rank 0 gathers only those blocks, as raw
-//      doubles in the output gather's zero-run code, and writes each one
-//      and its transpose (distmat::gather_blocks_to_root).
+//      even p one half of the block that ranks p/2 apart share. A panel
+//      arrives intact or not at all (bsp::Comm checks every message's
+//      CRC-32), so a blob whose tag, parameter or seed word differs from
+//      the run's is a program bug, and the estimators'
+//      std::invalid_argument reports it as one. Rank 0 gathers only those
+//      blocks, as raw doubles in the output gather's zero-run code, and
+//      writes each one and its transpose (distmat::gather_blocks_to_root).
 //
 // Communication per rotation step is O(samples_per_rank · sketch_bytes)
 // — independent of genome size — versus the exact ring's O(nnz) panel

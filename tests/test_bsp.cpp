@@ -1,14 +1,20 @@
 // test_bsp.cpp — the message-passing substrate: point-to-point ordering,
 // every collective against a serial reference, sub-communicator splits,
-// and BSP cost accounting. Parameterized over rank counts, including
-// non-powers of two (the tree/dissemination algorithms must handle them).
+// BSP cost accounting, and the transport's CRC-32 on every message.
+// Parameterized over rank counts, including non-powers of two (the
+// tree/dissemination algorithms must handle them).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <numeric>
+#include <regex>
+#include <string>
 #include <vector>
 
 #include "bsp/runtime.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace sas::bsp {
@@ -172,14 +178,14 @@ TEST_P(Collectives, CostCountersTrackBytes) {
   const int p = GetParam();
   auto counters = Runtime::run(p, [p](Comm& comm) {
     if (p == 1) return;
-    const std::vector<std::int64_t> payload(10, 1);  // 80 bytes
+    const std::vector<std::int64_t> payload(10, 1);  // 80 bytes, 84 with the CRC
     comm.send<std::int64_t>((comm.rank() + 1) % p, 1, payload);
     (void)comm.recv<std::int64_t>((comm.rank() + p - 1) % p, 1);
   });
   if (p > 1) {
     for (const auto& c : counters) {
       EXPECT_EQ(c.messages_sent, 1u);
-      EXPECT_EQ(c.bytes_sent, 80u);
+      EXPECT_EQ(c.bytes_sent, 84u);
     }
   }
   const auto summary = CostSummary::aggregate(counters);
@@ -189,7 +195,7 @@ TEST_P(Collectives, CostCountersTrackBytes) {
   const BspMachine machine{5e-6, 5e-10, 1e-9};
   const CostCounters& c = counters.front();
   EXPECT_DOUBLE_EQ(machine.predicted_seconds(c.messages_sent, c.bytes_sent),
-                   p > 1 ? 5e-6 + 80 * 5e-10 : 5e-6);
+                   p > 1 ? 5e-6 + 84 * 5e-10 : 5e-6);
   EXPECT_DOUBLE_EQ(machine.predicted_seconds(10, 4096), 10 * 5e-6 + 4096 * 5e-10);
 }
 
@@ -226,6 +232,159 @@ TEST_P(Collectives, SequentialSplitsAreIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, Collectives,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16));
+
+// ---------------------------------------------------- the sealed transport
+
+/// Rank r's 24-byte payload.
+std::vector<std::int64_t> words_of(int rank) { return {rank, 10 + rank, 20 + rank}; }
+
+/// One way of moving messages: `run` sends `body_bytes`-byte payloads on
+/// `tags` and checks what arrives.
+struct Primitive {
+  const char* name;
+  std::size_t body_bytes;
+  std::vector<int> tags;
+  std::function<void(Comm&)> run;
+};
+
+std::vector<Primitive> primitives() {
+  const auto summed = [](int p) {
+    std::vector<std::int64_t> sum(3, 0);
+    for (int r = 0; r < p; ++r) {
+      for (std::size_t k = 0; k < 3; ++k) sum[k] += words_of(r)[k];
+    }
+    return sum;
+  };
+  return {
+      {"send/recv", 24, {7},
+       [](Comm& comm) {
+         const int p = comm.size();
+         const int prev = (comm.rank() + p - 1) % p;
+         comm.send<std::int64_t>((comm.rank() + 1) % p, 7, words_of(comm.rank()));
+         EXPECT_EQ(comm.recv<std::int64_t>(prev, 7), words_of(prev));
+       }},
+      {"self-send", 24, {7},
+       [](Comm& comm) {
+         comm.send<std::int64_t>(comm.rank(), 7, words_of(comm.rank()));
+         EXPECT_EQ(comm.recv<std::int64_t>(comm.rank(), 7), words_of(comm.rank()));
+       }},
+      {"broadcast", 24, {kTagBcast},
+       [](Comm& comm) {
+         std::vector<std::int64_t> data = words_of(comm.rank());
+         comm.broadcast(data, 0);
+         EXPECT_EQ(data, words_of(0));
+       }},
+      {"reduce", 24, {kTagReduce},
+       [summed](Comm& comm) {
+         std::vector<std::int64_t> data = words_of(comm.rank());
+         comm.reduce(data, std::plus<>{}, 0);
+         if (comm.rank() == 0) {
+           EXPECT_EQ(data, summed(comm.size()));
+         }
+       }},
+      {"allreduce", 24, {kTagReduce, kTagBcast},
+       [summed](Comm& comm) {
+         std::vector<std::int64_t> data = words_of(comm.rank());
+         comm.allreduce(data, std::plus<>{});
+         EXPECT_EQ(data, summed(comm.size()));
+       }},
+      {"gather_v", 24, {kTagGather},
+       [](Comm& comm) {
+         const auto blocks = comm.gather_v<std::int64_t>(words_of(comm.rank()), 0);
+         for (std::size_t r = 0; r < blocks.size(); ++r) {
+           EXPECT_EQ(blocks[r], words_of(static_cast<int>(r)));
+         }
+       }},
+      {"allgather_v", 24, {kTagAllgather},
+       [](Comm& comm) {
+         const auto blocks = comm.allgather_v<std::int64_t>(words_of(comm.rank()));
+         for (std::size_t r = 0; r < blocks.size(); ++r) {
+           EXPECT_EQ(blocks[r], words_of(static_cast<int>(r)));
+         }
+       }},
+      {"alltoall_v", 24, {kTagAlltoall},
+       [](Comm& comm) {
+         const std::vector<std::vector<std::int64_t>> outgoing(
+             static_cast<std::size_t>(comm.size()), words_of(comm.rank()));
+         const auto incoming = comm.alltoall_v(outgoing);
+         for (std::size_t r = 0; r < incoming.size(); ++r) {
+           EXPECT_EQ(incoming[r], words_of(static_cast<int>(r)));
+         }
+       }},
+      // split exchanges each rank's (color, key, rank) triple of ints.
+      {"split", 12, {kTagAllgather},
+       [](Comm& comm) {
+         const Comm sub = comm.split(comm.rank() % 2, comm.rank());
+         EXPECT_EQ(sub.size(), comm.size() / 2);
+         EXPECT_EQ(sub.rank(), comm.rank() / 2);
+       }},
+  };
+}
+
+TEST(Transport, EveryFlippedByteIsCorruptInputNamingSourceAndTag) {
+  // Comm::send appends a CRC-32 to every nonempty payload and Comm::recv
+  // checks it, so a byte flipped in flight, on the sending or the
+  // receiving side (fault.hpp), fails as corrupt input naming the
+  // message's source and tag, whichever primitive carried it: in the
+  // payload as much as in the trailer. Rank 1's ops are swept until the
+  // flip no longer fires, and that run must deliver every message intact.
+  constexpr std::uint64_t kMaxOps = 16;  // rank 1 makes at most 6 here
+  const std::regex named(
+      R"(^rank (\d+)[^:]*: bsp::Comm::recv: checksum mismatch from rank (\d+) \(tag (-?\d+)\)$)");
+  for (const Primitive& primitive : primitives()) {
+    for (const int p : {2, 4}) {
+      for (const std::size_t byte : {std::size_t{0}, primitive.body_bytes + 1}) {
+        std::uint64_t op = 0;
+        for (; op < kMaxOps; ++op) {
+          const std::string plan =
+              "rank=1:op=" + std::to_string(op) + ":flip=" + std::to_string(byte);
+          const std::string label = std::string(primitive.name) + " p=" + std::to_string(p) +
+                                    " " + plan;
+          RuntimeOptions options;
+          options.fault_plan = std::make_shared<const FaultPlan>(FaultPlan::parse(plan));
+          try {
+            Runtime::run(p, primitive.run, options);
+            break;  // past rank 1's last op: the flip never fired
+          } catch (const error::Error& e) {
+            ASSERT_EQ(e.code(), error::Code::kCorruptInput) << label << ": " << e.what();
+            const std::string what = e.what();
+            std::smatch match;
+            ASSERT_TRUE(std::regex_search(what, match, named)) << label << ": " << what;
+            // The damaged message is one that rank 1 sent or received.
+            EXPECT_TRUE(match[1] == "1" || match[2] == "1") << label << ": " << what;
+            const int tag = std::stoi(match[3]);
+            EXPECT_NE(std::find(primitive.tags.begin(), primitive.tags.end(), tag),
+                      primitive.tags.end())
+                << label << ": " << what;
+          }
+        }
+        EXPECT_GT(op, 0u) << primitive.name << " p=" << p << ": rank 1 moved no message";
+        EXPECT_LT(op, kMaxOps) << primitive.name << " p=" << p << ": every op threw";
+      }
+    }
+  }
+}
+
+TEST(Transport, EmptyPayloadTravelsAsZeroBytes) {
+  // An empty payload has nothing to check: it travels as 0 bytes, with no
+  // trailer, and a flip aimed at it holds fire for the next op that
+  // carries bytes (here none, so the run finishes clean).
+  RuntimeOptions options;
+  options.fault_plan = std::make_shared<const FaultPlan>(FaultPlan::parse("rank=0:op=0:flip=0"));
+  const auto counters = Runtime::run(
+      2,
+      [](Comm& comm) {
+        if (comm.rank() == 0) {
+          comm.send<std::int64_t>(1, 3, std::span<const std::int64_t>());
+        } else {
+          EXPECT_TRUE(comm.recv<std::int64_t>(0, 3).empty());
+        }
+      },
+      options);
+  EXPECT_EQ(counters[0].messages_sent, 1u);
+  EXPECT_EQ(counters[0].bytes_sent, 0u);
+  EXPECT_EQ(counters[1].bytes_received, 0u);
+}
 
 TEST(Runtime, PropagatesExceptionsFromRanks) {
   EXPECT_THROW(Runtime::run(1, [](Comm&) { throw std::runtime_error("boom"); }),

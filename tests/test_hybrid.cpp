@@ -452,7 +452,8 @@ TEST(Hybrid, TargetedExchangeShipsEachColumnOneWay) {
   // ring_share of block (q, r). Every crossing pair is computed by
   // exactly one of its two ranks, so its column travels one way; the
   // alltoall's bytes must equal the brute-force one-way column sets,
-  // each (sender, receiver) set encoded in the compact panel wire.
+  // each (sender, receiver) set encoded in the compact panel wire, plus
+  // the transport's 4-byte CRC-32 on each nonempty message.
   const std::int64_t h = 29;
   const std::int64_t n = 13;
   Rng rng(2323);
@@ -504,12 +505,13 @@ TEST(Hybrid, TargetedExchangeShipsEachColumnOneWay) {
             }
           }
         }
-        one_way_bytes += distmat::encode_panel(r_panel, distmat::PanelOrder::kRowMajor,
-                                               [&](const distmat::Triplet<std::uint64_t>& t) {
-                                                 return shipped[static_cast<std::size_t>(
-                                                            t.col)] != 0;
-                                               })
-                             .size();
+        const std::size_t encoded =
+            distmat::encode_panel(r_panel, distmat::PanelOrder::kRowMajor,
+                                  [&](const distmat::Triplet<std::uint64_t>& t) {
+                                    return shipped[static_cast<std::size_t>(t.col)] != 0;
+                                  })
+                .size();
+        one_way_bytes += encoded == 0 ? 0 : encoded + 4;
       }
     }
 

@@ -137,7 +137,7 @@ TEST(Leb128, RoundTripsAndRejectsDamage) {
 }
 
 TEST(Crc32, MatchesTheBytewiseDefinitionAtEveryLengthAndOffset) {
-  // The standard check value, then the eight-bytes-a-step loop against
+  // The standard check value, then the sixteen-bytes-a-step loop against
   // the polynomial applied a bit at a time, across tails and alignments.
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926U);
   EXPECT_EQ(crc32(nullptr, 0), 0U);
