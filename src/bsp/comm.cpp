@@ -199,6 +199,7 @@ Comm Comm::split(int color, int key) {
     auto it = st.split_children.find(slot);
     if (it == st.split_children.end()) {
       child = std::make_shared<detail::SharedState>(group_size);
+      for (const Entry& e : group) child->world_ranks.push_back(world_rank(e.parent_rank));
       // A failure anywhere aborts every communicator: children share the
       // parent's token, deadline, and fault plan.
       child->abort = st.abort;

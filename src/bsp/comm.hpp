@@ -66,6 +66,7 @@ struct SharedState {
 
   int size;
   std::vector<Mailbox> mailboxes;
+  std::vector<int> world_ranks;  ///< each member's world rank; empty on the world
 
   // Failure semantics (fault.hpp). Split children share the parent's
   // abort token — a failure anywhere unwinds every communicator — and
@@ -234,8 +235,8 @@ class Comm {
 
   /// Blocking receive of a message from (source, tag). Mirrors send():
   /// after the fault point it checks and strips the CRC-32 trailer, and
-  /// throws error::CorruptInput naming the source and the tag on a
-  /// mismatch or a nonempty payload of 4 bytes or less. Self-receives are
+  /// throws error::CorruptInput naming the source's world rank and the tag
+  /// on a mismatch or a nonempty payload of 4 bytes or less. Self-receives are
   /// local memcpys and are not counted as traffic.
   template <typename T>
   [[nodiscard]] std::vector<T> recv(int source, int tag) {
@@ -443,13 +444,15 @@ class Comm {
   void check_rank(int r) const {
     if (r < 0 || r >= size()) throw std::out_of_range("bsp::Comm: rank out of range");
   }
+  [[nodiscard]] int world_rank(int r) const {
+    return state_->world_ranks.empty() ? r : state_->world_ranks[static_cast<std::size_t>(r)];
+  }
 
   static constexpr std::size_t kTrailerBytes = sizeof(std::uint32_t);
 
   /// The size of a received payload's body once its CRC-32 trailer
   /// checks out; 0 for an empty payload.
-  [[nodiscard]] static std::size_t unseal(const Mailbox::Message& payload, int source,
-                                          int tag) {
+  [[nodiscard]] std::size_t unseal(const Mailbox::Message& payload, int source, int tag) const {
     if (payload.empty()) return 0;
     const char* what = "truncated message";
     if (payload.size() > kTrailerBytes) {
@@ -460,7 +463,8 @@ class Comm {
       what = "checksum mismatch";
     }
     throw error::CorruptInput(std::string("bsp::Comm::recv: ") + what + " from rank " +
-                              std::to_string(source) + " (tag " + std::to_string(tag) + ")");
+                              std::to_string(world_rank(source)) + " (tag " +
+                              std::to_string(tag) + ")");
   }
 
   [[nodiscard]] WaitPolicy wait_policy() const noexcept {

@@ -139,12 +139,10 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
                            std::int64_t n, PackedBatch packed,
                            std::vector<std::int64_t>& ahat, StageRecorder& recorder,
                            const distmat::CandidateMask* prune) {
-  const int p = world.size();
   const std::int64_t h = packed.word_rows;
 
   // Kernel tuning shared by all schedules: CSR panels are built once
-  // per redistributed batch (not re-derived per ring step / SUMMA
-  // stage).
+  // per batch (not re-derived per ring step / SUMMA stage).
   distmat::CsrAtaOptions kernel_options;
   kernel_options.dense_crossover = config.dense_crossover;
   kernel_options.prune = prune;
@@ -170,12 +168,10 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
     case Algorithm::kRing1D: {
       SparseBlock panel;
       {
-        // Columns arrive localized to this rank's panel; rows stay global.
+        // read_batch read this panel's columns: localize them; rows stay global.
         auto stage = recorder.scope(Stage::kExchange);
-        panel = distmat::redistribute_panel(
-            world, std::move(packed.triplets),
-            [n, p](std::int64_t, std::int64_t col) { return distmat::block_owner(n, p, col); },
-            {{0, h}, layout.my_cols});
+        for (Triplet<std::uint64_t>& t : packed.triplets) t.col -= layout.my_cols.begin;
+        panel = SparseBlock::from_triplets(h, layout.my_cols.size(), std::move(packed.triplets));
       }
       {
         // Multiply time; the only bytes inside are panel movement hops.
@@ -622,20 +618,16 @@ void record_batch(bsp::Comm& world, const Timer& timer, std::int64_t filtered_ro
 }
 
 /// The hybrid's prologue (sketch-prune), run before the batch loop: each
-/// rank sketches its cyclically owned samples (sketch::sketch_sample),
-/// then the candidate pass thresholds all pairs into the replicated
+/// rank sketches its block of samples (sketch::sketch_block), then the
+/// candidate pass thresholds all pairs into the replicated
 /// candidate mask (Ĵ ≥ prune_threshold − slack). The batch loop reads
 /// the inputs again, only for the samples the mask keeps. Sketching and
 /// scoring are sketch work; the candidate traffic is exchange.
 sketch::CandidatePass sketch_prune(bsp::Comm& world, const SampleSource& source,
                                    const Config& config, StageRecorder& recorder) {
-  const std::int64_t n = source.sample_count();
   auto stage = recorder.scope(Stage::kPackSketch, Stage::kExchange);
-  std::vector<std::vector<std::uint64_t>> blobs;
-  for (std::int64_t i = world.rank(); i < n; i += world.size()) {
-    blobs.push_back(sketch::sketch_sample(source, config, i));
-  }
-  return sketch::sketch_candidate_pass(world, blobs, n, config);
+  return sketch::sketch_candidate_pass(world, sketch::sketch_block(world, source, config),
+                                       source.sample_count(), config);
 }
 
 /// The batched pipeline (paper Listings 1–2) behind kExact and kHybrid:

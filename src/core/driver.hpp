@@ -3,15 +3,15 @@
 //
 // Every estimator is a composition of five stages over a bsp communicator:
 //
-//   ingest    — read each rank's cyclic share of one row batch A⁽ˡ⁾
+//   ingest    — read one row batch A⁽ˡ⁾ of each rank's block of samples
 //               (packing.hpp read_batch; purely local)
 //   pack /    — zero-row filter + bitmask compression of the reads
 //   sketch      (pack_batch, Eq. 5–7) and/or per-sample sketch
-//               construction (sketch/exchange.hpp sketch_sample, which
+//               construction (sketch/exchange.hpp sketch_block, which
 //               reads each sample one row batch at a time)
-//   exchange  — move data where it multiplies: triplet redistribution
-//               onto the grid, ring/SUMMA panel movement, sketch-panel
-//               rotation, or the hybrid's mask-targeted alltoall
+//   exchange  — move data where it multiplies: SUMMA's and serial's
+//               triplet redistribution, ring/SUMMA panel movement,
+//               sketch-panel rotation, or the hybrid's mask-targeted alltoall
 //   multiply  — B += Â⁽ˡ⁾ᵀ Â⁽ˡ⁾ under the popcount semiring (spgemm.hpp,
 //               Eq. 7) and â += column popcounts (Eq. 4), or wire-level
 //               Jaccard estimation for sketch estimators
@@ -26,7 +26,7 @@
 // Two pipelines compose the stages:
 //
 //   kExact, kHybrid    ONE batched loop (run_batched_pipeline):
-//                        [hybrid prologue: sketch each owned sample;
+//                        [hybrid prologue: sketch each rank's block;
 //                         candidate pass → replicated candidate mask (Ĵ ≥
 //                         prune_threshold − slack; all-pairs scoring on
 //                         the sketch ring or LSH banding per

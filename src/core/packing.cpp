@@ -10,13 +10,12 @@ namespace sas::core {
 
 BatchReads read_batch(int rank, int nranks, const SampleSource& source,
                       distmat::BlockRange rows, std::span<const std::uint8_t> active) {
-  const std::int64_t n = source.sample_count();
+  const distmat::BlockRange mine =
+      distmat::block_range(source.sample_count(), nranks, rank);
   BatchReads reads;
-  const auto my_sample_count =
-      static_cast<std::size_t>(rank < n ? (n - rank + nranks - 1) / nranks : 0);
-  reads.samples.reserve(my_sample_count);
-  reads.values.reserve(my_sample_count);
-  for (std::int64_t i = rank; i < n; i += nranks) {
+  reads.samples.reserve(static_cast<std::size_t>(mine.size()));
+  reads.values.reserve(static_cast<std::size_t>(mine.size()));
+  for (std::int64_t i = mine.begin; i < mine.end; ++i) {
     if (!active.empty() && active[static_cast<std::size_t>(i)] == 0) continue;
     reads.samples.push_back(i);
     reads.values.push_back(source.values_in_range(i, rows));

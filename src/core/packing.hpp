@@ -2,9 +2,9 @@
 // preprocessInput), split into the driver's first two pipeline stages:
 //
 //   ingest (read_batch)  — read the attribute values of this rank's
-//      samples restricted to the batch (cyclic sample ownership: sample i
-//      is read by rank i mod p). Purely local; the returned values are
-//      GLOBAL attribute ids.
+//      block of samples, distmat::block_range(n, p, rank), restricted to
+//      the batch. Purely local; the returned values are GLOBAL attribute
+//      ids.
 //   pack (pack_batch)    — contribute observed row offsets to the
 //      distributed filter f⁽ˡ⁾, obtain the replicated sorted filter
 //      (Eq. 5), remap each value to its compacted row id — the prefix
@@ -13,9 +13,10 @@
 //
 // The hybrid reads only the samples its candidate mask keeps, so pruned
 // samples cost no reads and no filter-union bytes. The output triplets
-// are globally indexed (word_row, sample) pairs in sample-major order,
-// which is the order distmat::redistribute_panel codes them in on the
-// wire to their owners on the processor grid.
+// are globally indexed (word_row, sample) pairs in sample-major order.
+// The ring multiplies the block it read, so its panel is these triplets
+// with local columns; serial and SUMMA route them to their owners with
+// distmat::redistribute_panel, which codes them on the wire in this order.
 #pragma once
 
 #include <cstdint>
@@ -30,16 +31,16 @@
 namespace sas::core {
 
 /// One rank's raw reads of one row batch (the ingest stage): the global
-/// attribute ids of each cyclically owned sample read, restricted to the
-/// batch's row range.
+/// attribute ids of each sample read from this rank's block, restricted
+/// to the batch's row range.
 struct BatchReads {
-  std::vector<std::int64_t> samples;  ///< global sample ids (rank, rank+p, ...)
+  std::vector<std::int64_t> samples;  ///< global sample ids, ascending
   std::vector<std::vector<std::int64_t>> values;  ///< sorted global attribute ids
 };
 
-/// Ingest stage: read this rank's share of batch `rows` (sample i is read
-/// by rank i mod nranks), skipping each sample i with active[i] == 0 when
-/// `active` is non-empty. Local — no communication.
+/// Ingest stage: read batch `rows` of the samples in
+/// distmat::block_range(n, nranks, rank), in order, skipping each sample i
+/// with active[i] == 0 when `active` is non-empty. Local — no communication.
 [[nodiscard]] BatchReads read_batch(int rank, int nranks, const SampleSource& source,
                                     distmat::BlockRange rows,
                                     std::span<const std::uint8_t> active = {});

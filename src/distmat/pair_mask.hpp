@@ -7,8 +7,8 @@
 // granularities:
 //
 //   * column level  — a sample with no surviving off-diagonal pair is
-//                     dropped before redistribution (its panel entries
-//                     never enter the network);
+//                     never read (core::read_batch), so its panel
+//                     entries never enter the network;
 //   * panel level   — the targeted 1D exchange ships a panel column to a
 //                     peer only when the mask pairs it with one of the
 //                     rows of that peer's ring share, so each crossing

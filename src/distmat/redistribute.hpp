@@ -1,12 +1,12 @@
 // redistribute.hpp — Cyclops-style accumulating write() of packed panels.
 //
-// Each rank contributes the bit-packed entries it packed; the entries are
-// routed to their owning ranks with one all-to-all exchange and OR-merged
-// there. This is the communication pattern behind the paper's `write()`
-// calls (§IV-A): bulk, collective, and accumulation-based so repeated
-// coordinates are legal. Each bucket travels in the compact panel wire
-// (panel_wire.hpp): coded column-major, as pack_batch emits its entries,
-// and bounds-checked against the receiver's block on decode.
+// Each rank contributes the bit-packed entries it packed; one all-to-all
+// exchange routes them to their owning ranks, which OR-merge them. This
+// is the paper's `write()` (§IV-A): bulk, collective, and accumulating,
+// so repeated coordinates are legal. Serial and SUMMA use it; the ring
+// multiplies the samples each rank read and routes none. Each bucket
+// travels in the compact panel wire (panel_wire.hpp), coded column-major
+// as pack_batch emits it and bounds-checked against the receiver's block.
 //
 // Tag audit (bsp/tags.hpp): this header is collective-only — alltoall_v
 // runs on comm.hpp's reserved internal tags, so no user tag is minted

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "bsp/tags.hpp"
@@ -113,26 +114,38 @@ void validate_sketch_params(const core::Config& config) {
   }
 }
 
-std::vector<std::uint64_t> sketch_sample(const core::SampleSource& source,
-                                         const core::Config& config, std::int64_t sample) {
-  AnySketch sketch = make_sketch(config);
-  // Persisted blob first: written by `gas sketch --estimator`, trusted
-  // only when it matches this run's (type, params, seed) and validates.
-  std::vector<std::uint64_t> persisted = source.persisted_sketch(sample, config);
-  if (!persisted.empty() && wire_matches_config(persisted, config)) return persisted;
+std::vector<std::vector<std::uint64_t>> sketch_block(const bsp::Comm& world,
+                                                     const core::SampleSource& source,
+                                                     const core::Config& config) {
+  const AnySketch empty = make_sketch(config);
   const std::int64_t m = source.attribute_universe();
   const int batches = static_cast<int>(config.batch_count);
-  return std::visit(
-      [&](auto& sk) {
-        for (int l = 0; l < batches; ++l) {
-          const BlockRange rows = distmat::block_range(m, batches, l);
-          for (std::int64_t v : source.values_in_range(sample, rows)) {
-            sk.add(static_cast<std::uint64_t>(v));
+  const BlockRange mine =
+      distmat::block_range(source.sample_count(), world.size(), world.rank());
+  std::vector<std::vector<std::uint64_t>> blobs;
+  blobs.reserve(static_cast<std::size_t>(mine.size()));
+  for (std::int64_t i = mine.begin; i < mine.end; ++i) {
+    // Persisted blob first: written by `gas sketch --estimator`, trusted
+    // only when it matches this run's (type, params, seed) and validates.
+    std::vector<std::uint64_t> persisted = source.persisted_sketch(i, config);
+    if (!persisted.empty() && wire_matches_config(persisted, config)) {
+      blobs.push_back(std::move(persisted));
+      continue;
+    }
+    AnySketch sketch = empty;
+    blobs.push_back(std::visit(
+        [&](auto& sk) {
+          for (int l = 0; l < batches; ++l) {
+            const BlockRange rows = distmat::block_range(m, batches, l);
+            for (std::int64_t v : source.values_in_range(i, rows)) {
+              sk.add(static_cast<std::uint64_t>(v));
+            }
           }
-        }
-        return sk.wire();
-      },
-      sketch);
+          return sk.wire();
+        },
+        sketch));
+  }
+  return blobs;
 }
 
 LshPlan lsh_candidate_plan(const core::Config& config, double effective_threshold) {
@@ -205,33 +218,37 @@ void finish_candidate_pass(bsp::Comm& world, std::int64_t n,
 
 /// Score one triangle of the symmetric pair matrix on the sketch ring
 /// (pure-sketch steps 2–3 in exchange.hpp): rotate this rank's wire panel
-/// (core::pack_word_panel) ⌊p/2⌋ + 1 steps and score this rank's
-/// distmat::ring_share of each block, so each unordered pair is scored
-/// exactly once across the ranks, whichever samples each rank holds; with
-/// `diagonal`, each blob against itself too. `on_block(owner, rows, cols)`
-/// is called once per non-empty share with position ranges in this
-/// rank's panel and in `owner`'s, and returns the visitor `(a, b, est)`
-/// of its pairs.
+/// (core::pack_word_panel of its block of samples, distmat::block_range(n,
+/// p, r)) ⌊p/2⌋ + 1 steps and score this rank's distmat::ring_share of
+/// each block, so each unordered pair is scored exactly once across the
+/// ranks; with `diagonal`, each blob against itself too. Panel position a
+/// of rank q is sample block_range(n, p, q).begin + a, so no ids travel.
+/// `on_block(owner, rows, cols)` is called once per non-empty share with
+/// its sample ranges, rows in this rank's block and cols in `owner`'s, and
+/// returns the visitor `(i, j, est)` of its pairs.
 template <typename OnBlock>
-void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& panel,
+void score_ring_triangle(bsp::Comm& world, std::int64_t n, const std::vector<std::uint64_t>& panel,
                          bool diagonal, OnBlock&& on_block) {
   const int p = world.size();
   const int r = world.rank();
+  const std::int64_t row0 = distmat::block_range(n, p, r).begin;
   const auto mine = core::unpack_word_panel(panel);
   distmat::ring_rotate<std::uint64_t>(
       world, bsp::tags::kSketchRing, "sketch-ring/step", panel,
       [&](int owner, std::span<const std::uint64_t> held) {
         const auto theirs = core::unpack_word_panel(held);
+        const std::int64_t col0 = distmat::block_range(n, p, owner).begin;
         const distmat::RingShare share =
             distmat::ring_share(p, r, owner, static_cast<std::int64_t>(mine.size()),
                                 static_cast<std::int64_t>(theirs.size()));
         if (share.empty()) return;
-        auto visit = on_block(owner, share.rows, share.cols);
+        auto visit = on_block(owner, BlockRange{row0 + share.rows.begin, row0 + share.rows.end},
+                              BlockRange{col0 + share.cols.begin, col0 + share.cols.end});
         for (std::int64_t a = share.rows.begin; a < share.rows.end; ++a) {
           const std::int64_t first =
               owner == r ? (diagonal ? a : a + 1) : share.cols.begin;
           for (std::int64_t b = first; b < share.cols.end; ++b) {
-            visit(a, b,
+            visit(row0 + a, col0 + b,
                   estimate_jaccard_wire(mine[static_cast<std::size_t>(a)],
                                         theirs[static_cast<std::size_t>(b)]));
           }
@@ -240,23 +257,18 @@ void score_ring_triangle(bsp::Comm& world, const std::vector<std::uint64_t>& pan
 }
 
 /// The all-pairs candidate pass: score every unordered pair once on the
-/// sketch ring. Panel position a of rank q is sample q + a·p (the cyclic
-/// layout), so no ids travel.
+/// sketch ring.
 void all_pairs_candidate_pass(bsp::Comm& world,
                               const std::vector<std::vector<std::uint64_t>>& blobs,
                               std::int64_t n, CandidatePass& pass) {
   const obs::Span stage_span("allpairs-candidates", "sketch",
                              &world.counters());
-  const std::int64_t p = world.size();
-  const std::int64_t r = world.rank();
   std::vector<distmat::Triplet<double>> pruned;
   std::vector<std::uint64_t> kept;
   score_ring_triangle(
-      world, core::pack_word_panel(blobs), /*diagonal=*/false,
-      [&](int owner, BlockRange, BlockRange) {
-        return [&, owner](std::int64_t a, std::int64_t b, double est) {
-          const std::int64_t x = r + a * p;
-          const std::int64_t y = owner + b * p;
+      world, n, core::pack_word_panel(blobs), /*diagonal=*/false,
+      [&](int, BlockRange, BlockRange) {
+        return [&](std::int64_t x, std::int64_t y, double est) {
           const std::int64_t i = std::min(x, y);
           const std::int64_t j = std::max(x, y);
           if (est >= pass.effective_threshold) {
@@ -276,8 +288,9 @@ void lsh_candidate_pass(bsp::Comm& world,
                         std::int64_t n, CandidatePass& pass) {
   const int p = world.size();
   const int r = world.rank();
-  // The cyclic layout: sample id lives on rank id mod p, at blob id / p.
-  const auto owner = [p](std::int64_t id) { return static_cast<int>(id % p); };
+  // Sample id's blob lives on its block's rank, at id − mine.begin there.
+  const BlockRange mine = distmat::block_range(n, p, r);
+  const auto owner = [n, p](std::int64_t id) { return distmat::block_owner(n, p, id); };
 
   // Phase spans: the pass is straight-line code with locals flowing
   // across phases, so each span is an explicit object closed at the
@@ -292,7 +305,7 @@ void lsh_candidate_pass(bsp::Comm& world,
   // independent of the rank count.
   std::vector<std::vector<std::uint64_t>> key_blocks(static_cast<std::size_t>(p));
   for (std::size_t s = 0; s < blobs.size(); ++s) {
-    const auto id = static_cast<std::uint64_t>(r) + s * static_cast<std::uint64_t>(p);
+    const auto id = static_cast<std::uint64_t>(mine.begin) + s;
     for (std::uint64_t bucket :
          oph_wire_band_hashes(blobs[s], pass.plan.bands, pass.plan.rows_per_band)) {
       const std::uint64_t group = bucket >> 32;
@@ -405,7 +418,7 @@ void lsh_candidate_pass(bsp::Comm& world,
       if (id < 0 || id >= n || owner(id) != r) {
         throw error::CorruptInput("sketch_candidate_pass: blob request misrouted");
       }
-      payload.push_back(blobs[static_cast<std::size_t>(id / p)]);
+      payload.push_back(blobs[static_cast<std::size_t>(id - mine.begin)]);
     }
     responses[static_cast<std::size_t>(q)] = core::pack_word_panel(payload);
   }
@@ -425,7 +438,7 @@ void lsh_candidate_pass(bsp::Comm& world,
     }
   }
   const auto view_of = [&](std::int64_t id) -> std::span<const std::uint64_t> {
-    if (owner(id) == r) return blobs[static_cast<std::size_t>(id / p)];
+    if (owner(id) == r) return blobs[static_cast<std::size_t>(id - mine.begin)];
     return fetched[static_cast<std::size_t>(id)];
   };
 
@@ -461,11 +474,10 @@ void lsh_candidate_pass(bsp::Comm& world,
 CandidatePass sketch_candidate_pass(bsp::Comm& world,
                                     const std::vector<std::vector<std::uint64_t>>& blobs,
                                     std::int64_t n, const core::Config& config) {
-  const std::int64_t p = world.size();
-  const std::int64_t r = world.rank();
-  if (static_cast<std::int64_t>(blobs.size()) != (n - r + p - 1) / p) {
-    throw std::invalid_argument(
-        "sketch_candidate_pass: need one blob per cyclic sample r, r + p, ...");
+  const BlockRange mine = distmat::block_range(n, world.size(), world.rank());
+  if (static_cast<std::int64_t>(blobs.size()) != mine.size()) {
+    throw std::invalid_argument("sketch_candidate_pass: need one blob per sample of block [" +
+                                std::to_string(mine.begin) + ", " + std::to_string(mine.end) + ")");
   }
   CandidatePass pass;
   pass.effective_threshold =
@@ -491,42 +503,32 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
   Timer timer;
   core::StageRecorder recorder(world.counters());
 
-  // (1) Sketch the owned samples (block distribution, matching the ring
-  // panel layout so arriving panels map onto contiguous output columns),
-  // one sample at a time: only the compact wire blobs accumulate. Reading
-  // and hashing are one fused loop, so the whole build lands in the
-  // pack/sketch stage; samples with a compatible persisted blob are not
-  // read at all.
-  const BlockRange mine = distmat::block_range(n, p, r);
+  // (1) Sketch this rank's block of samples, so arriving panels map onto
+  // contiguous output columns, one sample at a time: only the compact
+  // wire blobs accumulate. Reading and hashing are one fused loop, so the
+  // whole build lands in the pack/sketch stage; samples with a compatible
+  // persisted blob are not read at all.
   std::vector<std::vector<std::uint64_t>> blobs;
   {
     auto stage = recorder.scope(core::Stage::kPackSketch);
-    blobs.reserve(static_cast<std::size_t>(mine.size()));
-    for (std::int64_t i = mine.begin; i < mine.end; ++i) {
-      blobs.push_back(sketch_sample(source, config, i));
-    }
+    blobs = sketch_block(world, source, config);
   }
   const std::vector<std::uint64_t> panel_words = core::pack_word_panel(blobs);
 
   // (2)+(3) Score one triangle on the sketch ring; rank 0 mirrors it.
-  // Panel positions are offsets into each owner's block of samples. Stage
-  // attribution mirrors the exact pipeline: estimation time is the
+  // Stage attribution mirrors the exact pipeline: estimation time is the
   // "multiply", rotation bytes are the "exchange".
   std::vector<DenseBlock<double>> computed;
   {
     auto stage = recorder.scope(core::Stage::kMultiply, core::Stage::kExchange);
     score_ring_triangle(
-        world, panel_words, /*diagonal=*/true,
+        world, n, panel_words, /*diagonal=*/true,
         [&](int owner, BlockRange rows, BlockRange cols) {
-          const std::int64_t row0 = mine.begin;
-          const std::int64_t col0 = distmat::block_range(n, p, owner).begin;
-          DenseBlock<double>* block = &computed.emplace_back(
-              BlockRange{row0 + rows.begin, row0 + rows.end},
-              BlockRange{col0 + cols.begin, col0 + cols.end});
+          DenseBlock<double>* block = &computed.emplace_back(rows, cols);
           const bool diagonal_block = owner == r;
-          return [=](std::int64_t a, std::int64_t b, double est) {
-            block->at_global(row0 + a, col0 + b) = est;
-            if (diagonal_block) block->at_global(col0 + b, row0 + a) = est;
+          return [=](std::int64_t i, std::int64_t j, double est) {
+            block->at_global(i, j) = est;
+            if (diagonal_block) block->at_global(j, i) = est;
           };
         });
   }

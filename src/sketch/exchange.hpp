@@ -5,7 +5,7 @@
 // == The sketch builder ====================================================
 //
 // make_sketch is the one place a Config becomes a sketch: the empty
-// sketch of the configured type, parameters and seed. sketch_sample
+// sketch of the configured type, parameters and seed. sketch_block
 // builds every pipeline blob from it, one sample at a time: a compatible
 // persisted blob (SampleSource::persisted_sketch, wire_matches_config)
 // is returned as is; otherwise the sample's attribute ids are read one
@@ -21,9 +21,9 @@
 // redistributing bit-packed k-mer panels and multiplying under the
 // popcount semiring, each rank
 //
-//   1. sketches its OWNED samples (block distribution over the n samples)
-//      with sketch_sample — same batched reads, same bounded per-read
-//      memory as the exact path;
+//   1. sketches its block of samples, distmat::block_range(n, p, r), with
+//      sketch_block — same batched reads, same bounded per-read memory as
+//      the exact path;
 //   2. flattens the owned sketches' wire blobs into one panel
 //      (core::pack_word_panel) and rotates the panels ⌊p/2⌋ + 1 steps
 //      around the 1-D ring it shares with the exact SpGEMM ring and the
@@ -66,13 +66,12 @@
 // pair whose estimated Jaccard clears prune_threshold − slack — plus, on
 // rank 0, the non-zero estimates of the pairs it prunes, which the driver
 // uses to fill the pruned entries of the final matrix (survivors get
-// their exact values). The driver builds the blobs of its cyclically
-// owned samples — rank r holds samples r, r + p, r + 2p, … — with
-// sketch_sample before the batch loop, which then reads each batch again
-// for packing: a re-read costs less than holding every batch's reads for
-// the whole run. Every rank computes where a sample lives (rank id mod p,
-// position id / p), so no id directory travels. Two candidate strategies
-// exist (core::CandidateMode):
+// their exact values). The driver sketches each rank's block of samples,
+// the one it reads and multiplies, with sketch_block before the batch
+// loop, which then reads each batch again for packing: a re-read costs
+// less than holding every batch's reads for the whole run. Every rank
+// computes where a sample lives (distmat::block_owner), so no id
+// directory travels. Two candidate strategies exist (core::CandidateMode):
 //
 //   all-pairs — the blob panels rotate ⌊p/2⌋ + 1 steps around the sketch
 //     ring, as in the pure-sketch pipeline (⌊p/2⌋ panel hops and O(n/p)
@@ -86,8 +85,10 @@
 //     owned sample, routes ONE packed (bucket-group, sample) word per
 //     band through the existing alltoall, and only pairs colliding in
 //     ≥ 1 bucket are routed (to the rank owning the lower sample's
-//     blob), deduplicated, blob-fetched, and scored. Bytes and score
-//     work are O(collisions), not O(n²). Recall follows the banding
+//     blob), deduplicated, blob-fetched, and scored. Block ownership
+//     skews that routing toward low ranks: at p = 4, 7/16 of random pairs
+//     have their lower sample on rank 0. Bytes and score work are
+//     O(collisions), not O(n²). Recall follows the banding
 //     S-curve 1 − (1 − m^R)^B (lsh_candidate_plan picks (B, R) from the
 //     effective threshold); pairs that never collide report a 0.0
 //     estimate. Pairs BELOW the effective threshold that do
@@ -153,13 +154,13 @@ using AnySketch = std::variant<OnePermMinHash, BottomKSketch>;
 /// error::ConfigError naming the first bad one.
 void validate_sketch_params(const core::Config& config);
 
-/// The wire blob of `sample` under `config` (see "The sketch builder"
-/// above): the persisted blob when wire_matches_config accepts it, else
+/// The wire blobs under `config` of this rank's block of samples,
+/// distmat::block_range(n, p, r), in order (see "The sketch builder" above):
+/// each the persisted blob when wire_matches_config accepts it, else
 /// make_sketch(config) fed from values_in_range one row batch at a time.
 /// Throws std::invalid_argument when `config` names no sketch estimator.
-[[nodiscard]] std::vector<std::uint64_t> sketch_sample(const core::SampleSource& source,
-                                                       const core::Config& config,
-                                                       std::int64_t sample);
+[[nodiscard]] std::vector<std::vector<std::uint64_t>> sketch_block(
+    const bsp::Comm& world, const core::SampleSource& source, const core::Config& config);
 
 /// Sample count below which CandidateMode::kAuto keeps the all-pairs
 /// candidate pass: under ~10² samples the n² score work is trivial and
@@ -221,11 +222,11 @@ struct CandidatePass {
 /// Collective over `world`: generate and score candidate pairs from
 /// per-sample wire blobs and threshold them into a replicated candidate
 /// mask (all-pairs or LSH-banded per Config::candidate_mode). `blobs`
-/// are the wire blobs of this rank's samples in the driver's cyclic
-/// layout: samples r, r + p, r + 2p, … of [0, n), in that order; throws
-/// std::invalid_argument unless there are ⌈(n − r)/p⌉ of them. `config`
-/// supplies prune_threshold, candidate_mode and the sketch parameters (a
-/// hybrid config resolves to minhash).
+/// are the wire blobs of samples distmat::block_range(n, p, r), in order
+/// (sketch_block); throws std::invalid_argument naming that block unless
+/// there is one per sample. `config` supplies prune_threshold,
+/// candidate_mode and the sketch parameters (a hybrid config resolves to
+/// minhash).
 [[nodiscard]] CandidatePass sketch_candidate_pass(
     bsp::Comm& world, const std::vector<std::vector<std::uint64_t>>& blobs,
     std::int64_t n, const core::Config& config);

@@ -365,6 +365,43 @@ TEST(Transport, EveryFlippedByteIsCorruptInputNamingSourceAndTag) {
   }
 }
 
+TEST(Transport, SplitMessagesNameTheSendersWorldRank) {
+  // World ranks 1 and 3 are ranks 0 and 1 of the odd split. A byte that
+  // world rank 1 receives damaged from its split peer is named as coming
+  // from rank 3, the sender's world rank, as the `rank R` prefix names the
+  // receiver's. Rank 1's ops are swept until the flip lands on that
+  // message; the ops before it are the split's own allgather.
+  const std::regex named(
+      R"(^rank 1[^:]*: bsp::Comm::recv: checksum mismatch from rank (\d+) \(tag 5\)$)");
+  bool landed = false;
+  for (std::uint64_t op = 0; op < 16 && !landed; ++op) {
+    RuntimeOptions options;
+    options.fault_plan = std::make_shared<const FaultPlan>(
+        FaultPlan::parse("rank=1:op=" + std::to_string(op) + ":flip=0"));
+    try {
+      Runtime::run(
+          4,
+          [](Comm& comm) {
+            Comm half = comm.split(comm.rank() % 2, comm.rank());
+            if (half.rank() == 1) {
+              half.send<std::int64_t>(0, 5, words_of(comm.rank()));
+            } else {
+              EXPECT_EQ(half.recv<std::int64_t>(1, 5), words_of(comm.rank() + 2));
+            }
+          },
+          options);
+    } catch (const error::Error& e) {
+      ASSERT_EQ(e.code(), error::Code::kCorruptInput) << e.what();
+      const std::string what = e.what();
+      std::smatch match;
+      if (!std::regex_search(what, match, named)) continue;
+      EXPECT_EQ(match[1], "3") << "op " << op << ": " << what;
+      landed = true;
+    }
+  }
+  EXPECT_TRUE(landed) << "no flip landed on the split's message";
+}
+
 TEST(Transport, EmptyPayloadTravelsAsZeroBytes) {
   // An empty payload has nothing to check: it travels as 0 bytes, with no
   // trailer, and a flip aimed at it holds fire for the next op that

@@ -6,7 +6,7 @@
 //     active_columns / any_pair / for_each_pair_in) as a brute-force
 //     n × n reference does, on random masks whose sizes straddle 64;
 //   * the all-pairs pass keeps exactly the brute-force candidate set and
-//     pruned estimates over the driver's cyclic layout, at any rank
+//     pruned estimates over the driver's block layout, at any rank
 //     count, and refuses blobs that do not fit that layout;
 //   * the LSH band/bucket exchange is deterministic across rank counts
 //     and loses no pair the all-pairs candidate pass keeps at the same
@@ -337,20 +337,29 @@ std::vector<std::uint64_t> oph_blob(const std::vector<std::uint64_t>& set,
       .wire();
 }
 
+/// The blobs of `comm`'s block of `sets` in the driver's layout
+/// (sketch::sketch_block): samples distmat::block_range(n, p, r), in order.
+std::vector<std::vector<std::uint64_t>> block_blobs(
+    const bsp::Comm& comm, const std::vector<std::vector<std::uint64_t>>& sets,
+    const core::Config& config) {
+  const BlockRange mine = distmat::block_range(static_cast<std::int64_t>(sets.size()),
+                                               comm.size(), comm.rank());
+  std::vector<std::vector<std::uint64_t>> blobs;
+  for (std::int64_t i = mine.begin; i < mine.end; ++i) {
+    blobs.push_back(oph_blob(sets[static_cast<std::size_t>(i)], config));
+  }
+  return blobs;
+}
+
 /// Run sketch_candidate_pass over `sets` on `ranks` ranks in the driver's
-/// cyclic layout (rank r holds samples r, r + p, ...) and return rank 0's
-/// pass output.
+/// block layout (block_blobs) and return rank 0's pass output.
 sketch::CandidatePass run_candidate_pass(
     const std::vector<std::vector<std::uint64_t>>& sets, const core::Config& config,
     int ranks) {
   const auto n = static_cast<std::int64_t>(sets.size());
   sketch::CandidatePass out;
   bsp::Runtime::run(ranks, [&](bsp::Comm& comm) {
-    std::vector<std::vector<std::uint64_t>> blobs;
-    for (std::int64_t i = comm.rank(); i < n; i += comm.size()) {
-      blobs.push_back(oph_blob(sets[static_cast<std::size_t>(i)], config));
-    }
-    auto pass = sketch::sketch_candidate_pass(comm, blobs, n, config);
+    auto pass = sketch::sketch_candidate_pass(comm, block_blobs(comm, sets, config), n, config);
     // Single writer (rank 0), read only after run() joins the ranks.
     if (comm.rank() == 0) out = std::move(pass);
   });
@@ -430,30 +439,34 @@ TEST(AllPairsCandidatePass, MatchesBruteForce) {
 }
 
 TEST(CandidatePassLayout, WrongBlobCountThrows) {
-  // Rank r must hold the blobs of samples r, r + p, ...: ⌈(n − r)/p⌉ of
-  // them, here 3 and 2 for n = 5 on 2 ranks. One too few or too many is
-  // refused before any traffic, in either candidate mode.
+  // Rank r must hold the blobs of its block of samples, block_range(n,
+  // p, r): [0, 3) and [3, 5) for n = 5 on 2 ranks. One too few or too
+  // many is refused before any traffic, in either candidate mode, naming
+  // the block.
   core::Config cfg;
   cfg.estimator = core::Estimator::kMinhash;
   cfg.sketch_size = 64;
-  const std::vector<std::uint64_t> empty =
-      sketch::OnePermMinHash(cfg.sketch_size, cfg.minhash_bits, cfg.sketch_seed).wire();
+  const std::vector<std::vector<std::uint64_t>> sets(5);  // five empty samples
   for (const core::CandidateMode mode :
        {core::CandidateMode::kAllPairs, core::CandidateMode::kLsh}) {
     cfg.candidate_mode = mode;
     for (const int skew : {-1, 1}) {
       try {
         bsp::Runtime::run(2, [&](bsp::Comm& comm) {
-          const int count = (comm.rank() == 0 ? 3 : 2) + skew;
-          const std::vector<std::vector<std::uint64_t>> blobs(
-              static_cast<std::size_t>(count), empty);
+          std::vector<std::vector<std::uint64_t>> blobs = block_blobs(comm, sets, cfg);
+          if (skew < 0) {
+            blobs.pop_back();
+          } else {
+            blobs.push_back(blobs.front());
+          }
           (void)sketch::sketch_candidate_pass(comm, blobs, 5, cfg);
         });
         ADD_FAILURE() << "skew " << skew << ": expected a throw";
       } catch (const std::exception& e) {
-        EXPECT_NE(std::string(e.what()).find("one blob per cyclic sample"),
-                  std::string::npos)
-            << e.what();
+        const std::string what = e.what();
+        EXPECT_TRUE(what.find("one blob per sample of block [0, 3)") != std::string::npos ||
+                    what.find("one blob per sample of block [3, 5)") != std::string::npos)
+            << what;
       }
     }
   }

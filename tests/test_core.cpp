@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <sstream>
@@ -104,11 +105,15 @@ TEST(Packing, RejectsBadBitWidth) {
 }
 
 TEST(Packing, ReadBatchReadsOnlyActiveSamples) {
-  // The hybrid's mask-first ingest: a sample the candidate mask pruned is
-  // never read, so it never reaches the filter union or the packer.
+  // Rank 1 of 2 reads its block of the 5 samples, {3, 4}; one rank reads
+  // them all, in order. The hybrid's mask-first ingest: a sample the
+  // candidate mask pruned is never read, so it never reaches the filter
+  // union or the packer.
   VectorSampleSource src(10, {{1}, {2, 3}, {4}, {5, 9}, {6}});
+  EXPECT_EQ(read_batch(0, 1, src, distmat::BlockRange{0, 8}).samples,
+            (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
   const BatchReads all = read_batch(1, 2, src, distmat::BlockRange{0, 8});
-  EXPECT_EQ(all.samples, (std::vector<std::int64_t>{1, 3}));
+  EXPECT_EQ(all.samples, (std::vector<std::int64_t>{3, 4}));
   const std::vector<std::uint8_t> active{1, 0, 1, 1, 0};
   const BatchReads kept = read_batch(1, 2, src, distmat::BlockRange{0, 8}, active);
   EXPECT_EQ(kept.samples, (std::vector<std::int64_t>{3}));
@@ -180,6 +185,22 @@ TEST(Driver, MoreRanksThanSamples) {
   cfg.algorithm = Algorithm::kRing1D;
   const Result result = similarity_at_scale_threaded(8, src, cfg);
   EXPECT_NEAR(result.similarity.similarity(0, 1), 1.0 / 3.0, 1e-12);
+}
+
+TEST(Driver, RingExchangeSendsOnlyItsHops) {
+  // Each rank reads the block of samples it multiplies, so no round
+  // redistributes them: the exact ring's exchange stage is its ⌊p/2⌋
+  // panel hops per rank and batch, and nothing else.
+  const BernoulliSampleSource src(5000, 20, 0.01, 11);
+  Config cfg;
+  cfg.algorithm = Algorithm::kRing1D;
+  cfg.batch_count = 3;
+  for (const int p : {4, 5}) {
+    const Result result = similarity_at_scale_threaded(p, src, cfg);
+    EXPECT_EQ(result.stages[Stage::kExchange].messages,
+              static_cast<std::uint64_t>(cfg.batch_count * p * (p / 2)))
+        << p << " ranks";
+  }
 }
 
 TEST(Driver, RejectsInvalidConfigs) {
@@ -449,8 +470,9 @@ TEST(MatrixIo, TsvHasHeaderAndFullPrecision) {
 
 // ------------------------------------------------- randomized invariance
 
-/// Seeded sweep: SUMMA at several ranks must match the serial reference on
-/// synthetic Bernoulli inputs (complements the hand-built cases above).
+/// Seeded sweep: SUMMA, the ring (with more ranks than samples too) and
+/// the hybrid must match the serial reference on synthetic inputs
+/// (complements the hand-built cases above).
 class RandomizedInvariance : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomizedInvariance, SummaMatchesSerialOnBernoulliInputs) {
@@ -470,6 +492,73 @@ TEST_P(RandomizedInvariance, SummaMatchesSerialOnBernoulliInputs) {
   cfg.algorithm = Algorithm::kRing1D;
   const Result ring = similarity_at_scale_threaded(5, src, cfg);
   EXPECT_EQ(ring.similarity.max_abs_diff(reference.similarity), 0.0);
+  // More ranks than samples: ranks past the last sample read, hold and
+  // multiply empty blocks.
+  const Result wide = similarity_at_scale_threaded(24, src, cfg);
+  EXPECT_EQ(wide.similarity.max_abs_diff(reference.similarity), 0.0);
+}
+
+/// Seeded clusters of related samples, interleaved (sample i is in
+/// cluster i mod 3): each keeps about 90% of its cluster's base set and
+/// adds a little noise, so within-cluster pairs clear a 0.3 prune
+/// threshold and cross-cluster pairs do not.
+VectorSampleSource clustered_source(std::uint64_t seed) {
+  const std::int64_t m = 3000;
+  Rng rng(seed);
+  std::vector<std::vector<std::int64_t>> bases(3);
+  for (auto& base : bases) {
+    for (std::int64_t v = 0; v < m; ++v) {
+      if (rng.bernoulli(0.05)) base.push_back(v);
+    }
+  }
+  std::vector<std::vector<std::int64_t>> samples;
+  for (std::size_t i = 0; i < 15; ++i) {
+    std::vector<std::int64_t> sample;
+    for (std::int64_t v : bases[i % bases.size()]) {
+      if (!rng.bernoulli(0.1)) sample.push_back(v);
+    }
+    for (std::int64_t v = 0; v < m; ++v) {
+      if (rng.bernoulli(0.005)) sample.push_back(v);
+    }
+    samples.push_back(std::move(sample));
+  }
+  return VectorSampleSource(m, std::move(samples));
+}
+
+TEST_P(RandomizedInvariance, HybridSurvivorsMatchSerialOnRingAndSumma) {
+  // The hybrid sketches, reads and multiplies each rank's block of
+  // samples; every pair it keeps must come out bitwise equal to the
+  // serial exact run, on the ring and on SUMMA (one active rank at p = 3).
+  const VectorSampleSource src = clustered_source(GetParam());
+  const std::int64_t n = src.sample_count();
+  Config serial_cfg;
+  serial_cfg.algorithm = Algorithm::kSerial;
+  const Result reference = similarity_at_scale_threaded(1, src, serial_cfg);
+
+  Config cfg;
+  cfg.estimator = Estimator::kHybrid;
+  cfg.prune_threshold = 0.3;
+  cfg.batch_count = 2;
+  for (const Algorithm algorithm : {Algorithm::kRing1D, Algorithm::kSumma}) {
+    cfg.algorithm = algorithm;
+    for (const int p : {3, 4}) {
+      SCOPED_TRACE(std::string(algorithm == Algorithm::kRing1D ? "ring" : "summa") +
+                   ", " + std::to_string(p) + " ranks");
+      const Result hybrid = similarity_at_scale_threaded(p, src, cfg);
+      std::int64_t survivors = 0;
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t j = i + 1; j < n; ++j) {
+          if (!hybrid.sparse_similarity.is_survivor(i, j)) continue;
+          ++survivors;
+          EXPECT_EQ(hybrid.similarity_at(i, j), reference.similarity.similarity(i, j))
+              << "survivor (" << i << ", " << j << ")";
+        }
+      }
+      EXPECT_EQ(survivors, hybrid.sparse_similarity.survivor_count());
+      EXPECT_GT(survivors, 0) << "within-cluster pairs must survive";
+      EXPECT_LT(survivors, n * (n - 1) / 2) << "cross-cluster pairs must be pruned";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedInvariance,

@@ -393,11 +393,11 @@ TEST(FaultInjection, FlippedPanelBytesAreTypedOrBenign) {
     std::uint64_t past_last;
   };
   for (const Sweep sweep :
-       {Sweep{&dense, core::Estimator::kExact, core::Algorithm::kRing1D, 61},
+       {Sweep{&dense, core::Estimator::kExact, core::Algorithm::kRing1D, 49},
         Sweep{&dense, core::Estimator::kExact, core::Algorithm::kSumma, 89},
-        Sweep{&hypersparse, core::Estimator::kExact, core::Algorithm::kRing1D, 61},
+        Sweep{&hypersparse, core::Estimator::kExact, core::Algorithm::kRing1D, 49},
         Sweep{&dense, core::Estimator::kMinhash, core::Algorithm::kRing1D, 13},
-        Sweep{&dense, core::Estimator::kHybrid, core::Algorithm::kRing1D, 76}}) {
+        Sweep{&dense, core::Estimator::kHybrid, core::Algorithm::kRing1D, 64}}) {
     core::Config config;
     config.estimator = sweep.estimator;
     config.algorithm = sweep.algorithm;

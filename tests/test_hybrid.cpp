@@ -314,9 +314,9 @@ TEST(Hybrid, PersistedSketchesAreLoadedAndValidated) {
   }
   const genome::KmerFileSource source(k, paths);
 
-  // Both sketch pipelines build their blobs with sketch_sample, which
-  // consults persisted blobs: the hybrid's cyclically owned prologue and
-  // the pure-sketch pipeline's block-owned build, for every sketch type.
+  // Both sketch pipelines build their blobs with sketch_block, which
+  // consults persisted blobs: the hybrid's prologue and the pure-sketch
+  // pipeline, for every sketch type.
   for (const core::Estimator estimator :
        {core::Estimator::kHybrid, core::Estimator::kMinhash, core::Estimator::kBottomK}) {
     SCOPED_TRACE(estimator == core::Estimator::kHybrid

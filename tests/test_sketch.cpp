@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "bsp/runtime.hpp"
 #include "core/driver.hpp"
 #include "core/packing.hpp"
 #include "core/sample_source.hpp"
@@ -472,7 +473,9 @@ TEST(Pipeline, MoreRanksThanSamples) {
 
 TEST(Pipeline, ExactEstimatorRejectsSketchBuild) {
   const core::VectorSampleSource src(16, {{1, 2, 3}});
-  EXPECT_THROW((void)sketch_sample(src, core::Config{}, 0), std::invalid_argument);
+  bsp::Runtime::run(1, [&](bsp::Comm& comm) {
+    EXPECT_THROW((void)sketch_block(comm, src, core::Config{}), std::invalid_argument);
+  });
 }
 
 }  // namespace
