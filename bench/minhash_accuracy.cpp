@@ -306,8 +306,8 @@ int main(int argc, char** argv) {
               slack);
 
   // Per-stage breakdown of the hybrid run: shows where the remaining
-  // bytes live (the replicated zero-row filter union inside pack/sketch
-  // was the PR 3/4 floor; this run ships it compressed).
+  // bytes live (the zero-row filter's contributions and owner replies
+  // inside pack/sketch).
   std::printf("\nHybrid per-stage breakdown (max seconds over ranks, bytes summed):\n");
   TextTable stage_table({"stage", "seconds", "bytes sent", "messages"});
   for (std::size_t s = 0; s < core::kStageCount; ++s) {
@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
   // Corpus with genuine prunables: 4 families x 2 members plus 8 singleton
   // genomes (no relative above the threshold). The hybrid pipeline defers
   // pack_batch until after the candidate pass, so the singletons' columns
-  // are dropped BEFORE the zero-row filter union — pack/sketch-stage bytes
+  // are dropped BEFORE the zero-row filter — pack/sketch-stage bytes
   // must come in strictly below the exact pipeline's, which packs every
   // column. (The family corpus above can't show this: every sample there
   // has a surviving partner, so its mask is all-ones.)
@@ -410,7 +410,7 @@ int main(int argc, char** argv) {
                     mf_ok ? "PASS" : "FAIL"});
   mf_table.print();
   std::printf("\nmask-first gate: hybrid pack/sketch bytes strictly below exact — the\n"
-              "pruned columns never reach the zero-row filter union or the packer.\n");
+              "pruned columns never reach the zero-row filter or the packer.\n");
 
   // ---- LSH-banded candidate pass vs the all-pairs ring -------------------
   // Larger family corpus (24 families x 2 members, 8 ranks): the regime

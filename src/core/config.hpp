@@ -105,12 +105,13 @@ struct Config {
   /// reproducing a recorded run).
   double dense_crossover = 0.0;
 
-  /// Ship each batch's zero-row filter union in the set-bit wire code
-  /// (word runs or index gaps, whichever is smaller — distmat/panel_wire.hpp)
-  /// instead of raw 8-byte row indices. Identical filter contents either
-  /// way. Nothing in the pipeline sets it false: the field stays because
-  /// the perf ledger (bench/ledger) reads it, and the raw-index branch it
-  /// guards is the reference the compressed union is tested against.
+  /// Ship each batch's zero-row filter contributions and owner replies in
+  /// the set-bit wire code (word runs or index gaps, whichever is smaller —
+  /// distmat/panel_wire.hpp) instead of raw 8-byte words. Identical
+  /// compacted ids either way. Nothing in the pipeline sets it false: the
+  /// field stays because the perf ledger (bench/ledger) reads it, and the
+  /// raw branch it guards is the reference the compressed filter is
+  /// tested against.
   bool compress_filter = true;
 
   // ---- estimator parameters -------------------------------------------

@@ -675,9 +675,9 @@ Result run_batched_pipeline(bsp::Comm& world, const SampleSource& source,
       Timer timer;
 
       // Mask-first ingest: samples with no surviving pair are never read,
-      // so the zero-row filter union and the triplet build never see them
-      // — a column the candidate pass pruned costs zero pack work and zero
-      // filter-union bytes. Their â stays 0, their diagonal falls back to
+      // so the zero-row filter and the triplet build never see them — a
+      // column the candidate pass pruned costs zero pack work and zero
+      // filter bytes. Their â stays 0, their diagonal falls back to
       // the J(∅, ∅) = 1 convention, and off-diagonal entries are filled
       // from the sketch estimates. Rows observed only in pruned samples
       // leave the filter too; they contributed only to pruned pairs, so

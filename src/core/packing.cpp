@@ -31,20 +31,42 @@ PackedBatch pack_batch(bsp::Comm& comm, const BatchReads& reads,
   }
   const std::int64_t batch_height = rows.size();
 
-  // (1) Distributed zero-row filter f⁽ˡ⁾, replicated on all ranks.
-  // Offsets are relative to the batch start (reads carry global ids).
-  std::vector<std::int64_t> filter;
-  if (use_filter) {
-    std::vector<std::int64_t> observed;
-    for (const auto& values : reads.values) {
-      for (std::int64_t v : values) observed.push_back(v - rows.begin);
-    }
-    filter = distmat::distributed_index_union(
-        comm, std::span<const std::int64_t>(observed), batch_height, compress_filter);
-  }
-
+  // (1) Distributed zero-row filter f⁽ˡ⁾ (Eq. 5–6). Sorting (row, value)
+  // pairs deduplicates this rank's rows, offsets from the batch start
+  // (reads carry global ids), and records for each value, in sample-major
+  // order, its row's index among the distinct rows. The rows' block owners
+  // answer each distinct row's compacted id, so no value is looked up in a
+  // filter.
   PackedBatch out;
-  out.filtered_rows = use_filter ? static_cast<std::int64_t>(filter.size()) : batch_height;
+  out.filtered_rows = batch_height;
+  std::vector<std::int64_t> compacted_of;  // per value, sample-major
+  if (use_filter) {
+    struct Entry {
+      std::int64_t row;
+      std::size_t value;
+    };
+    std::size_t total = 0;
+    for (const auto& values : reads.values) total += values.size();
+    std::vector<Entry> entries;
+    entries.reserve(total);
+    for (const auto& values : reads.values) {
+      for (std::int64_t v : values) entries.push_back({v - rows.begin, entries.size()});
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) { return a.row < b.row; });
+    std::vector<std::int64_t> seen;
+    for (Entry& e : entries) {
+      if (seen.empty() || seen.back() != e.row) seen.push_back(e.row);
+      e.row = static_cast<std::int64_t>(seen.size()) - 1;  // now its index in `seen`
+    }
+    const distmat::CompactedRows compacted =
+        distmat::compact_filter_rows(comm, seen, batch_height, compress_filter);
+    out.filtered_rows = compacted.filtered_rows;
+    compacted_of.resize(entries.size());
+    for (const Entry& e : entries) {
+      compacted_of[e.value] = compacted.ids[static_cast<std::size_t>(e.row)];
+    }
+  }
   out.word_rows = (out.filtered_rows + bit_width - 1) / bit_width;
 
   // (2) Compact and pack: consecutive compacted rows of one sample that
@@ -54,17 +76,15 @@ PackedBatch pack_batch(bsp::Comm& comm, const BatchReads& reads,
   // than the raw offsets, so amortized growth beats reserving the loose
   // offset-count bound (which would pin up to 64× the needed capacity for
   // the batch's lifetime).
-  const std::span<const std::int64_t> filter_span(filter);
+  std::size_t next = 0;
   for (std::size_t s = 0; s < reads.samples.size(); ++s) {
     const std::int64_t col = reads.samples[s];
     std::int64_t current_word = -1;
     std::uint64_t mask = 0;
     for (std::int64_t value : reads.values[s]) {
-      const std::int64_t offset = value - rows.begin;
-      const std::int64_t compacted =
-          use_filter ? distmat::compact_row_id(filter_span, offset) : offset;
-      const std::int64_t word = compacted / bit_width;
-      const int bit = static_cast<int>(compacted % bit_width);
+      const std::int64_t row = use_filter ? compacted_of[next++] : value - rows.begin;
+      const std::int64_t word = row / bit_width;
+      const int bit = static_cast<int>(row % bit_width);
       if (word != current_word) {
         if (current_word >= 0) out.triplets.push_back({current_word, col, mask});
         current_word = word;

@@ -5,14 +5,16 @@
 //      block of samples, distmat::block_range(n, p, rank), restricted to
 //      the batch. Purely local; the returned values are GLOBAL attribute
 //      ids.
-//   pack (pack_batch)    — contribute observed row offsets to the
-//      distributed filter f⁽ˡ⁾, obtain the replicated sorted filter
-//      (Eq. 5), remap each value to its compacted row id — the prefix
-//      sum p⁽ˡ⁾ of the filter (Eq. 6) — and pack segments of `bit_width`
-//      compacted rows into word masks (Eq. 7).
+//   pack (pack_batch)    — send the rank's distinct row offsets to their
+//      row-block owners, which form the filter f⁽ˡ⁾ (Eq. 5) and answer
+//      each with its compacted id, the prefix sum p⁽ˡ⁾ of the filter
+//      (Eq. 6; distmat::compact_filter_rows); remap each value to its
+//      row's id through the index the rank's own dedup recorded; and pack
+//      segments of `bit_width` compacted rows into word masks (Eq. 7). No
+//      rank holds the whole filter.
 //
 // The hybrid reads only the samples its candidate mask keeps, so pruned
-// samples cost no reads and no filter-union bytes. The output triplets
+// samples cost no reads and no filter bytes. The output triplets
 // are globally indexed (word_row, sample) pairs in sample-major order.
 // The ring multiplies the block it read, so its panel is these triplets
 // with local columns; serial and SUMMA route them to their owners with
@@ -59,10 +61,10 @@ struct PackedBatch {
 /// Pack stage, collective over `comm`: filter + compact + bitmask-pack
 /// one batch of reads. `bit_width` ∈ [1, 64] is the paper's b;
 /// `use_filter` toggles the zero-row compaction (Eq. 5–6);
-/// `compress_filter` ships the filter union's index sets in the set-bit
-/// wire code (distmat/panel_wire.hpp, as the panels travel) instead of
-/// raw 8-byte indices — same filter, fewer bytes. A received filter that
-/// lacks a row this rank read fails with error::CorruptInput.
+/// `compress_filter` ships the filter's contributions and replies in the
+/// set-bit wire code (distmat/panel_wire.hpp, as the panels travel)
+/// instead of raw 8-byte words — same ids, fewer bytes. A reply that
+/// distmat::decode_filter_reply rejects fails with error::CorruptInput.
 [[nodiscard]] PackedBatch pack_batch(bsp::Comm& comm, const BatchReads& reads,
                                      distmat::BlockRange rows, int bit_width,
                                      bool use_filter, bool compress_filter = true);

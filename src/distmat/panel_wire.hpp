@@ -6,7 +6,7 @@
 // (redistribute.hpp), the ring hops, SUMMA's transposes and broadcasts,
 // and the hybrid's targeted alltoall (spgemm.hpp). In memory an entry is
 // a 24-byte Triplet, 16 bytes of it coordinates, and its mask is nearly
-// empty. The filter union (dist_filter.hpp) ships sorted row-index sets,
+// empty. The zero-row filter (dist_filter.hpp) ships sorted index sets,
 // which are one-row panels: index i is bit i & 63 of the mask at column
 // i >> 6. On the wire both are coded by their set bits:
 //
@@ -141,7 +141,7 @@ void decode_panel_append(std::span<const std::uint8_t> bytes, PanelOrder order,
                          PanelExtents extents, std::vector<Triplet<std::uint64_t>>& out);
 
 /// The one-row message of a SORTED, UNIQUE index set within [0, extent)
-/// (the filter union's form); an empty set is an empty message. Throws
+/// (the zero-row filter's form); an empty set is an empty message. Throws
 /// std::invalid_argument on unsorted or out-of-range input.
 [[nodiscard]] std::vector<std::uint8_t> encode_index_set(std::span<const std::int64_t> sorted,
                                                          std::int64_t extent);

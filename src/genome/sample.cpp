@@ -1,8 +1,10 @@
 #include "genome/sample.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 
 #include "baselines/exact_pairwise.hpp"
@@ -53,16 +55,34 @@ void write_sample_file(const std::string& path, const KmerSample& sample) {
 }
 
 KmerSample read_sample_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw error::ConfigError("cannot open sample file: " + path);
+  // One buffer per thread, reused file after file (it keeps the largest
+  // file's size): a fresh buffer for each file would leave heap holes
+  // between the samples' codes.
+  thread_local std::string text;
+  text.clear();
+  std::array<char, 1 << 16> chunk;
+  while (in.read(chunk.data(), chunk.size()), in.gcount() > 0) {
+    text.append(chunk.data(), static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) throw error::ConfigError("cannot read sample file: " + path);
+
   KmerSample sample;
-  std::string line;
-  for (std::int64_t line_no = 1; std::getline(in, line); ++line_no) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  const auto newlines = static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+  sample.kmers.reserve(newlines + 1);
+  const std::string_view all(text);
+  std::int64_t line_no = 0;
+  for (std::size_t start = 0; start < all.size();) {
+    ++line_no;
+    const std::size_t end = std::min(all.find('\n', start), all.size());
+    std::string_view line = all.substr(start, end - start);
+    start = end + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
     if (line[0] == '#') {
-      const std::size_t start = line.find_first_not_of(" \t", 1);
-      if (start != std::string::npos) sample.name = line.substr(start);
+      const std::size_t first = line.find_first_not_of(" \t", 1);
+      if (first != std::string_view::npos) sample.name = line.substr(first);
       continue;
     }
     const auto code = parse_number<std::uint64_t>(line);

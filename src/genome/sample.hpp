@@ -42,10 +42,12 @@ struct KmerSample {
 /// format (§IV).
 void write_sample_file(const std::string& path, const KmerSample& sample);
 
-/// Parse a sample file written by write_sample_file. Throws
-/// error::ConfigError when the file cannot be opened and
-/// error::CorruptInput (naming the path and line) on a line that is not
-/// one unsigned decimal code, or on unsorted codes.
+/// Parse a sample file written by write_sample_file, read into one buffer
+/// and split into lines in place: CR-LF ends, blank lines and `#` lines
+/// are allowed, and the last line needs no newline. Throws
+/// error::ConfigError (naming the path) when the file cannot be opened or
+/// read, and error::CorruptInput (naming the path and 1-based line) on a
+/// line that is not one unsigned decimal code, or on unsorted codes.
 [[nodiscard]] KmerSample read_sample_file(const std::string& path);
 
 }  // namespace sas::genome

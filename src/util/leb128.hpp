@@ -1,9 +1,10 @@
 // leb128.hpp — the one LEB128 varint writer and bounded reader.
 //
-// The set-bit wire code (distmat/panel_wire.hpp) is its one user: the
-// exact pipeline's panels and the filter union's index sets. A varint is
-// 7 bits a byte, low bits first, the high bit set on every byte but the
-// last.
+// The set-bit wire code (distmat/panel_wire.hpp) is its main user: the
+// exact pipeline's panels and the zero-row filter's index sets. The
+// filter's replies also lead with a varint count (distmat/dist_filter.hpp).
+// A varint is 7 bits a byte, low bits first, the high bit set on every
+// byte but the last.
 //
 // The reader is for untrusted bytes: it throws error::CorruptInput on a
 // varint cut off by the end of the input and on a runaway varint (more
@@ -51,6 +52,11 @@ class Leb128Reader {
       : next_(bytes.data()), end_(bytes.data() + bytes.size()), who_(who) {}
 
   [[nodiscard]] bool done() const noexcept { return next_ == end_; }
+
+  /// The bytes not read yet.
+  [[nodiscard]] std::span<const std::uint8_t> rest() const noexcept {
+    return {next_, end_};
+  }
 
   template <typename Value>
   [[nodiscard]] Value read() {

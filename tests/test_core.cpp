@@ -16,6 +16,7 @@
 #include "core/matrix_io.hpp"
 #include "core/packing.hpp"
 #include "core/sample_source.hpp"
+#include "distmat/panel_wire.hpp"
 #include "util/error.hpp"
 #include "util/popcount.hpp"
 #include "util/rng.hpp"
@@ -76,6 +77,11 @@ TEST_P(PackingTest, RoundTripsEveryBit) {
   bsp::Runtime::run(nranks, [&](bsp::Comm& comm) {
     PackedBatch packed =
         pack_batch(comm, src, distmat::BlockRange{0, m}, bit_width, use_filter);
+    // Raw 8-byte filter messages carry the same ids.
+    const PackedBatch raw = pack_batch(comm, src, distmat::BlockRange{0, m}, bit_width,
+                                       use_filter, /*compress_filter=*/false);
+    EXPECT_EQ(raw.triplets, packed.triplets);
+    EXPECT_EQ(raw.filtered_rows, packed.filtered_rows);
     const auto bits = unpack(packed.triplets, bit_width);
     std::lock_guard<std::mutex> lock(mutex);
     got.insert(bits.begin(), bits.end());
@@ -201,6 +207,65 @@ TEST(Driver, RingExchangeSendsOnlyItsHops) {
               static_cast<std::uint64_t>(cfg.batch_count * p * (p / 2)))
         << p << " ranks";
   }
+}
+
+TEST(Driver, FilterOwnersReplyInsteadOfReplicatingTheFilter) {
+  // Hypersparse: 16 samples of 200 rows each from 2^30, so nearly every
+  // row is distinct. The pack stage ships the contributions to the row
+  // owners and the owners' replies, which carry positions, not rows: less
+  // than one copy of the encoded filter on top of the contributions.
+  // Replicating the filter would ship p − 1 copies.
+  const std::int64_t universe = std::int64_t{1} << 30;
+  Rng rng(31);
+  std::vector<std::vector<std::int64_t>> samples(16);
+  for (auto& s : samples) {
+    for (int i = 0; i < 200; ++i) {
+      s.push_back(static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(universe))));
+    }
+  }
+  const VectorSampleSource src(universe, std::move(samples));
+  Config cfg;
+  cfg.algorithm = Algorithm::kRing1D;
+  cfg.batch_count = 2;
+  const int p = 4;
+  const Result result = similarity_at_scale_threaded(p, src, cfg);
+
+  // Each nonempty message carries the transport's 4-byte CRC trailer.
+  const auto message = [](const std::vector<std::uint8_t>& bytes) -> std::uint64_t {
+    return bytes.empty() ? 0 : bytes.size() + 4;
+  };
+  std::uint64_t contributions = 0;
+  std::uint64_t one_copy = 0;
+  for (int l = 0; l < cfg.batch_count; ++l) {
+    const distmat::BlockRange rows = distmat::block_range(universe, cfg.batch_count, l);
+    std::vector<std::set<std::int64_t>> owned(p);
+    for (int r = 0; r < p; ++r) {
+      std::vector<std::set<std::int64_t>> sent(p);
+      for (const auto& values : read_batch(r, p, src, rows).values) {
+        for (const std::int64_t v : values) {
+          const int q = distmat::block_owner(rows.size(), p, v - rows.begin);
+          const std::int64_t local = v - rows.begin - distmat::block_range(rows.size(), p, q).begin;
+          sent[q].insert(local);
+          owned[q].insert(local);
+        }
+      }
+      for (int q = 0; q < p; ++q) {
+        if (q == r) continue;
+        contributions += message(distmat::encode_index_set(
+            std::vector<std::int64_t>(sent[q].begin(), sent[q].end()),
+            distmat::block_range(rows.size(), p, q).size()));
+      }
+    }
+    for (int q = 0; q < p; ++q) {
+      one_copy += message(distmat::encode_index_set(
+          std::vector<std::int64_t>(owned[q].begin(), owned[q].end()),
+          distmat::block_range(rows.size(), p, q).size()));
+    }
+  }
+  const std::uint64_t shipped = result.stages[Stage::kPackSketch].bytes_sent;
+  EXPECT_GT(shipped, contributions);
+  EXPECT_LT(shipped, contributions + one_copy)
+      << "contributions " << contributions << " B, one copy of the filter " << one_copy << " B";
 }
 
 TEST(Driver, RejectsInvalidConfigs) {

@@ -373,7 +373,7 @@ TEST(CorruptionMatrix, SetBitWireDamageIsContainedOrTyped) {
   // both orders (a sparse row-major panel; a column-major bucket whose
   // word ids near 4^31 need 10-byte varints) and word runs (a row-major
   // panel of full masks; a column-major bucket of full masks near 4^31).
-  // Index sets, as the filter union ships them: a dense set whose last
+  // Index sets, as the zero-row filter ships them: a dense set whose last
   // mask word is partial (word runs), a huge-gap hypersparse one and a
   // tiny one (gaps).
   struct PanelShape {

@@ -93,75 +93,148 @@ TEST(Triplets, NormalizeWithAdditionCounts) {
 
 class FilterTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(FilterTest, UnionMatchesSerialSetUnion) {
+/// Run compact_filter_rows at p ranks, rank r contributing rows_of(r),
+/// and check each rank's ids against its rows' positions in the std::set
+/// union of every rank's rows. Returns each rank's ids.
+template <typename RowsOf>
+std::vector<std::vector<std::int64_t>> expect_union_positions(int p, std::int64_t universe,
+                                                              RowsOf rows_of,
+                                                              bool compress = true) {
+  std::set<std::int64_t> all;
+  for (int r = 0; r < p; ++r) {
+    const std::vector<std::int64_t> rows = rows_of(r);
+    all.insert(rows.begin(), rows.end());
+  }
+  const std::vector<std::int64_t> want(all.begin(), all.end());
+  std::vector<std::vector<std::int64_t>> ids(static_cast<std::size_t>(p));
+  bsp::Runtime::run(p, [&](bsp::Comm& comm) {
+    const std::vector<std::int64_t> rows = rows_of(comm.rank());
+    CompactedRows got = compact_filter_rows(comm, rows, universe, compress);
+    EXPECT_EQ(got.filtered_rows, static_cast<std::int64_t>(want.size()));
+    ASSERT_EQ(got.ids.size(), rows.size()) << "rank " << comm.rank();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(got.ids[i], std::lower_bound(want.begin(), want.end(), rows[i]) - want.begin())
+          << "rank " << comm.rank() << " row " << rows[i];
+    }
+    ids[static_cast<std::size_t>(comm.rank())] = std::move(got.ids);
+  });
+  return ids;
+}
+
+TEST_P(FilterTest, IdsArePositionsInTheSetUnion) {
   const int p = GetParam();
   const std::int64_t universe = 500;
-  // Rank r contributes multiples of (r+2) < universe, with duplicates.
-  std::set<std::int64_t> expected;
+  // Rank r contributes the multiples of r + 2, so ranks repeat each
+  // other's rows; at p > 1 the last rank contributes none.
+  const auto rows_of = [&](int r) {
+    std::vector<std::int64_t> rows;
+    if (p > 1 && r == p - 1) return rows;
+    for (std::int64_t v = 0; v < universe; v += r + 2) rows.push_back(v);
+    return rows;
+  };
+  (void)expect_union_positions(p, universe, rows_of);
+
+  // The candidate-pair union takes the same inputs as unsorted packed
+  // keys: each rank's list overlaps its neighbours' and repeats keys.
   std::set<std::uint64_t> pair_set;
   for (int r = 0; r < p; ++r) {
-    for (std::int64_t v = 0; v < universe; v += r + 2) expected.insert(v);
-    for (std::int64_t v = 0; v < universe; v += r + 3) pair_set.insert(v);
+    for (const std::int64_t v : rows_of(r)) pair_set.insert(static_cast<std::uint64_t>(v));
+    for (std::int64_t v = 0; v < universe; v += r + 3) {
+      pair_set.insert(static_cast<std::uint64_t>(v));
+    }
   }
-  pair_set.insert(expected.begin(), expected.end());
   const std::vector<std::uint64_t> pair_keys(pair_set.begin(), pair_set.end());
   bsp::Runtime::run(p, [&](bsp::Comm& comm) {
-    std::vector<std::int64_t> mine;
-    for (std::int64_t v = 0; v < universe; v += comm.rank() + 2) {
-      mine.push_back(v);
-      mine.push_back(v);  // duplicates must be tolerated
-    }
-    const auto got = distributed_index_union(comm, mine, universe);
-    const std::vector<std::int64_t> want(expected.begin(), expected.end());
-    EXPECT_EQ(got, want);
-    // The candidate-pair union takes the same inputs as unsorted packed
-    // keys: each rank's list overlaps its neighbours' and repeats keys.
-    std::vector<std::uint64_t> keys(mine.rbegin(), mine.rend());
+    const std::vector<std::int64_t> rows = rows_of(comm.rank());
+    std::vector<std::uint64_t> keys(rows.rbegin(), rows.rend());
     for (std::int64_t v = 0; v < universe; v += comm.rank() + 3) {
       keys.push_back(static_cast<std::uint64_t>(v));
+      keys.push_back(static_cast<std::uint64_t>(v));
     }
-    const auto pairs = allreduce_pair_union(comm, std::move(keys));
-    EXPECT_EQ(pairs, pair_keys);
+    EXPECT_EQ(allreduce_pair_union(comm, std::move(keys)), pair_keys);
   });
 }
 
-TEST_P(FilterTest, CompactRowIdIsThePrefixSum) {
+TEST_P(FilterTest, IdsAreThePrefixSumAcrossOwners) {
   const int p = GetParam();
-  bsp::Runtime::run(p, [](bsp::Comm& comm) {
-    std::vector<std::int64_t> mine;
-    if (comm.rank() == 0) mine = {10, 40, 70, 200};
-    const auto filter = distributed_index_union(comm, mine, 1000);
-    ASSERT_EQ(filter.size(), 4u);
-    EXPECT_EQ(compact_row_id(filter, 10), 0);
-    EXPECT_EQ(compact_row_id(filter, 40), 1);
-    EXPECT_EQ(compact_row_id(filter, 200), 3);
-    // A filter without a row some rank read arrived damaged.
-    EXPECT_THROW((void)compact_row_id(filter, 11), error::CorruptInput);
+  // Rows 10, 40, 70 and 200 lie in two owners' blocks at p = 8, and the
+  // last rank's 999 in the last block: at p > 1 the union is {10, 40, 70,
+  // 200, 999}, and ranks between the first and the last send nothing.
+  const auto ids = expect_union_positions(p, 1000, [&](int r) {
+    if (r == 0) return std::vector<std::int64_t>{10, 40, 70, 200};
+    if (r == p - 1) return std::vector<std::int64_t>{70, 999};
+    return std::vector<std::int64_t>{};
   });
+  EXPECT_EQ(ids.front(), (std::vector<std::int64_t>{0, 1, 2, 3}));
+  if (p > 1) {
+    EXPECT_EQ(ids.back(), (std::vector<std::int64_t>{2, 4}));
+  }
+}
+
+TEST_P(FilterTest, EmptyBatchHasNoRows) {
+  const int p = GetParam();
+  const auto none = [](int) { return std::vector<std::int64_t>{}; };
+  for (const std::int64_t universe : {0, 1000}) {
+    for (const bool compress : {true, false}) {
+      (void)expect_union_positions(p, universe, none, compress);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, FilterTest, ::testing::Values(1, 2, 3, 5, 8));
 
-TEST_P(FilterTest, CompressedUnionMatchesRawBitForBit) {
+TEST_P(FilterTest, RawAndCompressedRepliesGiveIdenticalIds) {
   const int p = GetParam();
-  // Two regimes per run: a dense-ish range (word-run territory) and an
+  // Two regimes per rank: a dense-ish range (word-run territory) and an
   // isolated hypersparse tail (gap territory).
-  bsp::Runtime::run(p, [&](bsp::Comm& comm) {
-    const std::int64_t universe = 1 << 16;
-    Rng rng(static_cast<std::uint64_t>(900 + comm.rank()));
-    std::vector<std::int64_t> mine;
+  const std::int64_t universe = 1 << 16;
+  const auto rows_of = [&](int r) {
+    Rng rng(static_cast<std::uint64_t>(900 + r));
+    std::vector<std::int64_t> rows;
     for (std::int64_t v = 0; v < 2000; ++v) {
-      if (rng.bernoulli(0.6)) mine.push_back(v);
+      if (rng.bernoulli(0.6)) rows.push_back(v);
     }
     for (std::int64_t v = 2000; v < universe; ++v) {
-      if (rng.bernoulli(0.0005)) mine.push_back(v);
+      if (rng.bernoulli(0.0005)) rows.push_back(v);
     }
-    const auto raw = distributed_index_union(
-        comm, std::span<const std::int64_t>(mine), universe, /*compress=*/false);
-    const auto compressed = distributed_index_union(
-        comm, std::span<const std::int64_t>(mine), universe, /*compress=*/true);
-    EXPECT_EQ(compressed, raw);
-  });
+    return rows;
+  };
+  EXPECT_EQ(expect_union_positions(p, universe, rows_of, /*compress=*/true),
+            expect_union_positions(p, universe, rows_of, /*compress=*/false));
+}
+
+TEST(FilterReply, RoundTripsInBothForms) {
+  for (const bool compress : {true, false}) {
+    for (const std::vector<std::int64_t>& positions :
+         {std::vector<std::int64_t>{}, std::vector<std::int64_t>{0, 3, 9},
+          std::vector<std::int64_t>{299}}) {
+      const auto bytes = encode_filter_reply(300, positions, compress);
+      EXPECT_FALSE(bytes.empty());  // the count always travels
+      const FilterReply reply = decode_filter_reply(bytes, 400, positions.size(), compress);
+      EXPECT_EQ(reply.count, 300);
+      EXPECT_EQ(reply.positions, positions);
+    }
+  }
+  // An owner with no rows still answers with its count.
+  EXPECT_EQ(encode_filter_reply(0, {}), std::vector<std::uint8_t>{0});
+}
+
+TEST(FilterReply, DamagedRepliesAreCorruptInput) {
+  const std::vector<std::int64_t> positions{2, 5};
+  for (const bool compress : {true, false}) {
+    // A count past the owner's row block (50 rows).
+    const auto too_many = encode_filter_reply(51, positions, compress);
+    EXPECT_THROW((void)decode_filter_reply(too_many, 50, 2, compress), error::CorruptInput);
+    // A position at the count: position 5 of a 5-row block, coded by hand
+    // as a 6-row reply whose count was then set to 5.
+    auto at_count = encode_filter_reply(6, positions, compress);
+    at_count[0] = 5;
+    EXPECT_THROW((void)decode_filter_reply(at_count, 50, 2, compress), error::CorruptInput);
+    // Two positions for the three rows the rank sent.
+    const auto short_reply = encode_filter_reply(10, positions, compress);
+    EXPECT_THROW((void)decode_filter_reply(short_reply, 50, 3, compress), error::CorruptInput);
+    EXPECT_THROW((void)decode_filter_reply({}, 50, 0, compress), error::CorruptInput);
+  }
 }
 
 // ------------------------------------------------------------------- grid
@@ -462,7 +535,7 @@ TEST(PanelWire, DecoderChecksTheReceiversExtents) {
 }
 
 TEST(PanelWire, IndexSetsRoundTripEveryShape) {
-  // The filter union's index sets are one-row messages: index i is bit
+  // The zero-row filter's index sets are one-row messages: index i is bit
   // i & 63 of the mask at column i >> 6.
   struct Shape {
     const char* name;

@@ -374,16 +374,18 @@ TEST(FaultInjection, FlippedPanelBytesAreTypedOrBenign) {
   // A byte flipped in flight at any op of a small run fails as corrupt
   // input (exit 3) naming the transport: bsp::Comm checks the CRC-32 of
   // every message (bsp/comm.hpp), whatever it carries — the exact
-  // pipeline's filter unions, panels and â reduce, SUMMA's ProcGrid
-  // split, the sketch ring's panels, the candidate pass's unions and
-  // gathers, the output gather. Wire damage is never a rank failure (exit
-  // 4), which names a program bug, nor a hang. Rank 1's ops are swept from
-  // 0 until the flip no longer fires; that run must match the fault-free
-  // one bit for bit, and `past_last` pins where it falls. On the sketch
+  // pipeline's filter contributions and replies, panels and â reduce,
+  // SUMMA's ProcGrid split, the sketch ring's panels, the candidate
+  // pass's unions and gathers, the output gather. Wire damage is never a
+  // rank failure (exit 4), which names a program bug, nor a hang. Rank
+  // 1's ops are swept from 0 until the flip no longer fires; that run
+  // must match the fault-free one bit for bit, and `past_last` pins where
+  // it falls. On the sketch
   // rings, op 0 is rank 1's first panel hop, and its first blob's tag,
   // parameter and seed words sit at bytes 56, 64 and 72 (after the count
   // and six length words of core::pack_word_panel). The dense corpus's
-  // filter index sets travel as word runs, the hypersparse one's as gaps.
+  // filter contributions travel as word runs, the hypersparse one's as
+  // gaps; every filter reply carries bytes, if only its count.
   const auto dense = stress_source(2424);
   const auto hypersparse = hypersparse_source(2525);
   struct Sweep {

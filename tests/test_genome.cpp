@@ -252,6 +252,44 @@ TEST(Sample, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Sample, CrLfBlankAndCommentLinesParseLikeTheirLfForm) {
+  const auto dir = std::filesystem::temp_directory_path() / "sas_sample_crlf";
+  std::filesystem::create_directories(dir);
+  const std::string lf = (dir / "lf.kmers").string();
+  const std::string crlf = (dir / "crlf.kmers").string();
+  const auto write = [](const std::string& path, const std::string& bytes) {
+    std::ofstream(path, std::ios::binary) << bytes;
+  };
+  write(lf, "# name\n3\n17\n250\n");
+  // CR-LF ends, blank lines (bare and CR-only), a bare `#` line, and no
+  // newline after the last code.
+  write(crlf, "# name\r\n\r\n3\r\n#\r\n\n17\r\n\r\n250");
+  const KmerSample want = read_sample_file(lf);
+  const KmerSample got = read_sample_file(crlf);
+  EXPECT_EQ(got.name, "name");
+  EXPECT_EQ(got.kmers, want.kmers);
+  EXPECT_EQ(got.kmers, (std::vector<std::uint64_t>{3, 17, 250}));
+
+  // A bad code on the unterminated last line (line 8) is named by its line.
+  write(crlf, "# name\r\n\r\n3\r\n#\r\n\n17\r\n\r\n25x");
+  try {
+    (void)read_sample_file(crlf);
+    ADD_FAILURE() << "a bad last line was accepted";
+  } catch (const error::CorruptInput& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(crlf), std::string::npos) << what;
+    EXPECT_NE(what.find("line 8 "), std::string::npos) << what;
+  }
+  // A path that opens but cannot be read is a ConfigError naming it.
+  try {
+    (void)read_sample_file(dir.string());
+    ADD_FAILURE() << "a directory was read as a sample file";
+  } catch (const error::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(dir.string()), std::string::npos) << e.what();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // -------------------------------------------------------------- synthetic
 
 TEST(Synthetic, RandomGenomeUsesAllBases) {
