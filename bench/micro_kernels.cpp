@@ -284,7 +284,9 @@ void BM_OphWireJaccard(benchmark::State& state) {
 BENCHMARK(BM_OphWireJaccard)->Arg(1)->Arg(8)->Arg(16)->Arg(64);
 
 /// Accumulating-write normalization (sort + OR-merge), the local half of
-/// every redistribution.
+/// every redistribution, over a 1024 × 256 block. Arg 1 selects the
+/// input order: 0 random, 1 ascending by column as a pack emits it, which
+/// skips the column pass.
 void BM_NormalizeTriplets(benchmark::State& state) {
   Rng rng(13);
   const auto count = static_cast<std::size_t>(state.range(0));
@@ -293,16 +295,24 @@ void BM_NormalizeTriplets(benchmark::State& state) {
     t = {static_cast<std::int64_t>(rng.uniform(1024)),
          static_cast<std::int64_t>(rng.uniform(256)), rng()};
   }
+  if (state.range(1) != 0) {
+    std::sort(base.begin(), base.end(), [](const auto& a, const auto& b) {
+      return a.col != b.col ? a.col < b.col : a.row < b.row;
+    });
+  }
   for (auto _ : state) {
     auto copy = base;
     sas::distmat::normalize_triplets(
-        copy, [](std::uint64_t a, std::uint64_t b) { return a | b; });
+        copy, 1024, 256, [](std::uint64_t a, std::uint64_t b) { return a | b; });
     benchmark::DoNotOptimize(copy.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(count));
 }
-BENCHMARK(BM_NormalizeTriplets)->Arg(1 << 12)->Arg(1 << 16);
+BENCHMARK(BM_NormalizeTriplets)
+    ->Args({1 << 12, 0})
+    ->Args({1 << 16, 0})
+    ->Args({1 << 16, 1});
 
 /// Tracing-overhead gate (ROADMAP "Observability"): the span layer must
 /// stay cheap enough to leave on — every instrumentation site is one

@@ -1,12 +1,80 @@
 #include "core/packing.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "distmat/dist_filter.hpp"
 #include "util/error.hpp"
+#include "util/radix_sort.hpp"
 
 namespace sas::core {
+
+namespace {
+
+/// A rank's distinct rows of one batch, as ascending offsets from the
+/// batch start, and for each value read, in sample-major order, its row's
+/// index among them.
+struct RowNumbering {
+  std::vector<std::int64_t> seen;
+  std::vector<std::int64_t> index_of;
+};
+
+/// Dense batches: mark each value's row in an index over the batch's
+/// `height` rows, number the marked rows in one ascending walk, and look
+/// each value's number up.
+RowNumbering number_rows_directly(const BatchReads& reads, std::int64_t begin,
+                                  std::int64_t height, std::size_t total) {
+  std::vector<std::int64_t> index(static_cast<std::size_t>(height), -1);
+  for (const auto& values : reads.values) {
+    for (std::int64_t v : values) index[static_cast<std::size_t>(v - begin)] = 0;
+  }
+  RowNumbering out;
+  for (std::size_t row = 0; row < index.size(); ++row) {
+    if (index[row] < 0) continue;
+    index[row] = static_cast<std::int64_t>(out.seen.size());
+    out.seen.push_back(static_cast<std::int64_t>(row));
+  }
+  out.index_of.reserve(total);
+  for (const auto& values : reads.values) {
+    for (std::int64_t v : values) {
+      out.index_of.push_back(index[static_cast<std::size_t>(v - begin)]);
+    }
+  }
+  return out;
+}
+
+/// Sparse batches: radix-sort (row, value) pairs by row, then number the
+/// distinct rows in one walk and scatter each number to its value.
+RowNumbering number_rows_by_sort(const BatchReads& reads, std::int64_t begin,
+                                 std::size_t total) {
+  struct Entry {
+    std::int64_t row;
+    std::size_t value;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(total);
+  std::uint64_t row_bits = 0;
+  for (const auto& values : reads.values) {
+    for (std::int64_t v : values) {
+      row_bits |= static_cast<std::uint64_t>(v - begin);
+      entries.push_back({v - begin, entries.size()});
+    }
+  }
+  {
+    std::vector<Entry> scratch;
+    radix_sort(entries, scratch, significant_bits(row_bits),
+               [](const Entry& e) { return static_cast<std::uint64_t>(e.row); });
+  }
+  RowNumbering out;
+  out.index_of.resize(total);
+  for (const Entry& e : entries) {
+    if (out.seen.empty() || out.seen.back() != e.row) out.seen.push_back(e.row);
+    out.index_of[e.value] = static_cast<std::int64_t>(out.seen.size()) - 1;
+  }
+  return out;
+}
+
+}  // namespace
 
 BatchReads read_batch(int rank, int nranks, const SampleSource& source,
                       distmat::BlockRange rows, std::span<const std::uint8_t> active) {
@@ -31,41 +99,26 @@ PackedBatch pack_batch(bsp::Comm& comm, const BatchReads& reads,
   }
   const std::int64_t batch_height = rows.size();
 
-  // (1) Distributed zero-row filter f⁽ˡ⁾ (Eq. 5–6). Sorting (row, value)
-  // pairs deduplicates this rank's rows, offsets from the batch start
-  // (reads carry global ids), and records for each value, in sample-major
-  // order, its row's index among the distinct rows. The rows' block owners
-  // answer each distinct row's compacted id, so no value is looked up in a
-  // filter.
+  // (1) Distributed zero-row filter f⁽ˡ⁾ (Eq. 5–6). Numbering this rank's
+  // rows, offsets from the batch start (reads carry global ids),
+  // deduplicates them and records each value's row among the distinct
+  // rows. The rows' block owners answer each distinct row's compacted id,
+  // so no value is looked up in a filter.
   PackedBatch out;
   out.filtered_rows = batch_height;
   std::vector<std::int64_t> compacted_of;  // per value, sample-major
   if (use_filter) {
-    struct Entry {
-      std::int64_t row;
-      std::size_t value;
-    };
     std::size_t total = 0;
     for (const auto& values : reads.values) total += values.size();
-    std::vector<Entry> entries;
-    entries.reserve(total);
-    for (const auto& values : reads.values) {
-      for (std::int64_t v : values) entries.push_back({v - rows.begin, entries.size()});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.row < b.row; });
-    std::vector<std::int64_t> seen;
-    for (Entry& e : entries) {
-      if (seen.empty() || seen.back() != e.row) seen.push_back(e.row);
-      e.row = static_cast<std::int64_t>(seen.size()) - 1;  // now its index in `seen`
-    }
+    RowNumbering numbering =
+        batch_height <= kDirectIndexRowsPerValue * static_cast<std::int64_t>(total)
+            ? number_rows_directly(reads, rows.begin, batch_height, total)
+            : number_rows_by_sort(reads, rows.begin, total);
     const distmat::CompactedRows compacted =
-        distmat::compact_filter_rows(comm, seen, batch_height, compress_filter);
+        distmat::compact_filter_rows(comm, numbering.seen, batch_height, compress_filter);
     out.filtered_rows = compacted.filtered_rows;
-    compacted_of.resize(entries.size());
-    for (const Entry& e : entries) {
-      compacted_of[e.value] = compacted.ids[static_cast<std::size_t>(e.row)];
-    }
+    compacted_of = std::move(numbering.index_of);
+    for (std::int64_t& id : compacted_of) id = compacted.ids[static_cast<std::size_t>(id)];
   }
   out.word_rows = (out.filtered_rows + bit_width - 1) / bit_width;
 

@@ -13,6 +13,15 @@
 //      segments of `bit_width` compacted rows into word masks (Eq. 7). No
 //      rank holds the whole filter.
 //
+// The dedup numbers the rank's distinct rows in ascending order and
+// records each value's number, in one of two linear passes. A dense batch,
+// at most kDirectIndexRowsPerValue rows per value read, marks its rows in
+// a direct index over the batch and walks it; a sparser one, such as an
+// unfiltered batch of about 10¹² rows, radix-sorts (row, value) pairs by
+// the rows' significant bits (util/radix_sort.hpp). Both give the same
+// numbers, so the filter's messages and the packed triplets do not depend
+// on which ran.
+//
 // The hybrid reads only the samples its candidate mask keeps, so pruned
 // samples cost no reads and no filter bytes. The output triplets
 // are globally indexed (word_row, sample) pairs in sample-major order.
@@ -46,6 +55,14 @@ struct BatchReads {
 [[nodiscard]] BatchReads read_batch(int rank, int nranks, const SampleSource& source,
                                     distmat::BlockRange rows,
                                     std::span<const std::uint8_t> active = {});
+
+/// Widest batch, in rows per value read, that pack_batch numbers through
+/// a direct index rather than the radix sort. The index costs 8 B a batch
+/// row and the sort 32 B a value (its (row, value) pairs and their
+/// scratch), so up to 4 rows a value the index costs no more memory, and
+/// its two sweeps touch each row once where the sort scatters each value
+/// once per digit.
+inline constexpr std::int64_t kDirectIndexRowsPerValue = 4;
 
 struct PackedBatch {
   /// h: word-rows of the packed batch matrix Â⁽ˡ⁾ (absent words are zero).

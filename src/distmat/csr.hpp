@@ -64,6 +64,11 @@ struct CsrPanel {
   [[nodiscard]] std::int64_t occupied() const noexcept {
     return static_cast<std::int64_t>(row_ids.size());
   }
+  /// The last occupied word-row + 1, 0 for an empty panel: the height
+  /// SUMMA gives its stage panels (decode_tight_panel).
+  [[nodiscard]] std::int64_t occupied_height() const noexcept {
+    return row_ids.empty() ? 0 : row_ids.back() + 1;
+  }
   /// Word-row id of the k-th occupied row.
   [[nodiscard]] std::int64_t row_id(std::int64_t k) const noexcept {
     return row_ids[static_cast<std::size_t>(k)];

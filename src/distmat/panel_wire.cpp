@@ -314,7 +314,7 @@ CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents)
 
 CsrPanel decode_tight_panel(std::span<const std::uint8_t> bytes, PanelExtents extents) {
   CsrPanel panel = decode_panel(bytes, extents);
-  panel.rows = panel.row_ids.empty() ? 0 : panel.row_ids.back() + 1;
+  panel.rows = panel.occupied_height();
   return panel;
 }
 

@@ -7,6 +7,10 @@
 // multiplies the samples each rank read and routes none. Each bucket
 // travels in the compact panel wire (panel_wire.hpp), coded column-major
 // as pack_batch emits it and bounds-checked against the receiver's block.
+// The receiver decodes the buckets in rank order, and each rank's samples
+// are one contiguous block (distmat::block_range), so the merged entries
+// already ascend by column: normalize_triplets skips its column pass and
+// sorts by word-row alone, before the OR-merge.
 //
 // Tag audit (bsp/tags.hpp): this header is collective-only — alltoall_v
 // runs on comm.hpp's reserved internal tags, so no user tag is minted
@@ -53,12 +57,17 @@ template <typename OwnerFn>
   }
   encoders.clear();
 
-  const std::vector<std::vector<std::uint8_t>> incoming = comm.alltoall_v(outgoing);
+  // Both rounds of messages are released before the sort allocates its
+  // scratch, which is as large as the merged entries.
+  std::vector<std::vector<std::uint8_t>> incoming = comm.alltoall_v(outgoing);
+  outgoing.clear();
   std::vector<Triplet<std::uint64_t>> merged;
   for (const std::vector<std::uint8_t>& message : incoming) {
     decode_panel_append(message, PanelOrder::kColMajor, extents, merged);
   }
-  normalize_triplets(merged, [](std::uint64_t a, std::uint64_t b) { return a | b; });
+  incoming.clear();
+  normalize_triplets(merged, extents.rows.size(), extents.cols.size(),
+                     [](std::uint64_t a, std::uint64_t b) { return a | b; });
   return SparseBlock{extents.rows.size(), extents.cols.size(), std::move(merged)};
 }
 

@@ -26,9 +26,14 @@ struct SparseBlock {
 
   /// Build the canonical form from unsorted, possibly duplicated entries;
   /// duplicates are OR-combined (each duplicate carries a partial mask).
+  /// Every entry must lie in [0, rows) × [0, cols), or
+  /// std::invalid_argument is thrown: the sort counts over those extents
+  /// (normalize_triplets), and skips its column pass when the entries
+  /// ascend by column, as a pack's do.
   static SparseBlock from_triplets(std::int64_t rows, std::int64_t cols,
                                    std::vector<Triplet<std::uint64_t>> raw) {
-    normalize_triplets(raw, [](std::uint64_t a, std::uint64_t b) { return a | b; });
+    normalize_triplets(raw, rows, cols,
+                       [](std::uint64_t a, std::uint64_t b) { return a | b; });
     return SparseBlock{rows, cols, std::move(raw)};
   }
 };

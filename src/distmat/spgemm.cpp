@@ -532,13 +532,28 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
       grid.col_comm().broadcast(nbuf, k);
     }
     if (!my_rows_active || !my_cols_active) continue;
-    // (4) Local multiply-accumulate on CSR panels decoded once per stage.
+    // (4) Local multiply-accumulate on CSR panels built once per stage.
     // Both buffers are slices of chunk ℓ·s+k, so they share a row space;
     // the tight per-panel row bounds are enough (the kernel intersects).
-    const CsrPanel lpanel = decode_tight_panel(lbuf, {chunk_rows, {0, target.row_range.size()}});
-    const CsrPanel npanel = decode_tight_panel(nbuf, {chunk_rows, {0, target.col_range.size()}});
-    csr_popcount_ata_accumulate(lpanel, npanel, 0, 0, target, &grid.world().counters(),
-                                options);
+    // At k = grid_row the N side is this rank's own block, and at
+    // k = grid_col too so is the L side (its transpose came from itself):
+    // that panel is built from my_block rather than decoded from the wire
+    // it was encoded into, and one panel serves both sides.
+    const bool own_n = grid.grid_row() == k;
+    const bool own_l = own_n && grid.grid_col() == k;
+    CsrPanel own;
+    if (own_n) {
+      own = CsrPanel::from_block(my_block);
+      own.rows = own.occupied_height();
+    }
+    const CsrPanel lpanel =
+        own_l ? CsrPanel{}
+              : decode_tight_panel(lbuf, {chunk_rows, {0, target.row_range.size()}});
+    const CsrPanel npanel =
+        own_n ? CsrPanel{}
+              : decode_tight_panel(nbuf, {chunk_rows, {0, target.col_range.size()}});
+    csr_popcount_ata_accumulate(own_l ? own : lpanel, own_n ? own : npanel, 0, 0, target,
+                                &grid.world().counters(), options);
   }
 
   if (replicated) {

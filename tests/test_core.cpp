@@ -42,16 +42,35 @@ std::set<std::pair<std::int64_t, std::int64_t>> unpack(
   return bits;
 }
 
-class PackingTest : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
+/// PackingTest's corpora. On the sparse one every rank's batch spans more
+/// than kDirectIndexRowsPerValue rows per value it reads, so pack_batch
+/// numbers the rows by sort; on the dense one (64 rows, rows 13 and 40 in
+/// no sample, each sample about half of the rest) every rank's spans
+/// fewer, so it numbers them through the direct index.
+VectorSampleSource packing_corpus(bool dense) {
+  if (!dense) {
+    return VectorSampleSource(300, {{5, 17, 100, 299},
+                                    {5, 6, 7, 8, 9, 150},
+                                    {},
+                                    {0, 299},
+                                    {17, 100}});
+  }
+  Rng rng(64);
+  std::vector<std::vector<std::int64_t>> samples(10);
+  for (auto& sample : samples) {
+    for (std::int64_t v = 0; v < 64; ++v) {
+      if (v != 13 && v != 40 && rng.bernoulli(0.5)) sample.push_back(v);
+    }
+  }
+  return VectorSampleSource(64, std::move(samples));
+}
+
+class PackingTest : public ::testing::TestWithParam<std::tuple<int, int, bool, bool>> {};
 
 TEST_P(PackingTest, RoundTripsEveryBit) {
-  const auto [nranks, bit_width, use_filter] = GetParam();
-  const std::int64_t m = 300;
-  VectorSampleSource src(m, {{5, 17, 100, 299},
-                             {5, 6, 7, 8, 9, 150},
-                             {},
-                             {0, 299},
-                             {17, 100}});
+  const auto [nranks, bit_width, use_filter, dense] = GetParam();
+  const VectorSampleSource src = packing_corpus(dense);
+  const std::int64_t m = src.attribute_universe();
 
   // Expected (compact_row, col) pairs, built serially.
   std::set<std::int64_t> nonzero_rows;
@@ -75,6 +94,11 @@ TEST_P(PackingTest, RoundTripsEveryBit) {
   std::int64_t word_rows = -1;
   std::int64_t filtered_rows = -1;
   bsp::Runtime::run(nranks, [&](bsp::Comm& comm) {
+    const BatchReads reads =
+        read_batch(comm.rank(), comm.size(), src, distmat::BlockRange{0, m});
+    std::int64_t values = 0;
+    for (const auto& v : reads.values) values += static_cast<std::int64_t>(v.size());
+    EXPECT_EQ(m <= kDirectIndexRowsPerValue * values, dense) << "rank " << comm.rank();
     PackedBatch packed =
         pack_batch(comm, src, distmat::BlockRange{0, m}, bit_width, use_filter);
     // Raw 8-byte filter messages carry the same ids.
@@ -98,7 +122,37 @@ TEST_P(PackingTest, RoundTripsEveryBit) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PackingTest,
     ::testing::Combine(::testing::Values(1, 2, 5), ::testing::Values(1, 8, 64),
-                      ::testing::Values(true, false)));
+                      ::testing::Values(true, false), ::testing::Values(false, true)));
+
+TEST(Packing, DirectIndexAndSortAgreeAtTheBoundary) {
+  // One rank reads 8 values. A batch of kDirectIndexRowsPerValue × 8 rows
+  // numbers them through the direct index, one a row taller by sort. The
+  // extra row is in no sample, so the filter keeps the same rows and both
+  // pack the same bits.
+  const std::int64_t dense_rows = kDirectIndexRowsPerValue * 8;
+  const VectorSampleSource src(dense_rows + 1, {{0, 3, 9, 31}, {3, 4, 20, 31}});
+  const std::vector<std::int64_t> kept{0, 3, 4, 9, 20, 31};
+  for (const int bit_width : {1, 8}) {
+    std::set<std::pair<std::int64_t, std::int64_t>> expected;
+    for (std::int64_t i = 0; i < src.sample_count(); ++i) {
+      for (std::int64_t v : src.sample(i)) {
+        expected.insert(
+            {std::lower_bound(kept.begin(), kept.end(), v) - kept.begin(), i});
+      }
+    }
+    bsp::Runtime::run(1, [&](bsp::Comm& comm) {
+      const PackedBatch direct =
+          pack_batch(comm, src, distmat::BlockRange{0, dense_rows}, bit_width, true);
+      const PackedBatch sorted =
+          pack_batch(comm, src, distmat::BlockRange{0, dense_rows + 1}, bit_width, true);
+      EXPECT_EQ(unpack(direct.triplets, bit_width), expected);
+      EXPECT_EQ(sorted.triplets, direct.triplets);
+      EXPECT_EQ(direct.filtered_rows, 6);
+      EXPECT_EQ(sorted.filtered_rows, 6);
+      EXPECT_EQ(sorted.word_rows, direct.word_rows);
+    });
+  }
+}
 
 TEST(Packing, RejectsBadBitWidth) {
   VectorSampleSource src(10, {{1}});

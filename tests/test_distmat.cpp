@@ -75,7 +75,7 @@ TEST(BlockRange, RejectsInvalidIndices) {
 TEST(Triplets, NormalizeSortsAndCombines) {
   std::vector<Triplet<std::uint64_t>> entries{
       {2, 1, 0b001}, {0, 0, 0b100}, {2, 1, 0b010}, {1, 5, 0b111}, {0, 0, 0b100}};
-  normalize_triplets(entries, [](std::uint64_t a, std::uint64_t b) { return a | b; });
+  normalize_triplets(entries, 3, 6, [](std::uint64_t a, std::uint64_t b) { return a | b; });
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0], (Triplet<std::uint64_t>{0, 0, 0b100}));
   EXPECT_EQ(entries[1], (Triplet<std::uint64_t>{1, 5, 0b111}));
@@ -84,9 +84,85 @@ TEST(Triplets, NormalizeSortsAndCombines) {
 
 TEST(Triplets, NormalizeWithAdditionCounts) {
   std::vector<Triplet<std::uint64_t>> entries{{0, 0, 2}, {0, 0, 3}, {1, 1, 1}};
-  normalize_triplets(entries, [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  normalize_triplets(entries, 2, 2, [](std::uint64_t a, std::uint64_t b) { return a + b; });
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].value, 5u);
+}
+
+/// The comparison-sort reference normalize_triplets must match.
+template <typename Combine>
+std::vector<Triplet<std::uint64_t>> normalized_by_std_sort(
+    std::vector<Triplet<std::uint64_t>> entries, Combine combine) {
+  std::sort(entries.begin(), entries.end(), triplet_order<std::uint64_t>);
+  std::vector<Triplet<std::uint64_t>> out;
+  for (const Triplet<std::uint64_t>& t : entries) {
+    if (!out.empty() && out.back().row == t.row && out.back().col == t.col) {
+      out.back().value = combine(out.back().value, t.value);
+    } else {
+      out.push_back(t);
+    }
+  }
+  return out;
+}
+
+TEST(Triplets, NormalizeMatchesAComparisonSort) {
+  const auto bit_or = [](std::uint64_t a, std::uint64_t b) { return a | b; };
+  const auto plus = [](std::uint64_t a, std::uint64_t b) { return a + b; };
+  const std::int64_t huge = std::int64_t{1} << 62;  // six 11-bit passes
+  struct Shape {
+    std::int64_t rows;
+    std::int64_t cols;
+  };
+  Rng rng(20201);
+  for (const Shape shape : {Shape{1, 1}, Shape{1, 40}, Shape{37, 1}, Shape{300, 97},
+                            Shape{huge, 7}, Shape{huge, huge}}) {
+    for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{2000}}) {
+      for (const bool pack_order : {false, true}) {
+        // Coordinates drawn from small pools, so duplicates are common
+        // whatever the extents.
+        std::vector<std::int64_t> row_pool(24);
+        std::vector<std::int64_t> col_pool(24);
+        for (auto& r : row_pool) {
+          r = static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(shape.rows)));
+        }
+        for (auto& c : col_pool) {
+          c = static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(shape.cols)));
+        }
+        std::vector<Triplet<std::uint64_t>> raw(count);
+        for (auto& t : raw) {
+          t = {row_pool[rng.uniform(row_pool.size())], col_pool[rng.uniform(col_pool.size())],
+               rng()};
+        }
+        // Column-ascending input with rows unsorted within a column: the
+        // column pass is skipped, the row pass still sorts.
+        if (pack_order) {
+          std::stable_sort(raw.begin(), raw.end(),
+                           [](const auto& a, const auto& b) { return a.col < b.col; });
+        }
+        std::vector<Triplet<std::uint64_t>> ored = raw;
+        normalize_triplets(ored, shape.rows, shape.cols, bit_or);
+        EXPECT_EQ(ored, normalized_by_std_sort(raw, bit_or))
+            << shape.rows << " x " << shape.cols << ", " << count << " entries";
+        std::vector<Triplet<std::uint64_t>> summed = raw;
+        normalize_triplets(summed, shape.rows, shape.cols, plus);
+        EXPECT_EQ(summed, normalized_by_std_sort(raw, plus))
+            << shape.rows << " x " << shape.cols << ", " << count << " entries";
+      }
+    }
+  }
+}
+
+TEST(Triplets, NormalizeRejectsCoordinatesOutsideTheExtents) {
+  const auto bit_or = [](std::uint64_t a, std::uint64_t b) { return a | b; };
+  for (const Triplet<std::uint64_t> bad : {Triplet<std::uint64_t>{4, 0, 1},
+                                           Triplet<std::uint64_t>{0, 3, 1},
+                                           Triplet<std::uint64_t>{-1, 0, 1},
+                                           Triplet<std::uint64_t>{0, -1, 1}}) {
+    std::vector<Triplet<std::uint64_t>> entries{{0, 0, 1}, {3, 2, 1}, bad};
+    EXPECT_THROW(normalize_triplets(entries, 4, 3, bit_or), std::invalid_argument)
+        << bad.row << ", " << bad.col;
+    EXPECT_THROW((void)SparseBlock::from_triplets(4, 3, {bad}), std::invalid_argument);
+  }
 }
 
 // ----------------------------------------------------------------- filter
