@@ -132,9 +132,9 @@ int main() {
   std::printf("Shape to match: SUMMA moves the fewest bytes per rank at both points.\n"
               "At the input-dominated point the ring pays Θ(z) input circulation. At the\n"
               "output-dominated point the two stay within about 10%% per rank: the output\n"
-              "gather ships coded counts, so both are input-bound, and at 16 ranks the\n"
-              "ring's ⌊p/2⌋ hops of a z/p panel cost what SUMMA's 2z/√p does, though the\n"
-              "ring gathers one triangle of the output (ring_share) and SUMMA every block.\n"
+              "gather ships coded counts of one triangle of the output for both\n"
+              "(ring_share, summa_share), so both are input-bound, and at 16 ranks the\n"
+              "ring's ⌊p/2⌋ hops of a z/p panel cost what SUMMA's 2z/√p does.\n"
               "MapReduce pays the Θ(n²) allreduce the paper criticizes — dominant at the\n"
               "second operating point — plus quadratic reduce-side work on dense\n"
               "attribute rows.\n\n");

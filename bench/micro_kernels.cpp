@@ -59,12 +59,12 @@ void BM_PopcountJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_PopcountJoin)->Arg(50)->Arg(200)->Arg(500)->Arg(900);
 
-/// Eq. 7 kernel, CSR tiled form — identical shapes to BM_PopcountJoin
-/// (density 0.9 is the dense-ish synthetic case where the adaptive
-/// dense-block path engages). Panels are built outside the timed region:
-/// in production they are constructed once per received panel and reused
-/// across the whole multiply.
-void BM_CsrAtaKernel(benchmark::State& state) {
+/// Times `kernel(panel, out, counters)` on a 512-word-row × 128-column
+/// random panel of density state.range(0) / 1000, multiplied by itself.
+/// The panel is built outside the timed region: in production it is
+/// constructed once per received panel and reused across the multiply.
+template <typename Kernel>
+void time_self_product(benchmark::State& state, Kernel kernel) {
   const auto density = static_cast<double>(state.range(0)) / 1000.0;
   const SparseBlock block = random_block(512, 128, density, 42);
   const sas::distmat::CsrPanel panel = sas::distmat::CsrPanel::from_block(block);
@@ -73,7 +73,7 @@ void BM_CsrAtaKernel(benchmark::State& state) {
   for (auto _ : state) {
     std::fill(out.values.begin(), out.values.end(), 0);
     sas::bsp::CostCounters counters;
-    csr_popcount_ata_accumulate(panel, panel, 0, 0, out, &counters);
+    kernel(panel, out, &counters);
     flop_estimate = counters.flops;
     benchmark::DoNotOptimize(out.values.data());
   }
@@ -81,7 +81,29 @@ void BM_CsrAtaKernel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(flop_estimate));
 }
+
+/// Eq. 7 kernel, CSR tiled form — identical shapes to BM_PopcountJoin
+/// (density 0.9 is the dense-ish synthetic case where the adaptive
+/// dense-block path engages).
+void BM_CsrAtaKernel(benchmark::State& state) {
+  time_self_product(state, [](const sas::distmat::CsrPanel& panel,
+                              DenseBlock<std::int64_t>& out, sas::bsp::CostCounters* counters) {
+    csr_popcount_ata_accumulate(panel, panel, 0, 0, out, counters);
+  });
+}
 BENCHMARK(BM_CsrAtaKernel)->Arg(50)->Arg(200)->Arg(500)->Arg(900);
+
+/// The popcount SYRK on BM_CsrAtaKernel's panels: the same product's
+/// upper triangle, diagonal included — what every diagonal block of the
+/// schedules runs. Its madds/iter is about half of BM_CsrAtaKernel's, so
+/// compare the two rows' time per iteration, not their rates.
+void BM_CsrSyrkKernel(benchmark::State& state) {
+  time_self_product(state, [](const sas::distmat::CsrPanel& panel,
+                              DenseBlock<std::int64_t>& out, sas::bsp::CostCounters* counters) {
+    csr_popcount_syrk_accumulate(panel, 0, 0, out, counters);
+  });
+}
+BENCHMARK(BM_CsrSyrkKernel)->Arg(50)->Arg(200)->Arg(500)->Arg(900);
 
 /// Wide-output variant where the column tiling matters: 1024 output
 /// columns → the accumulator panel is 8 MiB and untiled traversal

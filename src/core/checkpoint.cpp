@@ -274,6 +274,12 @@ std::uint64_t checkpoint_fingerprint(const Config& config, std::int64_t n,
   // filled whole panels: a checkpoint from either layout would resume
   // silently wrong under the other.
   if (config.algorithm == Algorithm::kRing1D) mix(hash_bytes("ring-triangle-shares"));
+  // Every diagonal block of B holds only its upper triangle (the popcount
+  // SYRK), and each SUMMA grid rank holds its summa_share, where earlier
+  // binaries filled both triangles and whole grid blocks and read the
+  // lower ones back: a checkpoint from either would resume silently wrong
+  // under the other, whatever the schedule.
+  mix(hash_bytes("syrk-upper-diagonal"));
   return h;
 }
 

@@ -58,7 +58,10 @@ struct CheckpointManifest {
 /// input shape (n, m), the rank count, every config knob that shapes
 /// the batch loop or the numbers it accumulates, and which blocks of the
 /// B panel are filled (a ring tag: the ring fills only its triangle of
-/// shares, so ring checkpoints from before that layout fail to resume).
+/// shares, so ring checkpoints from before that layout fail to resume;
+/// an upper-diagonal tag: every diagonal block holds its upper triangle
+/// and each SUMMA grid rank its summa_share, so no checkpoint from
+/// before that layout resumes, nor one of it under an older binary).
 [[nodiscard]] std::uint64_t checkpoint_fingerprint(const Config& config, std::int64_t n,
                                                    std::int64_t m, int nranks);
 

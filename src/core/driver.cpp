@@ -117,12 +117,10 @@ Layout make_layout(bsp::Comm& world, const Config& config, std::int64_t n) {
       layout.grid.emplace(world, config.replication);
       layout.active_ranks = layout.grid->active_ranks();
       if (layout.grid->active()) {
-        charge_panel(
-            distmat::block_range(n, layout.grid->side(), layout.grid->grid_row()),
-            distmat::block_range(n, layout.grid->side(), layout.grid->grid_col()));
-        layout.b_block.emplace(
-            distmat::block_range(n, layout.grid->side(), layout.grid->grid_row()),
-            distmat::block_range(n, layout.grid->side(), layout.grid->grid_col()));
+        const distmat::SummaShare share = distmat::summa_share(
+            n, layout.grid->side(), layout.grid->grid_row(), layout.grid->grid_col());
+        charge_panel(share.rows, share.cols);
+        layout.b_block.emplace(share.rows, share.cols);
         layout.my_cols =
             distmat::block_range(n, layout.grid->side(), layout.grid->grid_col());
       }
@@ -159,8 +157,8 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
       if (world.rank() == 0) {
         auto stage = recorder.scope(Stage::kMultiply);
         const distmat::CsrPanel panel = distmat::CsrPanel::from_block(block);
-        distmat::csr_popcount_ata_accumulate(panel, panel, 0, 0, *layout.b_block,
-                                             &world.counters(), kernel_options);
+        distmat::csr_popcount_syrk_accumulate(panel, 0, 0, *layout.b_block,
+                                              &world.counters(), kernel_options);
         distmat::accumulate_column_popcounts(block, 0, ahat);
       }
       break;
@@ -209,7 +207,7 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
       }
       if (layout.grid->active()) {
         auto stage = recorder.scope(Stage::kMultiply, Stage::kExchange);
-        distmat::summa_ata_accumulate(*layout.grid, block, *layout.b_block,
+        distmat::summa_ata_accumulate(*layout.grid, n, block, *layout.b_block,
                                       kernel_options);
         distmat::accumulate_column_popcounts(block, layout.my_cols.begin, ahat);
       }
@@ -218,10 +216,11 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
   }
 }
 
-/// The blocks of B this rank ships: its whole block, or on the ring its
-/// distmat::ring_share of each block (r, owner) — the ring multiplies each
-/// unordered block pair once, so its shares cover one triangle of the
-/// symmetric product.
+/// The blocks of B this rank ships. Every schedule multiplies each
+/// unordered pair once, so the blocks of all ranks hold one triangle of
+/// the symmetric product: the serial rank's whole (diagonal) block,
+/// SUMMA's whole block (its distmat::summa_share), or the ring's
+/// distmat::ring_share of each block (r, owner).
 std::vector<distmat::GatherBlock<std::int64_t>> output_blocks(const bsp::Comm& world,
                                                               const Layout& layout,
                                                               const Config& config,
@@ -248,12 +247,12 @@ std::vector<distmat::GatherBlock<std::int64_t>> output_blocks(const bsp::Comm& w
 /// (paper §II-A).
 ///
 /// Dense (no mask: kExact): each owning rank ships its blocks' integer
-/// counts bᵢⱼ straight from its B panel, zero-run coded
-/// (distmat::gather_blocks_to_root), and rank 0 finalizes every cell as
-/// it decodes it, mirrored on the ring, whose blocks cover one triangle
-/// (S(j, i) equals S(i, j) bitwise: B, â and the union are integers). No
-/// rank builds a block of doubles; rank 0 holds the n² output and the
-/// coded counts.
+/// counts bᵢⱼ straight from its B panel, zero-run coded, a diagonal
+/// block as its upper triangle (distmat::gather_blocks_to_root), and
+/// rank 0 finalizes every cell as it decodes it and mirrors it, since the
+/// blocks cover one triangle (S(j, i) equals S(i, j) bitwise: B, â and
+/// the union are integers). No rank builds a block of doubles; rank 0
+/// holds the n² output and the coded counts.
 ///
 /// Sparse (a candidate mask: kHybrid): each owning rank walks its blocks
 /// against the mask (for_each_pair_in, i < j so disjoint blocks emit
@@ -269,7 +268,6 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
   const bool owns_output =
       layout.b_block.has_value() &&
       (config.algorithm != Algorithm::kSumma || layout.grid->layer() == 0);
-  const bool triangle = config.algorithm == Algorithm::kRing1D;
 
   std::vector<double> full;
   std::vector<Triplet<double>> survivors;
@@ -296,7 +294,7 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
       std::vector<Triplet<double>> mine;
       for (const distmat::GatherBlock<std::int64_t>& block : blocks) {
         const DenseBlock<std::int64_t>& b = *block.source;
-        if (triangle && block.cols.end <= block.rows.begin) {
+        if (block.cols.end <= block.rows.begin) {
           mask->for_each_pair_in(block.cols, block.rows,
                                  [&](std::int64_t i, std::int64_t j) {
                                    mine.push_back(
@@ -313,8 +311,7 @@ Result assemble(bsp::Comm& world, Layout& layout, const Config& config, std::int
       survivors = distmat::gather_triplets_to_root(world, std::move(mine), n);
     } else {
       full = distmat::gather_blocks_to_root(
-          world, std::span<const distmat::GatherBlock<std::int64_t>>(blocks), n, n, triangle,
-          finalize_cell);
+          world, std::span<const distmat::GatherBlock<std::int64_t>>(blocks), n, finalize_cell);
     }
   }
 

@@ -6,17 +6,19 @@
 // forms:
 //
 //   gather_blocks_to_root   — each rank ships ONE byte message
-//     holding its dense blocks (the block message below); rank 0 decodes
-//     each into the full rows×cols matrix, writing finalize(i, j, value)
-//     for every cell and, for a symmetric product that shipped one
-//     triangle (the ring shares of the exact ring and of the sketch ring,
-//     distmat/ring.hpp), the same value at (j, i) outside the block; the
-//     serial and SUMMA output panels ship one block per rank, unmirrored.
+//     holding its dense blocks of a symmetric n×n product (the block
+//     message below); rank 0 decodes each into the full matrix, writing
+//     finalize(i, j, value) for every cell and the same value at (j, i).
+//     The blocks cover one triangle (the serial block, the exact ring's
+//     and the sketch ring's ring shares, distmat/ring.hpp, and SUMMA's
+//     summa_share, distmat/spgemm.hpp), and a square block on the
+//     diagonal ships only its upper triangle, so every output cell
+//     travels once.
 //     The exact pipeline ships B's integer intersection counts straight
 //     from its accumulator panel and finalizes them on the root with the
 //     allreduced â (core/driver.cpp), so no rank builds a block of
 //     doubles; the sketch ring ships its estimates and keeps them as
-//     they are. Rank 0 holds the rows·cols output — 8·n² bytes for the
+//     they are. Rank 0 holds the n² output — 8·n² bytes for the
 //     n×n similarity matrix (~20 GB at n = 50k), which is why the
 //     mask-gated pipelines avoid this path — plus the coded messages, not
 //     a second copy of the values.
@@ -35,7 +37,9 @@
 //   then each block's cells in row-major order as runs: a LEB128 count of
 //   zero cells, a LEB128 count k of nonzero cells, then those k values,
 //   until the block's cells are used up (a block's last run may have
-//   k = 0; an empty block has no runs).
+//   k = 0; an empty block has no runs). A square block on the diagonal
+//   (rows = cols) holds the cells of its upper triangle, row i from
+//   column i: m(m + 1)/2 cells for m rows.
 //
 // A cell is zero when its bit pattern is, so −0.0 and NaN travel as
 // values and the code is lossless for doubles too. Integer values are
@@ -175,9 +179,16 @@ template <typename T>
   return {static_cast<std::int64_t>(begin), static_cast<std::int64_t>(begin + size)};
 }
 
+/// Does a block travel as its upper triangle? Only a square block on the
+/// diagonal does.
+[[nodiscard]] inline bool ships_triangle(BlockRange rows, BlockRange cols) noexcept {
+  return rows.begin == cols.begin && rows.end == cols.end;
+}
+
 }  // namespace gather_detail
 
-/// One rank's block message (see "The block message" above).
+/// One rank's block message (see "The block message" above): a square
+/// block on the diagonal ships its upper triangle.
 /// Throws std::invalid_argument when a block is not inside its source.
 template <typename T>
 [[nodiscard]] std::vector<std::uint8_t> encode_block_message(
@@ -198,30 +209,32 @@ template <typename T>
   }
   for (const GatherBlock<T>& block : blocks) {
     gather_detail::RunWriter<T> writer(out);
+    const bool triangle = gather_detail::ships_triangle(block.rows, block.cols);
     const std::int64_t col0 = block.cols.begin - block.source->col_range.begin;
     for (std::int64_t i = block.rows.begin; i < block.rows.end; ++i) {
       const T* row = block.source->row_data(i - block.source->row_range.begin) + col0;
-      for (std::int64_t j = 0; j < block.cols.size(); ++j) writer.add(row[j]);
+      for (std::int64_t j = triangle ? i - block.rows.begin : 0; j < block.cols.size(); ++j) {
+        writer.add(row[j]);
+      }
     }
     writer.finish();
   }
   return out;
 }
 
-/// Decode one rank's block message into `out`, the rows×cols
-/// row-major matrix: out(i, j) = finalize(i, j, value) for every cell of
-/// every block, and with `mirror` out(j, i) the same value unless the
-/// block holds (j, i) itself. Throws error::CorruptInput on a damaged
-/// message (a truncation, a block outside the matrix, a run past its
-/// block's cells) and std::invalid_argument when `out` is not
-/// rows×cols or `mirror` has a non-square matrix. Whatever it accepts
+/// Decode one rank's block message into `out`, the n×n row-major
+/// matrix: out(i, j) = finalize(i, j, value) for every cell of every
+/// block, and out(j, i) the same value unless the block holds (j, i)
+/// itself — a square block on the diagonal holds its upper triangle, each
+/// of whose cells is written at both (i, j) and (j, i). Throws
+/// error::CorruptInput on a damaged message (a truncation, a block
+/// outside the matrix, a run past its block's or triangle's cells) and
+/// std::invalid_argument when `out` is not n×n. Whatever it accepts
 /// writes only inside `out`.
 template <typename T, typename Out, typename Finalize>
-void decode_block_message(std::span<const std::uint8_t> message, std::int64_t rows,
-                          std::int64_t cols, bool mirror, Finalize&& finalize,
-                          std::span<Out> out) {
-  if (rows < 0 || cols < 0 || out.size() != static_cast<std::size_t>(rows * cols) ||
-      (mirror && rows != cols)) {
+void decode_block_message(std::span<const std::uint8_t> message, std::int64_t n,
+                          Finalize&& finalize, std::span<Out> out) {
+  if (n < 0 || out.size() != static_cast<std::size_t>(n * n)) {
     throw std::invalid_argument("decode_block_message: bad output matrix");
   }
   util::Leb128Reader in(message, "decode_block_message");
@@ -232,29 +245,34 @@ void decode_block_message(std::span<const std::uint8_t> message, std::int64_t ro
   std::vector<std::pair<BlockRange, BlockRange>> blocks;
   blocks.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t b = 0; b < count; ++b) {
-    const BlockRange block_rows = gather_detail::read_range(in, rows);
-    blocks.emplace_back(block_rows, gather_detail::read_range(in, cols));
+    const BlockRange block_rows = gather_detail::read_range(in, n);
+    blocks.emplace_back(block_rows, gather_detail::read_range(in, n));
   }
   for (const auto& [block_rows, block_cols] : blocks) {
-    // The cursor (i, j) walks the block's cells in row-major order.
+    const bool triangle = gather_detail::ships_triangle(block_rows, block_cols);
+    // The cursor (i, j) walks the block's cells in row-major order, a
+    // triangle's row i from column i.
     std::int64_t i = block_rows.begin;
     std::int64_t j = block_cols.begin;
     const auto write = [&](std::uint64_t cells, auto next_value) {
       while (cells > 0) {
         const std::int64_t len =
             std::min(static_cast<std::int64_t>(cells), block_cols.end - j);
-        Out* const row = out.data() + i * cols;
+        Out* const row = out.data() + i * n;
         for (const std::int64_t end = j + len; j < end; ++j) {
           row[j] = finalize(i, j, next_value());
+          if (triangle) out[static_cast<std::size_t>(j * n + i)] = row[j];
         }
         cells -= static_cast<std::uint64_t>(len);
         if (j == block_cols.end) {
           ++i;
-          j = block_cols.begin;
+          j = triangle ? i : block_cols.begin;
         }
       }
     };
-    auto left = static_cast<std::uint64_t>(block_rows.size() * block_cols.size());
+    const auto m = static_cast<std::uint64_t>(block_rows.size());
+    auto left = triangle ? m * (m + 1) / 2
+                         : static_cast<std::uint64_t>(block_rows.size() * block_cols.size());
     while (left > 0) {
       const auto zeros = in.read<std::uint64_t>();
       if (zeros > left) gather_detail::corrupt("run past its block");
@@ -265,18 +283,16 @@ void decode_block_message(std::span<const std::uint8_t> message, std::int64_t ro
       write(values, [&] { return gather_detail::read_value<T>(in); });
       left -= zeros + values;
     }
-    if (!mirror) continue;
+    if (triangle) continue;
     // The transpose goes in square tiles, so its strided side stays
-    // cache-resident. A cell the block holds itself (a diagonal block's)
-    // keeps its own value.
+    // cache-resident. A cell the block holds itself keeps its own value.
     constexpr std::int64_t kTile = 64;
     for (std::int64_t ib = block_rows.begin; ib < block_rows.end; ib += kTile) {
       for (std::int64_t jb = block_cols.begin; jb < block_cols.end; jb += kTile) {
         for (std::int64_t c = jb; c < std::min(jb + kTile, block_cols.end); ++c) {
           for (std::int64_t r = ib; r < std::min(ib + kTile, block_rows.end); ++r) {
             if (block_rows.contains(c) && block_cols.contains(r)) continue;
-            out[static_cast<std::size_t>(c * cols + r)] =
-                out[static_cast<std::size_t>(r * cols + c)];
+            out[static_cast<std::size_t>(c * n + r)] = out[static_cast<std::size_t>(r * n + c)];
           }
         }
       }
@@ -285,30 +301,27 @@ void decode_block_message(std::span<const std::uint8_t> message, std::int64_t ro
   if (!in.done()) gather_detail::corrupt("bytes past the last block");
 }
 
-/// Collective over `comm`: each rank ships its blocks in one block message
-/// and rank 0 writes finalize(i, j, value) for each of their cells into
-/// the rows×cols row-major matrix — with `mirror`, at (j, i) too unless
-/// the block holds that cell, so a symmetric product ships only the
-/// blocks one triangle needs (the ring shares). Cells no block covers
-/// stay value-initialized; blocks must not overlap unless they agree.
-/// Returns the matrix on rank 0 and an empty vector elsewhere. Throws
+/// Collective over `comm`: each rank ships its blocks of a symmetric n×n
+/// product in one block message, and rank 0 writes finalize(i, j, value)
+/// for each of their cells into the n×n row-major matrix, at (j, i) too
+/// unless the block holds that cell. So the blocks need cover only one
+/// triangle (the ring and SUMMA shares), and a square block on the
+/// diagonal ships only its upper triangle. Cells no block covers stay
+/// value-initialized; blocks must not overlap unless they agree. Returns
+/// the matrix on rank 0 and an empty vector elsewhere. Throws
 /// error::CorruptInput on a damaged message.
 template <typename T, typename Finalize = KeepValue>
 [[nodiscard]] auto gather_blocks_to_root(bsp::Comm& comm,
                                          std::span<const GatherBlock<T>> blocks,
-                                         std::int64_t rows, std::int64_t cols, bool mirror,
-                                         Finalize finalize = {}) {
+                                         std::int64_t n, Finalize finalize = {}) {
   using Out = std::invoke_result_t<Finalize&, std::int64_t, std::int64_t, T>;
-  if (mirror && rows != cols) {
-    throw std::invalid_argument("gather_blocks_to_root: mirror needs a square matrix");
-  }
   const std::vector<std::uint8_t> message = encode_block_message(blocks);
   const auto messages = comm.gather_v<std::uint8_t>(std::span<const std::uint8_t>(message), 0);
   std::vector<Out> full;
   if (comm.rank() != 0) return full;
-  full.assign(static_cast<std::size_t>(rows * cols), Out{});
+  full.assign(static_cast<std::size_t>(n * n), Out{});
   for (const std::vector<std::uint8_t>& received : messages) {
-    decode_block_message<T>(received, rows, cols, mirror, finalize, std::span<Out>(full));
+    decode_block_message<T>(received, n, finalize, std::span<Out>(full));
   }
   return full;
 }

@@ -312,8 +312,9 @@ CsrPanel decode_panel(std::span<const std::uint8_t> bytes, PanelExtents extents)
   return decode_panel(bytes, extents, {0, extents.cols.size()});
 }
 
-CsrPanel decode_tight_panel(std::span<const std::uint8_t> bytes, PanelExtents extents) {
-  CsrPanel panel = decode_panel(bytes, extents);
+CsrPanel decode_tight_panel(std::span<const std::uint8_t> bytes, PanelExtents extents,
+                            BlockRange keep_cols) {
+  CsrPanel panel = decode_panel(bytes, extents, keep_cols);
   panel.rows = panel.occupied_height();
   return panel;
 }

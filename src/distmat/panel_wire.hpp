@@ -127,12 +127,13 @@ template <typename Keep>
 [[nodiscard]] CsrPanel decode_panel(std::span<const std::uint8_t> bytes,
                                     PanelExtents extents);
 
-/// decode_panel with the panel's height cut to its occupied word-rows:
-/// the last one + 1, 0 for an empty panel. SUMMA decodes its stage
-/// panels this way, because the kernel sizes its densified operand
-/// (CsrPanel::dense_columns) and its dense-path decision by that height.
+/// decode_panel with the panel's height cut to the occupied word-rows of
+/// the kept columns: the last one + 1, 0 for an empty panel. SUMMA
+/// decodes its stage panels this way, because the kernel sizes its
+/// densified operand (CsrPanel::dense_columns) and its dense-path
+/// decision by that height.
 [[nodiscard]] CsrPanel decode_tight_panel(std::span<const std::uint8_t> bytes,
-                                          PanelExtents extents);
+                                          PanelExtents extents, BlockRange keep_cols);
 
 /// Decode a message of either order, appending its entries, in the
 /// message's order and relative to the extents, to `out`. Throws

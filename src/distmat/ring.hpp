@@ -52,7 +52,10 @@ struct RingShare {
 /// of all ranks cover each off-diagonal block pair {a, b} exactly once —
 /// by one share or its transpose — and each diagonal block by its
 /// owner's share alone:
-///   * step (rank − owner) mod p = 0: the whole diagonal block;
+///   * step (rank − owner) mod p = 0: the diagonal block, whose upper
+///     triangle (diagonal included) determines it: the exact ring
+///     computes only that triangle (the SYRK, spgemm.hpp), the sketch
+///     ring scores only it, and the output gather ships only it;
 ///   * steps 0 < s < p/2: the whole block;
 ///   * even p's step p/2: the lower rank takes the first half of its
 ///     rows, the upper rank the second half of its held columns;

@@ -93,10 +93,27 @@ CommonRows find_common_rows(const CsrPanel& L, const CsrPanel& N) {
   return common;
 }
 
+/// The SYRK's common rows: every occupied word-row of P with itself, and
+/// the work of its upper triangle, m(m+1)/2 for a row of m entries.
+CommonRows self_rows(const CsrPanel& P) {
+  CommonRows common;
+  common.rows.reserve(static_cast<std::size_t>(P.occupied()));
+  for (std::int64_t k = 0; k < P.occupied(); ++k) {
+    common.rows.push_back({k, k});
+    const auto m = static_cast<std::uint64_t>(P.row_nnz(k));
+    common.flops += m * (m + 1) / 2;
+  }
+  return common;
+}
+
 /// Accumulate the contribution of every N column into `out`, tile by
 /// tile. Per-row cursors start at each common row's first N entry and
 /// advance monotonically through the row, so each N entry is visited
 /// exactly once regardless of the tile width.
+///
+/// `Upper` is the SYRK (L ≡ N): each L entry scatters only from its own
+/// position in the row on, so only cells with row ≤ column are written,
+/// and entries past the tile's segment have nothing to write in it.
 ///
 /// With a candidate-pair mask (`prune`), tiles whose [out rows × tile
 /// cols] pair set is fully pruned are skipped (cursors still advance so
@@ -110,6 +127,7 @@ struct RangeResult {
   std::uint64_t tiles_skipped = 0;
 };
 
+template <bool Upper>
 RangeResult accumulate_tiles(const CsrPanel& L, const CsrPanel& N,
                              std::span<const CommonRow> common_rows,
                              std::int64_t l_col_base, std::int64_t n_col_base,
@@ -145,30 +163,52 @@ RangeResult accumulate_tiles(const CsrPanel& L, const CsrPanel& N,
       std::int64_t e = b;
       while (e < row_end && ncols[e] < tile_end) ++e;
       cursor[idx] = e;
-      const auto count = static_cast<std::size_t>(e - b);
+      const auto count = static_cast<std::uint64_t>(e - b);
       if (count == 0 || skip_tile) continue;
       const std::int64_t la = L.row_begin(common_rows[idx].l_index);
-      const std::int64_t le = L.row_end(common_rows[idx].l_index);
-      result.flops +=
-          static_cast<std::uint64_t>(count) * static_cast<std::uint64_t>(le - la);
+      // The SYRK's entries at or past e sit right of this tile.
+      const std::int64_t le = Upper ? e : L.row_end(common_rows[idx].l_index);
+      // The SYRK's entries before b scatter the whole segment and those in
+      // it from their own position: a triangle of count(count + 1)/2.
+      result.flops += Upper ? static_cast<std::uint64_t>(b - la) * count +
+                                  count * (count + 1) / 2
+                            : count * static_cast<std::uint64_t>(le - la);
+      // Where entry a starts in the segment.
+      const auto from = [&](std::int64_t a) { return Upper ? std::max(a, b) : b; };
       // Register-block four L entries per pass: each (col, mask) of the
-      // N segment is loaded once and scattered into four output rows.
-      // The _dispatch entries resolve to the AVX512 gather/scatter body
-      // where the per-TU VPOPCNTQ flag is live (see popcount_scatter.cpp)
-      // and to the inline scalar kernels otherwise.
+      // N segment is loaded once and scattered into four output rows. In
+      // the SYRK the block starts at its fourth row's position, and the
+      // three short heads before it go one row at a time. The _dispatch
+      // entries resolve to the AVX512 gather/scatter body where the
+      // per-TU VPOPCNTQ flag is live (see popcount_scatter.cpp) and to the
+      // inline scalar kernels otherwise.
       std::int64_t a = la;
       for (; a + 4 <= le; a += 4) {
+        const std::int64_t start = from(a + 3);
+        if constexpr (Upper) {
+          // At most 3 + 2 + 1 cells: the inline scalar loop, no call.
+          for (std::int64_t head = a; head < a + 3; ++head) {
+            const std::int64_t first = from(head);
+            if (first >= start) continue;
+            popcount_and_scatter(lvals[head], ncols + first, nvals + first,
+                                 static_cast<std::size_t>(start - first),
+                                 out.row_data(l_col_base + lcols[head]) + n_col_base);
+          }
+        }
         auto* const acc0 = out.row_data(l_col_base + lcols[a]) + n_col_base;
         auto* const acc1 = out.row_data(l_col_base + lcols[a + 1]) + n_col_base;
         auto* const acc2 = out.row_data(l_col_base + lcols[a + 2]) + n_col_base;
         auto* const acc3 = out.row_data(l_col_base + lcols[a + 3]) + n_col_base;
         popcount_and_scatter_4_dispatch(lvals[a], lvals[a + 1], lvals[a + 2],
-                                        lvals[a + 3], ncols + b, nvals + b, count, acc0,
-                                        acc1, acc2, acc3);
+                                        lvals[a + 3], ncols + start, nvals + start,
+                                        static_cast<std::size_t>(e - start), acc0, acc1,
+                                        acc2, acc3);
       }
       for (; a < le; ++a) {
-        std::int64_t* const acc = out.row_data(l_col_base + lcols[a]) + n_col_base;
-        popcount_and_scatter_dispatch(lvals[a], ncols + b, nvals + b, count, acc);
+        const std::int64_t first = from(a);
+        popcount_and_scatter_dispatch(lvals[a], ncols + first, nvals + first,
+                                      static_cast<std::size_t>(e - first),
+                                      out.row_data(l_col_base + lcols[a]) + n_col_base);
       }
     }
   }
@@ -186,13 +226,15 @@ RangeResult accumulate_tiles(const CsrPanel& L, const CsrPanel& N,
 /// remains for edges and is the reference the micro_kernels bench
 /// compares against. With a candidate mask, pruned cells are skipped per
 /// cell (the mask test is one load against a words-long popcount
-/// stream), so the pruned path stays scalar. Returns the streaming
-/// word-madds actually performed (the dense path's flop unit under
-/// pruning).
+/// stream), so the pruned path stays scalar. `upper` is the SYRK (ld ≡
+/// nd): each row i starts at column i, and the 2×2 tile on the diagonal
+/// drops its cell (i + 1, i). Returns the streaming word-madds of the
+/// cells it writes (the dense path's flop unit under pruning).
 std::uint64_t dense_accumulate(const DenseColumnPanel& ld, std::int64_t l_cols,
                                const DenseColumnPanel& nd, std::int64_t n_cols,
                                std::int64_t l_col_base, std::int64_t n_col_base,
-                               DenseBlock<std::int64_t>& out, const CandidateMask* prune) {
+                               DenseBlock<std::int64_t>& out, const CandidateMask* prune,
+                               bool upper) {
   const std::int64_t words = ld.words;
   const std::int64_t grow_base = out.row_range.begin + l_col_base;
   const std::int64_t gcol_base = out.col_range.begin + n_col_base;
@@ -204,14 +246,14 @@ std::uint64_t dense_accumulate(const DenseColumnPanel& ld, std::int64_t l_cols,
       const std::uint64_t* const lcol1 = ld.column(i + 1);
       std::int64_t* const row0 = out.row_data(l_col_base + i) + n_col_base;
       std::int64_t* const row1 = out.row_data(l_col_base + i + 1) + n_col_base;
-      std::int64_t j = 0;
+      std::int64_t j = upper ? i : 0;
       for (; j + 2 <= n_cols; j += 2) {
         std::uint64_t sums[4];
         popcount_and_sum_stream_2x2(lcol0, lcol1, nd.column(j), nd.column(j + 1),
                                     static_cast<std::size_t>(words), sums);
         row0[j] += static_cast<std::int64_t>(sums[0]);
         row0[j + 1] += static_cast<std::int64_t>(sums[1]);
-        row1[j] += static_cast<std::int64_t>(sums[2]);
+        if (!upper || j != i) row1[j] += static_cast<std::int64_t>(sums[2]);
         row1[j + 1] += static_cast<std::int64_t>(sums[3]);
       }
       for (; j < n_cols; ++j) {
@@ -224,18 +266,19 @@ std::uint64_t dense_accumulate(const DenseColumnPanel& ld, std::int64_t l_cols,
     for (; i < l_cols; ++i) {
       const std::uint64_t* const lcol = ld.column(i);
       std::int64_t* const row = out.row_data(l_col_base + i) + n_col_base;
-      for (std::int64_t j = 0; j < n_cols; ++j) {
+      for (std::int64_t j = upper ? i : 0; j < n_cols; ++j) {
         row[j] += static_cast<std::int64_t>(popcount_and_sum_stream(
             lcol, nd.column(j), static_cast<std::size_t>(words)));
       }
     }
-    return static_cast<std::uint64_t>(l_cols) * static_cast<std::uint64_t>(n_cols) *
-           static_cast<std::uint64_t>(words);
+    const auto l = static_cast<std::uint64_t>(l_cols);
+    cells = upper ? l * (l + 1) / 2 : l * static_cast<std::uint64_t>(n_cols);
+    return cells * static_cast<std::uint64_t>(words);
   }
   for (std::int64_t i = 0; i < l_cols; ++i) {
     const std::uint64_t* const lcol = ld.column(i);
     std::int64_t* const row = out.row_data(l_col_base + i) + n_col_base;
-    for (std::int64_t j = 0; j < n_cols; ++j) {
+    for (std::int64_t j = upper ? i : 0; j < n_cols; ++j) {
       if (!prune->test(grow_base + i, gcol_base + j)) continue;
       ++cells;
       row[j] += static_cast<std::int64_t>(
@@ -265,6 +308,18 @@ std::uint64_t dense_accumulate(const DenseColumnPanel& ld, std::int64_t l_cols,
   return fill_l * fill_n >= crossover;
 }
 
+/// The columns `keep` of `block`, renumbered from keep.begin, as a CSR
+/// panel as high as the block.
+CsrPanel column_slice(const SparseBlock& block, BlockRange keep) {
+  if (keep.begin == 0 && keep.end == block.cols) return CsrPanel::from_block(block);
+  std::vector<Triplet<std::uint64_t>> kept;
+  for (const Triplet<std::uint64_t>& t : block.entries) {
+    if (keep.contains(t.col)) kept.push_back({t.row, t.col - keep.begin, t.value});
+  }
+  return CsrPanel::from_triplets(block.rows, keep.size(),
+                                 std::span<const Triplet<std::uint64_t>>(kept));
+}
+
 /// The L side of a ring share: `whole` (built once per batch, with its
 /// memoized densification) when the share keeps every row of `panel`,
 /// else — the lower rank of even p's split middle block (ring_share) —
@@ -272,22 +327,16 @@ std::uint64_t dense_accumulate(const DenseColumnPanel& ld, std::int64_t l_cols,
 const CsrPanel& share_rows_panel(const CsrPanel& whole, const SparseBlock& panel,
                                  BlockRange rows, CsrPanel& slice) {
   if (rows.size() == panel.cols) return whole;
-  std::vector<Triplet<std::uint64_t>> kept;
-  for (const Triplet<std::uint64_t>& t : panel.entries) {
-    if (rows.contains(t.col)) kept.push_back({t.row, t.col - rows.begin, t.value});
-  }
-  slice = CsrPanel::from_triplets(panel.rows, rows.size(),
-                                  std::span<const Triplet<std::uint64_t>>(kept));
+  slice = column_slice(panel, rows);
   return slice;
 }
 
-}  // namespace
-
-void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
-                                 std::int64_t l_col_base, std::int64_t n_col_base,
-                                 DenseBlock<std::int64_t>& out,
-                                 bsp::CostCounters* counters,
-                                 const CsrAtaOptions& options) {
+/// The body of both kernels: csr_popcount_ata_accumulate, and with
+/// `upper` (L ≡ N) the SYRK.
+void accumulate_block(const CsrPanel& L, const CsrPanel& N, std::int64_t l_col_base,
+                      std::int64_t n_col_base, DenseBlock<std::int64_t>& out,
+                      bsp::CostCounters* counters, const CsrAtaOptions& options,
+                      bool upper) {
   if (L.empty() || N.empty()) return;
   // Whole-block prune probe: with a candidate mask, a block whose entire
   // [out rows × out cols] pair set is pruned never touches the CSR data.
@@ -302,7 +351,7 @@ void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
     }
     return;
   }
-  const CommonRows common = find_common_rows(L, N);
+  const CommonRows common = upper ? self_rows(L) : find_common_rows(L, N);
   if (common.rows.empty()) return;
   // γ accounting: without pruning every (a, b) pair of the common rows is
   // processed, so CommonRows::flops is exact and cheap. Under pruning the
@@ -311,18 +360,21 @@ void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
   const std::int64_t words = std::min(L.rows, N.rows);
   if (options.allow_dense && dense_path_profitable(L, N, words, options.dense_crossover)) {
     // Memoized on the panels: the ring's loop-invariant L side densifies
-    // once per batch, and L ≡ N (serial_ata, the diagonal ring step)
-    // reuses one densification.
+    // once per batch, and L ≡ N (serial_ata, the SYRK) reuses one
+    // densification.
     const std::uint64_t done =
         dense_accumulate(L.dense_columns(words), L.cols, N.dense_columns(words), N.cols,
-                         l_col_base, n_col_base, out, prune);
+                         l_col_base, n_col_base, out, prune, upper);
     if (counters != nullptr) counters->flops += prune != nullptr ? done : common.flops;
     return;
   }
 
   const std::int64_t tile_cols = options.tile_cols > 0 ? options.tile_cols : kAtaTileCols;
   const RangeResult tally =
-      accumulate_tiles(L, N, common.rows, l_col_base, n_col_base, tile_cols, out, prune);
+      upper ? accumulate_tiles<true>(L, N, common.rows, l_col_base, n_col_base, tile_cols,
+                                     out, prune)
+            : accumulate_tiles<false>(L, N, common.rows, l_col_base, n_col_base, tile_cols,
+                                      out, prune);
   if (obs::RankObserver* o = obs::current()) {
     o->add_counter("spgemm.tiles_visited", tally.tiles_visited);
     if (tally.tiles_skipped > 0) {
@@ -330,6 +382,23 @@ void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
     }
   }
   if (counters != nullptr) counters->flops += prune != nullptr ? tally.flops : common.flops;
+}
+
+}  // namespace
+
+void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
+                                 std::int64_t l_col_base, std::int64_t n_col_base,
+                                 DenseBlock<std::int64_t>& out,
+                                 bsp::CostCounters* counters,
+                                 const CsrAtaOptions& options) {
+  accumulate_block(L, N, l_col_base, n_col_base, out, counters, options, /*upper=*/false);
+}
+
+void csr_popcount_syrk_accumulate(const CsrPanel& P, std::int64_t l_col_base,
+                                  std::int64_t n_col_base, DenseBlock<std::int64_t>& out,
+                                  bsp::CostCounters* counters,
+                                  const CsrAtaOptions& options) {
+  accumulate_block(P, P, l_col_base, n_col_base, out, counters, options, /*upper=*/true);
 }
 
 DenseBlock<std::int64_t> serial_ata(const SparseBlock& block) {
@@ -359,6 +428,12 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
       comm, bsp::tags::kSpgemmRing, "ring/step", std::move(wire),
       [&](int owner, std::span<const std::uint8_t> held) {
         const BlockRange owner_cols = block_range(n, p, owner);
+        if (owner == r) {
+          // Step 0: the diagonal block, on and above its diagonal.
+          csr_popcount_syrk_accumulate(lpanel, 0, owner_cols.begin, b_panel,
+                                       &comm.counters(), options);
+          return;
+        }
         const RingShare share =
             ring_share(p, r, owner, my_panel.cols, owner_cols.size());
         if (share.empty()) return;
@@ -366,14 +441,9 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
         // rows, the upper rank the held columns.
         CsrPanel lslice;
         const CsrPanel& lside = share_rows_panel(lpanel, my_panel, share.rows, lslice);
-        CsrPanel received;
-        const CsrPanel* nside = &lpanel;
-        if (owner != r) {
-          received = decode_panel(held, {{0, my_panel.rows}, {0, owner_cols.size()}},
-                                  share.cols);
-          nside = &received;
-        }
-        csr_popcount_ata_accumulate(lside, *nside, share.rows.begin,
+        const CsrPanel received = decode_panel(
+            held, {{0, my_panel.rows}, {0, owner_cols.size()}}, share.cols);
+        csr_popcount_ata_accumulate(lside, received, share.rows.begin,
                                     owner_cols.begin + share.cols.begin, b_panel,
                                     &comm.counters(), options);
       });
@@ -394,8 +464,8 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
   const CsrPanel lpanel = CsrPanel::from_block(my_panel);
 
   // Diagonal block: local data, mask diagonal is always set.
-  csr_popcount_ata_accumulate(lpanel, lpanel, 0, my_cols.begin, b_panel,
-                              &comm.counters(), options);
+  csr_popcount_syrk_accumulate(lpanel, 0, my_cols.begin, b_panel, &comm.counters(),
+                               options);
 
   // Column-targeted exchange, one way per block pair: peer q needs this
   // rank's column j (global id my_cols.begin + j) iff j lies in q's
@@ -443,13 +513,24 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
   }
 }
 
-void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
+void summa_ata_accumulate(ProcGrid& grid, std::int64_t n, const SparseBlock& my_block,
                           DenseBlock<std::int64_t>& b_accum,
                           const CsrAtaOptions& options) {
   if (!grid.active()) {
     throw std::logic_error("summa_ata_accumulate: called by an inactive rank");
   }
   const int s = grid.side();
+  const int grid_row = grid.grid_row();
+  const int grid_col = grid.grid_col();
+  const SummaShare share = summa_share(n, s, grid_row, grid_col);
+  if (b_accum.row_range.begin != share.rows.begin || b_accum.row_range.end != share.rows.end ||
+      b_accum.col_range.begin != share.cols.begin || b_accum.col_range.end != share.cols.end) {
+    throw std::invalid_argument("summa_ata_accumulate: b_accum must be the rank's summa_share");
+  }
+  // The L buffer carries the stage panel of column chunk grid_row, the N
+  // buffer (or this rank's own block) that of column chunk grid_col.
+  const BlockRange row_chunk = block_range(n, s, grid_row);
+  const BlockRange col_chunk = block_range(n, s, grid_col);
 
   // With replication (c > 1), each layer sums into a scratch partial that
   // is reduced onto layer 0 at the end of the batch (paper §III-C: "one
@@ -466,12 +547,12 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
   // back to the J(∅, ∅) = 1 convention. The per-sample activity flags
   // are replicated (the mask is), so every rank reaches the same verdict
   // and the collectives stay aligned: the L-side transpose + row
-  // broadcast of an inactive OUTPUT-ROW block and the N-side column
-  // broadcast of an inactive OUTPUT-COLUMN block are skipped entirely —
-  // the stage loop no longer visits every grid row/col when the mask is
-  // block-sparse. Sender and receiver of a transpose hop evaluate the
-  // same block (the sender's column chunk IS the receiver's row chunk),
-  // so no message is ever posted without its matching receive.
+  // broadcast of an inactive row chunk and the N-side column broadcast
+  // of an inactive column chunk are skipped entirely — the stage loop no
+  // longer visits every grid row/col when the mask is block-sparse.
+  // Sender and receiver of a transpose hop evaluate the same chunk (the
+  // sender's column chunk IS the receiver's row chunk), so no message is
+  // ever posted without its matching receive.
   std::vector<std::uint8_t> active;
   if (options.prune != nullptr) active = options.prune->active_columns();
   const auto block_active = [&](BlockRange range) {
@@ -481,8 +562,8 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
     }
     return false;
   };
-  const bool my_rows_active = block_active(b_accum.row_range);
-  const bool my_cols_active = block_active(b_accum.col_range);
+  const bool my_rows_active = block_active(row_chunk);
+  const bool my_cols_active = block_active(col_chunk);
 
   // Every stage ships this rank's block in the compact panel wire, so it
   // is encoded once per batch. The stage panels are slices of chunks of
@@ -499,11 +580,11 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
   // multiplies — the same overlap the ring schedule gets from double
   // buffering.
   const auto post_transpose = [&](int k) {
-    // my_cols_active gates on the RECEIVER's output-row block: the
-    // receiver (ℓ, grid_col, k) has grid_row == this rank's grid_col,
-    // and row chunks equal column chunks on the square grid.
-    if (grid.grid_row() == k && my_cols_active) {
-      const int dest = grid.world_rank_of(grid.layer(), grid.grid_col(), k);
+    // my_cols_active gates on the RECEIVER's row chunk: the receiver
+    // (ℓ, grid_col, k) has grid_row == this rank's grid_col, and row
+    // chunks equal column chunks on the square grid.
+    if (grid_row == k && my_cols_active) {
+      const int dest = grid.world_rank_of(grid.layer(), grid_col, k);
       grid.world().send<std::uint8_t>(dest, bsp::tags::summa_transpose(k),
                                       std::span<const std::uint8_t>(wire));
     }
@@ -516,44 +597,60 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
     const obs::Span stage("summa/stage", "summa", &grid.world().counters());
     if (k + 1 < s) post_transpose(k + 1);
     std::vector<std::uint8_t> lbuf;
-    if (grid.grid_col() == k && my_rows_active) {
-      const int source = grid.world_rank_of(grid.layer(), k, grid.grid_row());
+    if (grid_col == k && my_rows_active) {
+      const int source = grid.world_rank_of(grid.layer(), k, grid_row);
       lbuf = grid.world().recv<std::uint8_t>(source, bsp::tags::summa_transpose(k));
     }
     // (2) L-side broadcast along the grid row (root = grid column k).
-    // All ranks of one grid row share the same output-row block, so the
-    // skip verdict is uniform along the communicator.
+    // All ranks of one grid row share the same row chunk, so the skip
+    // verdict is uniform along the communicator.
     if (my_rows_active) grid.row_comm().broadcast(lbuf, k);
     // (3) N-side broadcast along the grid column (root = grid row k);
-    // uniform verdict along the column, which shares the output-col block.
+    // uniform verdict along the column, which shares the column chunk.
     std::vector<std::uint8_t> nbuf;
     if (my_cols_active) {
-      if (grid.grid_row() == k) nbuf = wire;
+      if (grid_row == k) nbuf = wire;
       grid.col_comm().broadcast(nbuf, k);
     }
     if (!my_rows_active || !my_cols_active) continue;
-    // (4) Local multiply-accumulate on CSR panels built once per stage.
-    // Both buffers are slices of chunk ℓ·s+k, so they share a row space;
-    // the tight per-panel row bounds are enough (the kernel intersects).
-    // At k = grid_row the N side is this rank's own block, and at
-    // k = grid_col too so is the L side (its transpose came from itself):
-    // that panel is built from my_block rather than decoded from the wire
-    // it was encoded into, and one panel serves both sides.
-    const bool own_n = grid.grid_row() == k;
-    const bool own_l = own_n && grid.grid_col() == k;
-    CsrPanel own;
-    if (own_n) {
-      own = CsrPanel::from_block(my_block);
+    // (4) Local multiply-accumulate of this rank's share on CSR panels
+    // built once per stage. Both buffers are slices of chunk ℓ·s+k, so
+    // they share a row space; the tight per-panel row bounds are enough
+    // (the kernel intersects). At k = grid_row the column-chunk panel is
+    // this rank's own block, built from my_block rather than decoded from
+    // the wire it was encoded into. `keep` slices a panel to the share's
+    // rows (local to the panel's chunk).
+    const auto row_panel = [&](BlockRange keep) {
+      return decode_tight_panel(lbuf, {chunk_rows, {0, row_chunk.size()}}, keep);
+    };
+    const auto col_panel = [&](BlockRange keep) {
+      if (grid_row != k) {
+        return decode_tight_panel(nbuf, {chunk_rows, {0, col_chunk.size()}}, keep);
+      }
+      CsrPanel own = column_slice(my_block, keep);
       own.rows = own.occupied_height();
+      return own;
+    };
+    const BlockRange whole_row{0, row_chunk.size()};
+    const BlockRange whole_col{0, col_chunk.size()};
+    if (grid_row == grid_col) {
+      // A diagonal rank: both broadcasts carried the same bytes, chunk
+      // grid_row's stage panel, so it is decoded once.
+      csr_popcount_syrk_accumulate(col_panel(whole_col), 0, 0, target,
+                                   &grid.world().counters(), options);
+    } else if (grid_row < grid_col) {
+      // lo = grid_row: the L side is the row chunk's panel, halved.
+      const BlockRange keep{share.rows.begin - row_chunk.begin,
+                            share.rows.end - row_chunk.begin};
+      csr_popcount_ata_accumulate(row_panel(keep), col_panel(whole_col), 0, 0, target,
+                                  &grid.world().counters(), options);
+    } else {
+      // lo = grid_col: the L side is the column chunk's panel, halved.
+      const BlockRange keep{share.rows.begin - col_chunk.begin,
+                            share.rows.end - col_chunk.begin};
+      csr_popcount_ata_accumulate(col_panel(keep), row_panel(whole_row), 0, 0, target,
+                                  &grid.world().counters(), options);
     }
-    const CsrPanel lpanel =
-        own_l ? CsrPanel{}
-              : decode_tight_panel(lbuf, {chunk_rows, {0, target.row_range.size()}});
-    const CsrPanel npanel =
-        own_n ? CsrPanel{}
-              : decode_tight_panel(nbuf, {chunk_rows, {0, target.col_range.size()}});
-    csr_popcount_ata_accumulate(own_l ? own : lpanel, own_n ? own : npanel, 0, 0, target,
-                                &grid.world().counters(), options);
   }
 
   if (replicated) {

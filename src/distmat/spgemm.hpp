@@ -1,16 +1,28 @@
 // spgemm.hpp — the popcount-semiring AᵀA product (paper Eq. 7 + §III-C).
 //
 // Computes B-contributions s⁽ˡ⁾ᵢⱼ = Σₖ popcount(âₖᵢ ∧ âₖⱼ) from bit-packed
-// sparse blocks, in four interchangeable parallel forms:
+// sparse blocks. B is symmetric, so every parallel form computes each
+// unordered pair once, in shares that hold one triangle of B (a diagonal
+// block's cells on and above its diagonal), and the root mirrors them
+// (gather.hpp):
 //
-//   serial_ata             — single-block reference (tests, baselines)
+//   serial_ata             — single-block reference (tests, baselines):
+//                            the whole square
 //   ring_ata_accumulate    — symmetric 1D column-panel ring: ⌊p/2⌋ hops,
-//                            per-rank comm ⌊p/2⌋·z/p ≈ z/2
+//                            per-rank comm ⌊p/2⌋·z/p ≈ z/2; each rank fills
+//                            its ring_share of each block (ring.hpp)
+//   targeted_ata_accumulate — the hybrid's mask-targeted exchange, in the
+//                            ring's shares
 //   summa_ata_accumulate   — 2D/2.5D SUMMA on the √(p/c)×√(p/c)×c grid:
-//                            per-rank comm Θ(z/√(cp) + cn²/p)  [paper bound]
+//                            per-rank comm Θ(z/√(cp) + cn²/p)  [paper bound];
+//                            each grid rank fills its summa_share, half of
+//                            one block of the upper triangle (or a
+//                            diagonal block's upper triangle)
 //
-// All variants produce bit-identical B entries (the ring in its shares;
-// enforced by tests); the communication difference is the paper's
+// Every diagonal block is a popcount SYRK (csr_popcount_syrk_accumulate):
+// the panel against itself, cells with row ≤ column only. All variants
+// produce bit-identical B entries in their shares (enforced by tests);
+// the communication difference is the paper's
 // headline claim and is measured by bench/comm_model_validation through
 // the bsp cost counters. Every panel a variant ships — ring hops, SUMMA
 // transposes and broadcasts, the targeted alltoall — travels in the
@@ -82,6 +94,7 @@
 // the current stage's compute.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
@@ -143,6 +156,20 @@ void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
                                  bsp::CostCounters* counters,
                                  const CsrAtaOptions& options = {});
 
+/// Popcount SYRK, the symmetric rank-k update of a diagonal block: P
+/// against itself, B += ("Pᵀ P" in the popcount semiring), writing only
+/// the cells (l_col_base + i, n_col_base + j) with i ≤ j — the upper
+/// triangle, diagonal included, of what
+/// csr_popcount_ata_accumulate(P, P, …) adds; every other cell of `out`
+/// is left as it was. Same options (tile width, dense path and its
+/// crossover, prune mask) and the same counter contract: the flops are
+/// the work done, Σ m(m+1)/2 over P's word-rows of m entries when nothing
+/// is pruned.
+void csr_popcount_syrk_accumulate(const CsrPanel& P, std::int64_t l_col_base,
+                                  std::int64_t n_col_base, DenseBlock<std::int64_t>& out,
+                                  bsp::CostCounters* counters,
+                                  const CsrAtaOptions& options = {});
+
 /// Reference: full n×n dense AᵀA of one local block (rows = word rows).
 [[nodiscard]] DenseBlock<std::int64_t> serial_ata(const SparseBlock& block);
 
@@ -151,7 +178,8 @@ void csr_popcount_ata_accumulate(const CsrPanel& L, const CsrPanel& N,
 /// rows = its column chunk × cols = [0, n). The product is symmetric, so
 /// panels circulate ⌊p/2⌋ times (distmat/ring.hpp) and each rank fills
 /// only its ring_share of each block (r, owner) it sees: every unordered
-/// block pair is multiplied once, and the rest of the panel stays zero.
+/// block pair is multiplied once, the diagonal block (step 0) by the SYRK
+/// on and above its diagonal, and the rest of the panel stays zero.
 /// The caller reads B(i, j) from the share that holds it (or B(j, i)
 /// from its transpose). The local CsrPanel is built once up front; each
 /// received panel is decoded once on arrival, and even p's middle step
@@ -169,23 +197,52 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
 /// each crossing pair's column travels one way. Per-rank bytes are
 /// therefore proportional to the surviving pair structure — never more
 /// than the ring's Θ(z), and a small fraction of it on the pair-sparse
-/// corpora the sketch-prune pass targets. The diagonal block is computed
-/// locally from the rank's own panel.
+/// corpora the sketch-prune pass targets. The diagonal block is the SYRK
+/// of the rank's own panel.
 void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
                              const SparseBlock& my_panel, const CandidateMask& mask,
                              DenseBlock<std::int64_t>& b_panel,
                              const CsrAtaOptions& options = {});
 
+/// The part of the symmetric n×n product that grid rank (grid_row,
+/// grid_col) of an s×s SUMMA grid accumulates, in global sample ids.
+/// With C_q = block_range(n, s, q), lo = min(grid_row, grid_col) and
+/// hi = max(grid_row, grid_col): the rows come from C_lo — all of them on
+/// the diagonal (grid_row = grid_col), the first ⌊|C_lo|/2⌋ when
+/// grid_row < grid_col and the rest when grid_row > grid_col — and the
+/// columns are C_hi. The two partners of a grid position therefore split
+/// one upper-triangle block, and the shares of all s² ranks cover every
+/// cell (i, j), i ≤ j, exactly once (a diagonal rank's block up to its
+/// diagonal: its kernel is the SYRK).
+struct SummaShare {
+  BlockRange rows;
+  BlockRange cols;
+};
+
+[[nodiscard]] inline SummaShare summa_share(std::int64_t n, int side, int grid_row,
+                                            int grid_col) {
+  const BlockRange lo = block_range(n, side, std::min(grid_row, grid_col));
+  SummaShare share{lo, block_range(n, side, std::max(grid_row, grid_col))};
+  const std::int64_t split = lo.begin + lo.size() / 2;
+  if (grid_row < grid_col) share.rows.end = split;
+  if (grid_row > grid_col) share.rows.begin = split;
+  return share;
+}
+
 /// 2D/2.5D SUMMA variant over `grid`. Rank (ℓ, i, j) holds the R block of
-/// word-row chunk q = ℓ·s + i (chunk-local row ids) × column chunk j.
-/// Per batch, each layer computes its partial sum in s stages
-/// (transpose + row broadcast + column broadcast per stage) and the layer
-/// partials are reduced onto layer 0, accumulating into `b_accum`
+/// word-row chunk q = ℓ·s + i (chunk-local row ids) × column chunk j of
+/// the n samples. Per batch, each layer computes its partial sum in s
+/// stages (transpose + row broadcast + column broadcast per stage, which
+/// bring this rank the stage panels of column chunks i and j) and the
+/// layer partials are reduced onto layer 0, accumulating into `b_accum`
 /// (meaningful on layer-0 ranks). Collective over active grid ranks;
-/// inactive ranks must not call. `b_accum` must cover column chunk
-/// grid_row × column chunk grid_col of the n×n output. Each rank encodes
-/// its block once per batch; transposed and broadcast panels are decoded
-/// into CSR once per stage before the local multiply.
+/// inactive ranks must not call. `b_accum` must cover exactly the rank's
+/// summa_share (std::invalid_argument otherwise): the kernel's L side is
+/// the stage panel of chunk lo sliced to the share's rows, its N side
+/// that of chunk hi, and a diagonal rank runs the SYRK on its one stage
+/// panel (both broadcasts carry the same bytes). Each rank encodes its
+/// block once per batch; the panels it multiplies are decoded into CSR
+/// once per stage before the local multiply.
 ///
 /// With a candidate mask (options.prune), the stage collectives are
 /// mask-gated: transpose hops and row/column broadcasts that feed an
@@ -196,7 +253,7 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
 /// pair carry no triplets (their b entries are zero and their diagonal
 /// reports the J(∅, ∅) = 1 convention) — which the driver establishes
 /// before redistribution.
-void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
+void summa_ata_accumulate(ProcGrid& grid, std::int64_t n, const SparseBlock& my_block,
                           DenseBlock<std::int64_t>& b_accum,
                           const CsrAtaOptions& options = {});
 

@@ -497,7 +497,6 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
                                         const core::Config& config) {
   const std::int64_t n = source.sample_count();
   const int p = world.size();
-  const int r = world.rank();
 
   world.barrier();
   Timer timer;
@@ -515,22 +514,20 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
   }
   const std::vector<std::uint64_t> panel_words = core::pack_word_panel(blobs);
 
-  // (2)+(3) Score one triangle on the sketch ring; rank 0 mirrors it.
+  // (2)+(3) Score one triangle on the sketch ring (a diagonal block's
+  // upper triangle only); rank 0 mirrors it.
   // Stage attribution mirrors the exact pipeline: estimation time is the
   // "multiply", rotation bytes are the "exchange".
   std::vector<DenseBlock<double>> computed;
   {
     auto stage = recorder.scope(core::Stage::kMultiply, core::Stage::kExchange);
-    score_ring_triangle(
-        world, n, panel_words, /*diagonal=*/true,
-        [&](int owner, BlockRange rows, BlockRange cols) {
-          DenseBlock<double>* block = &computed.emplace_back(rows, cols);
-          const bool diagonal_block = owner == r;
-          return [=](std::int64_t i, std::int64_t j, double est) {
-            block->at_global(i, j) = est;
-            if (diagonal_block) block->at_global(j, i) = est;
-          };
-        });
+    score_ring_triangle(world, n, panel_words, /*diagonal=*/true,
+                        [&](int, BlockRange rows, BlockRange cols) {
+                          DenseBlock<double>* block = &computed.emplace_back(rows, cols);
+                          return [=](std::int64_t i, std::int64_t j, double est) {
+                            block->at_global(i, j) = est;
+                          };
+                        });
   }
 
   const std::int64_t total_words = world.allreduce_value<std::int64_t>(
@@ -543,7 +540,7 @@ core::Result sketch_similarity_at_scale(bsp::Comm& world,
     auto stage = recorder.scope(core::Stage::kAssemble);
     const std::vector<distmat::GatherBlock<double>> shares(computed.begin(), computed.end());
     full = distmat::gather_blocks_to_root(
-        world, std::span<const distmat::GatherBlock<double>>(shares), n, n, /*mirror=*/true);
+        world, std::span<const distmat::GatherBlock<double>>(shares), n);
   }
 
   core::Result result;

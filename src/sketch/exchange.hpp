@@ -39,7 +39,7 @@
 //      CRC-32), so a blob whose tag, parameter or seed word differs from
 //      the run's is a program bug, and the estimators'
 //      std::invalid_argument reports it as one. Rank 0 gathers only those
-//      blocks, as raw doubles in the output gather's zero-run code, and
+//      cells, as raw doubles in the output gather's zero-run code, and
 //      writes each one and its transpose (distmat::gather_blocks_to_root).
 //
 // Communication per rotation step is O(samples_per_rank · sketch_bytes)

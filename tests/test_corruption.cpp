@@ -438,14 +438,14 @@ TEST(CorruptionMatrix, SetBitWireDamageIsContainedOrTyped) {
 /// cells: it must throw the typed CorruptInput or write only inside the
 /// matrix.
 template <typename T>
-void expect_block_message_contained(const std::vector<std::uint8_t>& bytes, bool mirror,
+void expect_block_message_contained(const std::vector<std::uint8_t>& bytes,
                                     const std::string& label) {
   constexpr std::int64_t kN = 6;
   constexpr std::size_t kFrame = 16;
   const T canary = static_cast<T>(-77);
   std::vector<T> buffer(kFrame + kN * kN + kFrame, canary);
   try {
-    distmat::decode_block_message<T>(bytes, kN, kN, mirror, distmat::KeepValue{},
+    distmat::decode_block_message<T>(bytes, kN, distmat::KeepValue{},
                                      std::span<T>(buffer).subspan(kFrame, kN * kN));
   } catch (const error::CorruptInput&) {
     // typed rejection: fine
@@ -460,18 +460,26 @@ void expect_block_message_contained(const std::vector<std::uint8_t>& bytes, bool
 
 TEST(CorruptionMatrix, OutputGatherDamageIsContainedOrTyped) {
   // What one rank ships to the output gather: ring shares of a 6×6 count
-  // matrix (zero runs, counts of one and three LEB128 bytes, an empty
-  // block), the sketch ring's doubles (−0.0 and a NaN among them), and
-  // a rank with no blocks. Under every flip and every truncation the
-  // decoder's range and run checks must keep every write inside the
-  // matrix.
+  // matrix (a diagonal block's triangle, zero runs, counts of one and
+  // three LEB128 bytes, an empty block), a serial run's one diagonal
+  // block as its 21-cell triangle, the sketch ring's doubles (−0.0 and a
+  // NaN among them), and a rank with no blocks. Under every flip and
+  // every truncation the decoder's range and run checks must keep every
+  // write inside the matrix.
   distmat::DenseBlock<std::int64_t> counts({2, 4}, {0, 6});
   counts.at_global(2, 2) = 5;
   counts.at_global(2, 3) = 70000;
+  counts.at_global(3, 2) = 9;  // below the triangle: never shipped
   counts.at_global(3, 5) = 1;
   const std::vector<distmat::GatherBlock<std::int64_t>> count_blocks{
       {counts, {2, 4}, {2, 4}}, {counts, {2, 4}, {0, 2}}, {counts, {3, 3}, {0, 6}},
       {counts, {3, 4}, {4, 6}}};
+  distmat::DenseBlock<std::int64_t> serial({0, 6}, {0, 6});
+  for (std::int64_t i = 0; i < 6; ++i) {
+    for (std::int64_t j = i; j < 6; ++j) serial.at_global(i, j) = (i + j) % 3 == 0 ? 0 : 130 * j;
+  }
+  const std::vector<distmat::GatherBlock<std::int64_t>> triangle_blocks{
+      distmat::GatherBlock<std::int64_t>(serial)};
   distmat::DenseBlock<double> estimates({0, 3}, {3, 6});
   estimates.at_global(0, 3) = -0.0;
   estimates.at_global(1, 4) = std::bit_cast<double>(0x7ff80000deadbeefULL);
@@ -483,26 +491,33 @@ TEST(CorruptionMatrix, OutputGatherDamageIsContainedOrTyped) {
                                 const std::string& label) {
     const std::vector<std::uint8_t> bytes = distmat::encode_block_message(blocks);
     std::vector<std::int64_t> out(36, 0);
-    distmat::decode_block_message<std::int64_t>(bytes, 6, 6, true, distmat::KeepValue{},
+    distmat::decode_block_message<std::int64_t>(bytes, 6, distmat::KeepValue{},
                                                 std::span<std::int64_t>(out));
     sweep_damage(bytes, label,
                  [&](const std::vector<std::uint8_t>& damaged, const std::string& what) {
-                   expect_block_message_contained<std::int64_t>(damaged, true, what);
+                   expect_block_message_contained<std::int64_t>(damaged, what);
                  });
     return out;
   };
   const std::vector<std::int64_t> decoded = sweep_counts(count_blocks, "count message");
   EXPECT_EQ(decoded[2 * 6 + 3], 70000);
-  EXPECT_EQ(decoded[3 * 6 + 2], 0);  // the block's own cell, not mirrored over
+  EXPECT_EQ(decoded[3 * 6 + 2], 70000);  // the triangle's cell, mirrored
   EXPECT_EQ(decoded[3 * 6 + 5], 1);
   EXPECT_EQ(decoded[5 * 6 + 3], 1);  // mirrored
+  const std::vector<std::int64_t> whole = sweep_counts(triangle_blocks, "triangle message");
+  for (std::int64_t i = 0; i < 6; ++i) {
+    for (std::int64_t j = 0; j < 6; ++j) {
+      EXPECT_EQ(whole[static_cast<std::size_t>(i * 6 + j)],
+                serial.at_global(std::min(i, j), std::max(i, j)));
+    }
+  }
   (void)sweep_counts({}, "message with no blocks");
 
   const std::vector<std::uint8_t> bytes = distmat::encode_block_message(
       std::span<const distmat::GatherBlock<double>>(estimate_blocks));
   sweep_damage(bytes, "estimate message",
                [&](const std::vector<std::uint8_t>& damaged, const std::string& what) {
-                 expect_block_message_contained<double>(damaged, false, what);
+                 expect_block_message_contained<double>(damaged, what);
                });
 }
 

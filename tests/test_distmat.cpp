@@ -1,15 +1,17 @@
 // test_distmat.cpp — the mini-Cyclops layer: block partitioning, triplet
 // normalization, the distributed filter, processor grids, redistribution,
-// SUMMA against a brute-force dense reference, and the ring's triangle
-// rule (ring_share).
+// SUMMA against a brute-force dense reference, the triangle rules of the
+// ring (ring_share) and of SUMMA (summa_share), and the output gathers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -786,13 +788,14 @@ TEST_P(ParallelSpgemm, MatchesSerialReference) {
         }
       }
       my_block = SparseBlock{chunk.size(), cols.size(), std::move(mine)};
-      b_block.emplace(block_range(n, s, grid.grid_row()), cols);
-      summa_ata_accumulate(grid, *my_block, *b_block);
+      const SummaShare share = summa_share(n, s, grid.grid_row(), grid.grid_col());
+      b_block.emplace(share.rows, share.cols);
+      summa_ata_accumulate(grid, n, *my_block, *b_block);
     }
     std::vector<GatherBlock<std::int64_t>> counts;
     if (grid.active() && grid.layer() == 0) counts.emplace_back(*b_block);
-    std::vector<std::int64_t> assembled = gather_blocks_to_root(
-        comm, std::span<const GatherBlock<std::int64_t>>(counts), n, n, /*mirror=*/false);
+    std::vector<std::int64_t> assembled =
+        gather_blocks_to_root(comm, std::span<const GatherBlock<std::int64_t>>(counts), n);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lock(got_mutex);
       got = std::move(assembled);
@@ -855,41 +858,84 @@ TEST(RingShare, CoversEachBlockPairOnce) {
   }
 }
 
+TEST(SummaShare, CoversEachCellOnce) {
+  // Uneven chunks, odd ones (n = 5 at s = 2 splits a chunk of 3, n = 19
+  // at s = 4 chunks of 5), empty chunks (s > n) and n = 0.
+  for (const std::int64_t n : {0, 1, 2, 5, 19}) {
+    for (int s = 1; s <= 4; ++s) {
+      std::vector<int> cover(static_cast<std::size_t>(n * n), 0);
+      for (int r = 0; r < s; ++r) {
+        for (int c = 0; c < s; ++c) {
+          const SummaShare share = summa_share(n, s, r, c);
+          const BlockRange lo = block_range(n, s, std::min(r, c));
+          const BlockRange hi = block_range(n, s, std::max(r, c));
+          const std::string label =
+              "n=" + std::to_string(n) + " s=" + std::to_string(s) + " rank (" +
+              std::to_string(r) + ", " + std::to_string(c) + ")";
+          EXPECT_GE(share.rows.begin, lo.begin) << label;
+          EXPECT_LE(share.rows.begin, share.rows.end) << label;
+          EXPECT_LE(share.rows.end, lo.end) << label;
+          EXPECT_EQ(share.cols.begin, hi.begin) << label;
+          EXPECT_EQ(share.cols.end, hi.end) << label;
+          const SummaShare partner = summa_share(n, s, c, r);
+          EXPECT_LE(std::abs(share.rows.size() - partner.rows.size()), 1) << label;
+          for (std::int64_t i = share.rows.begin; i < share.rows.end; ++i) {
+            for (std::int64_t j = share.cols.begin; j < share.cols.end; ++j) {
+              // A diagonal rank's block reaches below the diagonal; its
+              // SYRK and the mirrored gather use only the upper triangle.
+              if (r == c && j < i) continue;
+              EXPECT_LE(i, j) << label << " reaches below the diagonal";
+              ++cover[static_cast<std::size_t>(i * n + j)];
+            }
+          }
+        }
+      }
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          EXPECT_EQ(cover[static_cast<std::size_t>(i * n + j)], i <= j ? 1 : 0)
+              << "n=" << n << " s=" << s << " cell (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(GatherDense, AssemblesBlocksOnRoot) {
+  // The 2×2 grid's blocks of a symmetric 6×6 matrix on or above the block
+  // diagonal, one per rank; rank (1, 0) ships none.
   bsp::Runtime::run(4, [](bsp::Comm& comm) {
     ProcGrid grid(comm, 1);
     DenseBlock<std::int64_t> block(block_range(6, 2, grid.grid_row()),
                                    block_range(6, 2, grid.grid_col()));
-    for (std::int64_t i = 0; i < block.local_rows(); ++i) {
-      for (std::int64_t j = 0; j < block.local_cols(); ++j) {
-        block.at_local(i, j) = (block.row_range.begin + i) * 6 + block.col_range.begin + j;
+    for (std::int64_t i = block.row_range.begin; i < block.row_range.end; ++i) {
+      for (std::int64_t j = block.col_range.begin; j < block.col_range.end; ++j) {
+        block.at_global(i, j) = std::min(i, j) * 6 + std::max(i, j);
       }
     }
-    const GatherBlock<std::int64_t> whole(block);
-    const auto full = gather_blocks_to_root(
-        comm, std::span<const GatherBlock<std::int64_t>>(&whole, 1), 6, 6, /*mirror=*/false);
+    std::vector<GatherBlock<std::int64_t>> mine;
+    if (grid.grid_row() <= grid.grid_col()) mine.emplace_back(block);
+    const auto full =
+        gather_blocks_to_root(comm, std::span<const GatherBlock<std::int64_t>>(mine), 6);
     if (comm.rank() == 0) {
       ASSERT_EQ(full.size(), 36u);
-      for (std::size_t i = 0; i < 36; ++i) EXPECT_EQ(full[i], static_cast<std::int64_t>(i));
+      for (std::int64_t i = 0; i < 6; ++i) {
+        for (std::int64_t j = 0; j < 6; ++j) {
+          EXPECT_EQ(full[static_cast<std::size_t>(i * 6 + j)],
+                    std::min(i, j) * 6 + std::max(i, j));
+        }
+      }
     } else {
       EXPECT_TRUE(full.empty());
     }
   });
 }
 
-/// The blocks rank r of p contributes to an n×n gather: with `mirror`, its
-/// ring shares (one triangle, distmat/ring.hpp); without, its row block
-/// split into two column blocks. Each also carries an empty block.
-std::vector<std::pair<BlockRange, BlockRange>> gather_layout(std::int64_t n, int p, int r,
-                                                             bool mirror) {
+/// The blocks rank r of p contributes to an n×n gather: its ring shares
+/// (one triangle, distmat/ring.hpp) and an empty block.
+std::vector<std::pair<BlockRange, BlockRange>> gather_layout(std::int64_t n, int p, int r) {
   const BlockRange rows = block_range(n, p, r);
   std::vector<std::pair<BlockRange, BlockRange>> blocks{
       {{rows.begin, rows.begin}, {0, n}}};
-  if (!mirror) {
-    blocks.push_back({rows, {0, n / 2}});
-    blocks.push_back({rows, {n / 2, n}});
-    return blocks;
-  }
   for (int owner = 0; owner < p; ++owner) {
     const BlockRange cols = block_range(n, p, owner);
     const RingShare share = ring_share(p, r, owner, rows.size(), cols.size());
@@ -900,16 +946,16 @@ std::vector<std::pair<BlockRange, BlockRange>> gather_layout(std::int64_t n, int
   return blocks;
 }
 
-/// Cell values with runs of zeros, row 0 all zero and row 1 all nonzero;
-/// symmetric when `symmetric`. Integers include negatives and values past
-/// 2^56; doubles include −0.0, NaN payloads and subnormals, whose bit
-/// patterns are nonzero.
+/// Symmetric cell values with runs of zeros, row 0 all zero and row 1 all
+/// nonzero. Integers include negatives and values past 2^56; doubles
+/// include −0.0, NaN payloads and subnormals, whose bit patterns are
+/// nonzero.
 template <typename T>
-std::vector<T> gather_truth(std::int64_t n, bool symmetric, std::uint64_t seed) {
+std::vector<T> gather_truth(std::int64_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<T> truth(static_cast<std::size_t>(n * n), T{});
   for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = symmetric ? i : 0; j < n; ++j) {
+    for (std::int64_t j = i; j < n; ++j) {
       T value{};
       if (i == 1 || j == 1 || (i != 0 && j != 0 && rng.bernoulli(0.5))) {
         const std::uint64_t pick = rng.uniform(4);
@@ -925,7 +971,7 @@ std::vector<T> gather_truth(std::int64_t n, bool symmetric, std::uint64_t seed) 
         if (i == 0 || j == 0) value = T{};
       }
       truth[static_cast<std::size_t>(i * n + j)] = value;
-      if (symmetric) truth[static_cast<std::size_t>(j * n + i)] = value;
+      truth[static_cast<std::size_t>(j * n + i)] = value;
     }
   }
   return truth;
@@ -934,19 +980,20 @@ std::vector<T> gather_truth(std::int64_t n, bool symmetric, std::uint64_t seed) 
 /// Gather `truth`'s blocks (gather_layout) from p ranks with `finalize`
 /// and check the root's matrix bit for bit against a plain assembly.
 template <typename T, typename Finalize>
-void expect_gather_matches_reference(std::int64_t n, int p, bool mirror, Finalize finalize) {
-  const std::vector<T> truth = gather_truth<T>(n, mirror, 1000 * n + p);
+void expect_gather_matches_reference(std::int64_t n, int p, Finalize finalize) {
+  const std::vector<T> truth = gather_truth<T>(n, 1000 * n + p);
   using Out = std::invoke_result_t<Finalize&, std::int64_t, std::int64_t, T>;
   std::vector<Out> expected(static_cast<std::size_t>(n * n), Out{});
   for (int r = 0; r < p; ++r) {
-    for (const auto& [rows, cols] : gather_layout(n, p, r, mirror)) {
+    for (const auto& [rows, cols] : gather_layout(n, p, r)) {
+      // A diagonal block ships its upper triangle, and each cell of every
+      // block lands at (i, j) and (j, i).
+      const bool triangle = rows.begin == cols.begin && rows.end == cols.end;
       for (std::int64_t i = rows.begin; i < rows.end; ++i) {
-        for (std::int64_t j = cols.begin; j < cols.end; ++j) {
+        for (std::int64_t j = triangle ? i : cols.begin; j < cols.end; ++j) {
           const Out value = finalize(i, j, truth[static_cast<std::size_t>(i * n + j)]);
           expected[static_cast<std::size_t>(i * n + j)] = value;
-          if (mirror && !(rows.contains(j) && cols.contains(i))) {
-            expected[static_cast<std::size_t>(j * n + i)] = value;
-          }
+          expected[static_cast<std::size_t>(j * n + i)] = value;
         }
       }
     }
@@ -961,11 +1008,11 @@ void expect_gather_matches_reference(std::int64_t n, int p, bool mirror, Finaliz
       }
     }
     std::vector<GatherBlock<T>> blocks;
-    for (const auto& [block_rows, block_cols] : gather_layout(n, p, comm.rank(), mirror)) {
+    for (const auto& [block_rows, block_cols] : gather_layout(n, p, comm.rank())) {
       blocks.emplace_back(panel, block_rows, block_cols);
     }
-    std::vector<Out> full = gather_blocks_to_root(
-        comm, std::span<const GatherBlock<T>>(blocks), n, n, mirror, finalize);
+    std::vector<Out> full =
+        gather_blocks_to_root(comm, std::span<const GatherBlock<T>>(blocks), n, finalize);
     if (comm.rank() == 0) {
       got = std::move(full);
     } else {
@@ -975,7 +1022,7 @@ void expect_gather_matches_reference(std::int64_t n, int p, bool mirror, Finaliz
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t c = 0; c < got.size(); ++c) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got[c]), std::bit_cast<std::uint64_t>(expected[c]))
-        << "n=" << n << " p=" << p << " mirror=" << mirror << " cell " << c;
+        << "n=" << n << " p=" << p << " cell " << c;
   }
 }
 
@@ -991,20 +1038,18 @@ TEST(GatherDense, RoundTripMatchesReferenceAssembly) {
   };
   for (const std::int64_t n : {1, 5, 7}) {
     for (const int p : {1, 2, 3, 4, 8}) {
-      for (const bool mirror : {false, true}) {
-        expect_gather_matches_reference<std::int64_t>(n, p, mirror, counts_to_double);
-        expect_gather_matches_reference<std::int64_t>(n, p, mirror, KeepValue{});
-        expect_gather_matches_reference<double>(n, p, mirror, KeepValue{});
-      }
+      expect_gather_matches_reference<std::int64_t>(n, p, counts_to_double);
+      expect_gather_matches_reference<std::int64_t>(n, p, KeepValue{});
+      expect_gather_matches_reference<double>(n, p, KeepValue{});
     }
   }
 }
 
 TEST(GatherDense, ZeroRunsCostBytesOnlyForNonzeroCells) {
-  // A 64×64 block of counts with 3 nonzero cells: the ranges and three
-  // runs, not 8 bytes a cell.
+  // A symmetric 64×64 block of counts with 3 nonzero cells in its upper
+  // triangle: the ranges and three runs, not 8 bytes a cell.
   DenseBlock<std::int64_t> block({0, 64}, {0, 64});
-  block.at_global(0, 5) = 1;
+  block.at_global(0, 5) = block.at_global(5, 0) = 1;
   block.at_global(17, 17) = 2;
   block.at_global(63, 63) = 300;
   const GatherBlock<std::int64_t> whole(block);
@@ -1012,9 +1057,56 @@ TEST(GatherDense, ZeroRunsCostBytesOnlyForNonzeroCells) {
       encode_block_message(std::span<const GatherBlock<std::int64_t>>(&whole, 1));
   EXPECT_LE(message.size(), 30u);
   std::vector<std::int64_t> out(64 * 64, -1);
-  decode_block_message<std::int64_t>(message, 64, 64, false, KeepValue{},
-                                     std::span<std::int64_t>(out));
+  decode_block_message<std::int64_t>(message, 64, KeepValue{}, std::span<std::int64_t>(out));
   EXPECT_EQ(out, block.values);
+}
+
+/// A 5×5 block at (1, 1) of a 7×7 matrix: symmetric counts (zeros
+/// among them) in its upper triangle and the diagonal, and in its lower
+/// triangle values no symmetric product has, which the block message
+/// must not read.
+DenseBlock<std::int64_t> diagonal_block_with_stray_lower_cells() {
+  DenseBlock<std::int64_t> block({1, 6}, {1, 6});
+  Rng rng(5);
+  for (std::int64_t i = 1; i < 6; ++i) {
+    for (std::int64_t j = 1; j < 6; ++j) {
+      block.at_global(i, j) = i <= j ? static_cast<std::int64_t>(rng.uniform(3) * 150)
+                                     : -(10 * i + j);
+    }
+  }
+  return block;
+}
+
+TEST(GatherDense, MirroredDiagonalBlockShipsItsUpperTriangle) {
+  const DenseBlock<std::int64_t> block = diagonal_block_with_stray_lower_cells();
+  const GatherBlock<std::int64_t> whole(block);
+  const std::vector<std::uint8_t> triangle =
+      encode_block_message(std::span<const GatherBlock<std::int64_t>>(&whole, 1));
+  // Both triangles come from the upper one.
+  std::vector<std::int64_t> out(49, -1);
+  decode_block_message<std::int64_t>(triangle, 7, KeepValue{}, std::span<std::int64_t>(out));
+  for (std::int64_t i = 0; i < 7; ++i) {
+    for (std::int64_t j = 0; j < 7; ++j) {
+      const bool inside = block.row_range.contains(i) && block.col_range.contains(j);
+      const std::int64_t want =
+          !inside ? -1 : block.at_global(std::min(i, j), std::max(i, j));
+      EXPECT_EQ(out[static_cast<std::size_t>(i * 7 + j)], want) << "cell " << i << ", " << j;
+    }
+  }
+}
+
+TEST(GatherDense, RunPastTheTriangleIsCorruptInput) {
+  // One 3×3 diagonal block whose one run holds all 9 cells of the square,
+  // 3 past the triangle's 6.
+  std::vector<std::uint8_t> message{1, 0, 3, 0, 3, 0, 9};
+  for (std::uint8_t v = 1; v <= 9; ++v) message.push_back(v);
+  std::vector<std::int64_t> out(9, 0);
+  try {
+    decode_block_message<std::int64_t>(message, 3, KeepValue{}, std::span<std::int64_t>(out));
+    ADD_FAILURE() << "a run past the triangle decoded";
+  } catch (const error::Error& e) {
+    EXPECT_EQ(e.code(), error::Code::kCorruptInput) << e.what();
+  }
 }
 
 TEST(GatherTriplets, PairsOutsideTheTriangleOrRepeatedAreCorruptInput) {

@@ -574,7 +574,8 @@ TEST(Checkpoint, ResumeWithDifferentConfigIsRejected) {
 }
 
 /// checkpoint_fingerprint as it was while every ring filled whole B
-/// panels — the formula the ring checkpoints of that layout carry.
+/// panels — the formula the ring checkpoints of that layout carry, and
+/// the serial and SUMMA checkpoints until SUMMA's symmetric shares.
 std::uint64_t whole_panel_fingerprint(const core::Config& config, std::int64_t n,
                                       std::int64_t m, int nranks) {
   std::uint64_t h = hash_bytes("sas-checkpoint-v1");
@@ -604,22 +605,27 @@ TEST(Checkpoint, RingFingerprintNamesTheTriangleLayout) {
   // The ring leaves the non-share blocks of its B panels zero, so a ring
   // checkpoint of the whole-panel layout must fail to resume (and the
   // other way round) with the typed fingerprint mismatch, instead of
-  // resuming into a silently wrong matrix. The SUMMA and serial panels
-  // did not change, so their checkpoints still resume.
+  // resuming into a silently wrong matrix. Every diagonal block now holds
+  // only its upper triangle and each SUMMA rank its summa_share, so no
+  // serial, ring or SUMMA checkpoint from before resumes, and an older
+  // binary, which reads the lower triangles back, resumes none of these.
   for (const core::Estimator estimator : {core::Estimator::kExact, core::Estimator::kHybrid}) {
     for (const core::Algorithm algorithm :
          {core::Algorithm::kSerial, core::Algorithm::kRing1D, core::Algorithm::kSumma}) {
       core::Config config = checkpoint_config(estimator);
       config.algorithm = algorithm;
       const std::uint64_t now = core::checkpoint_fingerprint(config, 12, 4096, 4);
-      const std::uint64_t before = whole_panel_fingerprint(config, 12, 4096, 4);
+      const std::uint64_t whole_panels = whole_panel_fingerprint(config, 12, 4096, 4);
+      // The formula before the upper-triangle diagonal: the ring's
+      // triangle tag only.
+      const std::uint64_t before =
+          algorithm == core::Algorithm::kRing1D
+              ? hash_combine(whole_panels, hash_bytes("ring-triangle-shares"))
+              : whole_panels;
       const std::string label = "estimator " + std::to_string(static_cast<int>(estimator)) +
                                 ", algorithm " + std::to_string(static_cast<int>(algorithm));
-      if (algorithm == core::Algorithm::kRing1D) {
-        EXPECT_NE(now, before) << label;
-      } else {
-        EXPECT_EQ(now, before) << label;
-      }
+      EXPECT_NE(now, before) << label;
+      EXPECT_NE(now, whole_panels) << label;
     }
   }
 }

@@ -1,15 +1,17 @@
 // test_spgemm_kernels.cpp — equivalence suite for the CSR tiled SpGEMM
-// kernel (the PR-1 hot-path rewrite). The retained triplet merge-join is
-// the executable specification: over varied sparsity, bit width, and tile
-// width, the CSR kernel must produce bit-identical
-// accumulators — and the double-buffered ring must match both the dense
-// reference and SUMMA on the same input.
+// kernel. The retained triplet merge-join is the executable
+// specification: over varied sparsity, bit width, and tile width, the CSR
+// kernel must produce bit-identical accumulators, the popcount SYRK must
+// be the upper triangle of the CSR kernel on every path — and the
+// double-buffered ring must match both the dense reference and SUMMA on
+// the same input.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bsp/runtime.hpp"
@@ -17,6 +19,7 @@
 #include "distmat/crossover.hpp"
 #include "distmat/csr.hpp"
 #include "distmat/gather.hpp"
+#include "distmat/pair_mask.hpp"
 #include "distmat/panel_wire.hpp"
 #include "distmat/proc_grid.hpp"
 #include "distmat/ring.hpp"
@@ -102,10 +105,14 @@ TEST(CsrPanel, SortedRowBoundIsTight) {
   const std::vector<std::uint8_t> wire = encode_panel(entries, PanelOrder::kRowMajor);
   const PanelExtents chunk{{10, 110}, {0, 3}};
   EXPECT_EQ(decode_panel(wire, chunk).rows, 100);
-  const CsrPanel tight = decode_tight_panel(wire, chunk);
+  const CsrPanel tight = decode_tight_panel(wire, chunk, {0, 3});
   EXPECT_EQ(tight.rows, 8);
   EXPECT_EQ(tight.row_ids, (std::vector<std::int64_t>{1, 7}));
-  EXPECT_EQ(decode_tight_panel({}, chunk).rows, 0);
+  EXPECT_EQ(decode_tight_panel({}, chunk, {0, 3}).rows, 0);
+  // A column slice (a SUMMA share's L side) is as high as its own rows.
+  const CsrPanel first = decode_tight_panel(wire, chunk, {0, 1});
+  EXPECT_EQ(first.rows, 2);
+  EXPECT_EQ(first.cols, 1);
 }
 
 // ------------------------------------------------- kernel property tests
@@ -186,6 +193,99 @@ TEST(CsrKernel, DisjointRowSpansProduceZero) {
   csr_popcount_ata_accumulate(CsrPanel::from_block(l), CsrPanel::from_block(n), 0, 0,
                               out, nullptr);
   for (auto v : out.values) EXPECT_EQ(v, 0);
+}
+
+// ---------------------------------------------------- the popcount SYRK
+
+/// A random panel whose every third word-row is empty.
+SparseBlock panel_with_empty_rows(std::int64_t rows, std::int64_t cols, double density,
+                                  std::uint64_t seed) {
+  SparseBlock block = random_block(rows, cols, density, 64, seed);
+  std::erase_if(block.entries,
+                [](const Triplet<std::uint64_t>& t) { return t.row % 3 == 1; });
+  return block;
+}
+
+/// A candidate mask over n samples that keeps about a third of the pairs.
+CandidateMask third_of_pairs(std::int64_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> pairs;
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = i + 1; j < n; ++j) {
+      if (rng.uniform(3) == 0) pairs.push_back(CandidateMask::pack_pair(i, j));
+    }
+  }
+  return CandidateMask(n, std::span<const std::uint64_t>(pairs));
+}
+
+TEST(CsrSyrk, IsTheUpperTriangleOfTheAtaKernel) {
+  // Each panel lands at bases (2, 2) of a larger output, so a write
+  // outside the block shows too. Every nonempty panel is dense enough for
+  // the forced dense path (fill² ≥ kMinDenseCrossover).
+  const std::vector<SparseBlock> panels{
+      panel_with_empty_rows(43, 29, 0.5, 11), panel_with_empty_rows(64, 40, 0.4, 12),
+      random_block(20, 1, 0.5, 64, 13), SparseBlock{10, 7, {}}};
+  struct Path {
+    const char* name;
+    std::int64_t tile_cols;
+    bool dense;
+  };
+  const Path paths[] = {
+      {"scatter tile 1", 1, false}, {"scatter tile 3", 3, false},
+      {"scatter default tile", 0, false}, {"dense", 0, true}};
+  constexpr std::int64_t kBase = 2;
+  constexpr std::int64_t kSentinel = -7777;
+  for (std::size_t index = 0; index < panels.size(); ++index) {
+    const CsrPanel panel = CsrPanel::from_block(panels[index]);
+    const std::int64_t m = panel.cols;
+    const std::int64_t side = m + kBase + 3;
+    const CandidateMask mask = third_of_pairs(side, 100 + index);
+    std::uint64_t triangle_flops = 0;
+    for (std::int64_t k = 0; k < panel.occupied(); ++k) {
+      const auto nnz = static_cast<std::uint64_t>(panel.row_nnz(k));
+      triangle_flops += nnz * (nnz + 1) / 2;
+    }
+    const auto in_triangle = [&](std::int64_t r, std::int64_t c) {
+      return r >= kBase && c < kBase + m && r <= c;
+    };
+    for (const Path& path : paths) {
+      for (const CandidateMask* prune : {static_cast<const CandidateMask*>(nullptr), &mask}) {
+        const std::string label = "panel " + std::to_string(index) + ", " + path.name +
+                                  (prune != nullptr ? ", pruned" : "");
+        CsrAtaOptions options;
+        options.tile_cols = path.tile_cols;
+        options.allow_dense = path.dense;
+        options.dense_crossover = kMinDenseCrossover;
+        options.prune = prune;
+        DenseBlock<std::int64_t> full(BlockRange{0, side}, BlockRange{0, side});
+        csr_popcount_ata_accumulate(panel, panel, kBase, kBase, full, nullptr, options);
+        DenseBlock<std::int64_t> got(BlockRange{0, side}, BlockRange{0, side});
+        for (std::int64_t r = 0; r < side; ++r) {
+          for (std::int64_t c = 0; c < side; ++c) {
+            got.at_local(r, c) = in_triangle(r, c) ? 0 : kSentinel;
+          }
+        }
+        bsp::CostCounters counters;
+        csr_popcount_syrk_accumulate(panel, kBase, kBase, got, &counters, options);
+        for (std::int64_t r = 0; r < side; ++r) {
+          for (std::int64_t c = 0; c < side; ++c) {
+            ASSERT_EQ(got.at_local(r, c), in_triangle(r, c) ? full.at_local(r, c) : kSentinel)
+                << label << ": cell (" << r << ", " << c << ")";
+          }
+        }
+        if (prune == nullptr) {
+          EXPECT_EQ(counters.flops, triangle_flops) << label;
+        } else if (path.dense && !panel.empty()) {
+          // The dense path books the word-madds of the cells it visits.
+          std::uint64_t cells = 0;
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = i; j < m; ++j) cells += mask.test(kBase + i, kBase + j) ? 1 : 0;
+          }
+          EXPECT_EQ(counters.flops, cells * static_cast<std::uint64_t>(panel.rows)) << label;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------ crossover calibration
@@ -289,8 +389,8 @@ std::vector<std::int64_t> run_ring(const SparseBlock& full, int p) {
           b_panel, BlockRange{my_cols.begin + share.rows.begin, my_cols.begin + share.rows.end},
           BlockRange{owner_cols.begin + share.cols.begin, owner_cols.begin + share.cols.end});
     }
-    std::vector<std::int64_t> full_rows = gather_blocks_to_root(
-        comm, std::span<const GatherBlock<std::int64_t>>(shares), n, n, /*mirror=*/true);
+    std::vector<std::int64_t> full_rows =
+        gather_blocks_to_root(comm, std::span<const GatherBlock<std::int64_t>>(shares), n);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lock(mutex);
       assembled = std::move(full_rows);
@@ -299,7 +399,8 @@ std::vector<std::int64_t> run_ring(const SparseBlock& full, int p) {
   return assembled;
 }
 
-/// Run SUMMA over a p-rank grid on blocks of `full` and assemble on rank 0.
+/// Run SUMMA over a p-rank grid on blocks of `full` and assemble on rank 0:
+/// each grid rank accumulates its summa_share, and the root mirrors them.
 std::vector<std::int64_t> run_summa(const SparseBlock& full, int p, int layers) {
   const std::int64_t n = full.cols;
   const std::int64_t h = full.rows;
@@ -321,13 +422,14 @@ std::vector<std::int64_t> run_summa(const SparseBlock& full, int p, int layers) 
         }
       }
       SparseBlock block{chunk.size(), cols.size(), std::move(mine)};
-      b_block.emplace(block_range(n, s, grid.grid_row()), cols);
-      summa_ata_accumulate(grid, block, *b_block);
+      const SummaShare share = summa_share(n, s, grid.grid_row(), grid.grid_col());
+      b_block.emplace(share.rows, share.cols);
+      summa_ata_accumulate(grid, n, block, *b_block);
     }
     std::vector<GatherBlock<std::int64_t>> counts;
     if (grid.active() && grid.layer() == 0) counts.emplace_back(*b_block);
-    std::vector<std::int64_t> full_rows = gather_blocks_to_root(
-        comm, std::span<const GatherBlock<std::int64_t>>(counts), n, n, /*mirror=*/false);
+    std::vector<std::int64_t> full_rows =
+        gather_blocks_to_root(comm, std::span<const GatherBlock<std::int64_t>>(counts), n);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lock(mutex);
       assembled = std::move(full_rows);
